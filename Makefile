@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint bench bench-json fault-smoke trace-smoke bench-smoke shard-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke smoke clean
+.PHONY: all build vet test race check perf-check lint bench bench-json fault-smoke trace-smoke bench-smoke shard-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke smoke clean
 
 all: build
 
@@ -17,8 +17,14 @@ race:
 	$(GO) test -race ./...
 
 # check is the full gate CI runs: build, vet, tests with the race
-# detector.
-check: build vet race
+# detector, and the benchmark module.
+check: build vet race perf-check
+
+# perf-check vets and tests the benchmark module (perf/, its own Go
+# module), which nothing else compiles: a change to the replay or fleet
+# API would otherwise break the benchmark unnoticed.
+perf-check:
+	GOPROXY=off $(GO) -C perf vet . && $(GO) -C perf test -count=1 .
 
 # lint runs the static analyzers CI installs on its runner. Locally the
 # tools are optional: each is skipped with a notice when its binary is

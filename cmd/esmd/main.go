@@ -248,15 +248,7 @@ func runSingle(opts daemonOpts, in io.Reader, out io.Writer) error {
 	}
 	if opts.seriesPath != "" {
 		if s := d.arr.Series(); s != nil {
-			f, err := os.Create(opts.seriesPath)
-			if err != nil {
-				return err
-			}
-			if err := s.WriteCSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeCSV(opts.seriesPath, s); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "flight series (%d samples) written to %s\n", s.Len(), opts.seriesPath)
@@ -266,16 +258,7 @@ func runSingle(opts daemonOpts, in io.Reader, out io.Writer) error {
 		fmt.Fprintf(out, "provenance: %d rows (%d offered, stride %d): %d determinations, %d decisions, %d transitions\n",
 			p.Records, p.Offered, p.Stride, p.Determinations, p.Decisions, p.Transitions)
 		if opts.provPath != "" {
-			s := d.arr.ProvenanceSeries()
-			f, err := os.Create(opts.provPath)
-			if err != nil {
-				return err
-			}
-			if err := s.WriteCSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeCSV(opts.provPath, d.arr.ProvenanceSeries()); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "provenance ledger written to %s\n", opts.provPath)
@@ -288,6 +271,19 @@ func runSingle(opts daemonOpts, in io.Reader, out io.Writer) error {
 		fmt.Fprintf(out, "trace written to %s\n", opts.tracePath)
 	}
 	return nil
+}
+
+// writeCSV writes one columnar series to path as CSV.
+func writeCSV(path string, s *obs.Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runFleet boots the multi-array control plane and serves it until

@@ -1,11 +1,9 @@
 // One managed array of the fleet: a complete simulated storage unit —
-// its own virtual clock, event queue, array, ESM policy instance and
-// telemetry surfaces — driven record by record from a live ingest
-// stream instead of a batch replay. The feed path reproduces
-// replay.Execute's open-loop body and end-of-stream sequence exactly,
-// on the same flight-sampling grid, so an array fed a trace over the
-// wire settles to bit-identical energy and series values as an offline
-// replay of the same trace.
+// a replay.Session with its own virtual clock, event queue, array, ESM
+// policy instance and telemetry surfaces — driven record by record from
+// a live ingest stream. The session is open-ended (no span, no source),
+// so an array fed a trace over the wire runs the same record step,
+// sampling grid and end sequence as an offline replay of that trace.
 
 package fleet
 
@@ -20,19 +18,11 @@ import (
 	"esm/internal/config"
 	"esm/internal/core"
 	"esm/internal/faults"
-	"esm/internal/metrics"
 	"esm/internal/obs"
-	"esm/internal/policy"
 	"esm/internal/replay"
-	"esm/internal/simclock"
 	"esm/internal/storage"
 	"esm/internal/trace"
 )
-
-// planningHorizon is the policy End handed to ESM instances: a live
-// stream's length is unknown up front, so the horizon is simply
-// generous (matching single-array esmd).
-const planningHorizon = 1000 * time.Hour
 
 // ArraySpec declares one array of the fleet with its data set loaded.
 type ArraySpec struct {
@@ -132,38 +122,16 @@ type Status struct {
 // Array is one live simulated storage unit. All simulation state is
 // guarded by mu; Status and Series are safe from HTTP goroutines.
 type Array struct {
-	name       string
-	enclosures int
-	statusOut  io.Writer
+	name      string
+	statusOut io.Writer
 
-	// mu guards the entire simulation below. Feed, Finish, SwapPolicy
-	// and rollup all hold it; the simulated clock of one array never
-	// advances concurrently with itself.
+	// mu guards the session below. Feed, Finish, SwapPolicy and rollup
+	// all hold it; the simulated clock of one array never advances
+	// concurrently with itself.
 	mu      sync.Mutex
-	clk     *simclock.Clock
-	evq     *simclock.EventQueue
-	arr     *storage.Array
-	esm     *core.ESM
-	inj     *faults.Injector
-	cat     *trace.Catalog
-	now     time.Duration
-	records int64
+	sess    *replay.Session
 	lastDet int64
-	resp    metrics.ResponseStats
 	swaps   int64
-	done    bool
-
-	rec    *obs.Recorder
-	trc    *obs.Tracer
-	flight *obs.FlightRecorder
-	wd     *obs.Watchdog
-	prov   *obs.Provenance
-
-	// feeder, when non-nil, routes fault-free feeds through the sharded
-	// deterministic engine; shards is its effective lane count (for
-	// status). The feeder is serialized under mu like everything else.
-	feeder *replay.ShardedFeeder
-	shards int
 
 	ingestRequests atomic.Int64
 	ingestRecords  atomic.Int64
@@ -181,10 +149,6 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	if spec.Catalog == nil {
 		return nil, fmt.Errorf("fleet: array %q: catalog is required", spec.Name)
 	}
-	if len(spec.Placement) != spec.Catalog.Len() {
-		return nil, fmt.Errorf("fleet: array %q: placement covers %d of %d items",
-			spec.Name, len(spec.Placement), spec.Catalog.Len())
-	}
 	enclosures := spec.Enclosures
 	if enclosures == 0 {
 		for _, e := range spec.Placement {
@@ -196,10 +160,6 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	cfgFile := spec.Config
 	if cfgFile == nil {
 		cfgFile = &config.File{}
-	}
-	if cfgFile.Policy != nil && cfgFile.Policy.Name != "" && cfgFile.Policy.Name != "esm" {
-		return nil, fmt.Errorf("fleet: array %q: the control plane always runs the proposed method; policy %q is not supported",
-			spec.Name, cfgFile.Policy.Name)
 	}
 	storageCfg, err := cfgFile.BuildStorage(enclosures)
 	if err != nil {
@@ -222,124 +182,50 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 		})
 	}
 
-	clk := &simclock.Clock{}
-	evq := &simclock.EventQueue{}
-	arr, err := storage.New(storageCfg, clk, evq, spec.Catalog)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
-	}
-	// The tracer attaches before placement so the energy ledger's
-	// residency accounting sees every item land on its home enclosure.
-	if trc != nil {
-		arr.SetTracer(trc)
-	}
-	for item, enc := range spec.Placement {
-		if err := arr.Place(trace.ItemID(item), enc); err != nil {
-			return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
-		}
-	}
 	esm, err := buildESM(cfgFile)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
-	}
-	arr.SetRecorder(rec)
-	esm.SetRecorder(rec)
-	if trc != nil {
-		esm.SetTracer(trc)
 	}
 	every := spec.SeriesInterval
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	flight := obs.NewFlightRecorder(obs.FlightOptions{
-		Interval:   every,
-		MaxSamples: spec.SeriesMaxSamples,
-	})
-	esm.SetFlightRecorder(flight)
-	// The watchdog shares the array's recorder (sequence-consistent
-	// alert events) and the fleet registry (array-labelled instruments).
-	wd := obs.NewWatchdog(obs.WatchdogOptions{
-		Rules:    spec.Alerts,
-		Recorder: rec,
-		Registry: reg,
-		Instance: spec.Name,
-	})
-	esm.SetWatchdog(wd)
-	var prov *obs.Provenance
+	run := replay.Run{
+		Catalog:   spec.Catalog,
+		Placement: spec.Placement,
+		Storage:   storageCfg,
+		Policy:    esm,
+		Shards:    spec.Shards,
+		Recorder:  rec,
+		Tracer:    trc,
+		Faults:    spec.Faults,
+		Series: obs.NewFlightRecorder(obs.FlightOptions{
+			Interval:   every,
+			MaxSamples: spec.SeriesMaxSamples,
+		}),
+		// The watchdog shares the array's recorder (sequence-consistent
+		// alert events) and the fleet registry (array-labelled
+		// instruments).
+		Alerts: obs.NewWatchdog(obs.WatchdogOptions{
+			Rules:    spec.Alerts,
+			Recorder: rec,
+			Registry: reg,
+			Instance: spec.Name,
+		}),
+	}
 	if spec.Provenance {
-		prov = obs.NewProvenance(obs.ProvenanceOptions{
-			MaxRecords: spec.ProvenanceMaxRecords,
-			IdleW:      arr.Config().Power.IdleW,
-			SpinUpTime: arr.Config().Power.SpinUpTime,
-		})
-		arr.SetProvenance(prov)
-		esm.SetProvenance(prov)
+		run.Provenance = obs.NewProvenance(obs.ProvenanceOptions{MaxRecords: spec.ProvenanceMaxRecords})
 	}
-	var inj *faults.Injector
-	if spec.Faults != nil {
-		inj, err = faults.NewInjector(*spec.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
-		}
-		arr.SetFaultInjector(inj)
+	// No Duration and no Source: an open-ended session.
+	sess, err := replay.NewSession(run)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
 	}
-
 	a := &Array{
-		name:       spec.Name,
-		enclosures: enclosures,
-		statusOut:  spec.StatusOut,
-		clk:        clk,
-		evq:        evq,
-		arr:        arr,
-		esm:        esm,
-		inj:        inj,
-		cat:        spec.Catalog,
-		rec:        rec,
-		trc:        trc,
-		flight:     flight,
-		wd:         wd,
-		prov:       prov,
+		name:      spec.Name,
+		statusOut: spec.StatusOut,
+		sess:      sess,
 	}
-	// The array's observers dispatch through the Array so a hot-swapped
-	// policy starts seeing events without rewiring; they only fire
-	// during Submit/RunUntil, i.e. with a.mu held.
-	arr.SetPhysicalObserver(func(rec trace.PhysicalRecord) { a.esm.OnPhysical(rec) })
-	arr.SetPowerObserver(func(e int, at time.Duration, on bool) { a.esm.OnPower(e, at, on) })
-	if inj != nil {
-		arr.SetFaultObserver(func(ev faults.Event) { a.esm.OnFault(ev) })
-	}
-	esm.Init(&policy.Context{Array: arr, Catalog: spec.Catalog, Clock: clk, Queue: evq, End: planningHorizon})
-
-	// With shards > 1 and no fault injector, the live feed runs on the
-	// sharded deterministic engine: the feeder owns the event pump and
-	// installs itself as the array's sync hook, so status snapshots and
-	// policy actions barrier transparently. The OnLogical indirection
-	// keeps a hot-swapped policy wired, like the observers above.
-	if smap := storage.NewShardMap(enclosures, spec.Shards); smap.Shards() > 1 && inj == nil {
-		a.feeder = replay.NewShardedFeeder(replay.FeederOptions{
-			Array: arr, Clock: clk, Queue: evq, Shards: smap,
-			OnLogical: func(rec trace.LogicalRecord) { a.esm.OnLogical(rec) },
-			Resp:      &a.resp,
-			Tracer:    trc,
-			Physical:  func(rec trace.PhysicalRecord) { a.esm.OnPhysical(rec) },
-		})
-		a.shards = smap.Shards()
-	}
-
-	// Self-rescheduling flight sampler on the simulated clock, the same
-	// grid replay.Execute uses: a t=0 baseline row, then one sample per
-	// interval as the feed's RunUntil sweeps past it.
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		s := a.sampleLocked(now)
-		a.flight.Record(s)
-		a.wd.Observe(s)
-		a.evq.Schedule(now+every, tick)
-	}
-	s0 := a.sampleLocked(0)
-	flight.Record(s0)
-	wd.Observe(s0)
-	evq.Schedule(every, tick)
 	a.updateSnapshotLocked(0)
 	return a, nil
 }
@@ -347,16 +233,13 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 // buildESM constructs the proposed method from cfg, rejecting other
 // policies.
 func buildESM(cfg *config.File) (*core.ESM, error) {
-	if cfg.Policy != nil && cfg.Policy.Name != "" && cfg.Policy.Name != "esm" {
-		return nil, fmt.Errorf("policy %q is not supported here (esm only)", cfg.Policy.Name)
-	}
 	pol, err := cfg.BuildPolicy()
 	if err != nil {
 		return nil, err
 	}
 	esm, ok := pol.(*core.ESM)
 	if !ok {
-		return nil, fmt.Errorf("policy %q is not the proposed method", pol.Name())
+		return nil, fmt.Errorf("policy %q is not supported here (esm only)", pol.Name())
 	}
 	return esm, nil
 }
@@ -364,123 +247,71 @@ func buildESM(cfg *config.File) (*core.ESM, error) {
 // Name returns the array's fleet-unique name.
 func (a *Array) Name() string { return a.name }
 
-// Enclosures returns the enclosure count.
-func (a *Array) Enclosures() int { return a.enclosures }
-
-// Feed drives one logical record through the simulation: advance the
-// virtual clock to the record's time (firing any management and
-// sampling events on the way), show the record to the policy, submit
-// it to the array. Records must arrive in time order; injected faults
-// kill the individual I/O, not the stream.
+// Feed drives one logical record through the array's session:
+// advance the virtual clock to the record's time (firing any management
+// and sampling events on the way), show the record to the policy,
+// submit it to the array. Records must arrive in time order (an earlier
+// one fails with a *trace.OrderError); injected faults kill the
+// individual I/O, not the stream.
 func (a *Array) Feed(rec trace.LogicalRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.feedLocked(rec)
-}
-
-func (a *Array) feedLocked(rec trace.LogicalRecord) error {
-	if a.done {
-		return fmt.Errorf("fleet: array %q: stream already finalized", a.name)
+	if err := a.sess.Feed(rec); err != nil {
+		return fmt.Errorf("fleet: array %q: %w", a.name, err)
 	}
-	if rec.Time < a.now {
-		return fmt.Errorf("fleet: array %q: record out of order (%v after %v)", a.name, rec.Time, a.now)
-	}
-	a.now = rec.Time
-	if a.feeder != nil {
-		// Sharded path: the feeder pumps the event queue with barriers,
-		// delivers OnLogical and accumulates into a.resp itself.
-		if err := a.feeder.Feed(rec); err != nil {
-			return fmt.Errorf("fleet: array %q: %w", a.name, err)
-		}
-	} else {
-		a.evq.RunUntil(a.clk, rec.Time)
-		a.esm.OnLogical(rec)
-		if out, err := a.arr.Submit(rec); err != nil {
-			var fe *storage.FaultError
-			if !errors.As(err, &fe) {
-				return fmt.Errorf("fleet: array %q: %w", a.name, err)
-			}
-		} else {
-			a.resp.Add(rec.Op, out.Response)
-		}
-	}
-	a.records++
 	a.afterRecordLocked()
 	return nil
 }
+
+// esm returns the running policy instance.
+func (a *Array) esm() *core.ESM { return a.sess.Policy().(*core.ESM) }
 
 // afterRecordLocked refreshes the status snapshot on determination
 // boundaries (and every 1024 records), printing the determination line
 // when a StatusOut is attached.
 func (a *Array) afterRecordLocked() {
-	det := a.esm.Determinations()
+	esm, now := a.esm(), a.sess.Now()
+	det := esm.Determinations()
 	newDet := det != a.lastDet
 	a.lastDet = det
-	if newDet || a.records%1024 == 0 {
-		a.updateSnapshotLocked(a.now)
+	if newDet || a.sess.Records()%1024 == 0 {
+		a.updateSnapshotLocked(now)
 	}
 	if !newDet || a.statusOut == nil {
 		return
 	}
 	hot := 0
-	for _, h := range a.esm.Hot() {
+	for _, h := range esm.Hot() {
 		if h {
 			hot++
 		}
 	}
 	var mix core.PatternMix
-	if plan := a.esm.LastPlan(); plan != nil {
+	if plan := esm.LastPlan(); plan != nil {
 		for _, p := range plan.Patterns {
 			mix.Counts[p]++
 			mix.Total++
 		}
 	}
-	st := a.arr.Stats()
+	arr := a.sess.Array()
 	fmt.Fprintf(a.statusOut, "[%s %v] determination #%d: %d/%d hot enclosures, period %v, %s, avg %.1f W, %d spin-ups, %.2f GB migrated\n",
-		a.name, a.now.Round(time.Second), det, hot, a.enclosures,
-		a.esm.Period().Round(time.Second), mix.String(),
-		a.arr.Meter().AverageEnclosureW(a.now),
-		a.arr.Meter().SpinUps(), float64(st.MigratedBytes)/(1<<30))
+		a.name, now.Round(time.Second), det, hot, arr.Enclosures(),
+		esm.Period().Round(time.Second), mix.String(),
+		arr.Meter().AverageEnclosureW(now),
+		arr.Meter().SpinUps(), float64(arr.Stats().MigratedBytes)/(1<<30))
 }
 
-// Finish finalizes the stream: run the queue out to the last record's
-// time, let the policy finish, flush delayed writes, settle the power
-// meter and force the closing flight sample — the exact end sequence
-// of replay.Execute. Idempotent; further Feeds fail.
+// Finish finalizes the stream with the session's end sequence: run the
+// queue out to the last record's time, let the policy finish, flush
+// delayed writes, settle the power meter and force the closing flight
+// sample. Idempotent; further Feeds fail.
 func (a *Array) Finish() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.finishLocked()
-}
-
-func (a *Array) finishLocked() error {
-	if a.done {
-		return nil
+	if _, err := a.sess.Finish(); err != nil {
+		return fmt.Errorf("fleet: array %q: %w", a.name, err)
 	}
-	a.done = true
-	end := a.now
-	if a.clk.Now() > end {
-		end = a.clk.Now()
-	}
-	if a.feeder != nil {
-		a.feeder.RunUntil(end)
-	} else {
-		a.evq.RunUntil(a.clk, end)
-	}
-	a.esm.Finish(end)
-	a.arr.FlushAll()
-	a.arr.Finish()
-	if a.feeder != nil {
-		err := a.feeder.Close()
-		a.feeder = nil
-		if err != nil {
-			return fmt.Errorf("fleet: array %q: %w", a.name, err)
-		}
-	}
-	s := a.sampleLocked(end)
-	a.flight.Final(s)
-	a.wd.Final(s)
-	a.updateSnapshotLocked(end)
+	a.updateSnapshotLocked(a.sess.Now())
 	return nil
 }
 
@@ -488,7 +319,7 @@ func (a *Array) finishLocked() error {
 func (a *Array) Finished() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.done
+	return a.sess.Finished()
 }
 
 // SwapPolicy replaces the running ESM instance with one built from
@@ -508,22 +339,12 @@ func (a *Array) SwapPolicy(cfg *config.File) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.done {
-		return fmt.Errorf("fleet: array %q: stream already finalized", a.name)
+	if err := a.sess.SwapPolicy(esm); err != nil {
+		return fmt.Errorf("fleet: array %q: %w", a.name, err)
 	}
-	a.esm.Stop()
-	esm.SetRecorder(a.rec)
-	if a.trc != nil {
-		esm.SetTracer(a.trc)
-	}
-	esm.SetFlightRecorder(a.flight)
-	esm.SetWatchdog(a.wd)
-	esm.SetProvenance(a.prov)
-	a.esm = esm
 	a.lastDet = 0
-	esm.Init(&policy.Context{Array: a.arr, Catalog: a.cat, Clock: a.clk, Queue: a.evq, End: planningHorizon})
 	a.swaps++
-	a.updateSnapshotLocked(a.now)
+	a.updateSnapshotLocked(a.sess.Now())
 	return nil
 }
 
@@ -533,14 +354,14 @@ func (a *Array) SwapPolicy(cfg *config.File) error {
 // stream never blocks scrapes.
 func (a *Array) IngestNDJSON(r io.Reader) (int64, error) {
 	dec := trace.NewNDJSONReader(r)
-	return a.ingest(func() (trace.LogicalRecord, error) { return dec.Next() })
+	return a.ingest(dec.Next, nil)
 }
 
 // IngestStream feeds the binary stream-codec framing (tracegen
 // -format stream).
 func (a *Array) IngestStream(r io.Reader) (int64, error) {
 	dec := trace.NewStreamReader(r)
-	return a.ingest(func() (trace.LogicalRecord, error) { return dec.Next() })
+	return a.ingest(dec.Next, nil)
 }
 
 // IngestCSV feeds "time_ns,item,offset,size,op" lines (tracegen
@@ -548,12 +369,20 @@ func (a *Array) IngestStream(r io.Reader) (int64, error) {
 // appear, so concatenated CSV streams work; every error — parse or
 // feed — carries the line number.
 func (a *Array) IngestCSV(r io.Reader) (int64, error) {
+	dec := trace.NewCSVReader(r)
+	return a.ingest(dec.Next, dec.Line)
+}
+
+// ingest drains next into Feed, counting the request and its records.
+// Partially applied streams stay applied: records before the first
+// error have already driven the simulation. line, when non-nil, names
+// the input line of a record the feed rejects.
+func (a *Array) ingest(next func() (trace.LogicalRecord, error), line func() int64) (int64, error) {
 	a.ingestRequests.Add(1)
 	defer a.RefreshStatus()
-	dec := trace.NewCSVReader(r)
 	var n int64
 	for {
-		rec, err := dec.Next()
+		rec, err := next()
 		if errors.Is(err, io.EOF) {
 			return n, nil
 		}
@@ -561,80 +390,48 @@ func (a *Array) IngestCSV(r io.Reader) (int64, error) {
 			return n, err
 		}
 		if err := a.Feed(rec); err != nil {
-			return n, fmt.Errorf("line %d: %w", dec.Line(), err)
-		}
-		n++
-		a.ingestRecords.Add(1)
-	}
-}
-
-// ingest drains next into Feed, counting the request and its records.
-// Partially applied streams stay applied: records before the first
-// error have already driven the simulation.
-func (a *Array) ingest(next func() (trace.LogicalRecord, error)) (int64, error) {
-	a.ingestRequests.Add(1)
-	var n int64
-	for {
-		rec, err := next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			a.RefreshStatus()
-			return n, err
-		}
-		if err := a.Feed(rec); err != nil {
-			a.RefreshStatus()
+			if line != nil {
+				err = fmt.Errorf("line %d: %w", line(), err)
+			}
 			return n, err
 		}
 		n++
 		a.ingestRecords.Add(1)
 	}
-	a.RefreshStatus()
-	return n, nil
 }
 
 // Records returns how many records have been fed.
 func (a *Array) Records() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.records
-}
-
-// Now returns the array's simulated time.
-func (a *Array) Now() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.clk.Now()
-	if a.now > n {
-		n = a.now
-	}
-	return n
+	return a.sess.Records()
 }
 
 // Series returns the flight recorder's live time series.
 func (a *Array) Series() *obs.Series {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.flight.Series()
+	return a.sess.Run().Series.Series()
 }
 
 // ProvenanceSeries returns the decision-provenance ledger's rows as a
 // columnar series (nil when the array runs without provenance). The
 // recorder has its own lock, so scrapes never contend with the
 // simulation.
-func (a *Array) ProvenanceSeries() *obs.Series { return a.prov.Series() }
+func (a *Array) ProvenanceSeries() *obs.Series { return a.sess.Run().Provenance.Series() }
 
 // ProvenanceSummary returns the ledger roll-up (nil when off).
-func (a *Array) ProvenanceSummary() *obs.ProvenanceSummary { return a.prov.Summary() }
+func (a *Array) ProvenanceSummary() *obs.ProvenanceSummary {
+	return a.sess.Run().Provenance.Summary()
+}
 
 // Alerts returns the watchdog's per-rule states (nil without rules).
 // The watchdog has its own lock, so scrapes never contend with the
 // simulation.
-func (a *Array) Alerts() []obs.AlertStatus { return a.wd.States() }
+func (a *Array) Alerts() []obs.AlertStatus { return a.sess.Run().Alerts.States() }
 
 // AlertSummary returns the watchdog's aggregate state.
-func (a *Array) AlertSummary() obs.AlertSummary { return a.wd.Summary() }
+func (a *Array) AlertSummary() obs.AlertSummary { return a.sess.Run().Alerts.Summary() }
 
 // Status returns the most recent liveness snapshot. Safe from HTTP
 // goroutines; never blocks on the simulation lock.
@@ -648,113 +445,65 @@ func (a *Array) Status() Status {
 func (a *Array) RefreshStatus() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	now := a.clk.Now()
-	if a.now > now {
-		now = a.now
-	}
-	a.updateSnapshotLocked(now)
+	a.updateSnapshotLocked(a.sess.Now())
 }
 
 // updateSnapshotLocked rebuilds the status payload; the caller holds
 // a.mu.
 func (a *Array) updateSnapshotLocked(now time.Duration) {
+	esm, arr, run := a.esm(), a.sess.Array(), a.sess.Run()
+	st := arr.Stats()
 	snap := Status{
 		Array:          a.name,
 		TimeNS:         int64(now),
-		Records:        a.records,
-		Determinations: a.esm.Determinations(),
-		Period:         a.esm.Period().String(),
-		PeriodNS:       int64(a.esm.Period()),
-		HotMask:        append([]bool(nil), a.esm.Hot()...),
-		SpinUps:        a.arr.Meter().SpinUps(),
-		AvgEnclosureW:  a.arr.Meter().AverageEnclosureW(now),
-		EnergyJ:        a.arr.Meter().TotalEnergyJ(now),
-		Cache:          a.arr.CacheOccupancy(),
+		Records:        a.sess.Records(),
+		Determinations: esm.Determinations(),
+		Period:         esm.Period().String(),
+		PeriodNS:       int64(esm.Period()),
+		HotMask:        append([]bool(nil), esm.Hot()...),
+		SpinUps:        arr.Meter().SpinUps(),
+		MigratedBytes:  st.MigratedBytes,
+		CacheHits:      st.CacheHits,
+		AvgEnclosureW:  arr.Meter().AverageEnclosureW(now),
+		EnergyJ:        arr.Meter().TotalEnergyJ(now),
+		Cache:          arr.CacheOccupancy(),
 		IngestRequests: a.ingestRequests.Load(),
 		IngestRecords:  a.ingestRecords.Load(),
 		PolicySwaps:    a.swaps,
-		Finished:       a.done,
-		Shards:         a.shards,
+		Finished:       a.sess.Finished(),
+		Shards:         a.sess.Shards(),
+		Provenance:     run.Provenance.Summary(),
 	}
-	samples, last := a.flight.Stats()
+	samples, last := run.Series.Stats()
 	snap.SeriesSamples = samples
 	snap.SeriesLastTNS = int64(last)
-	st := a.arr.Stats()
-	snap.MigratedBytes = st.MigratedBytes
-	snap.CacheHits = st.CacheHits
-	if a.inj != nil {
-		c := a.inj.Counters()
+	if inj := a.sess.Injector(); inj != nil {
+		c := inj.Counters()
 		snap.Faults = c.Total()
 		snap.FailedIOs = c.FailedAppIOs
-		snap.Degraded = a.esm.Degraded()
-		snap.Degradations = a.esm.Degradations()
+		snap.Degraded = esm.Degraded()
+		snap.Degradations = esm.Degradations()
 	}
-	if plan := a.esm.LastPlan(); plan != nil {
+	if plan := esm.LastPlan(); plan != nil {
 		snap.PatternMix = map[string]int{}
 		for _, p := range plan.Patterns {
 			snap.PatternMix[p.String()]++
 		}
 	}
-	if a.wd != nil {
-		sum := a.wd.Summary()
+	if run.Alerts != nil {
+		sum := run.Alerts.Summary()
 		snap.Alerts = &sum
 	}
-	snap.Provenance = a.prov.Summary()
-	if a.trc != nil {
+	if run.Tracer != nil {
 		// Settle the power-state accumulators so the attribution
 		// reflects energy actually drawn.
-		a.arr.Finish()
-		snap.Latency = a.trc.LatencySummary()
-		snap.Attribution = a.trc.Attribute(now, a.arr.EnclosureEnergy)
+		arr.Finish()
+		snap.Latency = run.Tracer.LatencySummary()
+		snap.Attribution = run.Tracer.Attribute(now, arr.EnclosureEnergy)
 	}
 	a.snapMu.Lock()
 	a.snap = snap
 	a.snapMu.Unlock()
-}
-
-// sampleLocked assembles one whole-system flight sample at simulated
-// time now (the fleet twin of replay.Execute's snapshot closure); the
-// caller holds a.mu. It settles the power meter, like every sampler.
-func (a *Array) sampleLocked(now time.Duration) obs.FlightSample {
-	a.arr.Finish()
-	m := a.arr.Meter()
-	occ := a.arr.CacheOccupancy()
-	st := a.arr.Stats()
-	s := obs.FlightSample{
-		T:                 now,
-		EnclosureEnergyJ:  m.EnclosureEnergyJ(),
-		TotalEnergyJ:      m.TotalEnergyJ(now),
-		SpinUps:           m.SpinUps(),
-		CacheGeneralPages: occ.GeneralPages,
-		CachePreloadBytes: occ.PreloadUsedBytes,
-		CacheDirtyBytes:   occ.WriteDelayDirtyBytes,
-		Determinations:    a.esm.Determinations(),
-		Migrations:        st.Migrations,
-		MigratedBytes:     st.MigratedBytes,
-		PhysicalReads:     st.PhysicalReads,
-		PhysicalWrites:    st.PhysicalWrites,
-		CacheHits:         st.CacheHits,
-		RespCount:         a.resp.Count(),
-		RespMean:          a.resp.Mean(),
-		RespP95:           a.resp.Percentile(0.95),
-		RespP99:           a.resp.Percentile(0.99),
-		Faults:            a.inj.Counters().Total(),
-		Degraded:          a.esm.Degraded(),
-	}
-	for e := 0; e < a.arr.Enclosures(); e++ {
-		es := obs.EnclosureSample{UsedBytes: a.arr.Used(e)}
-		switch since, idle := a.arr.IdleSince(e, now); {
-		case !a.arr.EnclosureOn(e, now):
-			es.State = obs.EnclosureOff
-		case idle:
-			es.State = obs.EnclosureIdle
-			es.IdleFor = now - since
-		default:
-			es.State = obs.EnclosureActive
-		}
-		s.Enclosures = append(s.Enclosures, es)
-	}
-	return s
 }
 
 // Report writes the end-of-stream summary (single-array esmd's final
@@ -762,35 +511,33 @@ func (a *Array) sampleLocked(now time.Duration) obs.FlightSample {
 func (a *Array) Report(w io.Writer) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	now := a.clk.Now()
-	fmt.Fprintf(w, "\n[%s] processed %d records over %v\n", a.name, a.records, now.Round(time.Second))
-	fmt.Fprintf(w, "determinations     %d\n", a.esm.Determinations())
-	fmt.Fprintf(w, "avg enclosure      %.1f W\n", a.arr.Meter().AverageEnclosureW(now))
-	fmt.Fprintf(w, "avg total          %.1f W\n", a.arr.Meter().AverageTotalW(now))
-	fmt.Fprintf(w, "spin-ups           %d\n", a.arr.Meter().SpinUps())
-	st := a.arr.Stats()
+	esm, arr, now := a.esm(), a.sess.Array(), a.sess.Now()
+	fmt.Fprintf(w, "\n[%s] processed %d records over %v\n", a.name, a.sess.Records(), now.Round(time.Second))
+	fmt.Fprintf(w, "determinations     %d\n", esm.Determinations())
+	fmt.Fprintf(w, "avg enclosure      %.1f W\n", arr.Meter().AverageEnclosureW(now))
+	fmt.Fprintf(w, "avg total          %.1f W\n", arr.Meter().AverageTotalW(now))
+	fmt.Fprintf(w, "spin-ups           %d\n", arr.Meter().SpinUps())
+	st := arr.Stats()
 	fmt.Fprintf(w, "migrated           %.2f GB\n", float64(st.MigratedBytes)/(1<<30))
 	fmt.Fprintf(w, "cache hits         %d\n", st.CacheHits)
 	fmt.Fprintf(w, "delayed writes     %d\n", st.DelayedWrites)
-	if a.inj != nil {
-		c := a.inj.Counters()
+	if inj := a.sess.Injector(); inj != nil {
+		c := inj.Counters()
 		fmt.Fprintf(w, "injected faults    %d (%d failed app I/Os, %d failed migrations)\n",
 			c.Total(), c.FailedAppIOs, c.FailedMigrations)
-		fmt.Fprintf(w, "degradations       %d\n", a.esm.Degradations())
+		fmt.Fprintf(w, "degradations       %d\n", esm.Degradations())
 	}
 }
 
-// Close stops the sharded feeder (if the stream was never finalized)
-// and flushes and closes the array's event and span sinks.
+// Close stops the session's worker lanes (if the stream was never
+// finalized) and flushes and closes the array's event and span sinks.
 func (a *Array) Close() error {
 	a.mu.Lock()
-	if a.feeder != nil {
-		a.feeder.Close()
-		a.feeder = nil
-	}
+	a.sess.Close()
+	run := a.sess.Run()
 	a.mu.Unlock()
-	err := a.rec.Close()
-	if terr := a.trc.Close(); err == nil {
+	err := run.Recorder.Close()
+	if terr := run.Tracer.Close(); err == nil {
 		err = terr
 	}
 	return err

@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"esm/internal/core"
+	"esm/internal/faults"
 	"esm/internal/obs"
 	"esm/internal/replay"
 	"esm/internal/storage"
@@ -70,96 +72,161 @@ func get(t *testing.T, url string) []byte {
 }
 
 // TestLiveIngestMatchesOfflineReplay is the acceptance gate of the
-// control plane: two arrays fed the same trace over live chunked
-// NDJSON ingest must produce flight series and energy totals
-// byte-identical to an offline replay.Execute of the same trace on the
-// same sampling grid — the wire adds nothing and loses nothing.
+// control plane: arrays fed a trace over live chunked NDJSON ingest
+// must produce flight series, provenance ledgers, alert states and
+// totals byte-identical to an offline replay.Execute of the same trace
+// on the same sampling grid — the wire adds nothing and loses nothing,
+// with faults injected, on the sharded engine, and with every
+// telemetry surface on.
 func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 	span := 30 * time.Minute
 	interval := time.Minute
 	_, _, recs := fixture(t, span)
 	last := recs[len(recs)-1].Time
+	rules := []string{"energy:total_energy_j>1:for=2m", "spinups:spin_ups>0"}
 
-	// Offline reference: replay the same records with the same flight
-	// grid. Fresh catalog so no state leaks between the sides.
-	cat, placement, _ := fixture(t, span)
-	esm, err := core.NewESM(core.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name       string
+		faults     string
+		shards     int
+		alerts     bool
+		provenance bool
+	}{
+		{name: "plain"},
+		{name: "faults", faults: "seed=7,spinup=0.2,io=0.005"},
+		{name: "sharded", shards: 2},
+		{name: "alerts+provenance", alerts: true, provenance: true},
 	}
-	flight := obs.NewFlightRecorder(obs.FlightOptions{Interval: interval})
-	res, err := replay.Execute(replay.Run{
-		Catalog:   cat,
-		Source:    trace.NewSliceSource(recs),
-		Placement: placement,
-		Storage:   storage.DefaultConfig(2),
-		Policy:    esm,
-		Duration:  last,
-		Series:    flight,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offlineCSV bytes.Buffer
-	if err := res.Series.WriteCSV(&offlineCSV); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var fc *faults.Config
+			if tc.faults != "" {
+				var err error
+				if fc, err = faults.ParseSpec(tc.faults); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ruleSet []obs.Rule
+			if tc.alerts {
+				ruleSet = mustRules(t, rules...)
+			}
 
-	// Live side: two identically configured arrays behind the HTTP
-	// control plane, fed the same records in different chunkings.
-	var specs []ArraySpec
-	for _, name := range []string{"alpha", "beta"} {
-		c, p, _ := fixture(t, span)
-		specs = append(specs, ArraySpec{Name: name, Catalog: c, Placement: p, SeriesInterval: interval})
-	}
-	f, err := New(Options{Specs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+			// Offline reference: a serial replay of the same records on
+			// the same flight grid. Fresh catalog so no state leaks
+			// between the sides.
+			cat, placement, _ := fixture(t, span)
+			esm, err := core.NewESM(core.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := replay.Run{
+				Catalog:   cat,
+				Source:    trace.NewSliceSource(recs),
+				Placement: placement,
+				Storage:   storage.DefaultConfig(2),
+				Policy:    esm,
+				Duration:  last,
+				Faults:    fc,
+				Series:    obs.NewFlightRecorder(obs.FlightOptions{Interval: interval}),
+				Alerts:    obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet}),
+			}
+			if tc.provenance {
+				run.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+			}
+			res, err := replay.Execute(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fc != nil && res.Faults.Total() == 0 {
+				t.Fatal("fault scenario injected nothing; the case is not exercising faults")
+			}
+			if tc.alerts && res.Alerts.Fired == 0 {
+				t.Fatal("no alert fired; the case is not exercising the watchdog")
+			}
+			var offlineCSV, offlineProv bytes.Buffer
+			if err := res.Series.WriteCSV(&offlineCSV); err != nil {
+				t.Fatal(err)
+			}
+			if tc.provenance {
+				if err := res.ProvSeries.WriteCSV(&offlineProv); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	postNDJSON(t, srv.URL, "alpha", recs, 97)
-	postNDJSON(t, srv.URL, "beta", recs, len(recs))
+			// Live side: two identically configured arrays behind the
+			// HTTP control plane, fed the same records in different
+			// chunkings.
+			var specs []ArraySpec
+			for _, name := range []string{"alpha", "beta"} {
+				c, p, _ := fixture(t, span)
+				specs = append(specs, ArraySpec{
+					Name: name, Catalog: c, Placement: p, SeriesInterval: interval,
+					Faults: fc, Shards: tc.shards, Alerts: ruleSet, Provenance: tc.provenance,
+				})
+			}
+			f, err := New(Options{Specs: specs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			srv := httptest.NewServer(f.Handler())
+			defer srv.Close()
 
-	for _, name := range []string{"alpha", "beta"} {
-		liveCSV := get(t, srv.URL+"/arrays/"+name+"/series?format=csv")
-		if !bytes.Equal(liveCSV, offlineCSV.Bytes()) {
-			t.Errorf("%s: live series differs from offline replay (%d vs %d bytes)",
-				name, len(liveCSV), offlineCSV.Len())
-		}
-		var st Status
-		if err := json.Unmarshal(get(t, srv.URL+"/arrays/"+name+"/status"), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.EnergyJ != res.EnergyJ {
-			t.Errorf("%s: live energy %v J, offline %v J", name, st.EnergyJ, res.EnergyJ)
-		}
-		if st.SpinUps != res.SpinUps || st.MigratedBytes != res.Storage.MigratedBytes ||
-			st.CacheHits != res.Storage.CacheHits || st.Determinations != res.Determinations {
-			t.Errorf("%s: counters diverge: %+v vs %+v", name, st, res)
-		}
-		if st.Records != int64(len(recs)) || !st.Finished {
-			t.Errorf("%s: records %d finished %v", name, st.Records, st.Finished)
-		}
-	}
+			postNDJSON(t, srv.URL, "alpha", recs, 97)
+			postNDJSON(t, srv.URL, "beta", recs, len(recs))
 
-	// The /fleet roll-up over the finalized arrays conserves the summed
-	// per-array joules to 1e-9 relative.
-	var roll Rollup
-	if err := json.Unmarshal(get(t, srv.URL+"/fleet"), &roll); err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, line := range roll.Arrays {
-		sum += line.MeteredJ
-	}
-	if diff := roll.Fleet.MeteredJ - sum; diff > 1e-9*sum || diff < -1e-9*sum {
-		t.Fatalf("fleet %v J vs sum %v J", roll.Fleet.MeteredJ, sum)
-	}
-	if want := 2 * res.EnergyJ; roll.Fleet.MeteredJ != want {
-		t.Fatalf("fleet metered %v J, twice the offline run is %v J", roll.Fleet.MeteredJ, want)
+			for _, name := range []string{"alpha", "beta"} {
+				liveCSV := get(t, srv.URL+"/arrays/"+name+"/series?format=csv")
+				if !bytes.Equal(liveCSV, offlineCSV.Bytes()) {
+					t.Errorf("%s: live series differs from offline replay (%d vs %d bytes)",
+						name, len(liveCSV), offlineCSV.Len())
+				}
+				if tc.provenance {
+					liveProv := get(t, srv.URL+"/arrays/"+name+"/provenance?format=csv")
+					if !bytes.Equal(liveProv, offlineProv.Bytes()) {
+						t.Errorf("%s: live provenance differs from offline replay (%d vs %d bytes)",
+							name, len(liveProv), offlineProv.Len())
+					}
+				}
+				if got := f.Array(name).Alerts(); !reflect.DeepEqual(got, res.AlertStates) {
+					t.Errorf("%s: alert states %+v, offline %+v", name, got, res.AlertStates)
+				}
+				var st Status
+				if err := json.Unmarshal(get(t, srv.URL+"/arrays/"+name+"/status"), &st); err != nil {
+					t.Fatal(err)
+				}
+				if st.EnergyJ != res.EnergyJ {
+					t.Errorf("%s: live energy %v J, offline %v J", name, st.EnergyJ, res.EnergyJ)
+				}
+				if st.SpinUps != res.SpinUps || st.MigratedBytes != res.Storage.MigratedBytes ||
+					st.CacheHits != res.Storage.CacheHits || st.Determinations != res.Determinations {
+					t.Errorf("%s: counters diverge: %+v vs %+v", name, st, res)
+				}
+				if st.Records != int64(len(recs)) || !st.Finished {
+					t.Errorf("%s: records %d finished %v", name, st.Records, st.Finished)
+				}
+				if st.Shards != tc.shards {
+					t.Errorf("%s: %d lanes, want %d", name, st.Shards, tc.shards)
+				}
+			}
+
+			// The /fleet roll-up over the finalized arrays conserves the
+			// summed per-array joules to 1e-9 relative.
+			var roll Rollup
+			if err := json.Unmarshal(get(t, srv.URL+"/fleet"), &roll); err != nil {
+				t.Fatal(err)
+			}
+			sum := 0.0
+			for _, line := range roll.Arrays {
+				sum += line.MeteredJ
+			}
+			if diff := roll.Fleet.MeteredJ - sum; diff > 1e-9*sum || diff < -1e-9*sum {
+				t.Fatalf("fleet %v J vs sum %v J", roll.Fleet.MeteredJ, sum)
+			}
+			if want := 2 * res.EnergyJ; roll.Fleet.MeteredJ != want {
+				t.Fatalf("fleet metered %v J, twice the offline run is %v J", roll.Fleet.MeteredJ, want)
+			}
+		})
 	}
 }
 

@@ -308,14 +308,11 @@ func (f *Fleet) Close() error {
 func (a *Array) rollup(m CostModel) ArrayRollup {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	now := a.clk.Now()
-	if a.now > now {
-		now = a.now
-	}
-	a.arr.Finish()
+	arr, now := a.sess.Array(), a.sess.Now()
+	arr.Finish()
 	var used int64
-	for e := 0; e < a.arr.Enclosures(); e++ {
-		used += a.arr.Used(e)
+	for e := 0; e < arr.Enclosures(); e++ {
+		used += arr.Used(e)
 	}
-	return m.roll(a.name, now, a.arr.Meter().TotalEnergyJ(now), used, a.records, a.arr.Meter().SpinUps())
+	return m.roll(a.name, now, arr.Meter().TotalEnergyJ(now), used, a.sess.Records(), arr.Meter().SpinUps())
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -109,6 +110,51 @@ func TestFeedRejectsOutOfOrderAndAfterFinish(t *testing.T) {
 	}
 	if !a.Finished() {
 		t.Fatal("array not marked finished")
+	}
+}
+
+// TestOutOfOrderFeedIsTyped checks that a record older than the
+// array's stream position fails with one *trace.OrderError — carrying
+// the record index and both times — whether it arrives through Feed or
+// in a later NDJSON ingest body.
+func TestOutOfOrderFeedIsTyped(t *testing.T) {
+	f, recs := newTestFleet(t, "feed", "ndjson")
+	at := 10
+	stale := recs[at-1]
+	stale.Time = recs[at-1].Time - 1
+	check := func(path string, err error) {
+		t.Helper()
+		var oe *trace.OrderError
+		if !errors.As(err, &oe) {
+			t.Fatalf("%s: got %v (%T), want *trace.OrderError", path, err, err)
+		}
+		if oe.Record != int64(at) || oe.Prev != recs[at-1].Time || oe.Got != stale.Time {
+			t.Fatalf("%s: OrderError %+v, want record %d, %v then %v", path, oe, at, recs[at-1].Time, stale.Time)
+		}
+	}
+
+	a := f.Array("feed")
+	feedAll(t, a, recs[:at])
+	check("Feed", a.Feed(stale))
+
+	var body bytes.Buffer
+	for i, batch := range [][]trace.LogicalRecord{recs[:at], {stale}} {
+		body.Reset()
+		w := trace.NewNDJSONWriter(&body)
+		for _, rec := range batch {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		n, err := f.Array("ndjson").IngestNDJSON(&body)
+		if i == 0 {
+			if err != nil || n != int64(at) {
+				t.Fatalf("first body: %d records, %v", n, err)
+			}
+			continue
+		}
+		check("IngestNDJSON", err)
 	}
 }
 

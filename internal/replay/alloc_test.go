@@ -94,7 +94,7 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 		return testing.AllocsPerRun(10, func() {
 			var clk simclock.Clock
 			var evq simclock.EventQueue
-			if err := runClosedLoop(trace.NewSliceSource(recs), &clk, &evq, stub); err != nil {
+			if err := newClosedLoop(trace.NewSliceSource(recs), &clk, &evq, stub).run(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -225,7 +225,7 @@ func (cl *closedLoop) demux() error {
 				return nil
 			}
 			if rec.Time < cl.prev {
-				return fmt.Errorf("replay: record %d out of order", cl.n)
+				return &trace.OrderError{Format: "replay", Record: cl.n, Offset: -1, Prev: cl.prev, Got: rec.Time}
 			}
 			cl.prev = rec.Time
 			cl.n++
@@ -253,6 +253,10 @@ func (cl *closedLoop) demux() error {
 	}
 }
 
+// run replays the stream item by item: each item issues its next I/O
+// at its original spacing, but never before its previous I/O
+// completed. Stalls (queueing, spin-up waits) push the item's remaining
+// records back in time, as a blocked application thread would be.
 func (cl *closedLoop) run() error {
 	for {
 		if err := cl.demux(); err != nil {
@@ -293,12 +297,4 @@ func (cl *closedLoop) run() error {
 			heap.Fix(&cl.h, 0)
 		}
 	}
-}
-
-// runClosedLoop replays the stream item by item: each item issues its
-// next I/O at its original spacing, but never before its previous I/O
-// completed. Stalls (queueing, spin-up waits) push the item's remaining
-// records back in time, as a blocked application thread would be.
-func runClosedLoop(src trace.Source, clk *simclock.Clock, evq *simclock.EventQueue, submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)) error {
-	return newClosedLoop(src, clk, evq, submit).run()
 }

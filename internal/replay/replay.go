@@ -7,7 +7,6 @@
 package replay
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -16,8 +15,6 @@ import (
 	"esm/internal/monitor"
 	"esm/internal/obs"
 	"esm/internal/policy"
-	"esm/internal/powermodel"
-	"esm/internal/simclock"
 	"esm/internal/storage"
 	"esm/internal/trace"
 )
@@ -45,16 +42,17 @@ type Run struct {
 	Storage storage.Config
 	// Policy is the power-saving method under test.
 	Policy policy.Policy
-	// Duration is the measurement span. When zero, the time of the last
-	// record is used.
+	// Duration is the measurement span. When zero, Execute uses the
+	// time of the last record; a Session with neither Duration nor
+	// Source is open-ended.
 	Duration time.Duration
 	// Shards, when greater than 1, replays the open loop on the sharded
 	// engine: enclosures are partitioned into Shards contiguous groups,
 	// each with its own worker lane and clock, synchronized by
 	// conservative barriers at every cross-shard interaction. Results
 	// are byte-identical to the serial engine (DESIGN.md §14). The value
-	// is clamped to the enclosure count; closed-loop runs and
-	// single-enclosure arrays fall back to the serial engine.
+	// is clamped to the enclosure count; closed-loop runs, fault runs
+	// and single-enclosure arrays fall back to the serial engine.
 	Shards int
 	// ClosedLoop, when set, replays each data item's I/O stream with a
 	// queue depth of one: an I/O cannot be issued before the item's
@@ -72,7 +70,7 @@ type Run struct {
 	Recorder *obs.Recorder
 	// Tracer, when non-nil, receives per-I/O and management-function
 	// spans from the array and (if the policy supports it) the policy.
-	// Execute finalizes the latency summary and energy attribution into
+	// Finish settles the latency summary and energy attribution into
 	// the Result but does not close the tracer: its sink belongs to the
 	// caller (who may share it across runs or embed a summary on Close).
 	Tracer *obs.Tracer
@@ -180,319 +178,41 @@ type StateResidency struct {
 	Active, Idle, Off, SpinUp float64
 }
 
-// Execute runs the experiment.
+// Execute runs the experiment: a source loop over a Session (the
+// closed loop drives the session's record step itself).
 func Execute(r Run) (*Result, error) {
-	if r.Catalog == nil || r.Policy == nil {
-		return nil, fmt.Errorf("replay: catalog and policy are required")
-	}
-	if len(r.Placement) != r.Catalog.Len() {
-		return nil, fmt.Errorf("replay: placement covers %d of %d items", len(r.Placement), r.Catalog.Len())
-	}
 	src := r.Source
-	end := r.Duration
 	if src == nil {
 		// Slice adapter: the span can still be derived from the data.
-		if n := len(r.Records); n > 0 && r.Records[n-1].Time > end {
-			end = r.Records[n-1].Time
+		if n := len(r.Records); n > 0 && r.Records[n-1].Time > r.Duration {
+			r.Duration = r.Records[n-1].Time
 		}
 		src = trace.NewSliceSource(r.Records)
-	} else if end == 0 {
+		r.Source = src
+	} else if r.Duration == 0 {
 		return nil, fmt.Errorf("replay: a streaming Source needs an explicit Duration")
 	}
-
-	var clk simclock.Clock
-	var evq simclock.EventQueue
-	arr, err := storage.New(r.Storage, &clk, &evq, r.Catalog)
+	s, err := NewSession(r)
 	if err != nil {
 		return nil, err
 	}
-	// The tracer attaches before placement so the energy ledger's
-	// residency accounting sees every item land on its home enclosure.
-	if r.Tracer != nil {
-		arr.SetTracer(r.Tracer)
-	}
-	for item, enc := range r.Placement {
-		if err := arr.Place(trace.ItemID(item), enc); err != nil {
-			return nil, err
-		}
-	}
-
-	stMon := monitor.NewStorageMonitor(r.Storage.Enclosures)
-	pol := r.Policy
-	if r.Recorder != nil {
-		arr.SetRecorder(r.Recorder)
-		if p, ok := pol.(interface{ SetRecorder(*obs.Recorder) }); ok {
-			p.SetRecorder(r.Recorder)
-		}
-	}
-	if r.Tracer != nil {
-		if p, ok := pol.(interface{ SetTracer(*obs.Tracer) }); ok {
-			p.SetTracer(r.Tracer)
-		}
-	}
-	if r.Series != nil {
-		if p, ok := pol.(interface {
-			SetFlightRecorder(*obs.FlightRecorder)
-		}); ok {
-			p.SetFlightRecorder(r.Series)
-		}
-	}
-	if r.Alerts != nil {
-		if p, ok := pol.(interface{ SetWatchdog(*obs.Watchdog) }); ok {
-			p.SetWatchdog(r.Alerts)
-		}
-	}
-	if r.Provenance != nil {
-		// Predicted deltas use the run's actual electrical constants.
-		r.Provenance.ConfigurePower(r.Storage.Power.IdleW, r.Storage.Power.SpinUpTime)
-		arr.SetProvenance(r.Provenance)
-		if p, ok := pol.(interface{ SetProvenance(*obs.Provenance) }); ok {
-			p.SetProvenance(r.Provenance)
-		}
-	}
-	var inj *faults.Injector
-	if r.Faults != nil {
-		inj, err = faults.NewInjector(*r.Faults)
-		if err != nil {
-			return nil, err
-		}
-		arr.SetFaultInjector(inj)
-		// A policy that reacts to fault load (ESM's degraded mode)
-		// observes every injected fault.
-		if p, ok := pol.(interface{ OnFault(faults.Event) }); ok {
-			arr.SetFaultObserver(p.OnFault)
-		}
-	}
-	physObs := func(rec trace.PhysicalRecord) {
-		stMon.RecordPhysical(rec)
-		pol.OnPhysical(rec)
-	}
-	arr.SetPhysicalObserver(physObs)
-	arr.SetPowerObserver(func(enc int, at time.Duration, on bool) {
-		stMon.RecordPower(enc, at, on)
-		pol.OnPower(enc, at, on)
-	})
-
-	ctx := &policy.Context{
-		Array:   arr,
-		Catalog: r.Catalog,
-		Clock:   &clk,
-		Queue:   &evq,
-		End:     end,
-	}
-	pol.Init(ctx)
-
-	res := &Result{PolicyName: pol.Name(), Span: end}
-
-	// The policy's degraded flag, when it has one, goes into every
-	// flight sample.
-	var degraded func() bool
-	if p, ok := pol.(interface{ Degraded() bool }); ok {
-		degraded = p.Degraded
-	}
-	// snapshot settles the power accumulators and assembles one
-	// whole-system flight sample at simulated time now.
-	snapshot := func(now time.Duration) obs.FlightSample {
-		arr.Finish()
-		m := arr.Meter()
-		occ := arr.CacheOccupancy()
-		st := arr.Stats()
-		s := obs.FlightSample{
-			T:                 now,
-			EnclosureEnergyJ:  m.EnclosureEnergyJ(),
-			TotalEnergyJ:      m.TotalEnergyJ(now),
-			SpinUps:           m.SpinUps(),
-			CacheGeneralPages: occ.GeneralPages,
-			CachePreloadBytes: occ.PreloadUsedBytes,
-			CacheDirtyBytes:   occ.WriteDelayDirtyBytes,
-			Determinations:    pol.Determinations(),
-			Migrations:        st.Migrations,
-			MigratedBytes:     st.MigratedBytes,
-			PhysicalReads:     st.PhysicalReads,
-			PhysicalWrites:    st.PhysicalWrites,
-			CacheHits:         st.CacheHits,
-			RespCount:         res.Resp.Count(),
-			RespMean:          res.Resp.Mean(),
-			RespP95:           res.Resp.Percentile(0.95),
-			RespP99:           res.Resp.Percentile(0.99),
-			Faults:            inj.Counters().Total(),
-			Degraded:          degraded != nil && degraded(),
-		}
-		for e := 0; e < arr.Enclosures(); e++ {
-			es := obs.EnclosureSample{UsedBytes: arr.Used(e)}
-			switch since, idle := arr.IdleSince(e, now); {
-			case !arr.EnclosureOn(e, now):
-				es.State = obs.EnclosureOff
-			case idle:
-				es.State = obs.EnclosureIdle
-				es.IdleFor = now - since
-			default:
-				es.State = obs.EnclosureActive
-			}
-			s.Enclosures = append(s.Enclosures, es)
-		}
-		return s
-	}
-
-	// Sample enclosure power and the flight recorder on one fixed grid
-	// (the recorder's interval, or ~120 buckets per run).
-	if end > 0 {
-		res.PowerBucket = r.Series.Interval()
-		if res.PowerBucket <= 0 {
-			res.PowerBucket = end / 120
-		}
-		if res.PowerBucket < time.Second {
-			res.PowerBucket = time.Second
-		}
-		var lastJ float64
-		var sample func(now time.Duration)
-		sample = func(now time.Duration) {
-			arr.Finish()
-			j := arr.Meter().EnclosureEnergyJ()
-			res.PowerSeries = append(res.PowerSeries, (j-lastJ)/res.PowerBucket.Seconds())
-			lastJ = j
-			if r.Series != nil || r.Alerts != nil {
-				s := snapshot(now)
-				r.Series.Record(s)
-				r.Alerts.Observe(s)
-			}
-			if next := now + res.PowerBucket; next <= end {
-				evq.Schedule(next, sample)
-			}
-		}
-		if r.Series != nil || r.Alerts != nil {
-			// The t=0 baseline row: zero energy, initial placement.
-			s := snapshot(0)
-			r.Series.Record(s)
-			r.Alerts.Observe(s)
-		}
-		evq.Schedule(res.PowerBucket, sample)
-	}
-	res.Windows = make([]WindowResult, len(r.Windows))
-	for i, w := range r.Windows {
-		res.Windows[i].Name = w.Name
-	}
-
-	submit := func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error) {
-		pol.OnLogical(rec)
-		out, err := arr.Submit(rec)
-		if err != nil {
-			var fe *storage.FaultError
-			if errors.As(err, &fe) {
-				// The I/O failed on an injected fault: it consumed no
-				// service and has no response time, so it is excluded from
-				// the latency aggregates. The injector counted it.
-				return 0, nil
-			}
-			return 0, fmt.Errorf("replay: %w", err)
-		}
-		res.Resp.Add(rec.Op, out.Response)
-		if rec.Op == trace.OpRead {
-			for wi, w := range r.Windows {
-				if origTime >= w.Start && origTime < w.End {
-					res.Windows[wi].Reads++
-					res.Windows[wi].ReadSum += out.Response
-				}
-			}
-		}
-		return out.Response, nil
-	}
-
+	defer s.Close()
 	if r.ClosedLoop {
-		if err := runClosedLoop(src, &clk, &evq, submit); err != nil {
-			return nil, err
-		}
-	} else if smap := storage.NewShardMap(r.Storage.Enclosures, r.Shards); smap.Shards() > 1 {
-		en := newShardEngine(FeederOptions{
-			Array: arr, Clock: &clk, Queue: &evq, Shards: smap,
-			OnLogical: pol.OnLogical, Resp: &res.Resp,
-			Windows: r.Windows, WindowOut: res.Windows,
-			Tracer: r.Tracer, Physical: physObs,
-		}, inj != nil, submit)
-		if err := en.run(src); err != nil {
-			return nil, err
-		}
+		err = newClosedLoop(src, &s.clk, &s.evq, s.submit).run()
 	} else {
-		var prev time.Duration
-		var i int64
-		for {
+		for err == nil {
 			rec, ok := src.Next()
 			if !ok {
+				if err = src.Err(); err != nil {
+					err = fmt.Errorf("replay: %w", err)
+				}
 				break
 			}
-			if rec.Time < prev {
-				return nil, fmt.Errorf("replay: record %d out of order", i)
-			}
-			prev = rec.Time
-			i++
-			evq.RunUntil(&clk, rec.Time)
-			if _, err := submit(rec, rec.Time); err != nil {
-				return nil, err
-			}
-		}
-		if err := src.Err(); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
+			err = s.Feed(rec)
 		}
 	}
-	if clk.Now() > end {
-		end = clk.Now()
-		res.Span = end
+	if err != nil {
+		return nil, err
 	}
-	evq.RunUntil(&clk, end)
-	pol.Finish(end)
-	arr.FlushAll()
-	arr.Finish()
-	stMon.Finish(end)
-
-	res.Storage = arr.Stats()
-	res.Determinations = pol.Determinations()
-	res.Faults = inj.Counters()
-	if p, ok := pol.(interface{ Degradations() int64 }); ok {
-		res.Degradations = p.Degradations()
-	}
-	res.SpinUps = arr.Meter().SpinUps()
-	res.AvgEnclosureW = arr.Meter().AverageEnclosureW(end)
-	res.AvgTotalW = arr.Meter().AverageTotalW(end)
-	res.EnergyJ = arr.Meter().TotalEnergyJ(end)
-	res.Monitor = stMon
-	if r.Series != nil || r.Alerts != nil {
-		// The forced closing sample: its totals equal the Result fields
-		// computed just above, from the same settled meter and counters.
-		s := snapshot(end)
-		r.Series.Final(s)
-		r.Alerts.Final(s)
-		res.Series = r.Series.Series()
-	}
-	if r.Alerts != nil {
-		res.Alerts = r.Alerts.Summary()
-		res.AlertStates = r.Alerts.States()
-	}
-	if r.Tracer != nil {
-		res.Latency = r.Tracer.LatencySummary()
-		res.Attribution = r.Tracer.Attribute(end, arr.EnclosureEnergy)
-	}
-	if r.Provenance != nil {
-		// Join the energy ledger's top attributed items into the ledger
-		// stream so `esmstat explain` can rank root causes by joules.
-		if res.Attribution != nil {
-			r.Provenance.RecordAttribution(end, res.Attribution, 0)
-		}
-		res.Provenance = r.Provenance.Summary()
-		res.ProvSeries = r.Provenance.Series()
-	}
-	for e := 0; e < r.Storage.Enclosures; e++ {
-		acc := arr.Meter().Enclosure(e)
-		total := acc.Duration().Seconds()
-		if total <= 0 {
-			res.StateMix = append(res.StateMix, StateResidency{})
-			continue
-		}
-		res.StateMix = append(res.StateMix, StateResidency{
-			Active: acc.InState(powermodel.Active).Seconds() / total,
-			Idle:   acc.InState(powermodel.Idle).Seconds() / total,
-			Off:    acc.InState(powermodel.Off).Seconds() / total,
-			SpinUp: acc.InState(powermodel.SpinUp).Seconds() / total,
-		})
-	}
-	return res, nil
+	return s.Finish()
 }

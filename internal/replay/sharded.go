@@ -42,10 +42,9 @@ const shardBatch = 256
 // shardOp is one deferred application I/O plus the bookkeeping a worker
 // needs to accumulate response metrics and spans shard-locally.
 type shardOp struct {
+	// op.At is also the record's trace time (the open loop never shifts
+	// records), so window attribution reads it.
 	op storage.DeferredOp
-	// origTime is the record's original trace time, for window
-	// attribution (identical to op.At under the open loop).
-	origTime time.Duration
 	// seq is the op's global sequence number, carried into mailbox
 	// messages so buffered spans replay in serial emission order.
 	seq uint64
@@ -61,55 +60,11 @@ type laneState struct {
 	err  error
 }
 
-// FeederOptions wires the sharded engine onto live simulation state.
-// The batch engine and NewShardedFeeder (the fleet's live-ingest entry
-// point) both construct the same conductor from it.
-type FeederOptions struct {
-	// Array, Clock and Queue are the simulation the conductor drives.
-	Array *storage.Array
-	Clock *simclock.Clock
-	Queue *simclock.EventQueue
-	// Shards maps enclosures to worker lanes (storage.NewShardMap).
-	Shards storage.ShardMap
-	// OnLogical is the policy's record callback, delivered before the
-	// cache phase exactly like the serial loop. Indirect through a
-	// closure when the policy can be hot-swapped.
-	OnLogical func(rec trace.LogicalRecord)
-	// Resp accumulates application response times. Worker lanes keep
-	// shard-local aggregates and merge into it at every barrier.
-	Resp *metrics.ResponseStats
-	// Windows/WindowOut optionally collect per-window read aggregates
-	// (the batch engine's TPC-H query spans); both nil for live feeds.
-	Windows   []Window
-	WindowOut []WindowResult
-	// Tracer, when non-nil, receives per-I/O spans; deferred ops buffer
-	// theirs through the mailbox to preserve emission order.
-	Tracer *obs.Tracer
-	// Physical delivers the physical observation (storage monitor +
-	// policy) in record order.
-	Physical func(rec trace.PhysicalRecord)
-}
-
 type shardEngine struct {
-	arr       *storage.Array
-	clk       *simclock.Clock
-	evq       *simclock.EventQueue
-	onLogical func(rec trace.LogicalRecord)
-	resp      *metrics.ResponseStats
-	windows   []Window
-	winOut    []WindowResult
-	trc       *obs.Tracer
-	sq        *simclock.ShardedQueue
-	mb        *simclock.Mailbox
-	smap      storage.ShardMap
-
-	// inline, set on fault runs, routes every record through the serial
-	// submit path: fault draws consume one shared RNG stream in global
-	// order, so nothing may defer. The barrier machinery stays armed but
-	// idle.
-	inline bool
-	submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)
-	physCb func(rec trace.PhysicalRecord)
+	s    *Session
+	sq   *simclock.ShardedQueue
+	mb   *simclock.Mailbox
+	smap storage.ShardMap
 
 	batch [][]shardOp
 	lanes []laneState
@@ -124,31 +79,38 @@ type shardEngine struct {
 	err   error
 }
 
-func newShardEngine(
-	o FeederOptions, inline bool,
-	submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error),
-) *shardEngine {
-	n := o.Shards.Shards()
+// newShardEngine starts smap's worker lanes for session s and installs
+// the barrier as the array's sync hook, so every policy or management
+// action that touches enclosure state barriers transparently.
+func newShardEngine(s *Session, smap storage.ShardMap) *shardEngine {
+	n := smap.Shards()
 	en := &shardEngine{
-		arr: o.Array, clk: o.Clock, evq: o.Queue,
-		onLogical: o.OnLogical, resp: o.Resp,
-		windows: o.Windows, winOut: o.WindowOut, trc: o.Tracer,
-		sq: simclock.NewShardedQueue(n), mb: simclock.NewMailbox(n), smap: o.Shards,
-		inline: inline, submit: submit, physCb: o.Physical,
+		s:  s,
+		sq: simclock.NewShardedQueue(n), mb: simclock.NewMailbox(n), smap: smap,
 		batch: make([][]shardOp, n),
 		lanes: make([]laneState, n),
 	}
 	en.pool.New = func() any {
-		s := make([]shardOp, 0, shardBatch)
-		return &s
+		b := make([]shardOp, 0, shardBatch)
+		return &b
 	}
-	for s := range en.batch {
-		en.batch[s] = make([]shardOp, 0, shardBatch)
+	for i := range en.batch {
+		en.batch[i] = make([]shardOp, 0, shardBatch)
 	}
-	for s := range en.lanes {
-		en.lanes[s].win = make([]WindowResult, len(o.Windows))
+	for i := range en.lanes {
+		en.lanes[i].win = make([]WindowResult, len(s.r.Windows))
 	}
+	s.arr.SetSyncHook(en.syncAll)
 	return en
+}
+
+// close settles every lane, stops the workers and unhooks the array.
+// The engine must not be used afterwards.
+func (en *shardEngine) close() error {
+	en.syncAll()
+	en.sq.Close()
+	en.s.arr.SetSyncHook(nil)
+	return en.err
 }
 
 // pending reports whether any deferred work or buffered telemetry is
@@ -156,50 +118,6 @@ func newShardEngine(
 // may still be appending to their mailbox slots, so Pending() is only
 // safe to evaluate when dirty is false.
 func (en *shardEngine) pending() bool { return en.dirty || en.mb.Pending() }
-
-// run consumes the trace on the conductor. It mirrors the serial
-// open-loop engine record for record; only the execution of deferrable
-// enclosure physics moves to the shard lanes.
-func (en *shardEngine) run(src trace.Source) error {
-	en.arr.SetSyncHook(en.syncAll)
-	defer func() {
-		en.syncAll()
-		en.sq.Close()
-		en.arr.SetSyncHook(nil)
-	}()
-	var prev time.Duration
-	var i int64
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		if rec.Time < prev {
-			return fmt.Errorf("replay: record %d out of order", i)
-		}
-		prev = rec.Time
-		i++
-		en.runGlobalUntil(rec.Time)
-		if en.inline {
-			if _, err := en.submit(rec, rec.Time); err != nil {
-				return err
-			}
-		} else if err := en.step(rec); err != nil {
-			return err
-		}
-		if en.err != nil {
-			return fmt.Errorf("replay: %w", en.err)
-		}
-	}
-	if err := src.Err(); err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	en.syncAll()
-	if en.err != nil {
-		return fmt.Errorf("replay: %w", en.err)
-	}
-	return nil
-}
 
 // runGlobalUntil dispatches every pending global event up to limit and
 // advances the conductor clock, like EventQueue.RunUntil — but with a
@@ -209,19 +127,19 @@ func (en *shardEngine) run(src trace.Source) error {
 // settled shards.
 func (en *shardEngine) runGlobalUntil(limit time.Duration) {
 	for {
-		at, ok := en.evq.PeekTime()
+		at, ok := en.s.evq.PeekTime()
 		if !ok || at > limit {
 			break
 		}
 		if en.pending() {
 			en.syncAll()
 		}
-		e := en.evq.Pop()
-		en.clk.Advance(e.At)
+		e := en.s.evq.Pop()
+		en.s.clk.Advance(e.At)
 		e.Fire(e.At)
-		en.evq.Release(e)
+		en.s.evq.Release(e)
 	}
-	en.clk.Advance(limit)
+	en.s.clk.Advance(limit)
 }
 
 // step replays one fault-free record: plan the cache phase on the
@@ -229,26 +147,26 @@ func (en *shardEngine) runGlobalUntil(limit time.Duration) {
 // physical observation and cache admission at the serial engine's
 // points.
 func (en *shardEngine) step(rec trace.LogicalRecord) error {
-	en.onLogical(rec)
-	now := en.clk.Now()
-	plan, err := en.arr.PlanSubmit(rec)
+	en.s.pol.OnLogical(rec)
+	now := en.s.clk.Now()
+	plan, err := en.s.arr.PlanSubmit(rec)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
 	en.seq++
 
 	if plan.Served {
-		en.resp.Add(rec.Op, plan.Response)
+		en.s.res.Resp.Add(rec.Op, plan.Response)
 		if rec.Op == trace.OpRead {
-			en.addWindows(rec.Time, plan.Response)
+			en.s.addWindows(en.s.res.Windows, rec.Time, plan.Response)
 		}
-		if en.trc != nil {
+		if en.s.r.Tracer != nil {
 			en.emitCacheHit(now, plan, rec.Op == trace.OpRead)
 		}
 		if plan.NeedFlush {
 			// The serial Submit destages inline at this point; FlushAll
 			// barriers first via the sync hook, then destages.
-			en.arr.FlushAll()
+			en.s.arr.FlushAll()
 		}
 		return nil
 	}
@@ -257,15 +175,15 @@ func (en *shardEngine) step(rec trace.LogicalRecord) error {
 		At: now, Enc: plan.Enc, Block: plan.Block,
 		Size: rec.Size, Read: plan.Read, Item: plan.Item,
 	}
-	s := en.smap.ShardOf(plan.Enc)
-	deferred := en.arr.CanDefer(plan.Enc)
+	sh := en.smap.ShardOf(plan.Enc)
+	deferred := en.s.arr.CanDefer(plan.Enc)
 	var resp time.Duration
 	var info *storage.ExecInfo
 	if deferred {
-		en.batch[s] = append(en.batch[s], shardOp{op: dop, origTime: rec.Time, seq: en.seq})
+		en.batch[sh] = append(en.batch[sh], shardOp{op: dop, seq: en.seq})
 		en.dirty = true
-		if len(en.batch[s]) >= shardBatch {
-			en.flushShard(s)
+		if len(en.batch[sh]) >= shardBatch {
+			en.flushShard(sh)
 		}
 	} else {
 		// A possible power transition must run on the conductor in
@@ -273,17 +191,17 @@ func (en *shardEngine) step(rec trace.LogicalRecord) error {
 		if en.pending() {
 			en.syncAll()
 		}
-		if en.trc != nil {
+		if en.s.r.Tracer != nil {
 			info = &storage.ExecInfo{}
 		}
-		resp, err = en.arr.ExecPlanned(dop, info)
+		resp, err = en.s.arr.ExecPlanned(dop, info)
 		if err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
-		if en.trc != nil {
-			en.trc.Service(dop.Enc, int64(dop.Item), obs.FnServing, info.Service)
+		if en.s.r.Tracer != nil {
+			en.s.r.Tracer.Service(dop.Enc, int64(dop.Item), obs.FnServing, info.Service)
 			if info.SpinUpAttempts > 0 {
-				en.trc.SpinUps(dop.Enc, int64(dop.Item), obs.FnServing, info.SpinUpAttempts)
+				en.s.r.Tracer.SpinUps(dop.Enc, int64(dop.Item), obs.FnServing, info.SpinUpAttempts)
 			}
 		}
 	}
@@ -293,30 +211,21 @@ func (en *shardEngine) step(rec trace.LogicalRecord) error {
 	// does. If the policy reacts by touching enclosure state, the sync
 	// hook barriers first, so a just-batched op completes before the
 	// reaction — the serial order.
-	en.physCb(trace.PhysicalRecord{
+	en.s.observePhysical(trace.PhysicalRecord{
 		Time: now, Enclosure: int32(plan.Enc), Block: plan.Block,
 		Size: rec.Size, Op: rec.Op,
 	})
-	if !deferred && en.trc != nil {
+	if !deferred && en.s.r.Tracer != nil {
 		en.emitIO(now, dop, resp, info)
 	}
-	en.arr.AdmitPlanned(plan)
+	en.s.arr.AdmitPlanned(plan)
 	if !deferred {
-		en.resp.Add(rec.Op, resp)
+		en.s.res.Resp.Add(rec.Op, resp)
 		if rec.Op == trace.OpRead {
-			en.addWindows(rec.Time, resp)
+			en.s.addWindows(en.s.res.Windows, rec.Time, resp)
 		}
 	}
 	return nil
-}
-
-func (en *shardEngine) addWindows(origTime time.Duration, resp time.Duration) {
-	for wi, w := range en.windows {
-		if origTime >= w.Start && origTime < w.End {
-			en.winOut[wi].Reads++
-			en.winOut[wi].ReadSum += resp
-		}
-	}
 }
 
 // emitCacheHit records a cache-resolved I/O's span. While deferred work
@@ -330,9 +239,9 @@ func (en *shardEngine) emitCacheHit(now time.Duration, plan storage.Plan, read b
 		Cause: obs.IOCacheHit,
 	}
 	if en.pending() {
-		en.mb.Post(-1, simclock.Message{At: now, Seq: en.seq, Fire: func() { en.trc.IO(sp) }})
+		en.mb.Post(-1, simclock.Message{At: now, Seq: en.seq, Fire: func() { en.s.r.Tracer.IO(sp) }})
 	} else {
-		en.trc.IO(sp)
+		en.s.r.Tracer.IO(sp)
 	}
 }
 
@@ -343,7 +252,7 @@ func (en *shardEngine) emitIO(now time.Duration, dop storage.DeferredOp, resp ti
 	if info.SpinUpWait > 0 {
 		cause = obs.IOSpinUpBlocked
 	}
-	en.trc.IO(obs.IOSpan{
+	en.s.r.Tracer.IO(obs.IOSpan{
 		Start: now, Response: resp,
 		Item: int64(dop.Item), Enclosure: dop.Enc, Read: dop.Read,
 		PowerState: info.PowerState, Cause: cause,
@@ -370,10 +279,10 @@ func (en *shardEngine) flushShard(s int) {
 				clk.Advance(o.op.At)
 			}
 			var info *storage.ExecInfo
-			if en.trc != nil {
+			if en.s.r.Tracer != nil {
 				info = &storage.ExecInfo{}
 			}
-			resp, err := en.arr.ExecPlanned(o.op, info)
+			resp, err := en.s.arr.ExecPlanned(o.op, info)
 			if err != nil {
 				// Impossible for a deferrable op (no injector, enclosure
 				// on); surfaced at the next barrier just in case.
@@ -388,17 +297,12 @@ func (en *shardEngine) flushShard(s int) {
 			}
 			lane.resp.Add(op, resp)
 			if o.op.Read {
-				for wi, w := range en.windows {
-					if o.origTime >= w.Start && o.origTime < w.End {
-						lane.win[wi].Reads++
-						lane.win[wi].ReadSum += resp
-					}
-				}
+				en.s.addWindows(lane.win, o.op.At, resp)
 			}
-			if en.trc != nil {
+			if en.s.r.Tracer != nil {
 				enc, item, svc := o.op.Enc, int64(o.op.Item), info.Service
 				en.mb.Post(s, simclock.Message{At: o.op.At, Seq: o.seq, Fire: func() {
-					en.trc.Service(enc, item, obs.FnServing, svc)
+					en.s.r.Tracer.Service(enc, item, obs.FnServing, svc)
 				}})
 				sp := obs.IOSpan{
 					Start: o.op.At, Response: resp,
@@ -407,7 +311,7 @@ func (en *shardEngine) flushShard(s int) {
 					QueueWait: info.QueueWait, Service: info.Service,
 				}
 				en.mb.Post(s, simclock.Message{At: o.op.At, Seq: o.seq, Fire: func() {
-					en.trc.IO(sp)
+					en.s.r.Tracer.IO(sp)
 				}})
 			}
 		}
@@ -427,76 +331,21 @@ func (en *shardEngine) syncAll() {
 		en.flushShard(s)
 	}
 	en.sq.Barrier()
-	en.sq.AdvanceAll(en.clk.Now())
+	en.sq.AdvanceAll(en.s.clk.Now())
 	for s := range en.lanes {
 		l := &en.lanes[s]
 		if l.err != nil && en.err == nil {
 			en.err = l.err
 		}
-		en.resp.Merge(&l.resp)
+		en.s.res.Resp.Merge(&l.resp)
 		l.resp = metrics.ResponseStats{}
 		for wi := range l.win {
-			en.winOut[wi].Reads += l.win[wi].Reads
-			en.winOut[wi].ReadSum += l.win[wi].ReadSum
+			out := &en.s.res.Windows[wi]
+			out.Reads += l.win[wi].Reads
+			out.ReadSum += l.win[wi].ReadSum
 			l.win[wi] = WindowResult{}
 		}
 	}
 	en.mb.Drain()
 	en.dirty = false
-}
-
-// ShardedFeeder is the live-ingest form of the sharded engine: the
-// fleet's record-at-a-time twin of the batch run loop. Feed replays one
-// record (pumping global events up to its time with barriers, then
-// planning, deferring or executing it exactly as the batch engine's
-// step), RunUntil drives the event queue for the end-of-stream
-// sequence, and Close settles everything and stops the worker lanes.
-// The feeder installs itself as the array's sync hook on construction,
-// so any policy or management action that touches enclosure state
-// barriers transparently. It is not safe for concurrent use; the fleet
-// serializes it under the array mutex. Fault injection requires the
-// serial path (one shared RNG stream in global draw order), so callers
-// must not attach a feeder to an array with a fault injector.
-type ShardedFeeder struct {
-	en *shardEngine
-}
-
-// NewShardedFeeder builds a feeder over o and arms the barrier hook.
-func NewShardedFeeder(o FeederOptions) *ShardedFeeder {
-	en := newShardEngine(o, false, nil)
-	en.arr.SetSyncHook(en.syncAll)
-	return &ShardedFeeder{en: en}
-}
-
-// Feed replays one record. Records must arrive in time order (the
-// caller checks; the feeder assumes it).
-func (f *ShardedFeeder) Feed(rec trace.LogicalRecord) error {
-	f.en.runGlobalUntil(rec.Time)
-	if err := f.en.step(rec); err != nil {
-		return err
-	}
-	if f.en.err != nil {
-		return f.en.err
-	}
-	return nil
-}
-
-// RunUntil dispatches global events up to limit with barriers and
-// advances the conductor clock — EventQueue.RunUntil for a sharded
-// simulation.
-func (f *ShardedFeeder) RunUntil(limit time.Duration) {
-	f.en.runGlobalUntil(limit)
-}
-
-// Sync forces a barrier: every deferred op executes, every shard-local
-// aggregate merges and every buffered span lands.
-func (f *ShardedFeeder) Sync() { f.en.syncAll() }
-
-// Close syncs, stops the worker lanes and unhooks the array. The
-// feeder must not be used afterwards.
-func (f *ShardedFeeder) Close() error {
-	f.en.syncAll()
-	f.en.sq.Close()
-	f.en.arr.SetSyncHook(nil)
-	return f.en.err
 }

@@ -721,23 +721,24 @@ func (a *Array) SetWriteDelay(items []trace.ItemID) {
 	for _, it := range items {
 		next[it] = true
 	}
-	observed := a.rec.Enabled() || a.prov.Enabled()
+	// Leaving items destage in ItemID order: map order would make the
+	// enclosure queueing, and with it the run's energy, irreproducible.
 	var evicted, added []int64
 	for it := range a.wdelay.selected {
 		if !next[it] {
-			a.flushItem(now, it)
-			if observed {
-				evicted = append(evicted, int64(it))
-			}
+			evicted = append(evicted, int64(it))
 		}
 	}
-	if observed {
+	sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
+	for _, it := range evicted {
+		a.flushItem(now, trace.ItemID(it))
+	}
+	if a.rec.Enabled() || a.prov.Enabled() {
 		for it := range next {
 			if !a.wdelay.selected[it] {
 				added = append(added, int64(it))
 			}
 		}
-		sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
 		sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
 		a.rec.CacheEvict(now, "write-delay", evicted)
 		a.rec.CacheSelect(now, "write-delay", added)

@@ -158,6 +158,40 @@ func TestWriteDelayFlushOnDeselect(t *testing.T) {
 	}
 }
 
+// TestWriteDelayDeselectDestagesInItemOrder checks that items leaving
+// the write-delay set destage in ascending ItemID order, so the
+// enclosure queue (and with it the run's energy) is reproducible.
+func TestWriteDelayDeselectDestagesInItemOrder(t *testing.T) {
+	sizes := make([]int64, 12)
+	for i := range sizes {
+		sizes[i] = 64 << 20
+	}
+	arr, _, _, ids := testArray(t, 1, sizes...)
+	arr.SetWriteDelay(ids)
+	for i := range ids {
+		// Dirty the items in a scrambled order.
+		it := ids[(i*5)%len(ids)]
+		arr.Submit(trace.LogicalRecord{Item: it, Size: 1 << 20, Op: trace.OpWrite})
+	}
+	var got []trace.ItemID
+	arr.SetPhysicalObserver(func(rec trace.PhysicalRecord) {
+		ref, ok := arr.ResolveExtent(int(rec.Enclosure), rec.Block)
+		if !ok || rec.Op != trace.OpWrite {
+			t.Fatalf("unexpected destage I/O %+v", rec)
+		}
+		got = append(got, ref.Item)
+	})
+	arr.SetWriteDelay(nil)
+	if len(got) != len(ids) {
+		t.Fatalf("%d destage writes, want %d", len(got), len(ids))
+	}
+	for i, it := range got {
+		if it != ids[i] {
+			t.Fatalf("destage order %v, want ascending ItemIDs %v", got, ids)
+		}
+	}
+}
+
 func TestFlushAll(t *testing.T) {
 	arr, _, _, ids := testArray(t, 1, 64<<20)
 	arr.SetWriteDelay(ids)
