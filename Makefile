@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check perf-check lint bench bench-json fault-smoke trace-smoke bench-smoke shard-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke smoke clean
+.PHONY: all build vet test race check alloc-check perf-check lint bench bench-json fault-smoke trace-smoke bench-smoke shard-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke smoke clean
 
 all: build
 
@@ -17,8 +17,15 @@ race:
 	$(GO) test -race ./...
 
 # check is the full gate CI runs: build, vet, tests with the race
-# detector, and the benchmark module.
-check: build vet race perf-check
+# detector, the allocation gates, and the benchmark module.
+check: build vet race alloc-check perf-check
+
+# alloc-check runs the steady-state allocation gates on the build that
+# ships, without the race instrumentation `race` runs them under: the
+# cache's submit path and the closed-loop engine must not allocate per
+# record.
+alloc-check:
+	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay
 
 # perf-check vets and tests the benchmark module (perf/, its own Go
 # module), which nothing else compiles: a change to the replay or fleet

@@ -379,3 +379,43 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("ingest after final: %d", got)
 	}
 }
+
+// TestIngestRejectsOffsetOutsidePageRange: an NDJSON record at a
+// negative offset, which the decoder accepts, gets a clean 400 naming
+// the item and offset from the storage page-range check, and the array
+// keeps taking valid records afterwards.
+func TestIngestRejectsOffsetOutsidePageRange(t *testing.T) {
+	f, recs := newTestFleet(t, "a")
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	post := func(recs ...trace.LogicalRecord) (int, string) {
+		var buf bytes.Buffer
+		w := trace.NewNDJSONWriter(&buf)
+		for _, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		resp, err := http.Post(srv.URL+"/arrays/a/ingest", "application/x-ndjson", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := post(recs[:10]...); code != http.StatusOK {
+		t.Fatalf("valid prefix: %d %s", code, body)
+	}
+	bad := recs[10]
+	bad.Offset = -65536
+	want := fmt.Sprintf("storage: I/O to item %d at offset -65536 outside the cache page range", bad.Item)
+	if code, body := post(bad); code != http.StatusBadRequest || !strings.Contains(body, want) {
+		t.Fatalf("got %d: %s, want 400 naming %q", code, body, want)
+	}
+	if code, body := post(recs[11:20]...); code != http.StatusOK {
+		t.Fatalf("valid records after the rejected one: %d %s", code, body)
+	}
+}

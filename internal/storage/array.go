@@ -521,10 +521,9 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 	if int(item) < 0 || int(item) >= len(a.items) || !a.items[item].placed {
 		return Result{Enclosure: -1}, fmt.Errorf("storage: I/O to unplaced item %d", item)
 	}
-	firstPage := rec.Offset / a.cfg.CachePageBytes
-	lastPage := (rec.Offset + int64(rec.Size) - 1) / a.cfg.CachePageBytes
-	if rec.Size <= 0 {
-		lastPage = firstPage
+	firstPage, lastPage, err := a.pageSpan(rec)
+	if err != nil {
+		return Result{Enclosure: -1}, err
 	}
 
 	if rec.Op == trace.OpRead {
@@ -553,11 +552,7 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 		if a.trc != nil {
 			a.tracePhysical(now, end, item, e, true, info)
 		}
-		if !a.preload.pinned(item) {
-			for p := firstPage; p <= lastPage; p++ {
-				a.general.insert(pageKey{item, p})
-			}
-		}
+		a.admit(item, firstPage, lastPage, true)
 		return Result{Response: end - now, Enclosure: e}, nil
 	}
 
@@ -587,12 +582,41 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 	if a.trc != nil {
 		a.tracePhysical(now, end, item, e, false, info)
 	}
-	for p := firstPage; p <= lastPage; p++ {
-		if a.general.contains(pageKey{item, p}) {
-			a.general.insert(pageKey{item, p})
+	a.admit(item, firstPage, lastPage, false)
+	return Result{Response: end - now, Enclosure: e}, nil
+}
+
+// pageSpan returns the first and last cache page an I/O touches. The
+// general LRU's packed key holds page indexes in [0, 2^32) only, so an
+// I/O at a negative offset or reaching past that range is rejected
+// rather than aliased onto another page.
+func (a *Array) pageSpan(rec trace.LogicalRecord) (first, last int64, err error) {
+	first = rec.Offset / a.cfg.CachePageBytes
+	last = first
+	if rec.Size > 0 {
+		last = (rec.Offset + int64(rec.Size) - 1) / a.cfg.CachePageBytes
+	}
+	if rec.Offset < 0 || last < first || last >= 1<<32 {
+		return 0, 0, fmt.Errorf("storage: I/O to item %d at offset %d outside the cache page range", rec.Item, rec.Offset)
+	}
+	return first, last, nil
+}
+
+// admit updates the general LRU after a physically served I/O, at the
+// point the serial Submit reaches once the physical observer has run: a
+// read caches its pages unless the item is preload-pinned, and a write
+// refreshes the recency of those of its pages already cached.
+func (a *Array) admit(item trace.ItemID, first, last int64, read bool) {
+	if read && a.preload.pinned(item) {
+		return
+	}
+	for p := first; p <= last; p++ {
+		if read {
+			a.general.insert(pageKey(item, p))
+		} else {
+			a.general.contains(pageKey(item, p))
 		}
 	}
-	return Result{Response: end - now, Enclosure: e}, nil
 }
 
 // traceCacheHit records the span of a cache-resolved application I/O.
@@ -635,12 +659,12 @@ func (a *Array) evictPreload(now time.Duration, item trace.ItemID) {
 // readCached reports whether every page of the read is available in the
 // general LRU or among write-delay dirty pages.
 func (a *Array) readCached(item trace.ItemID, firstPage, lastPage int64) bool {
+	dirty := a.wdelay.dirtyPages[item]
 	for p := firstPage; p <= lastPage; p++ {
-		k := pageKey{item, p}
-		if a.general.contains(k) {
+		if a.general.contains(pageKey(item, p)) {
 			continue
 		}
-		if a.wdelay.dirtyPages[k] {
+		if _, ok := dirty[p]; ok {
 			continue
 		}
 		return false

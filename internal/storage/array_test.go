@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -459,5 +462,39 @@ func TestSubmitToUnplacedItemErrors(t *testing.T) {
 	}
 	if arr.Stats().PhysicalReads != 0 {
 		t.Fatal("failed submit issued a physical I/O")
+	}
+}
+
+// TestSubmitRejectsOffsetsOutsidePageRange: the cache's packed page key
+// covers page indexes [0, 2^32) only, so Submit and PlanSubmit reject a
+// negative offset or a span reaching page 2^32, naming item and offset,
+// and accept the last page in range.
+func TestSubmitRejectsOffsetsOutsidePageRange(t *testing.T) {
+	arr, _, _, ids := testArray(t, 1, 1<<20)
+	edge := int64(1<<32) * arr.cfg.CachePageBytes // first byte of page 2^32
+	for _, rec := range []trace.LogicalRecord{
+		{Item: ids[0], Offset: -1, Size: 4096, Op: trace.OpRead},
+		{Item: ids[0], Offset: -arr.cfg.CachePageBytes, Size: 4096, Op: trace.OpWrite},
+		{Item: ids[0], Offset: edge, Size: 1, Op: trace.OpRead},
+		{Item: ids[0], Offset: edge - 1, Size: 2, Op: trace.OpRead},
+		{Item: ids[0], Offset: math.MaxInt64 - 1, Size: 4096, Op: trace.OpRead},
+	} {
+		want := fmt.Sprintf("item %d at offset %d outside the cache page range", rec.Item, rec.Offset)
+		if _, err := arr.Submit(rec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Submit(off %d) error %v, want %q", rec.Offset, err, want)
+		}
+		if _, err := arr.PlanSubmit(rec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PlanSubmit(off %d) error %v, want %q", rec.Offset, err, want)
+		}
+	}
+	if st := arr.Stats(); st.PhysicalReads+st.PhysicalWrites != 0 {
+		t.Fatal("rejected I/O reached an enclosure")
+	}
+	last := trace.LogicalRecord{Item: ids[0], Offset: edge - 4096, Size: 4096, Op: trace.OpRead}
+	if _, err := arr.Submit(last); err != nil {
+		t.Fatalf("last page in range rejected: %v", err)
+	}
+	if res, err := arr.Submit(last); err != nil || !res.CacheHit {
+		t.Fatalf("last page not cached: %+v %v", res, err)
 	}
 }

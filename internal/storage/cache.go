@@ -4,64 +4,86 @@
 package storage
 
 import (
-	"container/list"
+	"math"
 	"time"
 
 	"esm/internal/trace"
 )
 
-type pageKey struct {
-	item trace.ItemID
-	page int64
+// pageKey packs a page of an item into the general LRU's 64-bit key:
+// the item in the high word, the page index in the low. Items are
+// non-negative int32s and pageSpan admits only pages in [0, 2^32), so
+// no two pages share a key.
+func pageKey(item trace.ItemID, page int64) uint64 {
+	return uint64(uint32(item))<<32 | uint64(uint32(page))
+}
+
+// lruSlot is one cached page: its key and its neighbours in recency
+// order, as slab indices.
+type lruSlot struct {
+	key        uint64
+	prev, next int32
 }
 
 // lru is a fixed-capacity page cache with least-recently-used eviction.
+// Its pages live in one slab, threaded into a circular recency list
+// through sentinel slot 0 (next: most, prev: least recently used). The
+// slab fills up to capPages pages; after that each new page reuses the
+// evicted slot in place, so a full cache allocates nothing.
 type lru struct {
 	capPages int
-	ll       *list.List
-	pages    map[pageKey]*list.Element
+	slots    []lruSlot
+	index    map[uint64]int32
 }
 
 func newLRU(capBytes, pageBytes int64) *lru {
-	capPages := int(capBytes / pageBytes)
-	if capPages < 0 {
-		capPages = 0
-	}
-	return &lru{
-		capPages: capPages,
-		ll:       list.New(),
-		pages:    make(map[pageKey]*list.Element),
-	}
+	capPages := min(max(capBytes/pageBytes, 0), math.MaxInt32-1) // int32 slab indices
+	return &lru{capPages: int(capPages), slots: make([]lruSlot, 1), index: make(map[uint64]int32)}
 }
 
 // contains reports whether the page is cached, refreshing its recency.
-func (c *lru) contains(k pageKey) bool {
-	el, ok := c.pages[k]
+func (c *lru) contains(k uint64) bool {
+	i, ok := c.index[k]
 	if ok {
-		c.ll.MoveToFront(el)
+		c.unlink(i)
+		c.pushFront(i)
 	}
 	return ok
 }
 
 // insert adds the page, evicting the least recently used page if full.
-func (c *lru) insert(k pageKey) {
-	if c.capPages == 0 {
+func (c *lru) insert(k uint64) {
+	if c.capPages == 0 || c.contains(k) {
 		return
 	}
-	if el, ok := c.pages[k]; ok {
-		c.ll.MoveToFront(el)
-		return
+	i := c.slots[0].prev
+	if c.len() < c.capPages {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, lruSlot{})
+	} else {
+		c.unlink(i)
+		delete(c.index, c.slots[i].key)
 	}
-	if c.ll.Len() >= c.capPages {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.pages, back.Value.(pageKey))
-	}
-	c.pages[k] = c.ll.PushFront(k)
+	c.slots[i].key = k
+	c.index[k] = i
+	c.pushFront(i)
+}
+
+// unlink takes slot i out of the recency list.
+func (c *lru) unlink(i int32) {
+	s := c.slots[i]
+	c.slots[s.prev].next, c.slots[s.next].prev = s.next, s.prev
+}
+
+// pushFront links slot i in as the most recently used.
+func (c *lru) pushFront(i int32) {
+	head := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, head
+	c.slots[head].prev, c.slots[0].next = i, i
 }
 
 // len returns the number of cached pages.
-func (c *lru) len() int { return c.ll.Len() }
+func (c *lru) len() int { return len(c.slots) - 1 }
 
 // preloadState tracks the preload cache partition: which data items are
 // pinned and when their load completes. Reads of a pinned item hit the
@@ -106,14 +128,14 @@ func (p *preloadState) evict(item trace.ItemID, size int64) {
 }
 
 // writeDelayState tracks the write-delay partition: selected items, dirty
-// bytes per item, and the dirty page set (so reads of freshly written data
-// hit the cache).
+// bytes per item, and each item's dirty page set (so reads of freshly
+// written data hit the cache).
 type writeDelayState struct {
 	capBytes   int64
 	rate       float64
 	selected   map[trace.ItemID]bool
 	dirtyBytes map[trace.ItemID]int64
-	dirtyPages map[pageKey]bool
+	dirtyPages map[trace.ItemID]map[int64]struct{}
 	totalDirty int64
 }
 
@@ -123,7 +145,7 @@ func newWriteDelayState(capBytes int64, rate float64) *writeDelayState {
 		rate:       rate,
 		selected:   make(map[trace.ItemID]bool),
 		dirtyBytes: make(map[trace.ItemID]int64),
-		dirtyPages: make(map[pageKey]bool),
+		dirtyPages: make(map[trace.ItemID]map[int64]struct{}),
 	}
 }
 
@@ -132,8 +154,13 @@ func newWriteDelayState(capBytes int64, rate float64) *writeDelayState {
 func (w *writeDelayState) absorb(item trace.ItemID, firstPage, lastPage int64, size int32) bool {
 	w.dirtyBytes[item] += int64(size)
 	w.totalDirty += int64(size)
+	pages := w.dirtyPages[item]
+	if pages == nil {
+		pages = make(map[int64]struct{})
+		w.dirtyPages[item] = pages
+	}
 	for p := firstPage; p <= lastPage; p++ {
-		w.dirtyPages[pageKey{item, p}] = true
+		pages[p] = struct{}{}
 	}
 	return float64(w.totalDirty) >= w.rate*float64(w.capBytes)
 }
@@ -150,10 +177,6 @@ func (w *writeDelayState) clearItem(item trace.ItemID) int64 {
 	}
 	delete(w.dirtyBytes, item)
 	w.totalDirty -= n
-	for k := range w.dirtyPages {
-		if k.item == item {
-			delete(w.dirtyPages, k)
-		}
-	}
+	delete(w.dirtyPages, item)
 	return n
 }

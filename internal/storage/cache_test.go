@@ -1,17 +1,21 @@
 package storage
 
 import (
+	"container/list"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"esm/internal/simclock"
 	"esm/internal/trace"
 )
 
 func TestLRUBasics(t *testing.T) {
 	c := newLRU(3*64<<10, 64<<10) // 3 pages
-	k := func(p int64) pageKey { return pageKey{item: 1, page: p} }
+	k := func(p int64) uint64 { return pageKey(1, p) }
 	c.insert(k(1))
 	c.insert(k(2))
 	c.insert(k(3))
@@ -33,19 +37,19 @@ func TestLRUBasics(t *testing.T) {
 
 func TestLRUZeroCapacity(t *testing.T) {
 	c := newLRU(0, 64<<10)
-	c.insert(pageKey{1, 1})
-	if c.contains(pageKey{1, 1}) {
+	c.insert(pageKey(1, 1))
+	if c.contains(pageKey(1, 1)) {
 		t.Fatal("zero-capacity cache stored a page")
 	}
 }
 
 func TestLRUReinsertRefreshes(t *testing.T) {
 	c := newLRU(2*64<<10, 64<<10)
-	c.insert(pageKey{1, 1})
-	c.insert(pageKey{1, 2})
-	c.insert(pageKey{1, 1}) // refresh
-	c.insert(pageKey{1, 3}) // evicts 2, not 1
-	if !c.contains(pageKey{1, 1}) || c.contains(pageKey{1, 2}) {
+	c.insert(pageKey(1, 1))
+	c.insert(pageKey(1, 2))
+	c.insert(pageKey(1, 1)) // refresh
+	c.insert(pageKey(1, 3)) // evicts 2, not 1
+	if !c.contains(pageKey(1, 1)) || c.contains(pageKey(1, 2)) {
 		t.Fatal("refresh on reinsert not honoured")
 	}
 }
@@ -57,7 +61,7 @@ func TestLRUNeverExceedsCapacity(t *testing.T) {
 		capPages := 1 + rng.Intn(64)
 		c := newLRU(int64(capPages)*4096, 4096)
 		for i := 0; i < 1000; i++ {
-			c.insert(pageKey{trace.ItemID(rng.Intn(4)), rng.Int63n(256)})
+			c.insert(pageKey(trace.ItemID(rng.Intn(4)), rng.Int63n(256)))
 			if c.len() > capPages {
 				return false
 			}
@@ -69,8 +73,122 @@ func TestLRUNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
+// refKey is the unpacked page key of the reference LRU.
+type refKey struct {
+	item trace.ItemID
+	page int64
+}
+
+// listLRU is the reference model for the slab LRU: the container/list
+// implementation it replaced, keyed by the unpacked (item, page) pair so
+// that two pages colliding in the packed key show up as a divergence.
+type listLRU struct {
+	capPages int
+	ll       *list.List
+	pages    map[refKey]*list.Element
+}
+
+func newListLRU(capPages int) *listLRU {
+	return &listLRU{capPages: capPages, ll: list.New(), pages: make(map[refKey]*list.Element)}
+}
+
+func (c *listLRU) contains(k refKey) bool {
+	el, ok := c.pages[k]
+	if ok {
+		c.ll.MoveToFront(el)
+	}
+	return ok
+}
+
+func (c *listLRU) insert(k refKey) {
+	if c.capPages == 0 {
+		return
+	}
+	if el, ok := c.pages[k]; ok {
+		c.ll.MoveToFront(el)
+		return
+	}
+	if c.ll.Len() >= c.capPages {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.pages, back.Value.(refKey))
+	}
+	c.pages[k] = c.ll.PushFront(k)
+}
+
+// order lists the reference's pages from most to least recently used.
+func (c *listLRU) order() []refKey {
+	var out []refKey
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(refKey))
+	}
+	return out
+}
+
+// slabOrder lists the slab LRU's pages from most to least recently used,
+// unpacked, after checking that the backward links and the index agree
+// with the forward walk.
+func slabOrder(t *testing.T, c *lru) []refKey {
+	t.Helper()
+	unpack := func(k uint64) refKey { return refKey{trace.ItemID(k >> 32), int64(uint32(k))} }
+	var fwd, back []refKey
+	// The length bounds stop a walk that a broken link sends round a
+	// cycle missing the sentinel.
+	for i := c.slots[0].next; i != 0 && len(fwd) < len(c.slots); i = c.slots[i].next {
+		k := c.slots[i].key
+		if c.index[k] != i {
+			t.Fatalf("index maps key %#x to slot %d, list has it at %d", k, c.index[k], i)
+		}
+		fwd = append(fwd, unpack(k))
+	}
+	for i := c.slots[0].prev; i != 0 && len(back) < len(c.slots); i = c.slots[i].prev {
+		back = append(back, unpack(c.slots[i].key))
+	}
+	slices.Reverse(back)
+	if !slices.Equal(fwd, back) || len(c.index) != len(fwd) || c.len() != len(fwd) {
+		t.Fatalf("slab links disagree: forward %v, backward %v, %d indexed, len %d",
+			fwd, back, len(c.index), c.len())
+	}
+	return fwd
+}
+
+// TestLRUMatchesListReference drives random interleavings of contains
+// and insert through the slab LRU and the container/list reference,
+// with keys at both ends of the item and page ranges, and requires the
+// same hit/miss answers and the same recency order after every step.
+func TestLRUMatchesListReference(t *testing.T) {
+	const pageBytes = 4096
+	items := []trace.ItemID{0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	pages := []int64{0, 1, 2, 1<<32 - 3, 1<<32 - 2, 1<<32 - 1}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capPages := int(seed % 4)
+		if capPages == 3 {
+			capPages = 3 + rng.Intn(20)
+		}
+		c := newLRU(int64(capPages)*pageBytes, pageBytes)
+		ref := newListLRU(capPages)
+		for op := 0; op < 400; op++ {
+			k := refKey{items[rng.Intn(len(items))], pages[rng.Intn(len(pages))]}
+			if rng.Intn(2) == 0 {
+				if got, want := c.contains(pageKey(k.item, k.page)), ref.contains(k); got != want {
+					t.Fatalf("seed %d op %d: contains(%v) = %v, reference %v", seed, op, k, got, want)
+				}
+			} else {
+				c.insert(pageKey(k.item, k.page))
+				ref.insert(k)
+			}
+			if got, want := slabOrder(t, c), ref.order(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d (cap %d): order %v, reference %v", seed, op, capPages, got, want)
+			}
+		}
+	}
+}
+
 func TestWriteDelayStateAccounting(t *testing.T) {
-	w := newWriteDelayState(1000, 0.5)
+	arr, _, _, _ := testArray(t, 1, 1<<20, 1<<20)
+	arr.wdelay = newWriteDelayState(1000, 0.5)
+	w := arr.wdelay
 	if w.absorb(1, 0, 0, 200) {
 		t.Fatal("200/1000 dirty should not trigger flush at rate 0.5")
 	}
@@ -80,15 +198,29 @@ func TestWriteDelayStateAccounting(t *testing.T) {
 	if w.dirtyOf(1) != 600 {
 		t.Fatalf("dirty bytes %d", w.dirtyOf(1))
 	}
-	if !w.dirtyPages[pageKey{1, 0}] || !w.dirtyPages[pageKey{1, 1}] {
-		t.Fatal("dirty pages not tracked")
+	if _, ok := w.dirtyPages[1][0]; !ok {
+		t.Fatal("dirty page 0 not tracked")
 	}
+	if _, ok := w.dirtyPages[1][1]; !ok {
+		t.Fatal("dirty page 1 not tracked")
+	}
+	// A second item's dirty pages survive the first item's destage.
+	w.absorb(2, 3, 4, 100)
 	n := w.clearItem(1)
-	if n != 600 || w.totalDirty != 0 || len(w.dirtyPages) != 0 {
+	if n != 600 || w.totalDirty != 100 || len(w.dirtyPages) != 1 {
 		t.Fatalf("clear returned %d, state %+v", n, w)
+	}
+	if arr.readCached(1, 0, 1) {
+		t.Fatal("cleared item's pages still read as cached")
+	}
+	if !arr.readCached(2, 3, 4) || arr.readCached(2, 3, 5) {
+		t.Fatal("other item's dirty pages not served exactly")
 	}
 	if w.clearItem(1) != 0 {
 		t.Fatal("double clear returned bytes")
+	}
+	if n := w.clearItem(2); n != 100 || w.totalDirty != 0 || len(w.dirtyPages) != 0 {
+		t.Fatalf("second clear returned %d, state %+v", n, w)
 	}
 }
 
@@ -135,5 +267,53 @@ func TestPreloadStateHitTiming(t *testing.T) {
 	}
 	if !p.pinned(5) || p.pinned(6) {
 		t.Fatal("pinned flags wrong")
+	}
+}
+
+// TestSubmitSteadyStateAllocs is the allocation gate of the cache: once
+// the general LRU is full, read misses that evict, read hits and
+// non-delayed writes must not allocate. A new page reuses the evicted
+// tail slot and its packed key needs no boxing.
+func TestSubmitSteadyStateAllocs(t *testing.T) {
+	const capPages = 64
+	cfg := DefaultConfig(1)
+	cfg.CacheBytes = cfg.PreloadCacheBytes + cfg.WriteDelayCacheBytes + capPages*cfg.CachePageBytes
+	cat := trace.NewCatalog()
+	item := cat.Add("hot", 1<<30)
+	arr, err := New(cfg, &simclock.Clock{}, &simclock.EventQueue{}, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.Place(item, 0); err != nil {
+		t.Fatal(err)
+	}
+	submit := func(page int64, op trace.Op) Result {
+		res, err := arr.Submit(trace.LogicalRecord{Item: item, Offset: page * cfg.CachePageBytes, Size: 4096, Op: op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Cycling over twice the capacity makes every first read a miss
+	// that evicts the least recently used page.
+	var page int64
+	step := func() {
+		page = (page + 1) % (2 * capPages)
+		if submit(page, trace.OpRead).CacheHit {
+			t.Fatal("cycling read hit; the gate measures the wrong path")
+		}
+		if !submit(page, trace.OpRead).CacheHit {
+			t.Fatal("re-read missed")
+		}
+		submit(page, trace.OpWrite)
+	}
+	for i := 0; i < 4*capPages; i++ {
+		step()
+	}
+	if n := arr.general.len(); n != capPages {
+		t.Fatalf("general LRU holds %d pages, want it full at %d", n, capPages)
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("steady-state submit allocates %.2f per miss/hit/write step, want 0", allocs)
 	}
 }

@@ -125,10 +125,9 @@ func (a *Array) PlanSubmit(rec trace.LogicalRecord) (Plan, error) {
 	if int(item) < 0 || int(item) >= len(a.items) || !a.items[item].placed {
 		return Plan{}, fmt.Errorf("storage: I/O to unplaced item %d", item)
 	}
-	firstPage := rec.Offset / a.cfg.CachePageBytes
-	lastPage := (rec.Offset + int64(rec.Size) - 1) / a.cfg.CachePageBytes
-	if rec.Size <= 0 {
-		lastPage = firstPage
+	firstPage, lastPage, err := a.pageSpan(rec)
+	if err != nil {
+		return Plan{}, err
 	}
 	p := Plan{Item: item, FirstPage: firstPage, LastPage: lastPage}
 
@@ -167,21 +166,8 @@ func (a *Array) PlanSubmit(rec trace.LogicalRecord) (Plan, error) {
 // run. Reads admit their pages into the general LRU unless the item is
 // preload-pinned; writes refresh pages already cached.
 func (a *Array) AdmitPlanned(p Plan) {
-	if p.Served {
-		return
-	}
-	if p.Read {
-		if !a.preload.pinned(p.Item) {
-			for pg := p.FirstPage; pg <= p.LastPage; pg++ {
-				a.general.insert(pageKey{p.Item, pg})
-			}
-		}
-		return
-	}
-	for pg := p.FirstPage; pg <= p.LastPage; pg++ {
-		if a.general.contains(pageKey{p.Item, pg}) {
-			a.general.insert(pageKey{p.Item, pg})
-		}
+	if !p.Served {
+		a.admit(p.Item, p.FirstPage, p.LastPage, p.Read)
 	}
 }
 
