@@ -22,10 +22,10 @@ check: build vet race alloc-check perf-check
 
 # alloc-check runs the steady-state allocation gates on the build that
 # ships, without the race instrumentation `race` runs them under: the
-# cache's submit path and the closed-loop engine must not allocate per
-# record.
+# cache's submit path, the closed-loop engine, the k-way merge and the
+# generator adapter must not allocate per record.
 alloc-check:
-	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay
+	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace
 
 # perf-check vets and tests the benchmark module (perf/, its own Go
 # module), which nothing else compiles: a change to the replay or fleet

@@ -12,7 +12,6 @@
 package replay
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -74,26 +73,74 @@ func (c *itemCursor) pop() {
 	c.n--
 }
 
+// cursorHeap is a binary min-heap of cursors by (eff, item). The item
+// tie-break makes simultaneous activations issue in a fixed order, so
+// replays are reproducible run to run; and because it is a total order
+// over at most one cursor per item, every correct heap issues the same
+// sequence. Each cursor's index tracks its slot (-1 when not queued).
 type cursorHeap []*itemCursor
 
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	// The item tie-break makes simultaneous activations issue in a fixed
-	// order, so replays are reproducible run to run.
-	if h[i].eff != h[j].eff {
-		return h[i].eff < h[j].eff
+func cursorLess(a, b *itemCursor) bool {
+	if a.eff != b.eff {
+		return a.eff < b.eff
 	}
-	return h[i].item < h[j].item
+	return a.item < b.item
 }
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *cursorHeap) Push(x any)   { c := x.(*itemCursor); c.index = len(*h); *h = append(*h, c) }
-func (h *cursorHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	c.index = -1
-	*h = old[:n-1]
-	return c
+
+// push queues c.
+func (h *cursorHeap) push(c *itemCursor) {
+	*h = append(*h, c)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !cursorLess(c, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = c
+	c.index = i
+}
+
+// fixRoot restores the heap after the root's key changed: the root
+// can only sift down.
+func (h cursorHeap) fixRoot() {
+	n := len(h)
+	c := h[0]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && cursorLess(h[r], h[j]) {
+			j = r
+		}
+		if !cursorLess(h[j], c) {
+			break
+		}
+		h[i] = h[j]
+		h[i].index = i
+		i = j
+	}
+	h[i] = c
+	c.index = i
+}
+
+// popRoot dequeues the root cursor.
+func (h *cursorHeap) popRoot() {
+	q := *h
+	n := len(q) - 1
+	q[0].index = -1
+	q[0] = q[n]
+	q[n] = nil
+	*h = q[:n]
+	if n > 0 {
+		h.fixRoot()
+	}
 }
 
 // parkedState is the part of an evicted cursor that can still change a
@@ -248,7 +295,7 @@ func (cl *closedLoop) demux() error {
 				eff = c.notBefore
 			}
 			c.eff = eff
-			heap.Push(&cl.h, c)
+			cl.h.push(c)
 		}
 	}
 }
@@ -286,7 +333,7 @@ func (cl *closedLoop) run() error {
 		c.pop()
 		c.touch = cl.n
 		if c.n == 0 {
-			heap.Pop(&cl.h)
+			cl.h.popRoot()
 		} else {
 			next := c.front()
 			eff := next.Time + c.delay
@@ -294,7 +341,7 @@ func (cl *closedLoop) run() error {
 				eff = c.notBefore
 			}
 			c.eff = eff
-			heap.Fix(&cl.h, 0)
+			cl.h.fixRoot()
 		}
 	}
 }

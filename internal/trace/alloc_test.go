@@ -157,3 +157,45 @@ func TestNDJSONDecodeAllocs(t *testing.T) {
 		func(data []byte) int { return drain(t, NewNDJSONReader(bytes.NewReader(data))) },
 		0)
 }
+
+// TestMergeSteadyStateAllocs gates the k-way merge at zero allocations
+// per record: after the first Next has built the tree, each record is a
+// leaf-to-root replay over preallocated arrays.
+func TestMergeSteadyStateAllocs(t *testing.T) {
+	const k, perSource, runs = 64, 400, 10000
+	srcs := make([]Source, k)
+	for i, recs := range benchTraces(k, perSource) {
+		srcs[i] = NewSliceSource(recs)
+	}
+	m := MergeSources(srcs...)
+	m.Next()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok := m.Next(); !ok {
+			t.Fatal("merge ran dry inside the measured window")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Merged.Next allocates %.4f/record, want 0", allocs)
+	}
+}
+
+// TestSeqSourceSteadyStateAllocs gates the generator adapter at zero
+// allocations per record once its batch buffer exists: a batch refill
+// is a coroutine switch into a reused buffer.
+func TestSeqSourceSteadyStateAllocs(t *testing.T) {
+	const runs = 20 * seqBatch
+	src := NewSeqSource(func(yield func(LogicalRecord) bool) {
+		for i := 0; yield(LogicalRecord{Time: time.Duration(i), Size: 4096}); i++ {
+		}
+	})
+	defer src.Close()
+	src.Next()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok := src.Next(); !ok {
+			t.Fatal("generator ended inside the measured window")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SeqSource.Next allocates %.4f/record, want 0", allocs)
+	}
+}

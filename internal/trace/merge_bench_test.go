@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -41,15 +42,36 @@ func benchRecords(b *testing.B) [][]LogicalRecord {
 	return benchTraces(4, n)
 }
 
-func BenchmarkMergeHeap(b *testing.B) {
-	traces := benchRecords(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := MergeLogical(traces...)
-		if len(out) != 4*len(traces[0]) {
-			b.Fatal("bad merge length")
-		}
+// BenchmarkMerge drains MergeSources over slice sources at the fan-ins
+// the workloads use: a handful of traces, fileserver at scale 0.25
+// (about 1,800 item streams) and cloud-block (10,000 volumes). Each
+// fan-in merges about the same record total, reported as ns/record.
+func BenchmarkMerge(b *testing.B) {
+	total := 1_000_000
+	if testing.Short() {
+		total = 100_000
+	}
+	for _, k := range []int{4, 1800, 10000} {
+		b.Run(fmt.Sprintf("fanin=%d", k), func(b *testing.B) {
+			traces := benchTraces(k, total/k)
+			srcs := make([]Source, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, t := range traces {
+					srcs[j] = NewSliceSource(t)
+				}
+				m := MergeSources(srcs...)
+				n := 0
+				for _, ok := m.Next(); ok; _, ok = m.Next() {
+					n++
+				}
+				if n != k*(total/k) {
+					b.Fatalf("merged %d records, want %d", n, k*(total/k))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k*(total/k)), "ns/record")
+		})
 	}
 }
 

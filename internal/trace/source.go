@@ -8,11 +8,11 @@ package trace
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"os"
 	"time"
 )
@@ -61,72 +61,106 @@ func (s *SliceSource) Next() (LogicalRecord, bool) {
 // Err always returns nil: a slice cannot fail.
 func (s *SliceSource) Err() error { return nil }
 
+// seqBatch is how many records SeqSource pulls from its generator per
+// coroutine switch. A switch costs far more than copying a record, so
+// batching amortizes the hand-off across the batch; past 32 records the
+// switch is a few ns per record, while every open stream holds its
+// buffer (10,000 at once in a cloud-block merge).
+const seqBatch = 32
+
 // SeqSource adapts a push iterator (iter.Seq) to a Source. The workload
 // generators describe each data item's records as a Seq; SeqSource is
 // the pull-side cursor a merge holds per item.
+//
+// The generator runs in batches: each resume lets it emit up to
+// seqBatch records into a buffer the SeqSource owns and reuses, so the
+// generator may run up to one batch ahead of the consumer. Generators
+// are pure functions of their seed, so running ahead cannot change what
+// they emit.
 type SeqSource struct {
-	next func() (LogicalRecord, bool)
+	next func() (struct{}, bool)
 	stop func()
+	buf  []LogicalRecord
+	pos  int
 }
 
 // NewSeqSource returns a Source over seq.
 func NewSeqSource(seq iter.Seq[LogicalRecord]) *SeqSource {
-	next, stop := iter.Pull(seq)
-	return &SeqSource{next: next, stop: stop}
+	s := &SeqSource{buf: make([]LogicalRecord, 0, seqBatch)}
+	s.next, s.stop = iter.Pull(func(yield func(struct{}) bool) {
+		more := true
+		seq(func(r LogicalRecord) bool {
+			s.buf = append(s.buf, r)
+			if len(s.buf) == seqBatch {
+				more = yield(struct{}{})
+			}
+			return more
+		})
+		if more && len(s.buf) > 0 {
+			yield(struct{}{})
+		}
+	})
+	return s
 }
 
 // Next returns the iterator's next record.
-func (s *SeqSource) Next() (LogicalRecord, bool) { return s.next() }
+func (s *SeqSource) Next() (LogicalRecord, bool) {
+	if s.pos == len(s.buf) && !s.refill() {
+		return LogicalRecord{}, false
+	}
+	r := s.buf[s.pos]
+	s.pos++
+	return r, true
+}
+
+// refill resumes the generator for the next batch. Once the generator
+// has returned or been stopped it reports false (iter.Pull keeps
+// returning false) and releases the buffer.
+func (s *SeqSource) refill() bool {
+	s.buf, s.pos = s.buf[:0], 0
+	if _, ok := s.next(); !ok {
+		s.buf = nil
+		return false
+	}
+	return true
+}
 
 // Err always returns nil: generator sequences cannot fail.
 func (s *SeqSource) Err() error { return nil }
 
-// Close releases the underlying iterator; it is safe to call more than
-// once and after exhaustion.
+// Close stops the generator, even part-way through a batch, and drops
+// any buffered records; it is safe to call more than once and after
+// exhaustion.
 func (s *SeqSource) Close() error {
 	s.stop()
+	s.buf, s.pos = nil, 0
 	return nil
 }
 
-// mergeItem is one source's buffered head record.
-type mergeItem struct {
-	rec LogicalRecord
-	src int
-}
-
-// mergeHeap orders heads by (time, source index): among simultaneous
-// records the lowest-numbered source wins, which reproduces the order
-// the old linear-scan MergeLogical produced.
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].rec.Time != h[j].rec.Time {
-		return h[i].rec.Time < h[j].rec.Time
-	}
-	return h[i].src < h[j].src
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Merged is a k-way heap merge of already-sorted sources. Only one head
-// record per live source is buffered, so merging k streams costs O(k)
-// memory and O(log k) per record. Merged validates that its output is
-// non-decreasing and fails (Err) when an input turns out unsorted.
+// Merged is a k-way merge of already-sorted sources, kept as a
+// tournament (loser) tree over the sources' head records. Only one head
+// per source is buffered, so merging k streams costs O(k) memory, and
+// each record costs one leaf-to-root replay of about log2(k) compares
+// with no swaps. Ties break by source index: among simultaneous records
+// the lowest-numbered source wins, which reproduces the order the old
+// linear-scan MergeLogical produced. Merged validates that its output
+// is non-decreasing and fails (Err) when an input turns out unsorted.
 type Merged struct {
 	srcs []Source
-	h    mergeHeap
+	// heads[i] is source i's next record. An exhausted source's head
+	// time is maxTime and its done flag is set, so it loses every match.
+	heads []LogicalRecord
+	done  []bool
+	// tree[1:k] holds the loser of each internal match; tree[0] holds
+	// the overall winner. Source i is leaf k+i, so node n's children
+	// are 2n and 2n+1 for any k.
+	tree []int32
 	prev time.Duration
 	err  error
 	init bool
 }
+
+const maxTime = time.Duration(math.MaxInt64)
 
 // MergeSources merges sorted sources into one time-ordered stream.
 // Simultaneous records are ordered by source index.
@@ -134,17 +168,65 @@ func MergeSources(srcs ...Source) *Merged {
 	return &Merged{srcs: srcs}
 }
 
-// pull buffers the head of source k, dropping exhausted sources.
-func (m *Merged) pull(k int) {
+// less orders sources by (head time, exhausted, index): a total order,
+// so the tree's winner is the same head a heap would surface.
+func (m *Merged) less(a, b int32) bool {
+	ta, tb := m.heads[a].Time, m.heads[b].Time
+	if ta != tb {
+		return ta < tb
+	}
+	if ta == maxTime && m.done[a] != m.done[b] {
+		return m.done[b]
+	}
+	return a < b
+}
+
+// pull buffers the next head of source k, marking it exhausted (and
+// closing it) when it ends. A source failure is recorded in m.err.
+func (m *Merged) pull(k int32) {
 	rec, ok := m.srcs[k].Next()
-	if !ok {
-		if err := m.srcs[k].Err(); err != nil {
-			m.err = fmt.Errorf("trace: merge source %d: %w", k, err)
-		}
-		closeSource(m.srcs[k])
+	if ok {
+		m.heads[k] = rec
 		return
 	}
-	m.h = append(m.h, mergeItem{rec: rec, src: k})
+	if err := m.srcs[k].Err(); err != nil {
+		m.err = fmt.Errorf("trace: merge source %d: %w", k, err)
+	}
+	m.heads[k].Time, m.done[k] = maxTime, true
+	closeSource(m.srcs[k])
+}
+
+// start buffers every source's head and plays the initial tournament.
+// It reports false when a source fails or there are no sources.
+func (m *Merged) start() bool {
+	m.init = true
+	k := len(m.srcs)
+	if k == 0 {
+		return false
+	}
+	m.heads = make([]LogicalRecord, k)
+	m.done = make([]bool, k)
+	m.tree = make([]int32, k)
+	for i := range m.srcs {
+		m.pull(int32(i))
+		if m.err != nil {
+			return false
+		}
+	}
+	// win[n] is the winner of the subtree at node n; leaves are k..2k-1.
+	win := make([]int32, 2*k)
+	for i := range k {
+		win[k+i] = int32(i)
+	}
+	for n := k - 1; n >= 1; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if m.less(b, a) {
+			a, b = b, a
+		}
+		win[n], m.tree[n] = a, b
+	}
+	m.tree[0] = win[1]
+	return true
 }
 
 // Next returns the merged stream's next record.
@@ -152,37 +234,32 @@ func (m *Merged) Next() (LogicalRecord, bool) {
 	if m.err != nil {
 		return LogicalRecord{}, false
 	}
-	if !m.init {
-		m.init = true
-		for k := range m.srcs {
-			m.pull(k)
-			if m.err != nil {
-				return LogicalRecord{}, false
-			}
-		}
-		heap.Init(&m.h)
-	}
-	if len(m.h) == 0 {
+	if !m.init && !m.start() || len(m.tree) == 0 {
 		return LogicalRecord{}, false
 	}
-	top := m.h[0]
-	if top.rec.Time < m.prev {
-		m.err = fmt.Errorf("trace: merge source %d out of order (%v after %v)", top.src, top.rec.Time, m.prev)
+	w := m.tree[0]
+	if m.done[w] {
 		return LogicalRecord{}, false
 	}
-	m.prev = top.rec.Time
-	if rec, ok := m.srcs[top.src].Next(); ok {
-		m.h[0] = mergeItem{rec: rec, src: top.src}
-		heap.Fix(&m.h, 0)
-	} else {
-		if err := m.srcs[top.src].Err(); err != nil {
-			// Surface the failure on the next call; top is still valid.
-			m.err = fmt.Errorf("trace: merge source %d: %w", top.src, err)
-		}
-		heap.Pop(&m.h)
-		closeSource(m.srcs[top.src])
+	rec := m.heads[w]
+	if rec.Time < m.prev {
+		m.err = fmt.Errorf("trace: merge source %d out of order (%v after %v)", w, rec.Time, m.prev)
+		return LogicalRecord{}, false
 	}
-	return top.rec, true
+	m.prev = rec.Time
+	// A failing source surfaces its error on the next call; rec is
+	// still valid.
+	m.pull(w)
+	// Replay the new head from its leaf to the root: at each node the
+	// stored loser and the climbing candidate meet, and the winner
+	// climbs on.
+	for n := (int(w) + len(m.tree)) >> 1; n > 0; n >>= 1 {
+		if l := m.tree[n]; m.less(l, w) {
+			m.tree[n], w = w, l
+		}
+	}
+	m.tree[0] = w
+	return rec, true
 }
 
 // Err returns the first input failure, or nil.

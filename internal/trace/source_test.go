@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -53,61 +56,202 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestSeqSource(t *testing.T) {
-	want := sortedRecs(rand.New(rand.NewSource(2)), 50, 3)
-	src := NewSeqSource(func(yield func(LogicalRecord) bool) {
-		for _, r := range want {
+// seqOf is a generator over recs that sets *stopped when it returns,
+// the way a deferred cleanup in a workload generator would run.
+func seqOf(recs []LogicalRecord, stopped *bool) func(yield func(LogicalRecord) bool) {
+	return func(yield func(LogicalRecord) bool) {
+		defer func() { *stopped = true }()
+		for _, r := range recs {
 			if !yield(r) {
 				return
 			}
 		}
-	})
-	defer src.Close()
-	got, err := CollectSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d records, want %d", len(got), len(want))
-	}
-	// Close mid-stream must be safe and idempotent.
-	src2 := NewSeqSource(func(yield func(LogicalRecord) bool) {
-		for _, r := range want {
-			if !yield(r) {
-				return
-			}
-		}
-	})
-	src2.Next()
-	src2.Close()
-	src2.Close()
-	if _, ok := src2.Next(); ok {
-		t.Fatal("Next returned ok after Close")
 	}
 }
 
+func TestSeqSource(t *testing.T) {
+	all := sortedRecs(rand.New(rand.NewSource(2)), 3*seqBatch+5, 3)
+	// Every length up to a few full-size batches, so the final batch is
+	// empty, partial or exactly full at every buffer size.
+	for n := range len(all) + 1 {
+		want := all[:n]
+		var stopped bool
+		src := NewSeqSource(seqOf(want, &stopped))
+		got, err := CollectSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: got %d records, want %d (or contents differ)", n, len(got), len(want))
+		}
+		if !stopped {
+			t.Fatalf("n=%d: generator still running after exhaustion", n)
+		}
+		if _, ok := src.Next(); ok {
+			t.Fatalf("n=%d: Next returned ok after exhaustion", n)
+		}
+		src.Close()
+	}
+
+	// Close in the middle of a batch must stop the generator (its
+	// deferred cleanup runs) and end the stream; Close stays safe and
+	// idempotent.
+	for _, taken := range []int{1, seqBatch / 2, seqBatch + 3} {
+		var stopped bool
+		src := NewSeqSource(seqOf(all, &stopped))
+		for i := 0; i < taken; i++ {
+			if rec, ok := src.Next(); !ok || rec != all[i] {
+				t.Fatalf("record %d: got %+v ok=%v, want %+v", i, rec, ok, all[i])
+			}
+		}
+		src.Close()
+		if !stopped {
+			t.Fatalf("Close after %d records left the generator running", taken)
+		}
+		src.Close()
+		if _, ok := src.Next(); ok {
+			t.Fatalf("Next returned ok after Close (%d records taken)", taken)
+		}
+	}
+}
+
+// trackedSource records when the merge closes it.
+type trackedSource struct {
+	*SliceSource
+	closed *bool
+}
+
+func (s trackedSource) Close() error { *s.closed = true; return nil }
+
+// failSource yields its records, then ends with err.
+type failSource struct {
+	SliceSource
+	err error
+}
+
+func (s *failSource) Err() error {
+	if s.pos >= len(s.recs) {
+		return s.err
+	}
+	return nil
+}
+
+// mergeInputs builds k sorted inputs, record items naming the source.
+// Every emptyEvery-th source is empty (0 = none); when tick is
+// non-zero every time is a multiple of it, drawn from a small range, so
+// many records tie across sources.
+func mergeInputs(rng *rand.Rand, k, maxLen, emptyEvery int, tick time.Duration) [][]LogicalRecord {
+	inputs := make([][]LogicalRecord, k)
+	for i := range inputs {
+		if emptyEvery > 0 && i%emptyEvery == emptyEvery-1 {
+			continue
+		}
+		recs := sortedRecs(rng, rng.Intn(maxLen+1), ItemID(i))
+		if tick > 0 {
+			var t time.Duration
+			for j := range recs {
+				t += tick * time.Duration(rng.Intn(2))
+				recs[j].Time = t
+			}
+		}
+		inputs[i] = recs
+	}
+	return inputs
+}
+
+// TestMergeSourcesMatchesMergeLogical is the differential merge test:
+// MergeSources must produce exactly what concatenating every input and
+// stable-sorting by (Time, source index) produces — the order
+// MergeLogical promises — and agree with the reference heap merge. It
+// also checks that each source is closed as soon as its last record has
+// been merged.
 func TestMergeSourcesMatchesMergeLogical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var traces [][]LogicalRecord
-	var srcs []Source
-	for k := 0; k < 7; k++ {
-		recs := sortedRecs(rng, 200+rng.Intn(200), ItemID(k))
-		traces = append(traces, recs)
-		srcs = append(srcs, NewSliceSource(recs))
+	type mergeCase struct {
+		name   string
+		inputs [][]LogicalRecord
 	}
-	want := MergeLogical(traces...)
-	m := MergeSources(srcs...)
-	got, err := CollectSource(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
+	var cases []mergeCase
+	for _, k := range []int{0, 1, 2, 3, 7, 64, 1800} {
+		maxLen := max(2, 4000/max(k, 1))
+		cases = append(cases,
+			mergeCase{fmt.Sprintf("k=%d/random", k), mergeInputs(rng, k, maxLen, 0, 0)},
+			mergeCase{fmt.Sprintf("k=%d/empties", k), mergeInputs(rng, k, maxLen, 3, 0)},
+			mergeCase{fmt.Sprintf("k=%d/coarse", k), mergeInputs(rng, k, maxLen, 5, time.Millisecond)},
+		)
+		// Every record at one instant: the output is the inputs in
+		// source order.
+		ties := mergeInputs(rng, k, maxLen, 4, 0)
+		for _, in := range ties {
+			for j := range in {
+				in[j].Time = 7
+			}
 		}
+		cases = append(cases, mergeCase{fmt.Sprintf("k=%d/ties", k), ties})
+	}
+	// Sources exhausting in every order: source perm[j] ends (j+1)th.
+	for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		inputs := make([][]LogicalRecord, len(perm))
+		for j, src := range perm {
+			for t := 0; t <= 2*(j+1); t++ {
+				inputs[src] = append(inputs[src], LogicalRecord{Time: time.Duration(t), Item: ItemID(src), Size: 1})
+			}
+		}
+		cases = append(cases, mergeCase{fmt.Sprintf("exhaust=%v", perm), inputs})
+	}
+	// The original fixed case: 7 dense random traces.
+	var traces [][]LogicalRecord
+	for k := 0; k < 7; k++ {
+		traces = append(traces, sortedRecs(rng, 200+rng.Intn(200), ItemID(k)))
+	}
+	cases = append(cases, mergeCase{"dense7", traces})
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := refStableSort(tc.inputs)
+			closed := make([]bool, len(tc.inputs))
+			left := make([]int, len(tc.inputs))
+			srcs := make([]Source, len(tc.inputs))
+			refSrcs := make([]Source, len(tc.inputs))
+			for i, in := range tc.inputs {
+				srcs[i] = trackedSource{NewSliceSource(in), &closed[i]}
+				refSrcs[i] = NewSliceSource(in)
+				left[i] = len(in)
+			}
+			m := MergeSources(srcs...)
+			var got []LogicalRecord
+			for {
+				rec, ok := m.Next()
+				if !ok {
+					break
+				}
+				got = append(got, rec)
+				if left[rec.Item]--; left[rec.Item] == 0 && !closed[rec.Item] {
+					t.Fatalf("source %d not closed after its last record", rec.Item)
+				}
+			}
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("merge differs from stable sort: %d vs %d records", len(got), len(want))
+			}
+			ref, err := CollectSource(RefMergeSources(refSrcs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, ref) {
+				t.Fatal("merge differs from the reference heap merge")
+			}
+			for i, c := range closed {
+				if !c {
+					t.Fatalf("source %d never closed", i)
+				}
+			}
+			if _, ok := m.Next(); ok {
+				t.Fatal("Next returned ok after the end")
+			}
+		})
 	}
 }
 
@@ -134,15 +278,94 @@ func TestMergeSourcesEmpty(t *testing.T) {
 	}
 }
 
+// TestMergeSourcesUnsortedInput covers the merge's error paths against
+// the reference heap merge: an unsorted input fails with an "out of
+// order" error naming that source, and a source whose Err is non-nil
+// surfaces it on the call after its last record, which is still
+// returned. Either way nothing follows the failure.
 func TestMergeSourcesUnsortedInput(t *testing.T) {
-	bad := []LogicalRecord{
-		{Time: 20, Item: 0, Size: 1, Op: OpRead},
-		{Time: 10, Item: 0, Size: 1, Op: OpRead},
+	errBoom := errors.New("boom")
+	rng := rand.New(rand.NewSource(8))
+	type errCase struct {
+		name string
+		bad  int // the failing source
+		// build returns fresh sources for one merge.
+		build func() []Source
+		want  string
 	}
-	m := MergeSources(NewSliceSource(bad))
-	_, err := CollectSource(m)
-	if err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("want out-of-order error, got %v", err)
+	var cases []errCase
+	for _, k := range []int{1, 3, 7, 64} {
+		inputs := mergeInputs(rng, k, 40, 0, 0)
+		for _, bad := range []int{0, k / 2, k - 1} {
+			// Swap a late pair so the source runs backwards mid-stream.
+			unsorted := slices.Clone(inputs[bad])
+			unsorted = append(unsorted, LogicalRecord{Time: 1 << 40, Item: ItemID(bad), Size: 1},
+				LogicalRecord{Time: 1 << 39, Item: ItemID(bad), Size: 1})
+			cases = append(cases, errCase{
+				name: fmt.Sprintf("k=%d/unsorted=%d", k, bad), bad: bad,
+				build: func() []Source {
+					srcs := make([]Source, k)
+					for i := range srcs {
+						srcs[i] = NewSliceSource(inputs[i])
+					}
+					srcs[bad] = NewSliceSource(unsorted)
+					return srcs
+				},
+				want: fmt.Sprintf("trace: merge source %d out of order", bad),
+			})
+			for _, n := range []int{0, len(inputs[bad])} {
+				cases = append(cases, errCase{
+					name: fmt.Sprintf("k=%d/fail=%d/after=%d", k, bad, n), bad: bad,
+					build: func() []Source {
+						srcs := make([]Source, k)
+						for i := range srcs {
+							srcs[i] = NewSliceSource(inputs[i])
+						}
+						srcs[bad] = &failSource{SliceSource{recs: inputs[bad][:n]}, errBoom}
+						return srcs
+					},
+					want: fmt.Sprintf("trace: merge source %d: boom", bad),
+				})
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			collect := func(src Source) ([]LogicalRecord, error) {
+				var out []LogicalRecord
+				for {
+					rec, ok := src.Next()
+					if !ok {
+						break
+					}
+					out = append(out, rec)
+				}
+				if _, ok := src.Next(); ok {
+					t.Fatal("Next returned ok after the failure")
+				}
+				return out, src.Err()
+			}
+			got, err := collect(MergeSources(tc.build()...))
+			want, wantErr := collect(RefMergeSources(tc.build()...))
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("error %v, want prefix %q", err, tc.want)
+			}
+			if wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("error %v, reference %v", err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("records before the failure differ: %d vs %d", len(got), len(want))
+			}
+			if strings.Contains(tc.want, "boom") {
+				if !errors.Is(err, errBoom) {
+					t.Fatalf("error %v does not wrap the source's", err)
+				}
+				// The record taken before the failing pull is returned.
+				if n := len(got); n > 0 && got[n-1].Item != ItemID(tc.bad) {
+					t.Fatalf("last record is from source %d, want the failing source %d", got[n-1].Item, tc.bad)
+				}
+			}
+		})
 	}
 }
 
