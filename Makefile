@@ -158,11 +158,15 @@ cloudblock-smoke:
 fleet-smoke:
 	sh scripts/fleet-smoke.sh
 
-# alert-smoke gates the SLO watchdog end to end: esmd with a
+# alert-smoke gates the SLO watchdog end to end. First, under the race
+# detector: class_p* rules must fire off the policy's class counts
+# (with and without a flight recorder), and the run's telemetry must
+# reach a policy wrapped by an embedding decorator. Then esmd with a
 # deliberately tight energy budget must leave `esmstat alerts <url>`
 # exiting 1 once the rule fires; a budget far above the workload's
 # total energy must leave it exiting 0 with the rule still evaluated.
 alert-smoke:
+	$(GO) test -race -count=1 -run 'TestClassCountRulesFire|TestTelemetryReachesWrappedPolicy' ./internal/replay/
 	sh scripts/alert-smoke.sh
 
 # explain-smoke gates the decision-provenance ledger and the root-cause

@@ -303,7 +303,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	replayOnce := func(b *testing.B, rec *obs.Recorder, trc *obs.Tracer, fr *obs.FlightRecorder, wd *obs.Watchdog, prov *obs.Provenance) {
+	replayOnce := func(b *testing.B, tel obs.Telemetry) {
 		b.Helper()
 		esm, err := core.NewESM(core.DefaultParams())
 		if err != nil {
@@ -317,11 +317,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			Policy:     esm,
 			Duration:   w.Duration,
 			ClosedLoop: w.ClosedLoop,
-			Recorder:   rec,
-			Tracer:     trc,
-			Series:     fr,
-			Alerts:     wd,
-			Provenance: prov,
+			Telemetry:  tel,
 		}
 		if _, err := replay.Execute(run); err != nil {
 			b.Fatal(err)
@@ -329,7 +325,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replayOnce(b, nil, nil, nil, nil, nil)
+			replayOnce(b, obs.Telemetry{})
 		}
 	})
 	b.Run("sink", func(b *testing.B) {
@@ -338,7 +334,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				Sink:     obs.NewJSONLSink(io.Discard),
 				Registry: obs.NewRegistry(),
 			})
-			replayOnce(b, rec, nil, nil, nil, nil)
+			replayOnce(b, obs.Telemetry{Recorder: rec})
 			if err := rec.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -347,7 +343,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("trace", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			trc := obs.NewTracer(obs.TracerOptions{Enclosures: experiments.StorageFor(w).Enclosures})
-			replayOnce(b, nil, trc, nil, nil, nil)
+			replayOnce(b, obs.Telemetry{Tracer: trc})
 			if err := trc.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -355,7 +351,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("series", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replayOnce(b, nil, nil, obs.NewFlightRecorder(obs.FlightOptions{}), nil, nil)
+			replayOnce(b, obs.Telemetry{Flight: obs.NewFlightRecorder(obs.FlightOptions{})})
 		}
 	})
 	b.Run("alerts", func(b *testing.B) {
@@ -368,12 +364,12 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			replayOnce(b, nil, nil, nil, obs.NewWatchdog(obs.WatchdogOptions{Rules: rules}), nil)
+			replayOnce(b, obs.Telemetry{Alerts: obs.NewWatchdog(obs.WatchdogOptions{Rules: rules})})
 		}
 	})
 	b.Run("provenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replayOnce(b, nil, nil, nil, nil, obs.NewProvenance(obs.ProvenanceOptions{}))
+			replayOnce(b, obs.Telemetry{Provenance: obs.NewProvenance(obs.ProvenanceOptions{})})
 		}
 	})
 }

@@ -300,78 +300,51 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		if extended {
 			pols = experiments.ExtendedPolicies(ks)
 		}
-		var recFor func(policy string) *obs.Recorder
-		if sink != nil {
-			name := w.Name
-			recFor = func(policy string) *obs.Recorder {
-				return obs.New(obs.Options{Sink: sink, Label: name + "/" + policy})
-			}
-		}
-		// With -trace, each replay writes its own Perfetto file: spans of
-		// concurrent runs cannot share one trace without colliding tracks.
-		var trcFor func(policy string) *obs.Tracer
+		// Each replay gets its own surfaces. With -trace it writes its
+		// own Perfetto file: spans of concurrent runs cannot share one
+		// trace without colliding tracks. With -series, the series CSV
+		// and run manifest are written from the results below. With
+		// -alerts, transitions land in the -events stream via the run's
+		// recorder, and the summary in the run manifest. -provenance's
+		// energy-attribution join needs a tracer; without -trace a
+		// sink-less one keeps the ledger without writing Perfetto files.
 		var tracers []*obs.Tracer
 		var traceFiles []string
-		if tracePath != "" {
-			name := w.Name
-			trcFor = func(policy string) *obs.Tracer {
+		name := w.Name
+		telemetryFor := func(policy string) obs.Telemetry {
+			var tel obs.Telemetry
+			if sink != nil {
+				tel.Recorder = obs.New(obs.Options{Sink: sink, Label: name + "/" + policy})
+			}
+			if tracePath != "" {
 				file := traceFileFor(tracePath, name, policy)
-				f, err := os.Create(file)
-				if err != nil {
+				if f, err := os.Create(file); err != nil {
 					fmt.Fprintln(os.Stderr, "esmbench: -trace:", err)
-					return nil
+				} else {
+					tel.Tracer = obs.NewTracer(obs.TracerOptions{
+						Sink:       obs.NewPerfettoSink(f, name+"/"+policy),
+						Enclosures: w.Enclosures,
+					})
+					tracers = append(tracers, tel.Tracer)
+					traceFiles = append(traceFiles, file)
 				}
-				t := obs.NewTracer(obs.TracerOptions{
-					Sink:       obs.NewPerfettoSink(f, name+"/"+policy),
-					Enclosures: w.Enclosures,
-				})
-				tracers = append(tracers, t)
-				traceFiles = append(traceFiles, file)
-				return t
+			} else if provenance {
+				tel.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: w.Enclosures})
 			}
+			if seriesDir != "" {
+				tel.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+			}
+			tel.Alerts = obs.NewWatchdog(obs.WatchdogOptions{
+				Rules:    alertRules,
+				Recorder: tel.Recorder,
+				Instance: name + "/" + policy,
+			})
+			if provenance {
+				tel.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+			}
+			return tel
 		}
-		// With -series, every replay gets its own flight recorder; the
-		// series CSV and run manifest are written from the results below.
-		var flightFor func(policy string) *obs.FlightRecorder
-		if seriesDir != "" {
-			flightFor = func(string) *obs.FlightRecorder {
-				return obs.NewFlightRecorder(obs.FlightOptions{})
-			}
-		}
-		// With -alerts, each replay gets its own watchdog over the shared
-		// rule set; alert transitions land in the -events stream via the
-		// run's recorder, and the summary in the run manifest.
-		var alertsFor func(policy string, rec *obs.Recorder) *obs.Watchdog
-		if len(alertRules) > 0 {
-			name := w.Name
-			alertsFor = func(policy string, rec *obs.Recorder) *obs.Watchdog {
-				return obs.NewWatchdog(obs.WatchdogOptions{
-					Rules:    alertRules,
-					Recorder: rec,
-					Instance: name + "/" + policy,
-				})
-			}
-		}
-		// With -provenance, each replay records the decision ledger. The
-		// energy-attribution join needs a tracer; when -trace did not
-		// already supply one, a sink-less tracer keeps the ledger
-		// without writing Perfetto files.
-		var provFor func(policy string) *obs.Provenance
-		if provenance {
-			provFor = func(string) *obs.Provenance {
-				return obs.NewProvenance(obs.ProvenanceOptions{})
-			}
-			if trcFor == nil {
-				encs := w.Enclosures
-				trcFor = func(string) *obs.Tracer {
-					return obs.NewTracer(obs.TracerOptions{Enclosures: encs})
-				}
-			}
-		}
-		ev, err := experiments.EvaluateOpts(w, pols, experiments.Observers{
-			Recorder: recFor, Tracer: trcFor, Flight: flightFor, Alerts: alertsFor,
-			Provenance: provFor, Faults: fc,
-		})
+		ev, err := experiments.EvaluateOpts(w, pols, experiments.Observers{Telemetry: telemetryFor, Faults: fc})
 		for _, t := range tracers {
 			if cerr := t.Close(); cerr != nil && err == nil {
 				err = cerr

@@ -51,12 +51,13 @@ type ESM struct {
 	lastFault    time.Duration
 	planErrors   int64
 
-	rec    *obs.Recorder
-	trc    *obs.Tracer
-	flight *obs.FlightRecorder
-	wd     *obs.Watchdog
-	prov   *obs.Provenance
-	wake   *simclock.Event
+	// tel is the run's telemetry (policy.Context.Telemetry), read in
+	// Init; the zero value keeps the policy observation-free.
+	tel obs.Telemetry
+	// classCounts is the P0–P3 item distribution of the latest
+	// determination.
+	classCounts [4]int
+	wake        *simclock.Event
 
 	// prevPatterns is the classification of the previous determination,
 	// kept only while a provenance recorder is attached so
@@ -75,33 +76,6 @@ func NewESM(params Params) (*ESM, error) {
 // Name implements policy.Policy.
 func (d *ESM) Name() string { return "esm" }
 
-// SetRecorder attaches a telemetry recorder. A nil recorder (the
-// default) keeps the policy observation-free.
-func (d *ESM) SetRecorder(rec *obs.Recorder) { d.rec = rec }
-
-// SetTracer attaches a span tracer. Each determination then emits a
-// management span and refreshes the tracer's item → pattern-class
-// table, so I/O spans and energy attribution carry P0–P3 labels.
-func (d *ESM) SetTracer(trc *obs.Tracer) { d.trc = trc }
-
-// SetFlightRecorder attaches a flight recorder. Each determination then
-// refreshes the recorder's P0–P3 item counts, so every flight sample
-// carries the current pattern distribution.
-func (d *ESM) SetFlightRecorder(fr *obs.FlightRecorder) { d.flight = fr }
-
-// SetProvenance attaches a decision-provenance recorder. Each
-// determination then records its inputs (per-item interval estimates,
-// read ratios, classes, candidate placement costs) and outputs
-// (moves, reclassifications, preload and write-delay picks) with
-// predicted joule/latency deltas. Nil (the default) costs one pointer
-// check per determination.
-func (d *ESM) SetProvenance(p *obs.Provenance) { d.prov = p }
-
-// SetWatchdog attaches an alert watchdog. Degraded-mode transitions
-// then evaluate "degraded" rules at the instant they happen, instead of
-// waiting for the next flight sample.
-func (d *ESM) SetWatchdog(wd *obs.Watchdog) { d.wd = wd }
-
 // Params returns the policy parameters.
 func (d *ESM) Params() Params { return d.params }
 
@@ -109,6 +83,7 @@ func (d *ESM) Params() Params { return d.params }
 // schedules the first monitoring-period end.
 func (d *ESM) Init(ctx *policy.Context) {
 	d.ctx = ctx
+	d.tel = ctx.Telemetry
 	d.appMon = monitor.NewAppMonitor(ctx.Catalog.Len(), d.params.BreakEven)
 	d.period = d.params.InitialPeriod
 	d.lastPhys = make([]time.Duration, ctx.Array.Enclosures())
@@ -217,12 +192,18 @@ func (d *ESM) enterDegraded(now time.Duration) {
 		arr.SetSpinDownEnabled(e, false)
 	}
 	arr.DropQueuedMigrations()
-	d.rec.Degradation(now, obs.DegradeEvent{
+	d.tel.Recorder.Degradation(now, obs.DegradeEvent{
 		Entered:  true,
 		Faults:   len(d.faultTimes),
 		WindowNS: int64(d.params.FaultWindow),
 	})
-	d.wd.ObserveSignal(now, "degraded", 1)
+	d.tel.Alerts.ObserveSignal(now, "degraded", 1)
+}
+
+// ClassCounts returns the P0–P3 item distribution of the latest
+// determination; ok is false before the first one.
+func (d *ESM) ClassCounts() (counts [4]int, ok bool) {
+	return d.classCounts, d.determinations > 0
 }
 
 // Degraded reports whether the policy is currently in degraded mode.
@@ -245,7 +226,7 @@ func (d *ESM) maybeReplan(now time.Duration, cause obs.Cause, ev obs.ReplanEvent
 	if d.ranOnce && now-d.lastRun < d.params.ReplanCooldown {
 		return
 	}
-	d.rec.ReplanTrigger(now, ev)
+	d.tel.Recorder.ReplanTrigger(now, ev)
 	d.runManagement(now, cause)
 }
 
@@ -257,7 +238,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	d.inManagement = true
 	defer func() { d.inManagement = false }()
 
-	d.rec.DeterminationStart(now, d.determinations+1, cause)
+	d.tel.Recorder.DeterminationStart(now, d.determinations+1, cause)
 	stats := d.appMon.EndPeriod(now)
 	arr := d.ctx.Array
 
@@ -267,11 +248,11 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	if d.degraded && now-d.lastFault >= d.params.FaultWindow {
 		d.degraded = false
 		d.faultTimes = d.faultTimes[:0]
-		d.rec.Degradation(now, obs.DegradeEvent{
+		d.tel.Recorder.Degradation(now, obs.DegradeEvent{
 			Entered:  false,
 			WindowNS: int64(d.params.FaultWindow),
 		})
-		d.wd.ObserveSignal(now, "degraded", 0)
+		d.tel.Alerts.ObserveSignal(now, "degraded", 0)
 	}
 
 	// Determine logical I/O patterns, hot and cold enclosures, and data
@@ -322,7 +303,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	// Provenance: record the determination's inputs and outputs before
 	// the plan executes, so the decision rows precede the runtime rows
 	// (cache loads, destages, power transitions) they provoke.
-	if d.prov.Enabled() {
+	if d.tel.Provenance.Enabled() {
 		d.emitProvenance(now, cause, stats, &plan, wd, pre)
 	}
 
@@ -362,28 +343,21 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	d.lastRun = now
 	d.ranOnce = true
 	d.determinations++
-	if d.flight.Enabled() {
-		var counts [4]int
-		for _, p := range plan.Patterns {
-			counts[p]++
-		}
-		d.flight.SetClassCounts(counts)
+	d.classCounts = [4]int{}
+	for _, p := range plan.Patterns {
+		d.classCounts[p]++
 	}
-	if d.rec.Enabled() {
-		var counts [4]int
-		for _, p := range plan.Patterns {
-			counts[p]++
-		}
+	if d.tel.Recorder.Enabled() {
 		nHot := 0
 		for _, h := range plan.Hot {
 			if h {
 				nHot++
 			}
 		}
-		d.rec.Determination(now, obs.DeterminationEvent{
+		d.tel.Recorder.Determination(now, obs.DeterminationEvent{
 			N:             d.determinations,
 			Cause:         cause,
-			PatternCounts: counts,
+			PatternCounts: d.classCounts,
 			Hot:           append([]bool(nil), plan.Hot...),
 			NHot:          nHot,
 			Moves:         len(plan.Moves),
@@ -391,15 +365,15 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 			Preload:       len(pre),
 			NextPeriodNS:  int64(d.period),
 		})
-		d.rec.PeriodAdapt(now, oldPeriod, d.period)
+		d.tel.Recorder.PeriodAdapt(now, oldPeriod, d.period)
 	}
-	if d.trc != nil {
+	if trc := d.tel.Tracer; trc != nil {
 		classes := make([]uint8, len(plan.Patterns))
 		for i, p := range plan.Patterns {
 			classes[i] = uint8(p)
 		}
-		d.trc.SetClasses(classes)
-		d.trc.Management(obs.ManagementSpan{
+		trc.SetClasses(classes)
+		trc.Management(obs.ManagementSpan{
 			Kind: "determination", Start: now, End: now,
 			Item: -1, Enclosure: -1, Dst: -1,
 			Cause: string(cause), N: d.determinations,
@@ -449,14 +423,14 @@ func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor
 		return -1
 	}
 
-	d.prov.Determination(now, det, cause, nHot, len(plan.Moves))
+	d.tel.Provenance.Determination(now, det, cause, nHot, len(plan.Moves))
 	if len(d.prevPatterns) == len(plan.Patterns) {
 		for i, p := range plan.Patterns {
 			if d.prevPatterns[i] == p {
 				continue
 			}
 			iv, rr := feature(i)
-			d.prov.Decision(now, obs.ProvDecision{
+			d.tel.Provenance.Decision(now, obs.ProvDecision{
 				Kind: obs.ProvReclass, Det: det, Cause: cause,
 				Item: int64(i), Class: int(p), PrevClass: int(d.prevPatterns[i]),
 				Src: arr.ItemEnclosure(trace.ItemID(i)), Dst: -1,
@@ -468,7 +442,7 @@ func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor
 		i := int(mv.Item)
 		iv, rr := feature(i)
 		src := arr.ItemEnclosure(mv.Item)
-		d.prov.Decision(now, obs.ProvDecision{
+		d.tel.Provenance.Decision(now, obs.ProvDecision{
 			Kind: obs.ProvMove, Det: det, Cause: cause,
 			Item: int64(mv.Item), Class: int(plan.Patterns[i]), PrevClass: prevOf(i),
 			Src: src, Dst: mv.Dst,
@@ -480,7 +454,7 @@ func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor
 	pick := func(kind int, items []trace.ItemID) {
 		for _, it := range items {
 			iv, rr := feature(int(it))
-			d.prov.Decision(now, obs.ProvDecision{
+			d.tel.Provenance.Decision(now, obs.ProvDecision{
 				Kind: kind, Det: det, Cause: cause,
 				Item: int64(it), Class: int(plan.Patterns[it]), PrevClass: prevOf(int(it)),
 				Src: arr.ItemEnclosure(it), Dst: -1,

@@ -154,72 +154,30 @@ type Eval struct {
 
 // Evaluate replays w under every policy.
 func Evaluate(w *workload.Workload, factories []PolicyFactory) (*Eval, error) {
-	return EvaluateWithRecorder(w, factories, nil)
+	return EvaluateOpts(w, factories, Observers{})
 }
 
-// EvaluateWithRecorder replays w under every policy, attaching the
-// telemetry recorder returned by rec for each policy name. rec may be
-// nil (no telemetry) and may return nil for individual policies.
-//
-// The replays run concurrently on the scheduler's worker pool (bounded
-// by SetParallelism); each run gets its own policy instance, clock and
-// trace source, so the results are identical to a serial run and come
-// back in factory order. Jobs are constructed — including the rec
-// callbacks — serially, before any worker starts.
-func EvaluateWithRecorder(w *workload.Workload, factories []PolicyFactory, rec func(policy string) *obs.Recorder) (*Eval, error) {
-	return EvaluateWithFaults(w, factories, rec, nil)
-}
-
-// EvaluateWithFaults replays w under every policy with the fault
-// scenario fc injected into each run. Every replay builds its own
-// injector from fc, so each policy sees the same seeded fault sequence
-// and the comparison isolates the policies' degraded-mode behaviour.
-// fc may be nil (fault-free).
-func EvaluateWithFaults(w *workload.Workload, factories []PolicyFactory, rec func(policy string) *obs.Recorder, fc *faults.Config) (*Eval, error) {
-	return EvaluateWithObservers(w, factories, rec, nil, fc)
-}
-
-// EvaluateWithObservers replays w under every policy with both
-// observers attached: the telemetry recorder and the span tracer
-// returned by rec and trc for each policy name. Either callback may be
-// nil, and may return nil for individual policies. Each policy must
-// get its own tracer (its latency breakdown, attribution ledger and
-// sink describe exactly one run); esmbench hands out one Perfetto file
-// per policy. Tracers are not closed here — the caller owns the sinks.
-func EvaluateWithObservers(w *workload.Workload, factories []PolicyFactory, rec func(policy string) *obs.Recorder, trc func(policy string) *obs.Tracer, fc *faults.Config) (*Eval, error) {
-	return EvaluateOpts(w, factories, Observers{Recorder: rec, Tracer: trc, Faults: fc})
-}
-
-// Observers bundles the optional per-run observation surfaces of an
-// evaluation. Every callback may be nil, and may return nil for
-// individual policies; each run needs its own tracer and flight
-// recorder (both describe exactly one replay).
+// Observers bundles the optional per-run observation of an evaluation.
 type Observers struct {
-	// Recorder supplies the telemetry event recorder per policy.
-	Recorder func(policy string) *obs.Recorder
-	// Tracer supplies the per-I/O span tracer per policy.
-	Tracer func(policy string) *obs.Tracer
-	// Flight supplies the whole-system flight recorder per policy.
-	Flight func(policy string) *obs.FlightRecorder
-	// Alerts supplies the watchdog per policy (evaluated on the flight
-	// sampling grid; the summary lands in Result.Alerts and the run
-	// manifest). rec is the run's recorder — the one Recorder returned
-	// for the same policy, or nil — so alert transitions can share the
-	// run's event stream.
-	Alerts func(policy string, rec *obs.Recorder) *obs.Watchdog
-	// Provenance supplies the decision-provenance recorder per policy;
-	// the roll-up lands in Result.Provenance and the run manifest, the
-	// rows in Result.ProvSeries.
-	Provenance func(policy string) *obs.Provenance
-	// Faults is the fault scenario injected into every run.
+	// Telemetry, when non-nil, supplies each policy's run its telemetry
+	// surfaces. Every run needs its own surfaces (each describes exactly
+	// one replay); esmbench hands out one Perfetto file per policy.
+	// Tracers are not closed here — the caller owns the sinks.
+	Telemetry func(policy string) obs.Telemetry
+	// Faults is the fault scenario injected into every run. Every
+	// replay builds its own injector from it, so each policy sees the
+	// same seeded fault sequence.
 	Faults *faults.Config
 }
 
 // EvaluateOpts replays w under every policy with the given observers.
-// The replays run concurrently on the scheduler's worker pool; jobs —
-// including every observer callback and policy construction — are built
-// serially before any worker starts, so a failing PolicyFactory returns
-// a labelled error instead of panicking inside a worker.
+// The replays run concurrently on the scheduler's worker pool (bounded
+// by SetParallelism); each run gets its own policy instance, clock and
+// trace source, so the results are identical to a serial run and come
+// back in factory order. Jobs — including every Telemetry callback and
+// policy construction — are built serially before any worker starts,
+// so a failing PolicyFactory returns a labelled error instead of
+// panicking inside a worker.
 func EvaluateOpts(w *workload.Workload, factories []PolicyFactory, o Observers) (*Eval, error) {
 	ev := &Eval{Workload: w, Policies: factories}
 	jobs := make([]runJob, 0, len(factories))
@@ -239,20 +197,8 @@ func EvaluateOpts(w *workload.Workload, factories []PolicyFactory, o Observers) 
 			Shards:     Shards(),
 			Faults:     o.Faults,
 		}
-		if o.Recorder != nil {
-			run.Recorder = o.Recorder(f.Name)
-		}
-		if o.Tracer != nil {
-			run.Tracer = o.Tracer(f.Name)
-		}
-		if o.Flight != nil {
-			run.Series = o.Flight(f.Name)
-		}
-		if o.Alerts != nil {
-			run.Alerts = o.Alerts(f.Name, run.Recorder)
-		}
-		if o.Provenance != nil {
-			run.Provenance = o.Provenance(f.Name)
+		if o.Telemetry != nil {
+			run.Telemetry = o.Telemetry(f.Name)
 		}
 		for _, win := range w.Windows {
 			run.Windows = append(run.Windows, replay.Window{Name: win.Name, Start: win.Start, End: win.End})

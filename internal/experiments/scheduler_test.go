@@ -82,9 +82,9 @@ func TestSchedulerSharedSink(t *testing.T) {
 
 	SetParallelism(4)
 	defer SetParallelism(0)
-	ev, err := EvaluateWithRecorder(w, PoliciesFor(0.1), func(string) *obs.Recorder {
-		return obs.New(obs.Options{Sink: sink, Registry: reg})
-	})
+	ev, err := EvaluateOpts(w, PoliciesFor(0.1), Observers{Telemetry: func(string) obs.Telemetry {
+		return obs.Telemetry{Recorder: obs.New(obs.Options{Sink: sink, Registry: reg})}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,6 @@ type ArraySpec struct {
 	// SeriesInterval is the flight-recorder sampling interval on the
 	// simulated clock (0 = 30s, like esmd -series-interval).
 	SeriesInterval time.Duration
-	// SeriesMaxSamples bounds the flight recorder's stored samples
-	// (0 = obs.DefaultFlightMaxSamples).
-	SeriesMaxSamples int
 	// EventSink, when non-nil, receives the array's telemetry event
 	// stream (closed by Array.Close).
 	EventSink obs.Sink
@@ -75,9 +72,6 @@ type ArraySpec struct {
 	// inputs/outputs plus power/migration/preload/destage context,
 	// served live at /arrays/<name>/provenance.
 	Provenance bool
-	// ProvenanceMaxRecords bounds the ledger's stored rows
-	// (0 = the obs default).
-	ProvenanceMaxRecords int
 }
 
 // Status is the JSON liveness snapshot of one array — the fleet form
@@ -166,43 +160,19 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
 	}
 
+	every := spec.SeriesInterval
+	if every <= 0 {
+		every = 30 * time.Second
+	}
 	rec := obs.New(obs.Options{
 		Registry: reg,
 		Sink:     spec.EventSink,
 		Label:    spec.Name,
 		Instance: spec.Name,
 	})
-	var trc *obs.Tracer
-	if spec.SpanSink != nil {
-		trc = obs.NewTracer(obs.TracerOptions{
-			Sink:       spec.SpanSink,
-			Registry:   reg,
-			Instance:   spec.Name,
-			Enclosures: enclosures,
-		})
-	}
-
-	esm, err := buildESM(cfgFile)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
-	}
-	every := spec.SeriesInterval
-	if every <= 0 {
-		every = 30 * time.Second
-	}
-	run := replay.Run{
-		Catalog:   spec.Catalog,
-		Placement: spec.Placement,
-		Storage:   storageCfg,
-		Policy:    esm,
-		Shards:    spec.Shards,
-		Recorder:  rec,
-		Tracer:    trc,
-		Faults:    spec.Faults,
-		Series: obs.NewFlightRecorder(obs.FlightOptions{
-			Interval:   every,
-			MaxSamples: spec.SeriesMaxSamples,
-		}),
+	tel := obs.Telemetry{
+		Recorder: rec,
+		Flight:   obs.NewFlightRecorder(obs.FlightOptions{Interval: every}),
 		// The watchdog shares the array's recorder (sequence-consistent
 		// alert events) and the fleet registry (array-labelled
 		// instruments).
@@ -213,11 +183,32 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 			Instance: spec.Name,
 		}),
 	}
+	if spec.SpanSink != nil {
+		tel.Tracer = obs.NewTracer(obs.TracerOptions{
+			Sink:       spec.SpanSink,
+			Registry:   reg,
+			Instance:   spec.Name,
+			Enclosures: enclosures,
+		})
+	}
 	if spec.Provenance {
-		run.Provenance = obs.NewProvenance(obs.ProvenanceOptions{MaxRecords: spec.ProvenanceMaxRecords})
+		tel.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+	}
+
+	esm, err := buildESM(cfgFile)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
 	}
 	// No Duration and no Source: an open-ended session.
-	sess, err := replay.NewSession(run)
+	sess, err := replay.NewSession(replay.Run{
+		Catalog:   spec.Catalog,
+		Placement: spec.Placement,
+		Storage:   storageCfg,
+		Policy:    esm,
+		Shards:    spec.Shards,
+		Faults:    spec.Faults,
+		Telemetry: tel,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: array %q: %w", spec.Name, err)
 	}
@@ -411,27 +402,27 @@ func (a *Array) Records() int64 {
 func (a *Array) Series() *obs.Series {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.sess.Run().Series.Series()
+	return a.sess.Run().Telemetry.Flight.Series()
 }
 
 // ProvenanceSeries returns the decision-provenance ledger's rows as a
 // columnar series (nil when the array runs without provenance). The
 // recorder has its own lock, so scrapes never contend with the
 // simulation.
-func (a *Array) ProvenanceSeries() *obs.Series { return a.sess.Run().Provenance.Series() }
+func (a *Array) ProvenanceSeries() *obs.Series { return a.sess.Run().Telemetry.Provenance.Series() }
 
 // ProvenanceSummary returns the ledger roll-up (nil when off).
 func (a *Array) ProvenanceSummary() *obs.ProvenanceSummary {
-	return a.sess.Run().Provenance.Summary()
+	return a.sess.Run().Telemetry.Provenance.Summary()
 }
 
 // Alerts returns the watchdog's per-rule states (nil without rules).
 // The watchdog has its own lock, so scrapes never contend with the
 // simulation.
-func (a *Array) Alerts() []obs.AlertStatus { return a.sess.Run().Alerts.States() }
+func (a *Array) Alerts() []obs.AlertStatus { return a.sess.Run().Telemetry.Alerts.States() }
 
 // AlertSummary returns the watchdog's aggregate state.
-func (a *Array) AlertSummary() obs.AlertSummary { return a.sess.Run().Alerts.Summary() }
+func (a *Array) AlertSummary() obs.AlertSummary { return a.sess.Run().Telemetry.Alerts.Summary() }
 
 // Status returns the most recent liveness snapshot. Safe from HTTP
 // goroutines; never blocks on the simulation lock.
@@ -451,7 +442,7 @@ func (a *Array) RefreshStatus() {
 // updateSnapshotLocked rebuilds the status payload; the caller holds
 // a.mu.
 func (a *Array) updateSnapshotLocked(now time.Duration) {
-	esm, arr, run := a.esm(), a.sess.Array(), a.sess.Run()
+	esm, arr, tel := a.esm(), a.sess.Array(), a.sess.Run().Telemetry
 	st := arr.Stats()
 	snap := Status{
 		Array:          a.name,
@@ -472,9 +463,9 @@ func (a *Array) updateSnapshotLocked(now time.Duration) {
 		PolicySwaps:    a.swaps,
 		Finished:       a.sess.Finished(),
 		Shards:         a.sess.Shards(),
-		Provenance:     run.Provenance.Summary(),
+		Provenance:     tel.Provenance.Summary(),
 	}
-	samples, last := run.Series.Stats()
+	samples, last := tel.Flight.Stats()
 	snap.SeriesSamples = samples
 	snap.SeriesLastTNS = int64(last)
 	if inj := a.sess.Injector(); inj != nil {
@@ -490,16 +481,16 @@ func (a *Array) updateSnapshotLocked(now time.Duration) {
 			snap.PatternMix[p.String()]++
 		}
 	}
-	if run.Alerts != nil {
-		sum := run.Alerts.Summary()
+	if tel.Alerts != nil {
+		sum := tel.Alerts.Summary()
 		snap.Alerts = &sum
 	}
-	if run.Tracer != nil {
+	if tel.Tracer != nil {
 		// Settle the power-state accumulators so the attribution
 		// reflects energy actually drawn.
 		arr.Finish()
-		snap.Latency = run.Tracer.LatencySummary()
-		snap.Attribution = run.Tracer.Attribute(now, arr.EnclosureEnergy)
+		snap.Latency = tel.Tracer.LatencySummary()
+		snap.Attribution = tel.Tracer.Attribute(now, arr.EnclosureEnergy)
 	}
 	a.snapMu.Lock()
 	a.snap = snap
@@ -534,10 +525,10 @@ func (a *Array) Report(w io.Writer) {
 func (a *Array) Close() error {
 	a.mu.Lock()
 	a.sess.Close()
-	run := a.sess.Run()
+	tel := a.sess.Run().Telemetry
 	a.mu.Unlock()
-	err := run.Recorder.Close()
-	if terr := run.Tracer.Close(); err == nil {
+	err := tel.Recorder.Close()
+	if terr := tel.Tracer.Close(); err == nil {
 		err = terr
 	}
 	return err

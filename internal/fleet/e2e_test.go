@@ -127,11 +127,13 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				Policy:    esm,
 				Duration:  last,
 				Faults:    fc,
-				Series:    obs.NewFlightRecorder(obs.FlightOptions{Interval: interval}),
-				Alerts:    obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet}),
+				Telemetry: obs.Telemetry{
+					Flight: obs.NewFlightRecorder(obs.FlightOptions{Interval: interval}),
+					Alerts: obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet}),
+				},
 			}
 			if tc.provenance {
-				run.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+				run.Telemetry.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
 			}
 			res, err := replay.Execute(run)
 			if err != nil {

@@ -107,24 +107,12 @@ var fleetSignals = []string{
 // recorder scalar column, a per-enclosure enc<i>_{state,used_b,idle_s}
 // column, or a fleet_* roll-up total.
 func KnownSignal(name string) bool {
-	for _, c := range scalarCols {
-		if name == c {
-			return true
-		}
+	if flightCol(name) >= 0 {
+		return true
 	}
 	for _, c := range fleetSignals {
 		if name == c {
 			return true
-		}
-	}
-	if rest, ok := strings.CutPrefix(name, "enc"); ok {
-		if i := strings.IndexByte(rest, '_'); i > 0 {
-			if _, err := strconv.Atoi(rest[:i]); err == nil {
-				switch rest[i+1:] {
-				case "state", "used_b", "idle_s":
-					return true
-				}
-			}
 		}
 	}
 	return false
@@ -255,6 +243,9 @@ type WatchdogOptions struct {
 type ruleState struct {
 	rule  Rule
 	state AlertState
+	// col is the rule signal's flight column index, -1 for a fleet_*
+	// signal.
+	col int
 	// sinceNS is when the current state was entered; condSince when the
 	// current condition-true streak began.
 	sinceNS   int64
@@ -280,6 +271,7 @@ type Watchdog struct {
 	mu    sync.Mutex
 	rules []*ruleState
 	rec   *Recorder
+	row   []float64 // scratch flight row, reused across samples
 
 	transitions int64
 	fired       int64
@@ -293,7 +285,7 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	}
 	w := &Watchdog{rec: opts.Recorder}
 	for _, r := range opts.Rules {
-		rs := &ruleState{rule: r, state: AlertInactive}
+		rs := &ruleState{rule: r, state: AlertInactive, col: flightCol(r.Signal)}
 		if reg := opts.Registry; reg != nil {
 			name := func(n string) string {
 				n = WithLabel(n, "rule", r.Name)
@@ -334,75 +326,6 @@ func (w *Watchdog) Rules() []Rule {
 	return out
 }
 
-// sampleValue extracts the named signal from a flight sample.
-func sampleValue(s FlightSample, signal string) (float64, bool) {
-	switch signal {
-	case "enclosure_energy_j":
-		return s.EnclosureEnergyJ, true
-	case "total_energy_j":
-		return s.TotalEnergyJ, true
-	case "spin_ups":
-		return float64(s.SpinUps), true
-	case "cache_general_pages":
-		return float64(s.CacheGeneralPages), true
-	case "cache_preload_b":
-		return float64(s.CachePreloadBytes), true
-	case "cache_dirty_b":
-		return float64(s.CacheDirtyBytes), true
-	case "class_p0":
-		return float64(s.ClassCounts[0]), true
-	case "class_p1":
-		return float64(s.ClassCounts[1]), true
-	case "class_p2":
-		return float64(s.ClassCounts[2]), true
-	case "class_p3":
-		return float64(s.ClassCounts[3]), true
-	case "determinations":
-		return float64(s.Determinations), true
-	case "migrations":
-		return float64(s.Migrations), true
-	case "migrated_b":
-		return float64(s.MigratedBytes), true
-	case "physical_reads":
-		return float64(s.PhysicalReads), true
-	case "physical_writes":
-		return float64(s.PhysicalWrites), true
-	case "cache_hits":
-		return float64(s.CacheHits), true
-	case "resp_count":
-		return float64(s.RespCount), true
-	case "resp_mean_us":
-		return float64(s.RespMean) / float64(time.Microsecond), true
-	case "resp_p95_us":
-		return float64(s.RespP95) / float64(time.Microsecond), true
-	case "resp_p99_us":
-		return float64(s.RespP99) / float64(time.Microsecond), true
-	case "faults":
-		return float64(s.Faults), true
-	case "degraded":
-		if s.Degraded {
-			return 1, true
-		}
-		return 0, true
-	}
-	if rest, ok := strings.CutPrefix(signal, "enc"); ok {
-		if i := strings.IndexByte(rest, '_'); i > 0 {
-			if e, err := strconv.Atoi(rest[:i]); err == nil && e >= 0 && e < len(s.Enclosures) {
-				es := s.Enclosures[e]
-				switch rest[i+1:] {
-				case "state":
-					return float64(es.State), true
-				case "used_b":
-					return float64(es.UsedBytes), true
-				case "idle_s":
-					return es.IdleFor.Seconds(), true
-				}
-			}
-		}
-	}
-	return 0, false
-}
-
 // Observe evaluates every rule against one flight sample at its
 // simulated time. Rules whose signal the sample cannot provide (fleet
 // signals, out-of-range enclosures) are skipped.
@@ -412,9 +335,10 @@ func (w *Watchdog) Observe(s FlightSample) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.row = appendFlightRow(w.row[:0], s, len(s.Enclosures))
 	for _, rs := range w.rules {
-		if v, ok := sampleValue(s, rs.rule.Signal); ok {
-			w.evalLocked(rs, s.T, v)
+		if rs.col >= 0 && rs.col < len(w.row) {
+			w.evalLocked(rs, s.T, w.row[rs.col])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,34 @@ func TestWatchdogObserveValues(t *testing.T) {
 // TestNilWatchdogAllocationFree pins the off path: a nil watchdog's
 // Observe must not allocate (the acceptance-criteria twin of the
 // BenchmarkTelemetryOverhead watchdog-off variant).
+// TestWatchdogReadsFlightColumns pins the shared column mapping: a
+// rule on any flight column evaluates exactly the value the flight
+// recorder stores for that column, and a rule on an enclosure beyond
+// the sample's is skipped.
+func TestWatchdogReadsFlightColumns(t *testing.T) {
+	s := sampleAt(37, 2)
+	s.ClassCounts = [4]int{4, 3, 2, 1}
+	f := NewFlightRecorder(FlightOptions{})
+	f.Record(s)
+	series := f.Series()
+	var rules []Rule
+	for c, col := range series.Cols {
+		rules = append(rules, Rule{Name: fmt.Sprintf("r%d", c), Signal: col, Op: ">=", Threshold: -1})
+	}
+	rules = append(rules, Rule{Name: "beyond", Signal: "enc2_state", Op: ">=", Threshold: -1})
+	wd := NewWatchdog(WatchdogOptions{Rules: rules})
+	wd.Observe(s)
+	states := wd.States()
+	for c, col := range series.Cols {
+		if got, want := states[c].Value, series.Values[c][0]; got != want || states[c].State != AlertFiring {
+			t.Errorf("%s: watchdog read %v (%s), flight recorder stored %v", col, got, states[c].State, want)
+		}
+	}
+	if st := states[len(series.Cols)]; st.State != AlertInactive {
+		t.Errorf("rule on an absent enclosure was evaluated: %+v", st)
+	}
+}
+
 func TestNilWatchdogAllocationFree(t *testing.T) {
 	var w *Watchdog
 	s := FlightSample{T: time.Second, TotalEnergyJ: 42}

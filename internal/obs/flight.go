@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -34,8 +35,7 @@ type FlightSample struct {
 	CacheDirtyBytes   int64
 
 	// ClassCounts is the P0–P3 item distribution of the most recent
-	// placement determination. The recorder stamps it into every sample
-	// (see SetClassCounts), like the tracer stamps span classes.
+	// placement determination.
 	ClassCounts [4]int
 
 	// Cumulative policy and array counters.
@@ -101,32 +101,19 @@ const DefaultFlightMaxSamples = 512
 type FlightRecorder struct {
 	mu       sync.Mutex
 	interval time.Duration
-	max      int
-
-	cols  []string
-	times []int64
-	vals  [][]float64 // vals[c][row], aligned with cols
-
-	encs    int // enclosure count, fixed at the first sample
-	stride  int // accept every stride-th offered sample
-	offered int
-
-	classCounts [4]int
+	encs     int // enclosure count, fixed at the first sample
+	cols     []string
+	row      []float64 // scratch row, reused across samples
+	store    colStore
 }
 
 // NewFlightRecorder returns a live flight recorder.
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
-	max := opts.MaxSamples
-	if max <= 0 {
-		max = DefaultFlightMaxSamples
+	return &FlightRecorder{
+		interval: opts.Interval,
+		encs:     -1,
+		store:    newColStore(opts.MaxSamples, DefaultFlightMaxSamples, 4),
 	}
-	if max < 4 {
-		max = 4
-	}
-	if max%2 != 0 {
-		max++
-	}
-	return &FlightRecorder{interval: opts.Interval, max: max, stride: 1, encs: -1}
 }
 
 // Enabled reports whether the recorder is live.
@@ -151,26 +138,14 @@ func (f *FlightRecorder) Stats() (samples int, last time.Duration) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n := len(f.times); n > 0 {
-		return n, time.Duration(f.times[n-1])
+	if n := len(f.store.times); n > 0 {
+		return n, time.Duration(f.store.times[n-1])
 	}
 	return 0, 0
 }
 
-// SetClassCounts installs the P0–P3 item distribution of the latest
-// placement determination; subsequent samples carry it. The policy
-// calls this once per determination.
-func (f *FlightRecorder) SetClassCounts(counts [4]int) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.classCounts = counts
-	f.mu.Unlock()
-}
-
 // scalarCols is the fixed scalar column order; per-enclosure columns
-// follow it in the layout.
+// (encColSuffixes, per enclosure) follow it in the layout.
 var scalarCols = []string{
 	"enclosure_energy_j", "total_energy_j", "spin_ups",
 	"cache_general_pages", "cache_preload_b", "cache_dirty_b",
@@ -181,31 +156,62 @@ var scalarCols = []string{
 	"faults", "degraded",
 }
 
-// layout fixes the column set from the first sample's enclosure count.
-// Caller holds f.mu.
-func (f *FlightRecorder) layout(encs int) {
-	f.encs = encs
-	f.cols = append([]string(nil), scalarCols...)
+// encColSuffixes are the per-enclosure columns, enc<i>_<suffix>.
+var encColSuffixes = []string{"state", "used_b", "idle_s"}
+
+// flightCols is the column layout of a flight series over encs
+// enclosures.
+func flightCols(encs int) []string {
+	cols := append([]string(nil), scalarCols...)
 	for e := 0; e < encs; e++ {
-		f.cols = append(f.cols,
-			fmt.Sprintf("enc%d_state", e),
-			fmt.Sprintf("enc%d_used_b", e),
-			fmt.Sprintf("enc%d_idle_s", e))
+		for _, suf := range encColSuffixes {
+			cols = append(cols, fmt.Sprintf("enc%d_%s", e, suf))
+		}
 	}
-	f.vals = make([][]float64, len(f.cols))
+	return cols
 }
 
-// row flattens s into column order. Caller holds f.mu.
-func (f *FlightRecorder) row(s FlightSample) []float64 {
+// flightCol resolves a flight column name to its index in the layout
+// (for any enclosure count large enough to hold it), or -1.
+func flightCol(name string) int {
+	for c, n := range scalarCols {
+		if n == name {
+			return c
+		}
+	}
+	rest, ok := strings.CutPrefix(name, "enc")
+	if !ok {
+		return -1
+	}
+	i := strings.IndexByte(rest, '_')
+	if i <= 0 {
+		return -1
+	}
+	e, err := strconv.Atoi(rest[:i])
+	if err != nil || e < 0 {
+		return -1
+	}
+	for k, suf := range encColSuffixes {
+		if rest[i+1:] == suf {
+			return len(scalarCols) + e*len(encColSuffixes) + k
+		}
+	}
+	return -1
+}
+
+// appendFlightRow appends s flattened in the layout of encs enclosures
+// (missing enclosures read zero, extra ones are dropped). It is the one
+// FlightSample -> column mapping: the recorder stores these rows and
+// the watchdog evaluates rules against them.
+func appendFlightRow(dst []float64, s FlightSample, encs int) []float64 {
 	deg := 0.0
 	if s.Degraded {
 		deg = 1
 	}
-	out := make([]float64, 0, len(f.cols))
-	out = append(out,
+	dst = append(dst,
 		s.EnclosureEnergyJ, s.TotalEnergyJ, float64(s.SpinUps),
 		float64(s.CacheGeneralPages), float64(s.CachePreloadBytes), float64(s.CacheDirtyBytes),
-		float64(f.classCounts[0]), float64(f.classCounts[1]), float64(f.classCounts[2]), float64(f.classCounts[3]),
+		float64(s.ClassCounts[0]), float64(s.ClassCounts[1]), float64(s.ClassCounts[2]), float64(s.ClassCounts[3]),
 		float64(s.Determinations), float64(s.Migrations), float64(s.MigratedBytes),
 		float64(s.PhysicalReads), float64(s.PhysicalWrites), float64(s.CacheHits),
 		float64(s.RespCount),
@@ -213,14 +219,25 @@ func (f *FlightRecorder) row(s FlightSample) []float64 {
 		float64(s.RespP95)/float64(time.Microsecond),
 		float64(s.RespP99)/float64(time.Microsecond),
 		float64(s.Faults), deg)
-	for e := 0; e < f.encs; e++ {
+	for e := 0; e < encs; e++ {
 		var es EnclosureSample
 		if e < len(s.Enclosures) {
 			es = s.Enclosures[e]
 		}
-		out = append(out, float64(es.State), float64(es.UsedBytes), es.IdleFor.Seconds())
+		dst = append(dst, float64(es.State), float64(es.UsedBytes), es.IdleFor.Seconds())
 	}
-	return out
+	return dst
+}
+
+// rowLocked flattens s, fixing the layout at the first sample. Caller
+// holds f.mu.
+func (f *FlightRecorder) rowLocked(s FlightSample) []float64 {
+	if f.encs < 0 {
+		f.encs = len(s.Enclosures)
+		f.cols = flightCols(f.encs)
+	}
+	f.row = appendFlightRow(f.row[:0], s, f.encs)
+	return f.row
 }
 
 // Record offers one sample. The recorder accepts every stride-th offer
@@ -234,12 +251,7 @@ func (f *FlightRecorder) Record(s FlightSample) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	accept := f.offered%f.stride == 0
-	f.offered++
-	if !accept {
-		return
-	}
-	f.append(s)
+	f.store.offer(s.T, f.rowLocked(s))
 }
 
 // Final force-appends the run's closing sample, bypassing the
@@ -251,49 +263,7 @@ func (f *FlightRecorder) Final(s FlightSample) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n := len(f.times); n > 0 && f.times[n-1] == int64(s.T) {
-		row := f.row(s)
-		for c := range f.vals {
-			f.vals[c][n-1] = row[c]
-		}
-		return
-	}
-	f.append(s)
-}
-
-// append stores one accepted sample, compacting first when full.
-// Caller holds f.mu.
-func (f *FlightRecorder) append(s FlightSample) {
-	if f.encs < 0 {
-		f.layout(len(s.Enclosures))
-	}
-	if len(f.times) >= f.max {
-		f.compact()
-	}
-	f.times = append(f.times, int64(s.T))
-	row := f.row(s)
-	for c := range f.vals {
-		f.vals[c] = append(f.vals[c], row[c])
-	}
-}
-
-// compact halves the resolution: even-indexed rows survive (so row 0,
-// the start of the run, always does) and the acceptance stride doubles.
-// Caller holds f.mu.
-func (f *FlightRecorder) compact() {
-	keep := (len(f.times) + 1) / 2
-	for i := 0; i < keep; i++ {
-		f.times[i] = f.times[2*i]
-	}
-	f.times = f.times[:keep]
-	for c := range f.vals {
-		col := f.vals[c]
-		for i := 0; i < keep; i++ {
-			col[i] = col[2*i]
-		}
-		f.vals[c] = col[:keep]
-	}
-	f.stride *= 2
+	f.store.final(s.T, f.rowLocked(s))
 }
 
 // Series returns a snapshot of the recorded time series (nil for a nil
@@ -304,19 +274,10 @@ func (f *FlightRecorder) Series() *Series {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.times) == 0 {
+	if len(f.store.times) == 0 {
 		return nil
 	}
-	s := &Series{
-		Cols:       append([]string(nil), f.cols...),
-		TimesNS:    append([]int64(nil), f.times...),
-		Values:     make([][]float64, len(f.vals)),
-		IntervalNS: int64(f.interval) * int64(f.stride),
-	}
-	for c := range f.vals {
-		s.Values[c] = append([]float64(nil), f.vals[c]...)
-	}
-	return s
+	return f.store.series(f.cols, f.interval)
 }
 
 // Series is an immutable columnar time series: Values[c][i] is column

@@ -46,7 +46,6 @@ func TestFlightNilSafe(t *testing.T) {
 	if f.Interval() != 0 {
 		t.Fatal("nil recorder has an interval")
 	}
-	f.SetClassCounts([4]int{1, 2, 3, 4})
 	f.Record(sampleAt(1, 2))
 	f.Final(sampleAt(2, 2))
 	if s := f.Series(); s != nil {
@@ -122,8 +121,9 @@ func TestFlightFinalReplacesSameInstant(t *testing.T) {
 func TestFlightClassCountsStamped(t *testing.T) {
 	f := NewFlightRecorder(FlightOptions{})
 	f.Record(sampleAt(0, 1))
-	f.SetClassCounts([4]int{7, 5, 3, 1})
-	f.Record(sampleAt(1, 1))
+	s1 := sampleAt(1, 1)
+	s1.ClassCounts = [4]int{7, 5, 3, 1}
+	f.Record(s1)
 	s := f.Series()
 	for i, want := range []float64{7, 5, 3, 1} {
 		col := s.Column("class_p" + string(rune('0'+i)))

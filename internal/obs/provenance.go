@@ -200,14 +200,6 @@ type ProvenanceOptions struct {
 	// every other accepted row and doubles its acceptance stride, like
 	// the flight recorder. Default 8192, forced even, minimum 16.
 	MaxRecords int
-	// IdleW is the idle draw of one spinning enclosure, used for the
-	// predicted joule delta of placement moves. Zero means the
-	// power-model default (220 W); replay and fleet overwrite it from
-	// the run's storage config via ConfigurePower.
-	IdleW float64
-	// SpinUpTime is the spin-up transition length, used for predicted
-	// latency deltas. Zero means the power-model default (15 s).
-	SpinUpTime time.Duration
 }
 
 // ProvDecision is one determination-time decision row emitted by the
@@ -252,14 +244,13 @@ type ProvenanceSummary struct {
 // the untraced hot path pays one pointer comparison and allocates
 // nothing.
 type Provenance struct {
-	mu      sync.Mutex
-	max     int
-	stride  int64
-	offered int64
+	mu    sync.Mutex
+	store colStore
+	// idleW and spinUpS are the electrical constants of the predicted
+	// deltas: the power-model defaults until ConfigurePower installs
+	// the run's own.
 	idleW   float64
 	spinUpS float64
-	times   []int64
-	vals    [][]float64
 
 	determinations int64
 	decisions      int64
@@ -270,27 +261,7 @@ type Provenance struct {
 
 // NewProvenance builds an enabled recorder.
 func NewProvenance(o ProvenanceOptions) *Provenance {
-	max := o.MaxRecords
-	if max <= 0 {
-		max = 8192
-	}
-	if max < 16 {
-		max = 16
-	}
-	if max%2 != 0 {
-		max++
-	}
-	idleW := o.IdleW
-	if idleW <= 0 {
-		idleW = 220
-	}
-	spinUp := o.SpinUpTime
-	if spinUp <= 0 {
-		spinUp = 15 * time.Second
-	}
-	p := &Provenance{max: max, stride: 1, idleW: idleW, spinUpS: spinUp.Seconds()}
-	p.vals = make([][]float64, provNumCols)
-	return p
+	return &Provenance{store: newColStore(o.MaxRecords, 8192, 16), idleW: 220, spinUpS: 15}
 }
 
 // Enabled reports whether the recorder captures anything; callers use
@@ -314,39 +285,9 @@ func (p *Provenance) ConfigurePower(idleW float64, spinUp time.Duration) {
 	}
 }
 
-// record offers one row to the store under the flight-recorder
-// acceptance discipline: every stride-th offered row is kept; when the
-// store is full it halves (even-indexed rows survive, the first row
-// always does) and the stride doubles.
+// record offers one row to the store. Caller holds p.mu.
 func (p *Provenance) record(t time.Duration, row *[provNumCols]float64) {
-	p.offered++
-	if (p.offered-1)%p.stride != 0 {
-		return
-	}
-	if len(p.times) >= p.max {
-		p.compactLocked()
-	}
-	p.times = append(p.times, int64(t))
-	for c := 0; c < provNumCols; c++ {
-		p.vals[c] = append(p.vals[c], row[c])
-	}
-}
-
-// compactLocked drops every other stored row (keeping row 0) and
-// doubles the acceptance stride.
-func (p *Provenance) compactLocked() {
-	keep := (len(p.times) + 1) / 2
-	for i := 0; i < keep; i++ {
-		p.times[i] = p.times[2*i]
-		for c := range p.vals {
-			p.vals[c][i] = p.vals[c][2*i]
-		}
-	}
-	p.times = p.times[:keep]
-	for c := range p.vals {
-		p.vals[c] = p.vals[c][:keep]
-	}
-	p.stride *= 2
+	p.store.offer(t, row[:])
 }
 
 // Determination records the per-determination summary row.
@@ -531,15 +472,7 @@ func (p *Provenance) Series() *Series {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := &Series{
-		Cols:    append([]string(nil), provCols...),
-		TimesNS: append([]int64(nil), p.times...),
-		Values:  make([][]float64, len(p.vals)),
-	}
-	for c := range p.vals {
-		s.Values[c] = append([]float64(nil), p.vals[c]...)
-	}
-	return s
+	return p.store.series(provCols, 0)
 }
 
 // Summary returns the roll-up counters (monotone; compaction does not
@@ -551,9 +484,9 @@ func (p *Provenance) Summary() *ProvenanceSummary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return &ProvenanceSummary{
-		Records:        len(p.times),
-		Offered:        p.offered,
-		Stride:         int(p.stride),
+		Records:        len(p.store.times),
+		Offered:        p.store.offered,
+		Stride:         int(p.store.stride),
 		Determinations: p.determinations,
 		Decisions:      p.decisions,
 		Transitions:    p.transitions,

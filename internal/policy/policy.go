@@ -14,6 +14,7 @@ package policy
 import (
 	"time"
 
+	"esm/internal/obs"
 	"esm/internal/simclock"
 	"esm/internal/storage"
 	"esm/internal/trace"
@@ -32,6 +33,10 @@ type Context struct {
 	Queue *simclock.EventQueue
 	// End is the replay horizon: events scheduled past it never fire.
 	End time.Duration
+	// Telemetry is the run's telemetry surfaces (zero = all off). A
+	// policy that reports to them reads it in Init, so a replacement
+	// policy and one wrapped by a decorator see the same surfaces.
+	Telemetry obs.Telemetry
 }
 
 // Policy is a storage power-saving method under evaluation.

@@ -65,8 +65,7 @@ func TestShardedAlertStreamMatchesSerial(t *testing.T) {
 			Policy:    mk(),
 			Duration:  dur,
 			Shards:    shards,
-			Recorder:  rec,
-			Alerts:    wd,
+			Telemetry: obs.Telemetry{Recorder: rec, Alerts: wd},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +117,7 @@ func TestAlertsWithoutSeries(t *testing.T) {
 		Storage:   storage.DefaultConfig(4),
 		Policy:    policy.NoPowerSaving{},
 		Duration:  dur,
-		Alerts:    wd,
+		Telemetry: obs.Telemetry{Alerts: wd},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,7 @@ func TestDegradedModeFollowsFaultSchedule(t *testing.T) {
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
 		Duration:  dur,
-		Recorder:  rec,
+		Telemetry: obs.Telemetry{Recorder: rec},
 		Faults:    &faults.Config{BatteryFailAt: failAt, BatteryRecoverAt: recoverAt},
 	})
 	if err != nil {

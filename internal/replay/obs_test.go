@@ -52,7 +52,7 @@ func TestEventStreamMatchesDeterminations(t *testing.T) {
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
 		Duration:  dur,
-		Recorder:  rec,
+		Telemetry: obs.Telemetry{Recorder: rec},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRecorderTimelineMatchesMeter(t *testing.T) {
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
 		Duration:  dur,
-		Recorder:  rec,
+		Telemetry: obs.Telemetry{Recorder: rec},
 	})
 	if err != nil {
 		t.Fatal(err)

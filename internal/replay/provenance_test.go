@@ -31,17 +31,17 @@ func provenanceRun(t *testing.T, shards int, traced bool) ([]byte, *obs.Provenan
 	cat, recs, placement := shardedTrace(dur, 99)
 	prov := obs.NewProvenance(obs.ProvenanceOptions{})
 	run := Run{
-		Catalog:    cat,
-		Records:    recs,
-		Placement:  placement,
-		Storage:    storage.DefaultConfig(4),
-		Policy:     provenanceESM(t),
-		Duration:   dur,
-		Shards:     shards,
-		Provenance: prov,
+		Catalog:   cat,
+		Records:   recs,
+		Placement: placement,
+		Storage:   storage.DefaultConfig(4),
+		Policy:    provenanceESM(t),
+		Duration:  dur,
+		Shards:    shards,
+		Telemetry: obs.Telemetry{Provenance: prov},
 	}
 	if traced {
-		run.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: 4})
+		run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: 4})
 	}
 	res, err := Execute(run)
 	if err != nil {

@@ -65,37 +65,26 @@ type Run struct {
 	// Windows optionally marks named sub-spans (TPC-H queries) whose read
 	// responses are aggregated separately for the Fig. 15 analysis.
 	Windows []Window
-	// Recorder, when non-nil, receives the telemetry event stream from
-	// the array and (if the policy supports it) the policy itself.
-	Recorder *obs.Recorder
-	// Tracer, when non-nil, receives per-I/O and management-function
-	// spans from the array and (if the policy supports it) the policy.
-	// Finish settles the latency summary and energy attribution into
-	// the Result but does not close the tracer: its sink belongs to the
-	// caller (who may share it across runs or embed a summary on Close).
-	Tracer *obs.Tracer
 	// Faults, when non-nil, is the fault scenario injected into the run.
 	// The same scenario (same seed) reproduces the same fault sequence.
 	Faults *faults.Config
-	// Series, when non-nil, is the flight recorder fed whole-system
-	// snapshots on the power-sampling grid (the recorder's Interval, or
-	// the default span/120 bucket when zero). Result.Series carries the
-	// recorded time series; the final sample always matches the Result
-	// totals exactly.
-	Series *obs.FlightRecorder
-	// Alerts, when non-nil, is the watchdog evaluated on the same
-	// simulated sampling grid as the flight recorder (plus the policy's
-	// instantaneous degrade bridge), so alert streams inherit the
-	// serial-vs-sharded byte identity of every other output.
-	Alerts *obs.Watchdog
-	// Provenance, when non-nil, records the decision-provenance ledger:
-	// the policy's determination inputs/outputs and the array's
-	// triggering context for power transitions, migrations, preloads
-	// and destages. Fed only from deterministic simulated-clock call
-	// sites, so the stream is byte-identical serial vs -shards N. When
-	// a tracer runs too, the energy ledger's top attributed items are
-	// joined into the stream at end of run.
-	Provenance *obs.Provenance
+	// Telemetry is the run's telemetry surfaces (zero = all off),
+	// handed once to the array and, through policy.Context, to the
+	// policy:
+	//   - Recorder and Tracer receive events and spans. Finish settles
+	//     the latency summary and energy attribution into the Result
+	//     but does not close the tracer: its sink belongs to the caller.
+	//   - Flight is fed whole-system samples on the power-sampling grid
+	//     (its Interval, or span/120 when zero); Result.Series carries
+	//     them, and the final sample always matches the Result totals.
+	//   - Alerts is evaluated on the same grid (plus the policy's
+	//     instantaneous degrade bridge).
+	//   - Provenance records the decision-provenance ledger; with a
+	//     tracer, the energy ledger's top attributed items are joined
+	//     into it at end of run.
+	// Every surface is fed from deterministic simulated-clock call
+	// sites, so its output is byte-identical serial vs -shards N.
+	Telemetry obs.Telemetry
 }
 
 // Window is a named measurement sub-span.
@@ -142,7 +131,7 @@ type Result struct {
 	PowerSeries []float64
 	PowerBucket time.Duration
 	// Series is the flight recorder's whole-system time series; nil
-	// without Run.Series.
+	// without Run.Telemetry.Flight.
 	Series *obs.Series
 	// Monitor is the storage monitor used for metrics; it holds the
 	// per-enclosure interval distributions behind Figs 17–19.
@@ -163,11 +152,11 @@ type Result struct {
 	// tracer.
 	Attribution *obs.Attribution
 	// Alerts is the watchdog's end-of-run aggregate and AlertStates the
-	// final per-rule states (zero/nil without Run.Alerts).
+	// final per-rule states (zero/nil without Run.Telemetry.Alerts).
 	Alerts      obs.AlertSummary
 	AlertStates []obs.AlertStatus
 	// Provenance is the decision-provenance roll-up and ProvSeries the
-	// recorded ledger rows (nil without Run.Provenance).
+	// recorded ledger rows (nil without Run.Telemetry.Provenance).
 	Provenance *obs.ProvenanceSummary
 	ProvSeries *obs.Series
 }

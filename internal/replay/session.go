@@ -56,6 +56,11 @@ type Session struct {
 	en     *shardEngine
 	shards int
 
+	// classCounts is the latest P0–P3 distribution a policy reported;
+	// it outlives a policy swap until the new policy's first
+	// determination.
+	classCounts [4]int
+
 	last   time.Duration // time of the last fed record
 	n      int64         // records fed
 	done   bool
@@ -81,19 +86,18 @@ func NewSession(r Run) (*Session, error) {
 		return nil, err
 	}
 	s.arr = arr
-	// The tracer attaches before placement so the energy ledger's
+	// Telemetry attaches before placement so the energy ledger's
 	// residency accounting sees every item land on its home enclosure.
-	arr.SetTracer(r.Tracer)
+	tel := r.Telemetry
+	arr.SetTelemetry(tel)
+	// Predicted deltas use the run's actual electrical constants.
+	tel.Provenance.ConfigurePower(r.Storage.Power.IdleW, r.Storage.Power.SpinUpTime)
 	for item, enc := range r.Placement {
 		if err := arr.Place(trace.ItemID(item), enc); err != nil {
 			return nil, err
 		}
 	}
 	s.mon = monitor.NewStorageMonitor(r.Storage.Enclosures)
-	arr.SetRecorder(r.Recorder)
-	// Predicted deltas use the run's actual electrical constants.
-	r.Provenance.ConfigurePower(r.Storage.Power.IdleW, r.Storage.Power.SpinUpTime)
-	arr.SetProvenance(r.Provenance)
 	if r.Faults != nil {
 		if s.inj, err = faults.NewInjector(*r.Faults); err != nil {
 			return nil, err
@@ -115,11 +119,10 @@ func NewSession(r Run) (*Session, error) {
 		s.pol.OnPower(enc, at, on)
 	})
 
-	s.ctx = policy.Context{Array: arr, Catalog: r.Catalog, Clock: &s.clk, Queue: &s.evq, End: r.Duration}
+	s.ctx = policy.Context{Array: arr, Catalog: r.Catalog, Clock: &s.clk, Queue: &s.evq, End: r.Duration, Telemetry: tel}
 	if s.open {
 		s.ctx.End = planningHorizon
 	}
-	s.wire(s.pol)
 	s.pol.Init(&s.ctx)
 
 	s.res = &Result{PolicyName: s.pol.Name(), Span: r.Duration, Windows: make([]WindowResult, len(r.Windows))}
@@ -139,39 +142,6 @@ func NewSession(r Run) (*Session, error) {
 	return s, nil
 }
 
-// wire hands the run's telemetry surfaces to the policies that take
-// them.
-func (s *Session) wire(p policy.Policy) {
-	r := &s.r
-	if r.Recorder != nil {
-		if x, ok := p.(interface{ SetRecorder(*obs.Recorder) }); ok {
-			x.SetRecorder(r.Recorder)
-		}
-	}
-	if r.Tracer != nil {
-		if x, ok := p.(interface{ SetTracer(*obs.Tracer) }); ok {
-			x.SetTracer(r.Tracer)
-		}
-	}
-	if r.Series != nil {
-		if x, ok := p.(interface {
-			SetFlightRecorder(*obs.FlightRecorder)
-		}); ok {
-			x.SetFlightRecorder(r.Series)
-		}
-	}
-	if r.Alerts != nil {
-		if x, ok := p.(interface{ SetWatchdog(*obs.Watchdog) }); ok {
-			x.SetWatchdog(r.Alerts)
-		}
-	}
-	if r.Provenance != nil {
-		if x, ok := p.(interface{ SetProvenance(*obs.Provenance) }); ok {
-			x.SetProvenance(r.Provenance)
-		}
-	}
-}
-
 // observePhysical feeds one physical I/O to the storage monitor and the
 // current policy.
 func (s *Session) observePhysical(rec trace.PhysicalRecord) {
@@ -183,8 +153,8 @@ func (s *Session) observePhysical(rec trace.PhysicalRecord) {
 // fixed grid: the recorder's interval, or ~120 buckets per run, never
 // finer than a second. An open-ended grid keeps rescheduling itself.
 func (s *Session) startGrid() {
-	r, res := &s.r, s.res
-	res.PowerBucket = r.Series.Interval()
+	r, res, tel := &s.r, s.res, s.r.Telemetry
+	res.PowerBucket = tel.Flight.Interval()
 	if res.PowerBucket <= 0 {
 		res.PowerBucket = r.Duration / 120
 	}
@@ -192,10 +162,10 @@ func (s *Session) startGrid() {
 		res.PowerBucket = time.Second
 	}
 	observe := func(now time.Duration) {
-		if r.Series != nil || r.Alerts != nil {
+		if tel.Sampling() {
 			fs := s.sample(now)
-			r.Series.Record(fs)
-			r.Alerts.Observe(fs)
+			tel.Flight.Record(fs)
+			tel.Alerts.Observe(fs)
 		}
 	}
 	var lastJ float64
@@ -246,6 +216,12 @@ func (s *Session) sample(now time.Duration) obs.FlightSample {
 	if p, ok := s.pol.(interface{ Degraded() bool }); ok {
 		fs.Degraded = p.Degraded()
 	}
+	if p, ok := s.pol.(interface{ ClassCounts() ([4]int, bool) }); ok {
+		if c, ok := p.ClassCounts(); ok {
+			s.classCounts = c
+		}
+	}
+	fs.ClassCounts = s.classCounts
 	for e := 0; e < arr.Enclosures(); e++ {
 		es := obs.EnclosureSample{UsedBytes: arr.Used(e)}
 		switch since, idle := arr.IdleSince(e, now); {
@@ -366,7 +342,7 @@ func (s *Session) Finish() (*Result, error) {
 			return nil, s.finErr
 		}
 	}
-	r, res, arr := &s.r, s.res, s.arr
+	r, res, arr, tel := &s.r, s.res, s.arr, s.r.Telemetry
 	end := res.Span
 	if s.clk.Now() > end {
 		end = s.clk.Now()
@@ -390,28 +366,28 @@ func (s *Session) Finish() (*Result, error) {
 	res.AvgTotalW = m.AverageTotalW(end)
 	res.EnergyJ = m.TotalEnergyJ(end)
 	res.Monitor = s.mon
-	if r.Series != nil || r.Alerts != nil {
+	if tel.Sampling() {
 		// The forced closing sample: its totals equal the Result fields
 		// computed just above, from the same settled meter and counters.
 		fs := s.sample(end)
-		r.Series.Final(fs)
-		r.Alerts.Final(fs)
-		res.Series = r.Series.Series()
+		tel.Flight.Final(fs)
+		tel.Alerts.Final(fs)
+		res.Series = tel.Flight.Series()
 	}
-	res.Alerts = r.Alerts.Summary()
-	res.AlertStates = r.Alerts.States()
-	if r.Tracer != nil {
-		res.Latency = r.Tracer.LatencySummary()
-		res.Attribution = r.Tracer.Attribute(end, arr.EnclosureEnergy)
+	res.Alerts = tel.Alerts.Summary()
+	res.AlertStates = tel.Alerts.States()
+	if tel.Tracer != nil {
+		res.Latency = tel.Tracer.LatencySummary()
+		res.Attribution = tel.Tracer.Attribute(end, arr.EnclosureEnergy)
 	}
-	if r.Provenance != nil {
+	if tel.Provenance != nil {
 		// Join the energy ledger's top attributed items into the ledger
 		// stream so `esmstat explain` can rank root causes by joules.
 		if res.Attribution != nil {
-			r.Provenance.RecordAttribution(end, res.Attribution, 0)
+			tel.Provenance.RecordAttribution(end, res.Attribution, 0)
 		}
-		res.Provenance = r.Provenance.Summary()
-		res.ProvSeries = r.Provenance.Series()
+		res.Provenance = tel.Provenance.Summary()
+		res.ProvSeries = tel.Provenance.Series()
 	}
 	for e := 0; e < r.Storage.Enclosures; e++ {
 		acc := m.Enclosure(e)
@@ -446,8 +422,8 @@ func (s *Session) Close() {
 
 // SwapPolicy replaces the running policy: the outgoing one is stopped
 // (its pending wake-ups cancelled, when it supports that), the incoming
-// one gets the run's telemetry surfaces and starts at the current
-// simulated time. Energy, placement and cache state carry over.
+// one starts at the current simulated time on the session's context,
+// telemetry included. Energy, placement and cache state carry over.
 func (s *Session) SwapPolicy(p policy.Policy) error {
 	if s.done {
 		return errFinished
@@ -455,7 +431,6 @@ func (s *Session) SwapPolicy(p policy.Policy) error {
 	if x, ok := s.pol.(interface{ Stop() }); ok {
 		x.Stop()
 	}
-	s.wire(p)
 	s.pol = p
 	p.Init(&s.ctx)
 	return nil

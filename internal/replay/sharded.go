@@ -160,7 +160,7 @@ func (en *shardEngine) step(rec trace.LogicalRecord) error {
 		if rec.Op == trace.OpRead {
 			en.s.addWindows(en.s.res.Windows, rec.Time, plan.Response)
 		}
-		if en.s.r.Tracer != nil {
+		if en.s.r.Telemetry.Tracer != nil {
 			en.emitCacheHit(now, plan, rec.Op == trace.OpRead)
 		}
 		if plan.NeedFlush {
@@ -191,17 +191,17 @@ func (en *shardEngine) step(rec trace.LogicalRecord) error {
 		if en.pending() {
 			en.syncAll()
 		}
-		if en.s.r.Tracer != nil {
+		if en.s.r.Telemetry.Tracer != nil {
 			info = &storage.ExecInfo{}
 		}
 		resp, err = en.s.arr.ExecPlanned(dop, info)
 		if err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
-		if en.s.r.Tracer != nil {
-			en.s.r.Tracer.Service(dop.Enc, int64(dop.Item), obs.FnServing, info.Service)
+		if en.s.r.Telemetry.Tracer != nil {
+			en.s.r.Telemetry.Tracer.Service(dop.Enc, int64(dop.Item), obs.FnServing, info.Service)
 			if info.SpinUpAttempts > 0 {
-				en.s.r.Tracer.SpinUps(dop.Enc, int64(dop.Item), obs.FnServing, info.SpinUpAttempts)
+				en.s.r.Telemetry.Tracer.SpinUps(dop.Enc, int64(dop.Item), obs.FnServing, info.SpinUpAttempts)
 			}
 		}
 	}
@@ -215,7 +215,7 @@ func (en *shardEngine) step(rec trace.LogicalRecord) error {
 		Time: now, Enclosure: int32(plan.Enc), Block: plan.Block,
 		Size: rec.Size, Op: rec.Op,
 	})
-	if !deferred && en.s.r.Tracer != nil {
+	if !deferred && en.s.r.Telemetry.Tracer != nil {
 		en.emitIO(now, dop, resp, info)
 	}
 	en.s.arr.AdmitPlanned(plan)
@@ -239,9 +239,9 @@ func (en *shardEngine) emitCacheHit(now time.Duration, plan storage.Plan, read b
 		Cause: obs.IOCacheHit,
 	}
 	if en.pending() {
-		en.mb.Post(-1, simclock.Message{At: now, Seq: en.seq, Fire: func() { en.s.r.Tracer.IO(sp) }})
+		en.mb.Post(-1, simclock.Message{At: now, Seq: en.seq, Fire: func() { en.s.r.Telemetry.Tracer.IO(sp) }})
 	} else {
-		en.s.r.Tracer.IO(sp)
+		en.s.r.Telemetry.Tracer.IO(sp)
 	}
 }
 
@@ -252,7 +252,7 @@ func (en *shardEngine) emitIO(now time.Duration, dop storage.DeferredOp, resp ti
 	if info.SpinUpWait > 0 {
 		cause = obs.IOSpinUpBlocked
 	}
-	en.s.r.Tracer.IO(obs.IOSpan{
+	en.s.r.Telemetry.Tracer.IO(obs.IOSpan{
 		Start: now, Response: resp,
 		Item: int64(dop.Item), Enclosure: dop.Enc, Read: dop.Read,
 		PowerState: info.PowerState, Cause: cause,
@@ -279,7 +279,7 @@ func (en *shardEngine) flushShard(s int) {
 				clk.Advance(o.op.At)
 			}
 			var info *storage.ExecInfo
-			if en.s.r.Tracer != nil {
+			if en.s.r.Telemetry.Tracer != nil {
 				info = &storage.ExecInfo{}
 			}
 			resp, err := en.s.arr.ExecPlanned(o.op, info)
@@ -299,10 +299,10 @@ func (en *shardEngine) flushShard(s int) {
 			if o.op.Read {
 				en.s.addWindows(lane.win, o.op.At, resp)
 			}
-			if en.s.r.Tracer != nil {
+			if en.s.r.Telemetry.Tracer != nil {
 				enc, item, svc := o.op.Enc, int64(o.op.Item), info.Service
 				en.mb.Post(s, simclock.Message{At: o.op.At, Seq: o.seq, Fire: func() {
-					en.s.r.Tracer.Service(enc, item, obs.FnServing, svc)
+					en.s.r.Telemetry.Tracer.Service(enc, item, obs.FnServing, svc)
 				}})
 				sp := obs.IOSpan{
 					Start: o.op.At, Response: resp,
@@ -311,7 +311,7 @@ func (en *shardEngine) flushShard(s int) {
 					QueueWait: info.QueueWait, Service: info.Service,
 				}
 				en.mb.Post(s, simclock.Message{At: o.op.At, Seq: o.seq, Fire: func() {
-					en.s.r.Tracer.IO(sp)
+					en.s.r.Telemetry.Tracer.IO(sp)
 				}})
 			}
 		}

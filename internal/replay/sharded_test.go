@@ -83,8 +83,7 @@ func runForEquality(t *testing.T, mk func() policy.Policy, fc *faults.Config, sh
 		Duration:  dur,
 		Shards:    shards,
 		Faults:    fc,
-		Recorder:  rec,
-		Series:    fr,
+		Telemetry: obs.Telemetry{Recorder: rec, Flight: fr},
 		Windows: []Window{
 			{Name: "w1", Start: 2 * time.Minute, End: 10 * time.Minute},
 			{Name: "w2", Start: 12 * time.Minute, End: 20 * time.Minute},
@@ -257,7 +256,7 @@ func TestShardedAdversarialMigrations(t *testing.T) {
 			Policy:    esm,
 			Duration:  dur,
 			Shards:    shards,
-			Recorder:  rec,
+			Telemetry: obs.Telemetry{Recorder: rec},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -314,7 +313,7 @@ func TestShardedTracerSemanticEquality(t *testing.T) {
 			Policy:    esm,
 			Duration:  dur,
 			Shards:    shards,
-			Tracer:    trc,
+			Telemetry: obs.Telemetry{Tracer: trc},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ func TestTracerEndToEnd(t *testing.T) {
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
 		Duration:  dur,
-		Tracer:    trc,
+		Telemetry: obs.Telemetry{Tracer: trc},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestTracerNilRunUnchanged(t *testing.T) {
 			Storage:   storage.DefaultConfig(2),
 			Policy:    esm,
 			Duration:  dur,
-			Tracer:    trc,
+			Telemetry: obs.Telemetry{Tracer: trc},
 		})
 		if err != nil {
 			t.Fatal(err)

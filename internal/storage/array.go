@@ -116,14 +116,11 @@ type Array struct {
 
 	physObs  func(rec trace.PhysicalRecord)
 	powerObs func(enc int, at time.Duration, on bool)
-	// rec is the telemetry recorder; nil (the default) disables every
-	// emission at the cost of one nil check per call site.
-	rec *obs.Recorder
-	// trc is the span tracer; nil (the default) disables span recording
-	// and energy attribution at the cost of one nil check per call site.
-	trc *obs.Tracer
-	// prov is the decision-provenance ledger; nil (the default)
-	// disables the context rows at the cost of one nil check per site.
+	// rec, trc and prov are the event recorder, the span tracer and the
+	// decision-provenance ledger of SetTelemetry; each nil (the default)
+	// disables its surface at the cost of one nil check per call site.
+	rec  *obs.Recorder
+	trc  *obs.Tracer
 	prov *obs.Provenance
 
 	// inj injects faults; nil (the default) injects nothing. faultObs,
@@ -179,24 +176,21 @@ func (a *Array) onPowerEvent(enc int, at time.Duration, on bool, cause obs.Cause
 	if a.powerObs != nil {
 		a.powerObs(enc, at, on)
 	}
-	if a.rec != nil {
-		if on {
-			// A power-on is a spin-up transition followed by service
-			// readiness SpinUpTime later.
-			a.rec.PowerTransition(at, enc, "spinup", cause)
-			a.rec.PowerTransition(at+a.cfg.Power.SpinUpTime, enc, "on", cause)
-		} else {
-			a.rec.PowerTransition(at, enc, "off", cause)
-		}
+	if on {
+		// A power-on is a spin-up transition followed by service
+		// readiness SpinUpTime later.
+		a.powerTransition(at, enc, "spinup", cause)
+		a.powerTransition(at+a.cfg.Power.SpinUpTime, enc, "on", cause)
+	} else {
+		a.powerTransition(at, enc, "off", cause)
 	}
-	if a.prov != nil {
-		if on {
-			a.prov.PowerTransition(at, enc, "spinup", cause)
-			a.prov.PowerTransition(at+a.cfg.Power.SpinUpTime, enc, "on", cause)
-		} else {
-			a.prov.PowerTransition(at, enc, "off", cause)
-		}
-	}
+}
+
+// powerTransition reports one enclosure power transition to the event
+// recorder and the provenance ledger.
+func (a *Array) powerTransition(at time.Duration, enc int, state string, cause obs.Cause) {
+	a.rec.PowerTransition(at, enc, state, cause)
+	a.prov.PowerTransition(at, enc, state, cause)
 }
 
 // SetPhysicalObserver installs a callback invoked for every physical I/O
@@ -208,30 +202,16 @@ func (a *Array) SetPhysicalObserver(fn func(rec trace.PhysicalRecord)) { a.physO
 // power-state transition.
 func (a *Array) SetPowerObserver(fn func(enc int, at time.Duration, on bool)) { a.powerObs = fn }
 
-// SetRecorder attaches the telemetry recorder. A nil recorder (the
-// default) keeps the array's hot path free of telemetry work beyond a
-// nil check.
-func (a *Array) SetRecorder(rec *obs.Recorder) { a.rec = rec }
-
-// Recorder returns the attached telemetry recorder (nil when off).
-func (a *Array) Recorder() *obs.Recorder { return a.rec }
-
-// SetTracer attaches the span tracer. A nil tracer (the default) keeps
-// the physical I/O path free of tracing work beyond a nil check. Call
-// it before replay starts so residency feeds see every placement.
-func (a *Array) SetTracer(trc *obs.Tracer) { a.trc = trc }
-
-// Tracer returns the attached span tracer (nil when off).
-func (a *Array) Tracer() *obs.Tracer { return a.trc }
-
-// SetProvenance attaches the decision-provenance recorder, which
-// captures the triggering context of power transitions, migrations,
-// preload loads and write-delay destages. Nil (the default) keeps the
-// hot path at one pointer check.
-func (a *Array) SetProvenance(p *obs.Provenance) { a.prov = p }
-
-// Provenance returns the attached provenance recorder (nil when off).
-func (a *Array) Provenance() *obs.Provenance { return a.prov }
+// SetTelemetry attaches the array's telemetry surfaces: the event
+// recorder, the span tracer and the provenance ledger, which captures
+// the triggering context of power transitions, migrations, preload
+// loads and write-delay destages (the array feeds no flight samples
+// and no alerts). The zero Telemetry (the default) keeps the hot path
+// at one nil check per call site. Call it before placement so the
+// tracer's residency feed sees every item land.
+func (a *Array) SetTelemetry(t obs.Telemetry) {
+	a.rec, a.trc, a.prov = t.Recorder, t.Tracer, t.Provenance
+}
 
 // EnclosureEnergy reads enclosure e's integrated joules by power
 // state, the attribution ledger's input. Call Finish (or otherwise
