@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check alloc-check perf-check lint bench bench-json fault-smoke trace-smoke bench-smoke shard-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke smoke clean
+.PHONY: all build vet test race check alloc-check perf-check lint bench bench-json fault-smoke trace-smoke bench-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke smoke clean
 
 all: build
 
@@ -33,10 +33,13 @@ alloc-check:
 perf-check:
 	GOPROXY=off $(GO) -C perf vet . && $(GO) -C perf test -count=1 .
 
-# lint runs the static analyzers CI installs on its runner. Locally the
-# tools are optional: each is skipped with a notice when its binary is
-# not on PATH (this repo never installs tools on your machine).
+# lint fails on any file gofmt would rewrite, then runs the static
+# analyzers CI installs on its runner. Locally those tools are optional:
+# each is skipped with a notice when its binary is not on PATH (this
+# repo never installs tools on your machine).
 lint:
+	@out=$$(gofmt -l *.go cmd examples internal perf); \
+	if [ -n "$$out" ]; then echo "lint: gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -79,51 +82,26 @@ trace-smoke:
 
 # bench-smoke is the CI regression gate: a short flight-recorded run of
 # the file-server figure diffed against the committed baseline manifest
-# with loose +/-25% thresholds (the replay is deterministic). The same
-# figure then reruns on the sharded engine (-shards 4): its manifest is
-# diffed against the committed baseline with the same thresholds, and
-# against the serial run of this very invocation with zero thresholds
-# in both directions — sharding must not move any gated signal at all.
+# with loose +/-25% thresholds (the replay is deterministic).
 bench-smoke:
-	rm -rf /tmp/esm-bench-smoke /tmp/esm-bench-smoke-sharded
+	rm -rf /tmp/esm-bench-smoke
 	$(GO) run ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 \
 		-series /tmp/esm-bench-smoke
 	$(GO) run ./cmd/esmstat diff \
 		-energy 0.25 -resp 0.25 -spinups 0.25 -migrations 0.25 \
 		ci/baseline/BENCH_fileserver-esm.json \
 		/tmp/esm-bench-smoke/BENCH_fileserver-esm.json
-	$(GO) run ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 \
-		-shards 4 -series /tmp/esm-bench-smoke-sharded
-	$(GO) run ./cmd/esmstat diff \
-		-energy 0.25 -resp 0.25 -spinups 0.25 -migrations 0.25 \
-		ci/baseline/BENCH_fileserver-esm.json \
-		/tmp/esm-bench-smoke-sharded/BENCH_fileserver-esm.json
-	$(GO) run ./cmd/esmstat diff -energy 0 -resp 0 -spinups 0 -migrations 0 \
-		/tmp/esm-bench-smoke/BENCH_fileserver-esm.json \
-		/tmp/esm-bench-smoke-sharded/BENCH_fileserver-esm.json
-	$(GO) run ./cmd/esmstat diff -energy 0 -resp 0 -spinups 0 -migrations 0 \
-		/tmp/esm-bench-smoke-sharded/BENCH_fileserver-esm.json \
-		/tmp/esm-bench-smoke/BENCH_fileserver-esm.json
-
-# shard-smoke drives the sharded engine's byte-identity gates under the
-# race detector — the replay equality/adversarial-migration tests and
-# the fleet's sharded live-feed gate — then runs a real figure at
-# -shards 4 with the race runtime armed.
-shard-smoke:
-	$(GO) test -race -count=1 -run 'TestSharded' ./internal/replay/ ./internal/fleet/
-	$(GO) run -race ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 -shards 4
 
 # cloudblock-smoke gates the multi-tenant cloud-block path end to end.
 # tracegen streams the same seeded trace twice and the files must be
 # byte-identical (the stream format is written straight off the lazy
-# source — the trace is never materialized); esmreplay then replays it
-# on the sharded engine; finally esmbench regenerates Fig. 20 with the
-# flight recorder on, serial and at -shards 4, and the ESM manifests
-# are diffed against the committed baseline (loose +/-25% thresholds)
-# and serial-vs-sharded with zero thresholds in both directions.
+# source — the trace is never materialized); esmreplay then decodes
+# and replays it; finally esmbench regenerates Fig. 20 with the flight
+# recorder on, and the ESM manifest is diffed against the committed
+# baseline (loose +/-25% thresholds).
 cloudblock-smoke:
 	rm -rf /tmp/esm-cloudblock-smoke
-	mkdir -p /tmp/esm-cloudblock-smoke/serial /tmp/esm-cloudblock-smoke/sharded
+	mkdir -p /tmp/esm-cloudblock-smoke/serial
 	$(GO) run ./cmd/tracegen -workload cloudblock -scale 0.02 -format stream \
 		-out /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items \
@@ -135,20 +113,12 @@ cloudblock-smoke:
 	cmp /tmp/esm-cloudblock-smoke/cb.trace /tmp/esm-cloudblock-smoke/cb-again.trace
 	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items \
-		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm -shards 4
+		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm
 	$(GO) run ./cmd/esmbench -workload cloudblock -fig 20 \
 		-series /tmp/esm-cloudblock-smoke/serial
 	$(GO) run ./cmd/esmstat diff \
 		-energy 0.25 -resp 0.25 -spinups 0.25 -migrations 0.25 \
 		ci/baseline/BENCH_cloudblock-esm.json \
-		/tmp/esm-cloudblock-smoke/serial/BENCH_cloudblock-esm.json
-	$(GO) run ./cmd/esmbench -workload cloudblock -fig 20 -shards 4 \
-		-series /tmp/esm-cloudblock-smoke/sharded
-	$(GO) run ./cmd/esmstat diff -energy 0 -resp 0 -spinups 0 -migrations 0 \
-		/tmp/esm-cloudblock-smoke/serial/BENCH_cloudblock-esm.json \
-		/tmp/esm-cloudblock-smoke/sharded/BENCH_cloudblock-esm.json
-	$(GO) run ./cmd/esmstat diff -energy 0 -resp 0 -spinups 0 -migrations 0 \
-		/tmp/esm-cloudblock-smoke/sharded/BENCH_cloudblock-esm.json \
 		/tmp/esm-cloudblock-smoke/serial/BENCH_cloudblock-esm.json
 
 # fleet-smoke boots the multi-array control plane, streams two
@@ -172,13 +142,13 @@ alert-smoke:
 # explain-smoke gates the decision-provenance ledger and the root-cause
 # pipeline: an injected spin-up-fault storm under a tight energy budget
 # must yield an `esmstat explain` report naming the injected cause,
-# byte-identical across a rerun and serial vs -shards 4.
+# byte-identical across a rerun.
 explain-smoke:
 	sh scripts/explain-smoke.sh
 
 # smoke chains every end-to-end smoke gate in one command — the full
 # CI surface minus the unit/race suite (use `make check` for that).
-smoke: fault-smoke trace-smoke bench-smoke shard-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke
+smoke: fault-smoke trace-smoke bench-smoke cloudblock-smoke fleet-smoke alert-smoke explain-smoke
 
 clean:
 	$(GO) clean ./...

@@ -7,18 +7,16 @@
 // Usage:
 //
 //	esmbench [-scale f] [-workload fileserver|oltp|dss|cloudblock|all] [-fig N]
-//	         [-parallel N] [-shards N] [-json out.json] [-series dir] [-list]
+//	         [-parallel N] [-json out.json] [-series dir] [-list]
 //
 // -scale 1.0 reproduces the paper's full durations (hours of simulated
 // time; minutes of CPU). The default scale keeps runs under a minute.
 // Independent replays run concurrently, -parallel at a time (default
-// GOMAXPROCS); -shards additionally parallelizes inside each replay via
-// the sharded deterministic engine (see DESIGN.md §14). Results are
-// byte-identical at any setting of either flag; the effective worker
-// count and GOMAXPROCS are printed and recorded in the -json report so
-// over-asked bounds are visible. -json additionally
-// writes every figure's per-policy numbers to a machine-readable file
-// (see `make bench-json`). -series attaches a flight recorder to every
+// GOMAXPROCS). Results are byte-identical at any setting; the effective
+// worker count and GOMAXPROCS are printed and recorded in the -json
+// report so over-asked bounds are visible. -json additionally writes
+// every figure's per-policy numbers to a machine-readable file (see
+// `make bench-json`). -series attaches a flight recorder to every
 // replay and writes, per run, a whole-system time series CSV plus a
 // BENCH_<workload>-<policy>.json run manifest into the directory;
 // `esmstat diff` compares two manifests with relative regression
@@ -53,7 +51,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Perfetto trace-event file per replay (policy and workload are inserted into the name)")
 	seriesDir := flag.String("series", "", "write a flight-recorder series CSV and a BENCH_<workload>-<policy>.json run manifest per replay into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent replays (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "per-replay shard count for the sharded engine (0 or 1 = serial; results are byte-identical)")
 	jsonPath := flag.String("json", "", "also write per-figure results as JSON to this file")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m (see README)")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules evaluated per replay on the flight sampling grid, e.g. budget:total_energy_j>1.5e6:for=30s (see DESIGN.md §16)")
@@ -91,7 +88,6 @@ func main() {
 	}
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetShards(*shards)
 	if *list {
 		printParameters()
 		return
@@ -223,7 +219,6 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			Date:       time.Now().Format("2006-01-02"),
 			Parallel:   experiments.Parallelism(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Shards:     experiments.Shards(),
 		}
 	}
 
@@ -421,9 +416,9 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			})
 		}
 	}
-	fmt.Printf("\nreplay concurrency: %d effective workers (bound %d, GOMAXPROCS %d), %d shards per replay\n",
+	fmt.Printf("\nreplay concurrency: %d effective workers (bound %d, GOMAXPROCS %d)\n",
 		experiments.EffectiveParallelism(), experiments.Parallelism(),
-		runtime.GOMAXPROCS(0), experiments.Shards())
+		runtime.GOMAXPROCS(0))
 	if report != nil {
 		report.ParallelEffective = experiments.EffectiveParallelism()
 		f, err := os.Create(jsonPath)

@@ -68,7 +68,6 @@ func main() {
 	seriesPath := flag.String("series", "", "write the flight-recorder series here as CSV on exit (also served live on /series)")
 	seriesInterval := flag.Duration("series-interval", 30*time.Second, "flight-recorder sampling interval (simulated time)")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m")
-	shards := flag.Int("shards", 0, "shard count for the sharded deterministic engine (0 or 1 = serial; ignored with -faults)")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules for the single array, e.g. budget:total_energy_j>1.5e6:for=30s (fleet mode: declare rules in the fleet file)")
 	provenance := flag.Bool("provenance", false, "record the decision-provenance ledger, served live at /arrays/<name>/provenance (fleet mode: set \"provenance\" per array in the fleet file)")
 	provPath := flag.String("provenance-out", "", "write the provenance ledger here as CSV on exit (implies -provenance)")
@@ -93,7 +92,6 @@ func main() {
 		seriesPath:    *seriesPath,
 		seriesEvery:   *seriesInterval,
 		faults:        *faultSpec,
-		shards:        *shards,
 		alerts:        *alertSpec,
 		provenance:    *provenance || *provPath != "",
 		provPath:      *provPath,
@@ -122,7 +120,6 @@ type daemonOpts struct {
 	seriesPath    string
 	seriesEvery   time.Duration
 	faults        string
-	shards        int
 	alerts        string
 	provenance    bool
 	provPath      string
@@ -159,7 +156,6 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 		Placement:  opts.placementPath,
 		Config:     opts.configPath,
 		Faults:     opts.faults,
-		Shards:     opts.shards,
 		Alerts:     alerts,
 		Provenance: opts.provenance,
 	})

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	esmreplay -trace fs.trace -catalog fs.items -placement fs.layout \
-//	          -policy esm -enclosures 12 [-closed-loop] [-shards N] [-config cfg.json]
+//	          -policy esm -enclosures 12 [-closed-loop] [-config cfg.json]
 //
 // The optional JSON config (see internal/config) overrides storage and
 // policy parameters; flags override the config's policy name.
@@ -33,7 +33,6 @@ func main() {
 	policyName := flag.String("policy", "", "none, timeout, esm, pdc, ddr, maid or offload (default: config's policy, else esm)")
 	enclosures := flag.Int("enclosures", 0, "enclosure count (0 = infer from placement)")
 	closedLoop := flag.Bool("closed-loop", false, "replay each item's stream with queue depth 1")
-	shards := flag.Int("shards", 0, "worker lanes for the sharded deterministic engine (0 or 1 = serial; open-loop only; results are byte-identical)")
 	configPath := flag.String("config", "", "optional JSON config for storage and policy parameters")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules evaluated on the flight sampling grid, e.g. budget:total_energy_j>1.5e6:for=30s (see DESIGN.md §16)")
 	provPath := flag.String("provenance", "", "write the decision-provenance ledger (determination features, moves, power/migration/preload/destage context) to this CSV")
@@ -48,17 +47,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "esmreplay: -trace, -catalog and -placement are required")
 		os.Exit(2)
 	}
-	if *closedLoop && *shards > 1 {
-		fmt.Fprintln(os.Stderr, "esmreplay: -shards applies to open-loop replays only")
-		os.Exit(2)
-	}
-	if err := run(*tracePath, *catalogPath, *placementPath, *policyName, *configPath, *alertSpec, *provPath, *enclosures, *closedLoop, *shards); err != nil {
+	if err := run(*tracePath, *catalogPath, *placementPath, *policyName, *configPath, *alertSpec, *provPath, *enclosures, *closedLoop); err != nil {
 		fmt.Fprintln(os.Stderr, "esmreplay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(tracePath, catalogPath, placementPath, policyName, configPath, alertSpec, provPath string, enclosures int, closedLoop bool, shards int) error {
+func run(tracePath, catalogPath, placementPath, policyName, configPath, alertSpec, provPath string, enclosures int, closedLoop bool) error {
 	cfgFile, err := config.Load(configPath)
 	if err != nil {
 		return err
@@ -145,7 +140,6 @@ func run(tracePath, catalogPath, placementPath, policyName, configPath, alertSpe
 		Policy:     pol,
 		Duration:   sum.End,
 		ClosedLoop: closedLoop,
-		Shards:     shards,
 		Telemetry:  tel,
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 // item's decision chain, so "the budget alert fired" becomes "12
 // injected spinup-fail faults forced 34 spin-ups on enclosures 2 and
 // 5". The report is a pure function of its input files: byte-identical
-// across reruns and serial vs sharded runs.
+// across reruns.
 
 package main
 

@@ -19,10 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
 	"os"
-	"sort"
 
 	"esm/internal/experiments"
 	"esm/internal/obs"
@@ -38,7 +35,6 @@ func main() {
 	out := flag.String("out", "", "trace output path (required)")
 	catalogPath := flag.String("catalog", "", "catalog output path (required)")
 	placementPath := flag.String("placement", "", "initial-placement output path (required)")
-	shardSkew := flag.Float64("shard-skew", 0, "Zipf exponent for enclosure-group placement skew: items land on enclosure g with probability proportional to (g+1)^-s (0 = keep the workload's own placement)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -50,17 +46,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracegen: -out, -catalog and -placement are required")
 		os.Exit(2)
 	}
-	if *shardSkew < 0 {
-		fmt.Fprintln(os.Stderr, "tracegen: -shard-skew must be >= 0")
-		os.Exit(2)
-	}
-	if err := run(*kind, *scale, *seed, *format, *out, *catalogPath, *placementPath, *shardSkew); err != nil {
+	if err := run(*kind, *scale, *seed, *format, *out, *catalogPath, *placementPath); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind string, scale float64, seed int64, format, out, catalogPath, placementPath string, shardSkew float64) error {
+func run(kind string, scale float64, seed int64, format, out, catalogPath, placementPath string) error {
 	var w *workload.Workload
 	var err error
 	switch kind {
@@ -81,9 +73,6 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 	}
 	if err != nil {
 		return err
-	}
-	if shardSkew > 0 {
-		skewPlacement(w, shardSkew, seed)
 	}
 
 	tf, err := os.Create(out)
@@ -144,35 +133,6 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 	fmt.Printf("%s: %s\n", w.Name, sum)
 	fmt.Printf("wrote %s (%s), %s (%d items), %s (%d enclosures)\n", out, format, catalogPath, w.Catalog.Len(), placementPath, w.Enclosures)
 	return nil
-}
-
-// skewPlacement rewrites the initial placement with a Zipf enclosure
-// skew: item i lands on enclosure g with probability proportional to
-// (g+1)^-s, drawn from a seeded generator so the same flags reproduce
-// the same placement. High s concentrates almost every item (and with
-// it almost all I/O) on the first enclosure groups — the worst case for
-// the sharded replay engine, whose barriers pay most when one shard's
-// lane dominates while migrations still cross groups. The trace records
-// themselves are untouched; only where items start changes.
-func skewPlacement(w *workload.Workload, s float64, seed int64) {
-	if seed == 0 {
-		seed = 1
-	}
-	cdf := make([]float64, w.Enclosures)
-	var total float64
-	for g := range cdf {
-		total += math.Pow(float64(g+1), -s)
-		cdf[g] = total
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := range w.Placement {
-		u := rng.Float64() * total
-		g := sort.SearchFloat64s(cdf, u)
-		if g >= len(cdf) {
-			g = len(cdf) - 1
-		}
-		w.Placement[i] = g
-	}
 }
 
 // incrementalWriter is the shared shape of the record-by-record codecs.

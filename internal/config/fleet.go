@@ -51,12 +51,6 @@ type FleetArrayConfig struct {
 	// Faults is an optional fault-injection spec
 	// ("seed=42,spinup=0.1,…"), as for esmd -faults.
 	Faults string `json:"faults,omitempty"`
-	// Shards is the array's shard count for the sharded deterministic
-	// engine: 0 or 1 feeds the stream serially, N > 1 runs enclosure
-	// groups on N worker lanes with byte-identical results. Ignored
-	// (serial) when Faults is set — fault draws consume one shared RNG
-	// stream in global order.
-	Shards int `json:"shards,omitempty"`
 	// SeriesInterval is the flight-recorder sampling interval on the
 	// simulated clock (default 30s).
 	SeriesInterval *Duration `json:"series_interval,omitempty"`
@@ -138,9 +132,6 @@ func (f *FleetFile) Validate() error {
 		seen[a.Name] = true
 		if a.Catalog == "" || a.Placement == "" {
 			return fmt.Errorf("config: fleet array %q: catalog and placement are required", a.Name)
-		}
-		if a.Shards < 0 {
-			return fmt.Errorf("config: fleet array %q: shards must be >= 0, got %d", a.Name, a.Shards)
 		}
 		rules, err := obs.ParseRules(a.Alerts)
 		if err != nil {

@@ -46,6 +46,7 @@ func TestParseFleetRejects(t *testing.T) {
 		{"dup name", `{"arrays":[{"name":"a","catalog":"c","placement":"p"},
 			{"name":"a","catalog":"c","placement":"p"}]}`, "declared twice"},
 		{"missing catalog", `{"arrays":[{"name":"a","placement":"p"}]}`, "catalog and placement"},
+		{"shards", `{"arrays":[{"name":"a","catalog":"c","placement":"p","shards":2}]}`, "shards"},
 	}
 	for _, c := range cases {
 		_, err := ParseFleet(strings.NewReader(c.doc))

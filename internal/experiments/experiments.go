@@ -194,7 +194,6 @@ func EvaluateOpts(w *workload.Workload, factories []PolicyFactory, o Observers) 
 			Policy:     pol,
 			Duration:   w.Duration,
 			ClosedLoop: w.ClosedLoop,
-			Shards:     Shards(),
 			Faults:     o.Faults,
 		}
 		if o.Telemetry != nil {

@@ -45,12 +45,9 @@ type Report struct {
 	// below Parallel, the bound was wider than the evaluation.
 	ParallelEffective int `json:"parallel_effective"`
 	// GOMAXPROCS is the Go runtime's CPU parallelism cap at run time —
-	// the hard ceiling on how many replays (or shard workers) make
-	// progress simultaneously regardless of the flags.
+	// the hard ceiling on how many replays make progress simultaneously
+	// regardless of the flags.
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// Shards is the per-replay shard count (-shards; 0 or 1 means the
-	// serial engine).
-	Shards int `json:"shards"`
 	// Figures holds one entry per (workload, policy) replay, in
 	// evaluation order.
 	Figures []FigureResult `json:"figures"`

@@ -17,7 +17,6 @@ import (
 var (
 	parMu       sync.Mutex
 	parallelism int
-	shards      int
 	peakWorkers int
 )
 
@@ -40,28 +39,6 @@ func Parallelism() int {
 		return parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SetShards sets the per-replay shard count: every open-loop replay the
-// schedulers build runs on the sharded engine with n worker lanes.
-// n <= 1 restores the serial engine. Results are byte-identical either
-// way; sharding trades intra-replay parallelism against the scheduler's
-// inter-replay parallelism, so it pays off when the matrix has fewer
-// independent replays than cores.
-func SetShards(n int) {
-	parMu.Lock()
-	defer parMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	shards = n
-}
-
-// Shards returns the per-replay shard count (0 or 1 means serial).
-func Shards() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return shards
 }
 
 // EffectiveParallelism returns the widest worker pool executeJobs has

@@ -40,7 +40,6 @@ func runFor(w *workload.Workload, cfg storage.Config, pol policy.Policy) replay.
 		Policy:     pol,
 		Duration:   w.Duration,
 		ClosedLoop: w.ClosedLoop,
-		Shards:     Shards(),
 	}
 }
 

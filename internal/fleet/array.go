@@ -43,12 +43,6 @@ type ArraySpec struct {
 	// Faults, when non-nil, is the fault scenario injected into the
 	// array's simulation.
 	Faults *faults.Config
-	// Shards is the shard count for the sharded deterministic engine:
-	// 0 or 1 feeds the stream serially, N > 1 runs enclosure groups on
-	// N worker lanes (clamped to the enclosure count) with byte-identical
-	// results. Ignored when Faults is set — fault draws consume one
-	// shared RNG stream in global order, so fault runs stay serial.
-	Shards int
 	// SeriesInterval is the flight-recorder sampling interval on the
 	// simulated clock (0 = 30s, like esmd -series-interval).
 	SeriesInterval time.Duration
@@ -109,8 +103,6 @@ type Status struct {
 	SeriesLastTNS  int64 `json:"series_last_t_ns"`
 	PolicySwaps    int64 `json:"policy_swaps,omitempty"`
 	Finished       bool  `json:"finished,omitempty"`
-	// Shards is the sharded engine's worker-lane count (0 = serial feed).
-	Shards int `json:"shards,omitempty"`
 }
 
 // Array is one live simulated storage unit. All simulation state is
@@ -205,7 +197,6 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 		Placement: spec.Placement,
 		Storage:   storageCfg,
 		Policy:    esm,
-		Shards:    spec.Shards,
 		Faults:    spec.Faults,
 		Telemetry: tel,
 	})
@@ -462,7 +453,6 @@ func (a *Array) updateSnapshotLocked(now time.Duration) {
 		IngestRecords:  a.ingestRecords.Load(),
 		PolicySwaps:    a.swaps,
 		Finished:       a.sess.Finished(),
-		Shards:         a.sess.Shards(),
 		Provenance:     tel.Provenance.Summary(),
 	}
 	samples, last := tel.Flight.Stats()
@@ -520,8 +510,8 @@ func (a *Array) Report(w io.Writer) {
 	}
 }
 
-// Close stops the session's worker lanes (if the stream was never
-// finalized) and flushes and closes the array's event and span sinks.
+// Close ends the session (if the stream was never finalized) and
+// flushes and closes the array's event and span sinks.
 func (a *Array) Close() error {
 	a.mu.Lock()
 	a.sess.Close()

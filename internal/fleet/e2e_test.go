@@ -76,8 +76,7 @@ func get(t *testing.T, url string) []byte {
 // must produce flight series, provenance ledgers, alert states and
 // totals byte-identical to an offline replay.Execute of the same trace
 // on the same sampling grid — the wire adds nothing and loses nothing,
-// with faults injected, on the sharded engine, and with every
-// telemetry surface on.
+// plain, with faults injected, and with every telemetry surface on.
 func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 	span := 30 * time.Minute
 	interval := time.Minute
@@ -88,13 +87,11 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 	cases := []struct {
 		name       string
 		faults     string
-		shards     int
 		alerts     bool
 		provenance bool
 	}{
 		{name: "plain"},
 		{name: "faults", faults: "seed=7,spinup=0.2,io=0.005"},
-		{name: "sharded", shards: 2},
 		{name: "alerts+provenance", alerts: true, provenance: true},
 	}
 	for _, tc := range cases {
@@ -163,7 +160,7 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				c, p, _ := fixture(t, span)
 				specs = append(specs, ArraySpec{
 					Name: name, Catalog: c, Placement: p, SeriesInterval: interval,
-					Faults: fc, Shards: tc.shards, Alerts: ruleSet, Provenance: tc.provenance,
+					Faults: fc, Alerts: ruleSet, Provenance: tc.provenance,
 				})
 			}
 			f, err := New(Options{Specs: specs})
@@ -206,9 +203,6 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				}
 				if st.Records != int64(len(recs)) || !st.Finished {
 					t.Errorf("%s: records %d finished %v", name, st.Records, st.Finished)
-				}
-				if st.Shards != tc.shards {
-					t.Errorf("%s: %d lanes, want %d", name, st.Shards, tc.shards)
 				}
 			}
 

@@ -120,7 +120,7 @@ func FromConfig(file *config.FleetFile) (*Fleet, error) {
 // LoadArraySpec resolves one fleet-file array declaration into a spec
 // with its catalog, placement, config and fault scenario loaded.
 func LoadArraySpec(ac config.FleetArrayConfig) (ArraySpec, error) {
-	spec := ArraySpec{Name: ac.Name, Enclosures: ac.Enclosures, Shards: ac.Shards, Provenance: ac.Provenance}
+	spec := ArraySpec{Name: ac.Name, Enclosures: ac.Enclosures, Provenance: ac.Provenance}
 	fail := func(err error) (ArraySpec, error) {
 		return ArraySpec{}, fmt.Errorf("fleet: array %q: %w", ac.Name, err)
 	}

@@ -49,23 +49,6 @@ func (r *ResponseStats) Add(op trace.Op, d time.Duration) {
 	r.hist[b]++
 }
 
-// Merge folds o into r. Every field is a count, a sum or a max, so
-// merging shard-local aggregates in any fixed order reproduces the
-// serial accumulation exactly — the property the sharded replay engine
-// relies on for byte-identical results.
-func (r *ResponseStats) Merge(o *ResponseStats) {
-	r.count += o.count
-	r.sum += o.sum
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.reads += o.reads
-	r.readSum += o.readSum
-	for i := range r.hist {
-		r.hist[i] += o.hist[i]
-	}
-}
-
 // Count returns the number of recorded I/Os.
 func (r *ResponseStats) Count() int64 { return r.count }
 

@@ -8,8 +8,8 @@
 // flight-sampling grid plus explicit policy bridges like the degrade
 // transition), and alert events are emitted through the run's Recorder
 // so they share its sequence counter. That makes the alert stream
-// byte-identical between serial and sharded replays, like every other
-// output of the simulator.
+// byte-identical across reruns, like every other output of the
+// simulator.
 
 package obs
 

@@ -202,9 +202,8 @@ func ClassName(i int) string {
 
 // sortedKeys returns w's keys in (item, fn) order. Attribution sums
 // floats while walking these maps; a fixed iteration order makes the
-// computed shares bit-for-bit reproducible across runs (and across the
-// serial and sharded replay engines), where raw map order would perturb
-// the last ULP from run to run.
+// computed shares bit-for-bit reproducible across runs, where raw map
+// order would perturb the last ULP from run to run.
 func sortedKeys(w map[itemFn]float64) []itemFn {
 	keys := make([]itemFn, 0, len(w))
 	for k := range w {

@@ -14,7 +14,7 @@
 // halves its resolution by keeping every other accepted row and
 // doubling the acceptance stride. Everything is driven by the
 // simulated clock from deterministic call sites, so the stream is
-// byte-identical serial vs -shards N and across reruns.
+// byte-identical across reruns.
 
 package obs
 

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -30,12 +29,11 @@ func alertRules(t *testing.T) []obs.Rule {
 	return rules
 }
 
-// TestShardedAlertStreamMatchesSerial is the watchdog's determinism
-// gate: across policies and shard counts, the alert transition events
-// in the recorder's JSONL stream and the end-of-run rule states must be
-// byte-for-byte (respectively deeply) identical between the serial and
-// sharded engines.
-func TestShardedAlertStreamMatchesSerial(t *testing.T) {
+// TestAlertStreamMatchesSerial is the watchdog's determinism gate:
+// across policies, the alert transition events in the recorder's JSONL
+// stream and the end-of-run rule states must be byte-for-byte
+// (respectively deeply) identical between a serial run and its rerun.
+func TestAlertStreamMatchesSerial(t *testing.T) {
 	dur := 25 * time.Minute
 	policies := []struct {
 		name string
@@ -52,8 +50,8 @@ func TestShardedAlertStreamMatchesSerial(t *testing.T) {
 		}},
 		{"none", func() policy.Policy { return policy.NoPowerSaving{} }},
 	}
-	run := func(mk func() policy.Policy, shards int) ([]byte, obs.AlertSummary, []obs.AlertStatus) {
-		cat, recs, placement := shardedTrace(dur, 99)
+	run := func(mk func() policy.Policy) ([]byte, obs.AlertSummary, []obs.AlertStatus) {
+		cat, recs, placement := skewedTrace(dur, 99)
 		var events bytes.Buffer
 		rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Registry: obs.NewRegistry(), Label: "alert-eq"})
 		wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t), Recorder: rec, Instance: "alert-eq"})
@@ -64,7 +62,6 @@ func TestShardedAlertStreamMatchesSerial(t *testing.T) {
 			Storage:   storage.DefaultConfig(4),
 			Policy:    mk(),
 			Duration:  dur,
-			Shards:    shards,
 			Telemetry: obs.Telemetry{Recorder: rec, Alerts: wd},
 		})
 		if err != nil {
@@ -76,30 +73,27 @@ func TestShardedAlertStreamMatchesSerial(t *testing.T) {
 		return events.Bytes(), res.Alerts, res.AlertStates
 	}
 	for _, pc := range policies {
-		serialEvents, serialSum, serialStates := run(pc.mk, 1)
+		serialEvents, serialSum, serialStates := run(pc.mk)
 		if serialSum.Fired == 0 {
 			t.Fatalf("%s: no rule ever fired; the fixture exercises nothing", pc.name)
 		}
 		if serialSum.Rules != 3 || len(serialStates) != 3 {
 			t.Fatalf("%s: want 3 rule states, got summary %+v, %d states", pc.name, serialSum, len(serialStates))
 		}
-		for _, shards := range []int{2, 4} {
-			label := fmt.Sprintf("%s/shards=%d", pc.name, shards)
-			gotEvents, gotSum, gotStates := run(pc.mk, shards)
-			if !bytes.Equal(serialEvents, gotEvents) {
-				i := 0
-				for i < len(serialEvents) && i < len(gotEvents) && serialEvents[i] == gotEvents[i] {
-					i++
-				}
-				t.Errorf("%s: event stream (incl. alerts) diverged at byte %d of %d/%d",
-					label, i, len(serialEvents), len(gotEvents))
+		gotEvents, gotSum, gotStates := run(pc.mk)
+		if !bytes.Equal(serialEvents, gotEvents) {
+			i := 0
+			for i < len(serialEvents) && i < len(gotEvents) && serialEvents[i] == gotEvents[i] {
+				i++
 			}
-			if serialSum != gotSum {
-				t.Errorf("%s: alert summary diverged: serial %+v, sharded %+v", label, serialSum, gotSum)
-			}
-			if !reflect.DeepEqual(serialStates, gotStates) {
-				t.Errorf("%s: alert states diverged:\nserial  %+v\nsharded %+v", label, serialStates, gotStates)
-			}
+			t.Errorf("%s: event stream (incl. alerts) diverged at byte %d of %d/%d",
+				pc.name, i, len(serialEvents), len(gotEvents))
+		}
+		if serialSum != gotSum {
+			t.Errorf("%s: alert summary diverged: serial %+v, rerun %+v", pc.name, serialSum, gotSum)
+		}
+		if !reflect.DeepEqual(serialStates, gotStates) {
+			t.Errorf("%s: alert states diverged:\nserial %+v\nrerun  %+v", pc.name, serialStates, gotStates)
 		}
 	}
 }
@@ -108,7 +102,7 @@ func TestShardedAlertStreamMatchesSerial(t *testing.T) {
 // still drives the watchdog on the power-sampling grid.
 func TestAlertsWithoutSeries(t *testing.T) {
 	dur := 20 * time.Minute
-	cat, recs, placement := shardedTrace(dur, 3)
+	cat, recs, placement := skewedTrace(dur, 3)
 	wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t)})
 	res, err := Execute(Run{
 		Catalog:   cat,

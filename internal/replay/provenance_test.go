@@ -23,12 +23,12 @@ func provenanceESM(t *testing.T) *core.ESM {
 	return esm
 }
 
-// provenanceRun replays the sharded fixture with a provenance recorder
+// provenanceRun replays the skewed fixture with a provenance recorder
 // attached and returns the ledger CSV plus the run result.
-func provenanceRun(t *testing.T, shards int, traced bool) ([]byte, *obs.ProvenanceSummary, *Result) {
+func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *Result) {
 	t.Helper()
 	dur := 25 * time.Minute
-	cat, recs, placement := shardedTrace(dur, 99)
+	cat, recs, placement := skewedTrace(dur, 99)
 	prov := obs.NewProvenance(obs.ProvenanceOptions{})
 	run := Run{
 		Catalog:   cat,
@@ -37,7 +37,6 @@ func provenanceRun(t *testing.T, shards int, traced bool) ([]byte, *obs.Provenan
 		Storage:   storage.DefaultConfig(4),
 		Policy:    provenanceESM(t),
 		Duration:  dur,
-		Shards:    shards,
 		Telemetry: obs.Telemetry{Provenance: prov},
 	}
 	if traced {
@@ -55,29 +54,23 @@ func provenanceRun(t *testing.T, shards int, traced bool) ([]byte, *obs.Provenan
 }
 
 // TestProvenanceStreamMatchesSerial is the ledger's determinism gate:
-// the provenance CSV must be byte-identical across reruns and between
-// the serial and sharded engines.
+// the provenance CSV and its summary must be byte-identical across
+// reruns.
 func TestProvenanceStreamMatchesSerial(t *testing.T) {
-	serial, serialSum, _ := provenanceRun(t, 1, false)
+	serial, serialSum, _ := provenanceRun(t, false)
 	if serialSum.Determinations == 0 || serialSum.Decisions == 0 || serialSum.Transitions == 0 {
 		t.Fatalf("fixture exercises nothing: %+v", serialSum)
 	}
-	rerun, _, _ := provenanceRun(t, 1, false)
+	rerun, rerunSum, _ := provenanceRun(t, false)
 	if !bytes.Equal(serial, rerun) {
-		t.Fatal("two serial runs produced different provenance ledgers")
+		i := 0
+		for i < len(serial) && i < len(rerun) && serial[i] == rerun[i] {
+			i++
+		}
+		t.Errorf("ledger diverged at byte %d of %d/%d", i, len(serial), len(rerun))
 	}
-	for _, shards := range []int{2, 4} {
-		got, gotSum, _ := provenanceRun(t, shards, false)
-		if !bytes.Equal(serial, got) {
-			i := 0
-			for i < len(serial) && i < len(got) && serial[i] == got[i] {
-				i++
-			}
-			t.Errorf("shards=%d: ledger diverged at byte %d of %d/%d", shards, i, len(serial), len(got))
-		}
-		if *gotSum != *serialSum {
-			t.Errorf("shards=%d: summary diverged: serial %+v, sharded %+v", shards, serialSum, gotSum)
-		}
+	if *rerunSum != *serialSum {
+		t.Errorf("summary diverged: serial %+v, rerun %+v", serialSum, rerunSum)
 	}
 }
 
@@ -86,7 +79,7 @@ func TestProvenanceStreamMatchesSerial(t *testing.T) {
 // monotone numbering and causes, decision rows with features and
 // classes, and runtime power rows with valid states.
 func TestProvenanceCapturesDecisions(t *testing.T) {
-	csv, sum, res := provenanceRun(t, 1, false)
+	csv, sum, res := provenanceRun(t, false)
 	s, err := obs.ReadSeriesCSV(bytes.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +135,7 @@ func TestProvenanceCapturesDecisions(t *testing.T) {
 // end-of-run energy-attribution rows and that their joules stay within
 // the ledger total.
 func TestProvenanceAttributionJoin(t *testing.T) {
-	csv, _, res := provenanceRun(t, 1, true)
+	csv, _, res := provenanceRun(t, true)
 	if res.Attribution == nil {
 		t.Fatal("traced run produced no attribution")
 	}

@@ -46,13 +46,10 @@ type Run struct {
 	// time of the last record; a Session with neither Duration nor
 	// Source is open-ended.
 	Duration time.Duration
-	// Shards, when greater than 1, replays the open loop on the sharded
-	// engine: enclosures are partitioned into Shards contiguous groups,
-	// each with its own worker lane and clock, synchronized by
-	// conservative barriers at every cross-shard interaction. Results
-	// are byte-identical to the serial engine (DESIGN.md §14). The value
-	// is clamped to the enclosure count; closed-loop runs, fault runs
-	// and single-enclosure arrays fall back to the serial engine.
+	// Shards is ignored: every run replays on the one serial engine.
+	//
+	// Deprecated: the sharded engine is gone (DESIGN.md §14); the field
+	// stays only for callers that still set it.
 	Shards int
 	// ClosedLoop, when set, replays each data item's I/O stream with a
 	// queue depth of one: an I/O cannot be issued before the item's
@@ -83,7 +80,7 @@ type Run struct {
 	//     tracer, the energy ledger's top attributed items are joined
 	//     into it at end of run.
 	// Every surface is fed from deterministic simulated-clock call
-	// sites, so its output is byte-identical serial vs -shards N.
+	// sites, so its output is byte-identical across reruns.
 	Telemetry obs.Telemetry
 }
 
@@ -185,7 +182,6 @@ func Execute(r Run) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	if r.ClosedLoop {
 		err = newClosedLoop(src, &s.clk, &s.evq, s.submit).run()
 	} else {

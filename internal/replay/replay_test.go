@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -254,5 +255,42 @@ func TestClosedLoopPreservesPerItemOrder(t *testing.T) {
 	}
 	if res.Resp.Count() != 200 {
 		t.Fatalf("submitted %d records, want 200", res.Resp.Count())
+	}
+}
+
+// TestShardedFallbacks pins the deprecated Run.Shards: whatever shard
+// count a caller still asks for, the run replays on the serial engine
+// with the serial result, open and closed loop alike.
+func TestShardedFallbacks(t *testing.T) {
+	cat, recs, placement := steadyTrace(2, 10*time.Second, 5*time.Minute)
+	base := Run{
+		Catalog:   cat,
+		Records:   recs,
+		Placement: placement,
+		Storage:   storage.DefaultConfig(2),
+		Policy:    policy.NoPowerSaving{},
+		Duration:  5 * time.Minute,
+	}
+	serial, err := Execute(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1, 2, 16} {
+		r := base
+		r.Shards = shards
+		got, err := Execute(r)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if got.EnergyJ != serial.EnergyJ || !reflect.DeepEqual(got.Resp, serial.Resp) {
+			t.Errorf("shards=%d diverged from serial", shards)
+		}
+	}
+	// Closed loop with shards requested still succeeds.
+	r := base
+	r.Shards = 4
+	r.ClosedLoop = true
+	if _, err := Execute(r); err != nil {
+		t.Fatalf("closed-loop with shards: %v", err)
 	}
 }

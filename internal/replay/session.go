@@ -51,11 +51,6 @@ type Session struct {
 	res  *Result
 	open bool
 
-	// en is the sharded engine, nil when the session steps serially;
-	// shards is its lane count (0 when serial), kept after Finish.
-	en     *shardEngine
-	shards int
-
 	// classCounts is the latest P0–P3 distribution a policy reported;
 	// it outlives a policy swap until the new policy's first
 	// determination.
@@ -131,13 +126,6 @@ func NewSession(r Run) (*Session, error) {
 	}
 	if s.open || r.Duration > 0 {
 		s.startGrid()
-	}
-
-	// Fault draws consume one shared RNG stream in global order and the
-	// closed loop shifts records per item, so both step serially.
-	if smap := storage.NewShardMap(r.Storage.Enclosures, r.Shards); smap.Shards() > 1 && r.Faults == nil && !r.ClosedLoop {
-		s.en = newShardEngine(s, smap)
-		s.shards = smap.Shards()
 	}
 	return s, nil
 }
@@ -255,19 +243,9 @@ func (s *Session) Feed(rec trace.LogicalRecord) error {
 	}
 	s.last = rec.Time
 	s.n++
-	if s.en == nil {
-		s.evq.RunUntil(&s.clk, rec.Time)
-		_, err := s.submit(rec, rec.Time)
-		return err
-	}
-	s.en.runGlobalUntil(rec.Time)
-	if err := s.en.step(rec); err != nil {
-		return err
-	}
-	if s.en.err != nil {
-		return fmt.Errorf("replay: %w", s.en.err)
-	}
-	return nil
+	s.evq.RunUntil(&s.clk, rec.Time)
+	_, err := s.submit(rec, rec.Time)
+	return err
 }
 
 // submit is the serial record step, shared with the closed loop: show
@@ -316,32 +294,20 @@ func (s *Session) RunUntil(t time.Duration) error {
 		return nil
 	}
 	s.last = t // the clock never trails the last record
-	if s.en != nil {
-		s.en.runGlobalUntil(t)
-	} else {
-		s.evq.RunUntil(&s.clk, t)
-	}
+	s.evq.RunUntil(&s.clk, t)
 	return nil
 }
 
 // Finish ends the run at the later of the measurement span and the
-// clock: settle the sharded engine, drain the event queue, let the
-// policy finish, destage delayed writes, settle the power meter and
-// force the closing flight sample. It then assembles the Result.
-// Finish is idempotent; Feed after Finish fails.
+// clock: drain the event queue, let the policy finish, destage delayed
+// writes, settle the power meter and force the closing flight sample.
+// It then assembles the Result. Finish is idempotent; Feed after Finish
+// fails.
 func (s *Session) Finish() (*Result, error) {
 	if s.done {
 		return s.final, s.finErr
 	}
 	s.done = true
-	if s.en != nil {
-		s.finErr = s.en.close()
-		s.en = nil
-		if s.finErr != nil {
-			s.finErr = fmt.Errorf("replay: %w", s.finErr)
-			return nil, s.finErr
-		}
-	}
 	r, res, arr, tel := &s.r, s.res, s.arr, s.r.Telemetry
 	end := res.Span
 	if s.clk.Now() > end {
@@ -407,16 +373,11 @@ func (s *Session) Finish() (*Result, error) {
 	return res, nil
 }
 
-// Close releases the sharded engine's worker lanes. A session closed
-// before Finish cannot be fed or finished; Close after Finish is a
-// no-op.
+// Close abandons an unfinished session: it can no longer be fed or
+// finished. Close after Finish is a no-op.
 func (s *Session) Close() {
 	if !s.done {
 		s.done, s.finErr = true, errClosed
-	}
-	if s.en != nil {
-		s.en.close()
-		s.en = nil
 	}
 }
 
@@ -454,9 +415,6 @@ func (s *Session) Now() time.Duration { return s.clk.Now() }
 
 // Records returns how many records have been fed.
 func (s *Session) Records() int64 { return s.n }
-
-// Shards returns the sharded engine's lane count (0 when serial).
-func (s *Session) Shards() int { return s.shards }
 
 // Finished reports whether Finish (or Close) has run.
 func (s *Session) Finished() bool { return s.done }

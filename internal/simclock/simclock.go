@@ -84,15 +84,6 @@ func (q *EventQueue) Schedule(at time.Duration, fire func(now time.Duration)) *E
 	return e
 }
 
-// Release returns a dispatched event's storage to the queue's free pool.
-// Only events already popped and fired may be released; releasing a
-// pending event corrupts the heap. RunUntil releases the events it
-// dispatches itself.
-func (q *EventQueue) Release(e *Event) {
-	e.Fire = nil
-	q.free = append(q.free, e)
-}
-
 // Cancel removes e from the queue if it is still pending. Cancelling an
 // already-dispatched or already-cancelled event is a no-op.
 func (q *EventQueue) Cancel(e *Event) {
@@ -140,7 +131,9 @@ func (q *EventQueue) RunUntil(clk *Clock, limit time.Duration) {
 		// pending events but never before the clock; Advance enforces that.
 		clk.Advance(e.At)
 		e.Fire(e.At)
-		q.Release(e)
+		// Recycle the fired event into the free pool.
+		e.Fire = nil
+		q.free = append(q.free, e)
 	}
 	clk.Advance(limit)
 }

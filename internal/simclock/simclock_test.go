@@ -164,3 +164,46 @@ func TestEventQueueRandomizedOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEventQueueRecyclesEvents verifies the free-pool actually bounds
+// allocation: scheduling and dispatching in steady state must reuse
+// Event structs instead of allocating one per Schedule.
+func TestEventQueueRecyclesEvents(t *testing.T) {
+	var q EventQueue
+	var clk Clock
+	// Prime: one event in flight, dispatched, released.
+	fired := 0
+	q.Schedule(time.Second, func(now time.Duration) { fired++ })
+	q.RunUntil(&clk, time.Second)
+
+	fire := func(now time.Duration) { fired++ } // hoisted: one closure for all runs
+	allocs := testing.AllocsPerRun(1000, func() {
+		at := clk.Now() + time.Millisecond
+		q.Schedule(at, fire)
+		q.RunUntil(&clk, at)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Schedule+RunUntil allocates %.1f/op, want 0", allocs)
+	}
+	if fired < 1000 {
+		t.Fatalf("fired %d events", fired)
+	}
+}
+
+// TestEventQueueCancelAfterPooling: cancelling a pending event still
+// works with the free pool in place, and the cancelled Event is not
+// recycled (it was never dispatched).
+func TestEventQueueCancelAfterPooling(t *testing.T) {
+	var q EventQueue
+	var clk Clock
+	ran := false
+	e := q.Schedule(time.Second, func(time.Duration) { ran = true })
+	q.Cancel(e)
+	q.RunUntil(&clk, 2*time.Second)
+	if ran {
+		t.Fatal("cancelled event fired")
+	}
+	if !e.Cancelled() {
+		t.Fatal("event not marked cancelled")
+	}
+}

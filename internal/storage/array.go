@@ -133,13 +133,6 @@ type Array struct {
 
 	migQueue  []*migration
 	migActive bool
-
-	// syncHook, when non-nil, is the sharded engine's barrier: it runs
-	// at the top of every public entry point that touches shard-owned
-	// enclosure state, so deferred shard work settles before the call
-	// proceeds (see shard.go and DESIGN.md §14). Nil under the serial
-	// engine.
-	syncHook func()
 }
 
 // New builds an array. The clock and event queue are shared with the
@@ -217,7 +210,6 @@ func (a *Array) SetTelemetry(t obs.Telemetry) {
 // state, the attribution ledger's input. Call Finish (or otherwise
 // sync the enclosures) first so the reading covers the full timeline.
 func (a *Array) EnclosureEnergy(e int) obs.EnclosureEnergy {
-	a.syncPoint()
 	acc := a.mtr.Enclosure(e)
 	return obs.EnclosureEnergy{
 		ActiveJ: acc.StateEnergyJ(powermodel.Active),
@@ -352,7 +344,6 @@ func (a *Array) Config() Config { return a.cfg }
 
 // Meter returns the power meter.
 func (a *Array) Meter() *powermodel.Meter {
-	a.syncPoint()
 	return a.mtr
 }
 
@@ -370,7 +361,6 @@ func (a *Array) Used(e int) int64 { return a.enc[e].used }
 
 // EnclosureOn reports whether enclosure e is spun up at time now.
 func (a *Array) EnclosureOn(e int, now time.Duration) bool {
-	a.syncPoint()
 	a.enc[e].sync(now)
 	return a.enc[e].on
 }
@@ -378,7 +368,6 @@ func (a *Array) EnclosureOn(e int, now time.Duration) bool {
 // IdleSince returns the start of enclosure e's current idle period; ok is
 // false when the enclosure is busy or powered off.
 func (a *Array) IdleSince(e int, now time.Duration) (time.Duration, bool) {
-	a.syncPoint()
 	a.enc[e].sync(now)
 	return a.enc[e].idleSince(now)
 }
@@ -389,7 +378,6 @@ func (a *Array) SpinDownEnabled(e int) bool { return a.enc[e].spindownEnabled }
 // SetSpinDownEnabled enables or disables the power-off function for one
 // enclosure. Policies call this to mark cold enclosures.
 func (a *Array) SetSpinDownEnabled(e int, enabled bool) {
-	a.syncPoint()
 	a.enc[e].setSpinDown(a.clk.Now(), enabled)
 }
 
@@ -495,7 +483,6 @@ func (a *Array) physical(now time.Duration, e int, block int64, size int32, op t
 // fault left the item's enclosure unavailable and the I/O failed (it
 // consumed no service capacity and must not enter response metrics).
 func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
-	a.syncPoint()
 	now := a.clk.Now()
 	item := rec.Item
 	if int(item) < 0 || int(item) >= len(a.items) || !a.items[item].placed {
@@ -716,7 +703,6 @@ func (a *Array) flushItem(now time.Duration, item trace.ItemID) {
 // the cache battery is lost the selection is forced empty: delaying
 // writes without battery backing would risk data loss.
 func (a *Array) SetWriteDelay(items []trace.ItemID) {
-	a.syncPoint()
 	if !a.batteryOK {
 		items = nil
 	}
@@ -763,7 +749,6 @@ func (a *Array) WriteDelayed(item trace.ItemID) bool { return a.wdelay.selected[
 // budget forever. While the cache battery is lost the selection is
 // forced empty.
 func (a *Array) SetPreload(items []trace.ItemID) {
-	a.syncPoint()
 	if !a.batteryOK {
 		items = nil
 	}
@@ -840,7 +825,6 @@ func (a *Array) PreloadCapacity() int64 { return a.preload.capBytes }
 // whose destination is still full at start time is dropped and counted in
 // Stats.MigrationsSkipped. done, if non-nil, runs when the copy finishes.
 func (a *Array) MigrateItem(item trace.ItemID, dst int, done func()) error {
-	a.syncPoint()
 	st := &a.items[item]
 	if !st.placed {
 		return fmt.Errorf("storage: migrating unplaced item %d", item)
@@ -1043,7 +1027,6 @@ func (a *Array) extentSize(item trace.ItemID, ext int64) int64 {
 // migration primitive used by DDR. It returns an error when dst lacks
 // space or the extent is empty.
 func (a *Array) MigrateExtent(ref ExtentRef, dst int) error {
-	a.syncPoint()
 	n := a.extentSize(ref.Item, ref.Extent)
 	if n == 0 {
 		return fmt.Errorf("storage: empty extent %v", ref)
@@ -1110,7 +1093,6 @@ func (a *Array) MigrationsPending() bool { return a.migActive || len(a.migQueue)
 // migration's done callback runs, so no caller waits forever on a copy
 // that will never happen.
 func (a *Array) DropQueuedMigrations() {
-	a.syncPoint()
 	q := a.migQueue
 	a.migQueue = nil
 	for _, m := range q {
@@ -1122,14 +1104,12 @@ func (a *Array) DropQueuedMigrations() {
 
 // FlushAll destages every dirty write-delayed item, as at end of run.
 func (a *Array) FlushAll() {
-	a.syncPoint()
 	a.flushWriteDelay(a.clk.Now())
 }
 
 // Finish integrates every enclosure's power timeline up to now. Call it
 // once after the event queue drains, before reading the meter.
 func (a *Array) Finish() {
-	a.syncPoint()
 	now := a.clk.Now()
 	for _, e := range a.enc {
 		e.sync(now)

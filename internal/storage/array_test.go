@@ -466,7 +466,7 @@ func TestSubmitToUnplacedItemErrors(t *testing.T) {
 }
 
 // TestSubmitRejectsOffsetsOutsidePageRange: the cache's packed page key
-// covers page indexes [0, 2^32) only, so Submit and PlanSubmit reject a
+// covers page indexes [0, 2^32) only, so Submit rejects a
 // negative offset or a span reaching page 2^32, naming item and offset,
 // and accept the last page in range.
 func TestSubmitRejectsOffsetsOutsidePageRange(t *testing.T) {
@@ -482,9 +482,6 @@ func TestSubmitRejectsOffsetsOutsidePageRange(t *testing.T) {
 		want := fmt.Sprintf("item %d at offset %d outside the cache page range", rec.Item, rec.Offset)
 		if _, err := arr.Submit(rec); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Submit(off %d) error %v, want %q", rec.Offset, err, want)
-		}
-		if _, err := arr.PlanSubmit(rec); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("PlanSubmit(off %d) error %v, want %q", rec.Offset, err, want)
 		}
 	}
 	if st := arr.Stats(); st.PhysicalReads+st.PhysicalWrites != 0 {

@@ -52,8 +52,8 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("time_ns,item,offset,size,op\n1,2,3,4,R\n")
 	f.Add("5,0,0,1,W\n")
 	f.Add(",,,,\n")
-	f.Add("1,2147483647,0,4,R\n")            // churned-volume ID at the item ceiling
-	f.Add("5,1,0,0,R\n")                     // zero-length extent: rejected
+	f.Add("1,2147483647,0,4,R\n")              // churned-volume ID at the item ceiling
+	f.Add("5,1,0,0,R\n")                       // zero-length extent: rejected
 	f.Add("9,1,0,4,R\n9,2,0,4,W\n9,3,0,8,R\n") // burst: equal timestamps
 	f.Fuzz(func(t *testing.T, data string) {
 		recs, err := ReadCSV(bytes.NewReader([]byte(data)))

@@ -159,7 +159,7 @@ type cloudProfile struct {
 
 // GenerateCloudBlock builds the cloud-block workload. The trace is
 // open-loop: cloud volumes are driven by independent guest VMs, not one
-// blocking application thread, which also makes the replay shardable.
+// blocking application thread.
 func GenerateCloudBlock(cfg CloudBlockConfig) (*Workload, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

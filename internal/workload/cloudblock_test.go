@@ -109,7 +109,7 @@ func TestCloudBlockShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w.ClosedLoop {
-		t.Fatal("cloudblock must replay open-loop (shardable)")
+		t.Fatal("cloudblock must replay open-loop")
 	}
 	if w.Catalog.Len() != cfg.Volumes {
 		t.Fatalf("catalog has %d items, want %d volumes", w.Catalog.Len(), cfg.Volumes)

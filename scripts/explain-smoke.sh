@@ -3,8 +3,7 @@
 # pipeline end to end. A fileserver run with an injected spin-up-fault
 # storm under a deliberately tight energy budget must produce an
 # `esmstat explain` report that names the injected cause — and both the
-# ledger and the rendered report must be byte-identical across a rerun
-# and across serial vs the sharded engine (-shards 4).
+# ledger and the rendered report must be byte-identical across a rerun.
 set -eu
 
 GO=${GO:-go}
@@ -31,28 +30,23 @@ bench() { # bench OUTDIR [extra flags...]
         > "$out.log" 2>&1 || { cat "$out.log"; exit 1; }
 }
 
-echo "== serial run, rerun, and -shards 4"
+echo "== run and rerun"
 bench "$DIR/a"
 bench "$DIR/b"
-bench "$DIR/sharded" -shards 4
 
-echo "== ledger byte-identity (rerun and serial-vs-sharded)"
+echo "== ledger byte-identity across the rerun"
 cmp "$DIR/a/fileserver-esm.prov.csv" "$DIR/b/fileserver-esm.prov.csv"
-cmp "$DIR/a/fileserver-esm.prov.csv" "$DIR/sharded/fileserver-esm.prov.csv"
 
-echo "== flight series time-aligned diff (serial vs sharded must be identical)"
+echo "== flight series time-aligned diff (the rerun must be identical)"
 "$DIR/esmstat" diff -series \
-    "$DIR/a/fileserver-esm.series.csv" "$DIR/sharded/fileserver-esm.series.csv"
+    "$DIR/a/fileserver-esm.series.csv" "$DIR/b/fileserver-esm.series.csv"
 
 echo "== explain over the whole run must name the injected cause"
 "$DIR/esmstat" explain -since 0s "$DIR/a/fileserver-esm.prov.csv" \
     > "$DIR/report-a.txt"
 "$DIR/esmstat" explain -since 0s "$DIR/b/fileserver-esm.prov.csv" \
     > "$DIR/report-b.txt"
-"$DIR/esmstat" explain -since 0s "$DIR/sharded/fileserver-esm.prov.csv" \
-    > "$DIR/report-sharded.txt"
 cmp "$DIR/report-a.txt" "$DIR/report-b.txt"
-cmp "$DIR/report-a.txt" "$DIR/report-sharded.txt"
 grep -q 'fault burst: 20 injected faults (causes: spinup-fail x20)' "$DIR/report-a.txt" || {
     cat "$DIR/report-a.txt"
     echo "explain report does not name the injected fault burst"
