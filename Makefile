@@ -139,10 +139,10 @@ alert-smoke:
 	$(GO) test -race -count=1 -run 'TestClassCountRulesFire|TestTelemetryReachesWrappedPolicy' ./internal/replay/
 	sh scripts/alert-smoke.sh
 
-# explain-smoke gates the decision-provenance ledger and the root-cause
-# pipeline: an injected spin-up-fault storm under a tight energy budget
-# must yield an `esmstat explain` report naming the injected cause,
-# byte-identical across a rerun.
+# explain-smoke gates the decision log and the root-cause pipeline: an
+# injected spin-up-fault storm under a tight energy budget must yield an
+# `esmstat explain` report naming the injected cause; the ESM run's
+# event stream, ledger and report must be byte-identical across a rerun.
 explain-smoke:
 	sh scripts/explain-smoke.sh
 

@@ -54,17 +54,12 @@ func main() {
 	jsonPath := flag.String("json", "", "also write per-figure results as JSON to this file")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m (see README)")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules evaluated per replay on the flight sampling grid, e.g. budget:total_energy_j>1.5e6:for=30s (see DESIGN.md §16)")
-	provenance := flag.Bool("provenance", false, "record the decision-provenance ledger per replay and write it as <workload>-<policy>.prov.csv into the -series directory (requires -series; attaches a sink-less tracer so the energy ledger's top items are joined in)")
+	provPath := flag.String("provenance", "", "record the decision-provenance ledger per replay and write it as CSV here (policy and workload are inserted into the name; attaches a sink-less tracer so the energy ledger's top items are joined in)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println(obs.VersionString("esmbench"))
 		return
-	}
-
-	if *provenance && *seriesDir == "" {
-		fmt.Fprintln(os.Stderr, "esmbench: -provenance requires -series DIR (the ledger CSV is written next to the series)")
-		os.Exit(2)
 	}
 
 	var alertRules []obs.Rule
@@ -99,63 +94,69 @@ func main() {
 		}
 		return
 	}
-	if err := run(*scale, *kind, *fig, *extended, *events, *tracePath, *seriesDir, *jsonPath, fc, alertRules, *provenance); err != nil {
+	if err := run(*scale, *kind, *fig, *extended, *events, *tracePath, *seriesDir, *jsonPath, *provPath, fc, alertRules); err != nil {
 		fmt.Fprintln(os.Stderr, "esmbench:", err)
 		os.Exit(1)
 	}
 }
 
-// traceFileFor derives the per-run trace path from the -trace flag:
-// "out.json" becomes "out-fileserver-esm.json".
-func traceFileFor(path, workload, policy string) string {
+// runFileFor derives a per-run path from the -trace or -provenance
+// flag: "out.json" becomes "out-fileserver-esm.json".
+func runFileFor(path, workload, policy string) string {
 	ext := filepath.Ext(path)
 	return path[:len(path)-len(ext)] + "-" + workload + "-" + policy + ext
+}
+
+// writeCSV writes one series as CSV to path.
+func writeCSV(path string, s *obs.Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeLedgers writes every replay's provenance ledger of ev to its
+// per-run -provenance path.
+func writeLedgers(provPath string, ev *experiments.Eval) error {
+	for i, f := range ev.Policies {
+		if s := ev.Results[i].ProvSeries; s != nil {
+			if err := writeCSV(runFileFor(provPath, ev.Workload.Name, f.Name), s); err != nil {
+				return err
+			}
+		}
+	}
+	fmt.Printf("   (wrote %d provenance ledgers: %s ...)\n", len(ev.Policies), runFileFor(provPath, ev.Workload.Name, ev.Policies[0].Name))
+	return nil
 }
 
 // writeSeriesAndManifests writes, for every replay of ev, the flight
 // series as <dir>/<workload>-<policy>.series.csv and the run manifest
 // as <dir>/BENCH_<workload>-<policy>.json — the pair `esmstat diff`
-// compares across runs.
-func writeSeriesAndManifests(dir string, scale float64, fc *faults.Config, ev *experiments.Eval) error {
+// compares across runs. A manifest names the run's ledger when
+// -provenance wrote one.
+func writeSeriesAndManifests(dir, provPath string, scale float64, fc *faults.Config, ev *experiments.Eval) error {
 	for i, f := range ev.Policies {
 		res := ev.Results[i]
 		base := ev.Workload.Name + "-" + f.Name
 		seriesFile := base + ".series.csv"
 		if s := res.Series; s != nil {
-			sf, err := os.Create(filepath.Join(dir, seriesFile))
-			if err != nil {
-				return err
-			}
-			if err := s.WriteCSV(sf); err != nil {
-				sf.Close()
-				return err
-			}
-			if err := sf.Close(); err != nil {
+			if err := writeCSV(filepath.Join(dir, seriesFile), s); err != nil {
 				return err
 			}
 		} else {
 			seriesFile = ""
 		}
-		provFile := base + ".prov.csv"
-		if s := res.ProvSeries; s != nil {
-			pf, err := os.Create(filepath.Join(dir, provFile))
-			if err != nil {
-				return err
-			}
-			if err := s.WriteCSV(pf); err != nil {
-				pf.Close()
-				return err
-			}
-			if err := pf.Close(); err != nil {
-				return err
-			}
-		} else {
-			provFile = ""
-		}
 		m := experiments.NewManifest(ev.Workload, f.Name, scale, fc, res)
 		m.Date = time.Now().Format("2006-01-02")
 		m.SeriesFile = seriesFile
-		m.ProvFile = provFile
+		if provPath != "" && res.ProvSeries != nil {
+			m.ProvFile = runFileFor(provPath, ev.Workload.Name, f.Name)
+		}
 		if err := m.WriteFile(filepath.Join(dir, "BENCH_"+base+".json")); err != nil {
 			return err
 		}
@@ -202,7 +203,7 @@ func runSweeps(scale float64, kindFlag string) error {
 	return nil
 }
 
-func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tracePath, seriesDir, jsonPath string, fc *faults.Config, alertRules []obs.Rule, provenance bool) error {
+func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tracePath, seriesDir, jsonPath, provPath string, fc *faults.Config, alertRules []obs.Rule) error {
 	if seriesDir != "" {
 		if err := os.MkdirAll(seriesDir, 0o755); err != nil {
 			return err
@@ -312,7 +313,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				tel.Recorder = obs.New(obs.Options{Sink: sink, Label: name + "/" + policy})
 			}
 			if tracePath != "" {
-				file := traceFileFor(tracePath, name, policy)
+				file := runFileFor(tracePath, name, policy)
 				if f, err := os.Create(file); err != nil {
 					fmt.Fprintln(os.Stderr, "esmbench: -trace:", err)
 				} else {
@@ -323,7 +324,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 					tracers = append(tracers, tel.Tracer)
 					traceFiles = append(traceFiles, file)
 				}
-			} else if provenance {
+			} else if provPath != "" {
 				tel.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: w.Enclosures})
 			}
 			if seriesDir != "" {
@@ -334,7 +335,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				Recorder: tel.Recorder,
 				Instance: name + "/" + policy,
 			})
-			if provenance {
+			if provPath != "" {
 				tel.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
 			}
 			return tel
@@ -354,7 +355,12 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			printAlerts(ev)
 		}
 		if seriesDir != "" {
-			if err := writeSeriesAndManifests(seriesDir, ks, fc, ev); err != nil {
+			if err := writeSeriesAndManifests(seriesDir, provPath, ks, fc, ev); err != nil {
+				return err
+			}
+		}
+		if provPath != "" {
+			if err := writeLedgers(provPath, ev); err != nil {
 				return err
 			}
 		}

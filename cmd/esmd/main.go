@@ -69,8 +69,7 @@ func main() {
 	seriesInterval := flag.Duration("series-interval", 30*time.Second, "flight-recorder sampling interval (simulated time)")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules for the single array, e.g. budget:total_energy_j>1.5e6:for=30s (fleet mode: declare rules in the fleet file)")
-	provenance := flag.Bool("provenance", false, "record the decision-provenance ledger, served live at /arrays/<name>/provenance (fleet mode: set \"provenance\" per array in the fleet file)")
-	provPath := flag.String("provenance-out", "", "write the provenance ledger here as CSV on exit (implies -provenance)")
+	provPath := flag.String("provenance", "", "record the decision-provenance ledger and write it here as CSV on exit (also served live at /arrays/<name>/provenance; fleet mode: set \"provenance\" per array in the fleet file)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -93,7 +92,6 @@ func main() {
 		seriesEvery:   *seriesInterval,
 		faults:        *faultSpec,
 		alerts:        *alertSpec,
-		provenance:    *provenance || *provPath != "",
 		provPath:      *provPath,
 	}
 	if opts.fleetPath == "" && (opts.catalogPath == "" || opts.placementPath == "") {
@@ -121,7 +119,6 @@ type daemonOpts struct {
 	seriesEvery   time.Duration
 	faults        string
 	alerts        string
-	provenance    bool
 	provPath      string
 }
 
@@ -157,7 +154,7 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 		Config:     opts.configPath,
 		Faults:     opts.faults,
 		Alerts:     alerts,
-		Provenance: opts.provenance,
+		Provenance: opts.provPath != "",
 	})
 	if err != nil {
 		return nil, err
@@ -253,12 +250,10 @@ func runSingle(opts daemonOpts, in io.Reader, out io.Writer) error {
 	if p := d.arr.ProvenanceSummary(); p != nil {
 		fmt.Fprintf(out, "provenance: %d rows (%d offered, stride %d): %d determinations, %d decisions, %d transitions\n",
 			p.Records, p.Offered, p.Stride, p.Determinations, p.Decisions, p.Transitions)
-		if opts.provPath != "" {
-			if err := writeCSV(opts.provPath, d.arr.ProvenanceSeries()); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "provenance ledger written to %s\n", opts.provPath)
+		if err := writeCSV(opts.provPath, d.arr.ProvenanceSeries()); err != nil {
+			return err
 		}
+		fmt.Fprintf(out, "provenance ledger written to %s\n", opts.provPath)
 	}
 	if err := d.fl.Close(); err != nil {
 		return err

@@ -227,7 +227,7 @@ func renderRun(out io.Writer, run string, events []obs.Event) {
 // renderTimelines draws one character strip per enclosure: '#' on,
 // '.' off, '^' spinning up, sampled at the start of each column.
 func renderTimelines(out io.Writer, events []obs.Event, span time.Duration) {
-	segs := timelinesOf(events)
+	segs := obs.PowerSegments(events)
 	if len(segs) == 0 || span <= 0 {
 		return
 	}
@@ -262,23 +262,6 @@ func renderTimelines(out io.Writer, events []obs.Event, span time.Duration) {
 		off := obs.OffTime(segs[e], span)
 		fmt.Fprintf(out, "  enc %-3d %s  %.0f%% off\n", e, strip, 100*off.Seconds()/span.Seconds())
 	}
-}
-
-// timelinesOf reconstructs per-enclosure power segments from the power
-// events of one run. Enclosures start "on"; a power_on event marks the
-// start of the spin-up.
-func timelinesOf(events []obs.Event) map[int][]obs.Segment {
-	segs := map[int][]obs.Segment{}
-	for _, ev := range events {
-		if ev.Type != obs.EvPowerOn && ev.Type != obs.EvPowerOff {
-			continue
-		}
-		p := ev.Power
-		segs[p.Enclosure] = append(segs[p.Enclosure], obs.Segment{
-			T: time.Duration(ev.T), State: p.State, Cause: p.Cause,
-		})
-	}
-	return segs
 }
 
 // stateAt returns "on" or "off" at time at, given the time-ordered

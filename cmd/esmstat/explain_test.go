@@ -43,20 +43,21 @@ func explainFixture(t *testing.T) string {
 	t.Helper()
 	p := obs.NewProvenance(obs.ProvenanceOptions{})
 	at := func(m int) time.Duration { return time.Duration(m) * time.Minute }
-	p.Determination(at(4), 1, obs.CausePeriodEnd, 2, 1)
-	p.Decision(at(4), obs.ProvDecision{
-		Kind: obs.ProvMove, Det: 1, Cause: obs.CausePeriodEnd, Item: 7, Class: 0,
-		PrevClass: -1, Src: 0, Dst: 2, IntervalS: 300, ReadRatio: 0.9, ToCold: true,
-	})
-	p.Decision(at(4), obs.ProvDecision{
-		Kind: obs.ProvReclass, Det: 1, Cause: obs.CausePeriodEnd, Item: 8, Class: 0, PrevClass: 3, Src: 1, Dst: -1,
-	})
-	for i := 0; i < 3; i++ {
-		p.Fault(at(5)+time.Duration(i)*time.Second, 2, "spinup-fail")
-		p.PowerTransition(at(5)+time.Duration(i)*time.Second, 2, "spinup", obs.CauseDemand)
+	for _, d := range []obs.Decision{
+		{Kind: obs.ProvDetermination, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1},
+		{Kind: obs.ProvMove, Item: 7, Class: 0, PrevClass: -1, Src: 0, Dst: 2, IntervalS: 300, ReadRatio: 0.9, ToCold: true},
+		{Kind: obs.ProvReclass, Item: 8, Class: 0, PrevClass: 3, Src: 1, Dst: -1},
+	} {
+		d.Det, d.Cause = 1, obs.CausePeriodEnd
+		p.Log(at(4), obs.Event{Type: obs.EvDecision, Decision: &d})
 	}
-	p.PowerTransition(at(6), 2, "on", obs.CauseDemand)
-	p.MigrationDone(at(7), 7, 0, 2)
+	for i := 0; i < 3; i++ {
+		t := at(5) + time.Duration(i)*time.Second
+		p.Log(t, obs.Event{Type: obs.EvFault, Fault: &obs.FaultEvent{Kind: "spinup-fail", Enclosure: 2}})
+		p.Log(t, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: 2, State: "spinup", Cause: obs.CauseDemand}})
+	}
+	p.Log(at(6), obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: 2, State: "on", Cause: obs.CauseDemand}})
+	p.Log(at(7), obs.Event{Type: obs.EvMigrationDone, Migration: &obs.MigrationEvent{Item: 7, Src: 0, Dst: 2}})
 	p.RecordAttribution(at(20), &obs.Attribution{
 		TotalJ: 1000,
 		Enclosures: []obs.EnclosureAttribution{{
@@ -122,10 +123,10 @@ func TestExplainAlertWindow(t *testing.T) {
 	path := explainFixture(t)
 	var events bytes.Buffer
 	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Registry: obs.NewRegistry(), Label: "x"})
-	rec.Alert(8*time.Minute, obs.AlertEvent{
+	rec.Log(8*time.Minute, obs.Event{Type: obs.EvAlert, Alert: &obs.AlertEvent{
 		Rule: "budget", State: string(obs.AlertFiring), Prev: "pending",
 		Signal: "total_energy_j", Value: 2000, Threshold: 1500,
-	})
+	}})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

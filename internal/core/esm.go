@@ -192,11 +192,13 @@ func (d *ESM) enterDegraded(now time.Duration) {
 		arr.SetSpinDownEnabled(e, false)
 	}
 	arr.DropQueuedMigrations()
-	d.tel.Recorder.Degradation(now, obs.DegradeEvent{
-		Entered:  true,
-		Faults:   len(d.faultTimes),
-		WindowNS: int64(d.params.FaultWindow),
-	})
+	if d.tel.Logging() {
+		d.tel.Log(now, obs.Event{Type: obs.EvDegrade, Degrade: &obs.DegradeEvent{
+			Entered:  true,
+			Faults:   len(d.faultTimes),
+			WindowNS: int64(d.params.FaultWindow),
+		}})
+	}
 	d.tel.Alerts.ObserveSignal(now, "degraded", 1)
 }
 
@@ -226,7 +228,10 @@ func (d *ESM) maybeReplan(now time.Duration, cause obs.Cause, ev obs.ReplanEvent
 	if d.ranOnce && now-d.lastRun < d.params.ReplanCooldown {
 		return
 	}
-	d.tel.Recorder.ReplanTrigger(now, ev)
+	if d.tel.Logging() {
+		ev := ev // a copy, so the parameter itself never escapes
+		d.tel.Log(now, obs.Event{Type: obs.EvReplanTrigger, Replan: &ev})
+	}
 	d.runManagement(now, cause)
 }
 
@@ -238,7 +243,9 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	d.inManagement = true
 	defer func() { d.inManagement = false }()
 
-	d.tel.Recorder.DeterminationStart(now, d.determinations+1, cause)
+	if d.tel.Logging() {
+		d.tel.Log(now, obs.Event{Type: obs.EvDeterminationStart, Determination: &obs.DeterminationEvent{N: d.determinations + 1, Cause: cause}})
+	}
 	stats := d.appMon.EndPeriod(now)
 	arr := d.ctx.Array
 
@@ -248,10 +255,12 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	if d.degraded && now-d.lastFault >= d.params.FaultWindow {
 		d.degraded = false
 		d.faultTimes = d.faultTimes[:0]
-		d.tel.Recorder.Degradation(now, obs.DegradeEvent{
-			Entered:  false,
-			WindowNS: int64(d.params.FaultWindow),
-		})
+		if d.tel.Logging() {
+			d.tel.Log(now, obs.Event{Type: obs.EvDegrade, Degrade: &obs.DegradeEvent{
+				Entered:  false,
+				WindowNS: int64(d.params.FaultWindow),
+			}})
+		}
 		d.tel.Alerts.ObserveSignal(now, "degraded", 0)
 	}
 
@@ -304,7 +313,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	// the plan executes, so the decision rows precede the runtime rows
 	// (cache loads, destages, power transitions) they provoke.
 	if d.tel.Provenance.Enabled() {
-		d.emitProvenance(now, cause, stats, &plan, wd, pre)
+		d.logDecisions(now, cause, stats, &plan, wd, pre)
 	}
 
 	arr.SetWriteDelay(wd)
@@ -347,25 +356,21 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	for _, p := range plan.Patterns {
 		d.classCounts[p]++
 	}
-	if d.tel.Recorder.Enabled() {
-		nHot := 0
-		for _, h := range plan.Hot {
-			if h {
-				nHot++
-			}
-		}
-		d.tel.Recorder.Determination(now, obs.DeterminationEvent{
+	if d.tel.Logging() {
+		d.tel.Log(now, obs.Event{Type: obs.EvDetermination, Determination: &obs.DeterminationEvent{
 			N:             d.determinations,
 			Cause:         cause,
 			PatternCounts: d.classCounts,
 			Hot:           append([]bool(nil), plan.Hot...),
-			NHot:          nHot,
+			NHot:          countHot(plan.Hot),
 			Moves:         len(plan.Moves),
 			WriteDelay:    len(wd),
 			Preload:       len(pre),
 			NextPeriodNS:  int64(d.period),
-		})
-		d.tel.Recorder.PeriodAdapt(now, oldPeriod, d.period)
+		}})
+		if oldPeriod != d.period {
+			d.tel.Log(now, obs.Event{Type: obs.EvPeriodAdapt, Period: &obs.PeriodEvent{OldNS: int64(oldPeriod), NewNS: int64(d.period)}})
+		}
 	}
 	if trc := d.tel.Tracer; trc != nil {
 		classes := make([]uint8, len(plan.Patterns))
@@ -382,21 +387,33 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	d.scheduleWake(d.period)
 }
 
-// emitProvenance records one determination's decision rows: the
-// summary, every reclassified item, every planned move with its
-// candidate placement costs and predicted deltas, and the preload and
-// write-delay picks — each with the per-item features (interval
-// estimate, read ratio) the decision was computed from. Only called
-// while a provenance recorder is attached.
-func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor.ItemPeriodStats, plan *Plan, wd, pre []trace.ItemID) {
+// countHot returns the number of hot enclosures in a hot mask.
+func countHot(hot []bool) int {
+	n := 0
+	for _, h := range hot {
+		if h {
+			n++
+		}
+	}
+	return n
+}
+
+// logDecisions records one determination's decisions: the summary,
+// every reclassified item, every planned move with its candidate
+// placement costs, and the preload and write-delay picks — each with
+// the per-item features (interval estimate, read ratio) the decision
+// was computed from. Only the provenance ledger encodes decisions, so
+// it is only called while one is attached.
+func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.ItemPeriodStats, plan *Plan, wd, pre []trace.ItemID) {
 	arr := d.ctx.Array
 	det := d.determinations + 1
-
-	nHot := 0
-	for _, h := range plan.Hot {
-		if h {
-			nHot++
-		}
+	// One payload serves every decision: the ledger copies each into a
+	// row and the event stream drops decisions, so neither keeps it.
+	var dec obs.Decision
+	decide := func(x obs.Decision) {
+		dec = x
+		dec.Det, dec.Cause = det, cause
+		d.tel.Log(now, obs.Event{Type: obs.EvDecision, Decision: &dec})
 	}
 	// Planned per-enclosure IOPS load under the new placement — the
 	// candidate cost the planner packs against (§IV-F).
@@ -423,15 +440,18 @@ func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor
 		return -1
 	}
 
-	d.tel.Provenance.Determination(now, det, cause, nHot, len(plan.Moves))
+	decide(obs.Decision{
+		Kind: obs.ProvDetermination, Item: -1, Class: -1, PrevClass: -1,
+		Src: countHot(plan.Hot), Dst: len(plan.Moves),
+	})
 	if len(d.prevPatterns) == len(plan.Patterns) {
 		for i, p := range plan.Patterns {
 			if d.prevPatterns[i] == p {
 				continue
 			}
 			iv, rr := feature(i)
-			d.tel.Provenance.Decision(now, obs.ProvDecision{
-				Kind: obs.ProvReclass, Det: det, Cause: cause,
+			decide(obs.Decision{
+				Kind: obs.ProvReclass,
 				Item: int64(i), Class: int(p), PrevClass: int(d.prevPatterns[i]),
 				Src: arr.ItemEnclosure(trace.ItemID(i)), Dst: -1,
 				IntervalS: iv, ReadRatio: rr,
@@ -442,8 +462,8 @@ func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor
 		i := int(mv.Item)
 		iv, rr := feature(i)
 		src := arr.ItemEnclosure(mv.Item)
-		d.tel.Provenance.Decision(now, obs.ProvDecision{
-			Kind: obs.ProvMove, Det: det, Cause: cause,
+		decide(obs.Decision{
+			Kind: obs.ProvMove,
 			Item: int64(mv.Item), Class: int(plan.Patterns[i]), PrevClass: prevOf(i),
 			Src: src, Dst: mv.Dst,
 			IntervalS: iv, ReadRatio: rr,
@@ -454,8 +474,8 @@ func (d *ESM) emitProvenance(now time.Duration, cause obs.Cause, stats []monitor
 	pick := func(kind int, items []trace.ItemID) {
 		for _, it := range items {
 			iv, rr := feature(int(it))
-			d.tel.Provenance.Decision(now, obs.ProvDecision{
-				Kind: kind, Det: det, Cause: cause,
+			decide(obs.Decision{
+				Kind: kind,
 				Item: int64(it), Class: int(plan.Patterns[it]), PrevClass: prevOf(int(it)),
 				Src: arr.ItemEnclosure(it), Dst: -1,
 				IntervalS: iv, ReadRatio: rr,

@@ -71,8 +71,8 @@ type Manifest struct {
 	// SeriesFile is the path of the flight-recorder series written
 	// alongside this manifest (empty when none was).
 	SeriesFile string `json:"series_file,omitempty"`
-	// ProvFile is the path of the decision-provenance CSV written
-	// alongside this manifest (empty when none was).
+	// ProvFile is the path of the decision-provenance CSV written for
+	// this run (empty when none was).
 	ProvFile string         `json:"provenance_file,omitempty"`
 	Totals   ManifestTotals `json:"totals"`
 }

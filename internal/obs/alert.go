@@ -438,14 +438,14 @@ func (w *Watchdog) transitionLocked(rs *ruleState, t time.Duration, next AlertSt
 		}
 	}
 	if w.rec != nil {
-		ev := AlertEvent{
+		ev := &AlertEvent{
 			Rule: rs.rule.Name, State: string(next), Prev: string(prev),
 			Signal: rs.rule.Signal, Value: rs.value, Threshold: rs.rule.Threshold,
 		}
 		if next == AlertPending || next == AlertFiring {
 			ev.SinceNS = int64(rs.condSince)
 		}
-		w.rec.Alert(t, ev)
+		w.rec.Log(t, Event{Type: EvAlert, Alert: ev})
 	}
 }
 

@@ -239,6 +239,25 @@ func TestNilWatchdogAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("nil watchdog allocated %.1f/op", n)
 	}
+	// A live watchdog with no recorder transitions without building an
+	// alert record for the decision log.
+	rules, err := ParseRules([]string{"degraded:degraded>=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewWatchdog(WatchdogOptions{Rules: rules})
+	at := time.Second
+	if n := testing.AllocsPerRun(100, func() {
+		at += time.Second
+		live.ObserveSignal(at, "degraded", 1)
+		at += time.Second
+		live.ObserveSignal(at, "degraded", 0)
+	}); n != 0 {
+		t.Fatalf("recorder-less watchdog allocated %.1f/op", n)
+	}
+	if sum := live.Summary(); sum.Fired < 100 {
+		t.Fatalf("rule fired %d times, the gate measured no transitions", sum.Fired)
+	}
 	if w.States() != nil || w.Rules() != nil {
 		t.Fatal("nil watchdog returned non-nil state")
 	}

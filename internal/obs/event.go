@@ -1,6 +1,8 @@
-// The typed event stream: one envelope per consequential transition,
-// serialised as one JSON object per line (JSONL) so a saved log can be
-// replayed, diffed, or fed to external tooling.
+// The decision log's record: one typed envelope per decision or
+// consequential transition. Decision sites hand it to Telemetry.Log,
+// which fans it out to the sinks; the Recorder serialises its kinds as
+// one JSON object per line (JSONL) so a saved log can be replayed,
+// diffed, or fed to external tooling.
 
 package obs
 
@@ -32,10 +34,14 @@ const (
 	EvDegrade            EventType = "degrade"
 	EvMigrationFail      EventType = "migration_fail"
 	EvAlert              EventType = "alert"
+	// EvDecision is a determination-time decision (Decision payload).
+	// Only the provenance ledger encodes it; the JSONL stream never
+	// carries one.
+	EvDecision EventType = "decision"
 )
 
-// Event is the envelope every transition is reported in. Exactly one
-// payload pointer is set, matching Type.
+// Event is the record every decision and transition is reported in.
+// Exactly one payload pointer is set, matching Type.
 type Event struct {
 	// Seq is the 1-based emission order within one recorder.
 	Seq int64 `json:"seq"`
@@ -56,6 +62,37 @@ type Event struct {
 	Fault         *FaultEvent         `json:"fault,omitempty"`
 	Degrade       *DegradeEvent       `json:"degrade,omitempty"`
 	Alert         *AlertEvent         `json:"alert,omitempty"`
+	Decision      *Decision           `json:"-"`
+}
+
+// Decision is one determination-time decision of the management
+// function, with the per-item features that led to it: the
+// determination's summary row, a planned move, a reclassification, or
+// a preload/write-delay pick. It is the provenance ledger's payload and
+// has no JSON encoding.
+type Decision struct {
+	// Kind is ProvDetermination, ProvMove, ProvReclass, ProvPreload or
+	// ProvDestage.
+	Kind  int
+	Det   int64
+	Cause Cause
+	// Item is -1 on the summary row.
+	Item      int64
+	Class     int // P0-P3 after this determination; -1 on the summary row
+	PrevClass int // class before; -1 when unchanged/unknown
+	// Src is the item's current enclosure (-1 unknown) and Dst a move's
+	// destination (-1 otherwise); the summary row carries the hot
+	// enclosure count and the planned move count in them.
+	Src       int
+	Dst       int
+	IntervalS float64
+	ReadRatio float64
+	CostSrc   float64 // planned IOPS load on Src after placement
+	CostDst   float64 // planned IOPS load on Dst after placement
+	// ToCold marks a move that packs the item onto a power-managed
+	// cold enclosure (predicted to save idle joules at the price of
+	// spin-up exposure); false predicts the inverse trade.
+	ToCold bool
 }
 
 // DeterminationEvent describes one run of the power management
@@ -98,7 +135,9 @@ type CacheEvent struct {
 }
 
 // PowerEvent describes one enclosure power transition. State is
-// "spinup" (power-on begins) or "off".
+// "spinup" (power-on begins, type power_on), "on" (service begins
+// SpinUpTime later, also power_on; only the ledger keeps it) or "off"
+// (type power_off).
 type PowerEvent struct {
 	Enclosure int    `json:"enclosure"`
 	State     string `json:"state"`
@@ -250,8 +289,9 @@ func (s *CollectSink) Events() []Event {
 }
 
 // AllEventTypes returns every event kind a Recorder can emit, in
-// declaration order. Renderer tests iterate it so a newly added kind
-// cannot silently fall through to raw-JSON output.
+// declaration order (EvDecision, which it never emits, is not one).
+// Renderer tests iterate it so a newly added kind cannot silently fall
+// through to raw-JSON output.
 func AllEventTypes() []EventType {
 	return []EventType{
 		EvDeterminationStart, EvDetermination,

@@ -1,13 +1,16 @@
-// Package obs is the telemetry layer: a typed event stream (JSONL), a
-// dependency-free counter/gauge registry rendered in Prometheus text
-// exposition format, and per-enclosure power-state timelines.
+// Package obs is the telemetry layer. Its spine is one decision log:
+// every decision site builds one typed Event and hands it to
+// Telemetry.Log, which fans it out to the sinks — the Recorder (the
+// JSONL event stream and the esm_* counters of a dependency-free
+// registry rendered in Prometheus text exposition format) and the
+// Provenance ledger. Spans, flight samples and alerts are the other
+// surfaces.
 //
-// The entry point is the Recorder. A nil *Recorder is a valid, fully
-// disabled recorder: every method nil-checks its receiver and returns
-// immediately, so instrumented hot paths (storage.Array.Submit, the
-// physical I/O path) pay exactly one pointer comparison when telemetry
-// is off. Construct one with New only when an event sink, a registry,
-// or timelines are actually wanted.
+// A nil *Recorder is a valid, fully disabled recorder: every method
+// nil-checks its receiver and returns immediately, so instrumented hot
+// paths (storage.Array.Submit, the physical I/O path) pay exactly one
+// pointer comparison when telemetry is off. Construct one with New
+// only when an event sink or a registry is actually wanted.
 package obs
 
 import (
@@ -44,16 +47,16 @@ const (
 	CauseTriggerSpinUps Cause = "trigger-spinups"
 )
 
-// Recorder fans consequential transitions out to an event sink, a
-// metric registry and per-enclosure power timelines. All methods are
-// safe on a nil receiver (no-ops) and safe for concurrent use.
+// Recorder is the decision log's event-stream sink: it encodes records
+// for an event sink and keeps the esm_* metrics of a registry. All
+// methods are safe on a nil receiver (no-ops) and safe for concurrent
+// use.
 type Recorder struct {
-	mu        sync.Mutex
-	sink      Sink
-	reg       *Registry
-	label     string
-	seq       int64
-	timelines []*Timeline
+	mu    sync.Mutex
+	sink  Sink
+	reg   *Registry
+	label string
+	seq   int64
 
 	// Registry instruments, pre-resolved so the hot path does not pay
 	// a map lookup. All nil when no registry is attached.
@@ -75,7 +78,7 @@ type Recorder struct {
 }
 
 // Options configures a Recorder. All fields are optional; a zero
-// Options yields a recorder that only keeps timelines.
+// Options yields a recorder that keeps nothing.
 type Options struct {
 	// Sink receives every event. Nil discards events.
 	Sink Sink
@@ -119,11 +122,6 @@ func New(opts Options) *Recorder {
 	}
 	return r
 }
-
-// Enabled reports whether the recorder is live. Call sites that must
-// assemble a non-trivial payload guard on it; plain emit calls rely on
-// the methods' own nil checks instead.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Registry returns the attached registry, or nil.
 func (r *Recorder) Registry() *Registry {
@@ -191,129 +189,42 @@ func (r *Recorder) DelayedWrite() {
 	r.cDelayedWrites.Inc()
 }
 
-// PowerTransition records one enclosure power-state segment: an event,
-// a timeline segment, and the spin-up/power-off counters. state is one
-// of "on", "off", "spinup".
-func (r *Recorder) PowerTransition(t time.Duration, enc int, state string, cause Cause) {
+// Log is the recorder's one entry point for decision-log records: it
+// advances the esm_* registry instruments the record's kind drives and
+// hands the record to the sink. The recorder drops, by rule, what the
+// event stream does not carry: per-item decisions (EvDecision, the
+// ledger's), the "on" segment that ends a spin-up (the spin-up event
+// already reported the transition) and cache records listing no items.
+func (r *Recorder) Log(t time.Duration, ev Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	for len(r.timelines) <= enc {
-		r.timelines = append(r.timelines, &Timeline{})
-	}
-	r.timelines[enc].append(Segment{T: t, State: state, Cause: cause})
-	r.mu.Unlock()
 	if r.reg != nil {
-		switch state {
-		case "spinup":
+		r.count(ev)
+	}
+	switch {
+	case ev.Type == EvDecision,
+		ev.Power != nil && ev.Power.State == "on",
+		ev.Cache != nil && len(ev.Cache.Items) == 0:
+		return
+	}
+	r.emit(t, ev)
+}
+
+// count advances the registry instruments one record drives.
+func (r *Recorder) count(ev Event) {
+	switch ev.Type {
+	case EvPowerOn:
+		if ev.Power.State == "spinup" {
 			r.cSpinUps.Inc()
-		case "off":
-			r.cPowerOffs.Inc()
 		}
-	}
-	typ := EvPowerOn
-	if state == "off" {
-		typ = EvPowerOff
-	} else if state == "on" {
-		// The spin-up event already reported the transition; the
-		// "on" segment only extends the timeline.
-		return
-	}
-	r.emit(t, Event{Type: typ, Power: &PowerEvent{Enclosure: enc, State: state, Cause: cause}})
-}
-
-// Timeline returns a copy of enclosure enc's power-state segments (nil
-// for an unknown enclosure or a nil recorder).
-func (r *Recorder) Timeline(enc int) []Segment {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if enc < 0 || enc >= len(r.timelines) {
-		return nil
-	}
-	return r.timelines[enc].Segments()
-}
-
-// Timelines returns copies of every enclosure timeline recorded so far.
-func (r *Recorder) Timelines() [][]Segment {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([][]Segment, len(r.timelines))
-	for i, tl := range r.timelines {
-		out[i] = tl.Segments()
-	}
-	return out
-}
-
-// MigrationStart records the start of one data-item migration copy.
-func (r *Recorder) MigrationStart(t time.Duration, item int64, src, dst int, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.emit(t, Event{Type: EvMigrationStart, Migration: &MigrationEvent{Item: item, Src: src, Dst: dst, Bytes: bytes}})
-}
-
-// MigrationDone records a finished migration and its copied volume.
-func (r *Recorder) MigrationDone(t time.Duration, item int64, src, dst int, bytes int64) {
-	if r == nil {
-		return
-	}
-	if r.reg != nil {
+	case EvPowerOff:
+		r.cPowerOffs.Inc()
+	case EvMigrationDone:
 		r.cMigrations.Inc()
-		r.cMigratedBytes.Add(bytes)
-	}
-	r.emit(t, Event{Type: EvMigrationDone, Migration: &MigrationEvent{Item: item, Src: src, Dst: dst, Bytes: bytes}})
-}
-
-// MigrationSkipped records a migration dropped because its destination
-// was full when it reached the head of the queue.
-func (r *Recorder) MigrationSkipped(t time.Duration, item int64, dst int) {
-	if r == nil {
-		return
-	}
-	r.emit(t, Event{Type: EvMigrationSkip, Migration: &MigrationEvent{Item: item, Src: -1, Dst: dst}})
-}
-
-// CacheSelect records items newly selected for a cache function
-// ("preload" or "write-delay").
-func (r *Recorder) CacheSelect(t time.Duration, function string, items []int64) {
-	if r == nil || len(items) == 0 {
-		return
-	}
-	r.emit(t, Event{Type: EvCacheSelect, Cache: &CacheEvent{Function: function, Items: items}})
-}
-
-// CacheEvict records items dropped from a cache function.
-func (r *Recorder) CacheEvict(t time.Duration, function string, items []int64) {
-	if r == nil || len(items) == 0 {
-		return
-	}
-	r.emit(t, Event{Type: EvCacheEvict, Cache: &CacheEvent{Function: function, Items: items}})
-}
-
-// DeterminationStart records the power management function beginning a
-// run, with the cause that provoked it.
-func (r *Recorder) DeterminationStart(t time.Duration, n int64, cause Cause) {
-	if r == nil {
-		return
-	}
-	r.emit(t, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: n, Cause: cause}})
-}
-
-// Determination records a completed run of the power management
-// function: the per-item pattern counts, the hot/cold assignment and
-// the decisions taken.
-func (r *Recorder) Determination(t time.Duration, d DeterminationEvent) {
-	if r == nil {
-		return
-	}
-	if r.reg != nil {
+		r.cMigratedBytes.Add(ev.Migration.Bytes)
+	case EvDetermination:
+		d := ev.Determination
 		r.cDeterminations.Inc()
 		r.gPeriodSeconds.Set(time.Duration(d.NextPeriodNS).Seconds())
 		hot := 0
@@ -323,72 +234,16 @@ func (r *Recorder) Determination(t time.Duration, d DeterminationEvent) {
 			}
 		}
 		r.gHotEnclosures.Set(float64(hot))
-	}
-	r.emit(t, Event{Type: EvDetermination, Determination: &d})
-}
-
-// ReplanTrigger records a §V-D pattern-change trigger that actually
-// forced a replan, with the measurement that fired it.
-func (r *Recorder) ReplanTrigger(t time.Duration, ev ReplanEvent) {
-	if r == nil {
-		return
-	}
-	if r.reg != nil {
+	case EvReplanTrigger:
 		r.cReplanTriggers.Inc()
-	}
-	r.emit(t, Event{Type: EvReplanTrigger, Replan: &ev})
-}
-
-// Fault records one injected storage fault.
-func (r *Recorder) Fault(t time.Duration, ev FaultEvent) {
-	if r == nil {
-		return
-	}
-	if r.reg != nil {
+	case EvFault:
 		r.cFaults.Inc()
-	}
-	r.emit(t, Event{Type: EvFault, Fault: &ev})
-}
-
-// Degradation records the policy entering or leaving degraded mode.
-func (r *Recorder) Degradation(t time.Duration, ev DegradeEvent) {
-	if r == nil {
-		return
-	}
-	if r.reg != nil {
-		if ev.Entered {
+	case EvDegrade:
+		if ev.Degrade.Entered {
 			r.cDegradations.Inc()
 			r.gDegraded.Set(1)
 		} else {
 			r.gDegraded.Set(0)
 		}
 	}
-	r.emit(t, Event{Type: EvDegrade, Degrade: &ev})
-}
-
-// Alert records one alert-rule state transition. The Watchdog calls it
-// so alert events share the run's sequence counter with every other
-// event kind.
-func (r *Recorder) Alert(t time.Duration, ev AlertEvent) {
-	if r == nil {
-		return
-	}
-	r.emit(t, Event{Type: EvAlert, Alert: &ev})
-}
-
-// MigrationFailed records a migration abandoned because its source or
-// destination enclosure was unavailable.
-func (r *Recorder) MigrationFailed(t time.Duration, item int64, src, dst int) {
-	if r == nil {
-		return
-	}
-	r.emit(t, Event{Type: EvMigrationFail, Migration: &MigrationEvent{Item: item, Src: src, Dst: dst}})
-}
-
-// PeriodAdapt records a monitoring-period change (§IV-H).
-func (r *Recorder) PeriodAdapt(t time.Duration, old, next time.Duration) {
-	if r == nil || old == next {
-		return
-	}
-	r.emit(t, Event{Type: EvPeriodAdapt, Period: &PeriodEvent{OldNS: int64(old), NewNS: int64(next)}})
 }

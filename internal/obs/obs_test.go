@@ -7,53 +7,71 @@ import (
 	"time"
 )
 
+// Record builders shared by the decision-log tests.
+func powerRec(enc int, state string, cause Cause) Event {
+	typ := EvPowerOn
+	if state == "off" {
+		typ = EvPowerOff
+	}
+	return Event{Type: typ, Power: &PowerEvent{Enclosure: enc, State: state, Cause: cause}}
+}
+
+func migrationRec(typ EventType, item int64, src, dst int, bytes int64) Event {
+	return Event{Type: typ, Migration: &MigrationEvent{Item: item, Src: src, Dst: dst, Bytes: bytes}}
+}
+
+func cacheRec(typ EventType, function string, items ...int64) Event {
+	return Event{Type: typ, Cache: &CacheEvent{Function: function, Items: items}}
+}
+
+func decisionRec(d Decision) Event { return Event{Type: EvDecision, Decision: &d} }
+
 // TestNilRecorderIsNoOp: every method must be callable on a nil
 // recorder — the disabled fast path the hot I/O loop relies on.
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	r.PhysicalIO(true)
 	r.CacheHit()
 	r.DelayedWrite()
-	r.PowerTransition(time.Second, 0, "off", CauseIdleTimeout)
-	r.MigrationStart(0, 1, 0, 1, 100)
-	r.MigrationDone(0, 1, 0, 1, 100)
-	r.MigrationSkipped(0, 1, 1)
-	r.CacheSelect(0, "preload", []int64{1})
-	r.CacheEvict(0, "preload", []int64{1})
-	r.DeterminationStart(0, 1, CausePeriodEnd)
-	r.Determination(0, DeterminationEvent{N: 1})
-	r.ReplanTrigger(0, ReplanEvent{Trigger: CauseTriggerInterval})
-	r.PeriodAdapt(0, time.Second, 2*time.Second)
-	if r.Timeline(0) != nil || r.Timelines() != nil || r.Registry() != nil {
+	r.Log(time.Second, powerRec(0, "off", CauseIdleTimeout))
+	r.Log(0, migrationRec(EvMigrationDone, 1, 0, 1, 100))
+	r.Log(0, cacheRec(EvCacheSelect, "preload", 1))
+	r.Log(0, Event{Type: EvDetermination, Determination: &DeterminationEvent{N: 1}})
+	r.Log(0, decisionRec(Decision{Kind: ProvMove}))
+	if r.Registry() != nil {
 		t.Fatal("nil recorder returned non-nil state")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
+	var tel Telemetry
+	if tel.Logging() {
+		t.Fatal("zero telemetry reports a decision-log sink")
+	}
+	tel.Log(0, powerRec(0, "spinup", CauseDemand))
 }
 
 func TestEventStreamJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	rec := New(Options{Sink: NewJSONLSink(&buf), Label: "esm"})
-	rec.DeterminationStart(520*time.Second, 1, CausePeriodEnd)
-	rec.Determination(520*time.Second, DeterminationEvent{
+	rec.Log(520*time.Second, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: 1, Cause: CausePeriodEnd}})
+	rec.Log(520*time.Second, Event{Type: EvDetermination, Determination: &DeterminationEvent{
 		N: 1, Cause: CausePeriodEnd,
 		PatternCounts: [4]int{3, 2, 1, 4},
 		Hot:           []bool{true, false, true},
 		NHot:          2, Moves: 5, WriteDelay: 2, Preload: 1,
 		NextPeriodNS: int64(624 * time.Second),
-	})
-	rec.PowerTransition(600*time.Second, 1, "off", CauseIdleTimeout)
-	rec.PowerTransition(700*time.Second, 1, "spinup", CauseDemand)
-	rec.PowerTransition(715*time.Second, 1, "on", CauseDemand)
-	rec.MigrationStart(520*time.Second, 7, 2, 0, 1<<20)
-	rec.MigrationDone(530*time.Second, 7, 2, 0, 1<<20)
-	rec.CacheSelect(520*time.Second, "preload", []int64{3, 4})
-	rec.ReplanTrigger(800*time.Second, ReplanEvent{Trigger: CauseTriggerSpinUps, Enclosure: 1, SpinUps: 5, Threshold: 4.2})
-	rec.PeriodAdapt(800*time.Second, 520*time.Second, 624*time.Second)
+	}})
+	rec.Log(520*time.Second, decisionRec(Decision{Kind: ProvMove, Item: 7}))
+	rec.Log(600*time.Second, powerRec(1, "off", CauseIdleTimeout))
+	rec.Log(700*time.Second, powerRec(1, "spinup", CauseDemand))
+	rec.Log(715*time.Second, powerRec(1, "on", CauseDemand))
+	rec.Log(520*time.Second, migrationRec(EvMigrationStart, 7, 2, 0, 1<<20))
+	rec.Log(530*time.Second, migrationRec(EvMigrationDone, 7, 2, 0, 1<<20))
+	rec.Log(520*time.Second, cacheRec(EvCacheSelect, "preload", 3, 4))
+	rec.Log(520*time.Second, cacheRec(EvCacheEvict, "preload"))
+	rec.Log(800*time.Second, Event{Type: EvReplanTrigger, Replan: &ReplanEvent{Trigger: CauseTriggerSpinUps, Enclosure: 1, SpinUps: 5, Threshold: 4.2}})
+	rec.Log(800*time.Second, Event{Type: EvPeriodAdapt, Period: &PeriodEvent{OldNS: int64(520 * time.Second), NewNS: int64(624 * time.Second)}})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +80,8 @@ func TestEventStreamJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The "on" power segment extends the timeline without an event.
+	// The stream drops the per-item decision, the "on" segment that
+	// ends a spin-up, and the empty cache eviction.
 	want := []EventType{
 		EvDeterminationStart, EvDetermination, EvPowerOff, EvPowerOn,
 		EvMigrationStart, EvMigrationDone, EvCacheSelect,
@@ -91,16 +110,47 @@ func TestEventStreamJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTimelineAndOffTime(t *testing.T) {
-	rec := New(Options{})
-	rec.PowerTransition(10*time.Second, 0, "off", CauseIdleTimeout)
-	rec.PowerTransition(30*time.Second, 0, "spinup", CauseDemand)
-	rec.PowerTransition(45*time.Second, 0, "on", CauseDemand)
-	rec.PowerTransition(100*time.Second, 0, "off", CauseIdleTimeout)
+// TestRecorderCounters: the esm_* instruments are the recorder's rule
+// over the same records the stream carries, and count even without a
+// sink; the "on" segment counts nothing.
+func TestRecorderCounters(t *testing.T) {
+	reg := NewRegistry()
+	rec := New(Options{Registry: reg})
+	rec.Log(time.Second, powerRec(0, "spinup", CauseDemand))
+	rec.Log(2*time.Second, powerRec(0, "on", CauseDemand))
+	rec.Log(3*time.Second, powerRec(0, "off", CauseIdleTimeout))
+	rec.Log(4*time.Second, migrationRec(EvMigrationDone, 1, 0, 1, 100))
+	rec.Log(5*time.Second, Event{Type: EvDegrade, Degrade: &DegradeEvent{Entered: true}})
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"esm_spin_ups_total 1", "esm_power_offs_total 1",
+		"esm_migrations_total 1", "esm_migrated_bytes_total 100",
+		"esm_degradations_total 1", "esm_degraded 1",
+	} {
+		if !strings.Contains(out.String(), line+"\n") {
+			t.Errorf("registry lacks %q:\n%s", line, out.String())
+		}
+	}
+}
 
-	segs := rec.Timeline(0)
-	if len(segs) != 4 {
-		t.Fatalf("got %d segments, want 4", len(segs))
+// TestTimelineAndOffTime rebuilds a power timeline from the event
+// stream and sums its off time.
+func TestTimelineAndOffTime(t *testing.T) {
+	var sink CollectSink
+	rec := New(Options{Sink: &sink})
+	rec.Log(10*time.Second, powerRec(0, "off", CauseIdleTimeout))
+	rec.Log(30*time.Second, powerRec(0, "spinup", CauseDemand))
+	rec.Log(45*time.Second, powerRec(0, "on", CauseDemand))
+	rec.Log(100*time.Second, powerRec(0, "off", CauseIdleTimeout))
+	rec.Log(100*time.Second, cacheRec(EvCacheSelect, "preload", 1))
+
+	all := PowerSegments(sink.Events())
+	segs := all[0]
+	if len(all) != 1 || len(segs) != 3 {
+		t.Fatalf("got %v, want one enclosure with 3 segments", all)
 	}
 	if segs[0].State != "off" || segs[0].Cause != CauseIdleTimeout || segs[0].T != 10*time.Second {
 		t.Fatalf("segment 0 wrong: %+v", segs[0])
@@ -109,19 +159,13 @@ func TestTimelineAndOffTime(t *testing.T) {
 	if got := OffTime(segs, 120*time.Second); got != 40*time.Second {
 		t.Fatalf("OffTime = %v, want 40s", got)
 	}
-	if rec.Timeline(5) != nil {
-		t.Fatal("unknown enclosure should have nil timeline")
-	}
-	if all := rec.Timelines(); len(all) != 1 || len(all[0]) != 4 {
-		t.Fatalf("Timelines() wrong shape: %v", all)
-	}
 }
 
 func TestCollectSink(t *testing.T) {
 	var sink CollectSink
 	rec := New(Options{Sink: &sink})
-	rec.DeterminationStart(time.Second, 1, CausePeriodEnd)
-	rec.DeterminationStart(2*time.Second, 2, CauseTriggerInterval)
+	rec.Log(time.Second, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: 1, Cause: CausePeriodEnd}})
+	rec.Log(2*time.Second, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: 2, Cause: CauseTriggerInterval}})
 	got := sink.Events()
 	if len(got) != 2 || got[0].Determination.Cause != CausePeriodEnd || got[1].Determination.Cause != CauseTriggerInterval {
 		t.Fatalf("collect sink contents wrong: %+v", got)

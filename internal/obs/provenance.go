@@ -1,12 +1,13 @@
-// The decision-provenance ledger: the fifth telemetry surface. The
-// four earlier surfaces (events, spans, flight recorder, alerts) say
-// what happened; the provenance recorder says why — it captures, at
+// The decision-provenance ledger: the decision log's second sink. The
+// event stream says what happened; the ledger says why — it keeps, at
 // each determination on the simulated clock, the decision inputs the
 // power management function computes and then discards (per-item
 // interval estimates, read ratios, P0–P3 classes, candidate placement
 // costs) together with the chosen action and its predicted
 // joule/latency delta, plus the triggering context of every power
-// transition, migration, preload and destage the array executes.
+// transition, migration, preload and destage the array executes. Both
+// arrive as decision-log records (Telemetry.Log); the ledger encodes
+// the kinds it keeps as rows of one fixed column layout.
 //
 // Like the flight recorder it is nil-safe (a nil *Provenance is a
 // valid disabled instance — one pointer check, no allocation, on every
@@ -202,28 +203,6 @@ type ProvenanceOptions struct {
 	MaxRecords int
 }
 
-// ProvDecision is one determination-time decision row emitted by the
-// management function: a planned move, a reclassification, or a
-// preload/write-delay pick, with the per-item features that led to it.
-type ProvDecision struct {
-	Kind      int // ProvMove, ProvReclass, ProvPreload or ProvDestage
-	Det       int64
-	Cause     Cause
-	Item      int64
-	Class     int // P0-P3 after this determination
-	PrevClass int // class before; -1 when unchanged/unknown
-	Src       int // current enclosure; -1 unknown
-	Dst       int // destination enclosure (moves); -1 otherwise
-	IntervalS float64
-	ReadRatio float64
-	CostSrc   float64 // planned IOPS load on Src after placement
-	CostDst   float64 // planned IOPS load on Dst after placement
-	// ToCold marks a move that packs the item onto a power-managed
-	// cold enclosure (predicted to save idle joules at the price of
-	// spin-up exposure); false predicts the inverse trade.
-	ToCold bool
-}
-
 // ProvenanceSummary is the manifest/status roll-up of one recorder.
 type ProvenanceSummary struct {
 	// Records is the number of rows currently stored (after any
@@ -285,54 +264,79 @@ func (p *Provenance) ConfigurePower(idleW float64, spinUp time.Duration) {
 	}
 }
 
-// record offers one row to the store. Caller holds p.mu.
-func (p *Provenance) record(t time.Duration, row *[provNumCols]float64) {
-	p.store.offer(t, row[:])
-}
-
-// Determination records the per-determination summary row.
-func (p *Provenance) Determination(t time.Duration, det int64, cause Cause, nHot, moves int) {
+// Log is the ledger's one entry point for decision-log records: it
+// encodes the kinds the ledger keeps as rows and drops the rest. It
+// keeps every decision, every power segment (spin-up, on and off),
+// completed migrations, injected faults, preload loads (preload
+// selections) and write-delay destages (write-delay evictions), the
+// cache records one row per item.
+func (p *Provenance) Log(t time.Duration, ev Event) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.determinations++
-	row := emptyProvRow()
-	row[provColKind] = ProvDetermination
-	row[provColDet] = float64(det)
-	row[provColCause] = float64(CauseCode(string(cause)))
-	row[provColSrc] = float64(nHot)
-	row[provColDst] = float64(moves)
-	p.record(t, &row)
+	switch ev.Type {
+	case EvDecision:
+		p.decision(t, ev.Decision)
+	case EvPowerOn, EvPowerOff:
+		p.transitions++
+		pw := ev.Power
+		p.runtime(t, ProvPower, CauseCode(string(pw.Cause)), -1, pw.Enclosure, PowerStateCode(pw.State))
+	case EvMigrationDone:
+		p.migrations++
+		m := ev.Migration
+		p.runtime(t, ProvMigration, 0, m.Item, m.Src, m.Dst)
+	case EvFault:
+		p.faults++
+		p.runtime(t, ProvFault, CauseCode(ev.Fault.Kind), -1, ev.Fault.Enclosure, -1)
+	case EvCacheSelect, EvCacheEvict:
+		// A preload selection is the bulk load and a write-delay
+		// eviction the destage; write-delay picks and preload drops
+		// execute nothing.
+		var kind int
+		var cause Cause
+		switch {
+		case ev.Type == EvCacheSelect && ev.Cache.Function == "preload":
+			kind, cause = ProvPreload, CausePreload
+		case ev.Type == EvCacheEvict && ev.Cache.Function == "write-delay":
+			kind, cause = ProvDestage, CauseFlush
+		default:
+			return
+		}
+		code := CauseCode(string(cause))
+		for _, it := range ev.Cache.Items {
+			p.runtime(t, kind, code, it, -1, -1)
+		}
+	}
 }
 
-// Decision records one determination-time decision row. Predicted
+// decision encodes one determination-time decision row. Predicted
 // deltas for moves are first-order estimates from the recorder's
 // electrical constants: packing an item's long-idle seconds onto a
 // cold enclosure is predicted to save idleW x interval joules while
 // exposing reads to one spin-up stall; promoting it to a hot enclosure
-// predicts the inverse trade.
-func (p *Provenance) Decision(t time.Duration, d ProvDecision) {
-	if p == nil {
-		return
+// predicts the inverse trade. Caller holds p.mu.
+func (p *Provenance) decision(t time.Duration, d *Decision) {
+	if d.Kind == ProvDetermination {
+		p.determinations++
+	} else {
+		p.decisions++
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.decisions++
-	row := emptyProvRow()
-	row[provColKind] = float64(d.Kind)
-	row[provColDet] = float64(d.Det)
-	row[provColCause] = float64(CauseCode(string(d.Cause)))
-	row[provColItem] = float64(d.Item)
-	row[provColClass] = float64(d.Class)
-	row[provColPrevClass] = float64(d.PrevClass)
-	row[provColSrc] = float64(d.Src)
-	row[provColDst] = float64(d.Dst)
-	row[provColIntervalS] = d.IntervalS
-	row[provColReadRatio] = d.ReadRatio
-	row[provColCostSrc] = d.CostSrc
-	row[provColCostDst] = d.CostDst
+	row := [provNumCols]float64{
+		provColKind:      float64(d.Kind),
+		provColDet:       float64(d.Det),
+		provColCause:     float64(CauseCode(string(d.Cause))),
+		provColItem:      float64(d.Item),
+		provColClass:     float64(d.Class),
+		provColPrevClass: float64(d.PrevClass),
+		provColSrc:       float64(d.Src),
+		provColDst:       float64(d.Dst),
+		provColIntervalS: d.IntervalS,
+		provColReadRatio: d.ReadRatio,
+		provColCostSrc:   d.CostSrc,
+		provColCostDst:   d.CostDst,
+	}
 	if d.Kind == ProvMove {
 		dj := p.idleW * d.IntervalS
 		dus := p.spinUpS * 1e6 * d.ReadRatio
@@ -344,83 +348,20 @@ func (p *Provenance) Decision(t time.Duration, d ProvDecision) {
 			row[provColPredDUS] = -dus
 		}
 	}
-	p.record(t, &row)
+	p.store.offer(t, row[:])
 }
 
-// PowerTransition records one enclosure power transition with its
-// triggering cause; state is "off", "on" or "spinup".
-func (p *Provenance) PowerTransition(t time.Duration, enc int, state string, cause Cause) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.transitions++
+// runtime encodes one row of an action the array executed (det = -1).
+// Caller holds p.mu.
+func (p *Provenance) runtime(t time.Duration, kind, cause int, item int64, src, dst int) {
 	row := emptyProvRow()
-	row[provColKind] = ProvPower
+	row[provColKind] = float64(kind)
 	row[provColDet] = -1
-	row[provColCause] = float64(CauseCode(string(cause)))
-	row[provColSrc] = float64(enc)
-	row[provColDst] = float64(PowerStateCode(state))
-	p.record(t, &row)
-}
-
-// MigrationDone records one completed migration executed by the array.
-func (p *Provenance) MigrationDone(t time.Duration, item int64, src, dst int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.migrations++
-	row := emptyProvRow()
-	row[provColKind] = ProvMigration
-	row[provColDet] = -1
+	row[provColCause] = float64(cause)
 	row[provColItem] = float64(item)
 	row[provColSrc] = float64(src)
 	row[provColDst] = float64(dst)
-	p.record(t, &row)
-}
-
-// CacheOp records runtime preload bulk reads (function "preload") and
-// write-delay destages (function "write-delay"), one row per item,
-// with det = -1 marking them as executions rather than decisions.
-func (p *Provenance) CacheOp(t time.Duration, function string, items []int64) {
-	if p == nil || len(items) == 0 {
-		return
-	}
-	kind := ProvPreload
-	cause := CausePreload
-	if function == "write-delay" {
-		kind = ProvDestage
-		cause = CauseFlush
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, it := range items {
-		row := emptyProvRow()
-		row[provColKind] = float64(kind)
-		row[provColDet] = -1
-		row[provColCause] = float64(CauseCode(string(cause)))
-		row[provColItem] = float64(it)
-		p.record(t, &row)
-	}
-}
-
-// Fault records one injected fault (enclosure -1 for battery faults).
-func (p *Provenance) Fault(t time.Duration, enc int, kind string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.faults++
-	row := emptyProvRow()
-	row[provColKind] = ProvFault
-	row[provColDet] = -1
-	row[provColCause] = float64(CauseCode(kind))
-	row[provColSrc] = float64(enc)
-	p.record(t, &row)
+	p.store.offer(t, row[:])
 }
 
 // RecordAttribution joins the energy ledger into the stream at end of
@@ -448,7 +389,7 @@ func (p *Provenance) RecordAttribution(t time.Duration, a *Attribution, topPerEn
 			row[provColClass] = float64(ie.Class)
 			row[provColSrc] = float64(enc.Enclosure)
 			row[provColJoules] = ie.Joules
-			p.record(t, &row)
+			p.store.offer(t, row[:])
 		}
 	}
 }

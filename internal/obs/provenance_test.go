@@ -9,19 +9,16 @@ import (
 
 // TestNilProvenanceSafe pins the nil-receiver contract: a nil
 // *Provenance accepts every call, returns empty views, and allocates
-// nothing on the record paths.
+// nothing on the record path.
 func TestNilProvenanceSafe(t *testing.T) {
 	var p *Provenance
 	if p.Enabled() {
 		t.Fatal("nil recorder reports Enabled")
 	}
 	p.ConfigurePower(300, 10*time.Second)
-	p.Determination(time.Second, 1, CausePeriodEnd, 2, 3)
-	p.Decision(time.Second, ProvDecision{Kind: ProvMove, Item: 7})
-	p.PowerTransition(time.Second, 0, "spinup", CauseDemand)
-	p.MigrationDone(time.Second, 7, 0, 1)
-	p.CacheOp(time.Second, "preload", []int64{1, 2})
-	p.Fault(time.Second, 0, "spinup-fail")
+	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Item: 7}))
+	p.Log(time.Second, powerRec(0, "spinup", CauseDemand))
+	p.Log(time.Second, cacheRec(EvCacheSelect, "preload", 1, 2))
 	p.RecordAttribution(time.Second, &Attribution{}, 0)
 	if s := p.Series(); s != nil {
 		t.Fatalf("nil recorder Series = %v", s)
@@ -31,11 +28,10 @@ func TestNilProvenanceSafe(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		p.Determination(time.Second, 1, CausePeriodEnd, 2, 3)
-		p.Decision(time.Second, ProvDecision{Kind: ProvMove, Item: 7, IntervalS: 60})
-		p.PowerTransition(time.Second, 0, "spinup", CauseDemand)
-		p.MigrationDone(time.Second, 7, 0, 1)
-		p.Fault(time.Second, 0, "spinup-fail")
+		p.Log(time.Second, Event{Type: EvDecision, Decision: &Decision{Kind: ProvMove, Item: 7, IntervalS: 60}})
+		p.Log(time.Second, Event{Type: EvPowerOn, Power: &PowerEvent{Enclosure: 0, State: "spinup", Cause: CauseDemand}})
+		p.Log(time.Second, Event{Type: EvMigrationDone, Migration: &MigrationEvent{Item: 7, Src: 0, Dst: 1}})
+		p.Log(time.Second, Event{Type: EvFault, Fault: &FaultEvent{Kind: "spinup-fail"}})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil record path allocates: %v allocs/run", allocs)
@@ -50,7 +46,7 @@ func TestProvenanceCompaction(t *testing.T) {
 	p := NewProvenance(ProvenanceOptions{MaxRecords: 16})
 	const offers = 100
 	for i := 0; i < offers; i++ {
-		p.Determination(time.Duration(i)*time.Second, int64(i+1), CausePeriodEnd, 1, 0)
+		p.Log(time.Duration(i)*time.Second, decisionRec(Decision{Kind: ProvDetermination, Det: int64(i + 1), Cause: CausePeriodEnd, Item: -1, Class: -1, PrevClass: -1, Src: 1}))
 	}
 	sum := p.Summary()
 	if sum.Offered != offers {
@@ -80,25 +76,30 @@ func TestProvenanceCompaction(t *testing.T) {
 }
 
 // TestProvenanceRoundTrip records one row of every kind and checks the
-// CSV round trip reproduces the decoded records exactly.
+// CSV round trip reproduces the decoded records exactly. Records the
+// ledger does not keep are offered too, and must leave no row.
 func TestProvenanceRoundTrip(t *testing.T) {
 	p := NewProvenance(ProvenanceOptions{})
-	p.Determination(10*time.Second, 1, CausePeriodEnd, 2, 1)
-	p.Decision(10*time.Second, ProvDecision{
+	p.Log(10*time.Second, decisionRec(Decision{Kind: ProvDetermination, Det: 1, Cause: CausePeriodEnd, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1}))
+	p.Log(10*time.Second, decisionRec(Decision{
 		Kind: ProvMove, Det: 1, Cause: CausePeriodEnd, Item: 7, Class: 3,
 		PrevClass: -1, Src: 0, Dst: 2, IntervalS: 120, ReadRatio: 0.75,
 		CostSrc: 5.5, CostDst: 0.25, ToCold: true,
-	})
-	p.Decision(10*time.Second, ProvDecision{
+	}))
+	p.Log(10*time.Second, decisionRec(Decision{
 		Kind: ProvReclass, Det: 1, Cause: CausePeriodEnd, Item: 8, Class: 1, PrevClass: 3, Src: 1,
 		Dst: -1,
-	})
-	p.PowerTransition(11*time.Second, 2, "spinup", CauseMigration)
-	p.PowerTransition(26*time.Second, 2, "on", CauseMigration)
-	p.MigrationDone(30*time.Second, 7, 0, 2)
-	p.CacheOp(31*time.Second, "preload", []int64{8})
-	p.CacheOp(32*time.Second, "write-delay", []int64{9, 10})
-	p.Fault(40*time.Second, 3, "spinup-fail")
+	}))
+	p.Log(10*time.Second, Event{Type: EvDetermination, Determination: &DeterminationEvent{N: 1}})
+	p.Log(11*time.Second, powerRec(2, "spinup", CauseMigration))
+	p.Log(26*time.Second, powerRec(2, "on", CauseMigration))
+	p.Log(27*time.Second, migrationRec(EvMigrationStart, 7, 0, 2, 1<<20))
+	p.Log(30*time.Second, migrationRec(EvMigrationDone, 7, 0, 2, 1<<20))
+	p.Log(31*time.Second, cacheRec(EvCacheSelect, "preload", 8))
+	p.Log(31*time.Second, cacheRec(EvCacheEvict, "preload", 5))
+	p.Log(32*time.Second, cacheRec(EvCacheSelect, "write-delay", 11))
+	p.Log(32*time.Second, cacheRec(EvCacheEvict, "write-delay", 9, 10))
+	p.Log(40*time.Second, Event{Type: EvFault, Fault: &FaultEvent{Kind: "spinup-fail", Enclosure: 3}})
 	p.RecordAttribution(60*time.Second, &Attribution{
 		Enclosures: []EnclosureAttribution{{
 			Enclosure: 2,
@@ -143,8 +144,11 @@ func TestProvenanceRoundTrip(t *testing.T) {
 	if move.Cause != string(CausePeriodEnd) || move.Item != 7 || move.Src != 0 || move.Dst != 2 {
 		t.Fatalf("move row corrupted: %+v", move)
 	}
+	if len(decoded) != 11 {
+		t.Fatalf("ledger kept %d rows, want 11: %+v", len(decoded), decoded)
+	}
 	sum := p.Summary()
-	if sum.Decisions != 2 || sum.Transitions != 2 || sum.Migrations != 1 || sum.Faults != 1 {
+	if sum.Determinations != 1 || sum.Decisions != 2 || sum.Transitions != 2 || sum.Migrations != 1 || sum.Faults != 1 {
 		t.Fatalf("summary counters wrong: %+v", sum)
 	}
 }
@@ -154,8 +158,8 @@ func TestProvenanceRoundTrip(t *testing.T) {
 func TestProvenancePredictedDeltas(t *testing.T) {
 	p := NewProvenance(ProvenanceOptions{})
 	p.ConfigurePower(100, 10*time.Second)
-	p.Decision(time.Second, ProvDecision{Kind: ProvMove, Det: 1, Item: 1, IntervalS: 60, ReadRatio: 0.5, ToCold: true})
-	p.Decision(time.Second, ProvDecision{Kind: ProvMove, Det: 1, Item: 2, IntervalS: 60, ReadRatio: 0.5, ToCold: false})
+	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Det: 1, Item: 1, IntervalS: 60, ReadRatio: 0.5, ToCold: true}))
+	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Det: 1, Item: 2, IntervalS: 60, ReadRatio: 0.5, ToCold: false}))
 	recs, ok := DecodeProvenance(p.Series())
 	if !ok || len(recs) != 2 {
 		t.Fatalf("decode failed: ok=%v n=%d", ok, len(recs))

@@ -1,6 +1,7 @@
 // Per-enclosure power-state timelines: the ordered {t, state, cause}
-// segments behind the §III-B power status records, kept queryable so a
-// bad energy result can be walked transition by transition.
+// segments behind the §III-B power status records, rebuilt from a saved
+// event stream so a bad energy result can be walked transition by
+// transition.
 
 package obs
 
@@ -15,19 +16,21 @@ type Segment struct {
 	Cause Cause         `json:"cause"`
 }
 
-// Timeline is the ordered segment list of one enclosure.
-type Timeline struct {
-	segs []Segment
-}
-
-// append adds a segment. Out-of-order appends are tolerated (lazily
-// synced enclosures can report a power-off dated before a concurrent
-// observer's read); segments keep emission order.
-func (tl *Timeline) append(s Segment) { tl.segs = append(tl.segs, s) }
-
-// Segments returns a copy of the segment list.
-func (tl *Timeline) Segments() []Segment {
-	return append([]Segment(nil), tl.segs...)
+// PowerSegments rebuilds each enclosure's power segments from the
+// power events of one run, in stream order. The event stream carries
+// spin-up and off transitions; an enclosure starts on.
+func PowerSegments(events []Event) map[int][]Segment {
+	segs := map[int][]Segment{}
+	for _, ev := range events {
+		if ev.Type != EvPowerOn && ev.Type != EvPowerOff {
+			continue
+		}
+		p := ev.Power
+		segs[p.Enclosure] = append(segs[p.Enclosure], Segment{
+			T: time.Duration(ev.T), State: p.State, Cause: p.Cause,
+		})
+	}
+	return segs
 }
 
 // OffTime sums the time spent powered off up to end, assuming the

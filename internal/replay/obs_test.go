@@ -118,15 +118,15 @@ func TestEventStreamMatchesDeterminations(t *testing.T) {
 	}
 }
 
-// TestRecorderTimelineMatchesMeter: spin-up counts in the recorder's
-// power timelines must equal the power meter's.
+// TestRecorderTimelineMatchesMeter: spin-up counts in the power
+// timelines rebuilt from the event stream must equal the power meter's.
 func TestRecorderTimelineMatchesMeter(t *testing.T) {
 	cat, recs, dur := esmTrace()
 	esm, err := core.NewESM(core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New(obs.Options{})
+	var sink obs.CollectSink
 	res, err := Execute(Run{
 		Catalog:   cat,
 		Records:   recs,
@@ -134,13 +134,13 @@ func TestRecorderTimelineMatchesMeter(t *testing.T) {
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
 		Duration:  dur,
-		Telemetry: obs.Telemetry{Recorder: rec},
+		Telemetry: obs.Telemetry{Recorder: obs.New(obs.Options{Sink: &sink})},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spinups := 0
-	for _, segs := range rec.Timelines() {
+	for _, segs := range obs.PowerSegments(sink.Events()) {
 		for _, s := range segs {
 			if s.State == "spinup" {
 				spinups++

@@ -1,9 +1,10 @@
 #!/bin/sh
-# explain-smoke: gate the decision-provenance ledger and the root-cause
-# pipeline end to end. A fileserver run with an injected spin-up-fault
-# storm under a deliberately tight energy budget must produce an
-# `esmstat explain` report that names the injected cause — and both the
-# ledger and the rendered report must be byte-identical across a rerun.
+# explain-smoke: gate the decision log and the root-cause pipeline end
+# to end. A fileserver run with an injected spin-up-fault storm under a
+# deliberately tight energy budget must produce an `esmstat explain`
+# report that names the injected cause — and the ESM run's event
+# stream, its provenance ledger and the rendered report must be
+# byte-identical across a rerun.
 set -eu
 
 GO=${GO:-go}
@@ -26,7 +27,7 @@ bench() { # bench OUTDIR [extra flags...]
     shift
     "$DIR/esmbench" -workload fileserver -scale 0.1 -fig 8 \
         -faults "$FAULTS" -alerts "$ALERTS" \
-        -series "$out" -provenance -events "$out/events.jsonl" "$@" \
+        -series "$out" -provenance "$out/prov.csv" -events "$out/events.jsonl" "$@" \
         > "$out.log" 2>&1 || { cat "$out.log"; exit 1; }
 }
 
@@ -35,16 +36,26 @@ bench "$DIR/a"
 bench "$DIR/b"
 
 echo "== ledger byte-identity across the rerun"
-cmp "$DIR/a/fileserver-esm.prov.csv" "$DIR/b/fileserver-esm.prov.csv"
+cmp "$DIR/a/prov-fileserver-esm.csv" "$DIR/b/prov-fileserver-esm.csv"
+
+# Concurrent replays interleave their policies' lines in the shared
+# events file, but each recorder numbers its own lines, so one run's
+# lines are deterministic.
+echo "== event stream byte-identity across the rerun"
+for r in a b; do
+    grep '"run":"fileserver/esm"' "$DIR/$r/events.jsonl" > "$DIR/$r/events-esm.jsonl"
+done
+test -s "$DIR/a/events-esm.jsonl" || { echo "no fileserver/esm events recorded"; exit 1; }
+cmp "$DIR/a/events-esm.jsonl" "$DIR/b/events-esm.jsonl"
 
 echo "== flight series time-aligned diff (the rerun must be identical)"
 "$DIR/esmstat" diff -series \
     "$DIR/a/fileserver-esm.series.csv" "$DIR/b/fileserver-esm.series.csv"
 
 echo "== explain over the whole run must name the injected cause"
-"$DIR/esmstat" explain -since 0s "$DIR/a/fileserver-esm.prov.csv" \
+"$DIR/esmstat" explain -since 0s "$DIR/a/prov-fileserver-esm.csv" \
     > "$DIR/report-a.txt"
-"$DIR/esmstat" explain -since 0s "$DIR/b/fileserver-esm.prov.csv" \
+"$DIR/esmstat" explain -since 0s "$DIR/b/prov-fileserver-esm.csv" \
     > "$DIR/report-b.txt"
 cmp "$DIR/report-a.txt" "$DIR/report-b.txt"
 grep -q 'fault burst: 20 injected faults (causes: spinup-fail x20)' "$DIR/report-a.txt" || {
@@ -61,7 +72,7 @@ grep -q 'spin-up storm' "$DIR/report-a.txt" || {
 echo "== explain from the alert firing must window in the fault burst"
 "$DIR/esmstat" explain -alert budget -run fileserver/esm \
     -events "$DIR/a/events.jsonl" -window 24h \
-    "$DIR/a/fileserver-esm.prov.csv" > "$DIR/report-alert.txt"
+    "$DIR/a/prov-fileserver-esm.csv" > "$DIR/report-alert.txt"
 grep -q 'alert budget first fired at' "$DIR/report-alert.txt" || {
     cat "$DIR/report-alert.txt"
     echo "explain did not resolve the alert firing"
