@@ -96,9 +96,11 @@ bench-smoke:
 # tracegen streams the same seeded trace twice and the files must be
 # byte-identical (the stream format is written straight off the lazy
 # source — the trace is never materialized); esmreplay then decodes
-# and replays it; finally esmbench regenerates Fig. 20 with the flight
-# recorder on, and the ESM manifest is diffed against the committed
-# baseline (loose +/-25% thresholds).
+# and replays it, and esmstat -trace analyses the same file (the
+# README's tracegen -> esmstat -> esmreplay round trip); finally
+# esmbench regenerates Fig. 20 with the flight recorder on, and the ESM
+# manifest is diffed against the committed baseline (loose +/-25%
+# thresholds).
 cloudblock-smoke:
 	rm -rf /tmp/esm-cloudblock-smoke
 	mkdir -p /tmp/esm-cloudblock-smoke/serial
@@ -114,6 +116,8 @@ cloudblock-smoke:
 	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items \
 		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm
+	$(GO) run ./cmd/esmstat -trace /tmp/esm-cloudblock-smoke/cb.trace \
+		-catalog /tmp/esm-cloudblock-smoke/cb.items
 	$(GO) run ./cmd/esmbench -workload cloudblock -fig 20 \
 		-series /tmp/esm-cloudblock-smoke/serial
 	$(GO) run ./cmd/esmstat diff \

@@ -37,6 +37,7 @@ import (
 	"esm/internal/obs"
 	"esm/internal/powermodel"
 	"esm/internal/replay"
+	"esm/internal/trace"
 )
 
 // benchScale keeps the full suite in the minutes range; experiments at
@@ -311,7 +312,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 		run := replay.Run{
 			Catalog:    w.Catalog,
-			Records:    w.EnsureRecords(),
+			Source:     trace.NewSliceSource(w.EnsureRecords()),
 			Placement:  w.Placement,
 			Storage:    experiments.StorageFor(w),
 			Policy:     esm,

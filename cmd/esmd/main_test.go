@@ -19,11 +19,12 @@ import (
 	"esm/internal/trace"
 )
 
-// parseRecord is the daemon's CSV ingestion contract (one record per
-// "time_ns,item,offset,size,op" line), now provided by the trace
-// package for every streaming consumer.
+// parseRecord decodes one "time_ns,item,offset,size,op" line through
+// trace.CSVReader, the decoder behind the daemon's stdin ingestion
+// (fleet.Array.IngestCSV). A line that holds no record, such as an
+// empty one, yields io.EOF.
 func parseRecord(text string) (trace.LogicalRecord, error) {
-	return trace.ParseCSVRecord(text, 1)
+	return trace.NewCSVReader(strings.NewReader(text)).Next()
 }
 
 func TestParseRecordValid(t *testing.T) {

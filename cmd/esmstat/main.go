@@ -1,6 +1,7 @@
-// Command esmstat inspects a logical trace: it prints the whole-trace
-// summary, the logical I/O pattern distribution (the Fig. 6 analysis for
-// an arbitrary trace), and the per-pattern top data items.
+// Command esmstat inspects a logical trace in any format tracegen writes
+// (stream, CSV or NDJSON): it prints the whole-trace summary, the
+// logical I/O pattern distribution (the Fig. 6 analysis for an arbitrary
+// trace), and the per-pattern top data items.
 //
 // It also renders saved telemetry event logs (the JSONL streams written
 // by esmd -events and esmbench -events): a determination-by-
@@ -156,7 +157,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	tracePath := flag.String("trace", "", "binary trace path")
+	tracePath := flag.String("trace", "", "trace path (stream, CSV or NDJSON, as tracegen writes)")
 	catalogPath := flag.String("catalog", "", "catalog path")
 	breakEven := flag.Duration("break-even", 52*time.Second, "break-even time for Long Intervals")
 	top := flag.Int("top", 5, "items to list per pattern")
@@ -181,7 +182,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "esmstat: -trace and -catalog are required (or use -events)")
 		os.Exit(2)
 	}
-	if err := run(*tracePath, *catalogPath, *breakEven, *top); err != nil {
+	if err := run(os.Stdout, *tracePath, *catalogPath, *breakEven, *top); err != nil {
 		fmt.Fprintln(os.Stderr, "esmstat:", err)
 		os.Exit(1)
 	}
@@ -220,16 +221,10 @@ func runSpanCommand(cmd string, args []string) error {
 	return runAttrib(os.Stdout, path, *top)
 }
 
-func run(tracePath, catalogPath string, breakEven time.Duration, top int) error {
-	tf, err := os.Open(tracePath)
-	if err != nil {
-		return err
-	}
-	defer tf.Close()
-	recs, err := trace.ReadBinary(tf)
-	if err != nil {
-		return err
-	}
+// run is the trace analysis. The trace, in any format tracegen writes,
+// is decoded in one streaming pass that feeds both the summary and the
+// application monitor, so memory stays proportional to the catalog.
+func run(out io.Writer, tracePath, catalogPath string, breakEven time.Duration, top int) error {
 	cf, err := os.Open(catalogPath)
 	if err != nil {
 		return err
@@ -239,18 +234,24 @@ func run(tracePath, catalogPath string, breakEven time.Duration, top int) error 
 	if err != nil {
 		return err
 	}
-
-	sum := trace.Summarize(recs)
-	fmt.Println("trace:", sum)
-
-	mon := monitor.NewAppMonitor(cat.Len(), breakEven)
-	for _, rec := range recs {
-		mon.Record(rec)
+	src, err := trace.OpenFile(tracePath)
+	if err != nil {
+		return err
 	}
-	end := sum.End
-	stats := mon.EndPeriod(end)
+	defer src.Close()
+	mon := monitor.NewAppMonitor(cat.Len(), breakEven)
+	sum, err := trace.SummarizeSource(trace.TapSource(src, func(rec trace.LogicalRecord) error {
+		mon.Record(rec)
+		return nil
+	}))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "trace:", sum)
+
+	stats := mon.EndPeriod(sum.End)
 	mix := core.MixOf(stats)
-	fmt.Printf("patterns (break-even %v): %s\n", breakEven, mix)
+	fmt.Fprintf(out, "patterns (break-even %v): %s\n", breakEven, mix)
 
 	byPattern := map[core.Pattern][]monitor.ItemPeriodStats{}
 	for _, s := range stats {
@@ -259,12 +260,12 @@ func run(tracePath, catalogPath string, breakEven time.Duration, top int) error 
 	for p := core.P0; p <= core.P3; p++ {
 		items := byPattern[p]
 		sort.Slice(items, func(a, b int) bool { return items[a].Count > items[b].Count })
-		fmt.Printf("\n%s (%d items):\n", p, len(items))
+		fmt.Fprintf(out, "\n%s (%d items):\n", p, len(items))
 		for i, s := range items {
 			if i >= top {
 				break
 			}
-			fmt.Printf("  %-32s %8d I/Os  %5.1f%% reads  %3d long intervals  %6.2f avg IOPS\n",
+			fmt.Fprintf(out, "  %-32s %8d I/Os  %5.1f%% reads  %3d long intervals  %6.2f avg IOPS\n",
 				cat.Name(s.Item), s.Count, pct(s.Reads, s.Count), s.LongIntervals, s.AvgIOPS)
 		}
 	}

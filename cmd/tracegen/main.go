@@ -1,19 +1,20 @@
 // Command tracegen generates the synthetic application traces used by
 // the evaluation (file server, OLTP, DSS, the multi-tenant cloud-block
-// workload, or a generic synthetic mix)
-// and writes them to disk together with their item catalog, in the
-// compact binary format, CSV, the appendable stream format, or NDJSON
-// (the wire format of esmd's fleet ingest endpoint). The stream and
-// ndjson formats are written straight off the workload's lazy trace
-// source, so traces larger than memory can be generated.
+// workload, or a generic synthetic mix) and writes them to disk together
+// with their item catalog and initial placement. The trace is written in
+// the compact binary stream format (the default), CSV, or NDJSON (the
+// wire format of esmd's fleet ingest endpoint). Every format is written
+// record by record straight off the workload's lazy trace source, in
+// one pass that also computes the printed summary, so traces larger
+// than memory can be generated.
 //
 // Usage:
 //
-//	tracegen -workload fileserver -scale 0.5 -out fs.trace -catalog fs.items
-//	tracegen -workload oltp -format csv -out oltp.csv -catalog oltp.items
+//	tracegen -workload fileserver -scale 0.5 -out fs.trace -catalog fs.items -placement fs.layout
+//	tracegen -workload oltp -format csv -out oltp.csv -catalog oltp.items -placement oltp.layout
 //
-// The generated pair can be replayed with esmreplay and inspected with
-// esmstat.
+// Every format can be replayed with esmreplay and inspected with
+// esmstat -trace.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 	kind := flag.String("workload", "fileserver", "fileserver, oltp, dss, cloudblock, sensor or synthetic")
 	scale := flag.Float64("scale", 1.0, "time-scale factor (1.0 = paper-scale durations)")
 	seed := flag.Int64("seed", 0, "override the workload's default seed (0 = keep)")
-	format := flag.String("format", "binary", "binary, csv, stream or ndjson")
+	format := flag.String("format", "stream", "stream, csv or ndjson")
 	out := flag.String("out", "", "trace output path (required)")
 	catalogPath := flag.String("catalog", "", "catalog output path (required)")
 	placementPath := flag.String("placement", "", "initial-placement output path (required)")
@@ -80,21 +81,18 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 		return err
 	}
 	defer tf.Close()
+	var tw incrementalWriter
 	switch format {
-	case "binary":
-		err = trace.WriteBinary(tf, w.EnsureRecords())
-	case "csv":
-		err = trace.WriteCSV(tf, w.EnsureRecords())
 	case "stream":
-		// The length-prefixed formats need the whole trace up front;
-		// the stream format is emitted record by record in O(items)
-		// memory.
-		err = writeIncremental(trace.NewStreamWriter(tf), w)
+		tw = trace.NewStreamWriter(tf)
+	case "csv":
+		tw = trace.NewCSVWriter(tf)
 	case "ndjson":
-		err = writeIncremental(trace.NewNDJSONWriter(tf), w)
+		tw = trace.NewNDJSONWriter(tf)
 	default:
-		err = fmt.Errorf("unknown format %q", format)
+		return fmt.Errorf("unknown format %q (want stream, csv or ndjson)", format)
 	}
+	sum, err := writeIncremental(tw, w.Source())
 	if err != nil {
 		return err
 	}
@@ -126,10 +124,6 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 		return err
 	}
 
-	sum, err := trace.SummarizeSource(w.Source())
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%s: %s\n", w.Name, sum)
 	fmt.Printf("wrote %s (%s), %s (%d items), %s (%d enclosures)\n", out, format, catalogPath, w.Catalog.Len(), placementPath, w.Enclosures)
 	return nil
@@ -141,23 +135,15 @@ type incrementalWriter interface {
 	Close() error
 }
 
-// writeIncremental drains the workload's lazy source through an
-// appending codec in O(items) memory.
-func writeIncremental(sw incrementalWriter, w *workload.Workload) error {
-	src := w.Source()
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := sw.Append(rec); err != nil {
-			return err
-		}
+// writeIncremental drains src through an appending codec in O(items)
+// memory and returns the summary of what it wrote: the one pass over
+// the workload's generators.
+func writeIncremental(tw incrementalWriter, src trace.Source) (trace.Summary, error) {
+	sum, err := trace.SummarizeSource(trace.TapSource(src, tw.Append))
+	if err != nil {
+		return trace.Summary{}, err
 	}
-	if err := src.Err(); err != nil {
-		return err
-	}
-	return sw.Close()
+	return sum, tw.Close()
 }
 
 func buildWithSeed(kind experiments.Kind, scale float64, seed int64) (*workload.Workload, error) {

@@ -342,7 +342,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	// CSV ingest over the wire, with a charset parameter to exercise
 	// media-type parsing.
 	var csv bytes.Buffer
-	if err := trace.WriteCSV(&csv, recs[:100]); err != nil {
+	cw := trace.NewCSVWriter(&csv)
+	for _, rec := range recs[:100] {
+		if err := cw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := status(http.MethodPost, srv.URL+"/arrays/a/ingest", "text/csv; charset=utf-8", &csv); got != http.StatusOK {

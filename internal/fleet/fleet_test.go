@@ -371,7 +371,13 @@ func TestIngestFormatsAgree(t *testing.T) {
 	}
 
 	var csv bytes.Buffer
-	if err := trace.WriteCSV(&csv, recs); err != nil {
+	cw := trace.NewCSVWriter(&csv)
+	for _, rec := range recs {
+		if err := cw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Array("csv").IngestCSV(&csv); err != nil {

@@ -6,62 +6,40 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"esm/internal/monitor"
+	"esm/internal/obs"
 	"esm/internal/trace"
 )
 
-// respBuckets is the number of logarithmic response-time histogram
-// buckets: bucket 0 covers [0, respBucketBase) and bucket i ≥ 1 covers
-// [respBucketBase·2^(i-1), respBucketBase·2^i).
-const respBuckets = 32
-
-// respBucketBase is the upper bound of the first histogram bucket.
-const respBucketBase = 200 * time.Microsecond
-
-// ResponseStats accumulates response times of application I/Os.
+// ResponseStats accumulates response times of application I/Os: the
+// log-bucketed latency histogram over every I/O (the one the tracer's
+// breakdown uses) plus the read count and read sum of the paper's
+// derived-performance formulas.
 type ResponseStats struct {
-	count   int64
-	sum     time.Duration
-	max     time.Duration
+	hist    obs.Histogram
 	reads   int64
 	readSum time.Duration
-	hist    [respBuckets]int64
 }
 
 // Add records one I/O of the given type.
 func (r *ResponseStats) Add(op trace.Op, d time.Duration) {
-	r.count++
-	r.sum += d
-	if d > r.max {
-		r.max = d
-	}
+	r.hist.Add(d)
 	if op == trace.OpRead {
 		r.reads++
 		r.readSum += d
 	}
-	b := 0
-	for limit := respBucketBase; d >= limit && b < respBuckets-1; limit *= 2 {
-		b++
-	}
-	r.hist[b]++
 }
 
 // Count returns the number of recorded I/Os.
-func (r *ResponseStats) Count() int64 { return r.count }
+func (r *ResponseStats) Count() int64 { return r.hist.Count() }
 
 // Reads returns the number of recorded read I/Os.
 func (r *ResponseStats) Reads() int64 { return r.reads }
 
 // Mean returns the mean response time over all I/Os.
-func (r *ResponseStats) Mean() time.Duration {
-	if r.count == 0 {
-		return 0
-	}
-	return r.sum / time.Duration(r.count)
-}
+func (r *ResponseStats) Mean() time.Duration { return r.hist.Mean() }
 
 // ReadMean returns the mean response time over reads only; this is the
 // "r" of the paper's derived-performance formulas.
@@ -76,34 +54,16 @@ func (r *ResponseStats) ReadMean() time.Duration {
 func (r *ResponseStats) ReadSum() time.Duration { return r.readSum }
 
 // Max returns the largest observed response time.
-func (r *ResponseStats) Max() time.Duration { return r.max }
+func (r *ResponseStats) Max() time.Duration { return r.hist.Max() }
 
 // Percentile returns an upper bound of the p-quantile (0 < p ≤ 1) from
 // the logarithmic histogram.
-func (r *ResponseStats) Percentile(p float64) time.Duration {
-	if r.count == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(p * float64(r.count)))
-	var seen int64
-	limit := respBucketBase
-	for b := 0; b < respBuckets; b++ {
-		seen += r.hist[b]
-		if seen >= target {
-			if limit > r.max {
-				return r.max
-			}
-			return limit
-		}
-		limit *= 2
-	}
-	return r.max
-}
+func (r *ResponseStats) Percentile(p float64) time.Duration { return r.hist.Percentile(p) }
 
 // String summarises the distribution.
 func (r *ResponseStats) String() string {
 	return fmt.Sprintf("n=%d mean=%v readMean=%v p99=%v max=%v",
-		r.count, r.Mean(), r.ReadMean(), r.Percentile(0.99), r.max)
+		r.Count(), r.Mean(), r.ReadMean(), r.Percentile(0.99), r.Max())
 }
 
 // DerivedThroughput computes the paper's derived transaction throughput

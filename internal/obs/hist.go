@@ -1,9 +1,9 @@
 // Streaming log-bucketed latency histograms: the per-phase and
 // per-cause response-time breakdown built on top of the tracer's I/O
-// spans. The bucket scheme is identical to metrics.ResponseStats
-// (bucket 0 covers [0, 200µs), bucket i ≥ 1 covers
-// [200µs·2^(i-1), 200µs·2^i)), so percentiles computed here agree with
-// the replay aggregates on the same samples.
+// spans. Bucket 0 covers [0, 200µs) and bucket i ≥ 1 covers
+// [200µs·2^(i-1), 200µs·2^i). metrics.ResponseStats keeps one too, so
+// percentiles computed here agree with the replay aggregates on the
+// same samples.
 
 package obs
 
@@ -19,9 +19,9 @@ const HistBuckets = 32
 const HistBucketBase = 200 * time.Microsecond
 
 // Histogram is a streaming log-bucketed duration histogram. Percentile
-// returns the bucket upper bound (clamped to the observed maximum), the
-// same estimator metrics.ResponseStats uses, so cross-checks against a
-// sorted-sample computation are exact at bucket granularity.
+// returns the bucket upper bound (clamped to the observed maximum), so
+// cross-checks against a sorted-sample computation are exact at bucket
+// granularity.
 type Histogram struct {
 	count   int64
 	sum     time.Duration

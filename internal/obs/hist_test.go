@@ -6,9 +6,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"esm/internal/metrics"
-	"esm/internal/trace"
 )
 
 // naivePercentile computes the histogram's percentile contract from the
@@ -39,35 +36,21 @@ func naivePercentile(samples []time.Duration, p float64) time.Duration {
 var percentiles = []float64{0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 0.999, 1}
 
 // TestHistogramPercentileVsNaive cross-checks the streaming histogram
-// against a sort-based computation on randomized inputs.
+// against a sort-based computation on randomized inputs and on exact
+// bucket-boundary values.
 func TestHistogramPercentileVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var inputs [][]time.Duration
 	for round := 0; round < 50; round++ {
 		n := 1 + rng.Intn(2000)
-		var h Histogram
 		samples := make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			// Log-uniform over ~9 decades, the histogram's full range.
-			d := time.Duration(math.Exp(rng.Float64()*20)) * time.Nanosecond
-			samples = append(samples, d)
-			h.Add(d)
+			samples = append(samples, time.Duration(math.Exp(rng.Float64()*20))*time.Nanosecond)
 		}
-		for _, p := range percentiles {
-			want := naivePercentile(samples, p)
-			if got := h.Percentile(p); got != want {
-				t.Fatalf("round %d n=%d p%.3f: histogram %v, naive %v", round, n, p, got, want)
-			}
-		}
+		inputs = append(inputs, samples)
 	}
-}
-
-// TestHistogramVsResponseStats feeds identical samples — including
-// exact bucket-boundary values — to the tracer histogram and to
-// metrics.ResponseStats; every percentile must agree, since replay's
-// reported aggregates and the tracer's breakdown describe the same
-// I/Os.
-func TestHistogramVsResponseStats(t *testing.T) {
-	samples := []time.Duration{
+	edges := []time.Duration{
 		0, 1, 199 * time.Microsecond,
 		200 * time.Microsecond, // first bucket boundary
 		399 * time.Microsecond,
@@ -75,35 +58,20 @@ func TestHistogramVsResponseStats(t *testing.T) {
 		800 * time.Microsecond, 1600 * time.Microsecond,
 		25 * time.Millisecond, 15 * time.Second,
 	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		samples = append(samples, time.Duration(rng.Int63n(int64(30*time.Second))))
-	}
-	// Boundary values of every bucket edge.
 	for limit := HistBucketBase; limit < 30*time.Second; limit *= 2 {
-		samples = append(samples, limit-1, limit, limit+1)
+		edges = append(edges, limit-1, limit, limit+1)
 	}
-	var h Histogram
-	var rs metrics.ResponseStats
-	for _, d := range samples {
-		h.Add(d)
-		rs.Add(trace.OpRead, d)
-	}
-	if h.Count() != rs.Count() {
-		t.Fatalf("count %d vs %d", h.Count(), rs.Count())
-	}
-	if h.Max() != rs.Max() {
-		t.Fatalf("max %v vs %v", h.Max(), rs.Max())
-	}
-	if h.Mean() != rs.Mean() {
-		t.Fatalf("mean %v vs %v", h.Mean(), rs.Mean())
-	}
-	for _, p := range percentiles {
-		if got, want := h.Percentile(p), rs.Percentile(p); got != want {
-			t.Fatalf("p%.3f: histogram %v, ResponseStats %v", p, got, want)
+	inputs = append(inputs, edges)
+	for round, samples := range inputs {
+		var h Histogram
+		for _, d := range samples {
+			h.Add(d)
 		}
-		if got, want := h.Percentile(p), naivePercentile(samples, p); got != want {
-			t.Fatalf("p%.3f: histogram %v, naive %v", p, got, want)
+		for _, p := range percentiles {
+			want := naivePercentile(samples, p)
+			if got := h.Percentile(p); got != want {
+				t.Fatalf("input %d n=%d p%.3f: histogram %v, naive %v", round, len(samples), p, got, want)
+			}
 		}
 	}
 }

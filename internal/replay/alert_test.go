@@ -10,6 +10,7 @@ import (
 	"esm/internal/obs"
 	"esm/internal/policy"
 	"esm/internal/storage"
+	"esm/internal/trace"
 )
 
 // alertRules is the watchdog rule set of the equality test: a held
@@ -57,7 +58,7 @@ func TestAlertStreamMatchesSerial(t *testing.T) {
 		wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t), Recorder: rec, Instance: "alert-eq"})
 		res, err := Execute(Run{
 			Catalog:   cat,
-			Records:   recs,
+			Source:    trace.NewSliceSource(recs),
 			Placement: placement,
 			Storage:   storage.DefaultConfig(4),
 			Policy:    mk(),
@@ -106,7 +107,7 @@ func TestAlertsWithoutSeries(t *testing.T) {
 	wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t)})
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: placement,
 		Storage:   storage.DefaultConfig(4),
 		Policy:    policy.NoPowerSaving{},

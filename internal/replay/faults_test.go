@@ -49,7 +49,7 @@ func TestFaultedRunIsReproducible(t *testing.T) {
 		}
 		res, err := Execute(Run{
 			Catalog:   cat,
-			Records:   recs,
+			Source:    trace.NewSliceSource(recs),
 			Placement: []int{0, 1},
 			Storage:   storage.DefaultConfig(2),
 			Policy:    esm,
@@ -98,7 +98,7 @@ func TestDegradedModeFollowsFaultSchedule(t *testing.T) {
 	failAt, recoverAt := 5*time.Minute, 6*time.Minute
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,

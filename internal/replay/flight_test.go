@@ -36,7 +36,7 @@ func esmRun(t *testing.T) Run {
 	}
 	return Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,

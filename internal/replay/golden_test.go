@@ -12,6 +12,7 @@ import (
 	"esm/internal/faults"
 	"esm/internal/obs"
 	"esm/internal/storage"
+	"esm/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden decision streams under testdata/golden")
@@ -101,7 +102,7 @@ func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
 	fc := v.faults
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: placement,
 		Storage:   cfg,
 		Policy:    esm,

@@ -47,7 +47,7 @@ func TestEventStreamMatchesDeterminations(t *testing.T) {
 	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Registry: obs.NewRegistry(), Label: "e2e"})
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
@@ -129,7 +129,7 @@ func TestRecorderTimelineMatchesMeter(t *testing.T) {
 	var sink obs.CollectSink
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,

@@ -8,6 +8,7 @@ import (
 	"esm/internal/core"
 	"esm/internal/obs"
 	"esm/internal/storage"
+	"esm/internal/trace"
 )
 
 // provenanceESM builds the ESM policy instance the provenance tests
@@ -32,7 +33,7 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 	prov := obs.NewProvenance(obs.ProvenanceOptions{})
 	run := Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: placement,
 		Storage:   storage.DefaultConfig(4),
 		Policy:    provenanceESM(t),

@@ -23,28 +23,21 @@ import (
 type Run struct {
 	// Catalog names the data items of the trace.
 	Catalog *trace.Catalog
-	// Source streams the logical trace in time order. This is the
-	// preferred input: the engines consume it incrementally, so a trace
-	// far larger than memory replays in O(items) space. A Source is
-	// single-use; give every Execute call its own. Requires an explicit
-	// Duration (a stream's end is unknown up front, and policies need
-	// the measurement span).
+	// Source streams the logical trace in time order. The engine
+	// consumes it incrementally, so a trace far larger than memory
+	// replays in O(items) space; a materialized trace replays through a
+	// trace.SliceSource. A Source is single-use; give every Execute call
+	// its own. Requires an explicit Duration (a stream's end is unknown
+	// up front, and policies need the measurement span).
 	Source trace.Source
-	// Records is the materialized logical trace, sorted by time.
-	//
-	// Deprecated: kept as a convenience adapter for small traces and
-	// older callers; it is wrapped in a SliceSource internally. Ignored
-	// when Source is set.
-	Records []trace.LogicalRecord
 	// Placement is the initial enclosure of every item, indexed by ItemID.
 	Placement []int
 	// Storage configures the simulated array.
 	Storage storage.Config
 	// Policy is the power-saving method under test.
 	Policy policy.Policy
-	// Duration is the measurement span. When zero, Execute uses the
-	// time of the last record; a Session with neither Duration nor
-	// Source is open-ended.
+	// Duration is the measurement span, required with a Source. A
+	// Session with neither Duration nor Source is open-ended.
 	Duration time.Duration
 	// Shards is ignored: every run replays on the one serial engine.
 	//
@@ -168,15 +161,8 @@ type StateResidency struct {
 // closed loop drives the session's record step itself).
 func Execute(r Run) (*Result, error) {
 	src := r.Source
-	if src == nil {
-		// Slice adapter: the span can still be derived from the data.
-		if n := len(r.Records); n > 0 && r.Records[n-1].Time > r.Duration {
-			r.Duration = r.Records[n-1].Time
-		}
-		src = trace.NewSliceSource(r.Records)
-		r.Source = src
-	} else if r.Duration == 0 {
-		return nil, fmt.Errorf("replay: a streaming Source needs an explicit Duration")
+	if src == nil || r.Duration == 0 {
+		return nil, fmt.Errorf("replay: Execute needs a Source and an explicit Duration")
 	}
 	s, err := NewSession(r)
 	if err != nil {

@@ -32,7 +32,7 @@ func TestExecuteNoPowerSaving(t *testing.T) {
 	cat, recs, placement := steadyTrace(2, 10*time.Second, 10*time.Minute)
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: placement,
 		Storage:   storage.DefaultConfig(2),
 		Policy:    policy.NoPowerSaving{},
@@ -74,7 +74,7 @@ func TestExecuteTimeoutSavesOnIdleWorkload(t *testing.T) {
 	}
 	run := Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Duration:  20 * time.Minute,
@@ -85,6 +85,7 @@ func TestExecuteTimeoutSavesOnIdleWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	run.Policy = policy.FixedTimeout{}
+	run.Source = trace.NewSliceSource(recs)
 	saved, err := Execute(run)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestExecuteWindows(t *testing.T) {
 	cat, recs, placement := steadyTrace(1, time.Second, 4*time.Minute)
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: placement,
 		Storage:   storage.DefaultConfig(1),
 		Policy:    policy.NoPowerSaving{},
@@ -131,13 +132,23 @@ func TestExecuteRejectsBadInput(t *testing.T) {
 	if _, err := Execute(Run{}); err == nil {
 		t.Fatal("empty run accepted")
 	}
-	if _, err := Execute(Run{Catalog: cat, Policy: policy.NoPowerSaving{}, Placement: nil, Storage: storage.DefaultConfig(1)}); err == nil {
+	ok := []trace.LogicalRecord{{Time: 1, Size: 1}}
+	if _, err := Execute(Run{
+		Catalog: cat, Policy: policy.NoPowerSaving{}, Placement: []int{0},
+		Storage: storage.DefaultConfig(1), Source: trace.NewSliceSource(ok),
+	}); err == nil {
+		t.Fatal("source without a duration accepted")
+	}
+	if _, err := Execute(Run{
+		Catalog: cat, Policy: policy.NoPowerSaving{}, Placement: nil,
+		Storage: storage.DefaultConfig(1), Source: trace.NewSliceSource(ok), Duration: time.Minute,
+	}); err == nil {
 		t.Fatal("missing placement accepted")
 	}
 	recs := []trace.LogicalRecord{{Time: 2}, {Time: 1}}
 	if _, err := Execute(Run{
 		Catalog: cat, Policy: policy.NoPowerSaving{}, Placement: []int{0},
-		Storage: storage.DefaultConfig(1), Records: recs,
+		Storage: storage.DefaultConfig(1), Source: trace.NewSliceSource(recs), Duration: time.Minute,
 	}); err == nil {
 		t.Fatal("unsorted records accepted")
 	}
@@ -166,7 +177,7 @@ func TestExecuteWithESM(t *testing.T) {
 	}
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
@@ -203,7 +214,7 @@ func TestClosedLoopShiftsInsteadOfPiling(t *testing.T) {
 	trace.SortLogical(recs)
 	run := Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Duration:  10 * time.Minute,
@@ -214,6 +225,7 @@ func TestClosedLoopShiftsInsteadOfPiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	run.Policy = policy.FixedTimeout{}
+	run.Source = trace.NewSliceSource(recs)
 	run.ClosedLoop = true
 	closed, err := Execute(run)
 	if err != nil {
@@ -243,7 +255,7 @@ func TestClosedLoopPreservesPerItemOrder(t *testing.T) {
 	trace.SortLogical(recs)
 	res, err := Execute(Run{
 		Catalog:    cat,
-		Records:    recs,
+		Source:     trace.NewSliceSource(recs),
 		Placement:  []int{0, 0},
 		Storage:    storage.DefaultConfig(1),
 		Policy:     policy.NoPowerSaving{},
@@ -265,7 +277,7 @@ func TestShardedFallbacks(t *testing.T) {
 	cat, recs, placement := steadyTrace(2, 10*time.Second, 5*time.Minute)
 	base := Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: placement,
 		Storage:   storage.DefaultConfig(2),
 		Policy:    policy.NoPowerSaving{},
@@ -277,6 +289,7 @@ func TestShardedFallbacks(t *testing.T) {
 	}
 	for _, shards := range []int{0, 1, 2, 16} {
 		r := base
+		r.Source = trace.NewSliceSource(recs)
 		r.Shards = shards
 		got, err := Execute(r)
 		if err != nil {
@@ -288,6 +301,7 @@ func TestShardedFallbacks(t *testing.T) {
 	}
 	// Closed loop with shards requested still succeeds.
 	r := base
+	r.Source = trace.NewSliceSource(recs)
 	r.Shards = 4
 	r.ClosedLoop = true
 	if _, err := Execute(r); err != nil {

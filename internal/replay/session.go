@@ -66,8 +66,8 @@ type Session struct {
 // NewSession builds the simulation r describes: the array with its
 // initial placement, the telemetry surfaces and fault injector, the
 // observers, the initialized policy and the power/flight/alert sampling
-// grid. r.Source and r.Records are not consumed: the caller feeds
-// records through Feed.
+// grid. r.Source is not consumed: the caller feeds records through
+// Feed.
 func NewSession(r Run) (*Session, error) {
 	if r.Catalog == nil || r.Policy == nil {
 		return nil, fmt.Errorf("replay: catalog and policy are required")

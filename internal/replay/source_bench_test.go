@@ -139,7 +139,7 @@ func BenchmarkReplayMaterialized(b *testing.B) {
 		}
 		src.Close()
 		run := benchRun(cat, placement, dur)
-		run.Records = recs
+		run.Source = trace.NewSliceSource(recs)
 		res, err := Execute(run)
 		if err != nil {
 			b.Fatal(err)

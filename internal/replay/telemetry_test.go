@@ -108,7 +108,7 @@ func TestClassCountsSurviveSwap(t *testing.T) {
 	defer s.Close()
 	swapAt := 12 * time.Minute
 	swapped := false
-	for _, rec := range run.Records {
+	for rec, ok := run.Source.Next(); ok; rec, ok = run.Source.Next() {
 		if !swapped && rec.Time >= swapAt {
 			if err := s.RunUntil(swapAt); err != nil {
 				t.Fatal(err)

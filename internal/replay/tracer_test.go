@@ -8,6 +8,7 @@ import (
 	"esm/internal/core"
 	"esm/internal/obs"
 	"esm/internal/storage"
+	"esm/internal/trace"
 )
 
 // TestTracerEndToEnd replays the telemetry workload with a span tracer
@@ -25,7 +26,7 @@ func TestTracerEndToEnd(t *testing.T) {
 	trc := obs.NewTracer(obs.TracerOptions{Sink: sink, Enclosures: 2})
 	res, err := Execute(Run{
 		Catalog:   cat,
-		Records:   recs,
+		Source:    trace.NewSliceSource(recs),
 		Placement: []int{0, 1},
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
@@ -156,7 +157,7 @@ func TestTracerNilRunUnchanged(t *testing.T) {
 		}
 		res, err := Execute(Run{
 			Catalog:   cat,
-			Records:   recs,
+			Source:    trace.NewSliceSource(recs),
 			Placement: []int{0, 1},
 			Storage:   storage.DefaultConfig(2),
 			Policy:    esm,

@@ -77,28 +77,6 @@ func drain(t *testing.T, r incrementalReader) int {
 	}
 }
 
-// TestBinaryDecodeAllocs gates the batch binary decoder at zero
-// allocations per record — the peek-and-discard fast path must never
-// fall back to allocating per-record work on well-formed input.
-func TestBinaryDecodeAllocs(t *testing.T) {
-	gateMarginalAllocs(t,
-		func(recs []LogicalRecord) []byte {
-			var buf bytes.Buffer
-			if err := WriteBinary(&buf, recs); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		},
-		func(data []byte) int {
-			recs, err := ReadBinary(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("decode failed: %v", err)
-			}
-			return len(recs)
-		},
-		0)
-}
-
 // TestStreamDecodeAllocs gates the incremental binary decoder at zero
 // allocations per record.
 func TestStreamDecodeAllocs(t *testing.T) {
@@ -127,9 +105,7 @@ func TestCSVDecodeAllocs(t *testing.T) {
 	gateMarginalAllocs(t,
 		func(recs []LogicalRecord) []byte {
 			var buf bytes.Buffer
-			if err := WriteCSV(&buf, recs); err != nil {
-				t.Fatal(err)
-			}
+			encodeAll(t, NewCSVWriter(&buf), recs)
 			return buf.Bytes()
 		},
 		func(data []byte) int { return drain(t, NewCSVReader(bytes.NewReader(data))) },

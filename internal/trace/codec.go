@@ -1,15 +1,10 @@
-// Binary and text codecs for logical traces and catalogs.
-//
-// The binary format is a compact delta/varint encoding: six-hour
-// enterprise traces run to tens of millions of records, and the CSV form
-// exists only for human inspection and interchange.
+// Text codecs: the allocation-free CSV field parser behind CSVReader,
+// and the catalog and placement files that accompany every trace.
 
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,165 +12,6 @@ import (
 	"strings"
 	"time"
 )
-
-// binaryMagic identifies the binary logical-trace format, version 1.
-const binaryMagic = "ESMTRC1\n"
-
-// maxRecords bounds the record count a binary header may claim, so a
-// corrupt header cannot trigger an enormous allocation.
-const maxRecords = 1 << 31
-
-// WriteBinary encodes recs to w in the compact binary format. Records must
-// already be sorted by time; WriteBinary returns an error otherwise so a
-// corrupt trace is never produced silently.
-func WriteBinary(w io.Writer, recs []LogicalRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(recs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	var prev time.Duration
-	for i, r := range recs {
-		if r.Time < prev {
-			return fmt.Errorf("trace: record %d out of order (%v after %v)", i, r.Time, prev)
-		}
-		n := binary.PutUvarint(buf[:], uint64(r.Time-prev))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		prev = r.Time
-		n = binary.PutUvarint(buf[:], uint64(r.Item))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		n = binary.PutUvarint(buf[:], uint64(r.Offset))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		n = binary.PutUvarint(buf[:], uint64(r.Size))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(r.Op)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes a binary trace written by WriteBinary.
-func ReadBinary(r io.Reader) ([]LogicalRecord, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, errors.New("trace: not an ESM binary trace")
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	if n > maxRecords {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	recs := make([]LogicalRecord, 0, n)
-	var prev time.Duration
-	off := int64(len(binaryMagic) + len(hdr))
-	for i := uint64(0); i < n; i++ {
-		rec, err := readBinaryRecord(br, &prev, i, &off)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// binaryFieldNames maps readVarintRecord's field indices to the batch
-// format's error vocabulary.
-var binaryFieldNames = [...]string{"time", "item", "offset", "size", "op"}
-
-// readBinaryRecord decodes one delta/varint record from br, advancing
-// *prev to the record's absolute time and *off past the record's encoded
-// bytes. i is only used in error messages. The decode is allocation-free
-// on the hot path: the whole record is peeked out of the reader's buffer
-// and consumed in one Discard.
-func readBinaryRecord(br *bufio.Reader, prev *time.Duration, i uint64, off *int64) (LogicalRecord, error) {
-	raw, n, err := readVarintRecord(br, func(field int, err error) error {
-		return fmt.Errorf("trace: record %d %s: %w", i, binaryFieldNames[field], err)
-	})
-	if err != nil {
-		return LogicalRecord{}, err
-	}
-	if raw.op > uint8(OpWrite) {
-		return LogicalRecord{}, fmt.Errorf("trace: record %d has invalid op %d", i, raw.op)
-	}
-	t, ok := addDelta(*prev, raw.dt)
-	if !ok {
-		return LogicalRecord{}, &OrderError{
-			Format: "binary", Record: int64(i), Offset: *off,
-			Prev: *prev, Got: time.Duration(*prev + time.Duration(raw.dt)),
-		}
-	}
-	*prev = t
-	*off += int64(n)
-	return LogicalRecord{
-		Time:   t,
-		Item:   ItemID(raw.item),
-		Offset: int64(raw.off),
-		Size:   int32(raw.size),
-		Op:     Op(raw.op),
-	}, nil
-}
-
-// WriteCSV encodes recs as "time_ns,item,offset,size,op" lines with a
-// header row.
-func WriteCSV(w io.Writer, recs []LogicalRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("time_ns,item,offset,size,op\n"); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if _, err := fmt.Fprintf(bw, "%d,%d,%d,%d,%s\n",
-			int64(r.Time), r.Item, r.Offset, r.Size, r.Op); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV decodes a trace written by WriteCSV. Records must be in time
-// order; an unsorted line returns a typed *OrderError at decode time.
-func ReadCSV(r io.Reader) ([]LogicalRecord, error) {
-	cr := NewCSVReader(r)
-	var recs []LogicalRecord
-	for {
-		rec, err := cr.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-}
-
-// parseCSVLine decodes one non-empty "time_ns,item,offset,size,op" data
-// line. line is the 1-based line number, used in error messages. The
-// streaming readers bypass it and hand their scanner's byte slice
-// straight to parseCSVFields, which never allocates on success.
-func parseCSVLine(text string, line int) (LogicalRecord, error) {
-	return parseCSVFields([]byte(text), line)
-}
 
 // parseCSVFields decodes one non-empty data line from its raw bytes
 // without allocating: fields are split in place and the integers parsed
@@ -395,23 +231,4 @@ func ReadPlacement(r io.Reader) ([]int, error) {
 		return nil, err
 	}
 	return placement, nil
-}
-
-// ParseCSVRecord decodes one "time_ns,item,offset,size,op" data line —
-// the per-line form of ReadCSV for streaming consumers (stdin daemons,
-// live ingest). line is the 1-based line number used in error messages.
-// Beyond the field syntax it enforces the stream invariants a batch
-// reader can leave to the caller: non-negative time, positive size.
-func ParseCSVRecord(text string, line int) (LogicalRecord, error) {
-	rec, err := parseCSVLine(text, line)
-	if err != nil {
-		return LogicalRecord{}, err
-	}
-	if rec.Time < 0 {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d: negative time %d", line, int64(rec.Time))
-	}
-	if rec.Size <= 0 {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d: non-positive size %d", line, rec.Size)
-	}
-	return rec, nil
 }

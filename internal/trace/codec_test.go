@@ -2,84 +2,82 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	recs := randomRecords(rng, 1000)
-	SortLogical(recs)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err != nil {
-		t.Fatal(err)
+// TestBinaryRejectsGarbage checks that input which is not a stream
+// trace never decodes as one: bad magic and empty input fail in the
+// stream reader, and a file carrying another ESM binary magic (the
+// length-prefixed ESMTRC1 format tracegen used to write) fails in
+// FileSource with an error naming that format and the way to
+// regenerate it, not with a CSV parse error.
+func TestBinaryRejectsGarbage(t *testing.T) {
+	for _, in := range []string{"not a trace at all", ""} {
+		if _, err := NewStreamReader(strings.NewReader(in)).Next(); err == nil || err == io.EOF {
+			t.Fatalf("%q: want a decode error, got %v", in, err)
+		}
 	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
+	legacy := "ESMTRC1\n\x01\x00\x00\x00\x00\x00\x00\x00\x05\x01\x00\x04\x00"
+	_, err := NewFileSource(strings.NewReader(legacy))
+	if err == nil {
+		t.Fatal("legacy binary trace accepted")
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("round trip %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], recs[i])
+	for _, want := range []string{"ESMTRC1", "-format stream"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
 }
 
-func TestBinaryRejectsUnsorted(t *testing.T) {
-	recs := []LogicalRecord{{Time: 2}, {Time: 1}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err == nil {
-		t.Fatal("expected error writing unsorted trace")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a trace at all")); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
-		t.Fatal("expected error for empty input")
-	}
-}
-
-func TestBinaryTruncated(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	recs := randomRecords(rng, 50)
-	SortLogical(recs)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Fatal("expected error for truncated trace")
-	}
-}
-
+// TestCSVRoundTrip pins the CSV encoding byte for byte (header row,
+// then "%d,%d,%d,%d,%s" lines) and checks the reader inverts it.
 func TestCSVRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	encodeAll(t, NewCSVWriter(&buf), []LogicalRecord{
+		{Time: 5, Item: 1, Offset: 2, Size: 3, Op: OpWrite},
+		{Time: 9, Item: 2147483647, Offset: 1 << 40, Size: 4096, Op: OpRead},
+	})
+	if want := "time_ns,item,offset,size,op\n5,1,2,3,W\n9,2147483647,1099511627776,4096,R\n"; buf.String() != want {
+		t.Fatalf("encoding %q, want %q", buf.String(), want)
+	}
+	buf.Reset()
+	encodeAll(t, NewCSVWriter(&buf), nil)
+	if buf.String() != "time_ns,item,offset,size,op\n" {
+		t.Fatalf("empty trace encodes as %q", buf.String())
+	}
+
 	rng := rand.New(rand.NewSource(9))
 	recs := randomRecords(rng, 200)
 	SortLogical(recs)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
-		t.Fatal(err)
+	buf.Reset()
+	w := NewCSVWriter(&buf)
+	encodeAll(t, w, recs)
+	if w.Count() != int64(len(recs)) {
+		t.Fatalf("writer count %d, want %d", w.Count(), len(recs))
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readAll(NewCSVReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("round trip %d records, want %d", len(got), len(recs))
+	if !slices.Equal(got, recs) {
+		t.Fatalf("round trip %d records differs from the %d written", len(got), len(recs))
 	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
+}
+
+func TestCSVWriterRejectsOutOfOrder(t *testing.T) {
+	w := NewCSVWriter(io.Discard)
+	if err := w.Append(LogicalRecord{Time: 10, Size: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(LogicalRecord{Time: 5, Size: 1}); err == nil {
+		t.Fatal("out-of-order append accepted")
+	}
+	if w.Count() != 1 {
+		t.Fatalf("Count = %d after a rejected append, want 1", w.Count())
 	}
 }
 
@@ -93,7 +91,7 @@ func TestCSVRejectsMalformed(t *testing.T) {
 		"0,0,0,0,Q\n",
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
+		if _, err := readAll(NewCSVReader(strings.NewReader(c))); err == nil {
 			t.Fatalf("expected error for %q", c)
 		}
 	}
@@ -101,7 +99,7 @@ func TestCSVRejectsMalformed(t *testing.T) {
 
 func TestCSVSkipsHeaderAndBlanks(t *testing.T) {
 	in := "time_ns,item,offset,size,op\n\n5,1,2,3,W\n"
-	got, err := ReadCSV(strings.NewReader(in))
+	got, err := readAll(NewCSVReader(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,35 +144,6 @@ func TestCatalogRejectsNonDense(t *testing.T) {
 	in := "id,size,name\n5,1,x\n"
 	if _, err := ReadCatalog(strings.NewReader(in)); err == nil {
 		t.Fatal("expected error for non-dense ids")
-	}
-}
-
-// TestBinaryRoundTripProperty uses testing/quick over random traces.
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		recs := randomRecords(rng, int(n))
-		SortLogical(recs)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, recs); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if got[i] != recs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -17,6 +17,41 @@ type incrementalReader interface {
 	Count() int64
 }
 
+// recordWriter is the contract shared by the appending encoders.
+type recordWriter interface {
+	Append(LogicalRecord) error
+	Close() error
+}
+
+// encodeAll appends recs through w and closes it.
+func encodeAll(t testing.TB, w recordWriter, recs []LogicalRecord) {
+	t.Helper()
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readAll drains r, returning its records and the first error other
+// than the clean io.EOF.
+func readAll(r incrementalReader) ([]LogicalRecord, error) {
+	var recs []LogicalRecord
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
 // confRecords is the canonical valid prefix used by the conformance
 // cases.
 var confRecords = []LogicalRecord{
@@ -36,32 +71,10 @@ func readerConformanceCases(t *testing.T) []struct {
 } {
 	t.Helper()
 
-	var streamBuf bytes.Buffer
-	sw := NewStreamWriter(&streamBuf)
-	for _, r := range confRecords {
-		if err := sw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var ndjsonBuf bytes.Buffer
-	nw := NewNDJSONWriter(&ndjsonBuf)
-	for _, r := range confRecords {
-		if err := nw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := nw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var csvBuf bytes.Buffer
-	if err := WriteCSV(&csvBuf, confRecords); err != nil {
-		t.Fatal(err)
-	}
+	var streamBuf, ndjsonBuf, csvBuf bytes.Buffer
+	encodeAll(t, NewStreamWriter(&streamBuf), confRecords)
+	encodeAll(t, NewNDJSONWriter(&ndjsonBuf), confRecords)
+	encodeAll(t, NewCSVWriter(&csvBuf), confRecords)
 
 	return []struct {
 		name    string
@@ -168,38 +181,9 @@ func appendVarintRecord(b []byte, dt, item, off, size uint64, op byte) []byte {
 	return append(b, op)
 }
 
-// TestOrderErrorBinary crafts a batch trace whose second record's delta
+// TestOrderErrorStream crafts a stream whose second record's delta
 // overflows (the varint encoding of time going backwards) and checks
 // the typed error carries the byte offset of the offending record.
-func TestOrderErrorBinary(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(binaryMagic)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], 2)
-	buf.Write(hdr[:])
-	rec1 := appendVarintRecord(nil, 100, 1, 0, 4096, byte(OpRead))
-	buf.Write(rec1)
-	buf.Write(appendVarintRecord(nil, ^uint64(0), 1, 0, 4096, byte(OpRead)))
-
-	_, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	var oe *OrderError
-	if !errors.As(err, &oe) {
-		t.Fatalf("got %v (%T), want *OrderError", err, err)
-	}
-	if oe.Format != "binary" || oe.Record != 1 {
-		t.Fatalf("OrderError = %+v, want Format binary, Record 1", oe)
-	}
-	wantOff := int64(len(binaryMagic) + len(hdr) + len(rec1))
-	if oe.Offset != wantOff {
-		t.Fatalf("Offset = %d, want %d", oe.Offset, wantOff)
-	}
-	if !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("message %q lost the out-of-order vocabulary", err)
-	}
-}
-
-// TestOrderErrorStream is the stream-format twin of
-// TestOrderErrorBinary.
 func TestOrderErrorStream(t *testing.T) {
 	buf := []byte(streamMagic)
 	rec1 := appendVarintRecord(nil, 100, 1, 0, 4096, byte(OpRead))
@@ -231,7 +215,7 @@ func TestOrderErrorStream(t *testing.T) {
 // TestOrderErrorCSV checks the text readers report the violating line.
 func TestOrderErrorCSV(t *testing.T) {
 	in := "time_ns,item,offset,size,op\n100,1,0,4,R\n50,1,0,4,R\n"
-	_, err := ReadCSV(strings.NewReader(in))
+	_, err := readAll(NewCSVReader(strings.NewReader(in)))
 	var oe *OrderError
 	if !errors.As(err, &oe) {
 		t.Fatalf("got %v (%T), want *OrderError", err, err)

@@ -1,11 +1,11 @@
-// Streaming CSV access to logical traces: the incremental, sticky-error
-// sibling of StreamReader and NDJSONReader. The batch ReadCSV and the
-// FileSource text path are both built on it, so every CSV consumer gets
-// the same semantics: header and blank lines skipped wherever they
-// appear (concatenated streams work), allocation-free decode of data
-// lines, monotonic timestamps enforced at decode time with a typed
-// *OrderError, and a sticky error after which Next makes no progress
-// and Count stays put.
+// Streaming CSV access to logical traces: the appending, sticky-error
+// sibling of the stream and NDJSON codecs. Every CSV consumer (the
+// FileSource text path, esmd's stdin, live ingest) reads through
+// CSVReader, so all get the same semantics: header and blank lines
+// skipped wherever they appear (concatenated streams work),
+// allocation-free decode of data lines, monotonic timestamps enforced
+// at decode time with a typed *OrderError, and a sticky error after
+// which Next makes no progress and Count stays put.
 
 package trace
 
@@ -19,6 +19,44 @@ import (
 
 // csvHeader is the header prefix tolerated (and skipped) on any line.
 var csvHeader = []byte("time_ns")
+
+// CSVWriter encodes logical records as "time_ns,item,offset,size,op"
+// lines under a header row. Records must be appended in time order.
+// Close flushes the underlying buffer; it does not close the writer.
+type CSVWriter struct {
+	bw    *bufio.Writer
+	prev  time.Duration
+	count int64
+}
+
+// NewCSVWriter returns a writer targeting w. The header row is
+// buffered at once; a failure to write it surfaces from Append or
+// Close, since a bufio.Writer's errors are sticky.
+func NewCSVWriter(w io.Writer) *CSVWriter {
+	bw := bufio.NewWriter(w)
+	_, _ = bw.WriteString("time_ns,item,offset,size,op\n")
+	return &CSVWriter{bw: bw}
+}
+
+// Append encodes one record.
+func (w *CSVWriter) Append(r LogicalRecord) error {
+	if r.Time < w.prev {
+		return fmt.Errorf("trace: csv record %d out of order (%v after %v)", w.count, r.Time, w.prev)
+	}
+	if _, err := fmt.Fprintf(w.bw, "%d,%d,%d,%d,%s\n",
+		int64(r.Time), r.Item, r.Offset, r.Size, r.Op); err != nil {
+		return err
+	}
+	w.prev = r.Time
+	w.count++
+	return nil
+}
+
+// Count returns how many records have been appended.
+func (w *CSVWriter) Count() int64 { return w.count }
+
+// Close flushes buffered output.
+func (w *CSVWriter) Close() error { return w.bw.Flush() }
 
 // CSVReader decodes logical records from "time_ns,item,offset,size,op"
 // lines. Records must be in time order.

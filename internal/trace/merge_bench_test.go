@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// benchTraces builds k sorted traces of n records each, the shape the
-// workload generators hand to MergeLogical.
+// benchTraces builds k sorted traces of n records each, the per-item
+// streams the workload generators merge.
 func benchTraces(k, n int) [][]LogicalRecord {
 	traces := make([][]LogicalRecord, k)
 	for i := range traces {
@@ -18,9 +18,8 @@ func benchTraces(k, n int) [][]LogicalRecord {
 	return traces
 }
 
-// mergeAppendSort is the pre-refactor strategy MergeLogical replaced:
-// concatenate everything and re-sort. Kept here only as the benchmark
-// baseline.
+// mergeAppendSort is the merge-free strategy: concatenate everything
+// and re-sort. Kept here only as the benchmark baseline.
 func mergeAppendSort(traces ...[]LogicalRecord) []LogicalRecord {
 	total := 0
 	for _, t := range traces {
@@ -91,7 +90,14 @@ func BenchmarkMergeAppendSort(b *testing.B) {
 // merge: both must produce identically ordered output on tie-free input.
 func TestMergeStrategiesAgree(t *testing.T) {
 	traces := benchTraces(4, 5_000)
-	a := MergeLogical(traces...)
+	srcs := make([]Source, len(traces))
+	for i, tr := range traces {
+		srcs[i] = NewSliceSource(tr)
+	}
+	a, err := CollectSource(MergeSources(srcs...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	bb := mergeAppendSort(traces...)
 	if len(a) != len(bb) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(bb))

@@ -26,17 +26,17 @@ import (
 // input would otherwise silently interleave the stray record into a
 // plausible-looking merged stream.
 type OrderError struct {
-	// Format names the codec that caught the violation: "binary",
-	// "stream", "csv" or "ndjson".
+	// Format names the codec that caught the violation: "stream", "csv"
+	// or "ndjson".
 	Format string
 	// Record is the 0-based index of the offending record within its
 	// stream; -1 when unknown.
 	Record int64
 	// Line is the 1-based input line for the text formats; 0 for the
-	// binary formats.
+	// stream format.
 	Line int64
-	// Offset is the byte offset of the record for the binary formats;
-	// -1 when not tracked.
+	// Offset is the byte offset of the record for the stream format; -1
+	// when not tracked.
 	Offset int64
 	// Prev and Got are the previous (valid) and offending timestamps.
 	Prev, Got time.Duration

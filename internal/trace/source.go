@@ -8,12 +8,12 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"iter"
 	"math"
 	"os"
+	"strings"
 	"time"
 )
 
@@ -142,8 +142,7 @@ func (s *SeqSource) Close() error {
 // per source is buffered, so merging k streams costs O(k) memory, and
 // each record costs one leaf-to-root replay of about log2(k) compares
 // with no swaps. Ties break by source index: among simultaneous records
-// the lowest-numbered source wins, which reproduces the order the old
-// linear-scan MergeLogical produced. Merged validates that its output
+// the lowest-numbered source wins. Merged validates that its output
 // is non-decreasing and fails (Err) when an input turns out unsorted.
 type Merged struct {
 	srcs []Source
@@ -315,6 +314,43 @@ func (t *Truncated) Close() error {
 	return nil
 }
 
+// Tapped hands every record of a stream to a callback on its way
+// through, so one pass can both consume a trace and write or monitor it.
+type Tapped struct {
+	src Source
+	fn  func(LogicalRecord) error
+	err error
+}
+
+// TapSource passes every record src yields to fn before yielding it.
+// An error from fn ends the stream, and Err reports it.
+func TapSource(src Source, fn func(LogicalRecord) error) *Tapped {
+	return &Tapped{src: src, fn: fn}
+}
+
+// Next returns the next record once fn has accepted it.
+func (t *Tapped) Next() (LogicalRecord, bool) {
+	if t.err != nil {
+		return LogicalRecord{}, false
+	}
+	rec, ok := t.src.Next()
+	if !ok {
+		return LogicalRecord{}, false
+	}
+	if t.err = t.fn(rec); t.err != nil {
+		return LogicalRecord{}, false
+	}
+	return rec, true
+}
+
+// Err returns fn's failure, else the upstream failure, or nil.
+func (t *Tapped) Err() error {
+	if t.err != nil {
+		return t.err
+	}
+	return t.src.Err()
+}
+
 // CollectSource drains src into a slice.
 func CollectSource(src Source) ([]LogicalRecord, error) {
 	var recs []LogicalRecord
@@ -373,8 +409,8 @@ func SummarizeSource(src Source) (Summary, error) {
 }
 
 // FileSource incrementally decodes a trace file in any of the three
-// on-disk formats — binary (ESMTRC1), streaming binary (ESMSTR1) or CSV
-// — detected from the leading bytes. Decoding is incremental: a
+// on-disk formats — the binary stream (ESMSTR1), NDJSON or CSV —
+// detected from the leading bytes. Decoding is incremental: a
 // multi-gigabyte trace replays in O(items) memory, never holding more
 // than one record and the decoder's fixed buffers.
 type FileSource struct {
@@ -401,49 +437,25 @@ func OpenFile(path string) (*FileSource, error) {
 }
 
 // NewFileSource returns a FileSource decoding r. Close is a no-op for
-// sources built over a plain reader.
+// sources built over a plain reader. Input that opens with an ESM
+// binary magic other than the stream's fails with an error naming that
+// magic, instead of reaching the CSV parser as garbage.
 func NewFileSource(r io.Reader) (*FileSource, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	fs := &FileSource{}
-	head, _ := br.Peek(len(binaryMagic))
+	head, _ := br.Peek(len(streamMagic))
 	switch {
-	case string(head) == binaryMagic:
-		if _, err := br.Discard(len(binaryMagic)); err != nil {
-			return nil, err
-		}
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading header: %w", err)
-		}
-		n := binary.LittleEndian.Uint64(hdr[:])
-		if n > maxRecords {
-			return nil, fmt.Errorf("trace: implausible record count %d", n)
-		}
-		var prev time.Duration
-		var i uint64
-		off := int64(len(binaryMagic) + len(hdr))
-		fs.next = func() (LogicalRecord, error) {
-			if i >= n {
-				return LogicalRecord{}, io.EOF
-			}
-			rec, err := readBinaryRecord(br, &prev, i, &off)
-			if err != nil {
-				return LogicalRecord{}, err
-			}
-			i++
-			return rec, nil
-		}
 	case string(head) == streamMagic:
-		sr := NewStreamReader(br)
-		fs.next = sr.Next
+		fs.next = NewStreamReader(br).Next
 	case len(head) > 0 && head[0] == '{':
 		// Self-describing NDJSON: the only text format whose lines start
 		// with an object brace.
-		nr := NewNDJSONReader(br)
-		fs.next = nr.Next
+		fs.next = NewNDJSONReader(br).Next
 	default:
-		cr := NewCSVReader(br)
-		fs.next = cr.Next
+		if strings.HasPrefix(string(head), streamMagic[:3]) {
+			return nil, fmt.Errorf("trace: unsupported binary trace format %q; regenerate the trace with tracegen -format stream", head)
+		}
+		fs.next = NewCSVReader(br).Next
 	}
 	return fs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -161,8 +162,8 @@ func mergeInputs(rng *rand.Rand, k, maxLen, emptyEvery int, tick time.Duration) 
 
 // TestMergeSourcesMatchesMergeLogical is the differential merge test:
 // MergeSources must produce exactly what concatenating every input and
-// stable-sorting by (Time, source index) produces — the order
-// MergeLogical promises — and agree with the reference heap merge. It
+// stable-sorting by (Time, source index) produces, and agree with the
+// reference heap merge. It
 // also checks that each source is closed as soon as its last record has
 // been merged.
 func TestMergeSourcesMatchesMergeLogical(t *testing.T) {
@@ -256,8 +257,7 @@ func TestMergeSourcesMatchesMergeLogical(t *testing.T) {
 }
 
 func TestMergeSourcesTieOrder(t *testing.T) {
-	// Simultaneous records must come out in source-index order, matching
-	// the old linear-scan MergeLogical.
+	// Simultaneous records must come out in source-index order.
 	a := []LogicalRecord{{Time: 10, Item: 5, Size: 1, Op: OpRead}}
 	b := []LogicalRecord{{Time: 10, Item: 1, Size: 1, Op: OpRead}}
 	got, err := CollectSource(MergeSources(NewSliceSource(a), NewSliceSource(b)))
@@ -384,15 +384,34 @@ func TestTruncateSource(t *testing.T) {
 	}
 }
 
-func TestSummarizeSourceMatchesSummarize(t *testing.T) {
-	recs := sortedRecs(rand.New(rand.NewSource(4)), 500, 7)
-	want := Summarize(recs)
-	got, err := SummarizeSource(NewSliceSource(recs))
+func TestTapSource(t *testing.T) {
+	recs := sortedRecs(rand.New(rand.NewSource(4)), 50, 3)
+	var seen []LogicalRecord
+	got, err := CollectSource(TapSource(NewSliceSource(recs), func(r LogicalRecord) error {
+		seen = append(seen, r)
+		return nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("streaming summary %+v != slice summary %+v", got, want)
+	if !slices.Equal(got, recs) || !slices.Equal(seen, recs) {
+		t.Fatalf("tap passed %d and yielded %d of %d records", len(seen), len(got), len(recs))
+	}
+
+	stop := errors.New("full")
+	n := 0
+	tap := TapSource(NewSliceSource(recs), func(LogicalRecord) error {
+		if n++; n == 10 {
+			return stop
+		}
+		return nil
+	})
+	got, err = CollectSource(tap)
+	if !errors.Is(err, stop) || got != nil {
+		t.Fatalf("callback failure: got %d records, err %v; want none and %v", len(got), err, stop)
+	}
+	if _, ok := tap.Next(); ok || n != 10 {
+		t.Fatalf("tap went on after its callback failed (%d calls)", n)
 	}
 }
 
@@ -400,15 +419,13 @@ func TestFileSourceAllFormats(t *testing.T) {
 	recs := sortedRecs(rand.New(rand.NewSource(5)), 1000, 2)
 	dir := t.TempDir()
 
-	write := func(name string, enc func(*os.File) error) string {
+	write := func(name string, newWriter func(io.Writer) recordWriter) string {
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc(f); err != nil {
-			t.Fatal(err)
-		}
+		encodeAll(t, newWriter(f), recs)
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -416,17 +433,9 @@ func TestFileSourceAllFormats(t *testing.T) {
 	}
 
 	paths := map[string]string{
-		"binary": write("t.bin", func(f *os.File) error { return WriteBinary(f, recs) }),
-		"csv":    write("t.csv", func(f *os.File) error { return WriteCSV(f, recs) }),
-		"stream": write("t.str", func(f *os.File) error {
-			w := NewStreamWriter(f)
-			for _, r := range recs {
-				if err := w.Append(r); err != nil {
-					return err
-				}
-			}
-			return w.Close()
-		}),
+		"stream": write("t.str", func(w io.Writer) recordWriter { return NewStreamWriter(w) }),
+		"csv":    write("t.csv", func(w io.Writer) recordWriter { return NewCSVWriter(w) }),
+		"ndjson": write("t.ndjson", func(w io.Writer) recordWriter { return NewNDJSONWriter(w) }),
 	}
 
 	for format, path := range paths {
@@ -458,9 +467,7 @@ func TestFileSourceAllFormats(t *testing.T) {
 func TestFileSourceTruncatedBinary(t *testing.T) {
 	recs := sortedRecs(rand.New(rand.NewSource(6)), 100, 0)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
+	encodeAll(t, NewStreamWriter(&buf), recs)
 	cut := buf.Bytes()[:buf.Len()-5]
 	src, err := NewFileSource(bytes.NewReader(cut))
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -44,6 +46,34 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	if r.Count() != 500 {
 		t.Fatalf("reader count %d", r.Count())
+	}
+}
+
+// TestBinaryRoundTrip pins the binary trace encoding byte for byte: the
+// stream magic, then per record the uvarint time delta, item, offset
+// and size and one op byte. Files written by earlier builds must keep
+// decoding, so the writer may never drift from this layout.
+func TestBinaryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	recs := randomRecords(rng, 1000)
+	SortLogical(recs)
+	want := []byte(streamMagic)
+	var prev time.Duration
+	for _, r := range recs {
+		want = appendVarintRecord(want, uint64(r.Time-prev), uint64(r.Item), uint64(r.Offset), uint64(r.Size), byte(r.Op))
+		prev = r.Time
+	}
+	var buf bytes.Buffer
+	encodeAll(t, NewStreamWriter(&buf), recs)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoding differs from the pinned layout (%d vs %d bytes)", buf.Len(), len(want))
+	}
+	got, err := readAll(NewStreamReader(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, recs) {
+		t.Fatalf("round trip %d records differs from the %d written", len(got), len(recs))
 	}
 }
 
@@ -100,8 +130,8 @@ func TestStreamRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBatchFormatSemantics: streaming and batch decode of
-// the same records agree.
+// TestStreamMatchesBatchFormatSemantics: random sorted traces survive
+// a stream encode/decode round trip unchanged.
 func TestStreamMatchesBatchFormatSemantics(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

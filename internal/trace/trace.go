@@ -154,32 +154,6 @@ func SortLogical(recs []LogicalRecord) {
 	})
 }
 
-// MergeLogical merges already-sorted logical traces into one sorted trace
-// using a k-way heap merge: O(n log k) instead of the O(nk) linear scan it
-// replaces, with ties between traces still going to the lowest index.
-// Unsorted inputs are a caller bug and panic.
-func MergeLogical(traces ...[]LogicalRecord) []LogicalRecord {
-	total := 0
-	srcs := make([]Source, len(traces))
-	for k, t := range traces {
-		total += len(t)
-		srcs[k] = NewSliceSource(t)
-	}
-	out := make([]LogicalRecord, 0, total)
-	m := MergeSources(srcs...)
-	for {
-		rec, ok := m.Next()
-		if !ok {
-			break
-		}
-		out = append(out, rec)
-	}
-	if err := m.Err(); err != nil {
-		panic("trace: MergeLogical: " + err.Error())
-	}
-	return out
-}
-
 // Summary aggregates whole-trace statistics.
 type Summary struct {
 	Records  int
@@ -191,41 +165,6 @@ type Summary struct {
 	Items    int // distinct items touched
 	MaxItem  ItemID
 	ReadFrac float64
-}
-
-// Summarize computes a Summary over recs.
-func Summarize(recs []LogicalRecord) Summary {
-	var s Summary
-	if len(recs) == 0 {
-		return s
-	}
-	seen := make(map[ItemID]struct{})
-	s.Start = recs[0].Time
-	s.End = recs[0].Time
-	for _, r := range recs {
-		s.Records++
-		if r.Op == OpRead {
-			s.Reads++
-		} else {
-			s.Writes++
-		}
-		s.Bytes += int64(r.Size)
-		if r.Time < s.Start {
-			s.Start = r.Time
-		}
-		if r.Time > s.End {
-			s.End = r.Time
-		}
-		if r.Item > s.MaxItem {
-			s.MaxItem = r.Item
-		}
-		seen[r.Item] = struct{}{}
-	}
-	s.Items = len(seen)
-	if s.Records > 0 {
-		s.ReadFrac = float64(s.Reads) / float64(s.Records)
-	}
-	return s
 }
 
 // String formats the summary for human consumption.

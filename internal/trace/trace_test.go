@@ -75,44 +75,31 @@ func TestSortLogical(t *testing.T) {
 	}
 }
 
-func TestMergeLogical(t *testing.T) {
-	a := []LogicalRecord{{Time: 1}, {Time: 4}}
-	b := []LogicalRecord{{Time: 2}, {Time: 3}, {Time: 5}}
-	got := MergeLogical(a, b)
-	if len(got) != 5 {
-		t.Fatalf("merged %d records", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time < got[i-1].Time {
-			t.Fatalf("merge out of order at %d", i)
-		}
-	}
-	if len(MergeLogical()) != 0 {
-		t.Fatal("empty merge should be empty")
-	}
-}
-
+// TestSummarize pins every Summary field on a trace whose highest item
+// ID differs from its distinct-item count, plus the empty trace.
 func TestSummarize(t *testing.T) {
 	recs := []LogicalRecord{
-		{Time: time.Second, Item: 0, Size: 100, Op: OpRead},
+		{Time: time.Second, Item: 4, Size: 100, Op: OpRead},
 		{Time: 2 * time.Second, Item: 1, Size: 200, Op: OpWrite},
-		{Time: 3 * time.Second, Item: 0, Size: 300, Op: OpRead},
+		{Time: 3 * time.Second, Item: 4, Size: 300, Op: OpRead},
 	}
-	s := Summarize(recs)
-	if s.Records != 3 || s.Reads != 2 || s.Writes != 1 {
-		t.Fatalf("summary counts %+v", s)
+	s, err := SummarizeSource(NewSliceSource(recs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Bytes != 600 || s.Items != 2 || s.Start != time.Second || s.End != 3*time.Second {
-		t.Fatalf("summary %+v", s)
+	want := Summary{
+		Records: 3, Reads: 2, Writes: 1, Bytes: 600,
+		Start: time.Second, End: 3 * time.Second,
+		Items: 2, MaxItem: 4, ReadFrac: 2.0 / 3,
 	}
-	if s.ReadFrac < 0.66 || s.ReadFrac > 0.67 {
-		t.Fatalf("read frac %v", s.ReadFrac)
+	if s != want {
+		t.Fatalf("summary %+v, want %+v", s, want)
 	}
 	if !strings.Contains(s.String(), "3 records") {
 		t.Fatalf("summary string %q", s)
 	}
-	if Summarize(nil).Records != 0 {
-		t.Fatal("empty summary not zero")
+	if s, err := SummarizeSource(NewSliceSource(nil)); err != nil || s != (Summary{}) {
+		t.Fatalf("empty summary %+v, err %v", s, err)
 	}
 }
 
