@@ -352,7 +352,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("series", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replayOnce(b, obs.Telemetry{Flight: obs.NewFlightRecorder(obs.FlightOptions{})})
+			replayOnce(b, obs.Telemetry{Flight: obs.NewFlightRecorder(0)})
 		}
 	})
 	b.Run("alerts", func(b *testing.B) {
@@ -370,7 +370,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("provenance", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			replayOnce(b, obs.Telemetry{Provenance: obs.NewProvenance(obs.ProvenanceOptions{})})
+			replayOnce(b, obs.Telemetry{Provenance: obs.NewProvenance()})
 		}
 	})
 }

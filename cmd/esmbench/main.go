@@ -121,7 +121,9 @@ func writeCSV(path string, s *obs.Series) error {
 }
 
 // writeLedgers writes every replay's provenance ledger of ev to its
-// per-run -provenance path.
+// per-run -provenance path, and names each ledger that overflowed its
+// bound: past it the store keeps every stride-th row, so esmstat
+// explain counts from a sample of the decisions.
 func writeLedgers(provPath string, ev *experiments.Eval) error {
 	for i, f := range ev.Policies {
 		if s := ev.Results[i].ProvSeries; s != nil {
@@ -131,6 +133,11 @@ func writeLedgers(provPath string, ev *experiments.Eval) error {
 		}
 	}
 	fmt.Printf("   (wrote %d provenance ledgers: %s ...)\n", len(ev.Policies), runFileFor(provPath, ev.Workload.Name, ev.Policies[0].Name))
+	for i, f := range ev.Policies {
+		if p := ev.Results[i].Provenance; p != nil && p.Stride > 1 {
+			fmt.Printf("   (%s ledger: kept %d of %d rows (stride %d))\n", f.Name, p.Records, p.Offered, p.Stride)
+		}
+	}
 	return nil
 }
 
@@ -328,7 +335,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				tel.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: w.Enclosures})
 			}
 			if seriesDir != "" {
-				tel.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+				tel.Flight = obs.NewFlightRecorder(0)
 			}
 			tel.Alerts = obs.NewWatchdog(obs.WatchdogOptions{
 				Rules:    alertRules,
@@ -336,7 +343,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				Instance: name + "/" + policy,
 			})
 			if provPath != "" {
-				tel.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+				tel.Provenance = obs.NewProvenance()
 			}
 			return tel
 		}

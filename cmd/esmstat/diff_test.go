@@ -98,7 +98,7 @@ func TestRenderDiffOutput(t *testing.T) {
 }
 
 func TestRenderSeriesSummary(t *testing.T) {
-	fr := obs.NewFlightRecorder(obs.FlightOptions{Interval: time.Second})
+	fr := obs.NewFlightRecorder(time.Second)
 	for i := 0; i <= 5; i++ {
 		fr.Record(obs.FlightSample{T: time.Duration(i) * time.Second, EnclosureEnergyJ: float64(i) * 10})
 	}
@@ -116,7 +116,7 @@ func TestRenderSeriesSummary(t *testing.T) {
 // TestRunSeriesWindowCSV round-trips a series file through the series
 // subcommand's reader and window.
 func TestRunSeriesWindowCSV(t *testing.T) {
-	fr := obs.NewFlightRecorder(obs.FlightOptions{Interval: time.Second})
+	fr := obs.NewFlightRecorder(time.Second)
 	for i := 0; i <= 10; i++ {
 		fr.Record(obs.FlightSample{T: time.Duration(i) * time.Second, SpinUps: i})
 	}

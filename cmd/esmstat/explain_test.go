@@ -41,7 +41,7 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 // and attribution rows, all inside the first ten minutes.
 func explainFixture(t *testing.T) string {
 	t.Helper()
-	p := obs.NewProvenance(obs.ProvenanceOptions{})
+	p := obs.NewProvenance()
 	at := func(m int) time.Duration { return time.Duration(m) * time.Minute }
 	for _, d := range []obs.Decision{
 		{Kind: obs.ProvDetermination, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1},
@@ -67,7 +67,7 @@ func explainFixture(t *testing.T) string {
 				{Item: 9, Class: 1, Joules: 100},
 			},
 		}},
-	}, 0)
+	})
 	path := filepath.Join(t.TempDir(), "run.prov.csv")
 	f, err := os.Create(path)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestExplainAlertWindow(t *testing.T) {
 // sample and hands explain the window.
 func TestSeriesDiffLocatesDivergence(t *testing.T) {
 	mk := func(perturb bool) string {
-		f := obs.NewFlightRecorder(obs.FlightOptions{Interval: time.Minute})
+		f := obs.NewFlightRecorder(time.Minute)
 		for i := 0; i < 10; i++ {
 			e := 100.0 * float64(i)
 			if perturb && i >= 6 {

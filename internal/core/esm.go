@@ -312,7 +312,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	// Provenance: record the determination's inputs and outputs before
 	// the plan executes, so the decision rows precede the runtime rows
 	// (cache loads, destages, power transitions) they provoke.
-	if d.tel.Provenance.Enabled() {
+	if d.tel.Provenance != nil {
 		d.logDecisions(now, cause, stats, &plan, wd, pre)
 	}
 

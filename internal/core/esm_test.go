@@ -353,8 +353,8 @@ func runAblation(t *testing.T, params Params) ablationResult {
 // scheduled period end.
 func TestESMTriggerOnHotEnclosureGap(t *testing.T) {
 	cat := trace.NewCatalog()
-	fade := cat.Add("fade", 512<<20) // busy early, silent later
-	cat.Add("idle", 512<<20)         // untouched data on the second enclosure
+	fade := cat.Add("fade", 512<<20)   // busy early, silent later
+	idleID := cat.Add("idle", 512<<20) // untouched data on the second enclosure
 
 	var recs []trace.LogicalRecord
 	dur := 80 * time.Minute
@@ -381,7 +381,6 @@ func TestESMTriggerOnHotEnclosureGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.Place(fade, 0)
-	idleID, _ := cat.Lookup("idle")
 	arr.Place(idleID, 1)
 
 	params := DefaultParams()

@@ -250,9 +250,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// Enabled reports whether the injector is live.
-func (in *Injector) Enabled() bool { return in != nil }
-
 // Config returns the scenario (zero for a nil injector).
 func (in *Injector) Config() Config {
 	if in == nil {

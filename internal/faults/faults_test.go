@@ -158,9 +158,6 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestNilInjectorIsDisabled(t *testing.T) {
 	var in *Injector
-	if in.Enabled() {
-		t.Fatal("nil injector enabled")
-	}
 	if in.SpinUpAttemptFails(0, 0, 1) || in.TransientIO(0, 0) {
 		t.Fatal("nil injector injected a fault")
 	}

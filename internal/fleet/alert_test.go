@@ -105,12 +105,14 @@ func TestAlertsAndHealthEndpoints(t *testing.T) {
 	}
 
 	// The rule-state gauges land in the shared registry with the
-	// array="<name>" / array="fleet" instance labels.
+	// array="<name>" / array="fleet" instance labels, beside the build
+	// identity gauge.
 	metrics := string(get(t, srv.URL+"/metrics"))
 	for _, want := range []string{
 		`esm_alerts{array="a",rule="energy",state="firing"} 1`,
 		`esm_alerts{array="fleet",rule="budget",state="firing"} 1`,
 		`esm_alert_transitions_total{array="a",rule="energy"}`,
+		`esm_build_info{`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -164,7 +164,7 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	})
 	tel := obs.Telemetry{
 		Recorder: rec,
-		Flight:   obs.NewFlightRecorder(obs.FlightOptions{Interval: every}),
+		Flight:   obs.NewFlightRecorder(every),
 		// The watchdog shares the array's recorder (sequence-consistent
 		// alert events) and the fleet registry (array-labelled
 		// instruments).
@@ -184,7 +184,7 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 		})
 	}
 	if spec.Provenance {
-		tel.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+		tel.Provenance = obs.NewProvenance()
 	}
 
 	esm, err := buildESM(cfgFile)

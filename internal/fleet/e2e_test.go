@@ -125,12 +125,12 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				Duration:  last,
 				Faults:    fc,
 				Telemetry: obs.Telemetry{
-					Flight: obs.NewFlightRecorder(obs.FlightOptions{Interval: interval}),
+					Flight: obs.NewFlightRecorder(interval),
 					Alerts: obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet}),
 				},
 			}
 			if tc.provenance {
-				run.Telemetry.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+				run.Telemetry.Provenance = obs.NewProvenance()
 			}
 			res, err := replay.Execute(run)
 			if err != nil {

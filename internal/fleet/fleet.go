@@ -70,6 +70,7 @@ func New(opts Options) (*Fleet, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	obs.RegisterBuildInfo(reg)
 	for _, r := range opts.Alerts {
 		if !r.FleetSignal() {
 			return nil, fmt.Errorf("fleet: alert %q: signal %q is per-array; declare it on an array spec", r.Name, r.Signal)

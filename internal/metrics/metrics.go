@@ -88,41 +88,6 @@ func DerivedQueryResponse(qOrig time.Duration, sumR, sumROrig time.Duration) tim
 	return time.Duration(float64(qOrig) * float64(sumR) / float64(sumROrig))
 }
 
-// CurvePoint is one point of the cumulative I/O interval curve of
-// Figs 17–19: the total length of enclosure-level I/O intervals at least
-// MinLen long, summed over every enclosure.
-type CurvePoint struct {
-	MinLen     time.Duration
-	Cumulative time.Duration
-	Count      int64
-}
-
-// IntervalCurve computes the cumulative interval curve from the storage
-// monitor's per-enclosure gap distributions.
-func IntervalCurve(mon *monitor.StorageMonitor) []CurvePoint {
-	pts := make([]CurvePoint, monitor.IntervalBuckets)
-	min := time.Duration(0)
-	next := 2 * time.Second
-	for b := 0; b < monitor.IntervalBuckets; b++ {
-		pts[b].MinLen = min
-		min = next
-		next *= 2
-	}
-	for e := 0; e < mon.Enclosures(); e++ {
-		iv := mon.Intervals(e)
-		for b := 0; b < monitor.IntervalBuckets; b++ {
-			pts[b].Count += iv.Counts[b]
-			pts[b].Cumulative += iv.Sums[b]
-		}
-	}
-	// A gap in bucket b contributes to every point at or below b, so the
-	// cumulative column is the suffix sum of the per-bucket totals.
-	for b := monitor.IntervalBuckets - 2; b >= 0; b-- {
-		pts[b].Cumulative += pts[b+1].Cumulative
-	}
-	return pts
-}
-
 // CumulativeAbove returns the summed length of enclosure I/O intervals of
 // at least min, across all enclosures.
 func CumulativeAbove(mon *monitor.StorageMonitor, min time.Duration) time.Duration {

@@ -134,25 +134,12 @@ func TestDerivedQueryResponse(t *testing.T) {
 	}
 }
 
-func TestIntervalCurve(t *testing.T) {
+func TestCumulativeAbove(t *testing.T) {
 	m := monitor.NewStorageMonitor(2)
 	m.RecordPhysical(trace.PhysicalRecord{Time: 0, Enclosure: 0})
 	m.RecordPhysical(trace.PhysicalRecord{Time: 10 * time.Minute, Enclosure: 0})
 	m.RecordPhysical(trace.PhysicalRecord{Time: 0, Enclosure: 1})
 	m.Finish(10 * time.Minute)
-	pts := IntervalCurve(m)
-	if len(pts) != monitor.IntervalBuckets {
-		t.Fatalf("curve has %d points", len(pts))
-	}
-	// Cumulative must be non-increasing in the threshold.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Cumulative > pts[i-1].Cumulative {
-			t.Fatalf("curve not monotone at %d", i)
-		}
-		if pts[i].MinLen <= pts[i-1].MinLen {
-			t.Fatalf("thresholds not increasing at %d", i)
-		}
-	}
 	// Total gap length: enclosure 0 has one 10-minute gap, enclosure 1 a
 	// 10-minute tail gap.
 	if got := CumulativeAbove(m, 52*time.Second); got != 20*time.Minute {
@@ -160,58 +147,5 @@ func TestIntervalCurve(t *testing.T) {
 	}
 	if got := CumulativeAbove(m, time.Hour); got != 0 {
 		t.Fatalf("cumulative above 1h = %v", got)
-	}
-}
-
-// naiveIntervalCurve is the reference quadratic accumulation the
-// suffix-sum implementation must match bucket for bucket.
-func naiveIntervalCurve(mon *monitor.StorageMonitor) []CurvePoint {
-	pts := make([]CurvePoint, monitor.IntervalBuckets)
-	min := time.Duration(0)
-	next := 2 * time.Second
-	for b := 0; b < monitor.IntervalBuckets; b++ {
-		pts[b].MinLen = min
-		min = next
-		next *= 2
-	}
-	for e := 0; e < mon.Enclosures(); e++ {
-		iv := mon.Intervals(e)
-		for b := 0; b < monitor.IntervalBuckets; b++ {
-			pts[b].Count += iv.Counts[b]
-			for j := 0; j <= b; j++ {
-				pts[j].Cumulative += iv.Sums[b]
-			}
-		}
-	}
-	return pts
-}
-
-func TestIntervalCurveMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := monitor.NewStorageMonitor(4)
-	var now [4]time.Duration
-	for i := 0; i < 2000; i++ {
-		e := rng.Intn(4)
-		// Gaps from sub-second to hours, exercising every bucket.
-		now[e] += time.Duration(rng.Int63n(int64(4 * time.Hour)))
-		m.RecordPhysical(trace.PhysicalRecord{Time: now[e], Enclosure: int32(e)})
-	}
-	var end time.Duration
-	for _, n := range now {
-		if n > end {
-			end = n
-		}
-	}
-	m.Finish(end)
-
-	got := IntervalCurve(m)
-	want := naiveIntervalCurve(m)
-	if len(got) != len(want) {
-		t.Fatalf("length %d vs %d", len(got), len(want))
-	}
-	for b := range got {
-		if got[b] != want[b] {
-			t.Fatalf("bucket %d: %+v, want %+v", b, got[b], want[b])
-		}
 	}
 }

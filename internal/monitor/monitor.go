@@ -1,7 +1,8 @@
 // Package monitor implements the paper's §III monitoring system: an
 // Application Monitor that watches logical (application-level) I/O per
 // data item, and a Storage Monitor that watches physical I/O per disk
-// enclosure together with enclosure power status.
+// enclosure. The paper's power-status records live in the decision log
+// (power_on/power_off events) and the power meter, where they are read.
 //
 // Both monitors accumulate incrementally — the power management function
 // only ever needs per-period aggregates (Long Interval counts, I/O
@@ -76,9 +77,6 @@ func NewAppMonitor(n int, breakEven time.Duration) *AppMonitor {
 
 // BreakEven returns the configured break-even time.
 func (m *AppMonitor) BreakEven() time.Duration { return m.breakEven }
-
-// PeriodStart returns the start time of the current period.
-func (m *AppMonitor) PeriodStart() time.Duration { return m.periodStart }
 
 // Record ingests one logical I/O.
 func (m *AppMonitor) Record(rec trace.LogicalRecord) {
@@ -157,13 +155,6 @@ func (m *AppMonitor) EndPeriod(now time.Duration) []ItemPeriodStats {
 	return out
 }
 
-// PowerStatusRecord is one enclosure power transition (§III-B).
-type PowerStatusRecord struct {
-	Enclosure int
-	At        time.Duration
-	On        bool
-}
-
 // IntervalBuckets is the number of logarithmic gap buckets kept per
 // enclosure. Bucket i covers gaps in [2^i, 2^(i+1)) seconds, with bucket 0
 // holding everything below 2 seconds.
@@ -211,16 +202,12 @@ func (ei *EnclosureIntervals) CumulativeLongerThan(min time.Duration) time.Durat
 }
 
 // StorageMonitor is the storage monitor: it observes physical I/O per
-// enclosure and enclosure power transitions.
+// enclosure and keeps the gap distributions of Figs 17–19, measured
+// from time zero.
 type StorageMonitor struct {
-	start     time.Duration
 	lastIO    []time.Duration
 	hasIO     []bool
 	intervals []EnclosureIntervals
-	reads     []int64
-	writes    []int64
-	power     []PowerStatusRecord
-	spinUps   []int
 }
 
 // NewStorageMonitor returns a monitor over n enclosures.
@@ -229,9 +216,6 @@ func NewStorageMonitor(n int) *StorageMonitor {
 		lastIO:    make([]time.Duration, n),
 		hasIO:     make([]bool, n),
 		intervals: make([]EnclosureIntervals, n),
-		reads:     make([]int64, n),
-		writes:    make([]int64, n),
-		spinUps:   make([]int, n),
 	}
 }
 
@@ -244,30 +228,17 @@ func (m *StorageMonitor) RecordPhysical(rec trace.PhysicalRecord) {
 		}
 	} else {
 		m.hasIO[e] = true
-		if gap := rec.Time - m.start; gap > 0 {
-			m.intervals[e].add(gap)
+		if rec.Time > 0 {
+			m.intervals[e].add(rec.Time)
 		}
 	}
 	m.lastIO[e] = rec.Time
-	if rec.Op == trace.OpRead {
-		m.reads[e]++
-	} else {
-		m.writes[e]++
-	}
-}
-
-// RecordPower ingests one power transition.
-func (m *StorageMonitor) RecordPower(enc int, at time.Duration, on bool) {
-	m.power = append(m.power, PowerStatusRecord{Enclosure: enc, At: at, On: on})
-	if on {
-		m.spinUps[enc]++
-	}
 }
 
 // Finish accounts the tail gap of every enclosure up to now.
 func (m *StorageMonitor) Finish(now time.Duration) {
 	for e := range m.lastIO {
-		last := m.start
+		var last time.Duration
 		if m.hasIO[e] {
 			last = m.lastIO[e]
 		}
@@ -282,15 +253,3 @@ func (m *StorageMonitor) Intervals(e int) *EnclosureIntervals { return &m.interv
 
 // Enclosures returns the enclosure count.
 func (m *StorageMonitor) Enclosures() int { return len(m.intervals) }
-
-// Reads returns physical reads observed on enclosure e.
-func (m *StorageMonitor) Reads(e int) int64 { return m.reads[e] }
-
-// Writes returns physical writes observed on enclosure e.
-func (m *StorageMonitor) Writes(e int) int64 { return m.writes[e] }
-
-// SpinUps returns power-on transitions observed on enclosure e.
-func (m *StorageMonitor) SpinUps(e int) int { return m.spinUps[e] }
-
-// PowerLog returns the power transition log.
-func (m *StorageMonitor) PowerLog() []PowerStatusRecord { return m.power }

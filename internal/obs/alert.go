@@ -310,9 +310,6 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	return w
 }
 
-// Enabled reports whether the watchdog is live.
-func (w *Watchdog) Enabled() bool { return w != nil }
-
 // Rules returns the evaluated rule set in evaluation order (nil for a
 // nil watchdog).
 func (w *Watchdog) Rules() []Rule {
@@ -342,10 +339,6 @@ func (w *Watchdog) Observe(s FlightSample) {
 		}
 	}
 }
-
-// Final evaluates the run's closing sample. It is Observe under a name
-// that marks the call site: drivers pair it with FlightRecorder.Final.
-func (w *Watchdog) Final(s FlightSample) { w.Observe(s) }
 
 // ObserveSignal evaluates only the rules reading the named signal —
 // the policy bridge for instantaneous transitions (the ESM degrade

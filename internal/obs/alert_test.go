@@ -208,7 +208,7 @@ func TestWatchdogObserveValues(t *testing.T) {
 func TestWatchdogReadsFlightColumns(t *testing.T) {
 	s := sampleAt(37, 2)
 	s.ClassCounts = [4]int{4, 3, 2, 1}
-	f := NewFlightRecorder(FlightOptions{})
+	f := NewFlightRecorder(0)
 	f.Record(s)
 	series := f.Series()
 	var rules []Rule
@@ -235,7 +235,6 @@ func TestNilWatchdogAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		w.Observe(s)
 		w.ObserveSignal(s.T, "degraded", 1)
-		w.Final(s)
 	}); n != 0 {
 		t.Fatalf("nil watchdog allocated %.1f/op", n)
 	}

@@ -81,20 +81,11 @@ type EnclosureSample struct {
 	IdleFor time.Duration
 }
 
-// FlightOptions configures a FlightRecorder.
-type FlightOptions struct {
-	// Interval is the sampling interval on the simulated clock. Zero
-	// lets the driver pick its default grid (replay uses span/120).
-	Interval time.Duration
-	// MaxSamples bounds the stored samples. When the store fills, every
-	// other sample is dropped and the acceptance stride doubles, so
-	// memory stays bounded while the whole run remains covered at
-	// halved resolution. Defaults to 512; forced even and >= 4.
-	MaxSamples int
-}
-
-// DefaultFlightMaxSamples is the MaxSamples default.
-const DefaultFlightMaxSamples = 512
+// flightMaxSamples bounds the stored samples. When the store fills,
+// every other sample is dropped and the acceptance stride doubles, so
+// memory stays bounded while the whole run remains covered at halved
+// resolution.
+const flightMaxSamples = 512
 
 // FlightRecorder collects FlightSamples into a columnar Series. A nil
 // *FlightRecorder is a valid disabled recorder.
@@ -107,17 +98,16 @@ type FlightRecorder struct {
 	store    colStore
 }
 
-// NewFlightRecorder returns a live flight recorder.
-func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
+// NewFlightRecorder returns a live flight recorder sampling every
+// interval of simulated time. Zero lets the driver pick its default
+// grid (replay uses span/120).
+func NewFlightRecorder(interval time.Duration) *FlightRecorder {
 	return &FlightRecorder{
-		interval: opts.Interval,
+		interval: interval,
 		encs:     -1,
-		store:    newColStore(opts.MaxSamples, DefaultFlightMaxSamples, 4),
+		store:    newColStore(flightMaxSamples),
 	}
 }
-
-// Enabled reports whether the recorder is live.
-func (f *FlightRecorder) Enabled() bool { return f != nil }
 
 // Interval returns the configured sampling interval (zero for a nil or
 // interval-less recorder, letting the driver pick its default).
@@ -242,7 +232,7 @@ func (f *FlightRecorder) rowLocked(s FlightSample) []float64 {
 
 // Record offers one sample. The recorder accepts every stride-th offer
 // (stride starts at 1 and doubles on each compaction), so after any
-// number of offers memory holds at most MaxSamples rows: the first
+// number of offers memory holds at most flightMaxSamples rows: the first
 // sample is always retained, and cumulative columns stay monotone
 // because compaction only drops rows, never merges them.
 func (f *FlightRecorder) Record(s FlightSample) {

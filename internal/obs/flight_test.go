@@ -40,9 +40,6 @@ func sampleAt(i int, encs int) FlightSample {
 
 func TestFlightNilSafe(t *testing.T) {
 	var f *FlightRecorder
-	if f.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	if f.Interval() != 0 {
 		t.Fatal("nil recorder has an interval")
 	}
@@ -57,9 +54,9 @@ func TestFlightNilSafe(t *testing.T) {
 }
 
 func TestFlightDownsamplingPreservesEnds(t *testing.T) {
-	const max = 8
-	f := NewFlightRecorder(FlightOptions{Interval: time.Second, MaxSamples: max})
-	const offers = 100
+	const max = flightMaxSamples
+	f := NewFlightRecorder(time.Second)
+	const offers = 12 * max
 	for i := 0; i < offers; i++ {
 		f.Record(sampleAt(i, 1))
 	}
@@ -103,7 +100,7 @@ func TestFlightDownsamplingPreservesEnds(t *testing.T) {
 }
 
 func TestFlightFinalReplacesSameInstant(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Interval: time.Second})
+	f := NewFlightRecorder(time.Second)
 	f.Record(sampleAt(0, 1))
 	f.Record(sampleAt(1, 1))
 	fin := sampleAt(1, 1)
@@ -119,7 +116,7 @@ func TestFlightFinalReplacesSameInstant(t *testing.T) {
 }
 
 func TestFlightClassCountsStamped(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{})
+	f := NewFlightRecorder(0)
 	f.Record(sampleAt(0, 1))
 	s1 := sampleAt(1, 1)
 	s1.ClassCounts = [4]int{7, 5, 3, 1}
@@ -134,7 +131,7 @@ func TestFlightClassCountsStamped(t *testing.T) {
 }
 
 func TestSeriesCSVRoundTrip(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Interval: 2 * time.Second})
+	f := NewFlightRecorder(2 * time.Second)
 	for i := 0; i < 5; i++ {
 		f.Record(sampleAt(2*i, 3))
 	}
@@ -167,7 +164,7 @@ func TestSeriesCSVRoundTrip(t *testing.T) {
 }
 
 func TestSeriesJSONHasColumns(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Interval: time.Second})
+	f := NewFlightRecorder(time.Second)
 	f.Record(sampleAt(0, 1))
 	f.Record(sampleAt(1, 1))
 	var buf bytes.Buffer
@@ -182,7 +179,7 @@ func TestSeriesJSONHasColumns(t *testing.T) {
 }
 
 func TestSeriesWindow(t *testing.T) {
-	f := NewFlightRecorder(FlightOptions{Interval: time.Second})
+	f := NewFlightRecorder(time.Second)
 	for i := 0; i <= 10; i++ {
 		f.Record(sampleAt(i, 1))
 	}

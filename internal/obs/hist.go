@@ -80,19 +80,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.max
 }
 
-// Merge adds o's samples into h. The merged percentiles are exact at
-// bucket granularity (bucket counts add; max is the larger max).
-func (h *Histogram) Merge(o *Histogram) {
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-	for b := range h.buckets {
-		h.buckets[b] += o.buckets[b]
-	}
-}
-
 // Phase names one stage of an application I/O's life inside the
 // storage unit.
 type Phase uint8

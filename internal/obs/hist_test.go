@@ -76,36 +76,6 @@ func TestHistogramPercentileVsNaive(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: merged histograms answer exactly like one
-// histogram fed both sample sets.
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var a, b, both Histogram
-	var samples []time.Duration
-	for i := 0; i < 300; i++ {
-		d := time.Duration(rng.Int63n(int64(time.Minute)))
-		samples = append(samples, d)
-		both.Add(d)
-		if i%2 == 0 {
-			a.Add(d)
-		} else {
-			b.Add(d)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != both.Count() || a.Max() != both.Max() || a.Mean() != both.Mean() {
-		t.Fatal("merged aggregates disagree")
-	}
-	for _, p := range percentiles {
-		if a.Percentile(p) != both.Percentile(p) {
-			t.Fatalf("p%.3f: merged %v, direct %v", p, a.Percentile(p), both.Percentile(p))
-		}
-		if a.Percentile(p) != naivePercentile(samples, p) {
-			t.Fatalf("p%.3f: merged %v, naive %v", p, a.Percentile(p), naivePercentile(samples, p))
-		}
-	}
-}
-
 // TestLatencyStatsRouting: cache hits land in the cache phase only;
 // physical I/Os contribute queue and service always and spin-up wait
 // only when they actually waited.

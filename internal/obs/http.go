@@ -1,52 +1,14 @@
-// The HTTP surface: /metrics in Prometheus text exposition format,
-// /status as a JSON snapshot, /series as the flight recorder's live
-// time series, and the standard net/http/pprof endpoints under
-// /debug/pprof/.
+// HTTP helpers shared by esmd and the fleet control plane: a
+// flight-recorder series as a response, and the standard
+// net/http/pprof endpoints under /debug/pprof/.
 
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"time"
 )
-
-// Handler returns the telemetry mux. status is invoked per /status
-// request and its result marshalled as JSON; it must be safe to call
-// from the serving goroutine (snapshot under the caller's lock). A nil
-// status serves an empty object; a nil registry serves empty metrics.
-// series, when non-nil, serves the flight recorder's live time series
-// on /series as JSON (CSV with ?format=csv); ?since= and ?until= Go
-// durations window it on simulated time.
-func Handler(reg *Registry, status func() any, series func() *Series) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if reg != nil {
-			_ = reg.WritePrometheus(w)
-		}
-	})
-	mux.HandleFunc("/series", func(w http.ResponseWriter, r *http.Request) {
-		var s *Series
-		if series != nil {
-			s = series()
-		}
-		ServeSeries(w, r, s)
-	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var v any = struct{}{}
-		if status != nil {
-			v = status()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
-	})
-	RegisterPprof(mux)
-	return mux
-}
 
 // ServeSeries writes one flight-recorder series as an HTTP response:
 // JSON by default, CSV with ?format=csv, windowed on simulated time by

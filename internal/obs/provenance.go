@@ -195,13 +195,14 @@ func PowerStateName(code int) string {
 	}
 }
 
-// ProvenanceOptions configures a Provenance recorder.
-type ProvenanceOptions struct {
-	// MaxRecords bounds the stored rows; on overflow the store keeps
-	// every other accepted row and doubles its acceptance stride, like
-	// the flight recorder. Default 8192, forced even, minimum 16.
-	MaxRecords int
-}
+// provMaxRecords bounds the stored rows; on overflow the store keeps
+// every other accepted row and doubles its acceptance stride, like the
+// flight recorder.
+const provMaxRecords = 8192
+
+// provTopPerEnc is how many items per enclosure, by attributed joules,
+// RecordAttribution turns into ProvAttrib rows.
+const provTopPerEnc = 16
 
 // ProvenanceSummary is the manifest/status roll-up of one recorder.
 type ProvenanceSummary struct {
@@ -239,13 +240,9 @@ type Provenance struct {
 }
 
 // NewProvenance builds an enabled recorder.
-func NewProvenance(o ProvenanceOptions) *Provenance {
-	return &Provenance{store: newColStore(o.MaxRecords, 8192, 16), idleW: 220, spinUpS: 15}
+func NewProvenance() *Provenance {
+	return &Provenance{store: newColStore(provMaxRecords), idleW: 220, spinUpS: 15}
 }
-
-// Enabled reports whether the recorder captures anything; callers use
-// it to skip feature computation entirely when provenance is off.
-func (p *Provenance) Enabled() bool { return p != nil }
 
 // ConfigurePower overwrites the electrical constants the predicted
 // deltas are computed with; replay and fleet call it with the run's
@@ -365,22 +362,16 @@ func (p *Provenance) runtime(t time.Duration, kind, cause int, item int64, src, 
 }
 
 // RecordAttribution joins the energy ledger into the stream at end of
-// run: for each enclosure, up to topPerEnc items by attributed joules
-// become ProvAttrib rows. Zero topPerEnc means 16.
-func (p *Provenance) RecordAttribution(t time.Duration, a *Attribution, topPerEnc int) {
+// run: for each enclosure, up to provTopPerEnc items by attributed
+// joules become ProvAttrib rows.
+func (p *Provenance) RecordAttribution(t time.Duration, a *Attribution) {
 	if p == nil || a == nil {
 		return
-	}
-	if topPerEnc <= 0 {
-		topPerEnc = 16
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, enc := range a.Enclosures {
-		n := len(enc.ByItem)
-		if n > topPerEnc {
-			n = topPerEnc
-		}
+		n := min(len(enc.ByItem), provTopPerEnc)
 		for _, ie := range enc.ByItem[:n] {
 			row := emptyProvRow()
 			row[provColKind] = ProvAttrib

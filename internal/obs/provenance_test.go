@@ -12,14 +12,11 @@ import (
 // nothing on the record path.
 func TestNilProvenanceSafe(t *testing.T) {
 	var p *Provenance
-	if p.Enabled() {
-		t.Fatal("nil recorder reports Enabled")
-	}
 	p.ConfigurePower(300, 10*time.Second)
 	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Item: 7}))
 	p.Log(time.Second, powerRec(0, "spinup", CauseDemand))
 	p.Log(time.Second, cacheRec(EvCacheSelect, "preload", 1, 2))
-	p.RecordAttribution(time.Second, &Attribution{}, 0)
+	p.RecordAttribution(time.Second, &Attribution{})
 	if s := p.Series(); s != nil {
 		t.Fatalf("nil recorder Series = %v", s)
 	}
@@ -39,12 +36,12 @@ func TestNilProvenanceSafe(t *testing.T) {
 }
 
 // TestProvenanceCompaction drives the store past its bound and checks
-// the flight-recorder discipline: row count stays within MaxRecords,
+// the flight-recorder discipline: row count stays within provMaxRecords,
 // the stride doubles, the first row survives, and times stay strictly
 // increasing.
 func TestProvenanceCompaction(t *testing.T) {
-	p := NewProvenance(ProvenanceOptions{MaxRecords: 16})
-	const offers = 100
+	p := NewProvenance()
+	const offers = 3 * provMaxRecords
 	for i := 0; i < offers; i++ {
 		p.Log(time.Duration(i)*time.Second, decisionRec(Decision{Kind: ProvDetermination, Det: int64(i + 1), Cause: CausePeriodEnd, Item: -1, Class: -1, PrevClass: -1, Src: 1}))
 	}
@@ -52,8 +49,8 @@ func TestProvenanceCompaction(t *testing.T) {
 	if sum.Offered != offers {
 		t.Fatalf("offered %d, want %d", sum.Offered, offers)
 	}
-	if sum.Records > 16 {
-		t.Fatalf("stored %d rows, bound is 16", sum.Records)
+	if sum.Records > provMaxRecords {
+		t.Fatalf("stored %d rows, bound is %d", sum.Records, provMaxRecords)
 	}
 	if sum.Stride < 2 {
 		t.Fatalf("stride %d after overflow, want >= 2", sum.Stride)
@@ -79,7 +76,7 @@ func TestProvenanceCompaction(t *testing.T) {
 // CSV round trip reproduces the decoded records exactly. Records the
 // ledger does not keep are offered too, and must leave no row.
 func TestProvenanceRoundTrip(t *testing.T) {
-	p := NewProvenance(ProvenanceOptions{})
+	p := NewProvenance()
 	p.Log(10*time.Second, decisionRec(Decision{Kind: ProvDetermination, Det: 1, Cause: CausePeriodEnd, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1}))
 	p.Log(10*time.Second, decisionRec(Decision{
 		Kind: ProvMove, Det: 1, Cause: CausePeriodEnd, Item: 7, Class: 3,
@@ -105,7 +102,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 			Enclosure: 2,
 			ByItem:    []ItemEnergy{{Item: 7, Class: 3, Joules: 123.5}},
 		}},
-	}, 4)
+	})
 
 	direct, ok := DecodeProvenance(p.Series())
 	if !ok {
@@ -156,7 +153,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 // TestProvenancePredictedDeltas pins the first-order move economics
 // and that ConfigurePower overrides the electrical constants.
 func TestProvenancePredictedDeltas(t *testing.T) {
-	p := NewProvenance(ProvenanceOptions{})
+	p := NewProvenance()
 	p.ConfigurePower(100, 10*time.Second)
 	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Det: 1, Item: 1, IntervalS: 60, ReadRatio: 0.5, ToCold: true}))
 	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Det: 1, Item: 2, IntervalS: 60, ReadRatio: 0.5, ToCold: false}))

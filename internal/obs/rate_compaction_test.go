@@ -16,16 +16,16 @@ func TestRateRuleAcrossCompaction(t *testing.T) {
 	const (
 		interval     = 30 * time.Second
 		joulesPerSec = 100.0
-		offers       = 60 // with MaxSamples 8 this forces three compactions
+		offers       = 5 * flightMaxSamples // forces three compactions
 	)
-	f := NewFlightRecorder(FlightOptions{Interval: interval, MaxSamples: 8})
+	f := NewFlightRecorder(interval)
 	for i := 0; i < offers; i++ {
 		at := time.Duration(i) * interval
 		f.Record(FlightSample{T: at, TotalEnergyJ: joulesPerSec * at.Seconds()})
 	}
 	s := f.Series()
-	if s.Len() > 8 {
-		t.Fatalf("series has %d rows, bound is 8", s.Len())
+	if s.Len() > flightMaxSamples {
+		t.Fatalf("series has %d rows, bound is %d", s.Len(), flightMaxSamples)
 	}
 	if s.Len() < 4 {
 		t.Fatalf("series has only %d rows; fixture too small to cross a boundary", s.Len())

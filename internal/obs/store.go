@@ -20,18 +20,9 @@ type colStore struct {
 	vals    [][]float64 // vals[c][row]
 }
 
-// newColStore bounds the store at max rows: def when max <= 0, at
-// least min, forced even.
-func newColStore(max, def, min int) colStore {
-	if max <= 0 {
-		max = def
-	}
-	if max < min {
-		max = min
-	}
-	if max%2 != 0 {
-		max++
-	}
+// newColStore bounds the store at max rows; max must be even, so a
+// compaction keeps exactly half.
+func newColStore(max int) colStore {
 	return colStore{max: max, stride: 1}
 }
 

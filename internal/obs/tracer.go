@@ -132,11 +132,6 @@ func NewTracer(opts TracerOptions) *Tracer {
 	return t
 }
 
-// Enabled reports whether the tracer is live. Call sites that must
-// assemble a span guard on it; plain feed calls rely on the methods'
-// own nil checks.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetClasses replaces the item → pattern-class table stamped onto
 // subsequent I/O spans. Values above 3 are treated as unknown.
 func (t *Tracer) SetClasses(classes []uint8) {
@@ -146,16 +141,6 @@ func (t *Tracer) SetClasses(classes []uint8) {
 	t.mu.Lock()
 	t.classes = append(t.classes[:0], classes...)
 	t.mu.Unlock()
-}
-
-// ClassOf returns item's current pattern class, or ClassUnknown.
-func (t *Tracer) ClassOf(item int64) uint8 {
-	if t == nil {
-		return ClassUnknown
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.classOfLocked(item)
 }
 
 func (t *Tracer) classOfLocked(item int64) uint8 {

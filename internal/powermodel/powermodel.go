@@ -180,15 +180,6 @@ func (a *Accumulator) StateEnergyJ(s State) float64 {
 	return a.params.Watts(s) * a.byState[s].Seconds()
 }
 
-// AverageW returns the mean power over the integrated time, or 0 when no
-// time has been integrated.
-func (a *Accumulator) AverageW() float64 {
-	if a.duration <= 0 {
-		return 0
-	}
-	return a.energyJ / a.duration.Seconds()
-}
-
 // Meter aggregates the accumulators of all enclosures plus the controller
 // into unit-level readings, standing in for the external power meter of
 // the paper's test bed.

@@ -127,9 +127,6 @@ func TestAccumulator(t *testing.T) {
 	if a.InState(Idle) != 10*time.Second || a.InState(Off) != 85*time.Second {
 		t.Fatal("per-state residency wrong")
 	}
-	if avg := a.AverageW(); math.Abs(avg-wantJ/100) > 1e-6 {
-		t.Fatalf("average %v", avg)
-	}
 	a.CountSpinUp()
 	a.CountSpinUp()
 	if a.SpinUps() != 2 {
@@ -145,13 +142,6 @@ func TestAccumulatorPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	a.Add(Idle, -time.Second)
-}
-
-func TestAccumulatorEmptyAverage(t *testing.T) {
-	a := NewAccumulator(DefaultParams())
-	if a.AverageW() != 0 {
-		t.Fatal("empty accumulator average should be 0")
-	}
 }
 
 func TestMeter(t *testing.T) {

@@ -49,7 +49,7 @@ func esmRun(t *testing.T) Run {
 // with the Result exactly — same settled meter, same counters.
 func TestFlightFinalSampleMatchesResult(t *testing.T) {
 	run := esmRun(t)
-	run.Telemetry.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+	run.Telemetry.Flight = obs.NewFlightRecorder(0)
 	res, err := Execute(run)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestPowerSeriesMatchesOldBucketing(t *testing.T) {
 	// (which settles the end-of-run flush into the meter) does not
 	// overwrite any grid row and every bucket can be pinned.
 	run.Duration += 7 * time.Second
-	run.Telemetry.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+	run.Telemetry.Flight = obs.NewFlightRecorder(0)
 	res, err := Execute(run)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestPowerSeriesUnperturbedByFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := esmRun(t)
-	run.Telemetry.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+	run.Telemetry.Flight = obs.NewFlightRecorder(0)
 	sampled, err := Execute(run)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestPowerSeriesUnperturbedByFlightRecorder(t *testing.T) {
 // derived PowerSeries.
 func TestFlightIntervalOverridesPowerBucket(t *testing.T) {
 	run := esmRun(t)
-	run.Telemetry.Flight = obs.NewFlightRecorder(obs.FlightOptions{Interval: time.Minute})
+	run.Telemetry.Flight = obs.NewFlightRecorder(time.Minute)
 	res, err := Execute(run)
 	if err != nil {
 		t.Fatal(err)

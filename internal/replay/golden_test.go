@@ -97,7 +97,7 @@ func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
 		Recorder:   rec,
 		Tracer:     obs.NewTracer(obs.TracerOptions{Enclosures: 4}),
 		Alerts:     obs.NewWatchdog(obs.WatchdogOptions{Rules: rules, Registry: reg, Recorder: rec}),
-		Provenance: obs.NewProvenance(obs.ProvenanceOptions{}),
+		Provenance: obs.NewProvenance(),
 	}
 	fc := v.faults
 	res, err := Execute(Run{

@@ -30,7 +30,7 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 	t.Helper()
 	dur := 25 * time.Minute
 	cat, recs, placement := skewedTrace(dur, 99)
-	prov := obs.NewProvenance(obs.ProvenanceOptions{})
+	prov := obs.NewProvenance()
 	run := Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),

@@ -110,7 +110,6 @@ func NewSession(r Run) (*Session, error) {
 	// rewiring.
 	arr.SetPhysicalObserver(s.observePhysical)
 	arr.SetPowerObserver(func(enc int, at time.Duration, on bool) {
-		s.mon.RecordPower(enc, at, on)
 		s.pol.OnPower(enc, at, on)
 	})
 
@@ -337,7 +336,7 @@ func (s *Session) Finish() (*Result, error) {
 		// computed just above, from the same settled meter and counters.
 		fs := s.sample(end)
 		tel.Flight.Final(fs)
-		tel.Alerts.Final(fs)
+		tel.Alerts.Observe(fs)
 		res.Series = tel.Flight.Series()
 	}
 	res.Alerts = tel.Alerts.Summary()
@@ -350,7 +349,7 @@ func (s *Session) Finish() (*Result, error) {
 		// Join the energy ledger's top attributed items into the ledger
 		// stream so `esmstat explain` can rank root causes by joules.
 		if res.Attribution != nil {
-			tel.Provenance.RecordAttribution(end, res.Attribution, 0)
+			tel.Provenance.RecordAttribution(end, res.Attribution)
 		}
 		res.Provenance = tel.Provenance.Summary()
 		res.ProvSeries = tel.Provenance.Series()

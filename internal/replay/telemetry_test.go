@@ -24,7 +24,7 @@ func TestClassCountRulesFire(t *testing.T) {
 		run := esmRun(t)
 		run.Telemetry.Alerts = obs.NewWatchdog(obs.WatchdogOptions{Rules: rules})
 		if flight {
-			run.Telemetry.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+			run.Telemetry.Flight = obs.NewFlightRecorder(0)
 		}
 		res, err := Execute(run)
 		if err != nil {
@@ -62,7 +62,7 @@ func TestTelemetryReachesWrappedPolicy(t *testing.T) {
 		run := esmRun(t)
 		var buf bytes.Buffer
 		run.Telemetry.Recorder = obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Label: "wrap"})
-		run.Telemetry.Provenance = obs.NewProvenance(obs.ProvenanceOptions{})
+		run.Telemetry.Provenance = obs.NewProvenance()
 		if wrap {
 			run.Policy = &wrappedPolicy{Policy: run.Policy}
 		}
@@ -100,7 +100,7 @@ func TestTelemetryReachesWrappedPolicy(t *testing.T) {
 // sample keeps the outgoing policy's last counts.
 func TestClassCountsSurviveSwap(t *testing.T) {
 	run := esmRun(t)
-	run.Telemetry.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+	run.Telemetry.Flight = obs.NewFlightRecorder(0)
 	s, err := NewSession(run)
 	if err != nil {
 		t.Fatal(err)

@@ -44,10 +44,6 @@ type Event struct {
 	index int    // heap index; -1 once popped or cancelled
 }
 
-// Cancelled reports whether the event has been removed from its queue
-// (either dispatched or cancelled).
-func (e *Event) Cancelled() bool { return e.index < 0 }
-
 // EventQueue is a time-ordered queue of events. Events with equal
 // timestamps are dispatched in insertion order, which keeps the simulation
 // deterministic.

@@ -74,7 +74,7 @@ func TestEventQueueCancel(t *testing.T) {
 	fired := false
 	e := q.Schedule(time.Second, func(time.Duration) { fired = true })
 	q.Cancel(e)
-	if !e.Cancelled() {
+	if e.index >= 0 {
 		t.Fatal("event not marked cancelled")
 	}
 	var c Clock
@@ -203,7 +203,7 @@ func TestEventQueueCancelAfterPooling(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
+	if e.index >= 0 {
 		t.Fatal("event not marked cancelled")
 	}
 }

@@ -817,9 +817,6 @@ func (a *Array) SetPreload(items []trace.ItemID) {
 // Preloaded reports whether item is pinned in the preload partition.
 func (a *Array) Preloaded(item trace.ItemID) bool { return a.preload.pinned(item) }
 
-// PreloadCapacity returns the preload partition size in bytes.
-func (a *Array) PreloadCapacity() int64 { return a.preload.capBytes }
-
 // MigrateItem queues an online migration of item to enclosure dst.
 // Migrations are throttled to MigrationBps and run one at a time, in
 // submission order (§V-A): spills from hot enclosures run before the P3
@@ -1094,9 +1091,6 @@ func (a *Array) removeExtentSegment(e int, ref ExtentRef) {
 	}
 	a.segs[e] = segs
 }
-
-// MigrationsPending reports whether migrations are queued or running.
-func (a *Array) MigrationsPending() bool { return a.migActive || len(a.migQueue) > 0 }
 
 // DropQueuedMigrations discards every migration that has not started yet.
 // A policy calls this when a new placement plan supersedes the previous

@@ -122,13 +122,6 @@ func (c *Catalog) Name(id ItemID) string { return c.items[id].Name }
 // Size returns the size in bytes of id.
 func (c *Catalog) Size(id ItemID) int64 { return c.items[id].Size }
 
-// Lookup returns the ID for name. The second result is false when the name
-// is not in the catalog.
-func (c *Catalog) Lookup(name string) (ItemID, bool) {
-	id, ok := c.byName[name]
-	return id, ok
-}
-
 // IDs returns all item IDs in ascending order.
 func (c *Catalog) IDs() []ItemID {
 	ids := make([]ItemID, len(c.items))

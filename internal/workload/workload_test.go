@@ -6,6 +6,7 @@ import (
 
 	"esm/internal/core"
 	"esm/internal/monitor"
+	"esm/internal/trace"
 )
 
 const breakEven = 52 * time.Second
@@ -173,7 +174,7 @@ func TestOLTPShape(t *testing.T) {
 		t.Fatal("missing baseline tpmC")
 	}
 	// The log lives alone on enclosure 0.
-	logID, ok := w.Catalog.Lookup("tpcc/log")
+	logID, ok := itemNamed(w.Catalog, "tpcc/log")
 	if !ok || w.Placement[logID] != 0 {
 		t.Fatal("log not placed on enclosure 0")
 	}
@@ -268,7 +269,7 @@ func TestDSSScansAreSequential(t *testing.T) {
 	}
 	// Within one lineitem partition, read offsets during a scan must be
 	// non-decreasing until the scan wraps (work items may wrap).
-	id, ok := w.Catalog.Lookup("tpch/lineitem.p0")
+	id, ok := itemNamed(w.Catalog, "tpch/lineitem.p0")
 	if !ok {
 		t.Fatal("lineitem.p0 missing")
 	}
@@ -389,4 +390,14 @@ func TestOLTPRateScale(t *testing.T) {
 	if _, err := GenerateOLTP(cfg); err == nil {
 		t.Fatal("zero RateScale accepted")
 	}
+}
+
+// itemNamed returns the ID of the catalog item called name.
+func itemNamed(c *trace.Catalog, name string) (trace.ItemID, bool) {
+	for _, id := range c.IDs() {
+		if c.Name(id) == name {
+			return id, true
+		}
+	}
+	return 0, false
 }
