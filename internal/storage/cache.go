@@ -27,24 +27,89 @@ type lruSlot struct {
 
 // lru is a fixed-capacity page cache with least-recently-used eviction.
 // Its pages live in one slab, threaded into a circular recency list
-// through sentinel slot 0 (next: most, prev: least recently used). The
-// slab fills up to capPages pages; after that each new page reuses the
-// evicted slot in place, so a full cache allocates nothing.
+// through sentinel slot 0 (next: most, prev: least recently used), and
+// are found through an open-addressing table of slab slots. The slab
+// fills up to capPages pages and the table grows with it; after that
+// each new page reuses the evicted slot in place, so a full cache
+// allocates nothing.
 type lru struct {
 	capPages int
 	slots    []lruSlot
-	index    map[uint64]int32
+	// table is a power-of-two hash table of slab slots, keyed by the
+	// slot's page key, with linear probing; 0 marks an empty position
+	// (slot 0 is the sentinel, never a page). It doubles while the slab
+	// fills, keeping its load at most one half. A removal shifts the
+	// rest of its probe run back rather than leaving a tombstone, so
+	// every key stays reachable from its home position without
+	// crossing an empty one.
+	table []int32
+	// shift turns a key's 64-bit hash into its home position: the top
+	// log2(len(table)) bits.
+	shift uint
 }
+
+// minTableBits sizes the empty cache's table (8 positions).
+const minTableBits = 3
 
 func newLRU(capBytes, pageBytes int64) *lru {
 	capPages := min(max(capBytes/pageBytes, 0), math.MaxInt32-1) // int32 slab indices
-	return &lru{capPages: int(capPages), slots: make([]lruSlot, 1), index: make(map[uint64]int32)}
+	return &lru{
+		capPages: int(capPages),
+		slots:    make([]lruSlot, 1),
+		table:    make([]int32, 1<<minTableBits),
+		shift:    64 - minTableBits,
+	}
+}
+
+// home returns the table position k's probe starts at: the top bits of
+// a multiplicative (Fibonacci) hash, which mixes the item and page
+// words of the packed key.
+func (c *lru) home(k uint64) int { return int(k * 0x9E3779B97F4A7C15 >> c.shift) }
+
+// find returns the table position holding k (ok) or, when k is absent,
+// the empty position that ends its probe.
+func (c *lru) find(k uint64) (pos int, ok bool) {
+	mask := len(c.table) - 1
+	for pos = c.home(k); ; pos = (pos + 1) & mask {
+		switch i := c.table[pos]; {
+		case i == 0:
+			return pos, false
+		case c.slots[i].key == k:
+			return pos, true
+		}
+	}
+}
+
+// remove empties table position pos, moving each later entry of the
+// probe run whose path crosses the hole back into it.
+func (c *lru) remove(pos int) {
+	mask := len(c.table) - 1
+	for j := (pos + 1) & mask; c.table[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole only if the hole lies on its
+		// probe path, from its home to j.
+		if i := c.table[j]; (j-c.home(c.slots[i].key))&mask >= (j-pos)&mask {
+			c.table[pos] = i
+			pos = j
+		}
+	}
+	c.table[pos] = 0
+}
+
+// grow doubles the table and re-places every cached page.
+func (c *lru) grow() {
+	c.table = make([]int32, 2*len(c.table))
+	c.shift--
+	for i := 1; i < len(c.slots); i++ {
+		pos, _ := c.find(c.slots[i].key)
+		c.table[pos] = int32(i)
+	}
 }
 
 // contains reports whether the page is cached, refreshing its recency.
 func (c *lru) contains(k uint64) bool {
-	i, ok := c.index[k]
+	pos, ok := c.find(k)
 	if ok {
+		i := c.table[pos]
 		c.unlink(i)
 		c.pushFront(i)
 	}
@@ -58,14 +123,21 @@ func (c *lru) insert(k uint64) {
 	}
 	i := c.slots[0].prev
 	if c.len() < c.capPages {
+		if 2*(c.len()+1) > len(c.table) {
+			c.grow()
+		}
 		i = int32(len(c.slots))
 		c.slots = append(c.slots, lruSlot{})
 	} else {
 		c.unlink(i)
-		delete(c.index, c.slots[i].key)
+		pos, _ := c.find(c.slots[i].key)
+		c.remove(pos)
 	}
+	// Probe after any removal: the backward shift may have opened an
+	// earlier empty position on k's path.
+	pos, _ := c.find(k)
 	c.slots[i].key = k
-	c.index[k] = i
+	c.table[pos] = i
 	c.pushFront(i)
 }
 

@@ -126,8 +126,9 @@ func (c *listLRU) order() []refKey {
 }
 
 // slabOrder lists the slab LRU's pages from most to least recently used,
-// unpacked, after checking that the backward links and the index agree
-// with the forward walk.
+// unpacked, after checking that the backward links and the page table
+// agree with the forward walk: the table finds every listed key at its
+// slot, and holds exactly as many slots as the list has pages.
 func slabOrder(t *testing.T, c *lru) []refKey {
 	t.Helper()
 	unpack := func(k uint64) refKey { return refKey{trace.ItemID(k >> 32), int64(uint32(k))} }
@@ -136,8 +137,8 @@ func slabOrder(t *testing.T, c *lru) []refKey {
 	// cycle missing the sentinel.
 	for i := c.slots[0].next; i != 0 && len(fwd) < len(c.slots); i = c.slots[i].next {
 		k := c.slots[i].key
-		if c.index[k] != i {
-			t.Fatalf("index maps key %#x to slot %d, list has it at %d", k, c.index[k], i)
+		if pos, ok := c.find(k); !ok || c.table[pos] != i {
+			t.Fatalf("table maps key %#x to slot %d (found %v), list has it at %d", k, c.table[pos], ok, i)
 		}
 		fwd = append(fwd, unpack(k))
 	}
@@ -145,11 +146,22 @@ func slabOrder(t *testing.T, c *lru) []refKey {
 		back = append(back, unpack(c.slots[i].key))
 	}
 	slices.Reverse(back)
-	if !slices.Equal(fwd, back) || len(c.index) != len(fwd) || c.len() != len(fwd) {
-		t.Fatalf("slab links disagree: forward %v, backward %v, %d indexed, len %d",
-			fwd, back, len(c.index), c.len())
+	if !slices.Equal(fwd, back) || tableLen(c) != len(fwd) || c.len() != len(fwd) {
+		t.Fatalf("slab links disagree: forward %v, backward %v, %d in table, len %d",
+			fwd, back, tableLen(c), c.len())
 	}
 	return fwd
+}
+
+// tableLen counts the page table's occupied positions.
+func tableLen(c *lru) int {
+	n := 0
+	for _, i := range c.table {
+		if i != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLRUMatchesListReference drives random interleavings of contains
@@ -181,6 +193,72 @@ func TestLRUMatchesListReference(t *testing.T) {
 			if got, want := slabOrder(t, c), ref.order(); !slices.Equal(got, want) {
 				t.Fatalf("seed %d op %d (cap %d): order %v, reference %v", seed, op, capPages, got, want)
 			}
+		}
+	}
+}
+
+// checkProbeRuns requires every occupied table position to be reachable
+// from its key's home without crossing an empty position: the invariant
+// the backward-shift removal keeps in place of tombstones.
+func checkProbeRuns(t *testing.T, c *lru) {
+	t.Helper()
+	mask := len(c.table) - 1
+	for pos, i := range c.table {
+		if i == 0 {
+			continue
+		}
+		for p := c.home(c.slots[i].key); p != pos; p = (p + 1) & mask {
+			if c.table[p] == 0 {
+				t.Fatalf("slot %d at position %d is cut off from its home %d by the empty position %d",
+					i, pos, c.home(c.slots[i].key), p)
+			}
+		}
+	}
+}
+
+// TestLRUTableCollisions drives the page table through its worst case:
+// every key shares one of the last two home positions of the full
+// table, so probe runs are long and wrap past the table's end, and
+// each eviction's removal must shift a wrapped run back. The slab LRU
+// must agree with the list reference after every step, and every key
+// stay reachable from its home.
+func TestLRUTableCollisions(t *testing.T) {
+	const pageBytes = 4096
+	for _, capPages := range []int{3, 4, 8, 13} {
+		c := newLRU(int64(capPages)*pageBytes, pageBytes)
+		ref := newListLRU(capPages)
+		// The full cache's table size, and the keys homed at its end.
+		full := newLRU(int64(capPages)*pageBytes, pageBytes)
+		for p := int64(0); p < int64(capPages); p++ {
+			full.insert(pageKey(0, p))
+		}
+		var keys []refKey
+		for p := int64(0); len(keys) < 3*capPages; p++ {
+			if full.home(pageKey(9, p)) >= len(full.table)-2 {
+				keys = append(keys, refKey{9, p})
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(capPages)))
+		for op := 0; op < 2000; op++ {
+			k := keys[rng.Intn(len(keys))]
+			if rng.Intn(3) == 0 {
+				if got, want := c.contains(pageKey(k.item, k.page)), ref.contains(k); got != want {
+					t.Fatalf("cap %d op %d: contains(%v) = %v, reference %v", capPages, op, k, got, want)
+				}
+			} else {
+				c.insert(pageKey(k.item, k.page))
+				ref.insert(k)
+			}
+			if got, want := slabOrder(t, c), ref.order(); !slices.Equal(got, want) {
+				t.Fatalf("cap %d op %d: order %v, reference %v", capPages, op, got, want)
+			}
+			checkProbeRuns(t, c)
+		}
+		if len(c.table) != len(full.table) {
+			t.Fatalf("cap %d: table has %d positions, the full cache's %d", capPages, len(c.table), len(full.table))
+		}
+		if 2*c.len() > len(c.table) {
+			t.Fatalf("cap %d: %d pages in a %d-position table, load above one half", capPages, c.len(), len(c.table))
 		}
 	}
 }
