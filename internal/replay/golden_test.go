@@ -26,6 +26,8 @@ type goldenVariant struct {
 	dur    time.Duration
 	faults faults.Config
 	alert  string
+	// closedLoop replays the fixture item by item (Run.ClosedLoop).
+	closedLoop bool
 	// tune adjusts the storage config and the policy parameters.
 	tune func(*storage.Config, *core.Params)
 }
@@ -36,7 +38,8 @@ type goldenVariant struct {
 // enclosures and slows migrations so a queued one finds its
 // destination full, and runs short periods so the pattern-change
 // triggers fire; the third faults spin-ups hard enough to abandon a
-// migration mid-copy.
+// migration mid-copy; the fourth is the first one replayed closed-loop,
+// so the closed-loop engine's issue order is pinned too.
 var goldenVariants = []goldenVariant{
 	{
 		name: "faulted", seed: 99, dur: 25 * time.Minute,
@@ -72,6 +75,18 @@ var goldenVariants = []goldenVariant{
 			p.FaultDegradeThreshold = 50
 		},
 	},
+	{
+		name: "faulted-closed", seed: 99, dur: 25 * time.Minute,
+		faults: faults.Config{
+			Seed: 42, SpinUpFailProb: 0.5, TransientIOProb: 0.01,
+			BatteryFailAt: 9 * time.Minute, BatteryRecoverAt: 13 * time.Minute,
+		},
+		alert:      "budget:total_energy_j>2e5:for=30s",
+		closedLoop: true,
+		tune: func(_ *storage.Config, p *core.Params) {
+			p.InitialPeriod = 4 * time.Minute
+		},
+	},
 }
 
 // goldenRun replays one variant with every decision surface on and
@@ -101,14 +116,15 @@ func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
 	}
 	fc := v.faults
 	res, err := Execute(Run{
-		Catalog:   cat,
-		Source:    trace.NewSliceSource(recs),
-		Placement: placement,
-		Storage:   cfg,
-		Policy:    esm,
-		Duration:  v.dur,
-		Faults:    &fc,
-		Telemetry: tel,
+		Catalog:    cat,
+		Source:     trace.NewSliceSource(recs),
+		Placement:  placement,
+		Storage:    cfg,
+		Policy:     esm,
+		Duration:   v.dur,
+		ClosedLoop: v.closedLoop,
+		Faults:     &fc,
+		Telemetry:  tel,
 	})
 	if err != nil {
 		t.Fatal(err)
