@@ -96,7 +96,9 @@ bench-smoke:
 # tracegen streams the same seeded trace twice and the files must be
 # byte-identical (the stream format is written straight off the lazy
 # source — the trace is never materialized); esmreplay then decodes
-# and replays it, and esmstat -trace analyses the same file (the
+# and replays it, open-loop and then closed-loop (10k volumes with
+# churn: the closed loop's per-item cursors and ring lending at the
+# shipped scale), and esmstat -trace analyses the same file (the
 # README's tracegen -> esmstat -> esmreplay round trip); finally
 # esmbench regenerates Fig. 20 with the flight recorder on, and the ESM
 # manifest is diffed against the committed baseline (loose +/-25%
@@ -116,6 +118,9 @@ cloudblock-smoke:
 	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items \
 		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm
+	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.trace \
+		-catalog /tmp/esm-cloudblock-smoke/cb.items \
+		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm -closed-loop
 	$(GO) run ./cmd/esmstat -trace /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items
 	$(GO) run ./cmd/esmbench -workload cloudblock -fig 20 \

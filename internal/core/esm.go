@@ -295,7 +295,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	// dropping it would only force a spin-up when its next burst arrives;
 	// keep it selected while it still lives on a cold enclosure.
 	keepP0 := func(list []trace.ItemID, applied func(trace.ItemID) bool) []trace.ItemID {
-		in := make(map[trace.ItemID]bool, len(list))
+		in := make([]bool, len(plan.Patterns))
 		for _, it := range list {
 			in[it] = true
 		}

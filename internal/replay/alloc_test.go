@@ -73,10 +73,11 @@ func TestUntracedRecordPathZeroAllocs(t *testing.T) {
 }
 
 // TestClosedLoopSteadyStateAllocs pins the closed-loop engine's marginal
-// allocation cost per record at zero: the cursor ring buffers and the
-// demux heap must reach a steady footprint, after which doubling the
-// record count adds no allocations. (Fixed setup costs — the cursor
-// map, the source adapter, initial ring growth — cancel in the margin.)
+// allocation cost per record at zero: the ring buffers cursors borrow
+// from the free stack and the demux heap must reach a steady footprint,
+// after which doubling the record count adds no allocations. (Fixed
+// setup costs — the cursor slots, the source adapter, initial ring
+// growth — cancel in the margin.)
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	const n = 2000
 	items := []trace.ItemID{0, 1, 2, 3}
@@ -94,7 +95,7 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 		return testing.AllocsPerRun(10, func() {
 			var clk simclock.Clock
 			var evq simclock.EventQueue
-			if err := newClosedLoop(trace.NewSliceSource(recs), &clk, &evq, stub).run(); err != nil {
+			if err := newClosedLoop(trace.NewSliceSource(recs), len(items), &clk, &evq, stub).run(); err != nil {
 				t.Fatal(err)
 			}
 		})

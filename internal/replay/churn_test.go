@@ -1,10 +1,14 @@
 package replay
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"esm/internal/policy"
 	"esm/internal/simclock"
+	"esm/internal/storage"
 	"esm/internal/trace"
 )
 
@@ -33,11 +37,26 @@ func (s *churnSource) Next() (trace.LogicalRecord, bool) {
 
 func (s *churnSource) Err() error { return nil }
 
+// ringsHeld counts the ring buffers a closed loop holds: lent to
+// cursors plus waiting on the free stack. Rings are only ever replaced
+// by a grown copy, never dropped, so after a run the count is the peak
+// number of rings lent out at once.
+func ringsHeld(cl *closedLoop) int {
+	held := len(cl.free)
+	for i := range cl.cursors {
+		if cl.cursors[i].buf != nil {
+			held++
+		}
+	}
+	return held
+}
+
 // TestClosedLoopChurnBoundedCursors is the flat-memory gate for volume
 // churn: 1M records over 62.5k items that each recur 16 times and then
-// never again. Without eviction the demux keeps one ring-buffer cursor
-// per item ever seen (62.5k at the end); with the sweep, the cursor map
-// must stay bounded by the churn window, not the item population.
+// never again. Rings are lent only to cursors with queued records, so
+// the rings held must stay bounded by the churn window (the items the
+// demux reads ahead over), not by the item population. Without the free
+// stack every item ever seen would keep its ring: 62.5k of them.
 func TestClosedLoopChurnBoundedCursors(t *testing.T) {
 	const total = 1_000_000
 	const perItem = 16
@@ -47,29 +66,26 @@ func TestClosedLoopChurnBoundedCursors(t *testing.T) {
 	}
 	var clk simclock.Clock
 	var evq simclock.EventQueue
-	cl := newClosedLoop(src, &clk, &evq, submit)
+	cl := newClosedLoop(src, total/perItem, &clk, &evq, submit)
 	if err := cl.run(); err != nil {
 		t.Fatal(err)
 	}
-	// Items touched per sweep window: sweepEvery/perItem, plus up to one
-	// full window of eviction lag and the live read-ahead. Anything near
-	// the 62.5k item population means eviction is broken.
-	bound := 3 * sweepEvery / perItem
-	if cl.peakCursors > bound {
-		t.Fatalf("peak live cursors %d exceeds churn-window bound %d (population %d)",
-			cl.peakCursors, bound, total/perItem)
-	}
-	if cl.peakParked > bound {
-		t.Fatalf("peak parked entries %d exceeds churn-window bound %d", cl.peakParked, bound)
+	// Each record completes just as the next one arrives, so the
+	// read-ahead never spans more than the current item and the next;
+	// the bound leaves room for that horizon, not for the population.
+	const bound = perItem
+	if held := ringsHeld(cl); held == 0 || held > bound {
+		t.Fatalf("%d rings held after the run, want 1..%d (population %d)", held, bound, total/perItem)
 	}
 }
 
-// TestClosedLoopEvictionPreservesStall pins the semantic half of
-// eviction: an item whose last I/O left a far-future completion fence
-// must issue its next record at that fence even if its cursor was
-// evicted and revived in between.
+// TestClosedLoopEvictionPreservesStall pins the timeline half of the
+// ring lending: an item whose last I/O left a far-future completion
+// fence must issue its next record at that fence, although its cursor
+// drained, handed its ring to the free stack and sat idle while tens of
+// thousands of other items borrowed rings in between.
 func TestClosedLoopEvictionPreservesStall(t *testing.T) {
-	const fillers = 3 * sweepEvery // enough demuxed records to force sweeps
+	const fillers = 24_576
 	stall := 10 * time.Second
 	recs := make([]trace.LogicalRecord, 0, fillers+2)
 	recs = append(recs, trace.LogicalRecord{Time: 0, Item: 0, Size: 4096, Op: trace.OpRead})
@@ -97,14 +113,39 @@ func TestClosedLoopEvictionPreservesStall(t *testing.T) {
 	}
 	var clk simclock.Clock
 	var evq simclock.EventQueue
-	cl := newClosedLoop(trace.NewSliceSource(recs), &clk, &evq, submit)
+	cl := newClosedLoop(trace.NewSliceSource(recs), fillers+1, &clk, &evq, submit)
 	if err := cl.run(); err != nil {
 		t.Fatal(err)
 	}
-	if cl.peakParked == 0 {
-		t.Fatal("item 0 was never parked; the test did not exercise eviction")
-	}
 	if issuedAt != stall {
-		t.Fatalf("item 0's post-eviction record issued at %v, want the completion fence %v", issuedAt, stall)
+		t.Fatalf("item 0's record after the gap issued at %v, want the completion fence %v", issuedAt, stall)
+	}
+}
+
+// TestClosedLoopRejectsItemOutsideCatalog feeds a closed-loop run a
+// record whose item lies past the catalog and one with a negative item.
+// Cursors are indexed by ItemID, so the demux must reject each with an
+// error naming the record and the item, never panic on the index.
+func TestClosedLoopRejectsItemOutsideCatalog(t *testing.T) {
+	cat, recs, placement := steadyTrace(2, 10*time.Second, time.Minute)
+	for _, bad := range []trace.ItemID{trace.ItemID(cat.Len()), -1} {
+		recs := append(recs[:3:3], trace.LogicalRecord{Time: recs[2].Time, Item: bad, Size: 4096, Op: trace.OpRead})
+		_, err := Execute(Run{
+			Catalog:    cat,
+			Source:     trace.NewSliceSource(recs),
+			Placement:  placement,
+			Storage:    storage.DefaultConfig(2),
+			Policy:     policy.NoPowerSaving{},
+			Duration:   time.Minute,
+			ClosedLoop: true,
+		})
+		if err == nil {
+			t.Fatalf("item %d: closed-loop run accepted a record outside the catalog", bad)
+		}
+		for _, want := range []string{"record 3", fmt.Sprintf("item %d", bad)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("item %d: error %q does not name %q", bad, err, want)
+			}
+		}
 	}
 }

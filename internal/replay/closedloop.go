@@ -1,13 +1,12 @@
 // Closed-loop replay: per-data-item streams with queue depth one,
 // demultiplexed incrementally from a streaming source.
 //
-// The demux state is bounded: cursors for items that stop recurring
-// (volume churn) are evicted by a periodic sweep instead of pinning
-// their ring buffers for the rest of the replay. An evicted item's
-// timeline state survives as a two-field parked entry only while it can
-// still affect a future record; once the stream's time high-water
-// passes it, the entry is dropped entirely. Live memory is therefore
-// O(active items + recently touched items), not O(items ever seen).
+// Each catalog item owns one cursor slot, indexed by ItemID. Ring
+// buffers are lent to cursors only while they hold queued records: a
+// drained cursor hands its ring to a free stack, and the next cursor
+// that needs one takes it from there. Ring memory is therefore bounded
+// by how many items have queued records at once, not by how many items
+// the trace holds, even under volume churn.
 
 package replay
 
@@ -25,10 +24,9 @@ type itemCursor struct {
 	// buf is a power-of-two ring buffer holding the item's demuxed,
 	// not-yet-issued records in time order. Only records the demuxer has
 	// had to read ahead of the current issue point are buffered, so live
-	// memory stays O(items) plus the read-ahead horizon, not O(records).
-	// The ring is kept across activations: once it has grown to the
-	// item's read-ahead peak, the steady-state demux-issue cycle
-	// allocates nothing.
+	// memory stays bounded by the read-ahead horizon, not O(records).
+	// buf is nil while the cursor is drained: its ring went back to the
+	// free stack.
 	buf  []trace.LogicalRecord
 	head int
 	n    int
@@ -39,11 +37,6 @@ type itemCursor struct {
 	// eff is the effective issue time of the next record.
 	eff   time.Duration
 	index int // heap index; -1 while the cursor has no queued records
-	// touch is the demux record counter at the cursor's last activity;
-	// the sweep only evicts cursors that sat drained through a whole
-	// sweep window, so steady-state items are never churned through the
-	// pool.
-	touch int64
 }
 
 // push appends rec to the cursor's ring, growing it in powers of two.
@@ -143,37 +136,17 @@ func (h *cursorHeap) popRoot() {
 	}
 }
 
-// parkedState is the part of an evicted cursor that can still change a
-// future record's issue time: the accumulated timeline shift and the
-// completion fence of the item's last I/O.
-type parkedState struct {
-	delay     time.Duration
-	notBefore time.Duration
-}
-
-// sweepEvery is how many demuxed records pass between eviction sweeps.
-// A sweep walks the whole cursor map, so the window amortizes its cost
-// to O(live/sweepEvery) per record while bounding how long a churned
-// item's ring buffer can linger.
-const sweepEvery = 8192
-
-// cursorPoolMax bounds the free list of evicted cursor structs; beyond
-// it, evicted cursors are left to the collector.
-const cursorPoolMax = 256
-
 // closedLoop is the demux state of one closed-loop replay. It exists as
-// a struct (rather than closure locals) so tests can watch the memory
-// profile: peakCursors/peakParked record the high-water of the two maps
-// as observed at sweep boundaries.
+// a struct (rather than closure locals) so tests can inspect the cursor
+// slots and the free stack.
 type closedLoop struct {
 	src    trace.Source
 	clk    *simclock.Clock
 	evq    *simclock.EventQueue
 	submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)
 
-	cursors map[trace.ItemID]*itemCursor
-	parked  map[trace.ItemID]parkedState
-	pool    []*itemCursor
+	cursors []itemCursor // indexed by ItemID
+	free    [][]trace.LogicalRecord
 	h       cursorHeap
 
 	pending     trace.LogicalRecord
@@ -181,77 +154,35 @@ type closedLoop struct {
 	eof         bool
 	prev        time.Duration
 	n           int64
-	lastSweep   int64
-
-	peakCursors int
-	peakParked  int
 }
 
-func newClosedLoop(src trace.Source, clk *simclock.Clock, evq *simclock.EventQueue, submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)) *closedLoop {
-	return &closedLoop{
-		src: src, clk: clk, evq: evq, submit: submit,
-		cursors: make(map[trace.ItemID]*itemCursor),
-		parked:  make(map[trace.ItemID]parkedState),
+// newClosedLoop builds the engine over a catalog of the given number
+// of items; each gets its cursor slot up front.
+func newClosedLoop(src trace.Source, items int, clk *simclock.Clock, evq *simclock.EventQueue, submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)) *closedLoop {
+	cursors := make([]itemCursor, items)
+	for i := range cursors {
+		cursors[i] = itemCursor{item: trace.ItemID(i), index: -1}
 	}
+	return &closedLoop{src: src, clk: clk, evq: evq, submit: submit, cursors: cursors}
 }
 
-// activate returns the item's cursor, reviving parked state or a pooled
-// struct as needed. The returned cursor is in the map but may not be in
-// the heap (index -1).
-func (cl *closedLoop) activate(item trace.ItemID) *itemCursor {
-	if c := cl.cursors[item]; c != nil {
-		return c
+// enqueue appends rec to its item's cursor, lending the cursor a ring
+// from the free stack when it has none.
+func (cl *closedLoop) enqueue(c *itemCursor, rec trace.LogicalRecord) {
+	if c.buf == nil {
+		if k := len(cl.free); k > 0 {
+			c.buf = cl.free[k-1]
+			cl.free[k-1] = nil
+			cl.free = cl.free[:k-1]
+		}
 	}
-	var c *itemCursor
-	if k := len(cl.pool); k > 0 {
-		c = cl.pool[k-1]
-		cl.pool[k-1] = nil
-		cl.pool = cl.pool[:k-1]
-	} else {
-		c = &itemCursor{}
-	}
-	*c = itemCursor{buf: c.buf, item: item, index: -1}
-	if p, ok := cl.parked[item]; ok {
-		c.delay, c.notBefore = p.delay, p.notBefore
-		delete(cl.parked, item)
-	}
-	cl.cursors[item] = c
-	return c
+	c.push(rec)
 }
 
-// sweep evicts cursors that sat drained through the whole previous
-// window and drops parked state the stream has provably passed. Map
-// iteration order only affects which evicted structs land in the
-// bounded pool — pooled structs are fully reset on reuse, so results
-// are unchanged.
-func (cl *closedLoop) sweep() {
-	if len(cl.cursors) > cl.peakCursors {
-		cl.peakCursors = len(cl.cursors)
-	}
-	for item, c := range cl.cursors {
-		if c.n != 0 || c.index >= 0 || c.touch >= cl.lastSweep {
-			continue
-		}
-		delete(cl.cursors, item)
-		// A future record r has r.Time >= prev, so a zero delay and a
-		// fence the stream has passed can never move its issue time:
-		// only then is the state forgettable.
-		if c.delay != 0 || c.notBefore > cl.prev {
-			cl.parked[item] = parkedState{delay: c.delay, notBefore: c.notBefore}
-		}
-		if len(cl.pool) < cursorPoolMax {
-			cl.pool = append(cl.pool, c)
-		}
-	}
-	for item, p := range cl.parked {
-		if p.delay == 0 && p.notBefore <= cl.prev {
-			delete(cl.parked, item)
-		}
-	}
-	if len(cl.parked) > cl.peakParked {
-		cl.peakParked = len(cl.parked)
-	}
-	cl.lastSweep = cl.n
+// release returns a drained cursor's ring to the free stack.
+func (cl *closedLoop) release(c *itemCursor) {
+	cl.free = append(cl.free, c.buf)
+	c.buf, c.head = nil, 0
 }
 
 // demux pulls records into per-item queues until the heap's root is
@@ -274,20 +205,19 @@ func (cl *closedLoop) demux() error {
 			if rec.Time < cl.prev {
 				return &trace.OrderError{Format: "replay", Record: cl.n, Offset: -1, Prev: cl.prev, Got: rec.Time}
 			}
+			if rec.Item < 0 || int(rec.Item) >= len(cl.cursors) {
+				return fmt.Errorf("replay: record %d: item %d is outside the catalog (%d items)", cl.n, rec.Item, len(cl.cursors))
+			}
 			cl.prev = rec.Time
 			cl.n++
-			if cl.n-cl.lastSweep > sweepEvery {
-				cl.sweep()
-			}
 			cl.pending = rec
 			cl.havePending = true
 		}
 		if len(cl.h) > 0 && cl.pending.Time > cl.h[0].eff {
 			return nil
 		}
-		c := cl.activate(cl.pending.Item)
-		c.push(cl.pending)
-		c.touch = cl.n
+		c := &cl.cursors[cl.pending.Item]
+		cl.enqueue(c, cl.pending)
 		cl.havePending = false
 		if c.index < 0 {
 			eff := cl.pending.Time + c.delay
@@ -331,9 +261,9 @@ func (cl *closedLoop) run() error {
 		c.notBefore = issueAt + resp
 		c.delay = issueAt - rec.Time
 		c.pop()
-		c.touch = cl.n
 		if c.n == 0 {
 			cl.h.popRoot()
+			cl.release(c)
 		} else {
 			next := c.front()
 			eff := next.Time + c.delay

@@ -169,7 +169,7 @@ func Execute(r Run) (*Result, error) {
 		return nil, err
 	}
 	if r.ClosedLoop {
-		err = newClosedLoop(src, &s.clk, &s.evq, s.submit).run()
+		err = newClosedLoop(src, r.Catalog.Len(), &s.clk, &s.evq, s.submit).run()
 	} else {
 		for err == nil {
 			rec, ok := src.Next()

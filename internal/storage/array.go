@@ -5,7 +5,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"esm/internal/faults"
@@ -64,11 +63,24 @@ type extentLoc struct {
 	base int64
 }
 
+// itemState is everything the array keeps per data item, indexed by
+// ItemID: its home, and its state in the two per-item cache functions.
 type itemState struct {
 	placed bool
 	enc    int
 	base   int64
 	size   int64
+
+	// pinned marks the item selected for preload (§V-C); its reads hit
+	// the cache from loadedAt, when the bulk read completes.
+	pinned   bool
+	loadedAt time.Duration
+	// delayed marks the item selected for write delay (§V-B). dirtyBytes
+	// sums the sizes of its absorbed writes awaiting destage, and
+	// dirtyPages holds their pages, so reads of fresh data hit the cache.
+	delayed    bool
+	dirtyBytes int64
+	dirtyPages map[int64]struct{}
 }
 
 // segment maps a block range of an enclosure back to the data item living
@@ -151,8 +163,8 @@ func New(cfg Config, clk *simclock.Clock, evq *simclock.EventQueue, cat *trace.C
 		items:     make([]itemState, cat.Len()),
 		extents:   make(map[ExtentRef]extentLoc),
 		general:   newLRU(cfg.generalCacheBytes(), cfg.CachePageBytes),
-		preload:   newPreloadState(cfg.PreloadCacheBytes),
-		wdelay:    newWriteDelayState(cfg.WriteDelayCacheBytes, cfg.DirtyBlockRate),
+		preload:   &preloadState{capBytes: cfg.PreloadCacheBytes},
+		wdelay:    &writeDelayState{capBytes: cfg.WriteDelayCacheBytes, rate: cfg.DirtyBlockRate},
 		batteryOK: true,
 	}
 	for i := range a.enc {
@@ -255,8 +267,8 @@ func (a *Array) SetFaultObserver(fn func(ev faults.Event)) { a.faultObs = fn }
 func (a *Array) BatteryOK() bool { return a.batteryOK }
 
 // batteryFail loses the cache battery: dirty delayed writes destage
-// immediately, preloaded copies are dropped, and the cache functions
-// stay disabled until batteryRecover.
+// immediately, every item leaves both cache functions (logged in ItemID
+// order), and the functions stay disabled until batteryRecover.
 func (a *Array) batteryFail(now time.Duration) {
 	if !a.batteryOK {
 		return
@@ -264,27 +276,24 @@ func (a *Array) batteryFail(now time.Duration) {
 	a.batteryOK = false
 	a.inj.BatteryFailed(now)
 	a.flushWriteDelay(now)
-	if len(a.wdelay.selected) > 0 {
-		if a.tel.Logging() {
-			ids := make([]int64, 0, len(a.wdelay.selected))
-			for it := range a.wdelay.selected {
-				ids = append(ids, int64(it))
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			a.logCache(now, obs.EvCacheEvict, "write-delay", ids)
+	var delayed, pinned []int64
+	for id := range a.items {
+		st := &a.items[id]
+		if st.delayed {
+			st.delayed = false
+			delayed = append(delayed, int64(id))
 		}
-		a.wdelay.selected = make(map[trace.ItemID]bool)
+		if st.pinned {
+			st.pinned = false
+			a.preload.release(st.size)
+			pinned = append(pinned, int64(id))
+		}
 	}
-	if len(a.preload.loadedAt) > 0 {
-		ids := make([]int64, 0, len(a.preload.loadedAt))
-		for it := range a.preload.loadedAt {
-			ids = append(ids, int64(it))
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			a.preload.evict(trace.ItemID(id), a.items[id].size)
-		}
-		a.logCache(now, obs.EvCacheEvict, "preload", ids)
+	if len(delayed) > 0 {
+		a.logCache(now, obs.EvCacheEvict, "write-delay", delayed)
+	}
+	if len(pinned) > 0 {
+		a.logCache(now, obs.EvCacheEvict, "preload", pinned)
 	}
 }
 
@@ -479,9 +488,10 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 	if err != nil {
 		return Result{Enclosure: -1}, err
 	}
+	st := &a.items[item]
 
 	if rec.Op == trace.OpRead {
-		if a.preload.hit(item, now) {
+		if st.pinned && now >= st.loadedAt {
 			a.stats.CacheHits++
 			a.tel.Recorder.CacheHit()
 			if a.tel.Tracer != nil {
@@ -518,13 +528,13 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 	// fresh data lands on disk or in the write-delay partition, and the
 	// stale pinned copy must not serve later reads.
 	a.evictPreload(now, item)
-	if a.batteryOK && a.wdelay.selected[item] {
+	if a.batteryOK && st.delayed {
 		a.stats.DelayedWrites++
 		a.tel.Recorder.DelayedWrite()
 		if a.tel.Tracer != nil {
 			a.traceCacheHit(now, item, false, a.cfg.CacheAckTime)
 		}
-		if a.wdelay.absorb(item, firstPage, lastPage, rec.Size) {
+		if a.wdelay.absorb(st, firstPage, lastPage, rec.Size) {
 			a.flushWriteDelay(now)
 		}
 		return Result{Response: a.cfg.CacheAckTime, CacheHit: true, Enclosure: -1}, nil
@@ -567,7 +577,7 @@ func (a *Array) pageSpan(rec trace.LogicalRecord) (first, last int64, err error)
 // read caches its pages unless the item is preload-pinned, and a write
 // refreshes the recency of those of its pages already cached.
 func (a *Array) admit(item trace.ItemID, first, last int64, read bool) {
-	if read && a.preload.pinned(item) {
+	if read && a.items[item].pinned {
 		return
 	}
 	for p := first; p <= last; p++ {
@@ -608,10 +618,12 @@ func (a *Array) tracePhysical(now, end time.Duration, item trace.ItemID, e int, 
 // evictPreload drops item's pinned preload copy, if any, releasing its
 // partition budget.
 func (a *Array) evictPreload(now time.Duration, item trace.ItemID) {
-	if !a.preload.pinned(item) {
+	st := &a.items[item]
+	if !st.pinned {
 		return
 	}
-	a.preload.evict(item, a.items[item].size)
+	st.pinned = false
+	a.preload.release(st.size)
 	// Guarded here: the one-item list would allocate even with the
 	// decision log off.
 	if a.tel.Logging() {
@@ -631,7 +643,7 @@ func (a *Array) logCache(now time.Duration, typ obs.EventType, function string, 
 // readCached reports whether every page of the read is available in the
 // general LRU or among write-delay dirty pages.
 func (a *Array) readCached(item trace.ItemID, firstPage, lastPage int64) bool {
-	dirty := a.wdelay.dirtyPages[item]
+	dirty := a.items[item].dirtyPages
 	for p := firstPage; p <= lastPage; p++ {
 		if a.general.contains(pageKey(item, p)) {
 			continue
@@ -666,16 +678,11 @@ func (a *Array) chunked(now time.Duration, e int, base, size int64, chunk int64,
 	return end, nil
 }
 
-// flushWriteDelay destages every dirty item in one go (the paper's bulk
-// write when the dirty-block rate is reached).
+// flushWriteDelay destages every dirty item in one go, in ItemID order
+// (the paper's bulk write when the dirty-block rate is reached).
 func (a *Array) flushWriteDelay(now time.Duration) {
-	items := make([]trace.ItemID, 0, len(a.wdelay.dirtyBytes))
-	for it := range a.wdelay.dirtyBytes {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, it := range items {
-		a.flushItem(now, it)
+	for id := range a.items {
+		a.flushItem(now, trace.ItemID(id))
 	}
 }
 
@@ -683,11 +690,11 @@ func (a *Array) flushWriteDelay(now time.Duration) {
 // When the enclosure is unavailable the data stays dirty in the cache;
 // a later destage retries it.
 func (a *Array) flushItem(now time.Duration, item trace.ItemID) {
-	n := a.wdelay.dirtyOf(item)
+	st := &a.items[item]
+	n := st.dirtyBytes
 	if n == 0 {
 		return
 	}
-	st := &a.items[item]
 	end, err := a.chunked(now, st.enc, st.base, n, 256<<20, trace.OpWrite, kindFlush, item)
 	if err != nil {
 		a.inj.CountFailedFlush()
@@ -699,7 +706,7 @@ func (a *Array) flushItem(now time.Duration, item trace.ItemID) {
 			Item: int64(item), Enclosure: st.enc, Dst: -1, Bytes: n,
 		})
 	}
-	a.wdelay.clearItem(item)
+	a.wdelay.clearItem(st)
 	a.stats.FlushedBytes += n
 }
 
@@ -712,37 +719,32 @@ func (a *Array) SetWriteDelay(items []trace.ItemID) {
 		items = nil
 	}
 	now := a.clk.Now()
-	next := make(map[trace.ItemID]bool, len(items))
+	next := make([]bool, len(a.items))
 	for _, it := range items {
 		next[it] = true
 	}
-	// Leaving items destage in ItemID order: map order would make the
-	// enclosure queueing, and with it the run's energy, irreproducible.
+	// Walking the items in ItemID order fixes the order leaving items
+	// destage in, and with it the enclosure queueing and the run's
+	// energy.
 	var evicted, added []int64
-	for it := range a.wdelay.selected {
-		if !next[it] {
-			evicted = append(evicted, int64(it))
+	for id := range a.items {
+		switch st := &a.items[id]; {
+		case st.delayed && !next[id]:
+			a.flushItem(now, trace.ItemID(id))
+			evicted = append(evicted, int64(id))
+		case !st.delayed && next[id]:
+			added = append(added, int64(id))
 		}
 	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
-	for _, it := range evicted {
-		a.flushItem(now, trace.ItemID(it))
+	for id := range a.items {
+		a.items[id].delayed = next[id]
 	}
-	if a.tel.Logging() {
-		for it := range next {
-			if !a.wdelay.selected[it] {
-				added = append(added, int64(it))
-			}
-		}
-		sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
-		a.logCache(now, obs.EvCacheEvict, "write-delay", evicted)
-		a.logCache(now, obs.EvCacheSelect, "write-delay", added)
-	}
-	a.wdelay.selected = next
+	a.logCache(now, obs.EvCacheEvict, "write-delay", evicted)
+	a.logCache(now, obs.EvCacheSelect, "write-delay", added)
 }
 
 // WriteDelayed reports whether item is currently write-delay applied.
-func (a *Array) WriteDelayed(item trace.ItemID) bool { return a.wdelay.selected[item] }
+func (a *Array) WriteDelayed(item trace.ItemID) bool { return a.items[item].delayed }
 
 // SetPreload replaces the set of preloaded items (§V-C): items no longer
 // selected are evicted, newly selected items are loaded from their
@@ -757,36 +759,31 @@ func (a *Array) SetPreload(items []trace.ItemID) {
 		items = nil
 	}
 	now := a.clk.Now()
-	keep := make(map[trace.ItemID]bool, len(items))
+	keep := make([]bool, len(a.items))
 	var used int64
 	var toLoad []trace.ItemID
 	for _, it := range items {
 		if keep[it] {
 			continue
 		}
-		size := a.items[it].size
-		if used+size > a.preload.capBytes {
+		st := &a.items[it]
+		if used+st.size > a.preload.capBytes {
 			continue
 		}
 		keep[it] = true
-		used += size
-		if !a.preload.pinned(it) {
+		used += st.size
+		if !st.pinned {
 			toLoad = append(toLoad, it)
 		}
 	}
 	var evicted []int64
-	for it := range a.preload.loadedAt {
-		if !keep[it] {
-			delete(a.preload.loadedAt, it)
-			if a.tel.Logging() {
-				evicted = append(evicted, int64(it))
-			}
+	for id := range a.items {
+		if st := &a.items[id]; st.pinned && !keep[id] {
+			st.pinned = false
+			evicted = append(evicted, int64(id))
 		}
 	}
-	if a.tel.Logging() {
-		sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
-		a.logCache(now, obs.EvCacheEvict, "preload", evicted)
-	}
+	a.logCache(now, obs.EvCacheEvict, "preload", evicted)
 	a.preload.usedBytes = used
 	var loaded []int64
 	for _, it := range toLoad {
@@ -799,7 +796,7 @@ func (a *Array) SetPreload(items []trace.ItemID) {
 			a.preload.usedBytes -= st.size
 			continue
 		}
-		a.preload.loadedAt[it] = end
+		st.pinned, st.loadedAt = true, end
 		a.stats.PreloadedBytes += st.size
 		if a.tel.Tracer != nil {
 			a.tel.Tracer.Management(obs.ManagementSpan{
@@ -815,7 +812,7 @@ func (a *Array) SetPreload(items []trace.ItemID) {
 }
 
 // Preloaded reports whether item is pinned in the preload partition.
-func (a *Array) Preloaded(item trace.ItemID) bool { return a.preload.pinned(item) }
+func (a *Array) Preloaded(item trace.ItemID) bool { return a.items[item].pinned }
 
 // MigrateItem queues an online migration of item to enclosure dst.
 // Migrations are throttled to MigrationBps and run one at a time, in

@@ -3,10 +3,12 @@ package storage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"esm/internal/obs"
 	"esm/internal/simclock"
 	"esm/internal/trace"
 )
@@ -161,37 +163,130 @@ func TestWriteDelayFlushOnDeselect(t *testing.T) {
 	}
 }
 
-// TestWriteDelayDeselectDestagesInItemOrder checks that items leaving
-// the write-delay set destage in ascending ItemID order, so the
-// enclosure queue (and with it the run's energy) is reproducible.
+// TestWriteDelayDeselectDestagesInItemOrder checks that every batch
+// destage runs in ascending ItemID order, so the enclosure queue (and
+// with it the run's energy) is reproducible: items leaving the
+// write-delay set, the bulk destage at the dirty-block rate, and the
+// destage on battery loss. Items are dirtied in a scrambled order.
 func TestWriteDelayDeselectDestagesInItemOrder(t *testing.T) {
 	sizes := make([]int64, 12)
 	for i := range sizes {
 		sizes[i] = 64 << 20
 	}
+	for _, tc := range []struct {
+		name string
+		// destage runs the batch destage after every item was dirtied
+		// but the last; dirtyLast reports whether the last write must be
+		// absorbed before it (the write that crosses the dirty-block
+		// rate triggers the destage itself).
+		destage   func(arr *Array, last func())
+		dirtyLast bool
+	}{
+		{name: "deselect", dirtyLast: true, destage: func(arr *Array, _ func()) { arr.SetWriteDelay(nil) }},
+		{name: "dirty-block rate", destage: func(arr *Array, last func()) {
+			arr.wdelay.capBytes, arr.wdelay.rate = int64(len(sizes))<<20, 1
+			last()
+		}},
+		{name: "battery loss", dirtyLast: true, destage: func(arr *Array, _ func()) { arr.batteryFail(arr.clk.Now()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arr, _, _, ids := testArray(t, 1, sizes...)
+			arr.SetWriteDelay(ids)
+			write := func(i int) {
+				it := ids[(i*5)%len(ids)]
+				if _, err := arr.Submit(trace.LogicalRecord{Item: it, Size: 1 << 20, Op: trace.OpWrite}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < len(ids)-1; i++ {
+				write(i)
+			}
+			if tc.dirtyLast {
+				write(len(ids) - 1)
+			}
+			if arr.Stats().DelayedWrites == 0 || arr.Stats().PhysicalWrites != 0 {
+				t.Fatalf("writes were not absorbed: %+v", arr.Stats())
+			}
+			var got []trace.ItemID
+			arr.SetPhysicalObserver(func(rec trace.PhysicalRecord) {
+				ref, ok := arr.ResolveExtent(int(rec.Enclosure), rec.Block)
+				if !ok || rec.Op != trace.OpWrite {
+					t.Fatalf("unexpected destage I/O %+v", rec)
+				}
+				got = append(got, ref.Item)
+			})
+			tc.destage(arr, func() { write(len(ids) - 1) })
+			if len(got) != len(ids) {
+				t.Fatalf("%d destage writes, want %d", len(got), len(ids))
+			}
+			for i, it := range got {
+				if it != ids[i] {
+					t.Fatalf("destage order %v, want ascending ItemIDs %v", got, ids)
+				}
+			}
+		})
+	}
+}
+
+// TestCacheEventItemsInItemOrder checks that the item lists of the
+// cache-function events are in ascending ItemID order whatever order
+// the selection lists come in: the write-delay selections, the
+// write-delay and preload evictions, and the evictions on battery loss.
+// The preload selection alone lists items in the priority order the
+// partition budget is granted in.
+func TestCacheEventItemsInItemOrder(t *testing.T) {
+	sizes := make([]int64, 8)
+	for i := range sizes {
+		sizes[i] = 1 << 20
+	}
 	arr, _, _, ids := testArray(t, 1, sizes...)
-	arr.SetWriteDelay(ids)
-	for i := range ids {
-		// Dirty the items in a scrambled order.
-		it := ids[(i*5)%len(ids)]
-		arr.Submit(trace.LogicalRecord{Item: it, Size: 1 << 20, Op: trace.OpWrite})
-	}
-	var got []trace.ItemID
-	arr.SetPhysicalObserver(func(rec trace.PhysicalRecord) {
-		ref, ok := arr.ResolveExtent(int(rec.Enclosure), rec.Block)
-		if !ok || rec.Op != trace.OpWrite {
-			t.Fatalf("unexpected destage I/O %+v", rec)
+	var sink obs.CollectSink
+	arr.SetTelemetry(obs.Telemetry{Recorder: obs.New(obs.Options{Sink: &sink})})
+	scrambled := func(keep func(i int) bool) []trace.ItemID {
+		var out []trace.ItemID
+		for i := range ids {
+			if j := (i * 3) % len(ids); keep(j) {
+				out = append(out, ids[j])
+			}
 		}
-		got = append(got, ref.Item)
-	})
-	arr.SetWriteDelay(nil)
-	if len(got) != len(ids) {
-		t.Fatalf("%d destage writes, want %d", len(got), len(ids))
+		return out
 	}
-	for i, it := range got {
-		if it != ids[i] {
-			t.Fatalf("destage order %v, want ascending ItemIDs %v", got, ids)
+	all := func(int) bool { return true }
+	odd := func(i int) bool { return i%2 == 1 }
+	even := func(i int) bool { return i%2 == 0 }
+	arr.SetWriteDelay(scrambled(odd))
+	arr.SetPreload(scrambled(even))
+	arr.SetWriteDelay(scrambled(even))
+	arr.SetPreload(scrambled(odd))
+	arr.SetWriteDelay(scrambled(all))
+	arr.SetPreload(scrambled(all))
+	arr.batteryFail(arr.clk.Now())
+
+	var lists []string
+	for _, ev := range sink.Events() {
+		if ev.Cache == nil {
+			continue
 		}
+		if (ev.Type == obs.EvCacheEvict || ev.Cache.Function == "write-delay") && !slices.IsSorted(ev.Cache.Items) {
+			t.Errorf("%s %s items %v not in ItemID order", ev.Type, ev.Cache.Function, ev.Cache.Items)
+		}
+		lists = append(lists, fmt.Sprintf("%s %s %v", ev.Type, ev.Cache.Function, ev.Cache.Items))
+	}
+	// Empty lists are not logged.
+	want := []string{
+		"cache_select write-delay [1 3 5 7]",
+		"cache_select preload [0 6 4 2]",
+		"cache_evict write-delay [1 3 5 7]",
+		"cache_select write-delay [0 2 4 6]",
+		"cache_evict preload [0 2 4 6]",
+		"cache_select preload [3 1 7 5]",
+		"cache_select write-delay [1 3 5 7]",
+		"cache_select preload [0 6 4 2]",
+		"cache_evict write-delay [0 1 2 3 4 5 6 7]",
+		"cache_evict preload [0 1 2 3 4 5 6 7]",
+	}
+	if !slices.Equal(lists, want) {
+		t.Fatalf("cache events\n%s\nwant\n%s", strings.Join(lists, "\n"), strings.Join(want, "\n"))
 	}
 }
 

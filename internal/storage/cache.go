@@ -5,7 +5,6 @@ package storage
 
 import (
 	"math"
-	"time"
 
 	"esm/internal/trace"
 )
@@ -157,98 +156,55 @@ func (c *lru) pushFront(i int32) {
 // len returns the number of cached pages.
 func (c *lru) len() int { return len(c.slots) - 1 }
 
-// preloadState tracks the preload cache partition: which data items are
-// pinned and when their load completes. Reads of a pinned item hit the
-// cache once the load has finished.
+// preloadState is the preload partition's budget. Which items are
+// pinned, and when their load completes, lives on each item's state.
 type preloadState struct {
 	capBytes  int64
 	usedBytes int64
-	loadedAt  map[trace.ItemID]time.Duration
 }
 
-func newPreloadState(capBytes int64) *preloadState {
-	return &preloadState{
-		capBytes: capBytes,
-		loadedAt: make(map[trace.ItemID]time.Duration),
-	}
-}
-
-// hit reports whether a read of item at time now is served from the
-// preload partition.
-func (p *preloadState) hit(item trace.ItemID, now time.Duration) bool {
-	at, ok := p.loadedAt[item]
-	return ok && now >= at
-}
-
-// pinned reports whether item is currently selected for preload.
-func (p *preloadState) pinned(item trace.ItemID) bool {
-	_, ok := p.loadedAt[item]
-	return ok
-}
-
-// evict unpins item, releasing size bytes of the partition budget. A
-// no-op when the item is not pinned.
-func (p *preloadState) evict(item trace.ItemID, size int64) {
-	if _, ok := p.loadedAt[item]; !ok {
-		return
-	}
-	delete(p.loadedAt, item)
+// release returns size bytes of an unpinned item to the budget.
+func (p *preloadState) release(size int64) {
 	p.usedBytes -= size
 	if p.usedBytes < 0 {
 		p.usedBytes = 0
 	}
 }
 
-// writeDelayState tracks the write-delay partition: selected items, dirty
-// bytes per item, and each item's dirty page set (so reads of freshly
-// written data hit the cache).
+// writeDelayState is the write-delay partition's budget and destage
+// trigger. Which items are selected, and their dirty bytes and pages,
+// live on each item's state.
 type writeDelayState struct {
 	capBytes   int64
 	rate       float64
-	selected   map[trace.ItemID]bool
-	dirtyBytes map[trace.ItemID]int64
-	dirtyPages map[trace.ItemID]map[int64]struct{}
 	totalDirty int64
 }
 
-func newWriteDelayState(capBytes int64, rate float64) *writeDelayState {
-	return &writeDelayState{
-		capBytes:   capBytes,
-		rate:       rate,
-		selected:   make(map[trace.ItemID]bool),
-		dirtyBytes: make(map[trace.ItemID]int64),
-		dirtyPages: make(map[trace.ItemID]map[int64]struct{}),
-	}
-}
-
-// absorb records a delayed write and reports whether the dirty-block rate
-// now forces a bulk destage.
-func (w *writeDelayState) absorb(item trace.ItemID, firstPage, lastPage int64, size int32) bool {
-	w.dirtyBytes[item] += int64(size)
+// absorb records a delayed write to st and reports whether the
+// dirty-block rate now forces a bulk destage. The write's size counts
+// in full even where it rewrites pages already dirty.
+func (w *writeDelayState) absorb(st *itemState, firstPage, lastPage int64, size int32) bool {
+	st.dirtyBytes += int64(size)
 	w.totalDirty += int64(size)
-	pages := w.dirtyPages[item]
-	if pages == nil {
-		pages = make(map[int64]struct{})
-		w.dirtyPages[item] = pages
+	if st.dirtyPages == nil {
+		st.dirtyPages = make(map[int64]struct{})
 	}
 	for p := firstPage; p <= lastPage; p++ {
-		pages[p] = struct{}{}
+		st.dirtyPages[p] = struct{}{}
 	}
 	return float64(w.totalDirty) >= w.rate*float64(w.capBytes)
 }
 
-// dirtyOf returns the dirty byte count of item.
-func (w *writeDelayState) dirtyOf(item trace.ItemID) int64 { return w.dirtyBytes[item] }
-
 // clearItem drops the dirty state of one item (after its destage) and
-// returns how many bytes were destaged.
-func (w *writeDelayState) clearItem(item trace.ItemID) int64 {
-	n := w.dirtyBytes[item]
+// returns how many bytes were destaged. The page set is emptied in
+// place, so the item's next delayed writes reuse it.
+func (w *writeDelayState) clearItem(st *itemState) int64 {
+	n := st.dirtyBytes
 	if n == 0 {
 		return 0
 	}
-	delete(w.dirtyBytes, item)
+	st.dirtyBytes = 0
 	w.totalDirty -= n
-	delete(w.dirtyPages, item)
+	clear(st.dirtyPages)
 	return n
 }

@@ -264,28 +264,29 @@ func TestLRUTableCollisions(t *testing.T) {
 }
 
 func TestWriteDelayStateAccounting(t *testing.T) {
-	arr, _, _, _ := testArray(t, 1, 1<<20, 1<<20)
-	arr.wdelay = newWriteDelayState(1000, 0.5)
+	arr, _, _, _ := testArray(t, 1, 1<<20, 1<<20, 1<<20)
+	arr.wdelay = &writeDelayState{capBytes: 1000, rate: 0.5}
 	w := arr.wdelay
-	if w.absorb(1, 0, 0, 200) {
+	one, two := &arr.items[1], &arr.items[2]
+	if w.absorb(one, 0, 0, 200) {
 		t.Fatal("200/1000 dirty should not trigger flush at rate 0.5")
 	}
-	if !w.absorb(1, 1, 1, 400) {
+	if !w.absorb(one, 1, 1, 400) {
 		t.Fatal("600/1000 dirty should trigger flush at rate 0.5")
 	}
-	if w.dirtyOf(1) != 600 {
-		t.Fatalf("dirty bytes %d", w.dirtyOf(1))
+	if one.dirtyBytes != 600 {
+		t.Fatalf("dirty bytes %d", one.dirtyBytes)
 	}
-	if _, ok := w.dirtyPages[1][0]; !ok {
+	if _, ok := one.dirtyPages[0]; !ok {
 		t.Fatal("dirty page 0 not tracked")
 	}
-	if _, ok := w.dirtyPages[1][1]; !ok {
+	if _, ok := one.dirtyPages[1]; !ok {
 		t.Fatal("dirty page 1 not tracked")
 	}
 	// A second item's dirty pages survive the first item's destage.
-	w.absorb(2, 3, 4, 100)
-	n := w.clearItem(1)
-	if n != 600 || w.totalDirty != 100 || len(w.dirtyPages) != 1 {
+	w.absorb(two, 3, 4, 100)
+	n := w.clearItem(one)
+	if n != 600 || w.totalDirty != 100 || len(one.dirtyPages) != 0 || len(two.dirtyPages) != 2 {
 		t.Fatalf("clear returned %d, state %+v", n, w)
 	}
 	if arr.readCached(1, 0, 1) {
@@ -294,11 +295,19 @@ func TestWriteDelayStateAccounting(t *testing.T) {
 	if !arr.readCached(2, 3, 4) || arr.readCached(2, 3, 5) {
 		t.Fatal("other item's dirty pages not served exactly")
 	}
-	if w.clearItem(1) != 0 {
+	if w.clearItem(one) != 0 {
 		t.Fatal("double clear returned bytes")
 	}
-	if n := w.clearItem(2); n != 100 || w.totalDirty != 0 || len(w.dirtyPages) != 0 {
+	if n := w.clearItem(two); n != 100 || w.totalDirty != 0 || len(two.dirtyPages) != 0 {
 		t.Fatalf("second clear returned %d, state %+v", n, w)
+	}
+	// The emptied page set is reused: refilling it with as many pages as
+	// it held allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.absorb(two, 3, 4, 100)
+		w.clearItem(two)
+	}); allocs != 0 {
+		t.Fatalf("re-dirtying a destaged item allocates %.1f per write, want 0", allocs)
 	}
 }
 
@@ -307,18 +316,19 @@ func TestWriteDelayStateAccounting(t *testing.T) {
 func TestWriteDelayDirtyInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := newWriteDelayState(1<<20, 0.5)
+		w := &writeDelayState{capBytes: 1 << 20, rate: 0.5}
+		items := make([]itemState, 8)
 		for i := 0; i < 500; i++ {
-			item := trace.ItemID(rng.Intn(8))
+			st := &items[rng.Intn(len(items))]
 			if rng.Float64() < 0.2 {
-				w.clearItem(item)
+				w.clearItem(st)
 			} else {
 				p := rng.Int63n(64)
-				w.absorb(item, p, p, int32(rng.Intn(4096)+1))
+				w.absorb(st, p, p, int32(rng.Intn(4096)+1))
 			}
 			var sum int64
-			for _, n := range w.dirtyBytes {
-				sum += n
+			for _, st := range items {
+				sum += st.dirtyBytes
 			}
 			if sum != w.totalDirty {
 				return false
@@ -331,20 +341,40 @@ func TestWriteDelayDirtyInvariant(t *testing.T) {
 	}
 }
 
+// TestPreloadStateHitTiming checks the preload partition's hit rule
+// through the array: a selected item pins once its bulk read is issued,
+// and its reads hit the cache from the read's completion on, not
+// before; reads of an unselected item never do.
 func TestPreloadStateHitTiming(t *testing.T) {
-	p := newPreloadState(100)
-	p.loadedAt[5] = 10 * time.Second
-	if p.hit(5, 9*time.Second) {
+	arr, clk, _, ids := testArray(t, 1, 8<<20, 8<<20)
+	arr.SetPreload(ids[:1])
+	if !arr.Preloaded(ids[0]) || arr.Preloaded(ids[1]) {
+		t.Fatal("pinned flags wrong")
+	}
+	loadedAt := arr.items[ids[0]].loadedAt
+	if loadedAt <= clk.Now() {
+		t.Fatalf("load completes at %v, not after its issue at %v", loadedAt, clk.Now())
+	}
+	// Each read is of a fresh page, so no hit can come from the general
+	// LRU.
+	var page int64
+	read := func(item trace.ItemID, at time.Duration) bool {
+		clk.Advance(at)
+		page++
+		res, err := arr.Submit(trace.LogicalRecord{Time: at, Item: item, Offset: page << 20, Size: 4096, Op: trace.OpRead})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.CacheHit
+	}
+	if read(ids[0], loadedAt-1) {
 		t.Fatal("hit before load completion")
 	}
-	if !p.hit(5, 10*time.Second) {
+	if !read(ids[0], loadedAt) {
 		t.Fatal("no hit at load completion")
 	}
-	if p.hit(6, time.Minute) {
+	if read(ids[1], loadedAt+time.Minute) {
 		t.Fatal("hit for unpinned item")
-	}
-	if !p.pinned(5) || p.pinned(6) {
-		t.Fatal("pinned flags wrong")
 	}
 }
 

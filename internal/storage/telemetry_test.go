@@ -81,8 +81,9 @@ func TestTelemetryOffSteadyStateAllocs(t *testing.T) {
 				arr, clk, _ := build(t, nil)
 				arr.SetPreload([]trace.ItemID{item})
 				return func() {
-					arr.preload.loadedAt[item] = clk.Now()
-					arr.preload.usedBytes += arr.items[item].size
+					st := &arr.items[item]
+					st.pinned, st.loadedAt = true, clk.Now()
+					arr.preload.usedBytes += st.size
 					write(t, arr)
 					if arr.Preloaded(item) {
 						t.Fatal("write left the preload copy pinned")
@@ -92,7 +93,7 @@ func TestTelemetryOffSteadyStateAllocs(t *testing.T) {
 		},
 		{
 			// Re-applying an unchanged selection: each setter builds its
-			// selection map.
+			// per-item selection marks.
 			name: "no-op SetWriteDelay and SetPreload", budget: 2,
 			setup: func(t *testing.T) func() {
 				arr, _, _ := build(t, nil)
