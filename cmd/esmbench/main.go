@@ -24,6 +24,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -54,7 +55,7 @@ func main() {
 	jsonPath := flag.String("json", "", "also write per-figure results as JSON to this file")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m (see README)")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules evaluated per replay on the flight sampling grid, e.g. budget:total_energy_j>1.5e6:for=30s (see DESIGN.md §16)")
-	provPath := flag.String("provenance", "", "record the decision-provenance ledger per replay and write it as CSV here (policy and workload are inserted into the name; attaches a sink-less tracer so the energy ledger's top items are joined in)")
+	provPath := flag.String("provenance", "", "stream every row of each replay's decision-provenance ledger to a CSV file here as the replay runs (policy and workload are inserted into the name; attaches a sink-less tracer so the energy ledger's top items are joined in)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -107,40 +108,6 @@ func runFileFor(path, workload, policy string) string {
 	return path[:len(path)-len(ext)] + "-" + workload + "-" + policy + ext
 }
 
-// writeCSV writes one series as CSV to path.
-func writeCSV(path string, s *obs.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeLedgers writes every replay's provenance ledger of ev to its
-// per-run -provenance path, and names each ledger that overflowed its
-// bound: past it the store keeps every stride-th row, so esmstat
-// explain counts from a sample of the decisions.
-func writeLedgers(provPath string, ev *experiments.Eval) error {
-	for i, f := range ev.Policies {
-		if s := ev.Results[i].ProvSeries; s != nil {
-			if err := writeCSV(runFileFor(provPath, ev.Workload.Name, f.Name), s); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Printf("   (wrote %d provenance ledgers: %s ...)\n", len(ev.Policies), runFileFor(provPath, ev.Workload.Name, ev.Policies[0].Name))
-	for i, f := range ev.Policies {
-		if p := ev.Results[i].Provenance; p != nil && p.Stride > 1 {
-			fmt.Printf("   (%s ledger: kept %d of %d rows (stride %d))\n", f.Name, p.Records, p.Offered, p.Stride)
-		}
-	}
-	return nil
-}
-
 // writeSeriesAndManifests writes, for every replay of ev, the flight
 // series as <dir>/<workload>-<policy>.series.csv and the run manifest
 // as <dir>/BENCH_<workload>-<policy>.json — the pair `esmstat diff`
@@ -152,7 +119,7 @@ func writeSeriesAndManifests(dir, provPath string, scale float64, fc *faults.Con
 		base := ev.Workload.Name + "-" + f.Name
 		seriesFile := base + ".series.csv"
 		if s := res.Series; s != nil {
-			if err := writeCSV(filepath.Join(dir, seriesFile), s); err != nil {
+			if err := s.WriteCSVFile(filepath.Join(dir, seriesFile)); err != nil {
 				return err
 			}
 		} else {
@@ -161,7 +128,7 @@ func writeSeriesAndManifests(dir, provPath string, scale float64, fc *faults.Con
 		m := experiments.NewManifest(ev.Workload, f.Name, scale, fc, res)
 		m.Date = time.Now().Format("2006-01-02")
 		m.SeriesFile = seriesFile
-		if provPath != "" && res.ProvSeries != nil {
+		if provPath != "" {
 			m.ProvFile = runFileFor(provPath, ev.Workload.Name, f.Name)
 		}
 		if err := m.WriteFile(filepath.Join(dir, "BENCH_"+base+".json")); err != nil {
@@ -311,8 +278,11 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		// recorder, and the summary in the run manifest. -provenance's
 		// energy-attribution join needs a tracer; without -trace a
 		// sink-less one keeps the ledger without writing Perfetto files.
+		// Each ledger streams to its own file as its replay runs.
 		var tracers []*obs.Tracer
 		var traceFiles []string
+		var ledgers []*obs.Provenance
+		var ledgerErr error
 		name := w.Name
 		telemetryFor := func(policy string) obs.Telemetry {
 			var tel obs.Telemetry
@@ -343,7 +313,12 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				Instance: name + "/" + policy,
 			})
 			if provPath != "" {
-				tel.Provenance = obs.NewProvenance()
+				if f, err := os.Create(runFileFor(provPath, name, policy)); err != nil {
+					ledgerErr = cmp.Or(ledgerErr, err)
+				} else {
+					tel.Provenance = obs.NewProvenance(f)
+					ledgers = append(ledgers, tel.Provenance)
+				}
 			}
 			return tel
 		}
@@ -352,6 +327,12 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			if cerr := t.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
+		}
+		for _, p := range ledgers {
+			ledgerErr = cmp.Or(ledgerErr, p.Close())
+		}
+		if ledgerErr != nil && err == nil {
+			err = fmt.Errorf("-provenance: %w", ledgerErr)
 		}
 		if err != nil {
 			return err
@@ -367,9 +348,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			}
 		}
 		if provPath != "" {
-			if err := writeLedgers(provPath, ev); err != nil {
-				return err
-			}
+			fmt.Printf("   (wrote %d provenance ledgers: %s ...)\n", len(ledgers), runFileFor(provPath, name, pols[0].Name))
 		}
 		if len(traceFiles) > 0 {
 			fmt.Printf("   (wrote %d Perfetto traces: %s ...)\n", len(traceFiles), traceFiles[0])

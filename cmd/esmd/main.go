@@ -69,7 +69,7 @@ func main() {
 	seriesInterval := flag.Duration("series-interval", 30*time.Second, "flight-recorder sampling interval (simulated time)")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules for the single array, e.g. budget:total_energy_j>1.5e6:for=30s (fleet mode: declare rules in the fleet file)")
-	provPath := flag.String("provenance", "", "record the decision-provenance ledger and write it here as CSV on exit (also served live at /arrays/<name>/provenance; fleet mode: set \"provenance\" per array in the fleet file)")
+	provPath := flag.String("provenance", "", "stream the decision-provenance ledger here as CSV while the array runs (its latest rows are also served live at /arrays/<name>/provenance; fleet mode: set \"provenance\" per array in the fleet file)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -178,6 +178,13 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 		}
 		spec.SpanSink = obs.NewPerfettoSink(f, "esmd")
 	}
+	if opts.provPath != "" {
+		f, err := os.Create(opts.provPath)
+		if err != nil {
+			return nil, err
+		}
+		spec.ProvenanceSink = f
+	}
 	fl, err := fleet.New(fleet.Options{Specs: []fleet.ArraySpec{spec}})
 	if err != nil {
 		return nil, err
@@ -241,40 +248,23 @@ func runSingle(opts daemonOpts, in io.Reader, out io.Writer) error {
 	}
 	if opts.seriesPath != "" {
 		if s := d.arr.Series(); s != nil {
-			if err := writeCSV(opts.seriesPath, s); err != nil {
+			if err := s.WriteCSVFile(opts.seriesPath); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "flight series (%d samples) written to %s\n", s.Len(), opts.seriesPath)
 		}
 	}
-	if p := d.arr.ProvenanceSummary(); p != nil {
-		fmt.Fprintf(out, "provenance: %d rows (%d offered, stride %d): %d determinations, %d decisions, %d transitions\n",
-			p.Records, p.Offered, p.Stride, p.Determinations, p.Decisions, p.Transitions)
-		if err := writeCSV(opts.provPath, d.arr.ProvenanceSeries()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "provenance ledger written to %s\n", opts.provPath)
-	}
 	if err := d.fl.Close(); err != nil {
 		return err
+	}
+	if p := d.arr.Provenance().Summary(); p != nil {
+		fmt.Fprintf(out, "provenance: %d rows (%d determinations, %d decisions, %d transitions) written to %s\n",
+			p.Rows, p.Determinations, p.Decisions, p.Transitions, opts.provPath)
 	}
 	if opts.tracePath != "" {
 		fmt.Fprintf(out, "trace written to %s\n", opts.tracePath)
 	}
 	return nil
-}
-
-// writeCSV writes one columnar series to path as CSV.
-func writeCSV(path string, s *obs.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runFleet boots the multi-array control plane and serves it until

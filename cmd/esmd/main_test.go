@@ -330,3 +330,46 @@ func TestRunFleetConfig(t *testing.T) {
 		t.Fatalf("cost model %+v", m)
 	}
 }
+
+// TestRunStreamsProvenance: -provenance streams the ledger to its file
+// while the array runs, the file holds every row the summary counts,
+// and a file that cannot take the rows fails the run with its path.
+func TestRunStreamsProvenance(t *testing.T) {
+	dir := t.TempDir()
+	catPath, plPath := writeDataset(t, dir)
+	var sb strings.Builder
+	for i := 0; i <= 600; i++ {
+		fmt.Fprintf(&sb, "%d,%d,0,4096,R\n", int64(i)*int64(time.Second), i%8)
+	}
+	opts := daemonOpts{catalogPath: catPath, placementPath: plPath, quiet: true, provPath: filepath.Join(dir, "run.prov.csv")}
+	var out bytes.Buffer
+	if err := run(opts, strings.NewReader(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rows int
+	_, line, _ := strings.Cut(out.String(), "\nprovenance: ")
+	if _, err := fmt.Sscanf(line, "%d rows", &rows); err != nil {
+		t.Fatalf("no provenance summary line: %v\n%s", err, out.String())
+	}
+	f, err := os.Open(opts.provPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.ReadProvenanceCSV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows == 0 || len(recs) != rows {
+		t.Fatalf("ledger file holds %d rows, the summary %d", len(recs), rows)
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail the writes")
+	}
+	opts.provPath = "/dev/full"
+	err = run(opts, strings.NewReader(sb.String()), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "/dev/full") {
+		t.Fatalf("a failing ledger file gave %v, want an error naming it", err)
+	}
+}

@@ -91,14 +91,9 @@ func runExplain(out io.Writer, args []string) error {
 	renderHotItems(out, recs, *top)
 
 	if fs.NArg() == 2 {
-		f, err := os.Open(fs.Arg(1))
+		s, err := readSeriesFile(fs.Arg(1))
 		if err != nil {
 			return err
-		}
-		defer f.Close()
-		s, err := obs.ReadSeriesCSV(f)
-		if err != nil {
-			return fmt.Errorf("%s: %w", fs.Arg(1), err)
 		}
 		s = s.Window(lo, hi)
 		fmt.Fprintf(out, "\nseries context (%s, windowed):\n", fs.Arg(1))
@@ -118,13 +113,9 @@ func loadProvenance(path string) ([]obs.ProvRecord, error) {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := obs.ReadSeriesCSV(f)
+	recs, err := obs.ReadProvenanceCSV(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	recs, ok := obs.DecodeProvenance(s)
-	if !ok {
-		return nil, fmt.Errorf("%s: not a provenance ledger (missing columns)", path)
 	}
 	return recs, nil
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"esm/internal/experiments"
 	"esm/internal/obs"
 )
 
@@ -41,7 +44,12 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 // and attribution rows, all inside the first ten minutes.
 func explainFixture(t *testing.T) string {
 	t.Helper()
-	p := obs.NewProvenance()
+	path := filepath.Join(t.TempDir(), "run.prov.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := obs.NewProvenance(f)
 	at := func(m int) time.Duration { return time.Duration(m) * time.Minute }
 	for _, d := range []obs.Decision{
 		{Kind: obs.ProvDetermination, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1},
@@ -68,15 +76,7 @@ func explainFixture(t *testing.T) string {
 			},
 		}},
 	})
-	path := filepath.Join(t.TempDir(), "run.prov.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Series().WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -114,6 +114,98 @@ func TestExplainReportNamesInjectedCause(t *testing.T) {
 	}
 	if buf.String() != again.String() {
 		t.Error("explain report not deterministic across reruns")
+	}
+}
+
+// TestExplainCountsMatchEventStream replays the file-server workload
+// with ESM alone at scale 0.2, whose ledger outgrows the live tail, and
+// checks the ledger file is lossless: its determination, spin-up,
+// power-off and migration rows equal the run's events of those kinds,
+// and explain reports the same counts.
+func TestExplainCountsMatchEventStream(t *testing.T) {
+	w, err := experiments.Build(experiments.FileServer, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var esm []experiments.PolicyFactory
+	for _, f := range experiments.DefaultPolicies() {
+		if f.Name == "esm" {
+			esm = append(esm, f)
+		}
+	}
+	var events, ledger bytes.Buffer
+	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events)})
+	prov := obs.NewProvenance(&ledger)
+	tel := func(string) obs.Telemetry { return obs.Telemetry{Recorder: rec, Provenance: prov} }
+	if _, err := experiments.EvaluateOpts(w, esm, experiments.Observers{Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := prov.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	evs, err := obs.ReadEvents(&events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct{ determinations, spinUps, powerOffs, migrations int }
+	for _, ev := range evs {
+		switch {
+		case ev.Type == obs.EvDetermination:
+			want.determinations++
+		case ev.Type == obs.EvPowerOn && ev.Power.State == "spinup":
+			want.spinUps++
+		case ev.Type == obs.EvPowerOff:
+			want.powerOffs++
+		case ev.Type == obs.EvMigrationDone:
+			want.migrations++
+		}
+	}
+	recs, err := obs.ReadProvenanceCSV(bytes.NewReader(ledger.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := prov.Summary(); sum.Dropped == 0 || int64(len(recs)) != sum.Rows {
+		t.Fatalf("ledger file holds %d rows, summary %+v; the case must outgrow the tail", len(recs), sum)
+	}
+	var got struct{ determinations, spinUps, powerOffs, migrations int }
+	for _, r := range recs {
+		switch {
+		case r.Kind == obs.ProvDetermination:
+			got.determinations++
+		case r.Kind == obs.ProvPower && r.Dst == obs.PowerStateCode("spinup"):
+			got.spinUps++
+		case r.Kind == obs.ProvPower && r.Dst == obs.PowerStateCode("off"):
+			got.powerOffs++
+		case r.Kind == obs.ProvMigration:
+			got.migrations++
+		}
+	}
+	if got != want || want.determinations == 0 || want.spinUps == 0 || want.migrations == 0 {
+		t.Fatalf("ledger counts %+v, event stream %+v", got, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "esm.prov.csv")
+	if err := os.WriteFile(path, ledger.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runExplain(&out, []string{"-since", "0s", path}); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`determinations (\d+)[^\n]*\n.*\n  runtime +(\d+) spin-ups, \d+ power-ons, (\d+) power-offs, (\d+) migrations`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("report lacks the window activity counts:\n%s", out.String())
+	}
+	var reported [4]int
+	for i := range reported {
+		reported[i], _ = strconv.Atoi(m[1+i])
+	}
+	if reported != [4]int{want.determinations, want.spinUps, want.powerOffs, want.migrations} {
+		t.Errorf("explain reports %v determinations/spin-ups/power-offs/migrations, the event stream %+v", reported, want)
 	}
 }
 

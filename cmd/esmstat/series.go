@@ -34,14 +34,9 @@ func runSeries(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: esmstat series [-since D] [-until D] [-csv] <run.series.csv>")
 	}
-	f, err := os.Open(fs.Arg(0))
+	s, err := readSeriesFile(fs.Arg(0))
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	s, err := obs.ReadSeriesCSV(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
 	s = s.Window(*since, *until)
 	if s.Len() == 0 {

@@ -44,8 +44,7 @@ type ManifestTotals struct {
 	// Decision-provenance roll-up (all zero when the run had no
 	// -provenance; absent from older manifests, which decode as zero).
 	// Informational, not diff-gated.
-	ProvRecords        int   `json:"provenance_records,omitempty"`
-	ProvOffered        int64 `json:"provenance_offered,omitempty"`
+	ProvRecords        int64 `json:"provenance_records,omitempty"`
 	ProvDecisions      int64 `json:"provenance_decisions,omitempty"`
 	ProvTransitions    int64 `json:"provenance_transitions,omitempty"`
 	ProvMigrations     int64 `json:"provenance_migrations,omitempty"`
@@ -72,7 +71,7 @@ type Manifest struct {
 	// alongside this manifest (empty when none was).
 	SeriesFile string `json:"series_file,omitempty"`
 	// ProvFile is the path of the decision-provenance CSV written for
-	// this run (empty when none was).
+	// this run (empty without -provenance).
 	ProvFile string         `json:"provenance_file,omitempty"`
 	Totals   ManifestTotals `json:"totals"`
 }
@@ -108,8 +107,7 @@ func NewManifest(w *workload.Workload, policyName string, scale float64, fc *fau
 		m.Seed = fc.Seed
 	}
 	if p := res.Provenance; p != nil {
-		m.Totals.ProvRecords = p.Records
-		m.Totals.ProvOffered = p.Offered
+		m.Totals.ProvRecords = p.Rows
 		m.Totals.ProvDecisions = p.Decisions
 		m.Totals.ProvTransitions = p.Transitions
 		m.Totals.ProvMigrations = p.Migrations

@@ -64,8 +64,11 @@ type ArraySpec struct {
 	Alerts []obs.Rule
 	// Provenance enables the decision-provenance ledger: determination
 	// inputs/outputs plus power/migration/preload/destage context,
-	// served live at /arrays/<name>/provenance.
+	// whose live tail is served at /arrays/<name>/provenance.
 	Provenance bool
+	// ProvenanceSink, when non-nil, enables the ledger too and receives
+	// every row as CSV (closed by Array.Close).
+	ProvenanceSink io.WriteCloser
 }
 
 // Status is the JSON liveness snapshot of one array — the fleet form
@@ -183,8 +186,8 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 			Enclosures: enclosures,
 		})
 	}
-	if spec.Provenance {
-		tel.Provenance = obs.NewProvenance()
+	if spec.Provenance || spec.ProvenanceSink != nil {
+		tel.Provenance = obs.NewProvenance(spec.ProvenanceSink)
 	}
 
 	esm, err := buildESM(cfgFile)
@@ -396,16 +399,10 @@ func (a *Array) Series() *obs.Series {
 	return a.sess.Run().Telemetry.Flight.Series()
 }
 
-// ProvenanceSeries returns the decision-provenance ledger's rows as a
-// columnar series (nil when the array runs without provenance). The
-// recorder has its own lock, so scrapes never contend with the
-// simulation.
-func (a *Array) ProvenanceSeries() *obs.Series { return a.sess.Run().Telemetry.Provenance.Series() }
-
-// ProvenanceSummary returns the ledger roll-up (nil when off).
-func (a *Array) ProvenanceSummary() *obs.ProvenanceSummary {
-	return a.sess.Run().Telemetry.Provenance.Summary()
-}
+// Provenance returns the decision-provenance ledger (nil when the
+// array runs without one). The ledger has its own lock, so scrapes
+// never contend with the simulation.
+func (a *Array) Provenance() *obs.Provenance { return a.sess.Run().Telemetry.Provenance }
 
 // Alerts returns the watchdog's per-rule states (nil without rules).
 // The watchdog has its own lock, so scrapes never contend with the
@@ -511,7 +508,7 @@ func (a *Array) Report(w io.Writer) {
 }
 
 // Close ends the session (if the stream was never finalized) and
-// flushes and closes the array's event and span sinks.
+// flushes and closes the array's event, span and provenance sinks.
 func (a *Array) Close() error {
 	a.mu.Lock()
 	a.sess.Close()
@@ -520,6 +517,9 @@ func (a *Array) Close() error {
 	err := tel.Recorder.Close()
 	if terr := tel.Tracer.Close(); err == nil {
 		err = terr
+	}
+	if perr := tel.Provenance.Close(); err == nil && perr != nil {
+		err = fmt.Errorf("fleet: array %q: provenance: %w", a.name, perr)
 	}
 	return err
 }

@@ -129,8 +129,9 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 					Alerts: obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet}),
 				},
 			}
+			var offlineCSV, offlineProv bytes.Buffer
 			if tc.provenance {
-				run.Telemetry.Provenance = obs.NewProvenance()
+				run.Telemetry.Provenance = obs.NewProvenance(&offlineProv)
 			}
 			res, err := replay.Execute(run)
 			if err != nil {
@@ -142,14 +143,11 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			if tc.alerts && res.Alerts.Fired == 0 {
 				t.Fatal("no alert fired; the case is not exercising the watchdog")
 			}
-			var offlineCSV, offlineProv bytes.Buffer
 			if err := res.Series.WriteCSV(&offlineCSV); err != nil {
 				t.Fatal(err)
 			}
-			if tc.provenance {
-				if err := res.ProvSeries.WriteCSV(&offlineProv); err != nil {
-					t.Fatal(err)
-				}
+			if err := run.Telemetry.Provenance.Close(); err != nil {
+				t.Fatal(err)
 			}
 
 			// Live side: two identically configured arrays behind the
@@ -181,7 +179,7 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 						name, len(liveCSV), offlineCSV.Len())
 				}
 				if tc.provenance {
-					liveProv := get(t, srv.URL+"/arrays/"+name+"/provenance?format=csv")
+					liveProv := get(t, srv.URL+"/arrays/"+name+"/provenance")
 					if !bytes.Equal(liveProv, offlineProv.Bytes()) {
 						t.Errorf("%s: live provenance differs from offline replay (%d vs %d bytes)",
 							name, len(liveProv), offlineProv.Len())

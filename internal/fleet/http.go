@@ -90,11 +90,7 @@ func (f *Fleet) serveArray(w http.ResponseWriter, r *http.Request) {
 	case "series":
 		obs.ServeSeries(w, r, a.Series())
 	case "provenance":
-		if s := a.ProvenanceSeries(); s != nil {
-			obs.ServeSeries(w, r, s)
-		} else {
-			http.Error(w, "no provenance ledger attached (run with -provenance)", http.StatusNotFound)
-		}
+		obs.ServeProvenance(w, r, a.Provenance())
 	case "ingest":
 		f.serveIngest(w, r, a)
 	case "config":

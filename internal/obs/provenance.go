@@ -7,19 +7,26 @@
 // joule/latency delta, plus the triggering context of every power
 // transition, migration, preload and destage the array executes. Both
 // arrive as decision-log records (Telemetry.Log); the ledger encodes
-// the kinds it keeps as rows of one fixed column layout.
+// each kind it keeps once, as a ProvRecord row.
 //
-// Like the flight recorder it is nil-safe (a nil *Provenance is a
-// valid disabled instance — one pointer check, no allocation, on every
-// call) and bounded: records land in a columnar store that, when full,
-// halves its resolution by keeping every other accepted row and
-// doubling the acceptance stride. Everything is driven by the
-// simulated clock from deterministic call sites, so the stream is
-// byte-identical across reruns.
+// The ledger is an event log, not a time series: every row is written
+// to its file as one CSV line as it arrives, and the latest rows stay
+// in a live tail that counts the rows it lets go. ReadProvenanceCSV
+// reads the file back. Like the other surfaces it is nil-safe (a nil
+// *Provenance is a valid disabled instance — one pointer check, no
+// allocation, on every call), and it is driven by the simulated clock
+// from deterministic call sites, so the file is byte-identical across
+// reruns.
 
 package obs
 
 import (
+	"bufio"
+	"cmp"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -56,36 +63,11 @@ const (
 	ProvAttrib = 9
 )
 
-// ProvKindName names a kind code for reports.
-func ProvKindName(kind int) string {
-	switch kind {
-	case ProvDetermination:
-		return "determination"
-	case ProvMove:
-		return "move"
-	case ProvReclass:
-		return "reclass"
-	case ProvPreload:
-		return "preload"
-	case ProvDestage:
-		return "destage"
-	case ProvPower:
-		return "power"
-	case ProvMigration:
-		return "migration"
-	case ProvFault:
-		return "fault"
-	case ProvAttrib:
-		return "attrib"
-	default:
-		return "unknown"
-	}
-}
-
-// provCols is the fixed column order of the provenance series. Every
-// record is one row; fields that do not apply to a kind hold -1 (ids)
-// or 0 (measures).
-var provCols = []string{
+// provCols is the fixed column order of the ledger CSV after its
+// leading t_ns column, the order of ProvRecord's fields; kind through
+// dst hold integers. Every record is one row; fields that do not apply
+// to a kind hold -1 (ids) or 0 (measures).
+var provCols = [...]string{
 	"kind",       // record kind code (Prov* constants)
 	"det",        // determination number; -1 on runtime rows
 	"cause",      // cause code (CauseCode); 0 none
@@ -103,25 +85,8 @@ var provCols = []string{
 	"joules",     // ledger-attributed joules (attrib rows)
 }
 
-// Column indexes into provCols, for decode.
-const (
-	provColKind = iota
-	provColDet
-	provColCause
-	provColItem
-	provColClass
-	provColPrevClass
-	provColSrc
-	provColDst
-	provColIntervalS
-	provColReadRatio
-	provColCostSrc
-	provColCostDst
-	provColPredDJ
-	provColPredDUS
-	provColJoules
-	provNumCols
-)
+// provHeader is the ledger CSV's header line.
+var provHeader = "t_ns," + strings.Join(provCols[:], ",") + "\n"
 
 // provCauses is the stable cause-code table: code = index + 1, 0 means
 // no cause. Fault kinds continue the table after the power causes so
@@ -181,24 +146,9 @@ func PowerStateCode(state string) int {
 	}
 }
 
-// PowerStateName is the inverse of PowerStateCode.
-func PowerStateName(code int) string {
-	switch code {
-	case 0:
-		return "off"
-	case 1:
-		return "on"
-	case 2:
-		return "spinup"
-	default:
-		return "?"
-	}
-}
-
-// provMaxRecords bounds the stored rows; on overflow the store keeps
-// every other accepted row and doubles its acceptance stride, like the
-// flight recorder.
-const provMaxRecords = 8192
+// provTailRows bounds the live tail: the most recent rows a scrape of
+// /arrays/<name>/provenance sees. The ledger file is not bounded.
+const provTailRows = 8192
 
 // provTopPerEnc is how many items per enclosure, by attributed joules,
 // RecordAttribution turns into ProvAttrib rows.
@@ -206,12 +156,10 @@ const provTopPerEnc = 16
 
 // ProvenanceSummary is the manifest/status roll-up of one recorder.
 type ProvenanceSummary struct {
-	// Records is the number of rows currently stored (after any
-	// resolution halving); Offered counts every row ever offered.
-	Records int   `json:"records"`
-	Offered int64 `json:"offered"`
-	// Stride is the current acceptance stride (1 = lossless so far).
-	Stride         int   `json:"stride"`
+	// Rows counts every row written; Dropped counts the rows the live
+	// tail has let go (the tail holds the other Rows - Dropped).
+	Rows           int64 `json:"rows"`
+	Dropped        int64 `json:"dropped"`
 	Determinations int64 `json:"determinations"`
 	Decisions      int64 `json:"decisions"`
 	Transitions    int64 `json:"transitions"`
@@ -219,13 +167,42 @@ type ProvenanceSummary struct {
 	Faults         int64 `json:"faults"`
 }
 
+// ProvRecord is one ledger row: the unit the recorder writes, the live
+// tail holds and ReadProvenanceCSV returns.
+type ProvRecord struct {
+	T         time.Duration
+	Kind      int
+	Det       int64
+	Cause     string
+	Item      int64
+	Class     int
+	PrevClass int
+	Src       int
+	Dst       int
+	IntervalS float64
+	ReadRatio float64
+	CostSrc   float64
+	CostDst   float64
+	PredDJ    float64
+	PredDUS   float64
+	Joules    float64
+}
+
 // Provenance is the decision-provenance recorder. A nil *Provenance is
 // a valid disabled instance: every method nil-checks its receiver, so
 // the untraced hot path pays one pointer comparison and allocates
 // nothing.
 type Provenance struct {
-	mu    sync.Mutex
-	store colStore
+	mu sync.Mutex
+	// out buffers the CSV stream to dst; err is its first write error.
+	out *bufio.Writer
+	dst io.Writer
+	err error
+	// tail is a ring of the latest rows: once it holds provTailRows,
+	// next is the slot of the oldest, which the next row overwrites.
+	tail []ProvRecord
+	next int
+	rows int64
 	// idleW and spinUpS are the electrical constants of the predicted
 	// deltas: the power-model defaults until ConfigurePower installs
 	// the run's own.
@@ -239,9 +216,17 @@ type Provenance struct {
 	faults         int64
 }
 
-// NewProvenance builds an enabled recorder.
-func NewProvenance() *Provenance {
-	return &Provenance{store: newColStore(provMaxRecords), idleW: 220, spinUpS: 15}
+// NewProvenance builds an enabled recorder streaming its rows as CSV
+// to w. The header is written at once, so a ledger that records
+// nothing is still a valid file. w may be nil; the live tail is then
+// the only output. Close flushes the stream.
+func NewProvenance(w io.Writer) *Provenance {
+	p := &Provenance{dst: w, idleW: 220, spinUpS: 15}
+	if w != nil {
+		p.out = bufio.NewWriter(w)
+		_, p.err = p.out.WriteString(provHeader)
+	}
+	return p
 }
 
 // ConfigurePower overwrites the electrical constants the predicted
@@ -279,14 +264,14 @@ func (p *Provenance) Log(t time.Duration, ev Event) {
 	case EvPowerOn, EvPowerOff:
 		p.transitions++
 		pw := ev.Power
-		p.runtime(t, ProvPower, CauseCode(string(pw.Cause)), -1, pw.Enclosure, PowerStateCode(pw.State))
+		p.runtime(t, ProvPower, string(pw.Cause), -1, pw.Enclosure, PowerStateCode(pw.State))
 	case EvMigrationDone:
 		p.migrations++
 		m := ev.Migration
-		p.runtime(t, ProvMigration, 0, m.Item, m.Src, m.Dst)
+		p.runtime(t, ProvMigration, "", m.Item, m.Src, m.Dst)
 	case EvFault:
 		p.faults++
-		p.runtime(t, ProvFault, CauseCode(ev.Fault.Kind), -1, ev.Fault.Enclosure, -1)
+		p.runtime(t, ProvFault, ev.Fault.Kind, -1, ev.Fault.Enclosure, -1)
 	case EvCacheSelect, EvCacheEvict:
 		// A preload selection is the bulk load and a write-delay
 		// eviction the destage; write-delay picks and preload drops
@@ -301,9 +286,8 @@ func (p *Provenance) Log(t time.Duration, ev Event) {
 		default:
 			return
 		}
-		code := CauseCode(string(cause))
 		for _, it := range ev.Cache.Items {
-			p.runtime(t, kind, code, it, -1, -1)
+			p.runtime(t, kind, string(cause), it, -1, -1)
 		}
 	}
 }
@@ -320,45 +304,29 @@ func (p *Provenance) decision(t time.Duration, d *Decision) {
 	} else {
 		p.decisions++
 	}
-	row := [provNumCols]float64{
-		provColKind:      float64(d.Kind),
-		provColDet:       float64(d.Det),
-		provColCause:     float64(CauseCode(string(d.Cause))),
-		provColItem:      float64(d.Item),
-		provColClass:     float64(d.Class),
-		provColPrevClass: float64(d.PrevClass),
-		provColSrc:       float64(d.Src),
-		provColDst:       float64(d.Dst),
-		provColIntervalS: d.IntervalS,
-		provColReadRatio: d.ReadRatio,
-		provColCostSrc:   d.CostSrc,
-		provColCostDst:   d.CostDst,
+	r := ProvRecord{
+		T: t, Kind: d.Kind, Det: d.Det, Cause: provCause(string(d.Cause)),
+		Item: d.Item, Class: d.Class, PrevClass: d.PrevClass, Src: d.Src, Dst: d.Dst,
+		IntervalS: d.IntervalS, ReadRatio: d.ReadRatio, CostSrc: d.CostSrc, CostDst: d.CostDst,
 	}
 	if d.Kind == ProvMove {
 		dj := p.idleW * d.IntervalS
 		dus := p.spinUpS * 1e6 * d.ReadRatio
 		if d.ToCold {
-			row[provColPredDJ] = -dj
-			row[provColPredDUS] = dus
+			r.PredDJ, r.PredDUS = -dj, dus
 		} else {
-			row[provColPredDJ] = dj
-			row[provColPredDUS] = -dus
+			r.PredDJ, r.PredDUS = dj, -dus
 		}
 	}
-	p.store.offer(t, row[:])
+	p.append(r)
 }
 
 // runtime encodes one row of an action the array executed (det = -1).
 // Caller holds p.mu.
-func (p *Provenance) runtime(t time.Duration, kind, cause int, item int64, src, dst int) {
-	row := emptyProvRow()
-	row[provColKind] = float64(kind)
-	row[provColDet] = -1
-	row[provColCause] = float64(cause)
-	row[provColItem] = float64(item)
-	row[provColSrc] = float64(src)
-	row[provColDst] = float64(dst)
-	p.store.offer(t, row[:])
+func (p *Provenance) runtime(t time.Duration, kind int, cause string, item int64, src, dst int) {
+	r := unscopedRow(t, kind)
+	r.Cause, r.Item, r.Src, r.Dst = provCause(cause), item, src, dst
+	p.append(r)
 }
 
 // RecordAttribution joins the energy ledger into the stream at end of
@@ -373,42 +341,71 @@ func (p *Provenance) RecordAttribution(t time.Duration, a *Attribution) {
 	for _, enc := range a.Enclosures {
 		n := min(len(enc.ByItem), provTopPerEnc)
 		for _, ie := range enc.ByItem[:n] {
-			row := emptyProvRow()
-			row[provColKind] = ProvAttrib
-			row[provColDet] = -1
-			row[provColItem] = float64(ie.Item)
-			row[provColClass] = float64(ie.Class)
-			row[provColSrc] = float64(enc.Enclosure)
-			row[provColJoules] = ie.Joules
-			p.store.offer(t, row[:])
+			r := unscopedRow(t, ProvAttrib)
+			r.Item, r.Class, r.Src, r.Joules = ie.Item, int(ie.Class), enc.Enclosure, ie.Joules
+			p.append(r)
 		}
 	}
 }
 
-func emptyProvRow() [provNumCols]float64 {
-	var row [provNumCols]float64
-	row[provColItem] = -1
-	row[provColClass] = -1
-	row[provColPrevClass] = -1
-	row[provColSrc] = -1
-	row[provColDst] = -1
-	return row
+// unscopedRow is a runtime row (det = -1) with every id unset.
+func unscopedRow(t time.Duration, kind int) ProvRecord {
+	return ProvRecord{T: t, Kind: kind, Det: -1, Item: -1, Class: -1, PrevClass: -1, Src: -1, Dst: -1}
 }
 
-// Series snapshots the stored rows as an immutable columnar series —
-// the same shape the flight recorder exports, so CSV/JSON writers and
-// the HTTP endpoint are shared.
-func (p *Provenance) Series() *Series {
+// provCause is the name a cause carries in a row: the one its code
+// decodes to, so a row reads the same from the tail and from the file.
+func provCause(cause string) string { return CauseName(CauseCode(cause)) }
+
+// append writes one row to the stream and pushes it onto the tail.
+// Rows keep reaching the tail and the counters after a write error.
+// Caller holds p.mu.
+func (p *Provenance) append(r ProvRecord) {
+	p.rows++
+	if len(p.tail) < provTailRows {
+		p.tail = append(p.tail, r)
+	} else {
+		p.tail[p.next] = r
+		p.next = (p.next + 1) % provTailRows
+	}
+	if p.out != nil && p.err == nil {
+		_, p.err = p.out.Write(appendProvRow(p.out.AvailableBuffer(), &r))
+	}
+}
+
+// Close flushes the stream and closes the writer if it is an
+// io.Closer. It returns the first error the stream met; rows logged
+// after Close reach only the tail.
+func (p *Provenance) Close() error {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.store.series(provCols, 0)
+	if p.out != nil {
+		p.err = cmp.Or(p.err, p.out.Flush())
+		p.out = nil
+		if c, ok := p.dst.(io.Closer); ok {
+			p.err = cmp.Or(p.err, c.Close())
+		}
+	}
+	return p.err
 }
 
-// Summary returns the roll-up counters (monotone; compaction does not
-// rewind them).
+// Tail returns the live tail, oldest row first: the last provTailRows
+// rows at most.
+func (p *Provenance) Tail() []ProvRecord {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]ProvRecord, 0, len(p.tail))
+	out = append(out, p.tail[p.next:]...)
+	return append(out, p.tail[:p.next]...)
+}
+
+// Summary returns the roll-up counters.
 func (p *Provenance) Summary() *ProvenanceSummary {
 	if p == nil {
 		return nil
@@ -416,9 +413,8 @@ func (p *Provenance) Summary() *ProvenanceSummary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return &ProvenanceSummary{
-		Records:        len(p.store.times),
-		Offered:        p.store.offered,
-		Stride:         int(p.store.stride),
+		Rows:           p.rows,
+		Dropped:        p.rows - int64(len(p.tail)),
 		Determinations: p.determinations,
 		Decisions:      p.decisions,
 		Transitions:    p.transitions,
@@ -427,62 +423,76 @@ func (p *Provenance) Summary() *ProvenanceSummary {
 	}
 }
 
-// ProvRecord is one decoded provenance row, the working form of the
-// esmstat explain pipeline.
-type ProvRecord struct {
-	T         time.Duration
-	Kind      int
-	Det       int64
-	Cause     string
-	Item      int64
-	Class     int
-	PrevClass int
-	Src       int
-	Dst       int
-	IntervalS float64
-	ReadRatio float64
-	CostSrc   float64
-	CostDst   float64
-	PredDJ    float64
-	PredDUS   float64
-	Joules    float64
+// appendProvRow appends r as one CSV line: t_ns as an integer, every
+// other column in the shortest 'g' form.
+func appendProvRow(b []byte, r *ProvRecord) []byte {
+	b = strconv.AppendInt(b, int64(r.T), 10)
+	for _, v := range [len(provCols)]float64{
+		float64(r.Kind), float64(r.Det), float64(CauseCode(r.Cause)), float64(r.Item),
+		float64(r.Class), float64(r.PrevClass), float64(r.Src), float64(r.Dst),
+		r.IntervalS, r.ReadRatio, r.CostSrc, r.CostDst, r.PredDJ, r.PredDUS, r.Joules,
+	} {
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	return append(b, '\n')
 }
 
-// DecodeProvenance converts a provenance series (fresh from Series or
-// read back from CSV) into typed records. It tolerates column reorder
-// but requires every provenance column to be present.
-func DecodeProvenance(s *Series) ([]ProvRecord, bool) {
-	if s == nil {
-		return nil, false
-	}
-	cols := make([][]float64, provNumCols)
-	for c, name := range provCols {
-		col := s.Column(name)
-		if col == nil {
-			return nil, false
-		}
-		cols[c] = col
-	}
-	out := make([]ProvRecord, len(s.TimesNS))
-	for i := range s.TimesNS {
-		out[i] = ProvRecord{
-			T:         time.Duration(s.TimesNS[i]),
-			Kind:      int(cols[provColKind][i]),
-			Det:       int64(cols[provColDet][i]),
-			Cause:     CauseName(int(cols[provColCause][i])),
-			Item:      int64(cols[provColItem][i]),
-			Class:     int(cols[provColClass][i]),
-			PrevClass: int(cols[provColPrevClass][i]),
-			Src:       int(cols[provColSrc][i]),
-			Dst:       int(cols[provColDst][i]),
-			IntervalS: cols[provColIntervalS][i],
-			ReadRatio: cols[provColReadRatio][i],
-			CostSrc:   cols[provColCostSrc][i],
-			CostDst:   cols[provColCostDst][i],
-			PredDJ:    cols[provColPredDJ][i],
-			PredDUS:   cols[provColPredDUS][i],
-			Joules:    cols[provColJoules][i],
+// ReadProvenanceCSV reads a ledger CSV into its rows. It accepts only
+// what the recorder writes — the header, then rows spelled exactly as
+// the recorder spells them, each ending in a newline — so whatever it
+// reads re-encodes to the same bytes. Any other input is an error that
+// names the line, and the column where a field is not a number.
+func ReadProvenanceCSV(r io.Reader) ([]ProvRecord, error) {
+	br := bufio.NewReader(r)
+	var out []ProvRecord
+	for line := 1; ; line++ {
+		text, err := br.ReadString('\n')
+		switch {
+		case err == io.EOF && text == "" && line > 1:
+			return out, nil
+		case err == io.EOF:
+			return nil, fmt.Errorf("obs: provenance line %d: missing newline", line)
+		case err != nil:
+			return nil, fmt.Errorf("obs: provenance line %d: %w", line, err)
+		case line == 1 && text != provHeader:
+			return nil, fmt.Errorf("obs: provenance line 1: header %q, want %q", strings.TrimSuffix(text, "\n"), strings.TrimSuffix(provHeader, "\n"))
+		case line > 1:
+			rec, err := parseProvRow(line, text)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, rec)
 		}
 	}
-	return out, true
+}
+
+// parseProvRow parses data line number line, newline included.
+func parseProvRow(line int, text string) (ProvRecord, error) {
+	fields := strings.Split(strings.TrimSuffix(text, "\n"), ",")
+	if len(fields) != 1+len(provCols) {
+		return ProvRecord{}, fmt.Errorf("obs: provenance line %d: %d fields, want %d", line, len(fields), 1+len(provCols))
+	}
+	t, err := strconv.ParseInt(fields[0], 10, 64)
+	if err != nil {
+		return ProvRecord{}, fmt.Errorf("obs: provenance line %d column t_ns: %q is not an integer", line, fields[0])
+	}
+	var v [len(provCols)]float64
+	for c := range v {
+		if v[c], err = strconv.ParseFloat(fields[1+c], 64); err != nil {
+			return ProvRecord{}, fmt.Errorf("obs: provenance line %d column %s: %q is not a number", line, provCols[c], fields[1+c])
+		}
+	}
+	rec := ProvRecord{
+		T: time.Duration(t), Kind: int(v[0]), Det: int64(v[1]), Cause: CauseName(int(v[2])),
+		Item: int64(v[3]), Class: int(v[4]), PrevClass: int(v[5]), Src: int(v[6]), Dst: int(v[7]),
+		IntervalS: v[8], ReadRatio: v[9], CostSrc: v[10], CostDst: v[11],
+		PredDJ: v[12], PredDUS: v[13], Joules: v[14],
+	}
+	// A fractional id, an unknown cause code or a number spelled
+	// otherwise than the recorder spells it re-encodes differently.
+	if want := appendProvRow(nil, &rec); string(want) != text {
+		return ProvRecord{}, fmt.Errorf("obs: provenance line %d: %q is not a ledger row (the row it reads as is %q)", line, strings.TrimSuffix(text, "\n"), strings.TrimSuffix(string(want), "\n"))
+	}
+	return rec, nil
 }

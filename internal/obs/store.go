@@ -1,7 +1,7 @@
-// The bounded columnar store behind the flight recorder and the
-// provenance ledger: one time column plus value columns, filled under
-// a stride-doubling acceptance discipline so memory stays bounded while
-// the whole run remains covered.
+// The bounded columnar store behind the flight recorder (and nothing
+// else: thinning suits only a time series): one time column plus value
+// columns, filled under a stride-doubling acceptance discipline so
+// memory stays bounded while the whole run remains covered.
 
 package obs
 

@@ -30,7 +30,8 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 	t.Helper()
 	dur := 25 * time.Minute
 	cat, recs, placement := skewedTrace(dur, 99)
-	prov := obs.NewProvenance()
+	var buf bytes.Buffer
+	prov := obs.NewProvenance(&buf)
 	run := Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -47,8 +48,7 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.ProvSeries.WriteCSV(&buf); err != nil {
+	if err := prov.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), res.Provenance, res
@@ -81,13 +81,9 @@ func TestProvenanceStreamMatchesSerial(t *testing.T) {
 // classes, and runtime power rows with valid states.
 func TestProvenanceCapturesDecisions(t *testing.T) {
 	csv, sum, res := provenanceRun(t, false)
-	s, err := obs.ReadSeriesCSV(bytes.NewReader(csv))
+	recs, err := obs.ReadProvenanceCSV(bytes.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
-	}
-	recs, ok := obs.DecodeProvenance(s)
-	if !ok {
-		t.Fatal("ledger CSV failed to decode")
 	}
 	if sum.Determinations != res.Determinations {
 		t.Fatalf("ledger saw %d determinations, result says %d", sum.Determinations, res.Determinations)
@@ -140,13 +136,9 @@ func TestProvenanceAttributionJoin(t *testing.T) {
 	if res.Attribution == nil {
 		t.Fatal("traced run produced no attribution")
 	}
-	s, err := obs.ReadSeriesCSV(bytes.NewReader(csv))
+	recs, err := obs.ReadProvenanceCSV(bytes.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
-	}
-	recs, ok := obs.DecodeProvenance(s)
-	if !ok {
-		t.Fatal("ledger CSV failed to decode")
 	}
 	var joined float64
 	var n int

@@ -71,7 +71,8 @@ type Run struct {
 	//     instantaneous degrade bridge).
 	//   - Provenance records the decision-provenance ledger; with a
 	//     tracer, the energy ledger's top attributed items are joined
-	//     into it at end of run.
+	//     into it at end of run. Finish does not close it: its writer
+	//     belongs to the caller.
 	// Every surface is fed from deterministic simulated-clock call
 	// sites, so its output is byte-identical across reruns.
 	Telemetry obs.Telemetry
@@ -145,10 +146,9 @@ type Result struct {
 	// final per-rule states (zero/nil without Run.Telemetry.Alerts).
 	Alerts      obs.AlertSummary
 	AlertStates []obs.AlertStatus
-	// Provenance is the decision-provenance roll-up and ProvSeries the
-	// recorded ledger rows (nil without Run.Telemetry.Provenance).
+	// Provenance is the decision-provenance roll-up (nil without
+	// Run.Telemetry.Provenance); the rows went to the ledger's writer.
 	Provenance *obs.ProvenanceSummary
-	ProvSeries *obs.Series
 }
 
 // StateResidency is the fraction of the run one enclosure spent in each

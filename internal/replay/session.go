@@ -352,7 +352,6 @@ func (s *Session) Finish() (*Result, error) {
 			tel.Provenance.RecordAttribution(end, res.Attribution)
 		}
 		res.Provenance = tel.Provenance.Summary()
-		res.ProvSeries = tel.Provenance.Series()
 	}
 	for e := 0; e < r.Storage.Enclosures; e++ {
 		acc := m.Enclosure(e)

@@ -60,9 +60,9 @@ func (p *wrappedPolicy) OnLogical(rec trace.LogicalRecord) {
 func TestTelemetryReachesWrappedPolicy(t *testing.T) {
 	replayed := func(wrap bool) (events, prov []byte) {
 		run := esmRun(t)
-		var buf bytes.Buffer
+		var buf, csv bytes.Buffer
 		run.Telemetry.Recorder = obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Label: "wrap"})
-		run.Telemetry.Provenance = obs.NewProvenance()
+		run.Telemetry.Provenance = obs.NewProvenance(&csv)
 		if wrap {
 			run.Policy = &wrappedPolicy{Policy: run.Policy}
 		}
@@ -76,8 +76,7 @@ func TestTelemetryReachesWrappedPolicy(t *testing.T) {
 		if w, ok := run.Policy.(*wrappedPolicy); ok && w.logical == 0 {
 			t.Fatal("the decorator saw no records")
 		}
-		var csv bytes.Buffer
-		if err := res.ProvSeries.WriteCSV(&csv); err != nil {
+		if err := run.Telemetry.Provenance.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if !wrap && res.Provenance.Determinations == 0 {

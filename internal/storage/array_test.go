@@ -163,6 +163,34 @@ func TestWriteDelayFlushOnDeselect(t *testing.T) {
 	}
 }
 
+// TestZeroByteWriteDirtiesNoPage: a zero-byte write to a write-delayed
+// item is absorbed but dirties no page, so once delayed writes are
+// destaged and the item leaves the write-delay set, a read of that
+// page is not served from a cache that never held it.
+func TestZeroByteWriteDirtiesNoPage(t *testing.T) {
+	arr, _, _, ids := testArray(t, 1, 64<<20)
+	arr.SetWriteDelay(ids)
+	const off = 8 << 20
+	if _, err := arr.Submit(trace.LogicalRecord{Item: ids[0], Offset: off, Size: 0, Op: trace.OpWrite}); err != nil {
+		t.Fatal(err)
+	}
+	if st := &arr.items[ids[0]]; len(st.dirtyPages) != 0 || st.dirtyBytes != 0 {
+		t.Fatalf("zero-byte write left %d dirty pages, %d dirty bytes", len(st.dirtyPages), st.dirtyBytes)
+	}
+	arr.FlushAll()
+	arr.SetWriteDelay(nil)
+	r, err := arr.Submit(trace.LogicalRecord{Item: ids[0], Offset: off, Size: 4 << 10, Op: trace.OpRead})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.CacheHit {
+		t.Fatal("read of a page nothing was written to hit the cache")
+	}
+	if got := arr.Stats().FlushedBytes; got != 0 {
+		t.Fatalf("flushed %d bytes for a zero-byte write", got)
+	}
+}
+
 // TestWriteDelayDeselectDestagesInItemOrder checks that every batch
 // destage runs in ascending ItemID order, so the enclosure queue (and
 // with it the run's energy) is reproducible: items leaving the

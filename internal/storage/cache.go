@@ -182,8 +182,13 @@ type writeDelayState struct {
 
 // absorb records a delayed write to st and reports whether the
 // dirty-block rate now forces a bulk destage. The write's size counts
-// in full even where it rewrites pages already dirty.
+// in full even where it rewrites pages already dirty. A write of no
+// bytes dirties no page: an item has dirty pages iff it has dirty
+// bytes, which is what lets destage skip items without them.
 func (w *writeDelayState) absorb(st *itemState, firstPage, lastPage int64, size int32) bool {
+	if size <= 0 {
+		return false
+	}
 	st.dirtyBytes += int64(size)
 	w.totalDirty += int64(size)
 	if st.dirtyPages == nil {

@@ -4,7 +4,10 @@
 # deliberately tight energy budget must produce an `esmstat explain`
 # report that names the injected cause — and the ESM run's event
 # stream, its provenance ledger and the rendered report must be
-# byte-identical across a rerun.
+# byte-identical across a rerun. Then a default-scale run, whose ESM
+# ledger outgrows the live tail several times over, must write every
+# row: the file holds as many rows as the manifest counts, and explain
+# reports the manifest's determinations and spin-ups.
 set -eu
 
 GO=${GO:-go}
@@ -83,6 +86,29 @@ grep -q 'fault burst: .* injected faults (causes: spinup-fail' "$DIR/report-aler
     echo "alert-derived window misses the injected fault burst"
     exit 1
 }
+
+echo "== a ledger past the live tail is written losslessly"
+full="$DIR/full"
+mkdir -p "$full"
+"$DIR/esmbench" -workload fileserver -fig 8 \
+    -provenance "$full/prov.csv" -series "$full" > "$full.log" 2>&1 || { cat "$full.log"; exit 1; }
+total() { # total KEY: one integer of the ESM run manifest's totals
+    sed -n "s/^ *\"$1\": \([0-9]*\),\{0,1\}\$/\1/p" "$full/BENCH_fileserver-esm.json"
+}
+rows=$(($(wc -l < "$full/prov-fileserver-esm.csv") - 1))
+test "$rows" -eq "$(total provenance_records)" || {
+    echo "ledger holds $rows rows, the manifest counts $(total provenance_records)"
+    exit 1
+}
+"$DIR/esmstat" explain -since 0s "$full/prov-fileserver-esm.csv" > "$DIR/report-full.txt"
+dets=$(sed -n 's/^  determinations \([0-9]*\).*/\1/p' "$DIR/report-full.txt")
+spins=$(sed -n 's/^  runtime *\([0-9]*\) spin-ups.*/\1/p' "$DIR/report-full.txt")
+test "$dets" = "$(total determinations)" && test "$spins" = "$(total spin_ups)" || {
+    cat "$DIR/report-full.txt"
+    echo "explain counts $dets determinations, $spins spin-ups; the manifest $(total determinations), $(total spin_ups)"
+    exit 1
+}
+echo "   $rows rows, $dets determinations, $spins spin-ups"
 
 cat "$DIR/report-a.txt"
 echo "explain-smoke OK"
