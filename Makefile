@@ -22,8 +22,9 @@ check: build vet race alloc-check perf-check
 
 # alloc-check runs the steady-state allocation gates on the build that
 # ships, without the race instrumentation `race` runs them under: the
-# cache's submit path, the closed-loop engine, the k-way merge and the
-# generator adapter must not allocate per record.
+# cache's submit path, the closed-loop engine, the k-way merge, the
+# generator adapter and FileSource's decode of each trace format must
+# not allocate per record.
 alloc-check:
 	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace
 
@@ -98,7 +99,11 @@ bench-smoke:
 # source — the trace is never materialized); esmreplay then decodes
 # and replays it, open-loop and then closed-loop (10k volumes with
 # churn: the closed loop's per-item cursors and ring lending at the
-# shipped scale), and esmstat -trace analyses the same file (the
+# shipped scale). The same trace written as CSV must replay open-loop
+# to the same output, wall time aside: the CSV decodes record by
+# record, the stream through the batched window, so a divergence
+# between the two decoders fails here. esmstat -trace analyses the
+# stream file (the
 # README's tracegen -> esmstat -> esmreplay round trip); finally
 # esmbench regenerates Fig. 20 with the flight recorder on, and the ESM
 # manifest is diffed against the committed baseline (loose +/-25%
@@ -115,9 +120,24 @@ cloudblock-smoke:
 		-catalog /tmp/esm-cloudblock-smoke/cb-again.items \
 		-placement /tmp/esm-cloudblock-smoke/cb-again.layout
 	cmp /tmp/esm-cloudblock-smoke/cb.trace /tmp/esm-cloudblock-smoke/cb-again.trace
+	$(GO) run ./cmd/tracegen -workload cloudblock -scale 0.02 -format csv \
+		-out /tmp/esm-cloudblock-smoke/cb.csv \
+		-catalog /tmp/esm-cloudblock-smoke/cb-csv.items \
+		-placement /tmp/esm-cloudblock-smoke/cb-csv.layout
+	cmp /tmp/esm-cloudblock-smoke/cb.items /tmp/esm-cloudblock-smoke/cb-csv.items
+	cmp /tmp/esm-cloudblock-smoke/cb.layout /tmp/esm-cloudblock-smoke/cb-csv.layout
 	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items \
-		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm
+		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm \
+		> /tmp/esm-cloudblock-smoke/replay-stream.out
+	cat /tmp/esm-cloudblock-smoke/replay-stream.out
+	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.csv \
+		-catalog /tmp/esm-cloudblock-smoke/cb.items \
+		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm \
+		> /tmp/esm-cloudblock-smoke/replay-csv.out
+	sed 's/ in [^ ]* (wall)$$//' /tmp/esm-cloudblock-smoke/replay-stream.out > /tmp/esm-cloudblock-smoke/replay-stream.sim
+	sed 's/ in [^ ]* (wall)$$//' /tmp/esm-cloudblock-smoke/replay-csv.out > /tmp/esm-cloudblock-smoke/replay-csv.sim
+	cmp /tmp/esm-cloudblock-smoke/replay-stream.sim /tmp/esm-cloudblock-smoke/replay-csv.sim
 	$(GO) run ./cmd/esmreplay -trace /tmp/esm-cloudblock-smoke/cb.trace \
 		-catalog /tmp/esm-cloudblock-smoke/cb.items \
 		-placement /tmp/esm-cloudblock-smoke/cb.layout -policy esm -closed-loop

@@ -282,7 +282,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		var tracers []*obs.Tracer
 		var traceFiles []string
 		var ledgers []*obs.Provenance
-		var ledgerErr error
+		var traceErr, ledgerErr error
 		name := w.Name
 		telemetryFor := func(policy string) obs.Telemetry {
 			var tel obs.Telemetry
@@ -292,7 +292,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			if tracePath != "" {
 				file := runFileFor(tracePath, name, policy)
 				if f, err := os.Create(file); err != nil {
-					fmt.Fprintln(os.Stderr, "esmbench: -trace:", err)
+					traceErr = cmp.Or(traceErr, err)
 				} else {
 					tel.Tracer = obs.NewTracer(obs.TracerOptions{
 						Sink:       obs.NewPerfettoSink(f, name+"/"+policy),
@@ -330,6 +330,9 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		}
 		for _, p := range ledgers {
 			ledgerErr = cmp.Or(ledgerErr, p.Close())
+		}
+		if traceErr != nil && err == nil {
+			err = fmt.Errorf("-trace: %w", traceErr)
 		}
 		if ledgerErr != nil && err == nil {
 			err = fmt.Errorf("-provenance: %w", ledgerErr)

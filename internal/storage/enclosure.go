@@ -92,8 +92,9 @@ type enclosure struct {
 	on              bool
 	spindownEnabled bool
 
-	// servers holds the per-server virtual free times; busyUntil is the
-	// latest completion across servers.
+	// servers holds the per-server virtual free times as a binary
+	// min-heap (servers[0] is the earliest); busyUntil is the latest
+	// completion across servers.
 	servers   []time.Duration
 	busyUntil time.Duration
 
@@ -260,6 +261,8 @@ func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequenti
 		if e.powerEvent != nil {
 			e.powerEvent(e.id, start, true, kind.cause())
 		}
+		// Clamping every free time to spinEnd is monotone, so the heap
+		// order survives it.
 		for i := range e.servers {
 			if e.servers[i] < spinEnd {
 				e.servers[i] = spinEnd
@@ -283,18 +286,14 @@ func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequenti
 		// it occupies its server twice plus the retry delay.
 		svc = svc*2 + e.inj.TransientIODelay()
 	}
-	k := 0
-	for i := 1; i < len(e.servers); i++ {
-		if e.servers[i] < e.servers[k] {
-			k = i
-		}
-	}
-	begin := start
-	if e.servers[k] > begin {
-		begin = e.servers[k]
-	}
+	// The I/O takes the earliest free server. Servers are
+	// interchangeable (service time never depends on which one runs the
+	// I/O), so taking the heap's root yields the same multiset of free
+	// times, busyUntil, queue wait and completion as scanning for the
+	// lowest-indexed earliest server.
+	begin := max(start, e.servers[0])
 	end := begin + svc
-	e.servers[k] = end
+	replaceMin(e.servers, end)
 	if end > e.busyUntil {
 		e.busyUntil = end
 	}
@@ -303,6 +302,27 @@ func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequenti
 		info.service = svc
 	}
 	return end, nil
+}
+
+// replaceMin replaces the root of the min-heap h with v and sifts it
+// down to restore the heap order.
+func replaceMin(h []time.Duration, v time.Duration) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r] < h[c] {
+			c = r
+		}
+		if v <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // idleSince returns the start of the current idle period, or false when

@@ -175,3 +175,41 @@ func TestSeqSourceSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SeqSource.Next allocates %.4f/record, want 0", allocs)
 	}
 }
+
+// TestFileSourceSteadyStateAllocs gates FileSource at zero allocations
+// per record on each format it sniffs: the stream's batched window
+// refill and the text formats' per-record fill through the same window.
+func TestFileSourceSteadyStateAllocs(t *testing.T) {
+	for _, format := range []struct {
+		name string
+		open func(io.Writer) recordWriter
+	}{
+		{"stream", func(w io.Writer) recordWriter { return NewStreamWriter(w) }},
+		{"csv", func(w io.Writer) recordWriter { return NewCSVWriter(w) }},
+		{"ndjson", func(w io.Writer) recordWriter { return NewNDJSONWriter(w) }},
+	} {
+		t.Run(format.name, func(t *testing.T) {
+			gateMarginalAllocs(t,
+				func(recs []LogicalRecord) []byte {
+					var buf bytes.Buffer
+					encodeAll(t, format.open(&buf), recs)
+					return buf.Bytes()
+				},
+				func(data []byte) int {
+					src, err := NewFileSource(bytes.NewReader(data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := 0
+					for _, ok := src.Next(); ok; _, ok = src.Next() {
+						n++
+					}
+					if err := src.Err(); err != nil {
+						t.Fatalf("decode failed after %d records: %v", n, err)
+					}
+					return n
+				},
+				0)
+		})
+	}
+}

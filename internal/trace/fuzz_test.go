@@ -3,7 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"io"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -74,7 +74,10 @@ func FuzzReadCSV(f *testing.F) {
 }
 
 // FuzzStreamReader checks the streaming decoder never panics on
-// arbitrary input.
+// arbitrary input, and that FileSource's batched decode agrees with the
+// per-record Next loop record for record and error for error (input
+// without the stream magic gets it prepended, so FileSource takes the
+// stream path).
 func FuzzStreamReader(f *testing.F) {
 	var seedBuf bytes.Buffer
 	w := NewStreamWriter(&seedBuf)
@@ -88,16 +91,20 @@ func FuzzStreamReader(f *testing.F) {
 	bw.Append(LogicalRecord{Time: 9, Item: 2147483000, Offset: 4096, Size: 0, Op: OpRead})
 	bw.Close()
 	f.Add(burstBuf.Bytes())
+	// A run long enough for the batched decode, ending in an invalid op.
+	rng := rand.New(rand.NewSource(5))
+	f.Add(appendRecord(appendValid([]byte(streamMagic), rng, 300), 1, LogicalRecord{Size: 1}, 9))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewStreamReader(bytes.NewReader(data))
 		for i := 0; i < 10000; i++ {
 			if _, err := r.Next(); err != nil {
-				if err != io.EOF {
-					return
-				}
-				return
+				break
 			}
 		}
+		if !bytes.HasPrefix(data, []byte(streamMagic)) {
+			data = append([]byte(streamMagic), data...)
+		}
+		checkBatchMatchesNext(t, data)
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 )
 
@@ -148,6 +149,100 @@ func (r *StreamReader) Next() (LogicalRecord, error) {
 		Size:   int32(raw.size),
 		Op:     Op(raw.op),
 	}, nil
+}
+
+// fill decodes records into dst until it is full or decoding stops; the
+// error is what stopped it, io.EOF at the clean end. Runs of records
+// lying wholly in the reader's buffered bytes go through the tight
+// decodeBuffered loop; whatever that loop declines (the magic, a record
+// straddling the buffer edge, anything malformed) is decoded by Next,
+// so every record and error is exactly the one Next alone would yield.
+func (r *StreamReader) fill(dst []LogicalRecord) (int, error) {
+	n := r.decodeBuffered(dst)
+	for n < len(dst) {
+		rec, err := r.Next()
+		if err != nil {
+			return n, err
+		}
+		dst[n] = rec
+		n++
+		n += r.decodeBuffered(dst[n:])
+	}
+	return n, nil
+}
+
+// decodeBuffered decodes into dst every record whose worst-case
+// encoding (maxVarintRecord) lies in the reader's buffered bytes, then
+// consumes them with one Discard. It stops before the first record it
+// cannot vouch for — an overlong varint, an invalid op or a delta
+// addDelta rejects — and leaves it for Next to decode or report. It
+// decodes nothing before the magic has been read or after an error.
+func (r *StreamReader) decodeBuffered(dst []LogicalRecord) int {
+	if !r.begun || r.err != nil {
+		return 0
+	}
+	buf, _ := r.br.Peek(r.br.Buffered())
+	prev := r.prev
+	pos, n := 0, 0
+	for ; n < len(dst) && len(buf)-pos >= maxVarintRecord; n++ {
+		p := pos
+		dt, ok1 := uvarintAt(buf, &p)
+		item, ok2 := uvarintAt(buf, &p)
+		off, ok3 := uvarintAt(buf, &p)
+		size, ok4 := uvarintAt(buf, &p)
+		op := buf[p]
+		if !(ok1 && ok2 && ok3 && ok4) || op > uint8(OpWrite) {
+			break
+		}
+		t, ok := addDelta(prev, dt)
+		if !ok {
+			break
+		}
+		dst[n] = LogicalRecord{Time: t, Item: ItemID(item), Offset: int64(off), Size: int32(size), Op: Op(op)}
+		prev = t
+		pos = p + 1
+	}
+	if pos > 0 {
+		// Cannot fail: the bytes are buffered.
+		_, _ = r.br.Discard(pos)
+		r.prev = prev
+		r.off += int64(pos)
+		r.count += int64(n)
+	}
+	return n
+}
+
+// uvarintAt decodes the uvarint at b[*pos:] and advances *pos past it.
+// The caller guarantees b[*pos:] holds at least binary.MaxVarintLen64
+// bytes; ok is false for an overlong encoding, which leaves *pos where
+// it was. A one-byte value is a single test; values of up to eight
+// bytes are gathered from one 64-bit load without a per-byte loop, and
+// only nine- and ten-byte values reach the general decoder.
+func uvarintAt(b []byte, pos *int) (v uint64, ok bool) {
+	w := binary.LittleEndian.Uint64(b[*pos:])
+	if w&0x80 == 0 {
+		*pos++
+		return w & 0x7f, true
+	}
+	// The first byte with its continuation bit clear ends the value.
+	last := ^w & 0x8080808080808080
+	if last == 0 {
+		v, n := binary.Uvarint(b[*pos:])
+		if n <= 0 {
+			return 0, false
+		}
+		*pos += n
+		return v, true
+	}
+	n := bits.TrailingZeros64(last)/8 + 1
+	// Keep the value's n bytes, drop their continuation bits and close
+	// the gaps pairwise: 7-bit groups into 14, 28 and then 56 bits.
+	v = w & (1<<(8*n) - 1) & 0x7f7f7f7f7f7f7f7f
+	v = v&0x007f007f007f007f | v&0x7f007f007f007f00>>1
+	v = v&0x00003fff00003fff | v&0x3fff00003fff0000>>2
+	v = v&0x000000000fffffff | v&0x0fffffff00000000>>4
+	*pos += n
+	return v, true
 }
 
 // streamFieldNames maps readVarintRecord's field indices to the stream
