@@ -28,7 +28,11 @@ type Run struct {
 	// replays in O(items) space; a materialized trace replays through a
 	// trace.SliceSource. A Source is single-use; give every Execute call
 	// its own. Requires an explicit Duration (a stream's end is unknown
-	// up front, and policies need the measurement span).
+	// up front, and policies need the measurement span). Execute may
+	// read a source other than a *trace.SliceSource ahead, from a
+	// goroutine of its own: do not touch the source until Execute
+	// returns. It has stopped reading by then, so the source may be
+	// closed at once.
 	Source trace.Source
 	// Placement is the initial enclosure of every item, indexed by ItemID.
 	Placement []int
@@ -158,32 +162,43 @@ type StateResidency struct {
 }
 
 // Execute runs the experiment: a source loop over a Session (the
-// closed loop drives the session's record step itself).
+// closed loop drives the session's record step itself). A source other
+// than a SliceSource is read ahead on a goroutine of its own when
+// GOMAXPROCS allows (see readAheadOf); Execute stops that goroutine
+// before it returns, on every path, so the caller may close the source
+// as soon as it does.
 func Execute(r Run) (*Result, error) {
-	src := r.Source
-	if src == nil || r.Duration == 0 {
+	if r.Source == nil || r.Duration == 0 {
 		return nil, fmt.Errorf("replay: Execute needs a Source and an explicit Duration")
 	}
 	s, err := NewSession(r)
 	if err != nil {
 		return nil, err
 	}
-	if r.ClosedLoop {
-		err = newClosedLoop(src, r.Catalog.Len(), &s.clk, &s.evq, s.submit).run()
-	} else {
-		for err == nil {
-			rec, ok := src.Next()
-			if !ok {
-				if err = src.Err(); err != nil {
-					err = fmt.Errorf("replay: %w", err)
-				}
-				break
-			}
-			err = s.Feed(rec)
-		}
-	}
-	if err != nil {
+	src, stop := readAheadOf(r.Source)
+	defer stop()
+	if err := s.replay(src); err != nil {
 		return nil, err
 	}
 	return s.Finish()
+}
+
+// replay feeds src through the session to its end: the open loop
+// record by record, the closed loop through its demux.
+func (s *Session) replay(src trace.Source) error {
+	if s.r.ClosedLoop {
+		return newClosedLoop(src, s.r.Catalog.Len(), &s.clk, &s.evq, s.submit).run()
+	}
+	for {
+		rec, ok := src.Next()
+		if !ok {
+			if err := src.Err(); err != nil {
+				return fmt.Errorf("replay: %w", err)
+			}
+			return nil
+		}
+		if err := s.Feed(rec); err != nil {
+			return err
+		}
+	}
 }

@@ -10,6 +10,7 @@ package replay
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -158,10 +159,12 @@ func BenchmarkReplayMaterialized(b *testing.B) {
 
 // BenchmarkReplayClosedLoop replays the fileserver workload (scale
 // 0.25) in closed loop under ESM from each input the tools feed the
-// engine: lazy, the workload's merged generator streams, and
-// materialized, the same records as a SliceSource (what esmbench
-// replays, having called EnsureRecords). Profile with -cpuprofile to attribute
-// the time per layer.
+// engine: lazy, the workload's merged generator streams; materialized,
+// the same records as a SliceSource (what esmbench replays, having
+// called EnsureRecords); and file, the same records decoded from a
+// stream file (what esmreplay -closed-loop replays). Lazy and file are
+// read ahead on a second goroutine, materialized directly. Profile
+// with -cpuprofile to attribute the time per layer.
 func BenchmarkReplayClosedLoop(b *testing.B) {
 	w, err := workload.GenerateFileServer(workload.DefaultFileServerConfig().Scaled(0.25))
 	if err != nil {
@@ -173,12 +176,20 @@ func BenchmarkReplayClosedLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	path := writeStreamFile(b, recs)
 	inputs := []struct {
 		name string
 		src  func() trace.Source
 	}{
 		{"lazy", w.Source},
 		{"materialized", func() trace.Source { return trace.NewSliceSource(recs) }},
+		{"file", func() trace.Source {
+			fs, err := trace.OpenFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return fs
+		}},
 	}
 	for _, in := range inputs {
 		b.Run(in.name, func(b *testing.B) {
@@ -189,11 +200,15 @@ func BenchmarkReplayClosedLoop(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				src := in.src()
 				res, err := Execute(Run{
-					Catalog: w.Catalog, Source: in.src(), Placement: w.Placement,
+					Catalog: w.Catalog, Source: src, Placement: w.Placement,
 					Storage: storage.DefaultConfig(w.Enclosures), Policy: esm,
 					Duration: w.Duration, ClosedLoop: true,
 				})
+				if c, ok := src.(io.Closer); ok {
+					c.Close()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

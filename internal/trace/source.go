@@ -22,7 +22,9 @@ import (
 // Next returns the next record; ok is false when the stream is done.
 // After Next returns ok=false, Err distinguishes a clean end (nil) from
 // a decoding or ordering failure. Sources are single-use and not safe
-// for concurrent use: every replay needs its own.
+// for concurrent use: every replay needs its own. replay.Execute may
+// read any source but a SliceSource from a goroutine of its own, so
+// the caller must not touch the source until Execute returns.
 type Source interface {
 	Next() (rec LogicalRecord, ok bool)
 	Err() error
