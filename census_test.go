@@ -19,6 +19,7 @@ var censusAllowed = map[string]string{
 	"UnmarshalJSON": "encoding/json calls it through json.Unmarshaler",
 	"Less":          "sort and container/heap call it through sort.Interface",
 	"Swap":          "sort and container/heap call it through sort.Interface",
+	"Unwrap":        "errors.Is and errors.As call it on replay's re-raised source panic",
 
 	// Accessors and fixtures that tests in other packages share. The
 	// fixture types CollectSink and CollectSpanSink need no entry: the

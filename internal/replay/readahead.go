@@ -8,7 +8,9 @@ package replay
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 
 	"esm/internal/trace"
 )
@@ -34,8 +36,26 @@ type raBatch struct {
 	recs [readAheadBatch]trace.LogicalRecord
 	n    int
 	last bool
-	err  error // the source's Err, or errSourceExited
-	pval any   // the value the source panicked with, if it did
+	err  error        // the source's Err, or errSourceExited
+	pval *sourcePanic // the source's panic, if it panicked
+}
+
+// sourcePanic is a panic in the source, carried to the Execute
+// goroutine with the producer's stack at the panic, which the
+// re-raised panic would otherwise lose. It unwraps to the panic value
+// when that is an error.
+type sourcePanic struct {
+	value any
+	stack []byte
+}
+
+func (p *sourcePanic) Error() string {
+	return fmt.Sprintf("%v\n\ntrace source goroutine:\n%s", p.value, p.stack)
+}
+
+func (p *sourcePanic) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
 }
 
 // readAhead is the simulator's side of the read-ahead: a Source over the
@@ -55,7 +75,11 @@ type readAhead struct {
 // SliceSource is returned as it is (with a no-op stop): indexing a
 // slice leaves nothing to overlap, and the hand-off would only cost.
 // So is any source when GOMAXPROCS is 1: with no second processor to
-// produce on, the hand-off cost the decoded cloud-block replay 7.5 %.
+// produce on, the hand-off never won a majority of sixteen benchmark
+// pairs.
+// Concurrent Executes each read ahead even when their producers
+// outnumber the processors: esmbench's cloud-block evaluation, two
+// workers on two processors, replayed faster so (EXPERIMENTS.md).
 func readAheadOf(src trace.Source) (trace.Source, func()) {
 	if _, ok := src.(*trace.SliceSource); ok || runtime.GOMAXPROCS(0) < 2 {
 		return src, func() {}
@@ -83,8 +107,10 @@ func (ra *readAhead) produce(src trace.Source) {
 	defer func() {
 		if !ended {
 			// Next panicked or called runtime.Goexit with b in hand.
-			b.last, b.pval = true, recover()
-			if b.pval == nil {
+			b.last = true
+			if v := recover(); v != nil {
+				b.pval = &sourcePanic{value: v, stack: debug.Stack()}
+			} else {
 				b.err = errSourceExited
 			}
 			ra.full <- b
@@ -118,7 +144,8 @@ func (ra *readAhead) produce(src trace.Source) {
 
 // Next returns the next record, waiting for the producer when the
 // current batch is spent. A panic in the source is raised here, on the
-// simulator's goroutine, once the records before it are delivered.
+// simulator's goroutine, once the records before it are delivered, as
+// a *sourcePanic holding the value and the producer's stack.
 func (ra *readAhead) Next() (trace.LogicalRecord, bool) {
 	for ra.pos == ra.b.n {
 		if ra.b.last {
