@@ -71,14 +71,19 @@ fault-smoke:
 
 # trace-smoke runs a small traced replay and validates the emitted
 # Perfetto files through the in-repo validator (the CI contract:
-# parses, holds spans, monotonic timestamps).
+# parses, holds spans, monotonic timestamps). It replays the same run
+# a second time and requires every file to be byte-identical: the
+# energy ledger's walk order, not a sort, fixes its float sums.
 trace-smoke:
-	rm -rf /tmp/esm-trace-smoke && mkdir -p /tmp/esm-trace-smoke
+	rm -rf /tmp/esm-trace-smoke && mkdir -p /tmp/esm-trace-smoke/again
 	$(GO) run ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 \
 		-trace /tmp/esm-trace-smoke/run.json
+	$(GO) run ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 \
+		-trace /tmp/esm-trace-smoke/again/run.json
 	for f in /tmp/esm-trace-smoke/run-*.json; do \
 		echo "validating $$f"; \
 		ESM_TRACE_FILE=$$f $(GO) test -run TestTraceSmoke -count=1 ./internal/obs/ || exit 1; \
+		cmp $$f /tmp/esm-trace-smoke/again/$$(basename $$f) || exit 1; \
 	done
 
 # bench-smoke is the CI regression gate: a short flight-recorded run of

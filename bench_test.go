@@ -344,7 +344,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("trace", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			trc := obs.NewTracer(obs.TracerOptions{Enclosures: experiments.StorageFor(w).Enclosures})
+			trc := obs.NewTracer(obs.TracerOptions{})
 			replayOnce(b, obs.Telemetry{Tracer: trc})
 			if err := trc.Close(); err != nil {
 				b.Fatal(err)

@@ -295,14 +295,13 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 					traceErr = cmp.Or(traceErr, err)
 				} else {
 					tel.Tracer = obs.NewTracer(obs.TracerOptions{
-						Sink:       obs.NewPerfettoSink(f, name+"/"+policy),
-						Enclosures: w.Enclosures,
+						Sink: obs.NewPerfettoSink(f, name+"/"+policy),
 					})
 					tracers = append(tracers, tel.Tracer)
 					traceFiles = append(traceFiles, file)
 				}
 			} else if provPath != "" {
-				tel.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: w.Enclosures})
+				tel.Tracer = obs.NewTracer(obs.TracerOptions{})
 			}
 			if seriesDir != "" {
 				tel.Flight = obs.NewFlightRecorder(0)

@@ -250,14 +250,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// Config returns the scenario (zero for a nil injector).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
 // Counters returns a snapshot of the fault counters.
 func (in *Injector) Counters() Counters {
 	if in == nil {

@@ -182,9 +182,6 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 	if c := in.Counters(); c != (Counters{}) {
 		t.Fatalf("nil counters %+v", c)
 	}
-	if in.Config() != (Config{}) {
-		t.Fatal("nil config not zero")
-	}
 }
 
 func TestObserverSeesEveryFault(t *testing.T) {

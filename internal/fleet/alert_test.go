@@ -65,7 +65,7 @@ func TestAlertsAndHealthEndpoints(t *testing.T) {
 		t.Fatalf("pre-ingest health %+v", h)
 	}
 
-	postNDJSON(t, srv.URL, "a", recs, len(recs))
+	postNDJSON(t, srv.URL, "a", recs, len(recs), nil)
 
 	if err := json.Unmarshal(get(t, srv.URL+"/healthz"), &h); err != nil {
 		t.Fatal(err)

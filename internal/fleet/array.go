@@ -50,9 +50,7 @@ type ArraySpec struct {
 	// stream (closed by Array.Close).
 	EventSink obs.Sink
 	// SpanSink, when non-nil, attaches a per-I/O span tracer feeding it
-	// (closed by Array.Close). Note that a tracer settles the power
-	// meter at snapshot times, which perturbs float rounding relative
-	// to an untraced offline replay.
+	// (closed by Array.Close).
 	SpanSink obs.SpanSink
 	// StatusOut, when non-nil, gets a human-readable line per placement
 	// determination (single-array esmd's non-quiet mode).
@@ -180,10 +178,9 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	}
 	if spec.SpanSink != nil {
 		tel.Tracer = obs.NewTracer(obs.TracerOptions{
-			Sink:       spec.SpanSink,
-			Registry:   reg,
-			Instance:   spec.Name,
-			Enclosures: enclosures,
+			Sink:     spec.SpanSink,
+			Registry: reg,
+			Instance: spec.Name,
 		})
 	}
 	if spec.Provenance || spec.ProvenanceSink != nil {
@@ -477,7 +474,7 @@ func (a *Array) updateSnapshotLocked(now time.Duration) {
 		// reflects energy actually drawn.
 		arr.Finish()
 		snap.Latency = tel.Tracer.LatencySummary()
-		snap.Attribution = tel.Tracer.Attribute(now, arr.EnclosureEnergy)
+		snap.Attribution = tel.Tracer.Attribute(now, arr.EnclosureEnergies())
 	}
 	a.snapMu.Lock()
 	a.snap = snap

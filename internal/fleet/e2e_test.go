@@ -22,8 +22,9 @@ import (
 )
 
 // postNDJSON streams recs to the array's ingest endpoint in chunks of
-// chunk records per request, finalizing with the last one.
-func postNDJSON(t *testing.T, base, array string, recs []trace.LogicalRecord, chunk int) {
+// chunk records per request, finalizing with the last one. scrape,
+// when non-nil, runs after every chunk but the last.
+func postNDJSON(t *testing.T, base, array string, recs []trace.LogicalRecord, chunk int, scrape func()) {
 	t.Helper()
 	for start := 0; start < len(recs); start += chunk {
 		end := start + chunk
@@ -51,7 +52,23 @@ func postNDJSON(t *testing.T, base, array string, recs []trace.LogicalRecord, ch
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest [%d:%d]: %s: %s", start, end, resp.Status, body)
 		}
+		if scrape != nil && end < len(recs) {
+			scrape()
+		}
 	}
+}
+
+// oddNanos shifts arrival i by (7919·i+1)·1237 ns, which keeps the
+// order and moves the arrivals off the whole-millisecond grid, so a
+// power segment split at any arrival or settle point no longer
+// converts to seconds exactly.
+func oddNanos(recs []trace.LogicalRecord) []trace.LogicalRecord {
+	out := make([]trace.LogicalRecord, len(recs))
+	for i, rec := range recs {
+		rec.Time += time.Duration(7919*i+1) * 1237
+		out[i] = rec
+	}
+	return out
 }
 
 func get(t *testing.T, url string) []byte {
@@ -73,14 +90,18 @@ func get(t *testing.T, url string) []byte {
 
 // TestLiveIngestMatchesOfflineReplay is the acceptance gate of the
 // control plane: arrays fed a trace over live chunked NDJSON ingest
-// must produce flight series, provenance ledgers, alert states and
-// totals byte-identical to an offline replay.Execute of the same trace
-// on the same sampling grid — the wire adds nothing and loses nothing,
-// plain, with faults injected, and with every telemetry surface on.
+// must produce flight series, provenance ledgers, alert states,
+// energy attribution and totals byte-identical to an offline
+// replay.Execute of the same trace on the same sampling grid — the
+// wire adds nothing and loses nothing, plain, with faults injected,
+// with every telemetry surface on, and with /fleet and status scrapes
+// settling the meter between ingest chunks. The arrival times carry
+// odd nanoseconds, so a settle that moved a joule would show.
 func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 	span := 30 * time.Minute
 	interval := time.Minute
 	_, _, recs := fixture(t, span)
+	recs = oddNanos(recs)
 	last := recs[len(recs)-1].Time
 	rules := []string{"energy:total_energy_j>1:for=2m", "spinups:spin_ups>0"}
 
@@ -89,10 +110,14 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 		faults     string
 		alerts     bool
 		provenance bool
+		tracer     bool
+		scrape     bool
 	}{
 		{name: "plain"},
 		{name: "faults", faults: "seed=7,spinup=0.2,io=0.005"},
 		{name: "alerts+provenance", alerts: true, provenance: true},
+		{name: "tracer", alerts: true, provenance: true, tracer: true},
+		{name: "scrapes", alerts: true, provenance: true, scrape: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +158,9 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			if tc.provenance {
 				run.Telemetry.Provenance = obs.NewProvenance(&offlineProv)
 			}
+			if tc.tracer {
+				run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{Sink: &obs.CollectSpanSink{}})
+			}
 			res, err := replay.Execute(run)
 			if err != nil {
 				t.Fatal(err)
@@ -142,6 +170,9 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			}
 			if tc.alerts && res.Alerts.Fired == 0 {
 				t.Fatal("no alert fired; the case is not exercising the watchdog")
+			}
+			if tc.tracer && (res.Attribution == nil || res.Latency == nil) {
+				t.Fatal("no attribution or latency summary; the case is not exercising the tracer")
 			}
 			if err := res.Series.WriteCSV(&offlineCSV); err != nil {
 				t.Fatal(err)
@@ -156,10 +187,14 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			var specs []ArraySpec
 			for _, name := range []string{"alpha", "beta"} {
 				c, p, _ := fixture(t, span)
-				specs = append(specs, ArraySpec{
+				spec := ArraySpec{
 					Name: name, Catalog: c, Placement: p, SeriesInterval: interval,
 					Faults: fc, Alerts: ruleSet, Provenance: tc.provenance,
-				})
+				}
+				if tc.tracer {
+					spec.SpanSink = &obs.CollectSpanSink{}
+				}
+				specs = append(specs, spec)
 			}
 			f, err := New(Options{Specs: specs})
 			if err != nil {
@@ -169,8 +204,22 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			srv := httptest.NewServer(f.Handler())
 			defer srv.Close()
 
-			postNDJSON(t, srv.URL, "alpha", recs, 97)
-			postNDJSON(t, srv.URL, "beta", recs, len(recs))
+			// A traced array refreshes its attribution after every
+			// ingest request, and a scrape settles the meter: with one
+			// record per request both happen after every arrival.
+			chunk := 97
+			if tc.tracer || tc.scrape {
+				chunk = 1
+			}
+			var scrape func()
+			if tc.scrape {
+				scrape = func() {
+					get(t, srv.URL+"/fleet")
+					get(t, srv.URL+"/arrays/alpha/status")
+				}
+			}
+			postNDJSON(t, srv.URL, "alpha", recs, chunk, scrape)
+			postNDJSON(t, srv.URL, "beta", recs, len(recs), nil)
 
 			for _, name := range []string{"alpha", "beta"} {
 				liveCSV := get(t, srv.URL+"/arrays/"+name+"/series?format=csv")
@@ -194,6 +243,12 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				}
 				if st.EnergyJ != res.EnergyJ {
 					t.Errorf("%s: live energy %v J, offline %v J", name, st.EnergyJ, res.EnergyJ)
+				}
+				if !reflect.DeepEqual(st.Attribution, res.Attribution) {
+					t.Errorf("%s: live attribution differs from offline replay:\n%+v\n%+v", name, st.Attribution, res.Attribution)
+				}
+				if !reflect.DeepEqual(st.Latency, res.Latency) {
+					t.Errorf("%s: live latency summary differs from offline replay", name)
 				}
 				if st.SpinUps != res.SpinUps || st.MigratedBytes != res.Storage.MigratedBytes ||
 					st.CacheHits != res.Storage.CacheHits || st.Determinations != res.Determinations {

@@ -50,9 +50,6 @@ func (r *ResponseStats) ReadMean() time.Duration {
 	return r.readSum / time.Duration(r.reads)
 }
 
-// ReadSum returns the summed read response time (Σr).
-func (r *ResponseStats) ReadSum() time.Duration { return r.readSum }
-
 // Max returns the largest observed response time.
 func (r *ResponseStats) Max() time.Duration { return r.hist.Max() }
 

@@ -25,8 +25,8 @@ func TestResponseStatsBasics(t *testing.T) {
 	if r.ReadMean() != 15*time.Millisecond {
 		t.Fatalf("read mean %v", r.ReadMean())
 	}
-	if r.ReadSum() != 30*time.Millisecond {
-		t.Fatalf("read sum %v", r.ReadSum())
+	if r.readSum != 30*time.Millisecond {
+		t.Fatalf("read sum %v", r.readSum)
 	}
 	if r.Max() != 30*time.Millisecond {
 		t.Fatalf("max %v", r.Max())

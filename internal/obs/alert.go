@@ -310,19 +310,6 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	return w
 }
 
-// Rules returns the evaluated rule set in evaluation order (nil for a
-// nil watchdog).
-func (w *Watchdog) Rules() []Rule {
-	if w == nil {
-		return nil
-	}
-	out := make([]Rule, len(w.rules))
-	for i, rs := range w.rules {
-		out[i] = rs.rule
-	}
-	return out
-}
-
 // Observe evaluates every rule against one flight sample at its
 // simulated time. Rules whose signal the sample cannot provide (fleet
 // signals, out-of-range enclosures) are skipped.

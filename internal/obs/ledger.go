@@ -15,6 +15,7 @@
 package obs
 
 import (
+	"iter"
 	"sort"
 	"time"
 )
@@ -62,84 +63,92 @@ const UnattributedItem int64 = -1
 // been determined (yet).
 const ClassUnknown uint8 = 255
 
-type itemFn struct {
-	item int64
-	fn   EnergyFunc
+// ledgerEntry is one item's attribution inputs on one enclosure.
+type ledgerEntry struct {
+	enc int
+	// svcSec is physical service seconds and spinUps provoked spin-up
+	// attempts, per function. Bit fn of svcFed and spinFed is set once
+	// fn fed the entry: a fed entry takes its part of the split even
+	// at zero weight, as a 0 J share.
+	svcSec, spinUps [EnergyFuncCount]float64
+	svcFed, spinFed uint8
+	// bytes is the resident byte count, byteSec the accumulated
+	// byte-seconds and lastAt the integration point.
+	bytes   int64
+	byteSec float64
+	lastAt  time.Duration
 }
 
-// encLedger is the streaming per-enclosure attribution state.
-type encLedger struct {
-	// svcSec is physical service seconds per item and function.
-	svcSec map[itemFn]float64
-	// spinUps counts provoked spin-up attempts per item and function.
-	spinUps map[itemFn]float64
-	// bytes is the currently resident byte count per item; byteSec the
-	// accumulated byte-seconds; lastAt the per-item integration point.
-	bytes   map[int64]int64
-	byteSec map[int64]float64
-	lastAt  map[int64]time.Duration
-}
-
-func newEncLedger() *encLedger {
-	return &encLedger{
-		svcSec:  map[itemFn]float64{},
-		spinUps: map[itemFn]float64{},
-		bytes:   map[int64]int64{},
-		byteSec: map[int64]float64{},
-		lastAt:  map[int64]time.Duration{},
+// byteSecAt returns the byte-seconds accumulated up to t. Only
+// residency changes move the integration point, so attributing at any
+// number of snapshot times leaves the float sums unchanged.
+func (x *ledgerEntry) byteSecAt(t time.Duration) float64 {
+	if t > x.lastAt {
+		return x.byteSec + float64(x.bytes)*(t-x.lastAt).Seconds()
 	}
+	return x.byteSec
 }
 
-func (e *encLedger) integrate(item int64, to time.Duration) {
-	if last, ok := e.lastAt[item]; ok && to > last {
-		e.byteSec[item] += float64(e.bytes[item]) * (to - last).Seconds()
-	}
-	e.lastAt[item] = to
-}
-
-// EnergyLedger accumulates the attribution inputs. It is not
+// energyLedger accumulates the attribution inputs, indexed by item:
+// items[item+1] holds one entry per enclosure the item touched, and
+// items[0] holds UnattributedItem's. Memory grows with the (item,
+// enclosure) pairs fed, not with items × enclosures. It is not
 // concurrency-safe on its own; the owning Tracer serialises access.
-type EnergyLedger struct {
-	enc []*encLedger
+type energyLedger struct {
+	items [][]ledgerEntry
 }
 
-// NewEnergyLedger returns a ledger over n enclosures.
-func NewEnergyLedger(n int) *EnergyLedger {
-	l := &EnergyLedger{enc: make([]*encLedger, n)}
-	for i := range l.enc {
-		l.enc[i] = newEncLedger()
+// entry returns item's entry on enc, adding it on first touch.
+func (l *energyLedger) entry(enc int, item int64) *ledgerEntry {
+	slot := int(item - UnattributedItem)
+	for slot >= len(l.items) {
+		l.items = append(l.items, nil)
 	}
-	return l
-}
-
-func (l *EnergyLedger) of(enc int) *encLedger {
-	for enc >= len(l.enc) {
-		l.enc = append(l.enc, newEncLedger())
+	es := l.items[slot]
+	for i := range es {
+		if es[i].enc == enc {
+			return &es[i]
+		}
 	}
-	return l.enc[enc]
+	l.items[slot] = append(es, ledgerEntry{enc: enc})
+	return &l.items[slot][len(es)]
 }
 
-// Service records svc seconds of physical service on enc for item,
-// driven by fn.
-func (l *EnergyLedger) Service(enc int, item int64, fn EnergyFunc, svc time.Duration) {
-	l.of(enc).svcSec[itemFn{item, fn}] += svc.Seconds()
-}
-
-// SpinUps records attempts spin-up attempts on enc provoked by item
-// through fn (failed attempts burn spin-up energy too).
-func (l *EnergyLedger) SpinUps(enc int, item int64, fn EnergyFunc, attempts int) {
-	if attempts > 0 {
-		l.of(enc).spinUps[itemFn{item, fn}] += float64(attempts)
+// on yields enc's entries in ItemID order, UnattributedItem's first.
+// Attribute sums floats along this walk, so the order fixes every
+// share bit for bit.
+func (l *energyLedger) on(enc int) iter.Seq2[int64, *ledgerEntry] {
+	return func(yield func(int64, *ledgerEntry) bool) {
+		for slot, es := range l.items {
+			for i := range es {
+				if es[i].enc == enc && !yield(int64(slot)+UnattributedItem, &es[i]) {
+					return
+				}
+			}
+		}
 	}
 }
 
-// Residency records that item's resident footprint on enc changed by
+// service records svc of physical service on enc for item, driven by
+// fn, and the spin-up attempts it provoked (failed attempts burn
+// spin-up energy too).
+func (l *energyLedger) service(enc int, item int64, fn EnergyFunc, svc time.Duration, spinUps int) {
+	x := l.entry(enc, item)
+	x.svcSec[fn] += svc.Seconds()
+	x.svcFed |= 1 << fn
+	if spinUps > 0 {
+		x.spinUps[fn] += float64(spinUps)
+		x.spinFed |= 1 << fn
+	}
+}
+
+// residency records that item's resident footprint on enc changed by
 // delta bytes at time at (positive on placement or migration arrival,
 // negative on departure).
-func (l *EnergyLedger) Residency(at time.Duration, enc int, item int64, delta int64) {
-	e := l.of(enc)
-	e.integrate(item, at)
-	e.bytes[item] += delta
+func (l *energyLedger) residency(at time.Duration, enc int, item int64, delta int64) {
+	x := l.entry(enc, item)
+	x.byteSec, x.lastAt = x.byteSecAt(at), at
+	x.bytes += delta
 }
 
 // EnclosureEnergy is one enclosure's integrated joules by power state,
@@ -200,93 +209,85 @@ func ClassName(i int) string {
 	return "unknown"
 }
 
-// sortedKeys returns w's keys in (item, fn) order. Attribution sums
-// floats while walking these maps; a fixed iteration order makes the
-// computed shares bit-for-bit reproducible across runs, where raw map
-// order would perturb the last ULP from run to run.
-func sortedKeys(w map[itemFn]float64) []itemFn {
-	keys := make([]itemFn, 0, len(w))
-	for k := range w {
-		keys = append(keys, k)
+// part returns one entry's part of total split by weights that sum to
+// sum: total·w/sum if the entry fed its weight, or all of total to the
+// fallback entry when the weights sum to zero or less. ok reports
+// whether the entry takes a part at all; a zero total splits nothing.
+func part(total, sum, w float64, fed, fallback bool) (j float64, ok bool) {
+	switch {
+	case total == 0:
+		return 0, false
+	case sum <= 0:
+		return total, fallback
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].item != keys[j].item {
-			return keys[i].item < keys[j].item
-		}
-		return keys[i].fn < keys[j].fn
-	})
-	return keys
+	return total * w / sum, fed
 }
 
-// split distributes total proportionally to the weights in w, charging
-// the remainder (all of it, when w is empty or sums to zero) to
-// UnattributedItem under fallbackFn.
-func split(total float64, w map[itemFn]float64, into map[itemFn]float64, fallbackFn EnergyFunc) {
-	if total == 0 {
-		return
-	}
-	keys := sortedKeys(w)
-	var sum float64
-	for _, k := range keys {
-		sum += w[k]
-	}
-	if sum <= 0 {
-		into[itemFn{UnattributedItem, fallbackFn}] += total
-		return
-	}
-	for _, k := range keys {
-		into[k] += total * w[k] / sum
-	}
-}
-
-// Attribute integrates residency up to end and computes the full
-// split. encEnergy returns the powermodel joules of each enclosure;
-// classOf maps an item to its pattern class (return ClassUnknown when
-// unknown). The ledger can be attributed repeatedly with a
-// non-decreasing end (esmd snapshots it live).
-func (l *EnergyLedger) Attribute(end time.Duration, encEnergy func(enc int) EnclosureEnergy, classOf func(item int64) uint8) *Attribution {
+// attribute computes the full split as of end. energies holds every
+// enclosure's powermodel joules, indexed by enclosure; classOf maps an
+// item to its pattern class (return ClassUnknown when unknown). Active
+// joules split by service seconds and spin-up joules by attempts, both
+// falling back to UnattributedItem under FnServing; idle plus off
+// joules split by resident byte-seconds under FnBackground. The ledger
+// can be attributed repeatedly with a non-decreasing end (esmd
+// snapshots it live).
+func (l *energyLedger) attribute(end time.Duration, energies []EnclosureEnergy, classOf func(item int64) uint8) *Attribution {
 	a := &Attribution{}
-	for encID, e := range l.enc {
-		for item := range e.bytes {
-			e.integrate(item, end)
-		}
-		energy := encEnergy(encID)
-		shares := map[itemFn]float64{}
-		split(energy.ActiveJ, e.svcSec, shares, FnServing)
-		split(energy.SpinUpJ, e.spinUps, shares, FnServing)
-		// Idle and off residency belong to the resident data as a
-		// whole, under the background function.
-		bg := map[itemFn]float64{}
-		for item, bs := range e.byteSec {
-			if bs > 0 {
-				bg[itemFn{item, FnBackground}] = bs
+	for enc, e := range energies {
+		// The unattributed slot takes the fallbacks, so every
+		// enclosure walks it.
+		l.entry(enc, UnattributedItem)
+		var svcSum, spinSum, bgSum float64
+		for _, x := range l.on(enc) {
+			for fn := range EnergyFuncCount {
+				svcSum += x.svcSec[fn]
+				spinSum += x.spinUps[fn]
+			}
+			if bs := x.byteSecAt(end); bs > 0 {
+				bgSum += bs
 			}
 		}
-		split(energy.IdleJ+energy.OffJ, bg, shares, FnBackground)
 
-		ea := EnclosureAttribution{Enclosure: encID, TotalJ: energy.Total()}
-		perItem := map[int64]float64{}
-		var items []int64
-		for _, k := range sortedKeys(shares) {
-			j := shares[k]
-			ea.ByFunc[k.fn] += j
-			a.ByFunc[k.fn] += j
-			if _, seen := perItem[k.item]; !seen {
-				items = append(items, k.item)
+		ea := EnclosureAttribution{Enclosure: enc, TotalJ: e.Total()}
+		for item, x := range l.on(enc) {
+			unattributed := item == UnattributedItem
+			bs := x.byteSecAt(end)
+			var itemJ float64
+			var held bool
+			for fn := range EnergyFuncCount {
+				var j float64
+				var ok bool
+				add := func(p float64, takes bool) {
+					if takes {
+						j, ok = j+p, true
+					}
+				}
+				bit := uint8(1) << fn
+				add(part(e.ActiveJ, svcSum, x.svcSec[fn], x.svcFed&bit != 0, unattributed && fn == FnServing))
+				add(part(e.SpinUpJ, spinSum, x.spinUps[fn], x.spinFed&bit != 0, unattributed && fn == FnServing))
+				if fn == FnBackground {
+					add(part(e.IdleJ+e.OffJ, bgSum, bs, bs > 0, unattributed))
+				}
+				if !ok {
+					continue
+				}
+				held = true
+				itemJ += j
+				ea.ByFunc[fn] += j
+				a.ByFunc[fn] += j
+				if unattributed {
+					a.UnattributedJ += j
+				}
 			}
-			perItem[k.item] += j
-			if k.item == UnattributedItem {
-				a.UnattributedJ += j
+			if !held {
+				continue
 			}
-		}
-		for _, item := range items {
-			j := perItem[item]
 			class := ClassUnknown
-			if item != UnattributedItem {
+			if !unattributed {
 				class = classOf(item)
 			}
-			ea.ByItem = append(ea.ByItem, ItemEnergy{Item: item, Class: class, Joules: j})
-			a.ByClass[ClassIndex(class)] += j
+			ea.ByItem = append(ea.ByItem, ItemEnergy{Item: item, Class: class, Joules: itemJ})
+			a.ByClass[ClassIndex(class)] += itemJ
 		}
 		sort.Slice(ea.ByItem, func(i, j int) bool {
 			if ea.ByItem[i].Joules != ea.ByItem[j].Joules {

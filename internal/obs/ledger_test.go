@@ -2,6 +2,9 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -63,19 +66,18 @@ func checkConservation(t *testing.T, a *Attribution, encEnergy func(int) Enclosu
 // TestAttributionSumsExact hand-feeds a two-enclosure ledger and checks
 // conservation plus the proportional splits.
 func TestAttributionSumsExact(t *testing.T) {
-	l := NewEnergyLedger(2)
+	var l energyLedger
 	// Enclosure 0: items 1 and 2 resident the whole hour, item 1 served
 	// 3× the service time of item 2 and twice its bytes; one migration
 	// read and one preload burst; item 2 provoked both spin-up attempts.
-	l.Residency(0, 0, 1, 2<<20)
-	l.Residency(0, 0, 2, 1<<20)
-	l.Service(0, 1, FnServing, 30*time.Second)
-	l.Service(0, 2, FnServing, 10*time.Second)
-	l.Service(0, 1, FnMigration, 5*time.Second)
-	l.Service(0, 2, FnPreload, 5*time.Second)
-	l.SpinUps(0, 2, FnServing, 2)
+	l.residency(0, 0, 1, 2<<20)
+	l.residency(0, 0, 2, 1<<20)
+	l.service(0, 1, FnServing, 30*time.Second, 0)
+	l.service(0, 2, FnServing, 10*time.Second, 2)
+	l.service(0, 1, FnMigration, 5*time.Second, 0)
+	l.service(0, 2, FnPreload, 5*time.Second, 0)
 	// Enclosure 1: one resident item, no service at all.
-	l.Residency(0, 1, 7, 4<<20)
+	l.residency(0, 1, 7, 4<<20)
 
 	energies := []EnclosureEnergy{
 		{ActiveJ: 1000, IdleJ: 600, OffJ: 200, SpinUpJ: 50},
@@ -92,7 +94,7 @@ func TestAttributionSumsExact(t *testing.T) {
 		return ClassUnknown
 	}
 	end := time.Hour
-	a := l.Attribute(end, encEnergy, classOf)
+	a := l.attribute(end, energies, classOf)
 	checkConservation(t, a, encEnergy)
 
 	e0 := a.Enclosures[0]
@@ -142,12 +144,12 @@ func TestAttributionSumsExact(t *testing.T) {
 // TestAttributionFallbacks: energy with no weights to carry it lands on
 // UnattributedItem instead of vanishing.
 func TestAttributionFallbacks(t *testing.T) {
-	l := NewEnergyLedger(1)
+	var l energyLedger
 	// No residency, no service, but the enclosure burned energy in
 	// every state.
 	energy := EnclosureEnergy{ActiveJ: 10, IdleJ: 20, OffJ: 5, SpinUpJ: 3}
 	encEnergy := func(int) EnclosureEnergy { return energy }
-	a := l.Attribute(time.Hour, encEnergy, func(int64) uint8 { return 0 })
+	a := l.attribute(time.Hour, []EnclosureEnergy{energy}, func(int64) uint8 { return 0 })
 	checkConservation(t, a, encEnergy)
 	if !near(a.UnattributedJ, energy.Total()) {
 		t.Fatalf("unattributed %v, want %v", a.UnattributedJ, energy.Total())
@@ -170,13 +172,13 @@ func TestAttributionFallbacks(t *testing.T) {
 // TestAttributionResidencyWindow: byte-seconds weight idle energy by
 // how long each item was resident, not just by final size.
 func TestAttributionResidencyWindow(t *testing.T) {
-	l := NewEnergyLedger(1)
+	var l energyLedger
 	// Item 1 resident [0, 1h) at 1 MiB; item 2 arrives at 30m with the
 	// same size — item 1 holds twice the byte-seconds.
-	l.Residency(0, 0, 1, 1<<20)
-	l.Residency(30*time.Minute, 0, 2, 1<<20)
+	l.residency(0, 0, 1, 1<<20)
+	l.residency(30*time.Minute, 0, 2, 1<<20)
 	energy := EnclosureEnergy{IdleJ: 300}
-	a := l.Attribute(time.Hour, func(int) EnclosureEnergy { return energy }, func(int64) uint8 { return ClassUnknown })
+	a := l.attribute(time.Hour, []EnclosureEnergy{energy}, func(int64) uint8 { return ClassUnknown })
 	got := map[int64]float64{}
 	for _, it := range a.Enclosures[0].ByItem {
 		got[it.Item] = it.Joules
@@ -186,9 +188,9 @@ func TestAttributionResidencyWindow(t *testing.T) {
 	}
 	// An item that departs stops accumulating: remove item 2 at 1h,
 	// attribute again at 2h — item 2 gains nothing more.
-	l.Residency(time.Hour, 0, 2, -(1 << 20))
+	l.residency(time.Hour, 0, 2, -(1 << 20))
 	energy.IdleJ = 600
-	a = l.Attribute(2*time.Hour, func(int) EnclosureEnergy { return energy }, func(int64) uint8 { return ClassUnknown })
+	a = l.attribute(2*time.Hour, []EnclosureEnergy{energy}, func(int64) uint8 { return ClassUnknown })
 	got = map[int64]float64{}
 	for _, it := range a.Enclosures[0].ByItem {
 		got[it.Item] = it.Joules
@@ -203,19 +205,274 @@ func TestAttributionResidencyWindow(t *testing.T) {
 // end (the esmd live-snapshot pattern) yields consistent, conserved
 // results both times.
 func TestAttributionRepeatable(t *testing.T) {
-	l := NewEnergyLedger(1)
-	l.Residency(0, 0, 1, 1<<20)
-	l.Service(0, 1, FnServing, 10*time.Second)
+	var l energyLedger
+	l.residency(0, 0, 1, 1<<20)
+	l.service(0, 1, FnServing, 10*time.Second, 0)
 	energy := EnclosureEnergy{ActiveJ: 100, IdleJ: 50}
 	encEnergy := func(int) EnclosureEnergy { return energy }
 	classOf := func(int64) uint8 { return 1 }
-	a1 := l.Attribute(30*time.Minute, encEnergy, classOf)
+	a1 := l.attribute(30*time.Minute, []EnclosureEnergy{energy}, classOf)
 	checkConservation(t, a1, encEnergy)
 	// More energy accrues; the second snapshot covers it all.
 	energy = EnclosureEnergy{ActiveJ: 150, IdleJ: 80}
-	a2 := l.Attribute(time.Hour, encEnergy, classOf)
+	a2 := l.attribute(time.Hour, []EnclosureEnergy{energy}, classOf)
 	checkConservation(t, a2, encEnergy)
 	if a2.TotalJ <= a1.TotalJ {
 		t.Fatalf("second snapshot %v not larger than first %v", a2.TotalJ, a1.TotalJ)
 	}
+}
+
+// TestLedgerMatchesMapReference feeds the ledger and refLedger, the
+// map-keyed ledger it replaced, the same seeded calls and requires
+// identical attributions: every float bit for bit, every ByItem row.
+// The feed covers zero-length service, spin-up attempts that fail
+// (several per I/O), items migrating between enclosures and back,
+// departures down to zero bytes, an enclosure no item ever lives on,
+// UnattributedItem fed directly, fallback splits (energy with no
+// weights) and repeated attribution at a non-decreasing end.
+func TestLedgerMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const encs, items = 5, 40
+		empty := encs - 1 // no item is ever placed here
+		var l energyLedger
+		ref := newRefLedger(encs)
+		home := make([]int, items)
+		size := make([]int64, items)
+		classes := make([]uint8, items)
+		var now time.Duration
+		for it := range home {
+			home[it] = rng.Intn(empty)
+			size[it] = rng.Int63n(8<<20) + 1
+			if it%7 == 3 {
+				continue // placed later
+			}
+			l.residency(now, home[it], int64(it), size[it])
+			ref.Residency(now, home[it], int64(it), size[it])
+		}
+		energies := make([]EnclosureEnergy, encs)
+		for step := 0; step < 3000; step++ {
+			now += time.Duration(rng.Int63n(int64(2 * time.Second)))
+			it := rng.Intn(items)
+			switch r := rng.Intn(100); {
+			case r < 60: // service, sometimes zero-length, sometimes spin-ups
+				enc, item := home[it], int64(it)
+				if r < 2 {
+					item = UnattributedItem
+				} else if r < 4 {
+					enc = empty
+				}
+				fn := EnergyFunc(rng.Intn(int(FnBackground)))
+				svc := time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
+				if rng.Intn(10) == 0 {
+					svc = 0
+				}
+				attempts := 0
+				if rng.Intn(20) == 0 {
+					attempts = 1 + rng.Intn(3) // failed attempts count too
+				}
+				l.service(enc, item, fn, svc, attempts)
+				ref.Service(enc, item, fn, svc)
+				ref.SpinUps(enc, item, fn, attempts)
+			case r < 75: // migrate to another enclosure (and later back)
+				dst := rng.Intn(empty)
+				if dst == home[it] {
+					break
+				}
+				l.residency(now, home[it], int64(it), -size[it])
+				ref.Residency(now, home[it], int64(it), -size[it])
+				l.residency(now, dst, int64(it), size[it])
+				ref.Residency(now, dst, int64(it), size[it])
+				home[it] = dst
+			case r < 85: // a partial departure or a late placement
+				delta := size[it] / int64(1+rng.Intn(4))
+				if rng.Intn(2) == 0 {
+					delta = -delta
+				}
+				l.residency(now, home[it], int64(it), delta)
+				ref.Residency(now, home[it], int64(it), delta)
+			case r < 90: // the item's resident bytes down to zero
+				b := ref.enc[home[it]].bytes[int64(it)]
+				l.residency(now, home[it], int64(it), -b)
+				ref.Residency(now, home[it], int64(it), -b)
+			case r < 95:
+				classes[it] = uint8(rng.Intn(5))
+			default: // a live snapshot of the growing meter readings
+				for e := range energies {
+					grow := func(p int) float64 {
+						if rng.Intn(p) == 0 {
+							return 0
+						}
+						return rng.Float64() * 1e4
+					}
+					energies[e].ActiveJ += grow(3)
+					energies[e].IdleJ += grow(2)
+					energies[e].OffJ += grow(3)
+					energies[e].SpinUpJ += grow(4)
+				}
+				classOf := func(item int64) uint8 { return classes[item] }
+				for range 1 + rng.Intn(2) { // repeated at the same end, too
+					got := l.attribute(now, energies, classOf)
+					want := ref.Attribute(now, func(e int) EnclosureEnergy { return energies[e] }, classOf)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d step %d: attribution differs from the map reference\ngot  %+v\nwant %+v", seed, step, got, want)
+					}
+					if len(got.Enclosures[empty].ByItem) == 0 {
+						t.Fatalf("seed %d step %d: empty enclosure has no row", seed, step)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refLedger is the map-keyed energy ledger energyLedger replaced, kept
+// as the reference its walk order must reproduce: per-enclosure maps
+// keyed by (item, function), with every float sum run over the keys
+// sorted into (item, fn) order. One change from the original: Attribute
+// reads the byte-seconds up to end into a copy instead of moving each
+// item's integration point to end, so a live snapshot no longer splits
+// the byte-second sums of later attributions.
+type refLedger struct {
+	enc []*refEncLedger
+}
+
+type refItemFn struct {
+	item int64
+	fn   EnergyFunc
+}
+
+type refEncLedger struct {
+	svcSec  map[refItemFn]float64
+	spinUps map[refItemFn]float64
+	bytes   map[int64]int64
+	byteSec map[int64]float64
+	lastAt  map[int64]time.Duration
+}
+
+func newRefLedger(n int) *refLedger {
+	l := &refLedger{enc: make([]*refEncLedger, n)}
+	for i := range l.enc {
+		l.enc[i] = &refEncLedger{
+			svcSec:  map[refItemFn]float64{},
+			spinUps: map[refItemFn]float64{},
+			bytes:   map[int64]int64{},
+			byteSec: map[int64]float64{},
+			lastAt:  map[int64]time.Duration{},
+		}
+	}
+	return l
+}
+
+func (e *refEncLedger) integrate(item int64, to time.Duration) {
+	if last, ok := e.lastAt[item]; ok && to > last {
+		e.byteSec[item] += float64(e.bytes[item]) * (to - last).Seconds()
+	}
+	e.lastAt[item] = to
+}
+
+func (l *refLedger) Service(enc int, item int64, fn EnergyFunc, svc time.Duration) {
+	l.enc[enc].svcSec[refItemFn{item, fn}] += svc.Seconds()
+}
+
+func (l *refLedger) SpinUps(enc int, item int64, fn EnergyFunc, attempts int) {
+	if attempts > 0 {
+		l.enc[enc].spinUps[refItemFn{item, fn}] += float64(attempts)
+	}
+}
+
+func (l *refLedger) Residency(at time.Duration, enc int, item int64, delta int64) {
+	e := l.enc[enc]
+	e.integrate(item, at)
+	e.bytes[item] += delta
+}
+
+func refSortedKeys(w map[refItemFn]float64) []refItemFn {
+	keys := make([]refItemFn, 0, len(w))
+	for k := range w {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].item != keys[j].item {
+			return keys[i].item < keys[j].item
+		}
+		return keys[i].fn < keys[j].fn
+	})
+	return keys
+}
+
+func refSplit(total float64, w map[refItemFn]float64, into map[refItemFn]float64, fallbackFn EnergyFunc) {
+	if total == 0 {
+		return
+	}
+	keys := refSortedKeys(w)
+	var sum float64
+	for _, k := range keys {
+		sum += w[k]
+	}
+	if sum <= 0 {
+		into[refItemFn{UnattributedItem, fallbackFn}] += total
+		return
+	}
+	for _, k := range keys {
+		into[k] += total * w[k] / sum
+	}
+}
+
+func (l *refLedger) Attribute(end time.Duration, encEnergy func(enc int) EnclosureEnergy, classOf func(item int64) uint8) *Attribution {
+	a := &Attribution{}
+	for encID, e := range l.enc {
+		byteSec := map[int64]float64{}
+		for item, last := range e.lastAt {
+			byteSec[item] = e.byteSec[item]
+			if end > last {
+				byteSec[item] += float64(e.bytes[item]) * (end - last).Seconds()
+			}
+		}
+		energy := encEnergy(encID)
+		shares := map[refItemFn]float64{}
+		refSplit(energy.ActiveJ, e.svcSec, shares, FnServing)
+		refSplit(energy.SpinUpJ, e.spinUps, shares, FnServing)
+		bg := map[refItemFn]float64{}
+		for item, bs := range byteSec {
+			if bs > 0 {
+				bg[refItemFn{item, FnBackground}] = bs
+			}
+		}
+		refSplit(energy.IdleJ+energy.OffJ, bg, shares, FnBackground)
+
+		ea := EnclosureAttribution{Enclosure: encID, TotalJ: energy.Total()}
+		perItem := map[int64]float64{}
+		var items []int64
+		for _, k := range refSortedKeys(shares) {
+			j := shares[k]
+			ea.ByFunc[k.fn] += j
+			a.ByFunc[k.fn] += j
+			if _, seen := perItem[k.item]; !seen {
+				items = append(items, k.item)
+			}
+			perItem[k.item] += j
+			if k.item == UnattributedItem {
+				a.UnattributedJ += j
+			}
+		}
+		for _, item := range items {
+			j := perItem[item]
+			class := ClassUnknown
+			if item != UnattributedItem {
+				class = classOf(item)
+			}
+			ea.ByItem = append(ea.ByItem, ItemEnergy{Item: item, Class: class, Joules: j})
+			a.ByClass[ClassIndex(class)] += j
+		}
+		sort.Slice(ea.ByItem, func(i, j int) bool {
+			if ea.ByItem[i].Joules != ea.ByItem[j].Joules {
+				return ea.ByItem[i].Joules > ea.ByItem[j].Joules
+			}
+			return ea.ByItem[i].Item < ea.ByItem[j].Item
+		})
+		a.Enclosures = append(a.Enclosures, ea)
+		a.TotalJ += ea.TotalJ
+	}
+	return a
 }

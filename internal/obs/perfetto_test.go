@@ -152,13 +152,13 @@ func TestTraceSmoke(t *testing.T) {
 		return
 	}
 	var buf bytes.Buffer
-	trc := NewTracer(TracerOptions{Sink: NewPerfettoSink(&buf, "smoke"), Enclosures: 1})
+	trc := NewTracer(TracerOptions{Sink: NewPerfettoSink(&buf, "smoke")})
 	for i := 0; i < 100; i++ {
 		trc.IO(IOSpan{
 			Item: int64(i % 4), Enclosure: 0, Read: i%3 != 0,
 			Start: time.Duration(i) * time.Second, Response: 20 * time.Millisecond,
 			Cause: IODiskOn, QueueWait: time.Millisecond, Service: 19 * time.Millisecond,
-		})
+		}, 0)
 	}
 	trc.Management(ManagementSpan{Kind: "destage", Start: time.Minute, End: time.Minute + time.Second,
 		Item: 2, Enclosure: 0, Dst: -1, Bytes: 8 << 20})

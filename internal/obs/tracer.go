@@ -104,8 +104,6 @@ type TracerOptions struct {
 	// Instance, when non-empty, namespaces every registry gauge with an
 	// array="<instance>" label (fleet arrays share one registry).
 	Instance string
-	// Enclosures pre-sizes the energy ledger (it grows on demand).
-	Enclosures int
 }
 
 // Tracer records simulated-clock spans for application I/Os and
@@ -117,7 +115,7 @@ type Tracer struct {
 	sink    SpanSink
 	classes []uint8
 	lat     LatencyStats
-	ledger  *EnergyLedger
+	ledger  energyLedger
 	// attrib is the most recent Attribute result, served by the
 	// registry gauges and /status between recomputations.
 	attrib *Attribution
@@ -125,7 +123,7 @@ type Tracer struct {
 
 // NewTracer returns a live tracer.
 func NewTracer(opts TracerOptions) *Tracer {
-	t := &Tracer{sink: opts.Sink, ledger: NewEnergyLedger(opts.Enclosures)}
+	t := &Tracer{sink: opts.Sink}
 	if reg := opts.Registry; reg != nil {
 		t.register(reg, opts.Instance)
 	}
@@ -152,14 +150,19 @@ func (t *Tracer) classOfLocked(item int64) uint8 {
 
 // IO records one completed application I/O span: the pattern class is
 // stamped, the latency breakdown updated, and the span handed to the
-// sink.
-func (t *Tracer) IO(sp IOSpan) {
+// sink. A physically served I/O (Enclosure >= 0) also feeds its
+// service time and the spin-up attempts it provoked into the energy
+// ledger under FnServing.
+func (t *Tracer) IO(sp IOSpan, spinUps int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	sp.Class = t.classOfLocked(sp.Item)
 	t.lat.addIO(&sp)
+	if sp.Enclosure >= 0 {
+		t.ledger.service(sp.Enclosure, sp.Item, FnServing, sp.Service, spinUps)
+	}
 	if t.sink != nil {
 		t.sink.IOSpan(sp)
 	}
@@ -178,24 +181,15 @@ func (t *Tracer) Management(sp ManagementSpan) {
 	t.mu.Unlock()
 }
 
-// Service feeds svc seconds of physical service on enc, for item,
-// driven by fn, into the energy ledger.
-func (t *Tracer) Service(enc int, item int64, fn EnergyFunc, svc time.Duration) {
+// Service feeds one management I/O into the energy ledger: svc of
+// physical service on enc for item, driven by fn, and the spin-up
+// attempts it provoked. Application I/Os feed the ledger through IO.
+func (t *Tracer) Service(enc int, item int64, fn EnergyFunc, svc time.Duration, spinUps int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.ledger.Service(enc, item, fn, svc)
-	t.mu.Unlock()
-}
-
-// SpinUps feeds provoked spin-up attempts into the energy ledger.
-func (t *Tracer) SpinUps(enc int, item int64, fn EnergyFunc, attempts int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ledger.SpinUps(enc, item, fn, attempts)
+	t.ledger.service(enc, item, fn, svc, spinUps)
 	t.mu.Unlock()
 }
 
@@ -205,7 +199,7 @@ func (t *Tracer) Residency(at time.Duration, enc int, item int64, delta int64) {
 		return
 	}
 	t.mu.Lock()
-	t.ledger.Residency(at, enc, item, delta)
+	t.ledger.residency(at, enc, item, delta)
 	t.mu.Unlock()
 }
 
@@ -220,28 +214,17 @@ func (t *Tracer) LatencySummary() *LatencySummary {
 	return t.lat.summary()
 }
 
-// Attribute computes the energy attribution as of end (see
-// EnergyLedger.Attribute), caches it for the registry gauges, and
-// returns it. encEnergy reads each enclosure's powermodel joules; it
-// is called under the tracer lock.
-func (t *Tracer) Attribute(end time.Duration, encEnergy func(enc int) EnclosureEnergy) *Attribution {
+// Attribute computes the energy attribution as of end, caches it for
+// the registry gauges, and returns it. energies holds every
+// enclosure's powermodel joules, indexed by enclosure; each one gets a
+// row, resident items or not.
+func (t *Tracer) Attribute(end time.Duration, energies []EnclosureEnergy) *Attribution {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.attrib = t.ledger.Attribute(end, encEnergy, t.classOfLocked)
-	return t.attrib
-}
-
-// Attribution returns the most recent Attribute result (nil before the
-// first call).
-func (t *Tracer) Attribution() *Attribution {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.attrib = t.ledger.attribute(end, energies, t.classOfLocked)
 	return t.attrib
 }
 

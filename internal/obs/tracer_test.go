@@ -12,19 +12,15 @@ import (
 func TestNilTracerIsNoOp(t *testing.T) {
 	var trc *Tracer
 	trc.SetClasses([]uint8{1, 2})
-	trc.IO(IOSpan{Item: 1, Response: time.Millisecond})
+	trc.IO(IOSpan{Item: 1, Response: time.Millisecond}, 1)
 	trc.Management(ManagementSpan{Kind: "migration"})
-	trc.Service(0, 1, FnServing, time.Second)
-	trc.SpinUps(0, 1, FnServing, 1)
+	trc.Service(0, 1, FnMigration, time.Second, 1)
 	trc.Residency(0, 0, 1, 1<<20)
 	if s := trc.LatencySummary(); s != nil {
 		t.Fatalf("nil tracer summary %+v", s)
 	}
 	if a := trc.Attribute(time.Hour, nil); a != nil {
 		t.Fatalf("nil tracer attribution %+v", a)
-	}
-	if a := trc.Attribution(); a != nil {
-		t.Fatalf("nil tracer cached attribution %+v", a)
 	}
 	if err := trc.Close(); err != nil {
 		t.Fatal(err)
@@ -36,11 +32,11 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestTracerStampsClasses(t *testing.T) {
 	sink := &CollectSpanSink{}
 	trc := NewTracer(TracerOptions{Sink: sink})
-	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn})
+	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn}, 0)
 	trc.SetClasses([]uint8{2, 1})
-	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn})
-	trc.IO(IOSpan{Item: 1, Response: time.Millisecond, Cause: IODiskOn})
-	trc.IO(IOSpan{Item: 9, Response: time.Millisecond, Cause: IODiskOn})
+	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn}, 0)
+	trc.IO(IOSpan{Item: 1, Response: time.Millisecond, Cause: IODiskOn}, 0)
+	trc.IO(IOSpan{Item: 9, Response: time.Millisecond, Cause: IODiskOn}, 0)
 	want := []uint8{ClassUnknown, 2, 1, ClassUnknown}
 	if len(sink.IOs) != len(want) {
 		t.Fatalf("%d spans, want %d", len(sink.IOs), len(want))
@@ -56,22 +52,21 @@ func TestTracerStampsClasses(t *testing.T) {
 // delivered to the sink, and Close embeds the summary in a summarySink.
 func TestTracerSummaryAndSpans(t *testing.T) {
 	var buf bytes.Buffer
-	trc := NewTracer(TracerOptions{Sink: NewPerfettoSink(&buf, "unit"), Enclosures: 2})
+	trc := NewTracer(TracerOptions{Sink: NewPerfettoSink(&buf, "unit")})
 	trc.Residency(0, 0, 4, 1<<20)
-	trc.IO(IOSpan{Item: 4, Enclosure: -1, Read: true, Response: 300 * time.Microsecond, Cause: IOCacheHit})
+	trc.IO(IOSpan{Item: 4, Enclosure: -1, Read: true, Response: 300 * time.Microsecond, Cause: IOCacheHit}, 0)
 	trc.IO(IOSpan{
 		Item: 4, Enclosure: 0, Read: true, Start: time.Second,
 		Response: 20 * time.Millisecond, Cause: IODiskOn,
 		QueueWait: 3 * time.Millisecond, Service: 17 * time.Millisecond,
-	})
-	trc.Service(0, 4, FnServing, 17*time.Millisecond)
+	}, 0)
 	trc.Management(ManagementSpan{Kind: "migration", Start: 2 * time.Second, End: 3 * time.Second, Item: 4, Enclosure: 0, Dst: 1, Bytes: 1 << 20})
 
 	sum := trc.LatencySummary()
 	if sum.Total.Count != 2 {
 		t.Fatalf("total count %d", sum.Total.Count)
 	}
-	trc.Attribute(time.Hour, func(int) EnclosureEnergy { return EnclosureEnergy{ActiveJ: 10, IdleJ: 5} })
+	trc.Attribute(time.Hour, []EnclosureEnergy{{ActiveJ: 10, IdleJ: 5}, {ActiveJ: 10, IdleJ: 5}})
 	if err := trc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +94,13 @@ func TestTracerSummaryAndSpans(t *testing.T) {
 // and attribution rolled up by the tracer.
 func TestTracerRegistryGauges(t *testing.T) {
 	reg := NewRegistry()
-	trc := NewTracer(TracerOptions{Registry: reg, Enclosures: 1})
+	trc := NewTracer(TracerOptions{Registry: reg})
 	for i := 0; i < 100; i++ {
 		trc.IO(IOSpan{Item: 0, Response: 25 * time.Millisecond, Cause: IODiskOn,
-			QueueWait: time.Millisecond, Service: 24 * time.Millisecond})
+			QueueWait: time.Millisecond, Service: 24 * time.Millisecond}, 0)
 	}
 	trc.SetClasses([]uint8{3})
-	trc.Service(0, 0, FnServing, 2400*time.Millisecond)
-	trc.Attribute(time.Hour, func(int) EnclosureEnergy { return EnclosureEnergy{ActiveJ: 42} })
+	trc.Attribute(time.Hour, []EnclosureEnergy{{ActiveJ: 42}})
 
 	var out bytes.Buffer
 	if err := reg.WritePrometheus(&out); err != nil {

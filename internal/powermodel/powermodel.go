@@ -131,14 +131,12 @@ func (p Params) Validate() error {
 
 // Accumulator integrates energy for one enclosure. The enclosure reports
 // each (state, duration) segment of its timeline; the accumulator keeps
-// total Joules and per-state residency so experiments can report both
-// average watts and the state mix.
+// the exact per-state residency, from which the Joules derive, so how
+// often the meter is settled cannot move them.
 type Accumulator struct {
-	params   Params
-	energyJ  float64
-	duration time.Duration
-	byState  [4]time.Duration
-	spinUps  int
+	params  Params
+	byState [4]time.Duration
+	spinUps int
 }
 
 // NewAccumulator returns an accumulator using params.
@@ -151,8 +149,6 @@ func (a *Accumulator) Add(s State, d time.Duration) {
 	if d < 0 {
 		panic("powermodel: negative duration")
 	}
-	a.energyJ += a.params.Watts(s) * d.Seconds()
-	a.duration += d
 	a.byState[s] += d
 }
 
@@ -163,19 +159,22 @@ func (a *Accumulator) CountSpinUp() { a.spinUps++ }
 // SpinUps returns the number of recorded spin-ups.
 func (a *Accumulator) SpinUps() int { return a.spinUps }
 
-// EnergyJ returns accumulated energy in Joules.
-func (a *Accumulator) EnergyJ() float64 { return a.energyJ }
+// EnergyJ returns accumulated energy in Joules, summing the states in
+// obs.EnclosureEnergy.Total's order so the two agree bit for bit.
+func (a *Accumulator) EnergyJ() float64 {
+	return a.StateEnergyJ(Active) + a.StateEnergyJ(Idle) + a.StateEnergyJ(Off) + a.StateEnergyJ(SpinUp)
+}
 
 // Duration returns total integrated time.
-func (a *Accumulator) Duration() time.Duration { return a.duration }
+func (a *Accumulator) Duration() time.Duration {
+	return a.byState[0] + a.byState[1] + a.byState[2] + a.byState[3]
+}
 
 // InState returns the time spent in s.
 func (a *Accumulator) InState(s State) time.Duration { return a.byState[s] }
 
 // StateEnergyJ returns the Joules consumed in state s (its residency
-// times its draw). The four states' energies sum to EnergyJ up to
-// float rounding; attribution ledgers split these exact per-state
-// totals so their shares add back to the accumulator reading.
+// times its draw), the per-state totals attribution ledgers split.
 func (a *Accumulator) StateEnergyJ(s State) float64 {
 	return a.params.Watts(s) * a.byState[s].Seconds()
 }

@@ -110,7 +110,7 @@ func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
 	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&evBuf), Registry: reg, Label: v.name})
 	tel := obs.Telemetry{
 		Recorder:   rec,
-		Tracer:     obs.NewTracer(obs.TracerOptions{Enclosures: 4}),
+		Tracer:     obs.NewTracer(obs.TracerOptions{}),
 		Alerts:     obs.NewWatchdog(obs.WatchdogOptions{Rules: rules, Registry: reg, Recorder: rec}),
 		Provenance: obs.NewProvenance(&provBuf),
 	}

@@ -42,7 +42,7 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 		Telemetry: obs.Telemetry{Provenance: prov},
 	}
 	if traced {
-		run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{Enclosures: 4})
+		run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{})
 	}
 	res, err := Execute(run)
 	if err != nil {

@@ -343,7 +343,7 @@ func (s *Session) Finish() (*Result, error) {
 	res.AlertStates = tel.Alerts.States()
 	if tel.Tracer != nil {
 		res.Latency = tel.Tracer.LatencySummary()
-		res.Attribution = tel.Tracer.Attribute(end, arr.EnclosureEnergy)
+		res.Attribution = tel.Tracer.Attribute(end, arr.EnclosureEnergies())
 	}
 	if tel.Provenance != nil {
 		// Join the energy ledger's top attributed items into the ledger

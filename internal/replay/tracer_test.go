@@ -23,7 +23,7 @@ func TestTracerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &obs.CollectSpanSink{}
-	trc := obs.NewTracer(obs.TracerOptions{Sink: sink, Enclosures: 2})
+	trc := obs.NewTracer(obs.TracerOptions{Sink: sink})
 	res, err := Execute(Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -173,7 +173,7 @@ func TestTracerNilRunUnchanged(t *testing.T) {
 	if plain.Latency != nil || plain.Attribution != nil {
 		t.Fatal("untraced run carries tracer results")
 	}
-	traced := runOnce(obs.NewTracer(obs.TracerOptions{Enclosures: 2}))
+	traced := runOnce(obs.NewTracer(obs.TracerOptions{}))
 	if plain.EnergyJ != traced.EnergyJ || plain.SpinUps != traced.SpinUps ||
 		plain.Resp.Count() != traced.Resp.Count() || plain.Resp.Mean() != traced.Resp.Mean() ||
 		plain.Storage.MigratedBytes != traced.Storage.MigratedBytes {

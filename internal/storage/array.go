@@ -209,17 +209,21 @@ func (a *Array) SetPowerObserver(fn func(enc int, at time.Duration, on bool)) { 
 // before placement so the tracer's residency feed sees every item land.
 func (a *Array) SetTelemetry(t obs.Telemetry) { a.tel = t }
 
-// EnclosureEnergy reads enclosure e's integrated joules by power
+// EnclosureEnergies reads every enclosure's integrated joules by power
 // state, the attribution ledger's input. Call Finish (or otherwise
 // sync the enclosures) first so the reading covers the full timeline.
-func (a *Array) EnclosureEnergy(e int) obs.EnclosureEnergy {
-	acc := a.mtr.Enclosure(e)
-	return obs.EnclosureEnergy{
-		ActiveJ: acc.StateEnergyJ(powermodel.Active),
-		IdleJ:   acc.StateEnergyJ(powermodel.Idle),
-		OffJ:    acc.StateEnergyJ(powermodel.Off),
-		SpinUpJ: acc.StateEnergyJ(powermodel.SpinUp),
+func (a *Array) EnclosureEnergies() []obs.EnclosureEnergy {
+	out := make([]obs.EnclosureEnergy, len(a.enc))
+	for e := range out {
+		acc := a.mtr.Enclosure(e)
+		out[e] = obs.EnclosureEnergy{
+			ActiveJ: acc.StateEnergyJ(powermodel.Active),
+			IdleJ:   acc.StateEnergyJ(powermodel.Idle),
+			OffJ:    acc.StateEnergyJ(powermodel.Off),
+			SpinUpJ: acc.StateEnergyJ(powermodel.SpinUp),
+		}
 	}
+	return out
 }
 
 // SetFaultInjector attaches a fault injector. A nil injector (the
@@ -335,9 +339,6 @@ func (a *Array) CacheOccupancy() CacheOccupancy {
 	}
 }
 
-// Config returns the array configuration.
-func (a *Array) Config() Config { return a.cfg }
-
 // Meter returns the power meter.
 func (a *Array) Meter() *powermodel.Meter {
 	return a.mtr
@@ -437,8 +438,10 @@ func (a *Array) ResolveExtent(e int, block int64) (ExtentRef, bool) {
 // kind attributes any spin-up the I/O provokes; item is the data item
 // the transfer belongs to (for energy attribution). info, when
 // non-nil, receives the arrival's phase breakdown; when nil with a
-// live tracer, a local one feeds the ledger. On a *FaultError the I/O
-// never ran: nothing is counted or observed.
+// live tracer, a local one feeds the ledger. A traced application I/O
+// feeds the ledger through its span (tracePhysical); management I/O
+// feeds it here. On a *FaultError the I/O never ran: nothing is
+// counted or observed.
 func (a *Array) physical(now time.Duration, e int, block int64, size int32, op trace.Op, forceSeq bool, kind ioKind, item trace.ItemID, info *arrivalInfo) (time.Duration, error) {
 	encl := a.enc[e]
 	seq := encl.isSequential(block, size) || forceSeq
@@ -449,12 +452,8 @@ func (a *Array) physical(now time.Duration, e int, block int64, size int32, op t
 	if err != nil {
 		return 0, err
 	}
-	if a.tel.Tracer != nil {
-		fn := kind.fn()
-		a.tel.Tracer.Service(e, int64(item), fn, info.service)
-		if info.spinUpAttempts > 0 {
-			a.tel.Tracer.SpinUps(e, int64(item), fn, info.spinUpAttempts)
-		}
+	if a.tel.Tracer != nil && kind != kindApp {
+		a.tel.Tracer.Service(e, int64(item), kind.fn(), info.service, info.spinUpAttempts)
 	}
 	if op == trace.OpRead {
 		a.stats.PhysicalReads++
@@ -597,7 +596,7 @@ func (a *Array) traceCacheHit(now time.Duration, item trace.ItemID, read bool, r
 		Start: now, Response: resp,
 		Item: int64(item), Enclosure: -1, Read: read,
 		Cause: obs.IOCacheHit,
-	})
+	}, 0)
 }
 
 // tracePhysical records the span of a physically served application
@@ -612,7 +611,7 @@ func (a *Array) tracePhysical(now, end time.Duration, item trace.ItemID, e int, 
 		Item: int64(item), Enclosure: e, Read: read,
 		PowerState: info.powerState, Cause: cause,
 		SpinUpWait: info.spinUpWait, QueueWait: info.queueWait, Service: info.service,
-	})
+	}, info.spinUpAttempts)
 }
 
 // evictPreload drops item's pinned preload copy, if any, releasing its

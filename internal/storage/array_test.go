@@ -96,7 +96,7 @@ func TestSubmitReadMissAndHit(t *testing.T) {
 	if !r2.CacheHit {
 		t.Fatal("repeat read should hit the general LRU")
 	}
-	if r2.Response != arr.Config().CacheHitTime {
+	if r2.Response != arr.cfg.CacheHitTime {
 		t.Fatalf("hit response %v", r2.Response)
 	}
 	if arr.Stats().CacheHits != 1 || arr.Stats().PhysicalReads != 1 {
@@ -122,7 +122,7 @@ func TestWriteDelayAbsorbsWrites(t *testing.T) {
 		t.Fatal("item not write-delayed")
 	}
 	r, _ := arr.Submit(trace.LogicalRecord{Item: ids[0], Size: 8 << 10, Op: trace.OpWrite})
-	if !r.CacheHit || r.Response != arr.Config().CacheAckTime {
+	if !r.CacheHit || r.Response != arr.cfg.CacheAckTime {
 		t.Fatalf("delayed write result %+v", r)
 	}
 	if arr.Stats().PhysicalWrites != 0 || arr.Stats().DelayedWrites != 1 {
@@ -138,7 +138,7 @@ func TestWriteDelayAbsorbsWrites(t *testing.T) {
 func TestWriteDelayFlushOnDirtyRate(t *testing.T) {
 	arr, _, _, ids := testArray(t, 1, 4<<30)
 	arr.SetWriteDelay(ids)
-	cfg := arr.Config()
+	cfg := arr.cfg
 	threshold := int64(cfg.DirtyBlockRate * float64(cfg.WriteDelayCacheBytes))
 	var written int64
 	for written <= threshold {
@@ -405,7 +405,7 @@ func TestMigrateItemMovesData(t *testing.T) {
 
 func TestMigrationThrottleTiming(t *testing.T) {
 	arr, clk, evq, ids := testArray(t, 2, 1<<30)
-	cfg := arr.Config()
+	cfg := arr.cfg
 	start := clk.Now()
 	var doneAt time.Duration
 	if err := arr.MigrateItem(ids[0], 1, func() { doneAt = clk.Now() }); err != nil {

@@ -16,7 +16,7 @@ import (
 func spinDown(t *testing.T, arr *Array, clk *simclock.Clock, e int) {
 	t.Helper()
 	arr.SetSpinDownEnabled(e, true)
-	clk.Advance(2 * arr.Config().SpinDownTimeout)
+	clk.Advance(2 * arr.cfg.SpinDownTimeout)
 	if arr.EnclosureOn(e, clk.Now()) {
 		t.Fatalf("enclosure %d still on after idle timeout", e)
 	}
@@ -57,7 +57,7 @@ func TestSpinUpExhaustionFailsIO(t *testing.T) {
 	if len(events) != 4 {
 		t.Fatalf("saw %d fault events, want 4", len(events))
 	}
-	su := arr.Config().Power.SpinUpTime
+	su := arr.cfg.Power.SpinUpTime
 	want := []faults.Event{
 		{T: t0, Kind: faults.KindSpinUpFail, Enclosure: 0, Attempt: 1},
 		{T: t0 + su + time.Second, Kind: faults.KindSpinUpFail, Enclosure: 0, Attempt: 2},
@@ -103,7 +103,7 @@ func TestSpinUpRetrySucceedsAfterBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	su := arr.Config().Power.SpinUpTime
+	su := arr.cfg.Power.SpinUpTime
 	// Response covers the failed attempt, the backoff and the successful
 	// spin-up before any service time.
 	if r.Response < 2*su+time.Second {

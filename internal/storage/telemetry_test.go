@@ -5,19 +5,25 @@ import (
 	"time"
 
 	"esm/internal/faults"
+	"esm/internal/obs"
 	"esm/internal/simclock"
 	"esm/internal/trace"
 )
 
 // TestTelemetryOffSteadyStateAllocs is the off-path allocation gate of
-// the decision log: with the zero Telemetry, every storage decision
+// the decision log: with the decision log off, every storage decision
 // site must allocate nothing for its record. Each case drives one site
 // in steady state and allows only the allocations of the site's own
-// work, named in its budget.
+// work, named in its budget. Every case runs twice: with the zero
+// Telemetry, and with a span tracer that has no sink, whose energy
+// ledger and latency breakdown must fit the same budgets.
 func TestTelemetryOffSteadyStateAllocs(t *testing.T) {
 	const item, other = trace.ItemID(0), trace.ItemID(1)
+	// traced selects the input of the current run: false for the zero
+	// Telemetry, true for a sinkless span tracer.
+	var traced bool
 	// build returns an array over two 64 MiB items, one per enclosure,
-	// with the zero Telemetry.
+	// with the current run's Telemetry.
 	build := func(t *testing.T, fc *faults.Config) (*Array, *simclock.Clock, *simclock.EventQueue) {
 		t.Helper()
 		cat := trace.NewCatalog()
@@ -27,6 +33,9 @@ func TestTelemetryOffSteadyStateAllocs(t *testing.T) {
 		arr, err := New(DefaultConfig(2), clk, evq, cat)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if traced {
+			arr.SetTelemetry(obs.Telemetry{Tracer: obs.NewTracer(obs.TracerOptions{})})
 		}
 		for it, e := range []int{0, 1} {
 			if err := arr.Place(trace.ItemID(it), e); err != nil {
@@ -157,14 +166,20 @@ func TestTelemetryOffSteadyStateAllocs(t *testing.T) {
 			},
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			op := tc.setup(t)
-			op()
-			allocs := testing.AllocsPerRun(100, op)
-			if allocs > tc.budget {
-				t.Fatalf("%.2f allocs/op, want at most %v (the site's own work)", allocs, tc.budget)
+	for _, traced = range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name
+			if traced {
+				name += " traced"
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				op := tc.setup(t)
+				op()
+				allocs := testing.AllocsPerRun(100, op)
+				if allocs > tc.budget {
+					t.Fatalf("%.2f allocs/op, want at most %v (the site's own work)", allocs, tc.budget)
+				}
+			})
+		}
 	}
 }
