@@ -305,6 +305,12 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Collected once, outside every timed loop: the variants measure
+	// telemetry, not trace generation.
+	recs, err := trace.CollectSource(w.Source())
+	if err != nil {
+		b.Fatal(err)
+	}
 	replayOnce := func(b *testing.B, tel obs.Telemetry) {
 		b.Helper()
 		esm, err := core.NewESM(core.DefaultParams())
@@ -313,7 +319,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 		run := replay.Run{
 			Catalog:    w.Catalog,
-			Source:     trace.NewSliceSource(w.EnsureRecords()),
+			Source:     trace.NewSliceSource(recs),
 			Placement:  w.Placement,
 			Storage:    experiments.StorageFor(w),
 			Policy:     esm,

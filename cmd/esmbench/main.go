@@ -163,9 +163,7 @@ func runSweeps(scale float64, kindFlag string) error {
 		if err != nil {
 			return err
 		}
-		// Sweep points share the workload; materialize once so every
-		// concurrent replay reads the same slice instead of regenerating.
-		fmt.Printf("\n-- %s sweeps: %d records, %v --\n", w.Name, len(w.EnsureRecords()), w.Duration)
+		fmt.Printf("\n-- %s sweeps: %v --\n", w.Name, w.Duration)
 		tables, err := experiments.DefaultSweeps(w)
 		if err != nil {
 			return err
@@ -253,18 +251,8 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		if err != nil {
 			return err
 		}
-		// The same trace replays once per policy; materialize it so the
-		// concurrent runs share one slice (a single streaming run would
-		// not need this). The cloud-block trace is the exception: at
-		// production scale it runs to 100M records and must never
-		// materialize — each replay streams its own generator.
-		if k == experiments.CloudBlock {
-			fmt.Printf("\n-- %s: streaming, %d items, %d enclosures, %v --\n",
-				w.Name, w.Catalog.Len(), w.Enclosures, w.Duration)
-		} else {
-			fmt.Printf("\n-- %s: %d records, %d items, %d enclosures, %v --\n",
-				w.Name, len(w.EnsureRecords()), w.Catalog.Len(), w.Enclosures, w.Duration)
-		}
+		fmt.Printf("\n-- %s: %d items, %d enclosures, %v --\n",
+			w.Name, w.Catalog.Len(), w.Enclosures, w.Duration)
 		start := time.Now()
 		pols := experiments.PoliciesFor(ks)
 		if extended {

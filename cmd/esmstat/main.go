@@ -3,9 +3,10 @@
 // logical I/O pattern distribution (the Fig. 6 analysis for an arbitrary
 // trace), and the per-pattern top data items.
 //
-// It also renders saved telemetry event logs (the JSONL streams written
-// by esmd -events and esmbench -events): a determination-by-
-// determination summary plus per-enclosure power-state timelines.
+// The events subcommand renders saved telemetry event logs (the JSONL
+// streams written by esmd -events and esmbench -events): a
+// determination-by-determination summary plus per-enclosure power-state
+// timelines.
 //
 // The latency and attrib subcommands render the span traces written by
 // esmbench -trace and esmd -trace (Perfetto trace-event JSON): the
@@ -37,7 +38,6 @@
 // Usage:
 //
 //	esmstat -trace fs.trace -catalog fs.items [-break-even 52s] [-top 5]
-//	esmstat -events events.jsonl [-run fileserver/esm] [-since 10m] [-until 1h]
 //	esmstat events [-run fileserver/esm] [-since 10m] [-until 1h] events.jsonl
 //	esmstat latency run.trace.json
 //	esmstat attrib [-top 3] run.trace.json
@@ -72,7 +72,7 @@ var subcommandHelp = []struct{ name, brief string }{
 	{"alerts", "render watchdog alert state (live /alerts or a saved -events log); exits 1 if firing"},
 	{"attrib", "per-class/per-function energy attribution from a span trace (esmbench -trace)"},
 	{"diff", "compare two BENCH manifests; -series locates the first divergence of two series CSVs"},
-	{"events", "render a saved telemetry event log (also reachable as the -events flag)"},
+	{"events", "render a saved telemetry event log (esmbench/esmd -events)"},
 	{"explain", "ranked root-cause report over a decision-provenance ledger (-provenance .prov.csv)"},
 	{"fleet", "fleet energy/cost/carbon roll-up from a control plane URL or saved payload"},
 	{"latency", "per-phase/per-cause latency breakdown from a span trace"},
@@ -83,7 +83,6 @@ var subcommandHelp = []struct{ name, brief string }{
 func usage(out io.Writer) {
 	fmt.Fprintln(out, "usage: esmstat <subcommand> [flags] [args]")
 	fmt.Fprintln(out, "       esmstat -trace T -catalog C [-break-even D] [-top N]   (trace analysis)")
-	fmt.Fprintln(out, "       esmstat -events LOG [-run LABEL] [-since D] [-until D] (event-log rendering)")
 	fmt.Fprintln(out, "subcommands:")
 	for _, sc := range subcommandHelp {
 		fmt.Fprintf(out, "  %-8s %s\n", sc.name, sc.brief)
@@ -161,9 +160,6 @@ func main() {
 	catalogPath := flag.String("catalog", "", "catalog path")
 	breakEven := flag.Duration("break-even", 52*time.Second, "break-even time for Long Intervals")
 	top := flag.Int("top", 5, "items to list per pattern")
-	eventsPath := flag.String("events", "", "telemetry event log (JSONL) to render instead of a trace")
-	runLabel := flag.String("run", "", "with -events: only render the stream with this run label")
-	since, until := addWindowFlags(flag.CommandLine)
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -171,15 +167,8 @@ func main() {
 		return
 	}
 
-	if *eventsPath != "" {
-		if err := runEvents(os.Stdout, *eventsPath, *runLabel, *since, *until); err != nil {
-			fmt.Fprintln(os.Stderr, "esmstat:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *tracePath == "" || *catalogPath == "" {
-		fmt.Fprintln(os.Stderr, "esmstat: -trace and -catalog are required (or use -events)")
+		fmt.Fprintln(os.Stderr, "esmstat: -trace and -catalog are required")
 		os.Exit(2)
 	}
 	if err := run(os.Stdout, *tracePath, *catalogPath, *breakEven, *top); err != nil {
@@ -188,8 +177,8 @@ func main() {
 	}
 }
 
-// runEventsCommand is the subcommand form of event-log rendering, the
-// same renderer the legacy -events flag drives.
+// runEventsCommand renders a saved event log, optionally one run's
+// stream within a simulated-time window.
 func runEventsCommand(args []string) error {
 	fs := flag.NewFlagSet("esmstat events", flag.ExitOnError)
 	runLabel := fs.String("run", "", "only render the stream with this run label")

@@ -26,8 +26,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("workload: %d records, %d items, %d enclosures, %v\n",
-		len(w.EnsureRecords()), w.Catalog.Len(), w.Enclosures, w.Duration)
+	fmt.Printf("workload: %d items, %d enclosures, %v\n",
+		w.Catalog.Len(), w.Enclosures, w.Duration)
 
 	// A trace source is single-use: give every replay its own.
 	run := replay.Run{

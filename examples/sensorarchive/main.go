@@ -29,24 +29,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sensor archive: %d records, %d items on %d enclosures, %v\n",
-		len(w.EnsureRecords()), w.Catalog.Len(), w.Enclosures, w.Duration)
+	fmt.Printf("sensor archive: %d items on %d enclosures, %v\n",
+		w.Catalog.Len(), w.Enclosures, w.Duration)
 
 	// The Fig. 6-style pattern mix of this application, fed straight off
 	// the streaming trace source.
 	mon := monitor.NewAppMonitor(w.Catalog.Len(), core.DefaultParams().BreakEven)
 	src := w.Source()
+	n := 0
 	for {
 		rec, ok := src.Next()
 		if !ok {
 			break
 		}
 		mon.Record(rec)
+		n++
 	}
 	if err := src.Err(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("patterns: %s\n\n", core.MixOf(mon.EndPeriod(w.Duration)))
+	fmt.Printf("patterns over %d records: %s\n\n", n, core.MixOf(mon.EndPeriod(w.Duration)))
 
 	run := replay.Run{
 		Catalog:    w.Catalog,

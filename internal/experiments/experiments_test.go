@@ -19,8 +19,9 @@ func TestBuildAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
-		if len(w.EnsureRecords()) == 0 {
-			t.Fatalf("%s: empty trace", k)
+		recs, err := trace.CollectSource(w.Source())
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("%s: %d records (err %v)", k, len(recs), err)
 		}
 		cfg := StorageFor(w)
 		if cfg.Enclosures != w.Enclosures {
@@ -177,28 +178,32 @@ func TestSweepsOnSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := SweepCacheSizes(w, []int64{64 << 20, 256 << 20})
+	recs, err := trace.CollectSource(w.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := sweepCacheSizes(w, recs, []int64{64 << 20, 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cache.Rows) != 2 {
 		t.Fatalf("cache sweep rows %d", len(cache.Rows))
 	}
-	to, err := SweepSpinDownTimeout(w, []time.Duration{26 * time.Second, 104 * time.Second})
+	to, err := sweepSpinDownTimeout(w, recs, []time.Duration{26 * time.Second, 104 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(to.Rows) != 2 {
 		t.Fatalf("timeout sweep rows %d", len(to.Rows))
 	}
-	mig, err := SweepMigrationBps(w, []float64{50 << 20, 200 << 20})
+	mig, err := sweepMigrationBps(w, recs, []float64{50 << 20, 200 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mig.Rows) != 2 {
 		t.Fatalf("migration sweep rows %d", len(mig.Rows))
 	}
-	al, err := SweepAlpha(w, []float64{1.1, 1.5})
+	al, err := sweepAlpha(w, recs, []float64{1.1, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

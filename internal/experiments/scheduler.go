@@ -72,9 +72,10 @@ type runJob struct {
 
 // executeJobs runs the jobs on a bounded worker pool and returns their
 // results in job order. The jobs must be fully isolated: shared state is
-// limited to read-only inputs (catalogs, placements, materialized
-// records) and mutex-protected recorders/sinks. On failure the first
-// error in job order is returned, wrapped with that job's label.
+// limited to read-only inputs (catalogs, placements, the sweeps'
+// collected records) and mutex-protected recorders/sinks. On failure
+// the first error in job order is returned, wrapped with that job's
+// label.
 func executeJobs(jobs []runJob) ([]*replay.Result, error) {
 	results := make([]*replay.Result, len(jobs))
 	errs := make([]error, len(jobs))

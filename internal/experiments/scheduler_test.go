@@ -8,6 +8,7 @@ import (
 
 	"esm/internal/obs"
 	"esm/internal/policy"
+	"esm/internal/trace"
 	"esm/internal/workload"
 )
 
@@ -97,17 +98,18 @@ func TestSchedulerSharedSink(t *testing.T) {
 // pool reports which (workload, policy) run raised it.
 func TestSchedulerErrorLabel(t *testing.T) {
 	w := schedulerWorkload(t)
-	recs := w.EnsureRecords()
-	if len(recs) < 2 {
-		t.Fatal("workload too small")
-	}
-	// Corrupt the materialized trace: swap the first two records so the
-	// replay's order check trips.
-	recs[0], recs[1] = recs[1], recs[0]
-	defer func() { recs[0], recs[1] = recs[1], recs[0] }()
-	if recs[0].Time == recs[1].Time {
-		t.Skip("first two records coincide; swap is not out of order")
-	}
+	// Corrupt the trace with one hand-built item stream that runs
+	// backwards in time, so the merge's order check trips mid-replay.
+	w.Streams = append(w.Streams, workload.ItemStream{
+		Item: 0,
+		Seq: func(yield func(trace.LogicalRecord) bool) {
+			for _, at := range []time.Duration{2 * time.Minute, time.Minute} {
+				if !yield(trace.LogicalRecord{Time: at, Item: 0, Size: 4096, Op: trace.OpRead}) {
+					return
+				}
+			}
+		},
+	})
 
 	SetParallelism(4)
 	defer SetParallelism(0)
@@ -133,15 +135,19 @@ func TestSweepBatchesThroughScheduler(t *testing.T) {
 		t.Skip("replay smoke test")
 	}
 	w := schedulerWorkload(t)
+	recs, err := trace.CollectSource(w.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	SetParallelism(1)
 	defer SetParallelism(0)
-	serial, err := SweepSpinDownTimeout(w, []time.Duration{26 * time.Second, 104 * time.Second})
+	serial, err := sweepSpinDownTimeout(w, recs, []time.Duration{26 * time.Second, 104 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetParallelism(4)
-	par, err := SweepSpinDownTimeout(w, []time.Duration{26 * time.Second, 104 * time.Second})
+	par, err := sweepSpinDownTimeout(w, recs, []time.Duration{26 * time.Second, 104 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +156,48 @@ func TestSweepBatchesThroughScheduler(t *testing.T) {
 	par.Fprint(&b)
 	if a.String() != b.String() {
 		t.Fatalf("sweep differs:\n--- serial ---\n%s\n--- parallel ---\n%s", a.String(), b.String())
+	}
+}
+
+// TestDefaultSweepsDeterministic runs every sweep and the media
+// comparison on a tiny synthetic workload at parallelism 1 and 4: each
+// table must have one row per grid value (per policy for the media
+// comparison), and the two renders must be identical.
+func TestDefaultSweepsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep smoke test")
+	}
+	cfg := workload.DefaultSyntheticConfig()
+	cfg.Duration = 15 * time.Minute
+	cfg.SteadyIOPS = 10
+	w, err := workload.GenerateSynthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(parallel int) string {
+		t.Helper()
+		SetParallelism(parallel)
+		tables, err := DefaultSweeps(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []int{4, 5, 4, 4, 3}
+		if len(tables) != len(rows) {
+			t.Fatalf("%d tables, want %d", len(tables), len(rows))
+		}
+		var sb strings.Builder
+		for i, tbl := range tables {
+			if len(tbl.Rows) != rows[i] {
+				t.Fatalf("%q: %d rows, want %d", tbl.Title, len(tbl.Rows), rows[i])
+			}
+			tbl.Fprint(&sb)
+		}
+		return sb.String()
+	}
+	defer SetParallelism(0)
+	serial, par := render(1), render(4)
+	if serial != par {
+		t.Fatalf("sweeps differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
 	}
 }
 

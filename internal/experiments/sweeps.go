@@ -3,7 +3,10 @@
 // values and defers configuration studies to future work (§IX); these
 // harnesses provide them. Every sweep batches its baseline and all its
 // points through the worker-pool scheduler, so a sweep costs about as
-// much wall-clock as its slowest single replay.
+// much wall-clock as its slowest single replay. DefaultSweeps replays
+// one trace about thirty times, so it collects the records once and
+// every job reads its own SliceSource over that shared, read-only
+// slice instead of regenerating the trace.
 
 package experiments
 
@@ -16,11 +19,12 @@ import (
 	"esm/internal/powermodel"
 	"esm/internal/replay"
 	"esm/internal/storage"
+	"esm/internal/trace"
 	"esm/internal/workload"
 )
 
-// SweepPoint is one sweep row.
-type SweepPoint struct {
+// sweepPoint is one sweep row.
+type sweepPoint struct {
 	Label         string
 	AvgEnclosureW float64
 	SavingPct     float64
@@ -29,12 +33,13 @@ type SweepPoint struct {
 	SpinUps       int
 }
 
-// runFor assembles the standard replay run of w under pol: fresh trace
-// source, the workload's own span and loop mode.
-func runFor(w *workload.Workload, cfg storage.Config, pol policy.Policy) replay.Run {
+// runFor assembles the standard replay run of w under pol: a fresh
+// source over w's collected records recs, the workload's own span and
+// loop mode.
+func runFor(w *workload.Workload, recs []trace.LogicalRecord, cfg storage.Config, pol policy.Policy) replay.Run {
 	return replay.Run{
 		Catalog:    w.Catalog,
-		Source:     w.Source(),
+		Source:     trace.NewSliceSource(recs),
 		Placement:  w.Placement,
 		Storage:    cfg,
 		Policy:     pol,
@@ -52,11 +57,11 @@ type sweepVariant struct {
 
 // runSweepESM schedules the no-power-saving baseline plus one ESM replay
 // per variant and renders the sweep rows in variant order.
-func runSweepESM(title string, w *workload.Workload, variants []sweepVariant) (*Table, error) {
+func runSweepESM(title string, w *workload.Workload, recs []trace.LogicalRecord, variants []sweepVariant) (*Table, error) {
 	jobs := make([]runJob, 0, len(variants)+1)
 	jobs = append(jobs, runJob{
 		label: w.Name + "/sweep-baseline",
-		run:   runFor(w, StorageFor(w), policy.NoPowerSaving{}),
+		run:   runFor(w, recs, StorageFor(w), policy.NoPowerSaving{}),
 	})
 	for _, v := range variants {
 		esm, err := core.NewESM(v.params)
@@ -65,7 +70,7 @@ func runSweepESM(title string, w *workload.Workload, variants []sweepVariant) (*
 		}
 		jobs = append(jobs, runJob{
 			label: w.Name + "/sweep " + v.label,
-			run:   runFor(w, v.cfg, esm),
+			run:   runFor(w, recs, v.cfg, esm),
 		})
 	}
 	results, err := executeJobs(jobs)
@@ -73,10 +78,10 @@ func runSweepESM(title string, w *workload.Workload, variants []sweepVariant) (*
 		return nil, err
 	}
 	base := results[0].AvgEnclosureW
-	pts := make([]SweepPoint, 0, len(variants))
+	pts := make([]sweepPoint, 0, len(variants))
 	for i, v := range variants {
 		res := results[i+1]
-		p := SweepPoint{
+		p := sweepPoint{
 			Label:         v.label,
 			AvgEnclosureW: res.AvgEnclosureW,
 			RespMean:      res.Resp.Mean(),
@@ -92,7 +97,7 @@ func runSweepESM(title string, w *workload.Workload, variants []sweepVariant) (*
 }
 
 // sweepTable renders sweep points.
-func sweepTable(title string, pts []SweepPoint) *Table {
+func sweepTable(title string, pts []sweepPoint) *Table {
 	t := &Table{
 		Title:  title,
 		Header: []string{"value", "encl W", "saving", "response", "migrated", "spinups"},
@@ -110,9 +115,9 @@ func sweepTable(title string, pts []SweepPoint) *Table {
 	return t
 }
 
-// SweepCacheSizes varies the preload and write-delay partitions together
+// sweepCacheSizes varies the preload and write-delay partitions together
 // (Table II fixes both at 500 MB within the 2 GB cache).
-func SweepCacheSizes(w *workload.Workload, sizes []int64) (*Table, error) {
+func sweepCacheSizes(w *workload.Workload, recs []trace.LogicalRecord, sizes []int64) (*Table, error) {
 	variants := make([]sweepVariant, 0, len(sizes))
 	for _, size := range sizes {
 		cfg := StorageFor(w)
@@ -126,25 +131,25 @@ func SweepCacheSizes(w *workload.Workload, sizes []int64) (*Table, error) {
 		params.WriteDelayCacheBytes = size
 		variants = append(variants, sweepVariant{label: fmtBytes(size), cfg: cfg, params: params})
 	}
-	return runSweepESM("Sweep — preload/write-delay cache size ("+w.Name+")", w, variants)
+	return runSweepESM("Sweep — preload/write-delay cache size ("+w.Name+")", w, recs, variants)
 }
 
-// SweepSpinDownTimeout varies the spin-down timeout relative to the
+// sweepSpinDownTimeout varies the spin-down timeout relative to the
 // break-even time. Below break-even the enclosure pays more energy to
 // wake than it saved sleeping; far above it the idle interval is mostly
 // wasted awake.
-func SweepSpinDownTimeout(w *workload.Workload, timeouts []time.Duration) (*Table, error) {
+func sweepSpinDownTimeout(w *workload.Workload, recs []trace.LogicalRecord, timeouts []time.Duration) (*Table, error) {
 	variants := make([]sweepVariant, 0, len(timeouts))
 	for _, to := range timeouts {
 		cfg := StorageFor(w)
 		cfg.SpinDownTimeout = to
 		variants = append(variants, sweepVariant{label: to.String(), cfg: cfg, params: core.DefaultParams()})
 	}
-	return runSweepESM("Sweep — spin-down timeout ("+w.Name+")", w, variants)
+	return runSweepESM("Sweep — spin-down timeout ("+w.Name+")", w, recs, variants)
 }
 
-// SweepMigrationBps varies the data-migration throttle (§V-A).
-func SweepMigrationBps(w *workload.Workload, rates []float64) (*Table, error) {
+// sweepMigrationBps varies the data-migration throttle (§V-A).
+func sweepMigrationBps(w *workload.Workload, recs []trace.LogicalRecord, rates []float64) (*Table, error) {
 	variants := make([]sweepVariant, 0, len(rates))
 	for _, bps := range rates {
 		cfg := StorageFor(w)
@@ -152,44 +157,49 @@ func SweepMigrationBps(w *workload.Workload, rates []float64) (*Table, error) {
 		label := fmt.Sprintf("%.0f MB/s", bps/(1<<20))
 		variants = append(variants, sweepVariant{label: label, cfg: cfg, params: core.DefaultParams()})
 	}
-	return runSweepESM("Sweep — migration throttle ("+w.Name+")", w, variants)
+	return runSweepESM("Sweep — migration throttle ("+w.Name+")", w, recs, variants)
 }
 
-// SweepAlpha varies the monitoring-period coefficient α (§IV-H).
-func SweepAlpha(w *workload.Workload, alphas []float64) (*Table, error) {
+// sweepAlpha varies the monitoring-period coefficient α (§IV-H).
+func sweepAlpha(w *workload.Workload, recs []trace.LogicalRecord, alphas []float64) (*Table, error) {
 	variants := make([]sweepVariant, 0, len(alphas))
 	for _, a := range alphas {
 		params := core.DefaultParams()
 		params.Alpha = a
 		variants = append(variants, sweepVariant{label: fmt.Sprintf("%.2f", a), cfg: StorageFor(w), params: params})
 	}
-	return runSweepESM("Sweep — monitoring coefficient alpha ("+w.Name+")", w, variants)
+	return runSweepESM("Sweep — monitoring coefficient alpha ("+w.Name+")", w, recs, variants)
 }
 
-// DefaultSweeps runs every sweep on w with canonical value grids.
+// DefaultSweeps runs every sweep and the media comparison on w with
+// canonical value grids, collecting w's trace once for all of them.
 func DefaultSweeps(w *workload.Workload) ([]*Table, error) {
+	recs, err := trace.CollectSource(w.Source())
+	if err != nil {
+		return nil, err
+	}
 	var tables []*Table
-	t, err := SweepCacheSizes(w, []int64{125 << 20, 250 << 20, 500 << 20, 1 << 30})
+	t, err := sweepCacheSizes(w, recs, []int64{125 << 20, 250 << 20, 500 << 20, 1 << 30})
 	if err != nil {
 		return nil, err
 	}
 	tables = append(tables, t)
-	t, err = SweepSpinDownTimeout(w, []time.Duration{13 * time.Second, 26 * time.Second, 52 * time.Second, 104 * time.Second, 208 * time.Second})
+	t, err = sweepSpinDownTimeout(w, recs, []time.Duration{13 * time.Second, 26 * time.Second, 52 * time.Second, 104 * time.Second, 208 * time.Second})
 	if err != nil {
 		return nil, err
 	}
 	tables = append(tables, t)
-	t, err = SweepMigrationBps(w, []float64{50 << 20, 100 << 20, 200 << 20, 400 << 20})
+	t, err = sweepMigrationBps(w, recs, []float64{50 << 20, 100 << 20, 200 << 20, 400 << 20})
 	if err != nil {
 		return nil, err
 	}
 	tables = append(tables, t)
-	t, err = SweepAlpha(w, []float64{1.05, 1.2, 1.5, 2.0})
+	t, err = sweepAlpha(w, recs, []float64{1.05, 1.2, 1.5, 2.0})
 	if err != nil {
 		return nil, err
 	}
 	tables = append(tables, t)
-	t, err = CompareMedia(w)
+	t, err = compareMedia(w, recs)
 	if err != nil {
 		return nil, err
 	}
@@ -197,12 +207,12 @@ func DefaultSweeps(w *workload.Workload) ([]*Table, error) {
 	return tables, nil
 }
 
-// CompareMedia replays w under every policy on the HDD test bed and on
+// compareMedia replays w under every policy on the HDD test bed and on
 // an all-flash variant (powermodel.SSDParams, with the spin-down timeout
 // and the policies' break-even set to the flash-derived value). It
 // quantifies §VIII-D's claim that the method carries over to SSDs. All
 // six replays are scheduled as one batch.
-func CompareMedia(w *workload.Workload) (*Table, error) {
+func compareMedia(w *workload.Workload, recs []trace.LogicalRecord) (*Table, error) {
 	t := &Table{
 		Title:  "Media comparison — HDD vs SSD enclosures (" + w.Name + ")",
 		Header: []string{"policy", "HDD W", "HDD saving", "SSD W", "SSD saving"},
@@ -242,7 +252,7 @@ func CompareMedia(w *workload.Workload) (*Table, error) {
 			}
 			jobs = append(jobs, runJob{
 				label: fmt.Sprintf("%s/media %s/%s", w.Name, m.name, name),
-				run:   runFor(w, m.cfg, pol),
+				run:   runFor(w, recs, m.cfg, pol),
 			})
 		}
 	}

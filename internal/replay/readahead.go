@@ -72,8 +72,9 @@ type readAhead struct {
 
 // readAheadOf returns src read ahead on a new producer goroutine, and
 // the function that stops that goroutine and waits for it to exit. A
-// SliceSource is returned as it is (with a no-op stop): indexing a
-// slice leaves nothing to overlap, and the hand-off would only cost.
+// SliceSource, what esmbench's sweeps replay, is returned as it is
+// (with a no-op stop): indexing a slice leaves nothing to overlap, and
+// the hand-off would only cost.
 // So is any source when GOMAXPROCS is 1: with no second processor to
 // produce on, the hand-off never won a majority of sixteen benchmark
 // pairs.

@@ -25,14 +25,14 @@ type Run struct {
 	Catalog *trace.Catalog
 	// Source streams the logical trace in time order. The engine
 	// consumes it incrementally, so a trace far larger than memory
-	// replays in O(items) space; a materialized trace replays through a
-	// trace.SliceSource. A Source is single-use; give every Execute call
-	// its own. Requires an explicit Duration (a stream's end is unknown
-	// up front, and policies need the measurement span). Execute may
-	// read a source other than a *trace.SliceSource ahead, from a
-	// goroutine of its own: do not touch the source until Execute
-	// returns. It has stopped reading by then, so the source may be
-	// closed at once.
+	// replays in O(items) space; a collected trace (esmbench's sweeps
+	// replay one many times) replays through a trace.SliceSource. A
+	// Source is single-use; give every Execute call its own. Requires
+	// an explicit Duration (a stream's end is unknown up front, and
+	// policies need the measurement span). Execute may read a source
+	// other than a *trace.SliceSource ahead, from a goroutine of its
+	// own: do not touch the source until Execute returns. It has
+	// stopped reading by then, so the source may be closed at once.
 	Source trace.Source
 	// Placement is the initial enclosure of every item, indexed by ItemID.
 	Placement []int

@@ -159,19 +159,18 @@ func BenchmarkReplayMaterialized(b *testing.B) {
 
 // BenchmarkReplayClosedLoop replays the fileserver workload (scale
 // 0.25) in closed loop under ESM from each input the tools feed the
-// engine: lazy, the workload's merged generator streams; materialized,
-// the same records as a SliceSource (what esmbench replays, having
-// called EnsureRecords); and file, the same records decoded from a
-// stream file (what esmreplay -closed-loop replays). Lazy and file are
-// read ahead on a second goroutine, materialized directly. Profile
-// with -cpuprofile to attribute the time per layer.
+// engine: lazy, the workload's merged generator streams (what
+// esmbench's figure runs replay); materialized, the same records as a
+// SliceSource (what esmbench's sweeps replay, having collected the
+// trace once); and file, the same records decoded from a stream file
+// (what esmreplay -closed-loop replays). Lazy and file are read ahead
+// on a second goroutine, materialized directly. Profile with
+// -cpuprofile to attribute the time per layer.
 func BenchmarkReplayClosedLoop(b *testing.B) {
 	w, err := workload.GenerateFileServer(workload.DefaultFileServerConfig().Scaled(0.25))
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Collected, not EnsureRecords: caching the slice on w would turn
-	// w.Source into a SliceSource too.
 	recs, err := trace.CollectSource(w.Source())
 	if err != nil {
 		b.Fatal(err)

@@ -23,8 +23,9 @@ import (
 // After Next returns ok=false, Err distinguishes a clean end (nil) from
 // a decoding or ordering failure. Sources are single-use and not safe
 // for concurrent use: every replay needs its own. replay.Execute may
-// read any source but a SliceSource from a goroutine of its own, so
-// the caller must not touch the source until Execute returns.
+// read any source but a SliceSource (which only esmbench's sweeps
+// replay) from a goroutine of its own, so the caller must not touch
+// the source until Execute returns.
 type Source interface {
 	Next() (rec LogicalRecord, ok bool)
 	Err() error
@@ -39,7 +40,8 @@ func closeSource(s Source) {
 
 // SliceSource adapts a materialized record slice to a Source. The slice
 // is only read, so several SliceSources may share one backing slice
-// (concurrent replays of a materialized workload do exactly that).
+// (the concurrent replays of esmbench's sweeps, which collect their
+// workload's trace once, do exactly that).
 type SliceSource struct {
 	recs []LogicalRecord
 	pos  int

@@ -7,15 +7,12 @@ import (
 )
 
 // TestWorkloadsAreLazy pins the streaming contract: generators plan
-// streams without materializing records, Source re-yields the identical
-// trace on every call, and EnsureRecords matches the streamed order.
+// per-item streams, and Source re-yields the identical trace on every
+// call.
 func TestWorkloadsAreLazy(t *testing.T) {
 	w, err := GenerateSynthetic(DefaultSyntheticConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Records != nil {
-		t.Fatal("generator materialized Records eagerly")
 	}
 	if len(w.Streams) == 0 {
 		t.Fatal("generator registered no streams")
@@ -36,25 +33,6 @@ func TestWorkloadsAreLazy(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("record %d differs between iterations", i)
 		}
-	}
-
-	recs := w.EnsureRecords()
-	if len(recs) != len(first) {
-		t.Fatalf("EnsureRecords has %d records, stream had %d", len(recs), len(first))
-	}
-	for i := range recs {
-		if recs[i] != first[i] {
-			t.Fatalf("record %d differs between EnsureRecords and stream", i)
-		}
-	}
-
-	// After materialization, Source must serve the cached slice.
-	again, err := trace.CollectSource(w.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(recs) {
-		t.Fatalf("post-materialization source has %d records, want %d", len(again), len(recs))
 	}
 }
 

@@ -32,6 +32,16 @@ func classify(t *testing.T, w *Workload) core.PatternMix {
 }
 
 // checkBasics validates structural invariants shared by every workload.
+// records collects w's whole trace.
+func records(t *testing.T, w *Workload) []trace.LogicalRecord {
+	t.Helper()
+	recs, err := trace.CollectSource(w.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func checkBasics(t *testing.T, w *Workload) {
 	t.Helper()
 	if len(w.Placement) != w.Catalog.Len() {
@@ -43,7 +53,7 @@ func checkBasics(t *testing.T, w *Workload) {
 		}
 	}
 	var prev time.Duration
-	for i, rec := range w.EnsureRecords() {
+	for i, rec := range records(t, w) {
 		if rec.Time < prev {
 			t.Fatalf("record %d out of order", i)
 		}
@@ -112,13 +122,12 @@ func TestFileServerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.EnsureRecords()
-	b.EnsureRecords()
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.Records), len(b.Records))
+	ra, rb := records(t, a), records(t, b)
+	if len(ra) != len(rb) {
+		t.Fatalf("lengths differ: %d vs %d", len(ra), len(rb))
 	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
+	for i := range ra {
+		if ra[i] != rb[i] {
 			t.Fatalf("record %d differs", i)
 		}
 	}
@@ -127,11 +136,11 @@ func TestFileServerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnsureRecords()
-	same := len(c.Records) == len(a.Records)
+	rc := records(t, c)
+	same := len(rc) == len(ra)
 	if same {
-		for i := range a.Records {
-			if a.Records[i] != c.Records[i] {
+		for i := range ra {
+			if ra[i] != rc[i] {
 				same = false
 				break
 			}
@@ -206,7 +215,7 @@ func TestOLTPLoadLevel(t *testing.T) {
 	// Aggregate IOPS must exceed DDR's LowTH on every DB enclosure — the
 	// paper's reason DDR cannot find cold enclosures on OLTP.
 	perEnc := make([]float64, w.Enclosures)
-	for _, rec := range w.EnsureRecords() {
+	for _, rec := range records(t, w) {
 		perEnc[w.Placement[rec.Item]]++
 	}
 	secs := w.Duration.Seconds()
@@ -275,7 +284,7 @@ func TestDSSScansAreSequential(t *testing.T) {
 	}
 	var lastOff int64 = -1
 	drops := 0
-	for _, rec := range w.EnsureRecords() {
+	for _, rec := range records(t, w) {
 		if rec.Item != id {
 			continue
 		}
@@ -382,7 +391,7 @@ func TestOLTPRateScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(len(half.EnsureRecords())) / float64(len(full.EnsureRecords()))
+	ratio := float64(len(records(t, half))) / float64(len(records(t, full)))
 	if ratio < 0.4 || ratio > 0.6 {
 		t.Fatalf("RateScale 0.5 produced %.2f of the records", ratio)
 	}
