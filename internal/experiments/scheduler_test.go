@@ -100,7 +100,7 @@ func TestSchedulerErrorLabel(t *testing.T) {
 	w := schedulerWorkload(t)
 	// Corrupt the trace with one hand-built item stream that runs
 	// backwards in time, so the merge's order check trips mid-replay.
-	w.Streams = append(w.Streams, workload.ItemStream{
+	w.Streams = append(w.Streams, trace.ItemStream{
 		Item: 0,
 		Seq: func(yield func(trace.LogicalRecord) bool) {
 			for _, at := range []time.Duration{2 * time.Minute, time.Minute} {

@@ -72,12 +72,14 @@ func TestUntracedRecordPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestClosedLoopSteadyStateAllocs pins the closed-loop engine's marginal
-// allocation cost per record at zero: the ring buffers cursors borrow
-// from the free stack and the demux heap must reach a steady footprint,
-// after which doubling the record count adds no allocations. (Fixed
-// setup costs — the cursor slots, the source adapter, initial ring
-// growth — cancel in the margin.)
+// TestClosedLoopSteadyStateAllocs pins both closed-loop engines'
+// marginal allocation cost per record at zero: the demux's ring buffers
+// cursors borrow from the free stack and its heap, and the item feed's
+// batches, must reach a steady footprint, after which doubling the
+// record count adds no allocations. (Fixed setup costs — the cursor
+// slots, the source adapter, initial ring growth, each stream's
+// coroutine and first batch — cancel in the margin.) The item feed is
+// measured inline: testing.AllocsPerRun runs at GOMAXPROCS 1.
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	const n = 2000
 	items := []trace.ItemID{0, 1, 2, 3}
@@ -91,7 +93,7 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	stub := func(rec trace.LogicalRecord, orig time.Duration) (time.Duration, error) {
 		return 3 * time.Millisecond, nil
 	}
-	run := func(recs []trace.LogicalRecord) float64 {
+	demux := func(recs []trace.LogicalRecord) float64 {
 		return testing.AllocsPerRun(10, func() {
 			var clk simclock.Clock
 			var evq simclock.EventQueue
@@ -100,11 +102,45 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	half := run(recs[:n])
-	full := run(recs)
-	marginal := (full - half) / n
-	if marginal > 0.01 {
-		t.Fatalf("closed-loop marginal allocations %.4f/record (half=%.1f full=%.1f), want ~0",
-			marginal, half, full)
+	cat := trace.NewCatalog()
+	for range items {
+		cat.Add(fmt.Sprintf("item%d", cat.Len()), 64<<20)
+	}
+	// feed replays the same records as per-item streams.
+	feed := func(recs []trace.LogicalRecord) float64 {
+		streams := make([]trace.ItemStream, len(items))
+		for i, item := range items {
+			streams[i] = trace.ItemStream{Item: item, Seq: func(yield func(trace.LogicalRecord) bool) {
+				for _, rec := range recs {
+					if rec.Item == item && !yield(rec) {
+						return
+					}
+				}
+			}}
+		}
+		return testing.AllocsPerRun(10, func() {
+			var clk simclock.Clock
+			var evq simclock.EventQueue
+			il, err := newItemLoop(streams, time.Hour, cat, issuer{clk: &clk, evq: &evq, submit: stub})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = il.run()
+			il.close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, engine := range []struct {
+		name string
+		run  func([]trace.LogicalRecord) float64
+	}{{"demux", demux}, {"item feed", feed}} {
+		half := engine.run(recs[:n])
+		full := engine.run(recs)
+		if marginal := (full - half) / n; marginal > 0.01 {
+			t.Errorf("%s: closed-loop marginal allocations %.4f/record (half=%.1f full=%.1f), want ~0",
+				engine.name, marginal, half, full)
+		}
 	}
 }

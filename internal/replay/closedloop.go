@@ -1,42 +1,166 @@
-// Closed-loop replay: per-data-item streams with queue depth one,
-// demultiplexed incrementally from a streaming source.
+// Closed-loop replay: per-data-item streams with queue depth one.
 //
-// Each catalog item owns one cursor slot, indexed by ItemID. Ring
-// buffers are lent to cursors only while they hold queued records: a
-// drained cursor hands its ring to a free stack, and the next cursor
-// that needs one takes it from there. Ring memory is therefore bounded
-// by how many items have queued records at once, not by how many items
-// the trace holds, even under volume churn.
+// Two engines supply the records. A generated workload's source splits
+// by item (itemStreamer), and the item feed (itemfeed.go) reads each
+// item's own streams. Any other source (a decoded file, a collected
+// slice) is one time-ordered stream, and the demux below splits it into
+// per-item queues as it goes. Both engines issue from one (eff, item)
+// heap through one issue step; the order is total, so both issue the
+// same sequence.
+//
+// The demux lends ring buffers to cursors only while they hold queued
+// records: a drained cursor hands its ring to a free stack, and the
+// next cursor that needs one takes it from there. Ring memory is
+// therefore bounded by how many items have queued records at once, not
+// by how many items the trace holds, even under volume churn.
 
 package replay
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"esm/internal/simclock"
 	"esm/internal/trace"
 )
 
-// itemCursor walks one data item's records through the shifted timeline.
-type itemCursor struct {
+// itemLine is one item's shifted timeline.
+type itemLine struct {
+	// delay is how far the item's timeline has been pushed back by
+	// stalls; notBefore is the completion time of the item's last I/O.
+	delay     time.Duration
+	notBefore time.Duration
+}
+
+// eff returns the effective issue time of the item's record at t.
+func (l *itemLine) eff(t time.Duration) time.Duration {
+	if e := t + l.delay; e > l.notBefore {
+		return e
+	}
+	return l.notBefore
+}
+
+// cursorKey is one heap entry: an item and the effective issue time of
+// its next record. Keys live in the heap itself, so sifting compares
+// neighbouring memory instead of chasing a pointer per compare.
+type cursorKey struct {
+	eff  time.Duration
 	item trace.ItemID
+}
+
+func keyLess(a, b cursorKey) bool { return lessBit(a, b) == 1 }
+
+// lessBit is 1 when a orders before b, else 0. It takes no branch: the
+// 128-bit subtraction (a.eff, a.item) - (b.eff, b.item) borrows exactly
+// when a orders first. Which child of a heap node is the smaller one is
+// a coin toss to a branch predictor, and the heap holds every started
+// item on the item feed.
+func lessBit(a, b cursorKey) int {
+	_, borrow := bits.Sub64(uint64(uint32(a.item)), uint64(uint32(b.item)), 0)
+	_, borrow = bits.Sub64(uint64(a.eff)^1<<63, uint64(b.eff)^1<<63, borrow)
+	return int(borrow)
+}
+
+// cursorHeap is a binary min-heap of items by (eff, item), holding at
+// most one key per item. The item tie-break makes simultaneous
+// activations issue in a fixed order, so replays are reproducible run
+// to run; and because it is a total order, every correct heap issues
+// the same sequence.
+type cursorHeap []cursorKey
+
+// push queues k.
+func (h *cursorHeap) push(k cursorKey) {
+	*h = append(*h, k)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !keyLess(k, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = k
+}
+
+// fixRoot restores the heap after the root's key grew: the root can
+// only sift down.
+func (h cursorHeap) fixRoot() {
+	n := len(h)
+	k := h[0]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n {
+			j += lessBit(h[j+1], h[j])
+		}
+		if lessBit(h[j], k) == 0 {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = k
+}
+
+// popRoot dequeues the root.
+func (h *cursorHeap) popRoot() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	*h = q[:n]
+	if n > 0 {
+		h.fixRoot()
+	}
+}
+
+// issuer is what both engines share: the heap and the issue step.
+type issuer struct {
+	clk    *simclock.Clock
+	evq    *simclock.EventQueue
+	submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)
+	h      cursorHeap
+}
+
+// issue submits rec, the root item's next record, at the root's
+// effective time, or at once if another item's stall moved the clock
+// past it, and shifts the item's timeline by the stall: its remaining
+// records move back as a blocked application thread's would, and none
+// issues before this one completes.
+func (is *issuer) issue(l *itemLine, rec trace.LogicalRecord) error {
+	issueAt := is.h[0].eff
+	if now := is.clk.Now(); issueAt < now {
+		issueAt = now
+	}
+	is.evq.RunUntil(is.clk, issueAt)
+	shifted := rec
+	shifted.Time = issueAt
+	resp, err := is.submit(shifted, rec.Time)
+	if err != nil {
+		return err
+	}
+	l.notBefore = issueAt + resp
+	l.delay = issueAt - rec.Time
+	return nil
+}
+
+// itemCursor is one data item's demux queue.
+type itemCursor struct {
+	itemLine
 	// buf is a power-of-two ring buffer holding the item's demuxed,
 	// not-yet-issued records in time order. Only records the demuxer has
 	// had to read ahead of the current issue point are buffered, so live
 	// memory stays bounded by the read-ahead horizon, not O(records).
 	// buf is nil while the cursor is drained: its ring went back to the
-	// free stack.
+	// free stack. The item is in the heap exactly while n > 0.
 	buf  []trace.LogicalRecord
 	head int
 	n    int
-	// delay is how far the item's timeline has been pushed back by
-	// stalls; notBefore is the completion time of the item's last I/O.
-	delay     time.Duration
-	notBefore time.Duration
-	// eff is the effective issue time of the next record.
-	eff   time.Duration
-	index int // heap index; -1 while the cursor has no queued records
 }
 
 // push appends rec to the cursor's ring, growing it in powers of two.
@@ -66,88 +190,15 @@ func (c *itemCursor) pop() {
 	c.n--
 }
 
-// cursorHeap is a binary min-heap of cursors by (eff, item). The item
-// tie-break makes simultaneous activations issue in a fixed order, so
-// replays are reproducible run to run; and because it is a total order
-// over at most one cursor per item, every correct heap issues the same
-// sequence. Each cursor's index tracks its slot (-1 when not queued).
-type cursorHeap []*itemCursor
-
-func cursorLess(a, b *itemCursor) bool {
-	if a.eff != b.eff {
-		return a.eff < b.eff
-	}
-	return a.item < b.item
-}
-
-// push queues c.
-func (h *cursorHeap) push(c *itemCursor) {
-	*h = append(*h, c)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !cursorLess(c, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		q[i].index = i
-		i = p
-	}
-	q[i] = c
-	c.index = i
-}
-
-// fixRoot restores the heap after the root's key changed: the root
-// can only sift down.
-func (h cursorHeap) fixRoot() {
-	n := len(h)
-	c := h[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && cursorLess(h[r], h[j]) {
-			j = r
-		}
-		if !cursorLess(h[j], c) {
-			break
-		}
-		h[i] = h[j]
-		h[i].index = i
-		i = j
-	}
-	h[i] = c
-	c.index = i
-}
-
-// popRoot dequeues the root cursor.
-func (h *cursorHeap) popRoot() {
-	q := *h
-	n := len(q) - 1
-	q[0].index = -1
-	q[0] = q[n]
-	q[n] = nil
-	*h = q[:n]
-	if n > 0 {
-		h.fixRoot()
-	}
-}
-
-// closedLoop is the demux state of one closed-loop replay. It exists as
-// a struct (rather than closure locals) so tests can inspect the cursor
-// slots and the free stack.
+// closedLoop is the demux engine of one closed-loop replay. It exists
+// as a struct (rather than closure locals) so tests can inspect the
+// cursor slots and the free stack.
 type closedLoop struct {
-	src    trace.Source
-	clk    *simclock.Clock
-	evq    *simclock.EventQueue
-	submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)
+	issuer
+	src trace.Source
 
 	cursors []itemCursor // indexed by ItemID
 	free    [][]trace.LogicalRecord
-	h       cursorHeap
 
 	pending     trace.LogicalRecord
 	havePending bool
@@ -156,14 +207,14 @@ type closedLoop struct {
 	n           int64
 }
 
-// newClosedLoop builds the engine over a catalog of the given number
-// of items; each gets its cursor slot up front.
+// newClosedLoop builds the demux engine over a catalog of the given
+// number of items; each gets its cursor slot up front.
 func newClosedLoop(src trace.Source, items int, clk *simclock.Clock, evq *simclock.EventQueue, submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)) *closedLoop {
-	cursors := make([]itemCursor, items)
-	for i := range cursors {
-		cursors[i] = itemCursor{item: trace.ItemID(i), index: -1}
+	return &closedLoop{
+		issuer:  issuer{clk: clk, evq: evq, submit: submit},
+		src:     src,
+		cursors: make([]itemCursor, items),
 	}
-	return &closedLoop{src: src, clk: clk, evq: evq, submit: submit, cursors: cursors}
 }
 
 // enqueue appends rec to its item's cursor, lending the cursor a ring
@@ -219,21 +270,15 @@ func (cl *closedLoop) demux() error {
 		c := &cl.cursors[cl.pending.Item]
 		cl.enqueue(c, cl.pending)
 		cl.havePending = false
-		if c.index < 0 {
-			eff := cl.pending.Time + c.delay
-			if eff < c.notBefore {
-				eff = c.notBefore
-			}
-			c.eff = eff
-			cl.h.push(c)
+		if c.n == 1 {
+			cl.h.push(cursorKey{eff: c.eff(cl.pending.Time), item: cl.pending.Item})
 		}
 	}
 }
 
 // run replays the stream item by item: each item issues its next I/O
 // at its original spacing, but never before its previous I/O
-// completed. Stalls (queueing, spin-up waits) push the item's remaining
-// records back in time, as a blocked application thread would be.
+// completed.
 func (cl *closedLoop) run() error {
 	for {
 		if err := cl.demux(); err != nil {
@@ -243,35 +288,17 @@ func (cl *closedLoop) run() error {
 			// Source drained and every queued record issued.
 			return nil
 		}
-		c := cl.h[0]
-		rec := c.front()
-		issueAt := c.eff
-		if issueAt < cl.clk.Now() {
-			// Another item's stall moved the global clock past this
-			// record's effective time; issue immediately.
-			issueAt = cl.clk.Now()
-		}
-		cl.evq.RunUntil(cl.clk, issueAt)
-		shifted := rec
-		shifted.Time = issueAt
-		resp, err := cl.submit(shifted, rec.Time)
-		if err != nil {
+		c := &cl.cursors[cl.h[0].item]
+		if err := cl.issue(&c.itemLine, c.front()); err != nil {
 			return err
 		}
-		c.notBefore = issueAt + resp
-		c.delay = issueAt - rec.Time
 		c.pop()
 		if c.n == 0 {
 			cl.h.popRoot()
 			cl.release(c)
-		} else {
-			next := c.front()
-			eff := next.Time + c.delay
-			if eff < c.notBefore {
-				eff = c.notBefore
-			}
-			c.eff = eff
-			cl.h.fixRoot()
+			continue
 		}
+		cl.h[0].eff = c.eff(c.front().Time)
+		cl.h.fixRoot()
 	}
 }

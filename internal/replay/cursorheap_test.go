@@ -39,16 +39,15 @@ func (h *refCursorHeap) Pop() any {
 // TestCursorHeapMatchesContainerHeap drives random push, fix-root and
 // pop-root operations over (eff, item) keys through the typed heap and
 // a container/heap reference. After every operation both must agree on
-// the root, and every cursor's index must name its slot (-1 when not
-// queued). Effective times are drawn from a small range so ties fall
-// through to the item order.
+// the root, and the typed heap must hold exactly the queued items.
+// Effective times are drawn from a small range so ties fall through to
+// the item order.
 func TestCursorHeapMatchesContainerHeap(t *testing.T) {
 	const items = 32
 	rng := rand.New(rand.NewSource(11))
-	cursors := make([]*itemCursor, items)
+	queued := make([]bool, items)
 	refs := make([]*refCursor, items)
-	for i := range cursors {
-		cursors[i] = &itemCursor{item: trace.ItemID(i), index: -1}
+	for i := range refs {
 		refs[i] = &refCursor{item: trace.ItemID(i), index: -1}
 	}
 	var h cursorHeap
@@ -58,38 +57,34 @@ func TestCursorHeapMatchesContainerHeap(t *testing.T) {
 		switch r := rng.Intn(3); {
 		case r == 0 || len(h) == 0:
 			i := rng.Intn(items)
-			if cursors[i].index >= 0 {
+			if queued[i] {
 				continue
 			}
-			cursors[i].eff, refs[i].eff = eff, eff
-			h.push(cursors[i])
+			queued[i] = true
+			refs[i].eff = eff
+			h.push(cursorKey{eff: eff, item: trace.ItemID(i)})
 			heap.Push(&ref, refs[i])
 		case r == 1:
 			h[0].eff, ref[0].eff = eff, eff
 			h.fixRoot()
 			heap.Fix(&ref, 0)
 		default:
+			queued[h[0].item] = false
 			h.popRoot()
 			heap.Pop(&ref)
 		}
 		if len(h) != len(ref) {
-			t.Fatalf("op %d: typed heap holds %d cursors, reference %d", op, len(h), len(ref))
+			t.Fatalf("op %d: typed heap holds %d keys, reference %d", op, len(h), len(ref))
 		}
 		if len(h) > 0 && (h[0].item != ref[0].item || h[0].eff != ref[0].eff) {
 			t.Fatalf("op %d: root (%v, %d), reference (%v, %d)", op, h[0].eff, h[0].item, ref[0].eff, ref[0].item)
 		}
-		queued := 0
-		for _, c := range cursors {
-			if c.index < 0 {
-				continue
+		inHeap := make([]bool, items)
+		for _, k := range h {
+			if inHeap[k.item] || !queued[k.item] {
+				t.Fatalf("op %d: item %d is in the heap twice or unqueued", op, k.item)
 			}
-			queued++
-			if c.index >= len(h) || h[c.index] != c {
-				t.Fatalf("op %d: item %d has index %d, not its slot", op, c.item, c.index)
-			}
-		}
-		if queued != len(h) {
-			t.Fatalf("op %d: %d cursors claim a slot, heap holds %d", op, queued, len(h))
+			inHeap[k.item] = true
 		}
 	}
 }

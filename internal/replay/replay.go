@@ -32,7 +32,9 @@ type Run struct {
 	// policies need the measurement span). Execute may read a source
 	// other than a *trace.SliceSource ahead, from a goroutine of its
 	// own: do not touch the source until Execute returns. It has
-	// stopped reading by then, so the source may be closed at once.
+	// stopped reading by then, so the source may be closed at once. A
+	// closed-loop replay of a source with an ItemStreams method (a
+	// generated workload's) reads those streams instead of Next.
 	Source trace.Source
 	// Placement is the initial enclosure of every item, indexed by ItemID.
 	Placement []int
@@ -162,11 +164,13 @@ type StateResidency struct {
 }
 
 // Execute runs the experiment: a source loop over a Session (the
-// closed loop drives the session's record step itself). A source other
-// than a SliceSource is read ahead on a goroutine of its own when
-// GOMAXPROCS allows (see readAheadOf); Execute stops that goroutine
-// before it returns, on every path, so the caller may close the source
-// as soon as it does.
+// closed loop drives the session's record step itself). A closed-loop
+// replay of a source that splits by item (a generated workload's) reads
+// each item's own streams, generated on a goroutine of its own when
+// GOMAXPROCS allows (itemfeed.go). Any other source but a SliceSource
+// is read ahead on a goroutine of its own when GOMAXPROCS allows (see
+// readAheadOf). Execute stops those goroutines before it returns, on
+// every path, so the caller may close the source as soon as it does.
 func Execute(r Run) (*Result, error) {
 	if r.Source == nil || r.Duration == 0 {
 		return nil, fmt.Errorf("replay: Execute needs a Source and an explicit Duration")
@@ -175,12 +179,26 @@ func Execute(r Run) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, stop := readAheadOf(r.Source)
-	defer stop()
-	if err := s.replay(src); err != nil {
+	if err := s.execute(r.Source); err != nil {
 		return nil, err
 	}
 	return s.Finish()
+}
+
+// execute replays src to its end through the engine that suits it.
+func (s *Session) execute(src trace.Source) error {
+	if is, ok := src.(itemStreamer); ok && s.r.ClosedLoop {
+		streams, limit := is.ItemStreams()
+		il, err := newItemLoop(streams, limit, s.r.Catalog, issuer{clk: &s.clk, evq: &s.evq, submit: s.submit})
+		if err != nil {
+			return err
+		}
+		defer il.close()
+		return il.run()
+	}
+	src, stop := readAheadOf(src)
+	defer stop()
+	return s.replay(src)
 }
 
 // replay feeds src through the session to its end: the open loop

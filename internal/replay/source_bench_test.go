@@ -3,8 +3,9 @@
 // holds the live heap at O(data items), not O(records). They replay the
 // same on-disk trace; compare their live-MB metrics — streaming stays
 // flat while materialized carries the whole decoded slice. The
-// closed-loop benchmark times the demux over the two inputs the tools
-// replay: a lazily generated trace and a materialized one.
+// closed-loop benchmark times both closed-loop engines over the inputs
+// the tools replay: a lazily generated trace, a materialized one and a
+// decoded file.
 
 package replay
 
@@ -159,13 +160,14 @@ func BenchmarkReplayMaterialized(b *testing.B) {
 
 // BenchmarkReplayClosedLoop replays the fileserver workload (scale
 // 0.25) in closed loop under ESM from each input the tools feed the
-// engine: lazy, the workload's merged generator streams (what
-// esmbench's figure runs replay); materialized, the same records as a
-// SliceSource (what esmbench's sweeps replay, having collected the
-// trace once); and file, the same records decoded from a stream file
-// (what esmreplay -closed-loop replays). Lazy and file are read ahead
-// on a second goroutine, materialized directly. Profile with
-// -cpuprofile to attribute the time per layer.
+// engine: lazy, the workload's own source (what esmbench's figure runs
+// replay), which the item feed reads item by item, generating on a
+// second goroutine; materialized, the same records as a SliceSource
+// (what esmbench's sweeps replay, having collected the trace once),
+// demultiplexed directly; and file, the same records decoded from a
+// stream file (what esmreplay -closed-loop replays), read ahead on a
+// second goroutine and demultiplexed. Profile with -cpuprofile to
+// attribute the time per layer.
 func BenchmarkReplayClosedLoop(b *testing.B) {
 	w, err := workload.GenerateFileServer(workload.DefaultFileServerConfig().Scaled(0.25))
 	if err != nil {
@@ -180,7 +182,7 @@ func BenchmarkReplayClosedLoop(b *testing.B) {
 		name string
 		src  func() trace.Source
 	}{
-		{"lazy", w.Source},
+		{"lazy", func() trace.Source { return w.Source() }},
 		{"materialized", func() trace.Source { return trace.NewSliceSource(recs) }},
 		{"file", func() trace.Source {
 			fs, err := trace.OpenFile(path)

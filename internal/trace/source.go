@@ -141,6 +141,18 @@ func (s *SeqSource) Close() error {
 	return nil
 }
 
+// ItemStream is one data item's lazily generated record sequence, the
+// unit the workload generators plan a trace in. Seq yields the item's
+// records in time order and is re-iterable: each iteration re-derives
+// the same records. From is a lower bound on the time of the first
+// record, known without running Seq, so a consumer that reads items on
+// their own can leave a stream unstarted until its clock reaches From.
+type ItemStream struct {
+	Item ItemID
+	From time.Duration
+	Seq  iter.Seq[LogicalRecord]
+}
+
 // Merged is a k-way merge of already-sorted sources, kept as a
 // tournament (loser) tree over the sources' head records. Only one head
 // per source is buffered, so merging k streams costs O(k) memory, and

@@ -231,7 +231,7 @@ func GenerateCloudBlock(cfg CloudBlockConfig) (*Workload, error) {
 			placement = append(placement, placeLeastLoaded(used, size))
 			vsize := size
 			prof := p
-			ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+			ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 				genCloudVolume(rng, emit, vsize, prof)
 			})
 			v++

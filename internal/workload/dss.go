@@ -242,7 +242,7 @@ func GenerateDSS(cfg DSSConfig) (*Workload, error) {
 // records follow entirely from the plan, so nothing is drawn or stored.
 func scanStream(ss *streams, id trace.ItemID, size int64, t time.Duration, bps float64, ioSize int32) time.Duration {
 	gap := time.Duration(float64(ioSize) / bps * float64(time.Second))
-	ss.pure(id, func(emit emitFunc) {
+	ss.pure(id, t, func(emit emitFunc) {
 		var off int64
 		d := time.Duration(0)
 		for off < size {
@@ -270,7 +270,7 @@ func bulkStream(ss *streams, rng *rand.Rand, id trace.ItemID, size int64, t time
 	}
 	gap := time.Duration(float64(ioSize) / bps * float64(time.Second))
 	start := randOffset(rng, size-total, ioSize)
-	ss.pure(id, func(emit emitFunc) {
+	ss.pure(id, t, func(emit emitFunc) {
 		off := start
 		tt := t
 		var done int64

@@ -114,7 +114,7 @@ func GenerateFileServer(cfg FileServerConfig) (*Workload, error) {
 		// Metadata noise item: small, steadily touched.
 		meta := cat.Add(vol+"/meta", 50<<20)
 		placement = append(placement, enc)
-		ss.lazy(meta, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+		ss.lazy(meta, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 			genNoise(rng, emit, 50<<20, cfg.Duration)
 		})
 
@@ -123,7 +123,7 @@ func GenerateFileServer(cfg FileServerConfig) (*Workload, error) {
 			size := 1500<<10 + rng.Int63n(2<<20)
 			id := cat.Add(fmt.Sprintf("%s/hotread%02d", vol, f), size)
 			placement = append(placement, enc)
-			ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+			ss.lazy(id, firstStart(light), rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 				genWindowBursts(rng, emit, size, light, burstProfile{
 					prob: 0.9, minN: 150, maxN: 350, spacing: 400 * time.Millisecond, readFrac: 0.98, ioSize: 8 << 10,
 				})
@@ -147,7 +147,7 @@ func GenerateFileServer(cfg FileServerConfig) (*Workload, error) {
 					maxGap:   45 * time.Second,
 					readFrac: 0.75, ioSize: 8 << 10,
 				}
-				ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+				ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 					genSteady(rng, emit, size, cfg.Duration, p)
 				})
 			case f == rest-1 && v%4 == 1:
@@ -155,7 +155,7 @@ func GenerateFileServer(cfg FileServerConfig) (*Workload, error) {
 				size := lognormBytes(rng, 1<<30, 1.0, 128<<20, 8<<30)
 				id := cat.Add(fmt.Sprintf("%s/wburst", vol), size)
 				placement = append(placement, enc)
-				ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+				ss.lazy(id, firstStart(deep), rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 					genWindowBursts(rng, emit, size, deep, burstProfile{
 						prob: 0.8, minN: 30, maxN: 100, spacing: 2 * time.Second, readFrac: 0.10, ioSize: 1 << 20,
 					})
@@ -165,7 +165,7 @@ func GenerateFileServer(cfg FileServerConfig) (*Workload, error) {
 				size := lognormBytes(rng, 4<<30, 1.2, 256<<20, 30<<30)
 				id := cat.Add(fmt.Sprintf("%s/file%03d", vol, f), size)
 				placement = append(placement, enc)
-				ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+				ss.lazy(id, firstStart(deep), rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 					genWindowBursts(rng, emit, size, deep, burstProfile{
 						prob: 0.6, minN: 10, maxN: 30, spacing: 5 * time.Second, readFrac: 0.90, ioSize: 1 << 20,
 					})
@@ -202,6 +202,15 @@ func volumeWindows(rng *rand.Rand, cfg FileServerConfig) (light, deep []window) 
 		t = end
 	}
 	return light, deep
+}
+
+// firstStart is the start of the first window, a lower bound on every
+// burst genWindowBursts aligns to wins (zero when there is none).
+func firstStart(wins []window) time.Duration {
+	if len(wins) == 0 {
+		return 0
+	}
+	return wins[0].start
 }
 
 // genNoise emits the background metadata accesses: a read (sometimes a

@@ -120,7 +120,7 @@ func GenerateOLTP(cfg OLTPConfig) (*Workload, error) {
 	// Log device on enclosure 0: continuous synchronous writes.
 	logItem := cat.Add("tpcc/log", 10<<30)
 	placement = append(placement, 0)
-	ss.lazy(logItem, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+	ss.lazy(logItem, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 		genContinuous(rng, emit, 10<<30, cfg.Duration, cfg.LogIOPS*cfg.RateScale, 0.0, 16<<10)
 	})
 
@@ -131,11 +131,11 @@ func GenerateOLTP(cfg OLTPConfig) (*Workload, error) {
 			id := cat.Add(fmt.Sprintf("tpcc/%s.p%d", tbl.name, p), tbl.size)
 			placement = append(placement, enc)
 			if tbl.p1 {
-				ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+				ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 					genMasterBursts(rng, emit, tbl.size, cfg.Duration, tbl.readFrac)
 				})
 			} else {
-				ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+				ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 					genContinuous(rng, emit, tbl.size, cfg.Duration, tbl.iops*cfg.RateScale, tbl.readFrac, 8<<10)
 				})
 			}

@@ -114,7 +114,7 @@ func GenerateSensorArchive(cfg SensorConfig) (*Workload, error) {
 		// Active segment: continuous small appends.
 		active := cat.Add(fmt.Sprintf("sensor%03d/active", st), 512<<20)
 		placement = append(placement, place())
-		ss.lazy(active, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+		ss.lazy(active, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 			genAppends(rng, emit, 512<<20, cfg.Duration, cfg.AppendEvery)
 		})
 
@@ -134,7 +134,7 @@ func GenerateSensorArchive(cfg SensorConfig) (*Workload, error) {
 				continue
 			}
 			// Analytics: whole-segment scans at long intervals (P1).
-			ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+			ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 				genAnalyticsScans(rng, emit, size, cfg)
 			})
 		}
@@ -200,7 +200,7 @@ func compactionStream(ss *streams, rng *rand.Rand, id trace.ItemID, size int64, 
 	span := size / 8
 	off := randOffset(rng, size-span, 1<<20)
 	end := off + span
-	ss.pure(id, func(emit emitFunc) {
+	ss.pure(id, t, func(emit emitFunc) {
 		tt := t
 		for o := off; o < end && tt < dur; o += 4 << 20 {
 			if !emit(tt, o, 1<<20, trace.OpRead) {

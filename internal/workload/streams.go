@@ -7,20 +7,11 @@
 package workload
 
 import (
-	"iter"
 	"math/rand"
 	"time"
 
 	"esm/internal/trace"
 )
-
-// ItemStream is one data item's lazily generated, time-ordered event
-// sequence. The Seq is re-iterable: each iteration re-derives the same
-// records from the stream's fixed seed.
-type ItemStream struct {
-	Item trace.ItemID
-	Seq  iter.Seq[trace.LogicalRecord]
-}
 
 // emitFunc receives one generated event; it returns false when the
 // consumer has stopped and the generator must return.
@@ -29,16 +20,17 @@ type emitFunc func(t time.Duration, off int64, size int32, op trace.Op) bool
 // streams collects the per-item sequences while a generator plans a
 // workload.
 type streams struct {
-	list []ItemStream
+	list []trace.ItemStream
 }
 
-// lazy registers a generator-backed stream for item id. gen runs once
-// per iteration with a fresh RNG seeded by seed, so the stream is both
-// lazy and deterministic; it must emit records in time order and stop
-// when emit returns false.
-func (ss *streams) lazy(id trace.ItemID, seed int64, gen func(rng *rand.Rand, emit emitFunc)) {
-	ss.list = append(ss.list, ItemStream{
+// lazy registers a generator-backed stream for item id whose first
+// record is at or after from. gen runs once per iteration with a fresh
+// RNG seeded by seed, so the stream is both lazy and deterministic; it
+// must emit records in time order and stop when emit returns false.
+func (ss *streams) lazy(id trace.ItemID, from time.Duration, seed int64, gen func(rng *rand.Rand, emit emitFunc)) {
+	ss.list = append(ss.list, trace.ItemStream{
 		Item: id,
+		From: from,
 		Seq: func(yield func(trace.LogicalRecord) bool) {
 			rng := rand.New(rand.NewSource(seed))
 			gen(rng, func(t time.Duration, off int64, size int32, op trace.Op) bool {
@@ -49,11 +41,12 @@ func (ss *streams) lazy(id trace.ItemID, seed int64, gen func(rng *rand.Rand, em
 }
 
 // pure registers a deterministic stream that needs no RNG (sequential
-// scans whose offsets follow from the plan). gen must emit records in
-// time order and stop when emit returns false.
-func (ss *streams) pure(id trace.ItemID, gen func(emit emitFunc)) {
-	ss.list = append(ss.list, ItemStream{
+// scans whose offsets follow from the plan) and starts at from. gen
+// must emit records in time order and stop when emit returns false.
+func (ss *streams) pure(id trace.ItemID, from time.Duration, gen func(emit emitFunc)) {
+	ss.list = append(ss.list, trace.ItemStream{
 		Item: id,
+		From: from,
 		Seq: func(yield func(trace.LogicalRecord) bool) {
 			gen(func(t time.Duration, off int64, size int32, op trace.Op) bool {
 				return yield(trace.LogicalRecord{Time: t, Item: id, Offset: off, Size: size, Op: op})
@@ -65,8 +58,13 @@ func (ss *streams) pure(id trace.ItemID, gen func(emit emitFunc)) {
 // fixed registers a small pre-materialized stream (planning-time records
 // such as the DSS query log). recs must be sorted by time.
 func (ss *streams) fixed(id trace.ItemID, recs []trace.LogicalRecord) {
-	ss.list = append(ss.list, ItemStream{
+	var from time.Duration
+	if len(recs) > 0 {
+		from = recs[0].Time
+	}
+	ss.list = append(ss.list, trace.ItemStream{
 		Item: id,
+		From: from,
 		Seq: func(yield func(trace.LogicalRecord) bool) {
 			for _, r := range recs {
 				if !yield(r) {

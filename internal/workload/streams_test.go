@@ -57,3 +57,61 @@ func TestSourceStopsAtDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamsStartAtOrAfterFrom pins the bound every generator declares
+// on its streams: no stream's first record precedes its From. The item
+// feed leaves a stream unstarted until the replay's clock reaches From,
+// so a bound set too late would fail the replay.
+func TestStreamsStartAtOrAfterFrom(t *testing.T) {
+	// bounded generators know some streams start late (a window, a
+	// scan, a compaction); synthetic streams all may start at once.
+	gens := []struct {
+		name    string
+		bounded bool
+		gen     func(seed int64) (*Workload, error)
+	}{
+		{"fileserver", true, func(seed int64) (*Workload, error) {
+			cfg := DefaultFileServerConfig().Scaled(0.05)
+			cfg.Seed = seed
+			return GenerateFileServer(cfg)
+		}},
+		{"dss", true, func(seed int64) (*Workload, error) {
+			cfg := DefaultDSSConfig().Scaled(0.05)
+			cfg.Seed = seed
+			return GenerateDSS(cfg)
+		}},
+		{"sensor", true, func(seed int64) (*Workload, error) {
+			cfg := DefaultSensorConfig()
+			cfg.Seed = seed
+			return GenerateSensorArchive(cfg)
+		}},
+		{"synthetic", false, func(seed int64) (*Workload, error) {
+			cfg := DefaultSyntheticConfig()
+			cfg.Seed = seed
+			return GenerateSynthetic(cfg)
+		}},
+	}
+	for _, g := range gens {
+		for _, seed := range []int64{1, 42} {
+			w, err := g.gen(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			later := 0
+			for i, st := range w.Streams {
+				for rec := range st.Seq {
+					if rec.Time < st.From {
+						t.Fatalf("%s seed %d: stream %d (item %d) starts at %v, before its From %v", g.name, seed, i, st.Item, rec.Time, st.From)
+					}
+					if st.From > 0 {
+						later++
+					}
+					break
+				}
+			}
+			if g.bounded && later == 0 {
+				t.Errorf("%s seed %d: no stream declares a From past zero", g.name, seed)
+			}
+		}
+	}
+}

@@ -94,14 +94,14 @@ func GenerateSynthetic(cfg SyntheticConfig) (*Workload, error) {
 	for i := 0; i < cfg.SteadyItems; i++ {
 		id := cat.Add(fmt.Sprintf("steady%03d", i), cfg.ItemBytes)
 		placement = append(placement, place())
-		ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+		ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 			genContinuous(rng, emit, cfg.ItemBytes, cfg.Duration, cfg.SteadyIOPS, 0.6, 8<<10)
 		})
 	}
 	for i := 0; i < cfg.BurstItems; i++ {
 		id := cat.Add(fmt.Sprintf("burst%03d", i), cfg.ItemBytes)
 		placement = append(placement, place())
-		ss.lazy(id, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
+		ss.lazy(id, 0, rng.Int63(), func(rng *rand.Rand, emit emitFunc) {
 			t := expDur(rng, cfg.BurstEvery)
 			for t < cfg.Duration {
 				for j := 0; j < cfg.BurstLen && t < cfg.Duration; j++ {

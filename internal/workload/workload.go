@@ -28,7 +28,7 @@ type Workload struct {
 	// Streams holds the per-item lazy event sequences the generator
 	// planned. Source merges them on demand; the workload itself never
 	// holds a record.
-	Streams []ItemStream
+	Streams []trace.ItemStream
 	// Placement is the initial enclosure per item.
 	Placement []int
 	// Enclosures is the number of disk enclosures the workload assumes.
@@ -55,17 +55,58 @@ type Window struct {
 	End   time.Duration
 }
 
-// Source returns a fresh time-ordered stream of the workload's records:
-// a k-way merge of the per-item lazy streams, holding only one cursor
-// per item, truncated at Duration. Each call returns an independent
-// single-use source, so concurrent replays of the same workload each
-// take their own.
-func (w *Workload) Source() trace.Source {
-	srcs := make([]trace.Source, len(w.Streams))
-	for i, st := range w.Streams {
-		srcs[i] = trace.NewSeqSource(st.Seq)
+// Source returns a fresh time-ordered stream of the workload's records.
+// Each call returns an independent single-use source, so concurrent
+// replays of the same workload each take their own.
+func (w *Workload) Source() *Source {
+	return &Source{streams: w.Streams, limit: w.Duration}
+}
+
+// Source is a generated workload's trace. Read with Next, it is a k-way
+// merge of the per-item lazy streams, holding one cursor per stream,
+// truncated at the workload's Duration; the merge starts on the first
+// Next. A consumer that would split the merge by item again reads
+// ItemStreams instead and leaves the merge unstarted.
+type Source struct {
+	streams []trace.ItemStream
+	limit   time.Duration
+	merged  *trace.Truncated
+}
+
+// Next returns the merged stream's next record.
+func (s *Source) Next() (trace.LogicalRecord, bool) {
+	if s.merged == nil {
+		srcs := make([]trace.Source, len(s.streams))
+		for i, st := range s.streams {
+			srcs[i] = trace.NewSeqSource(st.Seq)
+		}
+		s.merged = trace.TruncateSource(trace.MergeSources(srcs...), s.limit)
 	}
-	return trace.TruncateSource(trace.MergeSources(srcs...), w.Duration)
+	return s.merged.Next()
+}
+
+// Err returns the merge's failure, or nil.
+func (s *Source) Err() error {
+	if s.merged == nil {
+		return nil
+	}
+	return s.merged.Err()
+}
+
+// Close releases the merge's generators, if the merge started.
+func (s *Source) Close() error {
+	if s.merged != nil {
+		s.merged.Close()
+	}
+	return nil
+}
+
+// ItemStreams returns the streams the merge reads, several per item
+// where the generator planned several (a DSS partition is scanned once
+// per query), and the span the trace is truncated at: a record past
+// limit is not part of the trace.
+func (s *Source) ItemStreams() (streams []trace.ItemStream, limit time.Duration) {
+	return s.streams, s.limit
 }
 
 // expDur draws an exponentially distributed duration with the given mean.
