@@ -23,8 +23,9 @@ check: build vet race alloc-check perf-check
 # alloc-check runs the steady-state allocation gates on the build that
 # ships, without the race instrumentation `race` runs them under: the
 # cache's submit path, the closed-loop engine, the k-way merge, the
-# generator adapter and FileSource's decode of each trace format must
-# not allocate per record.
+# generator reader (trace.ItemReader, read by Next and by Fill) and
+# FileSource's decode of each trace format must not allocate per
+# record.
 alloc-check:
 	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace
 

@@ -73,6 +73,10 @@ func renderDiff(out io.Writer, a, b experiments.Manifest, d *experiments.Diff) {
 		delta := "-"
 		if r.Old > 0 {
 			delta = fmt.Sprintf("%+.1f%%", r.DeltaPct)
+			if r.DeltaPct != 0 && math.Abs(r.DeltaPct) < 0.05 {
+				// One decimal would round it to +0.0%, hiding a change.
+				delta = fmt.Sprintf("%+.1g%%", r.DeltaPct)
+			}
 		}
 		mark := ""
 		if r.Regressed {

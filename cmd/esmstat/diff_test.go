@@ -97,6 +97,32 @@ func TestRenderDiffOutput(t *testing.T) {
 	}
 }
 
+// TestRenderDiffTinyDelta: a delta too small for one decimal still
+// prints as nonzero, so a zero-threshold regression never reads +0.0%.
+func TestRenderDiffTinyDelta(t *testing.T) {
+	a := manifestFixture()
+	b := manifestFixture()
+	b.Totals.EnergyJ *= 1 + 1e-13
+	d := experiments.DiffManifests(a, b, experiments.DiffThresholds{})
+	var sb strings.Builder
+	renderDiff(&sb, a, b, d)
+	out := sb.String()
+	row := func(signal string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, signal) {
+				return line
+			}
+		}
+		return ""
+	}
+	if energy := row("energy_j"); !strings.Contains(energy, "REGRESSION") || !strings.Contains(energy, "e-11%") {
+		t.Errorf("energy row %q, want a nonzero delta in e-11%% marked REGRESSION:\n%s", energy, out)
+	}
+	if resp := row("resp_mean_us"); !strings.Contains(resp, "+0.0%") {
+		t.Errorf("unchanged row %q, want +0.0%%:\n%s", resp, out)
+	}
+}
+
 func TestRenderSeriesSummary(t *testing.T) {
 	fr := obs.NewFlightRecorder(time.Second)
 	for i := 0; i <= 5; i++ {

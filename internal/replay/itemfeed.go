@@ -29,7 +29,6 @@ package replay
 
 import (
 	"fmt"
-	"iter"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -72,128 +71,26 @@ type itemBatch struct {
 	pval *sourcePanic // a stream's panic, caught by the producer
 }
 
-// genStream pulls one ItemStream's records in fills. It checks that
-// each record is of the stream's item, not before From and not before
-// its predecessor, and ends the stream at the first record past limit.
-type genStream struct {
-	st    trace.ItemStream
-	index int // the stream's position among the workload's streams
-	cat   *trace.Catalog
-	limit time.Duration
-
-	next func() (struct{}, bool)
-	stop func()
-	// dst[:n] are the records the generator wrote in the current fill;
-	// count is how many earlier fills delivered.
-	dst   []trace.LogicalRecord
-	n     int
-	count int64
-	prev  time.Duration
-	done  bool
-	err   error
-
-	// buf[pos:bn] is what Next has left of its last fill; only a stream
-	// merged with its item's other streams reads through Next.
-	buf     []trace.LogicalRecord
-	pos, bn int
-}
-
-// fill has the generator write its next records into dst, up to
-// len(dst), starting it on the first call. It returns how many it
-// wrote; fewer than len(dst) means the stream has ended.
-func (g *genStream) fill(dst []trace.LogicalRecord) int {
-	if g.done {
-		return 0
-	}
-	if g.next == nil {
-		g.prev = g.st.From
-		g.next, g.stop = iter.Pull(g.gen)
-	}
-	g.dst, g.n = dst, 0
-	if _, ok := g.next(); !ok {
-		g.done = true
-	}
-	n := g.n
-	g.dst, g.n = nil, 0
-	g.count += int64(n)
-	return n
-}
-
-// gen runs the generator inside the pull coroutine, pausing it each
-// time dst fills.
-func (g *genStream) gen(yield func(struct{}) bool) {
-	g.st.Seq(func(rec trace.LogicalRecord) bool {
-		if rec.Time < g.prev || rec.Item != g.st.Item {
-			g.err = g.fault(rec)
-			return false
-		}
-		if rec.Time > g.limit {
-			return false
-		}
-		g.prev = rec.Time
-		g.dst[g.n] = rec
-		g.n++
-		return g.n < len(g.dst) || yield(struct{}{})
-	})
-}
-
-// fault describes the stream's bad record rec, naming the item and the
-// stream.
-func (g *genStream) fault(rec trace.LogicalRecord) error {
-	where := fmt.Sprintf("replay: item %d (%s), stream %d", g.st.Item, g.cat.Name(g.st.Item), g.index)
-	idx := g.count + int64(g.n)
-	if rec.Item != g.st.Item {
-		return fmt.Errorf("%s: record %d is of item %d", where, idx, rec.Item)
-	}
-	err := &trace.OrderError{Format: "replay", Record: idx, Offset: -1, Prev: g.prev, Got: rec.Time}
-	if idx == 0 {
-		return fmt.Errorf("%s: first record before the stream's From: %w", where, err)
-	}
-	return fmt.Errorf("%s: %w", where, err)
-}
-
-// Next returns the stream's next record, for a merge.
-func (g *genStream) Next() (trace.LogicalRecord, bool) {
-	if g.pos == g.bn {
-		if g.buf == nil {
-			g.buf = make([]trace.LogicalRecord, itemBatchLen)
-		}
-		g.bn, g.pos = g.fill(g.buf), 0
-		if g.bn == 0 {
-			return trace.LogicalRecord{}, false
-		}
-	}
-	rec := g.buf[g.pos]
-	g.pos++
-	return rec, true
-}
-
-// Err returns the stream's bad record, described, or nil.
-func (g *genStream) Err() error { return g.err }
-
-// Close stops the generator and drops Next's buffer; the merge closes a
-// stream once it ends.
-func (g *genStream) Close() error {
-	if g.stop != nil {
-		g.stop()
-	}
-	g.done, g.buf = true, nil
-	return nil
-}
-
-// itemFeed is one item's record supply: its only stream, written
-// straight into the batch, or the merge of its streams.
+// itemFeed is one item's record supply: its only stream, read straight
+// into the batch, or the merge of its streams.
 type itemFeed struct {
-	gens []*genStream
-	many *trace.Merged
+	streams []feedStream
+	many    *trace.Merged
+}
+
+// feedStream is one of an item's streams, with its position among the
+// workload's streams, which its failure names.
+type feedStream struct {
+	*trace.ItemReader
+	index int
 }
 
 // fill writes the item's next records into b.
 func (f *itemFeed) fill(b *itemBatch) {
 	if f.many == nil {
-		g := f.gens[0]
-		b.n = g.fill(b.recs[:])
-		b.last, b.err = g.done, g.err
+		s := f.streams[0]
+		b.n = s.Fill(b.recs[:])
+		b.last, b.err = b.n < len(b.recs), s.fault()
 		return
 	}
 	n := 0
@@ -202,9 +99,9 @@ func (f *itemFeed) fill(b *itemBatch) {
 		if !ok {
 			b.last, b.err = true, f.many.Err()
 			// Name the failing stream itself, not its place in the merge.
-			for _, g := range f.gens {
-				if g.err != nil {
-					b.err = g.err
+			for _, s := range f.streams {
+				if err := s.fault(); err != nil {
+					b.err = err
 					break
 				}
 			}
@@ -214,6 +111,14 @@ func (f *itemFeed) fill(b *itemBatch) {
 		n++
 	}
 	b.n = n
+}
+
+// fault returns the stream's failure, naming the stream, or nil.
+func (s feedStream) fault() error {
+	if err := s.Err(); err != nil {
+		return fmt.Errorf("stream %d: %w", s.index, err)
+	}
+	return nil
 }
 
 // feedCursor walks one item's batches through its shifted timeline. Its
@@ -239,7 +144,7 @@ type itemLoop struct {
 	// feeds is indexed by ItemID. While a batch of an item is asked for,
 	// the item's feed and streams are the producer's.
 	feeds []itemFeed
-	gens  []genStream
+	cat   *trace.Catalog // names an item whose stream fails
 	// order lists the items that have streams by (from, item); the first
 	// started have entered the heap, and the first asked have had their
 	// first batch asked for.
@@ -260,28 +165,26 @@ func newItemLoop(streams []trace.ItemStream, limit time.Duration, cat *trace.Cat
 		issuer:  is,
 		cursors: make([]feedCursor, items),
 		feeds:   make([]itemFeed, items),
-		gens:    make([]genStream, len(streams)),
+		cat:     cat,
 	}
 	for i, st := range streams {
 		if st.Item < 0 || int(st.Item) >= items {
 			return nil, fmt.Errorf("replay: stream %d: item %d is outside the catalog (%d items)", i, st.Item, items)
 		}
-		g := &il.gens[i]
-		*g = genStream{st: st, index: i, cat: cat, limit: limit}
 		f, c := &il.feeds[st.Item], &il.cursors[st.Item]
-		if len(f.gens) == 0 {
+		if len(f.streams) == 0 {
 			il.order = append(il.order, st.Item)
 			c.from = st.From
 		} else {
 			c.from = min(c.from, st.From)
 		}
-		f.gens = append(f.gens, g)
+		f.streams = append(f.streams, feedStream{st.Open(limit), i})
 	}
 	for _, item := range il.order {
-		if f := &il.feeds[item]; len(f.gens) > 1 {
-			srcs := make([]trace.Source, len(f.gens))
-			for i, g := range f.gens {
-				srcs[i] = g
+		if f := &il.feeds[item]; len(f.streams) > 1 {
+			srcs := make([]trace.Source, len(f.streams))
+			for i, s := range f.streams {
+				srcs[i] = s
 			}
 			f.many = trace.MergeSources(srcs...)
 		}
@@ -375,7 +278,10 @@ func (il *itemLoop) load(c *feedCursor, item trace.ItemID) error {
 			err := c.b.err
 			il.release(c.b)
 			c.b = nil
-			return err
+			if err != nil {
+				return fmt.Errorf("replay: item %d (%s), %w", item, il.cat.Name(item), err)
+			}
+			return nil
 		}
 		if il.prod == nil {
 			if c.b == nil {
@@ -470,8 +376,10 @@ func (il *itemLoop) close() {
 	if il.prod != nil {
 		il.prod.stop()
 	}
-	for i := range il.gens {
-		il.gens[i].Close()
+	for _, f := range il.feeds {
+		for _, s := range f.streams {
+			s.Close()
+		}
 	}
 }
 

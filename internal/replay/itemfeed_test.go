@@ -224,7 +224,7 @@ func TestItemFeedStartTies(t *testing.T) {
 	}
 	srcs := make([]trace.Source, len(streams))
 	for i, st := range streams {
-		srcs[i] = trace.NewSeqSource(st.Seq)
+		srcs[i] = st.Open(time.Hour)
 	}
 	recs, err := trace.CollectSource(trace.MergeSources(srcs...))
 	if err != nil {
@@ -342,8 +342,6 @@ func TestItemProducerSourcePanic(t *testing.T) {
 	}
 	settleGoroutines(t, before)
 
-	cat := trace.NewCatalog()
-	cat.Add("item0", 64<<20)
 	for _, c := range []struct {
 		name  string
 		fail  func()
@@ -354,14 +352,14 @@ func TestItemProducerSourcePanic(t *testing.T) {
 		}},
 		{"goexit", runtime.Goexit, func(b *itemBatch) bool { return b.err == errSourceExited }},
 	} {
-		g := &genStream{st: trace.ItemStream{Item: 0, Seq: seqOf(0, steadyTimes(0, 10), failAt(3, c.fail))}, cat: cat, limit: time.Hour}
-		p := newItemProducer([]itemFeed{{gens: []*genStream{g}}}, 1)
+		r := trace.ItemStream{Item: 0, Seq: seqOf(0, steadyTimes(0, 10), failAt(3, c.fail))}.Open(time.Hour)
+		p := newItemProducer([]itemFeed{{streams: []feedStream{{ItemReader: r}}}}, 1)
 		b := &itemBatch{item: 0}
 		p.claims[0].Store(b)
 		p.refill <- itemAsk{item: 0, b: b}
 		filled := <-p.done
 		p.stop()
-		g.Close()
+		r.Close()
 		if filled != b || !filled.last || !c.check(filled) {
 			t.Errorf("%s: the producer sent back %+v (err %v, panic %v)", c.name, filled, filled.err, filled.pval)
 		}

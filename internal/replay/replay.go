@@ -34,7 +34,9 @@ type Run struct {
 	// own: do not touch the source until Execute returns. It has
 	// stopped reading by then, so the source may be closed at once. A
 	// closed-loop replay of a source with an ItemStreams method (a
-	// generated workload's) reads those streams instead of Next.
+	// generated workload's) reads those streams instead of Next, each
+	// through its trace.ItemReader, the one reader of a generated
+	// stream that the source's own merge also reads through.
 	Source trace.Source
 	// Placement is the initial enclosure of every item, indexed by ItemID.
 	Placement []int

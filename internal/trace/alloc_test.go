@@ -155,24 +155,39 @@ func TestMergeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSeqSourceSteadyStateAllocs gates the generator adapter at zero
-// allocations per record once its batch buffer exists: a batch refill
-// is a coroutine switch into a reused buffer.
-func TestSeqSourceSteadyStateAllocs(t *testing.T) {
+// TestItemReaderSteadyStateAllocs gates the generator adapter at zero
+// allocations per record, read either way: Next once its batch buffer
+// exists, Fill into the caller's batch. A refill is a coroutine switch
+// into a reused buffer.
+func TestItemReaderSteadyStateAllocs(t *testing.T) {
 	const runs = 20 * seqBatch
-	src := NewSeqSource(func(yield func(LogicalRecord) bool) {
+	endless := ItemStream{Seq: func(yield func(LogicalRecord) bool) {
 		for i := 0; yield(LogicalRecord{Time: time.Duration(i), Size: 4096}); i++ {
 		}
-	})
-	defer src.Close()
-	src.Next()
+	}}
+	r := endless.Open(maxTime)
+	defer r.Close()
+	r.Next()
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, ok := src.Next(); !ok {
+		if _, ok := r.Next(); !ok {
 			t.Fatal("generator ended inside the measured window")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("SeqSource.Next allocates %.4f/record, want 0", allocs)
+		t.Fatalf("ItemReader.Next allocates %.4f/record, want 0", allocs)
+	}
+
+	f := endless.Open(maxTime)
+	defer f.Close()
+	dst := make([]LogicalRecord, seqBatch)
+	f.Fill(dst)
+	allocs = testing.AllocsPerRun(runs/seqBatch, func() {
+		if f.Fill(dst) != len(dst) {
+			t.Fatal("generator ended inside the measured window")
+		}
+	}) / seqBatch
+	if allocs != 0 {
+		t.Fatalf("ItemReader.Fill allocates %.4f/record, want 0", allocs)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 )
 
 // TestGeneratorStreamsMatchReference pins the lazy pipeline's output for
-// every workload generator: w.Source() (batched generator pulls, the
-// tournament-tree merge) must yield exactly the record sequence of the
-// reference pipeline — one coroutine switch per record and a
-// container/heap merge — over the same w.Streams. The reference is
+// every workload generator: w.Source() (checked readers that end each
+// stream at the workload's Duration, the tournament-tree merge) must
+// yield exactly the record sequence of the reference pipeline — one
+// coroutine switch per record, a container/heap merge and one cut of
+// the merged stream — over the same w.Streams. The reference is
 // computed in-test rather than committed as hashes, because generator
 // float code (e.g. cloud-block's diurnal cosine) may round differently
 // on other architectures.
@@ -67,7 +68,7 @@ func TestGeneratorStreamsMatchReference(t *testing.T) {
 				for i, st := range w.Streams {
 					refs[i] = trace.NewRefSeqSource(st.Seq)
 				}
-				ref := trace.TruncateSource(trace.RefMergeSources(refs...), w.Duration)
+				ref := trace.RefTruncateSource(trace.RefMergeSources(refs...), w.Duration)
 				got := w.Source()
 				n := 0
 				for {

@@ -1,4 +1,4 @@
-// Typed out-of-order decode errors and the shared varint fast path.
+// Typed out-of-order decode errors and the byte-wise varint decode.
 //
 // Every on-disk codec promises non-decreasing timestamps; a record that
 // breaks the promise used to surface in three different ways (a plain
@@ -81,43 +81,15 @@ type varintRecord struct {
 	op                  byte
 }
 
-// readVarintRecord decodes one delta/varint record (4 uvarints + 1 op
-// byte) from br. The fast path peeks the whole record out of the
-// reader's buffer and decodes it with zero per-byte calls; when the
-// buffered window is too short (end of buffer, end of input) it falls
-// back to the byte-at-a-time decoder, which produces the descriptive
-// truncation errors. n is the encoded size consumed.
+// readVarintRecordSlow decodes one delta/varint record (4 uvarints + 1
+// op byte) from br a byte at a time: the decode for a record the
+// buffered decode declines (near the end of the buffered window, or
+// malformed), yielding the precise per-field error for truncated or
+// overlong input. n is the encoded size consumed.
 //
 // fieldErr wraps a field's decode failure for the caller's error
 // vocabulary; field 0 is the time delta, 1..3 are item/offset/size and
 // 4 is the op byte.
-func readVarintRecord(br *bufio.Reader, fieldErr func(field int, err error) error) (rec varintRecord, n int, err error) {
-	if buf, _ := br.Peek(maxVarintRecord); len(buf) >= maxVarintRecord {
-		pos := 0
-		for _, dst := range [...]*uint64{&rec.dt, &rec.item, &rec.off, &rec.size} {
-			v, w := binary.Uvarint(buf[pos:])
-			if w <= 0 {
-				// Overflowing varint: let the slow path produce the
-				// canonical error.
-				return readVarintRecordSlow(br, fieldErr)
-			}
-			*dst = v
-			pos += w
-		}
-		rec.op = buf[pos]
-		pos++
-		if _, err := br.Discard(pos); err != nil {
-			// Unreachable: the bytes were just peeked.
-			return varintRecord{}, 0, err
-		}
-		return rec, pos, nil
-	}
-	return readVarintRecordSlow(br, fieldErr)
-}
-
-// readVarintRecordSlow is the byte-at-a-time decode used near the end
-// of the buffered window; it yields the precise per-field error for
-// truncated or overlong input.
 func readVarintRecordSlow(br *bufio.Reader, fieldErr func(field int, err error) error) (rec varintRecord, n int, err error) {
 	start := br.Buffered()
 	for f, dst := range [...]*uint64{&rec.dt, &rec.item, &rec.off, &rec.size} {

@@ -10,8 +10,9 @@ import (
 )
 
 // This file keeps the straightforward lazy pipeline the optimized one
-// replaced — an unbatched iter.Pull adapter and a container/heap k-way
-// merge — as the reference the differential tests compare against.
+// replaced — an unbatched iter.Pull adapter, a container/heap k-way
+// merge and a truncation of the merged stream — as the reference the
+// differential tests compare against.
 // The names are exported so the external test package (which drives the
 // workload generators) can use them too.
 
@@ -117,6 +118,34 @@ func (m *RefMerged) Next() (LogicalRecord, bool) {
 }
 
 func (m *RefMerged) Err() error { return m.err }
+
+// RefTruncated is the reference truncation: it ends the merged stream,
+// not each input, at the first record past a time limit.
+type RefTruncated struct {
+	src   Source
+	limit time.Duration
+	done  bool
+}
+
+// RefTruncateSource drops every record of src after the first one with
+// Time > limit.
+func RefTruncateSource(src Source, limit time.Duration) *RefTruncated {
+	return &RefTruncated{src: src, limit: limit}
+}
+
+func (t *RefTruncated) Next() (LogicalRecord, bool) {
+	if t.done {
+		return LogicalRecord{}, false
+	}
+	rec, ok := t.src.Next()
+	if !ok || rec.Time > t.limit {
+		t.done = true
+		return LogicalRecord{}, false
+	}
+	return rec, true
+}
+
+func (t *RefTruncated) Err() error { return t.src.Err() }
 
 // refStableSort is the merge's definition for sorted inputs: concatenate
 // every input and stable-sort by (Time, source index).

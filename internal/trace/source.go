@@ -1,7 +1,7 @@
 // Streaming record sources: the iterator side of the trace model. A
 // Source yields logical records in time order without materializing the
 // whole trace; replay, the workload generators and the trace tools
-// compose sources (merge, truncate, collect) so peak memory stays
+// compose sources (merge, tap, collect) so peak memory stays
 // proportional to the number of live streams and items, not records.
 
 package trace
@@ -21,8 +21,10 @@ import (
 //
 // Next returns the next record; ok is false when the stream is done.
 // After Next returns ok=false, Err distinguishes a clean end (nil) from
-// a decoding or ordering failure. Sources are single-use and not safe
-// for concurrent use: every replay needs its own. replay.Execute may
+// a decoding or ordering failure. A generator's ItemStream becomes a
+// Source through its ItemReader (ItemStream.Open). Sources are
+// single-use and not safe for concurrent use: every replay needs its
+// own. replay.Execute may
 // read any source but a SliceSource (which only esmbench's sweeps
 // replay) from a goroutine of its own, so the caller must not touch
 // the source until Execute returns.
@@ -65,92 +67,152 @@ func (s *SliceSource) Next() (LogicalRecord, bool) {
 // Err always returns nil: a slice cannot fail.
 func (s *SliceSource) Err() error { return nil }
 
-// seqBatch is how many records SeqSource pulls from its generator per
-// coroutine switch. A switch costs far more than copying a record, so
-// batching amortizes the hand-off across the batch; past 32 records the
-// switch is a few ns per record, while every open stream holds its
-// buffer (10,000 at once in a cloud-block merge).
-const seqBatch = 32
-
-// SeqSource adapts a push iterator (iter.Seq) to a Source. The workload
-// generators describe each data item's records as a Seq; SeqSource is
-// the pull-side cursor a merge holds per item.
-//
-// The generator runs in batches: each resume lets it emit up to
-// seqBatch records into a buffer the SeqSource owns and reuses, so the
-// generator may run up to one batch ahead of the consumer. Generators
-// are pure functions of their seed, so running ahead cannot change what
-// they emit.
-type SeqSource struct {
-	next func() (struct{}, bool)
-	stop func()
-	buf  []LogicalRecord
-	pos  int
-}
-
-// NewSeqSource returns a Source over seq.
-func NewSeqSource(seq iter.Seq[LogicalRecord]) *SeqSource {
-	s := &SeqSource{buf: make([]LogicalRecord, 0, seqBatch)}
-	s.next, s.stop = iter.Pull(func(yield func(struct{}) bool) {
-		more := true
-		seq(func(r LogicalRecord) bool {
-			s.buf = append(s.buf, r)
-			if len(s.buf) == seqBatch {
-				more = yield(struct{}{})
-			}
-			return more
-		})
-		if more && len(s.buf) > 0 {
-			yield(struct{}{})
-		}
-	})
-	return s
-}
-
-// Next returns the iterator's next record.
-func (s *SeqSource) Next() (LogicalRecord, bool) {
-	if s.pos == len(s.buf) && !s.refill() {
-		return LogicalRecord{}, false
-	}
-	r := s.buf[s.pos]
-	s.pos++
-	return r, true
-}
-
-// refill resumes the generator for the next batch. Once the generator
-// has returned or been stopped it reports false (iter.Pull keeps
-// returning false) and releases the buffer.
-func (s *SeqSource) refill() bool {
-	s.buf, s.pos = s.buf[:0], 0
-	if _, ok := s.next(); !ok {
-		s.buf = nil
-		return false
-	}
-	return true
-}
-
-// Err always returns nil: generator sequences cannot fail.
-func (s *SeqSource) Err() error { return nil }
-
-// Close stops the generator, even part-way through a batch, and drops
-// any buffered records; it is safe to call more than once and after
-// exhaustion.
-func (s *SeqSource) Close() error {
-	s.stop()
-	s.buf, s.pos = nil, 0
-	return nil
-}
-
 // ItemStream is one data item's lazily generated record sequence, the
 // unit the workload generators plan a trace in. Seq yields the item's
 // records in time order and is re-iterable: each iteration re-derives
 // the same records. From is a lower bound on the time of the first
 // record, known without running Seq, so a consumer that reads items on
 // their own can leave a stream unstarted until its clock reaches From.
+// Open is the only reader of a stream; it checks all of this.
 type ItemStream struct {
 	Item ItemID
 	From time.Duration
 	Seq  iter.Seq[LogicalRecord]
+}
+
+// seqBatch is how many records an ItemReader's Next pulls from its
+// generator per coroutine switch. A switch costs far more than copying a
+// record, so batching amortizes the hand-off across the batch; past 32
+// records the switch is a few ns per record, while every open reader
+// holds its buffer (up to 10,000 at once in a cloud-block merge).
+const seqBatch = 32
+
+// Open returns a reader over the stream's records up to limit: the
+// stream ends at its first record past limit.
+func (s ItemStream) Open(limit time.Duration) *ItemReader {
+	return &ItemReader{st: s, limit: limit}
+}
+
+// ItemReader reads one ItemStream. It pulls the generator through
+// iter.Pull in fills: each resume lets the generator write records
+// until the fill is full, so it may run up to one fill ahead of the
+// consumer. Generators are pure functions of their seed, so running
+// ahead cannot change what they emit.
+//
+// The reader holds the generator to the stream's contract: each record
+// is of the stream's item, not before From and not before the record
+// before it. A record that breaks the contract ends the stream, and Err
+// describes it, wrapping a *OrderError when the record is out of time
+// order.
+//
+// Fill writes straight into the caller's batch; Next, Err and Close
+// make the reader a Source, which serves a merge from a reused buffer
+// of seqBatch records. A reader is read one way or the other.
+type ItemReader struct {
+	st    ItemStream
+	limit time.Duration
+
+	next func() (struct{}, bool)
+	stop func()
+	// dst[:n] are the records the generator wrote in the current fill;
+	// count is how many earlier fills delivered.
+	dst   []LogicalRecord
+	n     int
+	count int64
+	prev  time.Duration
+	done  bool
+	err   error
+
+	// buf[pos:bn] is what Next has left of its last fill.
+	buf     []LogicalRecord
+	pos, bn int
+}
+
+// Fill has the generator write its next records into dst, which must
+// not be empty, starting the generator on the first call. It returns
+// how many it wrote; fewer than len(dst) means the stream has ended.
+func (r *ItemReader) Fill(dst []LogicalRecord) int {
+	if r.done {
+		return 0
+	}
+	if r.next == nil {
+		r.prev = r.st.From
+		r.next, r.stop = iter.Pull(r.gen)
+	}
+	r.dst, r.n = dst, 0
+	if _, ok := r.next(); !ok {
+		r.done = true
+	}
+	n := r.n
+	r.dst, r.n = nil, 0
+	r.count += int64(n)
+	return n
+}
+
+// gen runs the generator inside the pull coroutine, pausing it each
+// time dst fills.
+func (r *ItemReader) gen(yield func(struct{}) bool) {
+	r.st.Seq(func(rec LogicalRecord) bool {
+		if rec.Time < r.prev || rec.Item != r.st.Item {
+			r.err = r.fault(rec)
+			return false
+		}
+		if rec.Time > r.limit {
+			return false
+		}
+		r.prev = rec.Time
+		r.dst[r.n] = rec
+		r.n++
+		return r.n < len(r.dst) || yield(struct{}{})
+	})
+}
+
+// fault describes the stream's bad record rec.
+func (r *ItemReader) fault(rec LogicalRecord) error {
+	idx := r.count + int64(r.n)
+	if rec.Item != r.st.Item {
+		return fmt.Errorf("trace: generator record %d is of item %d, not the stream's item %d", idx, rec.Item, r.st.Item)
+	}
+	err := &OrderError{Format: "generator", Record: idx, Offset: -1, Prev: r.prev, Got: rec.Time}
+	if idx == 0 {
+		return fmt.Errorf("trace: first generator record before the stream's From: %w", err)
+	}
+	return err
+}
+
+// Next returns the stream's next record. The buffer is made on the
+// first call and dropped once the stream ends.
+func (r *ItemReader) Next() (LogicalRecord, bool) {
+	if r.pos == r.bn {
+		if r.done {
+			r.buf = nil
+			return LogicalRecord{}, false
+		}
+		if r.buf == nil {
+			r.buf = make([]LogicalRecord, seqBatch)
+		}
+		r.bn, r.pos = r.Fill(r.buf), 0
+		if r.bn == 0 {
+			return LogicalRecord{}, false
+		}
+	}
+	rec := r.buf[r.pos]
+	r.pos++
+	return rec, true
+}
+
+// Err returns the stream's bad record, described, or nil.
+func (r *ItemReader) Err() error { return r.err }
+
+// Close stops the generator, even part-way through a fill, and drops
+// Next's buffer; it is safe to call more than once and after the
+// stream ended.
+func (r *ItemReader) Close() error {
+	if r.stop != nil {
+		r.stop()
+	}
+	r.done, r.buf, r.pos, r.bn = true, nil, 0, 0
+	return nil
 }
 
 // Merged is a k-way merge of already-sorted sources, kept as a
@@ -285,48 +347,6 @@ func (m *Merged) Close() error {
 	for _, s := range m.srcs {
 		closeSource(s)
 	}
-	return nil
-}
-
-// Truncated ends a stream at the first record past a time limit,
-// releasing the upstream source early. It mirrors the generators'
-// contract that a workload's trace span matches its configured
-// duration exactly.
-type Truncated struct {
-	src   Source
-	limit time.Duration
-	done  bool
-}
-
-// TruncateSource drops every record with Time > limit.
-func TruncateSource(src Source, limit time.Duration) *Truncated {
-	return &Truncated{src: src, limit: limit}
-}
-
-// Next returns the next record at or before the limit.
-func (t *Truncated) Next() (LogicalRecord, bool) {
-	if t.done {
-		return LogicalRecord{}, false
-	}
-	rec, ok := t.src.Next()
-	if !ok {
-		t.done = true
-		return LogicalRecord{}, false
-	}
-	if rec.Time > t.limit {
-		t.done = true
-		closeSource(t.src)
-		return LogicalRecord{}, false
-	}
-	return rec, true
-}
-
-// Err returns the upstream failure, or nil.
-func (t *Truncated) Err() error { return t.src.Err() }
-
-// Close releases the upstream source.
-func (t *Truncated) Close() error {
-	closeSource(t.src)
 	return nil
 }
 

@@ -110,13 +110,20 @@ func (r *StreamReader) Next() (LogicalRecord, error) {
 		}
 		r.off = int64(len(streamMagic))
 	}
-	// A clean stream ends exactly between records; probe one byte so EOF
-	// there is not a truncation error.
-	if _, err := r.br.Peek(1); err == io.EOF {
+	// Buffer one worst-case record for the buffered decode. A clean
+	// stream ends exactly between records, so no bytes at all at EOF is
+	// not a truncation error.
+	if buf, err := r.br.Peek(maxVarintRecord); len(buf) == 0 && err == io.EOF {
 		r.err = io.EOF
 		return LogicalRecord{}, io.EOF
 	}
-	raw, n, err := readVarintRecord(r.br, func(field int, err error) error {
+	var one [1]LogicalRecord
+	if r.decodeBuffered(one[:]) == 1 {
+		return one[0], nil
+	}
+	// Declined: a record cut short by the end of input, or malformed.
+	// The byte-wise decode names the failing field.
+	raw, n, err := readVarintRecordSlow(r.br, func(field int, err error) error {
 		if field == 0 && err == io.EOF {
 			// Truncation exactly at a record boundary: clean end of stream.
 			return io.EOF
@@ -245,7 +252,7 @@ func uvarintAt(b []byte, pos *int) (v uint64, ok bool) {
 	return v, true
 }
 
-// streamFieldNames maps readVarintRecord's field indices to the stream
+// streamFieldNames maps readVarintRecordSlow's field indices to the stream
 // format's error vocabulary.
 var streamFieldNames = [...]string{"time", "field 1", "field 2", "field 3", "op"}
 

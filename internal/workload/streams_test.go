@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"esm/internal/trace"
 )
@@ -112,6 +115,52 @@ func TestStreamsStartAtOrAfterFrom(t *testing.T) {
 			if g.bounded && later == 0 {
 				t.Errorf("%s seed %d: no stream declares a From past zero", g.name, seed)
 			}
+		}
+	}
+}
+
+// TestSourceRejectsBadStream reads, through the merge, a workload whose
+// stream 1 breaks the generator contract: its first record precedes its
+// declared From, or it emits another item's record. The merge must
+// fail with an error that names the stream, wrapping a
+// *trace.OrderError in the From case, rather than yield the record.
+func TestSourceRejectsBadStream(t *testing.T) {
+	steady := func(item trace.ItemID, start time.Duration, edit func(i int, r *trace.LogicalRecord)) func(func(trace.LogicalRecord) bool) {
+		return func(yield func(trace.LogicalRecord) bool) {
+			for i := range 50 {
+				r := trace.LogicalRecord{Time: start + time.Duration(i)*time.Second, Item: item, Size: 4096, Op: trace.OpRead}
+				if edit != nil {
+					edit(i, &r)
+				}
+				if !yield(r) {
+					return
+				}
+			}
+		}
+	}
+	good := trace.ItemStream{Item: 0, Seq: steady(0, 0, nil)}
+	for _, c := range []struct {
+		name  string
+		bad   trace.ItemStream
+		order bool
+	}{
+		{"before-from", trace.ItemStream{Item: 1, From: time.Minute, Seq: steady(1, 30*time.Second, nil)}, true},
+		{"wrong-item", trace.ItemStream{Item: 1, Seq: steady(1, 0, func(i int, r *trace.LogicalRecord) {
+			if i == 20 {
+				r.Item = 0
+			}
+		})}, false},
+	} {
+		w := &Workload{Streams: []trace.ItemStream{good, c.bad}, Duration: time.Hour}
+		recs, err := trace.CollectSource(w.Source())
+		if err == nil {
+			t.Fatalf("%s: the merge yielded %d records and no error", c.name, len(recs))
+		}
+		if !strings.Contains(err.Error(), "merge source 1") {
+			t.Errorf("%s: error %q does not name stream 1", c.name, err)
+		}
+		if oe := (*trace.OrderError)(nil); errors.As(err, &oe) != c.order {
+			t.Errorf("%s: error %v wraps a *trace.OrderError: %v, want %v", c.name, err, !c.order, c.order)
 		}
 	}
 }
