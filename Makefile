@@ -104,7 +104,7 @@ bench-smoke:
 # byte-identical (the stream format is written straight off the lazy
 # source — the trace is never materialized); esmreplay then decodes
 # and replays it, open-loop and then closed-loop (10k volumes with
-# churn: the closed loop's per-item cursors and ring lending at the
+# churn: the closed loop's per-item cursors and batch pool at the
 # shipped scale). The same trace written as CSV must replay open-loop
 # to the same output, wall time aside: the CSV decodes record by
 # record, the stream through the batched window, so a divergence

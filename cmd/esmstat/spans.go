@@ -6,6 +6,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -14,27 +15,36 @@ import (
 	"esm/internal/obs"
 )
 
-func loadPerfetto(path string) (*obs.PerfettoFile, error) {
+// loadPerfetto reads the otherData summary of a trace file. The events
+// are only scanned past, never decoded: the summary is all either
+// command prints.
+func loadPerfetto(path string) (*obs.PerfettoOtherData, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return obs.ReadPerfetto(f)
+	var pf struct {
+		OtherData *obs.PerfettoOtherData `json:"otherData"`
+	}
+	if err := json.NewDecoder(f).Decode(&pf); err != nil {
+		return nil, fmt.Errorf("parse perfetto trace: %w", err)
+	}
+	return pf.OtherData, nil
 }
 
 // runLatency renders the per-cause and per-phase latency breakdown of
 // one trace file.
 func runLatency(out io.Writer, path string) error {
-	pf, err := loadPerfetto(path)
+	od, err := loadPerfetto(path)
 	if err != nil {
 		return err
 	}
-	if pf.OtherData == nil || pf.OtherData.Latency == nil {
+	if od == nil || od.Latency == nil {
 		return fmt.Errorf("%s: no latency summary (written by a tracer without I/O spans?)", path)
 	}
-	sum := pf.OtherData.Latency
-	label := pf.OtherData.Label
+	sum := od.Latency
+	label := od.Label
 	if label == "" {
 		label = path
 	}
@@ -59,15 +69,15 @@ func runLatency(out io.Writer, path string) error {
 // per pattern class, per management function and per enclosure, with
 // the top items of each enclosure.
 func runAttrib(out io.Writer, path string, top int) error {
-	pf, err := loadPerfetto(path)
+	od, err := loadPerfetto(path)
 	if err != nil {
 		return err
 	}
-	if pf.OtherData == nil || pf.OtherData.Attribution == nil {
+	if od == nil || od.Attribution == nil {
 		return fmt.Errorf("%s: no energy attribution (written by a tracer without a ledger?)", path)
 	}
-	a := pf.OtherData.Attribution
-	label := pf.OtherData.Label
+	a := od.Attribution
+	label := od.Label
 	if label == "" {
 		label = path
 	}

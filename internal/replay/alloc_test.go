@@ -72,14 +72,15 @@ func TestUntracedRecordPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestClosedLoopSteadyStateAllocs pins both closed-loop engines'
-// marginal allocation cost per record at zero: the demux's ring buffers
-// cursors borrow from the free stack and its heap, and the item feed's
-// batches, must reach a steady footprint, after which doubling the
-// record count adds no allocations. (Fixed setup costs — the cursor
-// slots, the source adapter, initial ring growth, each stream's
-// coroutine and first batch — cancel in the margin.) The item feed is
-// measured inline: testing.AllocsPerRun runs at GOMAXPROCS 1.
+// TestClosedLoopSteadyStateAllocs pins the closed loop's marginal
+// allocation cost per record at zero on both of its record supplies:
+// the batches demuxed records queue in and the item feed's refills
+// come from one pool, and with the heap they must reach a steady
+// footprint, after which doubling the record count adds no
+// allocations. (Fixed setup costs — the cursor slots, the source
+// adapter, the first batches, each stream's coroutine — cancel in the
+// margin.) The item feed is measured inline: testing.AllocsPerRun runs
+// at GOMAXPROCS 1.
 func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	const n = 2000
 	items := []trace.ItemID{0, 1, 2, 3}
@@ -95,17 +96,12 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 	}
 	demux := func(recs []trace.LogicalRecord) float64 {
 		return testing.AllocsPerRun(10, func() {
-			var clk simclock.Clock
-			var evq simclock.EventQueue
-			if err := newClosedLoop(trace.NewSliceSource(recs), len(items), &clk, &evq, stub).run(); err != nil {
+			if err := runDemux(recs, len(items), stub); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	cat := trace.NewCatalog()
-	for range items {
-		cat.Add(fmt.Sprintf("item%d", cat.Len()), 64<<20)
-	}
+	cat := catalogOf(len(items))
 	// feed replays the same records as per-item streams.
 	feed := func(recs []trace.LogicalRecord) float64 {
 		streams := make([]trace.ItemStream, len(items))
@@ -119,28 +115,20 @@ func TestClosedLoopSteadyStateAllocs(t *testing.T) {
 			}}
 		}
 		return testing.AllocsPerRun(10, func() {
-			var clk simclock.Clock
-			var evq simclock.EventQueue
-			il, err := newItemLoop(streams, time.Hour, cat, issuer{clk: &clk, evq: &evq, submit: stub})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = il.run()
-			il.close()
-			if err != nil {
+			if err := runItemStreams(streams, time.Hour, cat, stub); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	for _, engine := range []struct {
+	for _, supply := range []struct {
 		name string
 		run  func([]trace.LogicalRecord) float64
 	}{{"demux", demux}, {"item feed", feed}} {
-		half := engine.run(recs[:n])
-		full := engine.run(recs)
+		half := supply.run(recs[:n])
+		full := supply.run(recs)
 		if marginal := (full - half) / n; marginal > 0.01 {
 			t.Errorf("%s: closed-loop marginal allocations %.4f/record (half=%.1f full=%.1f), want ~0",
-				engine.name, marginal, half, full)
+				supply.name, marginal, half, full)
 		}
 	}
 }

@@ -37,14 +37,14 @@ func (s *churnSource) Next() (trace.LogicalRecord, bool) {
 
 func (s *churnSource) Err() error { return nil }
 
-// ringsHeld counts the ring buffers a closed loop holds: lent to
-// cursors plus waiting on the free stack. Rings are only ever replaced
-// by a grown copy, never dropped, so after a run the count is the peak
-// number of rings lent out at once.
-func ringsHeld(cl *closedLoop) int {
-	held := len(cl.free)
-	for i := range cl.cursors {
-		if cl.cursors[i].buf != nil {
+// batchesHeld counts the batches a closed loop holds: lent to cursors
+// (with the batches chained from them) plus waiting in the pool. A
+// batch is never dropped, so after a run the count is the peak number
+// of batches lent out at once.
+func batchesHeld(il *itemLoop) int {
+	held := len(il.free)
+	for i := range il.cursors {
+		for b := il.cursors[i].b; b != nil; b = b.chain {
 			held++
 		}
 	}
@@ -53,10 +53,10 @@ func ringsHeld(cl *closedLoop) int {
 
 // TestClosedLoopChurnBoundedCursors is the flat-memory gate for volume
 // churn: 1M records over 62.5k items that each recur 16 times and then
-// never again. Rings are lent only to cursors with queued records, so
-// the rings held must stay bounded by the churn window (the items the
-// demux reads ahead over), not by the item population. Without the free
-// stack every item ever seen would keep its ring: 62.5k of them.
+// never again. Batches are lent only to items with queued records, so
+// the batches held must stay bounded by the churn window (the items the
+// demux reads ahead over), not by the item population. Without the
+// pool every item ever seen would keep its batch: 62.5k of them.
 func TestClosedLoopChurnBoundedCursors(t *testing.T) {
 	const total = 1_000_000
 	const perItem = 16
@@ -66,24 +66,27 @@ func TestClosedLoopChurnBoundedCursors(t *testing.T) {
 	}
 	var clk simclock.Clock
 	var evq simclock.EventQueue
-	cl := newClosedLoop(src, total/perItem, &clk, &evq, submit)
-	if err := cl.run(); err != nil {
+	il, err := newItemLoop(src, catalogOf(total/perItem), &clk, &evq, submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := il.run(); err != nil {
 		t.Fatal(err)
 	}
 	// Each record completes just as the next one arrives, so the
 	// read-ahead never spans more than the current item and the next;
 	// the bound leaves room for that horizon, not for the population.
 	const bound = perItem
-	if held := ringsHeld(cl); held == 0 || held > bound {
-		t.Fatalf("%d rings held after the run, want 1..%d (population %d)", held, bound, total/perItem)
+	if held := batchesHeld(il); held == 0 || held > bound {
+		t.Fatalf("%d batches held after the run, want 1..%d (population %d)", held, bound, total/perItem)
 	}
 }
 
 // TestClosedLoopEvictionPreservesStall pins the timeline half of the
-// ring lending: an item whose last I/O left a far-future completion
-// fence must issue its next record at that fence, although its cursor
-// drained, handed its ring to the free stack and sat idle while tens of
-// thousands of other items borrowed rings in between.
+// batch lending: an item whose last I/O left a far-future completion
+// fence must issue its next record at that fence, although it drained,
+// left the heap, handed its batch back to the pool and sat idle while
+// tens of thousands of other items borrowed batches in between.
 func TestClosedLoopEvictionPreservesStall(t *testing.T) {
 	const fillers = 24_576
 	stall := 10 * time.Second
@@ -111,10 +114,7 @@ func TestClosedLoopEvictionPreservesStall(t *testing.T) {
 		}
 		return 0, nil
 	}
-	var clk simclock.Clock
-	var evq simclock.EventQueue
-	cl := newClosedLoop(trace.NewSliceSource(recs), fillers+1, &clk, &evq, submit)
-	if err := cl.run(); err != nil {
+	if err := runDemux(recs, fillers+1, submit); err != nil {
 		t.Fatal(err)
 	}
 	if issuedAt != stall {

@@ -1,18 +1,21 @@
 // Closed-loop replay: per-data-item streams with queue depth one.
 //
-// Two engines supply the records. A generated workload's source splits
-// by item (itemStreamer), and the item feed (itemfeed.go) reads each
-// item's own streams. Any other source (a decoded file, a collected
-// slice) is one time-ordered stream, and the demux below splits it into
-// per-item queues as it goes. Both engines issue from one (eff, item)
-// heap through one issue step; the order is total, so both issue the
-// same sequence.
+// One engine, itemLoop, issues every closed-loop replay from one
+// (eff, item) heap of per-item cursors, each walking its item's records
+// in 64-record batches drawn from one pool. Records enter it by one of
+// two admission rules. A generated workload's source splits by item
+// (itemStreamer): each item reads its own streams (itemfeed.go) and
+// enters the heap when the root reaches the earliest From of its
+// streams. Any other source (a decoded file, a collected slice) is one
+// time-ordered stream, which admit reads only as far as the root's
+// effective time, queueing each record into its item's batches. The
+// order is total, so both rules issue the same sequence.
 //
-// The demux lends ring buffers to cursors only while they hold queued
-// records: a drained cursor hands its ring to a free stack, and the
-// next cursor that needs one takes it from there. Ring memory is
-// therefore bounded by how many items have queued records at once, not
-// by how many items the trace holds, even under volume churn.
+// A demuxed item holds batches only while it has queued records: a
+// drained item's batch goes back to the pool, and the item comes back
+// when its next record is admitted. Batch memory is therefore bounded
+// by how many items have queued records at once, not by how many items
+// the trace holds, even under volume churn.
 
 package replay
 
@@ -119,186 +122,246 @@ func (h *cursorHeap) popRoot() {
 	}
 }
 
-// issuer is what both engines share: the heap and the issue step.
-type issuer struct {
+// itemBatchLen is how many records one batch carries. Each item feed
+// fill costs the replay a hand-off to the producer and back, or the
+// fill itself when the producer falls behind; every started item holds
+// a batch.
+const itemBatchLen = 64
+
+// itemBatch is a run of an item's records: recs[:n], then, in the
+// item feed's last batch, the failure that ended its streams. A
+// demuxed item's records continue in chain once recs is full.
+type itemBatch struct {
+	recs  [itemBatchLen]trace.LogicalRecord
+	n     int
+	item  trace.ItemID
+	last  bool
+	err   error
+	pval  *sourcePanic // a stream's panic, caught by the producer
+	chain *itemBatch
+}
+
+// feedCursor walks one item's batches through its shifted timeline. Its
+// first 64 bytes are what each issue of the item reads and writes.
+type feedCursor struct {
+	// rec is the next record to issue, b.recs[pos], of n in b. b is nil
+	// while the item is out of the heap.
+	rec trace.LogicalRecord
+	itemLine
+	pos, n int32
+	b      *itemBatch
+
+	// tail is the last batch of b's chain, where the demux queues the
+	// item's records.
+	tail *itemBatch
+	// asked is the batch asked for the item's next records, until it
+	// replaces b; next is asked once filled.
+	asked, next *itemBatch
+	from        time.Duration // the earliest From of the item's streams
+}
+
+// itemLoop is the engine of one closed-loop replay.
+type itemLoop struct {
 	clk    *simclock.Clock
 	evq    *simclock.EventQueue
 	submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)
 	h      cursorHeap
+
+	cursors []feedCursor // indexed by ItemID
+	free    []*itemBatch
+	cat     *trace.Catalog // names an item whose stream fails
+
+	// src is the demuxed source until it ends; pending is its next
+	// record, read but not yet admitted, and n counts the records read.
+	src         trace.Source
+	pending     trace.LogicalRecord
+	havePending bool
+	prev        time.Duration
+	n           int64
+
+	// feeds is indexed by ItemID, nil on a demuxed source. While a batch
+	// of an item is asked for, the item's feed and streams are the
+	// producer's.
+	feeds []itemFeed
+	// order lists the items that have streams by (from, item); the first
+	// started have entered the heap, and the first asked have had their
+	// first batch asked for.
+	order          []trace.ItemID
+	started, asked int
+	nextStart      cursorKey     // (from, item) of order[started]
+	prod           *itemProducer // nil at GOMAXPROCS 1
+	touched        time.Duration // keeps receive's loads
 }
 
-// issue submits rec, the root item's next record, at the root's
+// newItemLoop builds the closed loop over src's records and a catalog
+// of items. A source that splits by item supplies each item from its
+// own streams; any other is demuxed. close stops what it started.
+func newItemLoop(src trace.Source, cat *trace.Catalog, clk *simclock.Clock, evq *simclock.EventQueue, submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)) (*itemLoop, error) {
+	il := &itemLoop{clk: clk, evq: evq, submit: submit, cursors: make([]feedCursor, cat.Len()), cat: cat}
+	if is, ok := src.(itemStreamer); ok {
+		return il, il.feed(is.ItemStreams())
+	}
+	il.src = src
+	return il, nil
+}
+
+// run replays the items' records: each item issues its next I/O at its
+// original spacing, but never before its previous I/O completed.
+func (il *itemLoop) run() error {
+	for {
+		if il.src != nil {
+			if err := il.admit(); err != nil {
+				return err
+			}
+		}
+		if il.started < len(il.order) && (len(il.h) == 0 || keyLess(il.nextStart, il.h[0])) {
+			if err := il.start(); err != nil {
+				return err
+			}
+			continue
+		}
+		if len(il.h) == 0 {
+			// Every record admitted and issued.
+			return nil
+		}
+		item := il.h[0].item
+		c := &il.cursors[item]
+		if err := il.issue(c); err != nil {
+			return err
+		}
+		if c.pos++; c.pos == c.n {
+			if err := il.load(c, item); err != nil {
+				return err
+			}
+			if c.b == nil {
+				il.h.popRoot()
+				continue
+			}
+		} else if c.n-c.pos <= refillAt && il.prod != nil && c.asked == nil && !c.b.last {
+			il.ask(c, item, il.prod.refill)
+		}
+		c.rec = c.b.recs[c.pos]
+		il.h[0].eff = c.eff(c.rec.Time)
+		il.h.fixRoot()
+	}
+}
+
+// issue submits c.rec, the root item's next record, at the root's
 // effective time, or at once if another item's stall moved the clock
 // past it, and shifts the item's timeline by the stall: its remaining
 // records move back as a blocked application thread's would, and none
 // issues before this one completes.
-func (is *issuer) issue(l *itemLine, rec trace.LogicalRecord) error {
-	issueAt := is.h[0].eff
-	if now := is.clk.Now(); issueAt < now {
+func (il *itemLoop) issue(c *feedCursor) error {
+	issueAt := il.h[0].eff
+	if now := il.clk.Now(); issueAt < now {
 		issueAt = now
 	}
-	is.evq.RunUntil(is.clk, issueAt)
-	shifted := rec
+	il.evq.RunUntil(il.clk, issueAt)
+	shifted := c.rec
 	shifted.Time = issueAt
-	resp, err := is.submit(shifted, rec.Time)
+	resp, err := il.submit(shifted, c.rec.Time)
 	if err != nil {
 		return err
 	}
-	l.notBefore = issueAt + resp
-	l.delay = issueAt - rec.Time
+	c.notBefore = issueAt + resp
+	c.delay = issueAt - c.rec.Time
 	return nil
 }
 
-// itemCursor is one data item's demux queue.
-type itemCursor struct {
-	itemLine
-	// buf is a power-of-two ring buffer holding the item's demuxed,
-	// not-yet-issued records in time order. Only records the demuxer has
-	// had to read ahead of the current issue point are buffered, so live
-	// memory stays bounded by the read-ahead horizon, not O(records).
-	// buf is nil while the cursor is drained: its ring went back to the
-	// free stack. The item is in the heap exactly while n > 0.
-	buf  []trace.LogicalRecord
-	head int
-	n    int
-}
-
-// push appends rec to the cursor's ring, growing it in powers of two.
-func (c *itemCursor) push(rec trace.LogicalRecord) {
-	if c.n == len(c.buf) {
-		size := len(c.buf) * 2
-		if size == 0 {
-			size = 8
-		}
-		grown := make([]trace.LogicalRecord, size)
-		for i := 0; i < c.n; i++ {
-			grown[i] = c.buf[(c.head+i)&(len(c.buf)-1)]
-		}
-		c.buf, c.head = grown, 0
-	}
-	c.buf[(c.head+c.n)&(len(c.buf)-1)] = rec
-	c.n++
-}
-
-// front returns the oldest queued record; the cursor must be non-empty.
-func (c *itemCursor) front() trace.LogicalRecord { return c.buf[c.head] }
-
-// pop discards the oldest queued record.
-func (c *itemCursor) pop() {
-	c.buf[c.head] = trace.LogicalRecord{}
-	c.head = (c.head + 1) & (len(c.buf) - 1)
-	c.n--
-}
-
-// closedLoop is the demux engine of one closed-loop replay. It exists
-// as a struct (rather than closure locals) so tests can inspect the
-// cursor slots and the free stack.
-type closedLoop struct {
-	issuer
-	src trace.Source
-
-	cursors []itemCursor // indexed by ItemID
-	free    [][]trace.LogicalRecord
-
-	pending     trace.LogicalRecord
-	havePending bool
-	eof         bool
-	prev        time.Duration
-	n           int64
-}
-
-// newClosedLoop builds the demux engine over a catalog of the given
-// number of items; each gets its cursor slot up front.
-func newClosedLoop(src trace.Source, items int, clk *simclock.Clock, evq *simclock.EventQueue, submit func(rec trace.LogicalRecord, origTime time.Duration) (time.Duration, error)) *closedLoop {
-	return &closedLoop{
-		issuer:  issuer{clk: clk, evq: evq, submit: submit},
-		src:     src,
-		cursors: make([]itemCursor, items),
-	}
-}
-
-// enqueue appends rec to its item's cursor, lending the cursor a ring
-// from the free stack when it has none.
-func (cl *closedLoop) enqueue(c *itemCursor, rec trace.LogicalRecord) {
-	if c.buf == nil {
-		if k := len(cl.free); k > 0 {
-			c.buf = cl.free[k-1]
-			cl.free[k-1] = nil
-			cl.free = cl.free[:k-1]
-		}
-	}
-	c.push(rec)
-}
-
-// release returns a drained cursor's ring to the free stack.
-func (cl *closedLoop) release(c *itemCursor) {
-	cl.free = append(cl.free, c.buf)
-	c.buf, c.head = nil, 0
-}
-
-// demux pulls records into per-item queues until the heap's root is
-// provably the globally next effective issue (delays are non-negative,
-// so a record arriving at T activates at or after T).
-func (cl *closedLoop) demux() error {
+// admit reads the demuxed source into its items' batches until the
+// next record's time is after the root's effective time. Delays are
+// non-negative, so that record cannot issue before the root; the
+// earlier ones, whatever their items, are all in the heap.
+func (il *itemLoop) admit() error {
 	for {
-		if !cl.havePending {
-			if cl.eof {
-				return nil
-			}
-			rec, ok := cl.src.Next()
+		if !il.havePending {
+			rec, ok := il.src.Next()
 			if !ok {
-				cl.eof = true
-				if err := cl.src.Err(); err != nil {
+				err := il.src.Err()
+				il.src = nil
+				if err != nil {
 					return fmt.Errorf("replay: %w", err)
 				}
 				return nil
 			}
-			if rec.Time < cl.prev {
-				return &trace.OrderError{Format: "replay", Record: cl.n, Offset: -1, Prev: cl.prev, Got: rec.Time}
+			if rec.Time < il.prev {
+				return &trace.OrderError{Format: "replay", Record: il.n, Offset: -1, Prev: il.prev, Got: rec.Time}
 			}
-			if rec.Item < 0 || int(rec.Item) >= len(cl.cursors) {
-				return fmt.Errorf("replay: record %d: item %d is outside the catalog (%d items)", cl.n, rec.Item, len(cl.cursors))
+			if rec.Item < 0 || int(rec.Item) >= len(il.cursors) {
+				return fmt.Errorf("replay: record %d: item %d is outside the catalog (%d items)", il.n, rec.Item, len(il.cursors))
 			}
-			cl.prev = rec.Time
-			cl.n++
-			cl.pending = rec
-			cl.havePending = true
+			il.prev = rec.Time
+			il.n++
+			il.pending, il.havePending = rec, true
 		}
-		if len(cl.h) > 0 && cl.pending.Time > cl.h[0].eff {
+		if len(il.h) > 0 && il.pending.Time > il.h[0].eff {
 			return nil
 		}
-		c := &cl.cursors[cl.pending.Item]
-		cl.enqueue(c, cl.pending)
-		cl.havePending = false
-		if c.n == 1 {
-			cl.h.push(cursorKey{eff: c.eff(cl.pending.Time), item: cl.pending.Item})
+		il.queue(il.pending)
+		il.havePending = false
+	}
+}
+
+// queue appends a demuxed record to its item's batches, chaining a
+// batch from the pool when the tail is full. An item out of the heap
+// comes back with it; its timeline carried over.
+func (il *itemLoop) queue(rec trace.LogicalRecord) {
+	c := &il.cursors[rec.Item]
+	if c.b == nil {
+		c.b = il.take()
+		c.tail, c.pos, c.n, c.rec = c.b, 0, 0, rec
+		il.h.push(cursorKey{eff: c.eff(rec.Time), item: rec.Item})
+	} else if c.tail.n == itemBatchLen {
+		c.tail.chain = il.take()
+		c.tail = c.tail.chain
+	}
+	t := c.tail
+	t.recs[t.n] = rec
+	if t.n++; t == c.b {
+		c.n++
+	}
+}
+
+// load replaces c's spent batch, or the absent one of an item not yet
+// started, with the item's next records: the next chained batch, else
+// a refill from the item's feed. With neither, the item leaves the
+// heap: load leaves c.b nil and returns the failure that ended the
+// item's streams, if any, once every record before it has issued.
+func (il *itemLoop) load(c *feedCursor, item trace.ItemID) error {
+	for {
+		if b := c.b; b != nil && b.chain != nil {
+			c.b = b.chain
+			il.release(b)
+		} else if b != nil && (b.last || il.feeds == nil) {
+			err := b.err
+			il.release(b)
+			c.b = nil
+			if err != nil {
+				return fmt.Errorf("replay: item %d (%s), %w", item, il.cat.Name(item), err)
+			}
+			return nil
+		} else if err := il.refill(c, item); err != nil {
+			return err
+		}
+		c.pos, c.n = 0, int32(c.b.n)
+		if c.n > 0 {
+			return nil
 		}
 	}
 }
 
-// run replays the stream item by item: each item issues its next I/O
-// at its original spacing, but never before its previous I/O
-// completed.
-func (cl *closedLoop) run() error {
-	for {
-		if err := cl.demux(); err != nil {
-			return err
-		}
-		if len(cl.h) == 0 {
-			// Source drained and every queued record issued.
-			return nil
-		}
-		c := &cl.cursors[cl.h[0].item]
-		if err := cl.issue(&c.itemLine, c.front()); err != nil {
-			return err
-		}
-		c.pop()
-		if c.n == 0 {
-			cl.h.popRoot()
-			cl.release(c)
-			continue
-		}
-		cl.h[0].eff = c.eff(c.front().Time)
-		cl.h.fixRoot()
+// take returns a spare batch, or a new one.
+func (il *itemLoop) take() *itemBatch {
+	if k := len(il.free); k > 0 {
+		b := il.free[k-1]
+		il.free = il.free[:k-1]
+		return b
 	}
+	return new(itemBatch)
+}
+
+// release keeps a spent batch for reuse.
+func (il *itemLoop) release(b *itemBatch) {
+	b.n, b.last, b.err, b.pval, b.chain = 0, false, nil, nil, nil
+	il.free = append(il.free, b)
 }

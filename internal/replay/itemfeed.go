@@ -39,10 +39,6 @@ import (
 )
 
 const (
-	// itemBatchLen is how many records one fill carries. Each fill costs
-	// the replay a hand-off to the producer and back, or the fill itself
-	// when the producer falls behind; every started item holds a batch.
-	itemBatchLen = 64
 	// refillAt is how many records of an item's current batch remain
 	// when its next batch is asked for. Asking at the last record would
 	// leave the cursor waiting for the fill; asking earlier lends the
@@ -58,17 +54,6 @@ const (
 // generated workload's (workload.Source).
 type itemStreamer interface {
 	ItemStreams() (streams []trace.ItemStream, limit time.Duration)
-}
-
-// itemBatch is one fill of an item's records: recs[:n], then, in the
-// item's last batch, the failure that ended its streams.
-type itemBatch struct {
-	recs [itemBatchLen]trace.LogicalRecord
-	n    int
-	item trace.ItemID
-	last bool
-	err  error
-	pval *sourcePanic // a stream's panic, caught by the producer
 }
 
 // itemFeed is one item's record supply: its only stream, read straight
@@ -121,55 +106,14 @@ func (s feedStream) fault() error {
 	return nil
 }
 
-// feedCursor walks one item's batches through its shifted timeline. Its
-// first 64 bytes are what each issue of the item reads and writes.
-type feedCursor struct {
-	// rec is the next record to issue, b.recs[pos], of n in b. b is nil
-	// before the item starts and after it ends.
-	rec trace.LogicalRecord
-	itemLine
-	pos, n int32
-	b      *itemBatch
-
-	// asked is the batch asked for the item's next records, until it
-	// replaces b; next is asked once filled.
-	asked, next *itemBatch
-	from        time.Duration // the earliest From of the item's streams
-}
-
-// itemLoop is the item-feed engine of one closed-loop replay.
-type itemLoop struct {
-	issuer
-	cursors []feedCursor // indexed by ItemID
-	// feeds is indexed by ItemID. While a batch of an item is asked for,
-	// the item's feed and streams are the producer's.
-	feeds []itemFeed
-	cat   *trace.Catalog // names an item whose stream fails
-	// order lists the items that have streams by (from, item); the first
-	// started have entered the heap, and the first asked have had their
-	// first batch asked for.
-	order          []trace.ItemID
-	started, asked int
-	nextStart      cursorKey // (from, item) of order[started]
-	free           []*itemBatch
-	prod           *itemProducer // nil at GOMAXPROCS 1
-	touched        time.Duration // keeps receive's loads
-}
-
-// newItemLoop builds the item-feed engine over the streams, truncated
-// at limit, of a catalog's items. With a second processor it starts the
-// producer; close stops it.
-func newItemLoop(streams []trace.ItemStream, limit time.Duration, cat *trace.Catalog, is issuer) (*itemLoop, error) {
-	items := cat.Len()
-	il := &itemLoop{
-		issuer:  is,
-		cursors: make([]feedCursor, items),
-		feeds:   make([]itemFeed, items),
-		cat:     cat,
-	}
+// feed sets the loop to read the streams, truncated at limit, each
+// item from its own. With a second processor it starts the producer.
+func (il *itemLoop) feed(streams []trace.ItemStream, limit time.Duration) error {
+	items := len(il.cursors)
+	il.feeds = make([]itemFeed, items)
 	for i, st := range streams {
 		if st.Item < 0 || int(st.Item) >= items {
-			return nil, fmt.Errorf("replay: stream %d: item %d is outside the catalog (%d items)", i, st.Item, items)
+			return fmt.Errorf("replay: stream %d: item %d is outside the catalog (%d items)", i, st.Item, items)
 		}
 		f, c := &il.feeds[st.Item], &il.cursors[st.Item]
 		if len(f.streams) == 0 {
@@ -203,43 +147,7 @@ func newItemLoop(streams []trace.ItemStream, limit time.Duration, cat *trace.Cat
 	if runtime.GOMAXPROCS(0) > 1 {
 		il.prod = newItemProducer(il.feeds, len(il.order))
 	}
-	return il, nil
-}
-
-// run replays the items' records: each item issues its next I/O at its
-// original spacing, but never before its previous I/O completed.
-func (il *itemLoop) run() error {
-	for {
-		if il.started < len(il.order) && (len(il.h) == 0 || keyLess(il.nextStart, il.h[0])) {
-			if err := il.start(); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(il.h) == 0 {
-			// Every item started, and every record issued.
-			return nil
-		}
-		item := il.h[0].item
-		c := &il.cursors[item]
-		if err := il.issue(&c.itemLine, c.rec); err != nil {
-			return err
-		}
-		if c.pos++; c.pos == c.n {
-			if err := il.load(c, item); err != nil {
-				return err
-			}
-			if c.b == nil {
-				il.h.popRoot()
-				continue
-			}
-		} else if c.n-c.pos <= refillAt && il.prod != nil && c.asked == nil && !c.b.last {
-			il.ask(c, item, il.prod.refill)
-		}
-		c.rec = c.b.recs[c.pos]
-		il.h[0].eff = c.eff(c.rec.Time)
-		il.h.fixRoot()
-	}
+	return nil
 }
 
 // start lets the next item in start order into the heap: its From
@@ -268,57 +176,42 @@ func (il *itemLoop) start() error {
 	return nil
 }
 
-// load replaces c's spent batch, or the absent one of an item not yet
-// started, with the item's next records. At the item's end it leaves
-// c.b nil and returns the failure that ended the item's streams, if
-// any, once every record before it has issued.
-func (il *itemLoop) load(c *feedCursor, item trace.ItemID) error {
-	for {
-		if c.b != nil && c.b.last {
-			err := c.b.err
-			il.release(c.b)
-			c.b = nil
-			if err != nil {
-				return fmt.Errorf("replay: item %d (%s), %w", item, il.cat.Name(item), err)
-			}
-			return nil
+// refill puts the item's next records from its feed in c.b: filled in
+// place at GOMAXPROCS 1, else the batch asked for them, which replaces
+// c's spent one.
+func (il *itemLoop) refill(c *feedCursor, item trace.ItemID) error {
+	if il.prod == nil {
+		if c.b == nil {
+			c.b = il.take()
 		}
-		if il.prod == nil {
-			if c.b == nil {
-				c.b = il.take()
-			}
-			il.feeds[item].fill(c.b)
-		} else {
-			if c.asked == nil {
-				il.ask(c, item, il.prod.refill)
-			}
-			if c.next == nil && il.prod.claims[item].CompareAndSwap(c.asked, nil) {
-				// The producer has not got to the batch, and may be
-				// long in getting there (it is woken for each ask):
-				// fill it here rather than wait.
-				il.feeds[item].fill(c.asked)
-				c.next = c.asked
-			}
-			for c.next == nil {
-				if err := il.receive(); err != nil {
-					return err
-				}
-			}
-			if c.b != nil {
-				il.release(c.b)
-			}
-			c.b, c.next, c.asked = c.next, nil, nil
-		}
-		c.pos, c.n = 0, int32(c.b.n)
-		if c.n > 0 {
-			return nil
+		il.feeds[item].fill(c.b)
+		return nil
+	}
+	if c.asked == nil {
+		il.ask(c, item, il.prod.refill)
+	}
+	if c.next == nil && il.prod.claims[item].CompareAndSwap(c.asked, nil) {
+		// The producer has not got to the batch, and may be long in
+		// getting there (it is woken for each ask): fill it here rather
+		// than wait.
+		il.feeds[item].fill(c.asked)
+		c.next = c.asked
+	}
+	for c.next == nil {
+		if err := il.receive(); err != nil {
+			return err
 		}
 	}
+	if c.b != nil {
+		il.release(c.b)
+	}
+	c.b, c.next, c.asked = c.next, nil, nil
+	return nil
 }
 
 // ask lends a batch to the producer to fill with the item's next
 // records, on ch: the refill or the start queue. Whichever side claims
-// the batch first fills it (load, produce).
+// the batch first fills it (refill, produce).
 func (il *itemLoop) ask(c *feedCursor, item trace.ItemID, ch chan<- itemAsk) {
 	b := il.take()
 	b.item = item
@@ -352,22 +245,6 @@ func (il *itemLoop) receive() error {
 	il.touched |= t
 	il.cursors[b.item].next = b
 	return nil
-}
-
-// take returns a spare batch, or a new one.
-func (il *itemLoop) take() *itemBatch {
-	if k := len(il.free); k > 0 {
-		b := il.free[k-1]
-		il.free = il.free[:k-1]
-		return b
-	}
-	return new(itemBatch)
-}
-
-// release keeps a spent batch for reuse.
-func (il *itemLoop) release(b *itemBatch) {
-	b.n, b.last, b.err, b.pval = 0, false, nil, nil
-	il.free = append(il.free, b)
 }
 
 // close stops the producer, if any, and then every generator still

@@ -379,7 +379,6 @@ func TestItemProducerInlineAtOneProc(t *testing.T) {
 			{Item: 0, Seq: seqOf(0, steadyTimes(0, 2000), nil)},
 			{Item: 1, From: time.Minute, Seq: seqOf(1, steadyTimes(time.Minute, 2000), nil)},
 		})
-		streams, limit := r.Source.(itemStreamer).ItemStreams()
 		var clk simclock.Clock
 		var evq simclock.EventQueue
 		n := 0
@@ -387,7 +386,7 @@ func TestItemProducerInlineAtOneProc(t *testing.T) {
 			n++
 			return time.Millisecond, nil
 		}
-		il, err := newItemLoop(streams, limit, r.Catalog, issuer{clk: &clk, evq: &evq, submit: submit})
+		il, err := newItemLoop(r.Source, r.Catalog, &clk, &evq, submit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,11 +32,13 @@ type Run struct {
 	// policies need the measurement span). Execute may read a source
 	// other than a *trace.SliceSource ahead, from a goroutine of its
 	// own: do not touch the source until Execute returns. It has
-	// stopped reading by then, so the source may be closed at once. A
-	// closed-loop replay of a source with an ItemStreams method (a
-	// generated workload's) reads those streams instead of Next, each
-	// through its trace.ItemReader, the one reader of a generated
-	// stream that the source's own merge also reads through.
+	// stopped reading by then, so the source may be closed at once. The
+	// closed loop has one engine and two ways into it: a source with an
+	// ItemStreams method (a generated workload's) is read through those
+	// streams instead of Next, each item from its own, each stream
+	// through its trace.ItemReader, the one reader of a generated stream
+	// that the source's own merge also reads through; any other source
+	// is read through Next and split by item as it goes.
 	Source trace.Source
 	// Placement is the initial enclosure of every item, indexed by ItemID.
 	Placement []int
@@ -166,11 +168,13 @@ type StateResidency struct {
 }
 
 // Execute runs the experiment: a source loop over a Session (the
-// closed loop drives the session's record step itself). A closed-loop
-// replay of a source that splits by item (a generated workload's) reads
-// each item's own streams, generated on a goroutine of its own when
-// GOMAXPROCS allows (itemfeed.go). Any other source but a SliceSource
-// is read ahead on a goroutine of its own when GOMAXPROCS allows (see
+// closed loop drives the session's record step itself, through one
+// engine, closedloop.go). A closed-loop replay of a source that splits
+// by item (a generated workload's) reads each item's own streams,
+// generated on a goroutine of its own when GOMAXPROCS allows
+// (itemfeed.go); the closed loop demuxes any other source by item.
+// Any source the closed loop does not split, but a SliceSource, is
+// read ahead on a goroutine of its own when GOMAXPROCS allows (see
 // readAheadOf). Execute stops those goroutines before it returns, on
 // every path, so the caller may close the source as soon as it does.
 func Execute(r Run) (*Result, error) {
@@ -187,27 +191,27 @@ func Execute(r Run) (*Result, error) {
 	return s.Finish()
 }
 
-// execute replays src to its end through the engine that suits it.
+// execute replays src to its end, read ahead unless the closed loop
+// reads its items' own streams.
 func (s *Session) execute(src trace.Source) error {
-	if is, ok := src.(itemStreamer); ok && s.r.ClosedLoop {
-		streams, limit := is.ItemStreams()
-		il, err := newItemLoop(streams, limit, s.r.Catalog, issuer{clk: &s.clk, evq: &s.evq, submit: s.submit})
+	if _, split := src.(itemStreamer); !split || !s.r.ClosedLoop {
+		var stop func()
+		src, stop = readAheadOf(src)
+		defer stop()
+	}
+	return s.replay(src)
+}
+
+// replay feeds src through the session to its end: the open loop
+// record by record, the closed loop through its engine.
+func (s *Session) replay(src trace.Source) error {
+	if s.r.ClosedLoop {
+		il, err := newItemLoop(src, s.r.Catalog, &s.clk, &s.evq, s.submit)
 		if err != nil {
 			return err
 		}
 		defer il.close()
 		return il.run()
-	}
-	src, stop := readAheadOf(src)
-	defer stop()
-	return s.replay(src)
-}
-
-// replay feeds src through the session to its end: the open loop
-// record by record, the closed loop through its demux.
-func (s *Session) replay(src trace.Source) error {
-	if s.r.ClosedLoop {
-		return newClosedLoop(src, s.r.Catalog.Len(), &s.clk, &s.evq, s.submit).run()
 	}
 	for {
 		rec, ok := src.Next()

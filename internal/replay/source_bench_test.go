@@ -3,9 +3,9 @@
 // holds the live heap at O(data items), not O(records). They replay the
 // same on-disk trace; compare their live-MB metrics — streaming stays
 // flat while materialized carries the whole decoded slice. The
-// closed-loop benchmark times both closed-loop engines over the inputs
-// the tools replay: a lazily generated trace, a materialized one and a
-// decoded file.
+// closed-loop benchmark times the closed loop's two admission rules
+// over the inputs the tools replay: a lazily generated trace, a
+// materialized one and a decoded file.
 
 package replay
 
@@ -160,14 +160,15 @@ func BenchmarkReplayMaterialized(b *testing.B) {
 
 // BenchmarkReplayClosedLoop replays the fileserver workload (scale
 // 0.25) in closed loop under ESM from each input the tools feed the
-// engine: lazy, the workload's own source (what esmbench's figure runs
-// replay), which the item feed reads item by item, generating on a
-// second goroutine; materialized, the same records as a SliceSource
-// (what esmbench's sweeps replay, having collected the trace once),
-// demultiplexed directly; and file, the same records decoded from a
-// stream file (what esmreplay -closed-loop replays), read ahead on a
-// second goroutine and demultiplexed. Profile with -cpuprofile to
-// attribute the time per layer.
+// one closed-loop engine: lazy, the workload's own source (what
+// esmbench's figure runs replay), whose items start by From and read
+// their own streams, generated on a second goroutine; materialized,
+// the same records as a SliceSource (what esmbench's sweeps replay,
+// having collected the trace once), demuxed directly into the items'
+// batches; and file, the same records decoded from a stream file (what
+// esmreplay -closed-loop replays), read ahead on a second goroutine
+// and demuxed. Profile with -cpuprofile to attribute the time per
+// layer.
 func BenchmarkReplayClosedLoop(b *testing.B) {
 	w, err := workload.GenerateFileServer(workload.DefaultFileServerConfig().Scaled(0.25))
 	if err != nil {
