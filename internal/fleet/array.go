@@ -127,12 +127,14 @@ type Array struct {
 	snap   Status
 }
 
-// newArray builds one array onto the shared fleet registry (nil for an
-// unregistered array).
+// newArray builds one array onto the shared fleet registry: its
+// recorder, watchdog and tracer register through a view that labels
+// every instrument array="<name>".
 func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	if err := config.ValidateArrayName(spec.Name); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
+	reg = reg.With("array", spec.Name)
 	if spec.Catalog == nil {
 		return nil, fmt.Errorf("fleet: array %q: catalog is required", spec.Name)
 	}
@@ -161,26 +163,22 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 		Registry: reg,
 		Sink:     spec.EventSink,
 		Label:    spec.Name,
-		Instance: spec.Name,
 	})
 	tel := obs.Telemetry{
 		Recorder: rec,
 		Flight:   obs.NewFlightRecorder(every),
 		// The watchdog shares the array's recorder (sequence-consistent
-		// alert events) and the fleet registry (array-labelled
-		// instruments).
+		// alert events) and the array's registry view.
 		Alerts: obs.NewWatchdog(obs.WatchdogOptions{
 			Rules:    spec.Alerts,
 			Recorder: rec,
 			Registry: reg,
-			Instance: spec.Name,
 		}),
 	}
 	if spec.SpanSink != nil {
 		tel.Tracer = obs.NewTracer(obs.TracerOptions{
 			Sink:     spec.SpanSink,
 			Registry: reg,
-			Instance: spec.Name,
 		})
 	}
 	if spec.Provenance || spec.ProvenanceSink != nil {

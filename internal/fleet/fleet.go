@@ -28,9 +28,6 @@ type Options struct {
 	// Cost is the roll-up's cost/carbon model. A zero model means
 	// DefaultCostModel.
 	Cost CostModel
-	// Registry, when non-nil, is the shared metric registry the arrays
-	// populate; a fresh one is created otherwise.
-	Registry *obs.Registry
 	// Alerts declares fleet-wide budget rules over the /fleet roll-up
 	// totals. Every rule's signal must be a fleet_* total; per-array
 	// rules live in the specs. Evaluated each time the roll-up is
@@ -66,10 +63,7 @@ func New(opts Options) (*Fleet, error) {
 	if err := cost.Validate(); err != nil {
 		return nil, err
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg)
 	for _, r := range opts.Alerts {
 		if !r.FleetSignal() {
@@ -77,7 +71,7 @@ func New(opts Options) (*Fleet, error) {
 		}
 	}
 	f := &Fleet{reg: reg, cost: cost, arrays: make(map[string]*Array, len(opts.Specs))}
-	f.wd = obs.NewWatchdog(obs.WatchdogOptions{Rules: opts.Alerts, Registry: reg, Instance: "fleet"})
+	f.wd = obs.NewWatchdog(obs.WatchdogOptions{Rules: opts.Alerts, Registry: reg.With("array", "fleet")})
 	for _, spec := range opts.Specs {
 		if _, dup := f.arrays[spec.Name]; dup {
 			f.Close()
@@ -182,9 +176,6 @@ func loadDataset(catalogPath, placementPath string) (*trace.Catalog, []int, erro
 	}
 	return cat, placement, nil
 }
-
-// Registry returns the shared metric registry.
-func (f *Fleet) Registry() *obs.Registry { return f.reg }
 
 // Cost returns the roll-up model in force.
 func (f *Fleet) Cost() CostModel { return f.cost }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -292,11 +293,13 @@ func TestSharedRegistryNamespacing(t *testing.T) {
 	f, recs := newTestFleet(t, "tokyo", "osaka")
 	feedAll(t, f.Array("tokyo"), recs[:200])
 	feedAll(t, f.Array("osaka"), recs[:100])
-	var buf bytes.Buffer
-	if err := f.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	scrape := func() []byte {
+		rr := httptest.NewRecorder()
+		f.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+		return rr.Body.Bytes()
 	}
-	text := buf.String()
+	first := scrape()
+	text := string(first)
 	for _, want := range []string{
 		`esm_physical_reads_total{array="osaka"}`,
 		`esm_physical_reads_total{array="tokyo"}`,
@@ -310,11 +313,7 @@ func TestSharedRegistryNamespacing(t *testing.T) {
 	if strings.Contains(text, "\nesm_physical_reads_total ") {
 		t.Error("exposition has an un-namespaced series")
 	}
-	var buf2 bytes.Buffer
-	if err := f.Registry().WritePrometheus(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(first, scrape()) {
 		t.Error("consecutive scrapes differ")
 	}
 }

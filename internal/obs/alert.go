@@ -234,9 +234,6 @@ type WatchdogOptions struct {
 	// esm_alerts{rule,state} gauges and esm_alert_transitions_total
 	// counters.
 	Registry *Registry
-	// Instance, when non-empty, namespaces the registry instruments
-	// with an array="<instance>" label (fleet use).
-	Instance string
 }
 
 // ruleState is one rule's live evaluation state.
@@ -287,23 +284,16 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	for _, r := range opts.Rules {
 		rs := &ruleState{rule: r, state: AlertInactive, col: flightCol(r.Signal)}
 		if reg := opts.Registry; reg != nil {
-			name := func(n string) string {
-				n = WithLabel(n, "rule", r.Name)
-				if opts.Instance != "" {
-					n = WithLabel(n, "array", opts.Instance)
-				}
-				return n
-			}
 			for i, st := range alertStates {
-				g := reg.Gauge(WithLabel(name("esm_alerts"), "state", string(st)),
-					"1 while the alert rule is in this lifecycle state, else 0.")
+				g := reg.Gauge("esm_alerts", "1 while the alert rule is in this lifecycle state, else 0.",
+					"rule", r.Name, "state", string(st))
 				if st == AlertInactive {
 					g.Set(1)
 				}
 				rs.gauges[i] = g
 			}
-			rs.cTransition = reg.Counter(name("esm_alert_transitions_total"),
-				"Alert-rule lifecycle transitions.")
+			rs.cTransition = reg.Counter("esm_alert_transitions_total", "Alert-rule lifecycle transitions.",
+				"rule", r.Name)
 		}
 		w.rules = append(w.rules, rs)
 	}

@@ -35,6 +35,5 @@ func RegisterBuildInfo(reg *Registry) {
 		return
 	}
 	v, gv := BuildVersion()
-	name := WithLabel(WithLabel("esm_build_info", "version", v), "go", gv)
-	reg.Gauge(name, "Build identity of the serving binary; constant 1.").Set(1)
+	reg.Gauge("esm_build_info", "Build identity of the serving binary; constant 1.", "version", v, "go", gv).Set(1)
 }

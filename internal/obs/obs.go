@@ -88,47 +88,29 @@ type Options struct {
 	// Label is stamped into every event's "run" field; esmbench uses it
 	// to tell the interleaved per-policy streams of one file apart.
 	Label string
-	// Instance, when non-empty, namespaces every registry instrument
-	// with an array="<instance>" label, so the recorders of a fleet of
-	// arrays can share one registry without colliding.
-	Instance string
 }
 
 // New returns a live recorder.
 func New(opts Options) *Recorder {
 	r := &Recorder{sink: opts.Sink, reg: opts.Registry, label: opts.Label}
 	if reg := opts.Registry; reg != nil {
-		name := func(n string) string {
-			if opts.Instance == "" {
-				return n
-			}
-			return WithLabel(n, "array", opts.Instance)
-		}
-		r.cPhysReads = reg.Counter(name("esm_physical_reads_total"), "Physical read I/Os issued to enclosures.")
-		r.cPhysWrites = reg.Counter(name("esm_physical_writes_total"), "Physical write I/Os issued to enclosures.")
-		r.cCacheHits = reg.Counter(name("esm_cache_hits_total"), "Application I/Os served entirely from cache.")
-		r.cDelayedWrites = reg.Counter(name("esm_delayed_writes_total"), "Application writes absorbed by the write-delay partition.")
-		r.cMigratedBytes = reg.Counter(name("esm_migrated_bytes_total"), "Bytes copied by data-item and extent migrations.")
-		r.cMigrations = reg.Counter(name("esm_migrations_total"), "Completed data-item migrations.")
-		r.cSpinUps = reg.Counter(name("esm_spin_ups_total"), "Enclosure power-on transitions.")
-		r.cPowerOffs = reg.Counter(name("esm_power_offs_total"), "Enclosure power-off transitions.")
-		r.cDeterminations = reg.Counter(name("esm_determinations_total"), "Runs of the power management function.")
-		r.cReplanTriggers = reg.Counter(name("esm_replan_triggers_total"), "Pattern-change triggers that forced an immediate replan.")
-		r.cFaults = reg.Counter(name("esm_faults_total"), "Injected storage faults (spin-up failures, transient I/O errors, battery transitions).")
-		r.cDegradations = reg.Counter(name("esm_degradations_total"), "Transitions of the policy into degraded mode.")
-		r.gPeriodSeconds = reg.Gauge(name("esm_monitoring_period_seconds"), "Current monitoring-period length.")
-		r.gHotEnclosures = reg.Gauge(name("esm_hot_enclosures"), "Enclosures classified hot by the last determination.")
-		r.gDegraded = reg.Gauge(name("esm_degraded"), "1 while the policy is in degraded mode, else 0.")
+		r.cPhysReads = reg.Counter("esm_physical_reads_total", "Physical read I/Os issued to enclosures.")
+		r.cPhysWrites = reg.Counter("esm_physical_writes_total", "Physical write I/Os issued to enclosures.")
+		r.cCacheHits = reg.Counter("esm_cache_hits_total", "Application I/Os served entirely from cache.")
+		r.cDelayedWrites = reg.Counter("esm_delayed_writes_total", "Application writes absorbed by the write-delay partition.")
+		r.cMigratedBytes = reg.Counter("esm_migrated_bytes_total", "Bytes copied by data-item and extent migrations.")
+		r.cMigrations = reg.Counter("esm_migrations_total", "Completed data-item migrations.")
+		r.cSpinUps = reg.Counter("esm_spin_ups_total", "Enclosure power-on transitions.")
+		r.cPowerOffs = reg.Counter("esm_power_offs_total", "Enclosure power-off transitions.")
+		r.cDeterminations = reg.Counter("esm_determinations_total", "Runs of the power management function.")
+		r.cReplanTriggers = reg.Counter("esm_replan_triggers_total", "Pattern-change triggers that forced an immediate replan.")
+		r.cFaults = reg.Counter("esm_faults_total", "Injected storage faults (spin-up failures, transient I/O errors, battery transitions).")
+		r.cDegradations = reg.Counter("esm_degradations_total", "Transitions of the policy into degraded mode.")
+		r.gPeriodSeconds = reg.Gauge("esm_monitoring_period_seconds", "Current monitoring-period length.")
+		r.gHotEnclosures = reg.Gauge("esm_hot_enclosures", "Enclosures classified hot by the last determination.")
+		r.gDegraded = reg.Gauge("esm_degraded", "1 while the policy is in degraded mode, else 0.")
 	}
 	return r
-}
-
-// Registry returns the attached registry, or nil.
-func (r *Recorder) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
 }
 
 // emit stamps sequence, label and time onto ev and hands it to the

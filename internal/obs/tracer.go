@@ -101,9 +101,6 @@ type TracerOptions struct {
 	// Registry, when non-nil, is populated with render-time latency
 	// percentile and energy-attribution gauges.
 	Registry *Registry
-	// Instance, when non-empty, namespaces every registry gauge with an
-	// array="<instance>" label (fleet arrays share one registry).
-	Instance string
 }
 
 // Tracer records simulated-clock spans for application I/Os and
@@ -125,7 +122,7 @@ type Tracer struct {
 func NewTracer(opts TracerOptions) *Tracer {
 	t := &Tracer{sink: opts.Sink}
 	if reg := opts.Registry; reg != nil {
-		t.register(reg, opts.Instance)
+		t.register(reg)
 	}
 	return t
 }
@@ -264,15 +261,7 @@ func (t *Tracer) quantileOf(h *Histogram, q float64) float64 {
 }
 
 // register installs the render-time latency and attribution gauges.
-// instance, when non-empty, becomes an array="<instance>" label on
-// every gauge name.
-func (t *Tracer) register(reg *Registry, instance string) {
-	scoped := func(n string) string {
-		if instance == "" {
-			return n
-		}
-		return WithLabel(n, "array", instance)
-	}
+func (t *Tracer) register(reg *Registry) {
 	quants := []struct {
 		label string
 		q     float64
@@ -280,18 +269,16 @@ func (t *Tracer) register(reg *Registry, instance string) {
 	for c := IOCause(0); c < IOCauseCount; c++ {
 		h := &t.lat.ByCause[c]
 		cname := c.String()
-		reg.GaugeFunc(scoped("esm_io_latency_count{cause=\""+cname+"\"}"),
-			"Application I/Os by serve cause.",
+		reg.GaugeFunc("esm_io_latency_count", "Application I/Os by serve cause.",
 			func() float64 {
 				t.mu.Lock()
 				defer t.mu.Unlock()
 				return float64(h.Count())
-			})
+			}, "cause", cname)
 		for _, qu := range quants {
 			q := qu.q
-			reg.GaugeFunc(scoped("esm_io_latency_seconds{cause=\""+cname+"\",quantile=\""+qu.label+"\"}"),
-				"Application I/O response-time quantiles by serve cause.",
-				func() float64 { return t.quantileOf(h, q) })
+			reg.GaugeFunc("esm_io_latency_seconds", "Application I/O response-time quantiles by serve cause.",
+				func() float64 { return t.quantileOf(h, q) }, "cause", cname, "quantile", qu.label)
 		}
 	}
 	for p := Phase(0); p < PhaseCount; p++ {
@@ -299,15 +286,13 @@ func (t *Tracer) register(reg *Registry, instance string) {
 		pname := p.String()
 		for _, qu := range quants {
 			q := qu.q
-			reg.GaugeFunc(scoped("esm_io_phase_seconds{phase=\""+pname+"\",quantile=\""+qu.label+"\"}"),
-				"Application I/O phase-duration quantiles.",
-				func() float64 { return t.quantileOf(h, q) })
+			reg.GaugeFunc("esm_io_phase_seconds", "Application I/O phase-duration quantiles.",
+				func() float64 { return t.quantileOf(h, q) }, "phase", pname, "quantile", qu.label)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		idx := i
-		reg.GaugeFunc(scoped("esm_energy_attributed_joules{class=\""+ClassName(i)+"\"}"),
-			"Enclosure joules attributed per logical I/O pattern class.",
+		reg.GaugeFunc("esm_energy_attributed_joules", "Enclosure joules attributed per logical I/O pattern class.",
 			func() float64 {
 				t.mu.Lock()
 				defer t.mu.Unlock()
@@ -315,12 +300,11 @@ func (t *Tracer) register(reg *Registry, instance string) {
 					return 0
 				}
 				return t.attrib.ByClass[idx]
-			})
+			}, "class", ClassName(i))
 	}
 	for f := EnergyFunc(0); f < EnergyFuncCount; f++ {
 		fn := f
-		reg.GaugeFunc(scoped("esm_energy_function_joules{function=\""+fn.String()+"\"}"),
-			"Enclosure joules attributed per management function.",
+		reg.GaugeFunc("esm_energy_function_joules", "Enclosure joules attributed per management function.",
 			func() float64 {
 				t.mu.Lock()
 				defer t.mu.Unlock()
@@ -328,6 +312,6 @@ func (t *Tracer) register(reg *Registry, instance string) {
 					return 0
 				}
 				return t.attrib.ByFunc[fn]
-			})
+			}, "function", fn.String())
 	}
 }

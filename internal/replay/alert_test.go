@@ -55,7 +55,7 @@ func TestAlertStreamMatchesSerial(t *testing.T) {
 		cat, recs, placement := skewedTrace(dur, 99)
 		var events bytes.Buffer
 		rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Registry: obs.NewRegistry(), Label: "alert-eq"})
-		wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t), Recorder: rec, Instance: "alert-eq"})
+		wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t), Recorder: rec})
 		res, err := Execute(Run{
 			Catalog:   cat,
 			Source:    trace.NewSliceSource(recs),

@@ -44,7 +44,8 @@ func TestEventStreamMatchesDeterminations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Registry: obs.NewRegistry(), Label: "e2e"})
+	reg := obs.NewRegistry()
+	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Registry: reg, Label: "e2e"})
 	res, err := Execute(Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -110,7 +111,7 @@ func TestEventStreamMatchesDeterminations(t *testing.T) {
 
 	// The registry's determination counter agrees too.
 	var out bytes.Buffer
-	if err := rec.Registry().WritePrometheus(&out); err != nil {
+	if err := reg.WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(out.Bytes(), []byte("esm_determinations_total "+strconv.FormatInt(res.Determinations, 10))) {
