@@ -75,9 +75,6 @@ func NewAppMonitor(n int, breakEven time.Duration) *AppMonitor {
 	}
 }
 
-// BreakEven returns the configured break-even time.
-func (m *AppMonitor) BreakEven() time.Duration { return m.breakEven }
-
 // Record ingests one logical I/O.
 func (m *AppMonitor) Record(rec trace.LogicalRecord) {
 	a := &m.items[rec.Item]

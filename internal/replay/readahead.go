@@ -74,7 +74,8 @@ type readAhead struct {
 // the function that stops that goroutine and waits for it to exit. A
 // SliceSource, what esmbench's sweeps replay, is returned as it is
 // (with a no-op stop): indexing a slice leaves nothing to overlap, and
-// the hand-off would only cost.
+// reading it ahead made `esmbench -sweep` slower on both workloads
+// measured (EXPERIMENTS.md, "reading the trace ahead").
 // So is any source when GOMAXPROCS is 1: with no second processor to
 // produce on, the hand-off never won a majority of sixteen benchmark
 // pairs.
