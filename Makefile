@@ -177,8 +177,9 @@ alert-smoke:
 # explain-smoke gates the decision log and the root-cause pipeline: an
 # injected spin-up-fault storm under a tight energy budget must yield an
 # `esmstat explain` report naming the injected cause; the ESM run's
-# event stream, ledger and report must be byte-identical across a rerun;
-# and a default-scale ledger must hold every row its manifest counts.
+# decision log and report must be byte-identical across a rerun and the
+# reports equal their pins; and a default-scale log must hold every
+# record its manifest counts.
 explain-smoke:
 	sh scripts/explain-smoke.sh
 

@@ -31,7 +31,6 @@ var censusAllowed = map[string]string{
 	"SortLogical":      "test fixture that orders hand-built traces",
 	"AllEventTypes":    "tests assert every event kind occurs in the golden streams",
 	"ValidatePerfetto": "tests check tracer output against the Perfetto schema",
-	"Events":           "CollectSink.Events, read by tests of the collected stream",
 	"AblationPolicies": "bench_test.go's E-X2 ablation runs these policies",
 	"Evaluate":         "bench_test.go's figure suite replays each workload through it",
 

@@ -48,14 +48,13 @@ func main() {
 	list := flag.Bool("list", false, "print Table I / Table II parameters and exit")
 	sweep := flag.Bool("sweep", false, "run the sensitivity sweeps instead of the figures")
 	extended := flag.Bool("extended", false, "also evaluate the extended baselines (timeout, MAID, write off-loading)")
-	events := flag.String("events", "", "write each replay's telemetry event stream to a JSONL file here (policy and workload are inserted into the name)")
+	events := flag.String("events", "", "write each replay's decision log to a JSONL file here as the replay runs (policy and workload are inserted into the name; attaches a sink-less tracer so the energy ledger's top items are joined in)")
 	tracePath := flag.String("trace", "", "write a Perfetto trace-event file per replay (policy and workload are inserted into the name)")
 	seriesDir := flag.String("series", "", "write a flight-recorder series CSV and a BENCH_<workload>-<policy>.json run manifest per replay into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent replays (0 = GOMAXPROCS)")
 	jsonPath := flag.String("json", "", "also write per-figure results as JSON to this file")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m (see README)")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules evaluated per replay on the flight sampling grid, e.g. budget:total_energy_j>1.5e6:for=30s (see DESIGN.md §16)")
-	provPath := flag.String("provenance", "", "stream every row of each replay's decision-provenance ledger to a CSV file here as the replay runs (policy and workload are inserted into the name; attaches a sink-less tracer so the energy ledger's top items are joined in)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -95,14 +94,14 @@ func main() {
 		}
 		return
 	}
-	if err := run(*scale, *kind, *fig, *extended, *events, *tracePath, *seriesDir, *jsonPath, *provPath, fc, alertRules); err != nil {
+	if err := run(*scale, *kind, *fig, *extended, *events, *tracePath, *seriesDir, *jsonPath, fc, alertRules); err != nil {
 		fmt.Fprintln(os.Stderr, "esmbench:", err)
 		os.Exit(1)
 	}
 }
 
-// runFileFor derives a per-run path from the -events, -trace or
-// -provenance flag: "out.json" becomes "out-fileserver-esm.json".
+// runFileFor derives a per-run path from the -events or -trace flag:
+// "out.json" becomes "out-fileserver-esm.json".
 func runFileFor(path, workload, policy string) string {
 	ext := filepath.Ext(path)
 	return path[:len(path)-len(ext)] + "-" + workload + "-" + policy + ext
@@ -111,9 +110,9 @@ func runFileFor(path, workload, policy string) string {
 // writeSeriesAndManifests writes, for every replay of ev, the flight
 // series as <dir>/<workload>-<policy>.series.csv and the run manifest
 // as <dir>/BENCH_<workload>-<policy>.json — the pair `esmstat diff`
-// compares across runs. A manifest names the run's ledger when
-// -provenance wrote one.
-func writeSeriesAndManifests(dir, provPath string, scale float64, fc *faults.Config, ev *experiments.Eval) error {
+// compares across runs. A manifest names the run's decision log when
+// -events wrote one.
+func writeSeriesAndManifests(dir, eventsPath string, scale float64, fc *faults.Config, ev *experiments.Eval) error {
 	for i, f := range ev.Policies {
 		res := ev.Results[i]
 		base := ev.Workload.Name + "-" + f.Name
@@ -128,8 +127,8 @@ func writeSeriesAndManifests(dir, provPath string, scale float64, fc *faults.Con
 		m := experiments.NewManifest(ev.Workload, f.Name, scale, fc, res)
 		m.Date = time.Now().Format("2006-01-02")
 		m.SeriesFile = seriesFile
-		if provPath != "" {
-			m.ProvFile = runFileFor(provPath, ev.Workload.Name, f.Name)
+		if eventsPath != "" {
+			m.ProvFile = runFileFor(eventsPath, ev.Workload.Name, f.Name)
 		}
 		if err := m.WriteFile(filepath.Join(dir, "BENCH_"+base+".json")); err != nil {
 			return err
@@ -175,7 +174,7 @@ func runSweeps(scale float64, kindFlag string) error {
 	return nil
 }
 
-func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tracePath, seriesDir, jsonPath, provPath string, fc *faults.Config, alertRules []obs.Rule) error {
+func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tracePath, seriesDir, jsonPath string, fc *faults.Config, alertRules []obs.Rule) error {
 	if seriesDir != "" {
 		if err := os.MkdirAll(seriesDir, 0o755); err != nil {
 			return err
@@ -246,21 +245,19 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			pols = experiments.ExtendedPolicies(ks)
 		}
 		// Each replay gets its own surfaces. With -events it writes its
-		// own JSONL file, so concurrent replays never interleave lines.
-		// With -trace it writes its own Perfetto file: spans of
-		// concurrent runs cannot share one trace without colliding
-		// tracks. With -series, the series CSV and run manifest are
-		// written from the results below. With -alerts, transitions
-		// land in the -events stream via the run's recorder, and the
-		// summary in the run manifest. -provenance's
-		// energy-attribution join needs a tracer; without -trace a
-		// sink-less one keeps the ledger without writing Perfetto files.
-		// Each ledger streams to its own file as its replay runs.
+		// own decision log, so concurrent replays never interleave
+		// lines. The log's energy-attribution join needs a tracer;
+		// without -trace a sink-less one keeps the energy ledger
+		// without writing Perfetto files. With -trace each replay
+		// writes its own Perfetto file: spans of concurrent runs cannot
+		// share one trace without colliding tracks. With -series, the
+		// series CSV and run manifest are written from the results
+		// below. With -alerts, transitions land in the decision log via
+		// the run's recorder, and the summary in the run manifest.
 		var recorders []*obs.Recorder
 		var tracers []*obs.Tracer
 		var traceFiles []string
-		var ledgers []*obs.Provenance
-		var eventsErr, traceErr, ledgerErr error
+		var eventsErr, traceErr error
 		name := w.Name
 		telemetryFor := func(policy string) obs.Telemetry {
 			var tel obs.Telemetry
@@ -283,7 +280,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 					tracers = append(tracers, tel.Tracer)
 					traceFiles = append(traceFiles, file)
 				}
-			} else if provPath != "" {
+			} else if eventsPath != "" {
 				tel.Tracer = obs.NewTracer(obs.TracerOptions{})
 			}
 			if seriesDir != "" {
@@ -293,14 +290,6 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				Rules:    alertRules,
 				Recorder: tel.Recorder,
 			})
-			if provPath != "" {
-				if f, err := os.Create(runFileFor(provPath, name, policy)); err != nil {
-					ledgerErr = cmp.Or(ledgerErr, err)
-				} else {
-					tel.Provenance = obs.NewProvenance(f)
-					ledgers = append(ledgers, tel.Provenance)
-				}
-			}
 			return tel
 		}
 		ev, err := experiments.EvaluateOpts(w, pols, experiments.Observers{Telemetry: telemetryFor, Faults: fc})
@@ -312,17 +301,11 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				err = cerr
 			}
 		}
-		for _, p := range ledgers {
-			ledgerErr = cmp.Or(ledgerErr, p.Close())
-		}
 		if eventsErr != nil && err == nil {
 			err = fmt.Errorf("-events: %w", eventsErr)
 		}
 		if traceErr != nil && err == nil {
 			err = fmt.Errorf("-trace: %w", traceErr)
-		}
-		if ledgerErr != nil && err == nil {
-			err = fmt.Errorf("-provenance: %w", ledgerErr)
 		}
 		if err != nil {
 			return err
@@ -333,12 +316,12 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			printAlerts(ev)
 		}
 		if seriesDir != "" {
-			if err := writeSeriesAndManifests(seriesDir, provPath, ks, fc, ev); err != nil {
+			if err := writeSeriesAndManifests(seriesDir, eventsPath, ks, fc, ev); err != nil {
 				return err
 			}
 		}
-		if provPath != "" {
-			fmt.Printf("   (wrote %d provenance ledgers: %s ...)\n", len(ledgers), runFileFor(provPath, name, pols[0].Name))
+		if eventsPath != "" {
+			fmt.Printf("   (wrote %d decision logs: %s ...)\n", len(recorders), runFileFor(eventsPath, name, pols[0].Name))
 		}
 		if len(traceFiles) > 0 {
 			fmt.Printf("   (wrote %d Perfetto traces: %s ...)\n", len(traceFiles), traceFiles[0])

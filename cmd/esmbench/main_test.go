@@ -13,11 +13,11 @@ import (
 
 // TestRunFailsOnUncreatableTraceFile checks that a -trace file that
 // cannot be created fails the run, naming the flag and the path, the
-// way an uncreatable -provenance file does, instead of replaying
-// untraced and succeeding without a Perfetto file.
+// way an uncreatable -events file does, instead of replaying untraced
+// and succeeding without a Perfetto file.
 func TestRunFailsOnUncreatableTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "missing", "t.json")
-	err := run(0.05, "fileserver", 8, false, "", path, "", "", "", nil, nil)
+	err := run(0.05, "fileserver", 8, false, "", path, "", "", nil, nil)
 	if err == nil {
 		t.Fatal("run succeeded with an uncreatable -trace file")
 	}
@@ -32,7 +32,7 @@ func TestRunFailsOnUncreatableTraceFile(t *testing.T) {
 // that replay's records, so concurrent replays never interleave lines.
 func TestRunWritesOneEventsFilePerReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ev.jsonl")
-	if err := run(0.05, "fileserver", 8, false, path, "", "", "", "", nil, nil); err != nil {
+	if err := run(0.05, "fileserver", 8, false, path, "", "", "", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range experiments.PoliciesFor(0.05) {

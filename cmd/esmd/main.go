@@ -63,13 +63,12 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-determination status lines")
 	configPath := flag.String("config", "", "optional JSON config for storage and ESM parameters")
 	listen := flag.String("listen", "", "serve the control plane (/metrics, /status, /fleet, /arrays/, /debug/pprof) on this address")
-	events := flag.String("events", "", "append the telemetry event stream to this JSONL file")
+	events := flag.String("events", "", "write the decision log to this JSONL file as the array runs (its latest records are also served live at /arrays/<name>/provenance; fleet mode: set \"provenance\" per array in the fleet file)")
 	tracePath := flag.String("trace", "", "write a Perfetto trace-event JSON file of every I/O and management span")
 	seriesPath := flag.String("series", "", "write the flight-recorder series here as CSV on exit (also served live on /series)")
 	seriesInterval := flag.Duration("series-interval", 30*time.Second, "flight-recorder sampling interval (simulated time)")
 	faultSpec := flag.String("faults", "", "fault-injection scenario, e.g. seed=42,spinup=0.1,io=0.001,battery=10m:25m")
 	alertSpec := flag.String("alerts", "", "comma-separated watchdog rules for the single array, e.g. budget:total_energy_j>1.5e6:for=30s (fleet mode: declare rules in the fleet file)")
-	provPath := flag.String("provenance", "", "stream the decision-provenance ledger here as CSV while the array runs (its latest rows are also served live at /arrays/<name>/provenance; fleet mode: set \"provenance\" per array in the fleet file)")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -92,7 +91,6 @@ func main() {
 		seriesEvery:   *seriesInterval,
 		faults:        *faultSpec,
 		alerts:        *alertSpec,
-		provPath:      *provPath,
 	}
 	if opts.fleetPath == "" && (opts.catalogPath == "" || opts.placementPath == "") {
 		fmt.Fprintln(os.Stderr, "esmd: -catalog and -placement are required (or -fleet)")
@@ -119,7 +117,6 @@ type daemonOpts struct {
 	seriesEvery   time.Duration
 	faults        string
 	alerts        string
-	provPath      string
 }
 
 func run(opts daemonOpts, in io.Reader, out io.Writer) error {
@@ -154,7 +151,7 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 		Config:     opts.configPath,
 		Faults:     opts.faults,
 		Alerts:     alerts,
-		Provenance: opts.provPath != "",
+		Provenance: opts.eventsPath != "",
 	})
 	if err != nil {
 		return nil, err
@@ -177,13 +174,6 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 			return nil, err
 		}
 		spec.SpanSink = obs.NewPerfettoSink(f, "esmd")
-	}
-	if opts.provPath != "" {
-		f, err := os.Create(opts.provPath)
-		if err != nil {
-			return nil, err
-		}
-		spec.ProvenanceSink = f
 	}
 	fl, err := fleet.New(fleet.Options{Specs: []fleet.ArraySpec{spec}})
 	if err != nil {
@@ -257,9 +247,9 @@ func runSingle(opts daemonOpts, in io.Reader, out io.Writer) error {
 	if err := d.fl.Close(); err != nil {
 		return err
 	}
-	if p := d.arr.Provenance().Summary(); p != nil {
-		fmt.Fprintf(out, "provenance: %d rows (%d determinations, %d decisions, %d transitions) written to %s\n",
-			p.Rows, p.Determinations, p.Decisions, p.Transitions, opts.provPath)
+	if p := d.arr.Status().Provenance; p != nil {
+		fmt.Fprintf(out, "decision log: %d records (%d determinations, %d decisions, %d transitions) written to %s\n",
+			p.Rows, p.Determinations, p.Decisions, p.Transitions, opts.eventsPath)
 	}
 	if opts.tracePath != "" {
 		fmt.Fprintf(out, "trace written to %s\n", opts.tracePath)

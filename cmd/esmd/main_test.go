@@ -331,9 +331,10 @@ func TestRunFleetConfig(t *testing.T) {
 	}
 }
 
-// TestRunStreamsProvenance: -provenance streams the ledger to its file
-// while the array runs, the file holds every row the summary counts,
-// and a file that cannot take the rows fails the run with its path.
+// TestRunStreamsProvenance: -events streams the decision log to its
+// file while the array runs, the file holds every record the summary
+// counts, and a file that cannot take the records fails the run with
+// its path.
 func TestRunStreamsProvenance(t *testing.T) {
 	dir := t.TempDir()
 	catPath, plPath := writeDataset(t, dir)
@@ -341,35 +342,35 @@ func TestRunStreamsProvenance(t *testing.T) {
 	for i := 0; i <= 600; i++ {
 		fmt.Fprintf(&sb, "%d,%d,0,4096,R\n", int64(i)*int64(time.Second), i%8)
 	}
-	opts := daemonOpts{catalogPath: catPath, placementPath: plPath, quiet: true, provPath: filepath.Join(dir, "run.prov.csv")}
+	opts := daemonOpts{catalogPath: catPath, placementPath: plPath, quiet: true, eventsPath: filepath.Join(dir, "events.jsonl")}
 	var out bytes.Buffer
 	if err := run(opts, strings.NewReader(sb.String()), &out); err != nil {
 		t.Fatal(err)
 	}
 	var rows int
-	_, line, _ := strings.Cut(out.String(), "\nprovenance: ")
-	if _, err := fmt.Sscanf(line, "%d rows", &rows); err != nil {
-		t.Fatalf("no provenance summary line: %v\n%s", err, out.String())
+	_, line, _ := strings.Cut(out.String(), "\ndecision log: ")
+	if _, err := fmt.Sscanf(line, "%d records", &rows); err != nil {
+		t.Fatalf("no decision-log summary line: %v\n%s", err, out.String())
 	}
-	f, err := os.Open(opts.provPath)
+	f, err := os.Open(opts.eventsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := obs.ReadProvenanceCSV(f)
+	events, err := obs.ReadEvents(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows == 0 || len(recs) != rows {
-		t.Fatalf("ledger file holds %d rows, the summary %d", len(recs), rows)
+	if rows == 0 || len(events) != rows {
+		t.Fatalf("log file holds %d records, the summary %d", len(events), rows)
 	}
 
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail the writes")
 	}
-	opts.provPath = "/dev/full"
+	opts.eventsPath = "/dev/full"
 	err = run(opts, strings.NewReader(sb.String()), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "/dev/full") {
-		t.Fatalf("a failing ledger file gave %v, want an error naming it", err)
+		t.Fatalf("a failing log file gave %v, want an error naming it", err)
 	}
 }

@@ -88,21 +88,16 @@ func renderAlertsLog(out io.Writer, path, runLabel string) (firing bool, err err
 	if err != nil {
 		return false, err
 	}
-	byRun := map[string][]obs.Event{}
+	var alerts []obs.Event
 	for _, ev := range events {
-		if ev.Type != obs.EvAlert {
-			continue
+		if ev.Type == obs.EvAlert {
+			alerts = append(alerts, ev)
 		}
-		byRun[ev.Run] = append(byRun[ev.Run], ev)
 	}
-	if len(byRun) == 0 {
+	if len(alerts) == 0 {
 		return false, fmt.Errorf("%s: no alert events (was the run started with -alerts?)", path)
 	}
-	var runs []string
-	for r := range byRun {
-		runs = append(runs, r)
-	}
-	sort.Strings(runs)
+	byRun, runs := splitRuns(alerts)
 	if runLabel != "" {
 		if _, ok := byRun[runLabel]; !ok {
 			return false, fmt.Errorf("run %q has no alert events (have: %s)", runLabel, strings.Join(runs, ", "))

@@ -199,7 +199,7 @@ func runSeriesDiff(out io.Writer, aPath, bPath string, tol float64) (bool, error
 	}
 	fmt.Fprintf(out, "earliest divergence: %s at %v (window %v..%v)\n",
 		first.signal, first.at.Round(time.Second), first.winStart.Round(time.Second), first.at.Round(time.Second))
-	fmt.Fprintf(out, "next: esmstat explain -since %v -until %v <run.prov.csv>\n",
+	fmt.Fprintf(out, "next: esmstat explain -since %v -until %v <events.jsonl>\n",
 		first.winStart.Round(time.Second), first.at.Round(time.Second))
 	fmt.Fprintf(out, "DIVERGED: %d signal(s)\n", len(divs))
 	return true, nil

@@ -38,6 +38,8 @@ var coveredEventKinds = map[obs.EventType]bool{
 	obs.EvFault:              true,
 	obs.EvDegrade:            true,
 	obs.EvAlert:              true,
+	obs.EvDecision:           false, // per-item detail of the determination; explain renders it
+	obs.EvAttribution:        false, // explain joins it to the decisions
 }
 
 func runEvents(out io.Writer, path, runLabel string, since, until time.Duration) error {
@@ -46,9 +48,15 @@ func runEvents(out io.Writer, path, runLabel string, since, until time.Duration)
 		return err
 	}
 	defer f.Close()
-	events, err := obs.ReadEvents(f)
+	all, err := obs.ReadEvents(f)
 	if err != nil {
 		return err
+	}
+	var events []obs.Event
+	for _, ev := range all {
+		if !explainOnly(ev) {
+			events = append(events, ev)
+		}
 	}
 	if len(events) == 0 {
 		return fmt.Errorf("%s: no events", path)
@@ -57,15 +65,7 @@ func runEvents(out io.Writer, path, runLabel string, since, until time.Duration)
 		return fmt.Errorf("%s: no events in the -since/-until window", path)
 	}
 
-	byRun := map[string][]obs.Event{}
-	for _, ev := range events {
-		byRun[ev.Run] = append(byRun[ev.Run], ev)
-	}
-	var runs []string
-	for r := range byRun {
-		runs = append(runs, r)
-	}
-	sort.Strings(runs)
+	byRun, runs := splitRuns(events)
 	if runLabel != "" {
 		if _, ok := byRun[runLabel]; !ok {
 			return fmt.Errorf("run %q not in log (have: %s)", runLabel, strings.Join(runs, ", "))
@@ -79,6 +79,28 @@ func runEvents(out io.Writer, path, runLabel string, since, until time.Duration)
 		renderRun(out, r, byRun[r])
 	}
 	return nil
+}
+
+// explainOnly reports whether ev is a record only explain reads: a
+// per-item decision, an end-of-run attribution, or the "on" record
+// that ends a spin-up (the spin-up record marks the transition). The
+// events view leaves them out, its event counts included.
+func explainOnly(ev obs.Event) bool {
+	return ev.Type == obs.EvDecision || ev.Type == obs.EvAttribution || ev.Power != nil && ev.Power.State == "on"
+}
+
+// splitRuns groups events by their run label, keeping stream order
+// within each run; runs lists the labels sorted.
+func splitRuns(events []obs.Event) (byRun map[string][]obs.Event, runs []string) {
+	byRun = map[string][]obs.Event{}
+	for _, ev := range events {
+		if byRun[ev.Run] == nil {
+			runs = append(runs, ev.Run)
+		}
+		byRun[ev.Run] = append(byRun[ev.Run], ev)
+	}
+	sort.Strings(runs)
+	return byRun, runs
 }
 
 // windowEvents keeps the events inside the [since, until] simulated-
@@ -252,10 +274,7 @@ func renderTimelines(out io.Writer, events []obs.Event, span time.Duration) {
 		// duration (the spin-up time) is not in the log.
 		for _, s := range segs[e] {
 			if s.State == "spinup" {
-				c := int(int64(s.T) * cols / int64(span))
-				if c >= cols {
-					c = cols - 1
-				}
+				c := min(max(int(int64(s.T)*cols/int64(span)), 0), cols-1)
 				strip[c] = '^'
 			}
 		}

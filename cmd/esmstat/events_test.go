@@ -1,6 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +65,8 @@ func TestRenderRunShowsEveryRenderedKind(t *testing.T) {
 			Rule: "budget", State: "firing", Prev: "pending",
 			Signal: "total_energy_j", Value: 2e6, Threshold: 1.5e6, SinceNS: 10e9,
 		}},
+		{T: 16e9, Type: obs.EvDecision, Decision: &obs.Decision{Kind: obs.DecisionMove, Det: 1, Item: 7, Src: 0, Dst: 1}},
+		{T: 17e9, Type: obs.EvAttribution, Attribution: &obs.AttributionEvent{Enclosure: 1, Items: []obs.ItemEnergy{{Item: 7, Joules: 10}}}},
 	}
 	// The fixture must exercise the full vocabulary, or the coverage
 	// claim below is hollow.
@@ -132,4 +140,79 @@ func TestRenderRunWindowed(t *testing.T) {
 	if !strings.Contains(out, "#1") || strings.Contains(out, "#2") {
 		t.Fatalf("windowed render wrong:\n%s", out)
 	}
+}
+
+// payloadless are log lines whose type selects a payload they do not
+// carry.
+var payloadless = []string{
+	`{"seq":1,"t_ns":5,"type":"power_on","run":"x"}` + "\n",
+	`{"seq":1,"t_ns":5,"type":"alert","run":"x"}` + "\n",
+}
+
+// TestRenderersRejectPayloadlessLines: a line without the payload its
+// type selects is an error naming the line in every renderer of the
+// log, not a nil dereference.
+func TestRenderersRejectPayloadlessLines(t *testing.T) {
+	for _, line := range payloadless {
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runEvents(io.Discard, path, "", 0, 0); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("events over %q: %v, want a line-1 error", line, err)
+		}
+		if _, err := renderAlertsLog(io.Discard, path, ""); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("alerts over %q: %v, want a line-1 error", line, err)
+		}
+		if err := runExplain(io.Discard, []string{path}); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("explain over %q: %v, want a line-1 error", line, err)
+		}
+	}
+}
+
+// FuzzReadEvents: every input either fails with a line-numbered error,
+// or decodes to events that re-encode to the input's bytes and that
+// the events, alerts and explain renderers handle without panicking.
+func FuzzReadEvents(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "replay", "testdata", "golden", "faulted.events.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, line := range payloadless {
+		f.Add([]byte(line))
+	}
+	lineErr := regexp.MustCompile(`line [0-9]+: `)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		events, err := obs.ReadEvents(bytes.NewReader(in))
+		if err != nil {
+			if !lineErr.MatchString(err.Error()) {
+				t.Fatalf("error names no line: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		enc := json.NewEncoder(&out)
+		for i := range events {
+			if err := enc.Encode(&events[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("accepted input re-encodes differently:\nin  %q\nout %q", in, out.Bytes())
+		}
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_ = runEvents(io.Discard, path, "", 0, 0)
+		_, _ = renderAlertsLog(io.Discard, path, "")
+		_ = runExplain(io.Discard, []string{path})
+		for _, ev := range events {
+			if ev.Type == obs.EvAlert {
+				_ = runExplain(io.Discard, []string{"-alert", ev.Alert.Rule, path})
+				break
+			}
+		}
+	})
 }

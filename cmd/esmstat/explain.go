@@ -1,14 +1,13 @@
-// The explain subcommand: the root-cause report over a decision-
-// provenance ledger (the .prov.csv written by esmreplay/esmbench
-// -provenance, or a saved /arrays/<name>/provenance payload). Given a
-// time window — stated directly with -since/-until, or resolved from
-// an alert rule's first firing transition in a saved -events log — it
-// ranks root-cause candidates from the windowed decision and runtime
-// rows and joins the end-of-run energy attribution back to each hot
-// item's decision chain, so "the budget alert fired" becomes "12
-// injected spinup-fail faults forced 34 spin-ups on enclosures 2 and
-// 5". The report is a pure function of its input files: byte-identical
-// across reruns.
+// The explain subcommand: the root-cause report over a decision log
+// (the events JSONL written by esmbench/esmreplay/esmd -events, or a
+// saved /arrays/<name>/provenance payload). Given a time window —
+// stated directly with -since/-until, or resolved from an alert rule's
+// first firing transition in the same log — it ranks root-cause
+// candidates from the windowed decision and runtime records and joins
+// the end-of-run energy attribution back to each hot item's decision
+// chain, so "the budget alert fired" becomes "12 injected spinup-fail
+// faults forced 34 spin-ups on enclosures 2 and 5". The report is a
+// pure function of its input files: byte-identical across reruns.
 
 package main
 
@@ -30,18 +29,18 @@ import (
 func runExplain(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("esmstat explain", flag.ExitOnError)
 	since, until := addWindowFlags(fs)
-	alertName := fs.String("alert", "", "resolve the window from this alert rule's first firing transition (requires -events)")
-	eventsPath := fs.String("events", "", "telemetry event log (JSONL) holding the alert transitions")
-	runLabel := fs.String("run", "", "with -events: restrict to the stream with this run label")
+	alertName := fs.String("alert", "", "resolve the window from this alert rule's first firing transition in the log")
+	runLabel := fs.String("run", "", "restrict to the stream with this run label")
 	window := fs.Duration("window", 10*time.Minute, "with -alert: window length ending at the firing instant")
 	top := fs.Int("top", 5, "entries per ranked section")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 || fs.NArg() > 2 {
-		return fmt.Errorf("usage: esmstat explain [-since D] [-until D | -alert RULE -events LOG [-run LABEL] [-window D]] [-top N] <run.prov.csv> [run.series.csv]")
+		return fmt.Errorf("usage: esmstat explain [-since D] [-until D | -alert RULE [-window D]] [-run LABEL] [-top N] <events.jsonl> [run.series.csv]")
 	}
-	recs, err := loadProvenance(fs.Arg(0))
+	path := fs.Arg(0)
+	events, err := loadRun(path, *runLabel)
 	if err != nil {
 		return err
 	}
@@ -49,12 +48,9 @@ func runExplain(out io.Writer, args []string) error {
 	lo, hi := *since, *until
 	var alertLine string
 	if *alertName != "" {
-		if *eventsPath == "" {
-			return fmt.Errorf("-alert needs -events (the JSONL log holding the alert transitions)")
-		}
-		at, a, err := findAlertFiring(*eventsPath, *alertName, *runLabel)
+		at, a, err := findAlertFiring(events, *alertName)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		hi = at
 		lo = at - *window
@@ -65,9 +61,10 @@ func runExplain(out io.Writer, args []string) error {
 			a.Rule, at.Round(time.Second), a.Signal, a.Value, a.Threshold)
 	}
 
-	var win []obs.ProvRecord
+	recs := logRows(events)
+	var win []row
 	for _, r := range recs {
-		if r.T < lo || (hi > 0 && r.T > hi) {
+		if r.t < lo || (hi > 0 && r.t > hi) {
 			continue
 		}
 		win = append(win, r)
@@ -76,7 +73,7 @@ func runExplain(out io.Writer, args []string) error {
 	// The base name keeps reports from different artifact directories
 	// byte-comparable (the CI smoke cmp's a rerun's report).
 	fmt.Fprintf(out, "explain %s: %d ledger rows, %d in window %v..%s\n",
-		filepath.Base(fs.Arg(0)), len(recs), len(win), lo.Round(time.Second), untilLabel(hi))
+		filepath.Base(path), len(recs), len(win), lo.Round(time.Second), untilLabel(hi))
 	if alertLine != "" {
 		fmt.Fprintln(out, alertLine)
 	}
@@ -106,44 +103,135 @@ func runExplain(out io.Writer, args []string) error {
 	return nil
 }
 
-// loadProvenance reads a provenance CSV into typed records.
-func loadProvenance(path string) ([]obs.ProvRecord, error) {
+// loadRun reads a decision log, restricted to one run's stream when
+// runLabel is set.
+func loadRun(path, runLabel string) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	recs, err := obs.ReadProvenanceCSV(f)
+	events, err := obs.ReadEvents(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return recs, nil
+	if runLabel == "" {
+		return events, nil
+	}
+	byRun, runs := splitRuns(events)
+	if _, ok := byRun[runLabel]; !ok {
+		return nil, fmt.Errorf("%s: run %q not in log (have: %s)", path, runLabel, strings.Join(runs, ", "))
+	}
+	return byRun[runLabel], nil
 }
 
 // findAlertFiring returns the time of the first pending/ok -> firing
-// transition of the named rule in the event log.
-func findAlertFiring(path, rule, runLabel string) (time.Duration, *obs.AlertEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		return 0, nil, err
-	}
+// transition of the named rule in the log.
+func findAlertFiring(events []obs.Event, rule string) (time.Duration, *obs.AlertEvent, error) {
 	for _, ev := range events {
-		if ev.Type != obs.EvAlert || ev.Alert == nil {
-			continue
-		}
-		if runLabel != "" && ev.Run != runLabel {
-			continue
-		}
-		if ev.Alert.Rule == rule && ev.Alert.State == string(obs.AlertFiring) {
+		if ev.Type == obs.EvAlert && ev.Alert.Rule == rule && ev.Alert.State == string(obs.AlertFiring) {
 			return time.Duration(ev.T), ev.Alert, nil
 		}
 	}
-	return 0, nil, fmt.Errorf("%s: alert %q never fired (rules present fire as \"alert\" events; was the run started with -alerts?)", path, rule)
+	return 0, nil, fmt.Errorf("alert %q never fired (rules present fire as \"alert\" events; was the run started with -alerts?)", rule)
+}
+
+// rowKind is what a row records.
+type rowKind int
+
+const (
+	rowDetermination rowKind = iota
+	rowMove
+	rowReclass
+	rowPreload // a preload pick (det >= 0) or a bulk load (det < 0)
+	rowDestage // a write-delay pick (det >= 0) or a destage (det < 0)
+	rowPower
+	rowMigration
+	rowFault
+	rowAttrib
+)
+
+// row is the unit explain counts and windows: a determination, a
+// decision, an action the array executed or an item's attributed
+// joules. A cache record or an attribution record gives one row per
+// item it lists.
+type row struct {
+	t    time.Duration
+	kind rowKind
+	// det is the determination number of a determination or decision
+	// row; -1 on the rows of executed actions.
+	det   int64
+	cause string
+	item  int64
+	// class and prevClass are P0-P3 codes (-1 unknown).
+	class, prevClass int
+	// src is the enclosure of power, fault and attribution rows, and
+	// with dst the source and destination of moves and migrations.
+	src, dst int
+	state    string // power rows: "spinup", "on" or "off"
+	predDJ   float64
+	joules   float64
+}
+
+// decisionRows maps each decision kind to its row kind.
+var decisionRows = map[obs.DecisionKind]rowKind{
+	obs.DecisionMove:       rowMove,
+	obs.DecisionReclass:    rowReclass,
+	obs.DecisionPreload:    rowPreload,
+	obs.DecisionWriteDelay: rowDestage,
+}
+
+// logRows flattens a decision log into the rows explain reads; records
+// that explain no activity (starts, skips, selections that load or
+// destage nothing, alerts) give none.
+func logRows(events []obs.Event) []row {
+	var rows []row
+	for _, ev := range events {
+		t := time.Duration(ev.T)
+		switch ev.Type {
+		case obs.EvDetermination:
+			d := ev.Determination
+			rows = append(rows, row{t: t, kind: rowDetermination, det: d.N, cause: string(d.Cause)})
+		case obs.EvDecision:
+			d := ev.Decision
+			if kind, ok := decisionRows[d.Kind]; ok {
+				rows = append(rows, row{
+					t: t, kind: kind, det: d.Det, cause: string(d.Cause), item: d.Item,
+					class: d.Class, prevClass: d.PrevClass, src: d.Src, dst: d.Dst, predDJ: d.PredDJ,
+				})
+			}
+		case obs.EvPowerOn, obs.EvPowerOff:
+			p := ev.Power
+			rows = append(rows, row{t: t, kind: rowPower, det: -1, cause: string(p.Cause), src: p.Enclosure, state: p.State})
+		case obs.EvMigrationDone:
+			m := ev.Migration
+			rows = append(rows, row{t: t, kind: rowMigration, det: -1, item: m.Item, src: m.Src, dst: m.Dst})
+		case obs.EvFault:
+			rows = append(rows, row{t: t, kind: rowFault, det: -1, cause: ev.Fault.Kind, src: ev.Fault.Enclosure})
+		case obs.EvCacheSelect, obs.EvCacheEvict:
+			// A preload selection is the bulk load and a write-delay
+			// eviction the destage; write-delay picks and preload drops
+			// execute nothing.
+			c := ev.Cache
+			kind := rowPreload
+			switch {
+			case ev.Type == obs.EvCacheSelect && c.Function == "preload":
+			case ev.Type == obs.EvCacheEvict && c.Function == "write-delay":
+				kind = rowDestage
+			default:
+				continue
+			}
+			for _, it := range c.Items {
+				rows = append(rows, row{t: t, kind: kind, det: -1, item: it})
+			}
+		case obs.EvAttribution:
+			a := ev.Attribution
+			for _, it := range a.Items {
+				rows = append(rows, row{t: t, kind: rowAttrib, item: it.Item, class: int(it.Class), src: a.Enclosure, joules: it.Joules})
+			}
+		}
+	}
+	return rows
 }
 
 func untilLabel(hi time.Duration) string {
@@ -155,46 +243,46 @@ func untilLabel(hi time.Duration) string {
 
 // renderWindowActivity prints the decision and runtime row counts of
 // the window, with per-cause breakdowns where they carry signal.
-func renderWindowActivity(out io.Writer, win []obs.ProvRecord) {
+func renderWindowActivity(out io.Writer, win []row) {
 	var dets, moves, toCold, reclass, preDec, desDec int
 	var spinups, powerOn, powerOff, migrations, destages, preloads, faults int
 	detCauses := map[string]int{}
 	for _, r := range win {
-		switch r.Kind {
-		case obs.ProvDetermination:
+		switch r.kind {
+		case rowDetermination:
 			dets++
-			detCauses[r.Cause]++
-		case obs.ProvMove:
+			detCauses[r.cause]++
+		case rowMove:
 			moves++
-			if r.PredDJ < 0 {
+			if r.predDJ < 0 {
 				toCold++
 			}
-		case obs.ProvReclass:
+		case rowReclass:
 			reclass++
-		case obs.ProvPreload:
-			if r.Det >= 0 {
+		case rowPreload:
+			if r.det >= 0 {
 				preDec++
 			} else {
 				preloads++
 			}
-		case obs.ProvDestage:
-			if r.Det >= 0 {
+		case rowDestage:
+			if r.det >= 0 {
 				desDec++
 			} else {
 				destages++
 			}
-		case obs.ProvPower:
-			switch r.Dst {
-			case 2:
+		case rowPower:
+			switch r.state {
+			case "spinup":
 				spinups++
-			case 1:
+			case "on":
 				powerOn++
-			case 0:
+			case "off":
 				powerOff++
 			}
-		case obs.ProvMigration:
+		case rowMigration:
 			migrations++
-		case obs.ProvFault:
+		case rowFault:
 			faults++
 		}
 	}
@@ -248,32 +336,32 @@ type rootCause struct {
 // row counts. Injected faults are exogenous — they cause the spin-ups
 // and migrations that follow — so the fault burst is weighted above
 // the symptoms it produces.
-func renderRootCauses(out io.Writer, win []obs.ProvRecord) {
+func renderRootCauses(out io.Writer, win []row) {
 	faultKinds := map[string]int{}
 	spinCauses := map[string]int{}
 	reclassN, migrN, destageN, preloadN := 0, 0, 0, 0
 	faultEncs := map[int]int{}
 	spinEncs := map[int]int{}
 	for _, r := range win {
-		switch r.Kind {
-		case obs.ProvFault:
-			faultKinds[r.Cause]++
-			faultEncs[r.Src]++
-		case obs.ProvPower:
-			if r.Dst == 2 {
-				spinCauses[r.Cause]++
-				spinEncs[r.Src]++
+		switch r.kind {
+		case rowFault:
+			faultKinds[r.cause]++
+			faultEncs[r.src]++
+		case rowPower:
+			if r.state == "spinup" {
+				spinCauses[r.cause]++
+				spinEncs[r.src]++
 			}
-		case obs.ProvReclass:
+		case rowReclass:
 			reclassN++
-		case obs.ProvMigration:
+		case rowMigration:
 			migrN++
-		case obs.ProvDestage:
-			if r.Det < 0 {
+		case rowDestage:
+			if r.det < 0 {
 				destageN++
 			}
-		case obs.ProvPreload:
-			if r.Det < 0 {
+		case rowPreload:
+			if r.det < 0 {
 				preloadN++
 			}
 		}
@@ -358,7 +446,7 @@ func encList(encs map[int]int) string {
 
 // renderEnclosures prints the per-enclosure window activity table,
 // ranked by spin-ups, then faults, then enclosure number.
-func renderEnclosures(out io.Writer, win []obs.ProvRecord, top int) {
+func renderEnclosures(out io.Writer, win []row, top int) {
 	type encRow struct {
 		spinups, faults, powerOn, powerOff, migIn, migOut int
 	}
@@ -375,27 +463,27 @@ func renderEnclosures(out io.Writer, win []obs.ProvRecord, top int) {
 		return r
 	}
 	for _, r := range win {
-		switch r.Kind {
-		case obs.ProvPower:
-			if er := get(r.Src); er != nil {
-				switch r.Dst {
-				case 2:
+		switch r.kind {
+		case rowPower:
+			if er := get(r.src); er != nil {
+				switch r.state {
+				case "spinup":
 					er.spinups++
-				case 1:
+				case "on":
 					er.powerOn++
-				case 0:
+				case "off":
 					er.powerOff++
 				}
 			}
-		case obs.ProvFault:
-			if er := get(r.Src); er != nil {
+		case rowFault:
+			if er := get(r.src); er != nil {
 				er.faults++
 			}
-		case obs.ProvMigration:
-			if er := get(r.Dst); er != nil {
+		case rowMigration:
+			if er := get(r.dst); er != nil {
 				er.migIn++
 			}
-			if er := get(r.Src); er != nil {
+			if er := get(r.src); er != nil {
 				er.migOut++
 			}
 		}
@@ -430,9 +518,9 @@ func renderEnclosures(out io.Writer, win []obs.ProvRecord, top int) {
 }
 
 // renderHotItems joins the end-of-run energy attribution back to each
-// item's decision chain over the whole ledger: the items that cost the
+// item's decision chain over the whole log: the items that cost the
 // most joules, and the determinations that put them where they are.
-func renderHotItems(out io.Writer, recs []obs.ProvRecord, top int) {
+func renderHotItems(out io.Writer, recs []row, top int) {
 	type itemAttr struct {
 		item   int64
 		joules float64
@@ -441,15 +529,15 @@ func renderHotItems(out io.Writer, recs []obs.ProvRecord, top int) {
 	}
 	attr := map[int64]*itemAttr{}
 	for _, r := range recs {
-		if r.Kind != obs.ProvAttrib {
+		if r.kind != rowAttrib {
 			continue
 		}
-		ia := attr[r.Item]
+		ia := attr[r.item]
 		if ia == nil {
-			ia = &itemAttr{item: r.Item, class: r.Class, enc: r.Src}
-			attr[r.Item] = ia
+			ia = &itemAttr{item: r.item, class: r.class, enc: r.src}
+			attr[r.item] = ia
 		}
-		ia.joules += r.Joules
+		ia.joules += r.joules
 	}
 	if len(attr) == 0 {
 		return
@@ -474,25 +562,25 @@ func renderHotItems(out io.Writer, recs []obs.ProvRecord, top int) {
 	}
 }
 
-// decisionChain summarizes one item's decision rows across the ledger.
-func decisionChain(recs []obs.ProvRecord, item int64) string {
+// decisionChain summarizes one item's decision rows across the log.
+func decisionChain(recs []row, item int64) string {
 	var moves, reclass, preloads, destages int
-	var lastMove, lastReclass *obs.ProvRecord
+	var lastMove, lastReclass *row
 	for i := range recs {
 		r := &recs[i]
-		if r.Item != item {
+		if r.item != item {
 			continue
 		}
-		switch r.Kind {
-		case obs.ProvMove:
+		switch r.kind {
+		case rowMove:
 			moves++
 			lastMove = r
-		case obs.ProvReclass:
+		case rowReclass:
 			reclass++
 			lastReclass = r
-		case obs.ProvPreload:
+		case rowPreload:
 			preloads++
-		case obs.ProvDestage:
+		case rowDestage:
 			destages++
 		}
 	}
@@ -504,7 +592,7 @@ func decisionChain(recs []obs.ProvRecord, item int64) string {
 		s := fmt.Sprintf("%d moves", moves)
 		if lastMove != nil {
 			s += fmt.Sprintf(" (last %d->%d at %v, predicted %+.0f J)",
-				lastMove.Src, lastMove.Dst, lastMove.T.Round(time.Second), lastMove.PredDJ)
+				lastMove.src, lastMove.dst, lastMove.t.Round(time.Second), lastMove.predDJ)
 		}
 		parts = append(parts, s)
 	}
@@ -512,8 +600,8 @@ func decisionChain(recs []obs.ProvRecord, item int64) string {
 		s := fmt.Sprintf("%d reclass", reclass)
 		if lastReclass != nil {
 			s += fmt.Sprintf(" (last %s->%s at %v)",
-				patternName(lastReclass.PrevClass), patternName(lastReclass.Class),
-				lastReclass.T.Round(time.Second))
+				patternName(lastReclass.prevClass), patternName(lastReclass.class),
+				lastReclass.t.Round(time.Second))
 		}
 		parts = append(parts, s)
 	}

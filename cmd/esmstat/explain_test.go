@@ -39,34 +39,39 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 	}
 }
 
-// explainFixture writes a small provenance ledger to disk: a spin-up
-// storm on enclosure 2 driven by injected faults, one move decision,
-// and attribution rows, all inside the first ten minutes.
+// explainFixture writes a small decision log to disk: a spin-up storm
+// on enclosure 2 driven by injected faults, one move decision, an
+// alert firing and the attribution, all inside the first twenty
+// minutes.
 func explainFixture(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "run.prov.csv")
+	path := filepath.Join(t.TempDir(), "events.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := obs.NewProvenance(f)
+	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(f), Label: "x"})
 	at := func(m int) time.Duration { return time.Duration(m) * time.Minute }
 	for _, d := range []obs.Decision{
-		{Kind: obs.ProvDetermination, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1},
-		{Kind: obs.ProvMove, Item: 7, Class: 0, PrevClass: -1, Src: 0, Dst: 2, IntervalS: 300, ReadRatio: 0.9, ToCold: true},
-		{Kind: obs.ProvReclass, Item: 8, Class: 0, PrevClass: 3, Src: 1, Dst: -1},
+		{Kind: obs.DecisionMove, Item: 7, Class: 0, PrevClass: -1, Src: 0, Dst: 2, IntervalS: 300, ReadRatio: 0.9, ToCold: true},
+		{Kind: obs.DecisionReclass, Item: 8, Class: 0, PrevClass: 3, Src: 1, Dst: -1},
 	} {
 		d.Det, d.Cause = 1, obs.CausePeriodEnd
-		p.Log(at(4), obs.Event{Type: obs.EvDecision, Decision: &d})
+		rec.Log(at(4), obs.Event{Type: obs.EvDecision, Decision: &d})
 	}
+	rec.Log(at(4), obs.Event{Type: obs.EvDetermination, Determination: &obs.DeterminationEvent{N: 1, Cause: obs.CausePeriodEnd}})
 	for i := 0; i < 3; i++ {
 		t := at(5) + time.Duration(i)*time.Second
-		p.Log(t, obs.Event{Type: obs.EvFault, Fault: &obs.FaultEvent{Kind: "spinup-fail", Enclosure: 2}})
-		p.Log(t, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: 2, State: "spinup", Cause: obs.CauseDemand}})
+		rec.Log(t, obs.Event{Type: obs.EvFault, Fault: &obs.FaultEvent{Kind: "spinup-fail", Enclosure: 2}})
+		rec.Log(t, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: 2, State: "spinup", Cause: obs.CauseDemand}})
 	}
-	p.Log(at(6), obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: 2, State: "on", Cause: obs.CauseDemand}})
-	p.Log(at(7), obs.Event{Type: obs.EvMigrationDone, Migration: &obs.MigrationEvent{Item: 7, Src: 0, Dst: 2}})
-	p.RecordAttribution(at(20), &obs.Attribution{
+	rec.Log(at(6), obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: 2, State: "on", Cause: obs.CauseDemand}})
+	rec.Log(at(7), obs.Event{Type: obs.EvMigrationDone, Migration: &obs.MigrationEvent{Item: 7, Src: 0, Dst: 2}})
+	rec.Log(at(8), obs.Event{Type: obs.EvAlert, Alert: &obs.AlertEvent{
+		Rule: "budget", State: string(obs.AlertFiring), Prev: "pending",
+		Signal: "total_energy_j", Value: 2000, Threshold: 1500,
+	}})
+	rec.RecordAttribution(at(20), &obs.Attribution{
 		TotalJ: 1000,
 		Enclosures: []obs.EnclosureAttribution{{
 			Enclosure: 2,
@@ -76,7 +81,7 @@ func explainFixture(t *testing.T) string {
 			},
 		}},
 	})
-	if err := p.Close(); err != nil {
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -118,10 +123,9 @@ func TestExplainReportNamesInjectedCause(t *testing.T) {
 }
 
 // TestExplainCountsMatchEventStream replays the file-server workload
-// with ESM alone at scale 0.2, whose ledger outgrows the live tail, and
-// checks the ledger file is lossless: its determination, spin-up,
-// power-off and migration rows equal the run's events of those kinds,
-// and explain reports the same counts.
+// with ESM alone at scale 0.2 and checks that explain reports the
+// log's determination, spin-up, power-off and migration records, and
+// that the log holds every record its roll-up counts.
 func TestExplainCountsMatchEventStream(t *testing.T) {
 	w, err := experiments.Build(experiments.FileServer, 0.2)
 	if err != nil {
@@ -133,23 +137,26 @@ func TestExplainCountsMatchEventStream(t *testing.T) {
 			esm = append(esm, f)
 		}
 	}
-	var events, ledger bytes.Buffer
+	var events bytes.Buffer
 	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events)})
-	prov := obs.NewProvenance(&ledger)
-	tel := func(string) obs.Telemetry { return obs.Telemetry{Recorder: rec, Provenance: prov} }
+	tel := func(string) obs.Telemetry { return obs.Telemetry{Recorder: rec} }
 	if _, err := experiments.EvaluateOpts(w, esm, experiments.Observers{Telemetry: tel}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := prov.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, events.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	evs, err := obs.ReadEvents(&events)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sum := rec.Summary(); int64(len(evs)) != sum.Rows {
+		t.Fatalf("log holds %d records, its summary %+v", len(evs), sum)
 	}
 	var want struct{ determinations, spinUps, powerOffs, migrations int }
 	for _, ev := range evs {
@@ -164,34 +171,10 @@ func TestExplainCountsMatchEventStream(t *testing.T) {
 			want.migrations++
 		}
 	}
-	recs, err := obs.ReadProvenanceCSV(bytes.NewReader(ledger.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := prov.Summary(); sum.Dropped == 0 || int64(len(recs)) != sum.Rows {
-		t.Fatalf("ledger file holds %d rows, summary %+v; the case must outgrow the tail", len(recs), sum)
-	}
-	var got struct{ determinations, spinUps, powerOffs, migrations int }
-	for _, r := range recs {
-		switch {
-		case r.Kind == obs.ProvDetermination:
-			got.determinations++
-		case r.Kind == obs.ProvPower && r.Dst == obs.PowerStateCode("spinup"):
-			got.spinUps++
-		case r.Kind == obs.ProvPower && r.Dst == obs.PowerStateCode("off"):
-			got.powerOffs++
-		case r.Kind == obs.ProvMigration:
-			got.migrations++
-		}
-	}
-	if got != want || want.determinations == 0 || want.spinUps == 0 || want.migrations == 0 {
-		t.Fatalf("ledger counts %+v, event stream %+v", got, want)
+	if want.determinations == 0 || want.spinUps == 0 || want.migrations == 0 {
+		t.Fatalf("the run exercises nothing: %+v", want)
 	}
 
-	path := filepath.Join(t.TempDir(), "esm.prov.csv")
-	if err := os.WriteFile(path, ledger.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
 	if err := runExplain(&out, []string{"-since", "0s", path}); err != nil {
 		t.Fatal(err)
@@ -205,29 +188,16 @@ func TestExplainCountsMatchEventStream(t *testing.T) {
 		reported[i], _ = strconv.Atoi(m[1+i])
 	}
 	if reported != [4]int{want.determinations, want.spinUps, want.powerOffs, want.migrations} {
-		t.Errorf("explain reports %v determinations/spin-ups/power-offs/migrations, the event stream %+v", reported, want)
+		t.Errorf("explain reports %v determinations/spin-ups/power-offs/migrations, the log %+v", reported, want)
 	}
 }
 
-// TestExplainAlertWindow resolves the window from an alert firing in a
-// saved event log.
+// TestExplainAlertWindow resolves the window from an alert firing in
+// the same log, for the named run only.
 func TestExplainAlertWindow(t *testing.T) {
 	path := explainFixture(t)
-	var events bytes.Buffer
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Registry: obs.NewRegistry(), Label: "x"})
-	rec.Log(8*time.Minute, obs.Event{Type: obs.EvAlert, Alert: &obs.AlertEvent{
-		Rule: "budget", State: string(obs.AlertFiring), Prev: "pending",
-		Signal: "total_energy_j", Value: 2000, Threshold: 1500,
-	}})
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logPath := filepath.Join(t.TempDir(), "events.jsonl")
-	if err := os.WriteFile(logPath, events.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := runExplain(&buf, []string{"-alert", "budget", "-events", logPath, path}); err != nil {
+	if err := runExplain(&buf, []string{"-alert", "budget", "-run", "x", path}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -239,8 +209,11 @@ func TestExplainAlertWindow(t *testing.T) {
 	}
 
 	var missing bytes.Buffer
-	if err := runExplain(&missing, []string{"-alert", "nope", "-events", logPath, path}); err == nil {
+	if err := runExplain(&missing, []string{"-alert", "nope", path}); err == nil {
 		t.Error("unknown alert rule did not error")
+	}
+	if err := runExplain(&missing, []string{"-alert", "budget", "-run", "y", path}); err == nil || !strings.Contains(err.Error(), `run "y" not in log (have: x)`) {
+		t.Errorf("unknown run gave %v, want an error listing the runs", err)
 	}
 }
 

@@ -3,8 +3,8 @@
 // logical I/O pattern distribution (the Fig. 6 analysis for an arbitrary
 // trace), and the per-pattern top data items.
 //
-// The events subcommand renders saved telemetry event logs (the JSONL
-// streams written by esmd -events and esmbench -events): a
+// The events subcommand renders saved decision logs (the JSONL streams
+// written by esmd, esmbench and esmreplay -events): a
 // determination-by-determination summary plus per-enclosure power-state
 // timelines.
 //
@@ -29,11 +29,10 @@
 // transition events of a saved -events log — and exits 1 when any rule
 // is firing at the end: the CI gate for energy/SLO budget rules.
 //
-// The explain subcommand turns a decision-provenance ledger
-// (esmbench/esmreplay -provenance) into a ranked root-cause report for
-// a time window or an alert firing; diff -series time-aligns two
-// flight-series CSVs and locates the first divergence window per
-// signal, the input explain wants.
+// The explain subcommand turns the same decision log into a ranked
+// root-cause report for a time window or an alert firing in it; diff
+// -series time-aligns two flight-series CSVs and locates the first
+// divergence window per signal, the input explain wants.
 //
 // Usage:
 //
@@ -44,7 +43,7 @@
 //	esmstat series [-since 10m] [-until 1h] [-csv] fileserver-esm.series.csv
 //	esmstat diff [-energy 0.05] [-resp 0.1] [-alerts 0] baseline.json new.json
 //	esmstat diff -series [-tol 1e-9] baseline.series.csv new.series.csv
-//	esmstat explain [-alert RULE -events LOG | -since D -until D] run.prov.csv
+//	esmstat explain [-alert RULE [-run L] [-window D] | -since D -until D] events.jsonl
 //	esmstat fleet [-tol 1e-9] http://localhost:9090
 //	esmstat alerts http://localhost:9090
 //	esmstat alerts [-run fileserver/esm] events.jsonl
@@ -72,8 +71,8 @@ var subcommandHelp = []struct{ name, brief string }{
 	{"alerts", "render watchdog alert state (live /alerts or a saved -events log); exits 1 if firing"},
 	{"attrib", "per-class/per-function energy attribution from a span trace (esmbench -trace)"},
 	{"diff", "compare two BENCH manifests; -series locates the first divergence of two series CSVs"},
-	{"events", "render a saved telemetry event log (esmbench/esmd -events)"},
-	{"explain", "ranked root-cause report over a decision-provenance ledger (-provenance .prov.csv)"},
+	{"events", "render a saved decision log (esmbench/esmd/esmreplay -events)"},
+	{"explain", "ranked root-cause report over a saved decision log (-events .jsonl)"},
 	{"fleet", "fleet energy/cost/carbon roll-up from a control plane URL or saved payload"},
 	{"latency", "per-phase/per-cause latency breakdown from a span trace"},
 	{"series", "summarize or re-emit a flight-recorder series CSV, optionally windowed"},

@@ -59,8 +59,8 @@ type FleetArrayConfig struct {
 	// (total_energy_j, resp_p99_us, spin_ups, degraded, …); fleet_*
 	// signals belong in the top-level alerts list.
 	Alerts []string `json:"alerts,omitempty"`
-	// Provenance enables the decision-provenance ledger, served live at
-	// /arrays/<name>/provenance (as for esmd -provenance).
+	// Provenance serves the live tail of the array's decision log at
+	// /arrays/<name>/provenance (as esmd -events does).
 	Provenance bool `json:"provenance,omitempty"`
 }
 

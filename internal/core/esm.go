@@ -60,8 +60,8 @@ type ESM struct {
 	wake        *simclock.Event
 
 	// prevPatterns is the classification of the previous determination,
-	// kept only while a provenance recorder is attached so
-	// reclassification rows (P3 -> P1, …) can be emitted.
+	// kept only while the decision log is attached so reclassification
+	// decisions (P3 -> P1, …) can be logged.
 	prevPatterns []Pattern
 }
 
@@ -193,7 +193,7 @@ func (d *ESM) enterDegraded(now time.Duration) {
 	}
 	arr.DropQueuedMigrations()
 	if d.tel.Logging() {
-		d.tel.Log(now, obs.Event{Type: obs.EvDegrade, Degrade: &obs.DegradeEvent{
+		d.tel.Recorder.Log(now, obs.Event{Type: obs.EvDegrade, Degrade: &obs.DegradeEvent{
 			Entered:  true,
 			Faults:   len(d.faultTimes),
 			WindowNS: int64(d.params.FaultWindow),
@@ -230,7 +230,7 @@ func (d *ESM) maybeReplan(now time.Duration, cause obs.Cause, ev obs.ReplanEvent
 	}
 	if d.tel.Logging() {
 		ev := ev // a copy, so the parameter itself never escapes
-		d.tel.Log(now, obs.Event{Type: obs.EvReplanTrigger, Replan: &ev})
+		d.tel.Recorder.Log(now, obs.Event{Type: obs.EvReplanTrigger, Replan: &ev})
 	}
 	d.runManagement(now, cause)
 }
@@ -244,7 +244,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	defer func() { d.inManagement = false }()
 
 	if d.tel.Logging() {
-		d.tel.Log(now, obs.Event{Type: obs.EvDeterminationStart, Determination: &obs.DeterminationEvent{N: d.determinations + 1, Cause: cause}})
+		d.tel.Recorder.Log(now, obs.Event{Type: obs.EvDeterminationStart, Determination: &obs.DeterminationEvent{N: d.determinations + 1, Cause: cause}})
 	}
 	stats := d.appMon.EndPeriod(now)
 	arr := d.ctx.Array
@@ -256,7 +256,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 		d.degraded = false
 		d.faultTimes = d.faultTimes[:0]
 		if d.tel.Logging() {
-			d.tel.Log(now, obs.Event{Type: obs.EvDegrade, Degrade: &obs.DegradeEvent{
+			d.tel.Recorder.Log(now, obs.Event{Type: obs.EvDegrade, Degrade: &obs.DegradeEvent{
 				Entered:  false,
 				WindowNS: int64(d.params.FaultWindow),
 			}})
@@ -309,10 +309,10 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 	wd = keepP0(wd, arr.WriteDelayed)
 	pre = keepP0(pre, arr.Preloaded)
 
-	// Provenance: record the determination's inputs and outputs before
-	// the plan executes, so the decision rows precede the runtime rows
-	// (cache loads, destages, power transitions) they provoke.
-	if d.tel.Provenance != nil {
+	// Record the determination's inputs and outputs before the plan
+	// executes, so the decisions precede the runtime records (cache
+	// loads, destages, power transitions) they provoke.
+	if d.tel.Logging() {
 		d.logDecisions(now, cause, stats, &plan, wd, pre)
 	}
 
@@ -357,7 +357,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 		d.classCounts[p]++
 	}
 	if d.tel.Logging() {
-		d.tel.Log(now, obs.Event{Type: obs.EvDetermination, Determination: &obs.DeterminationEvent{
+		d.tel.Recorder.Log(now, obs.Event{Type: obs.EvDetermination, Determination: &obs.DeterminationEvent{
 			N:             d.determinations,
 			Cause:         cause,
 			PatternCounts: d.classCounts,
@@ -369,7 +369,7 @@ func (d *ESM) runManagement(now time.Duration, cause obs.Cause) {
 			NextPeriodNS:  int64(d.period),
 		}})
 		if oldPeriod != d.period {
-			d.tel.Log(now, obs.Event{Type: obs.EvPeriodAdapt, Period: &obs.PeriodEvent{OldNS: int64(oldPeriod), NewNS: int64(d.period)}})
+			d.tel.Recorder.Log(now, obs.Event{Type: obs.EvPeriodAdapt, Period: &obs.PeriodEvent{OldNS: int64(oldPeriod), NewNS: int64(d.period)}})
 		}
 	}
 	if trc := d.tel.Tracer; trc != nil {
@@ -398,22 +398,22 @@ func countHot(hot []bool) int {
 	return n
 }
 
-// logDecisions records one determination's decisions: the summary,
-// every reclassified item, every planned move with its candidate
-// placement costs, and the preload and write-delay picks — each with
-// the per-item features (interval estimate, read ratio) the decision
-// was computed from. Only the provenance ledger encodes decisions, so
-// it is only called while one is attached.
+// logDecisions records one determination's decisions: every
+// reclassified item, every planned move with its candidate placement
+// costs, and the preload and write-delay picks — each with the
+// per-item features (interval estimate, read ratio) the decision was
+// computed from. The determination record itself follows once the plan
+// has executed.
 func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.ItemPeriodStats, plan *Plan, wd, pre []trace.ItemID) {
 	arr := d.ctx.Array
 	det := d.determinations + 1
-	// One payload serves every decision: the ledger copies each into a
-	// row and the event stream drops decisions, so neither keeps it.
+	// One payload serves every decision: the log's sinks encode it at
+	// once or copy it (obs.Sink).
 	var dec obs.Decision
 	decide := func(x obs.Decision) {
 		dec = x
 		dec.Det, dec.Cause = det, cause
-		d.tel.Log(now, obs.Event{Type: obs.EvDecision, Decision: &dec})
+		d.tel.Recorder.Log(now, obs.Event{Type: obs.EvDecision, Decision: &dec})
 	}
 	// Planned per-enclosure IOPS load under the new placement — the
 	// candidate cost the planner packs against (§IV-F).
@@ -440,10 +440,6 @@ func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.I
 		return -1
 	}
 
-	decide(obs.Decision{
-		Kind: obs.ProvDetermination, Item: -1, Class: -1, PrevClass: -1,
-		Src: countHot(plan.Hot), Dst: len(plan.Moves),
-	})
 	if len(d.prevPatterns) == len(plan.Patterns) {
 		for i, p := range plan.Patterns {
 			if d.prevPatterns[i] == p {
@@ -451,7 +447,7 @@ func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.I
 			}
 			iv, rr := feature(i)
 			decide(obs.Decision{
-				Kind: obs.ProvReclass,
+				Kind: obs.DecisionReclass,
 				Item: int64(i), Class: int(p), PrevClass: int(d.prevPatterns[i]),
 				Src: arr.ItemEnclosure(trace.ItemID(i)), Dst: -1,
 				IntervalS: iv, ReadRatio: rr,
@@ -463,7 +459,7 @@ func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.I
 		iv, rr := feature(i)
 		src := arr.ItemEnclosure(mv.Item)
 		decide(obs.Decision{
-			Kind: obs.ProvMove,
+			Kind: obs.DecisionMove,
 			Item: int64(mv.Item), Class: int(plan.Patterns[i]), PrevClass: prevOf(i),
 			Src: src, Dst: mv.Dst,
 			IntervalS: iv, ReadRatio: rr,
@@ -471,7 +467,7 @@ func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.I
 			ToCold: !plan.Hot[mv.Dst],
 		})
 	}
-	pick := func(kind int, items []trace.ItemID) {
+	pick := func(kind obs.DecisionKind, items []trace.ItemID) {
 		for _, it := range items {
 			iv, rr := feature(int(it))
 			decide(obs.Decision{
@@ -482,8 +478,8 @@ func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.I
 			})
 		}
 	}
-	pick(obs.ProvDestage, wd)
-	pick(obs.ProvPreload, pre)
+	pick(obs.DecisionWriteDelay, wd)
+	pick(obs.DecisionPreload, pre)
 
 	d.prevPatterns = append(d.prevPatterns[:0], plan.Patterns...)
 }

@@ -41,9 +41,10 @@ type ManifestTotals struct {
 	AlertsFiring     int   `json:"alerts_firing,omitempty"`
 	AlertsFired      int64 `json:"alerts_fired,omitempty"`
 	AlertTransitions int64 `json:"alert_transitions,omitempty"`
-	// Decision-provenance roll-up (all zero when the run had no
-	// -provenance; absent from older manifests, which decode as zero).
-	// Informational, not diff-gated.
+	// Decision-log roll-up (all zero when the run wrote no -events
+	// log; absent from older manifests, which decode as zero).
+	// ProvRecords counts the log's lines. Informational, not
+	// diff-gated.
 	ProvRecords        int64 `json:"provenance_records,omitempty"`
 	ProvDecisions      int64 `json:"provenance_decisions,omitempty"`
 	ProvTransitions    int64 `json:"provenance_transitions,omitempty"`
@@ -70,8 +71,8 @@ type Manifest struct {
 	// SeriesFile is the path of the flight-recorder series written
 	// alongside this manifest (empty when none was).
 	SeriesFile string `json:"series_file,omitempty"`
-	// ProvFile is the path of the decision-provenance CSV written for
-	// this run (empty without -provenance).
+	// ProvFile is the path of the decision log written for this run
+	// (empty without -events).
 	ProvFile string         `json:"provenance_file,omitempty"`
 	Totals   ManifestTotals `json:"totals"`
 }

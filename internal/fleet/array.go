@@ -46,8 +46,8 @@ type ArraySpec struct {
 	// SeriesInterval is the flight-recorder sampling interval on the
 	// simulated clock (0 = 30s, like esmd -series-interval).
 	SeriesInterval time.Duration
-	// EventSink, when non-nil, receives the array's telemetry event
-	// stream (closed by Array.Close).
+	// EventSink, when non-nil, receives the array's decision log
+	// (closed by Array.Close).
 	EventSink obs.Sink
 	// SpanSink, when non-nil, attaches a per-I/O span tracer feeding it
 	// (closed by Array.Close).
@@ -60,13 +60,9 @@ type ArraySpec struct {
 	// array's samples. Fleet-wide fleet_* rules belong in
 	// Options.Alerts, not here.
 	Alerts []obs.Rule
-	// Provenance enables the decision-provenance ledger: determination
-	// inputs/outputs plus power/migration/preload/destage context,
-	// whose live tail is served at /arrays/<name>/provenance.
+	// Provenance keeps the live tail of the decision log, served at
+	// /arrays/<name>/provenance.
 	Provenance bool
-	// ProvenanceSink, when non-nil, enables the ledger too and receives
-	// every row as CSV (closed by Array.Close).
-	ProvenanceSink io.WriteCloser
 }
 
 // Status is the JSON liveness snapshot of one array — the fleet form
@@ -111,6 +107,10 @@ type Status struct {
 type Array struct {
 	name      string
 	statusOut io.Writer
+	// tail is the decision log's live tail (nil unless
+	// ArraySpec.Provenance). It has its own lock, so scrapes never
+	// contend with the simulation.
+	tail *obs.Tail
 
 	// mu guards the session below. Feed, Finish, SwapPolicy and rollup
 	// all hold it; the simulated clock of one array never advances
@@ -159,9 +159,15 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
+	sink := spec.EventSink
+	var tail *obs.Tail
+	if spec.Provenance {
+		tail = obs.NewTail(sink)
+		sink = tail
+	}
 	rec := obs.New(obs.Options{
 		Registry: reg,
-		Sink:     spec.EventSink,
+		Sink:     sink,
 		Label:    spec.Name,
 	})
 	tel := obs.Telemetry{
@@ -180,9 +186,6 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 			Sink:     spec.SpanSink,
 			Registry: reg,
 		})
-	}
-	if spec.Provenance || spec.ProvenanceSink != nil {
-		tel.Provenance = obs.NewProvenance(spec.ProvenanceSink)
 	}
 
 	esm, err := buildESM(cfgFile)
@@ -204,6 +207,7 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	a := &Array{
 		name:      spec.Name,
 		statusOut: spec.StatusOut,
+		tail:      tail,
 		sess:      sess,
 	}
 	a.updateSnapshotLocked(0)
@@ -394,11 +398,6 @@ func (a *Array) Series() *obs.Series {
 	return a.sess.Run().Telemetry.Flight.Series()
 }
 
-// Provenance returns the decision-provenance ledger (nil when the
-// array runs without one). The ledger has its own lock, so scrapes
-// never contend with the simulation.
-func (a *Array) Provenance() *obs.Provenance { return a.sess.Run().Telemetry.Provenance }
-
 // Alerts returns the watchdog's per-rule states (nil without rules).
 // The watchdog has its own lock, so scrapes never contend with the
 // simulation.
@@ -445,7 +444,7 @@ func (a *Array) updateSnapshotLocked(now time.Duration) {
 		IngestRecords:  a.ingestRecords.Load(),
 		PolicySwaps:    a.swaps,
 		Finished:       a.sess.Finished(),
-		Provenance:     tel.Provenance.Summary(),
+		Provenance:     tel.Recorder.Summary(),
 	}
 	samples, last := tel.Flight.Stats()
 	snap.SeriesSamples = samples
@@ -503,7 +502,7 @@ func (a *Array) Report(w io.Writer) {
 }
 
 // Close ends the session (if the stream was never finalized) and
-// flushes and closes the array's event, span and provenance sinks.
+// flushes and closes the array's event and span sinks.
 func (a *Array) Close() error {
 	a.mu.Lock()
 	a.sess.Close()
@@ -512,9 +511,6 @@ func (a *Array) Close() error {
 	err := tel.Recorder.Close()
 	if terr := tel.Tracer.Close(); err == nil {
 		err = terr
-	}
-	if perr := tel.Provenance.Close(); err == nil && perr != nil {
-		err = fmt.Errorf("fleet: array %q: provenance: %w", a.name, perr)
 	}
 	return err
 }

@@ -90,7 +90,7 @@ func get(t *testing.T, url string) []byte {
 
 // TestLiveIngestMatchesOfflineReplay is the acceptance gate of the
 // control plane: arrays fed a trace over live chunked NDJSON ingest
-// must produce flight series, provenance ledgers, alert states,
+// must produce flight series, decision logs, alert states,
 // energy attribution and totals byte-identical to an offline
 // replay.Execute of the same trace on the same sampling grid — the
 // wire adds nothing and loses nothing, plain, with faults injected,
@@ -154,9 +154,13 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 					Alerts: obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet}),
 				},
 			}
+			// The live arrays label their logs with their names and
+			// log their alert transitions; the offline log is alpha's.
 			var offlineCSV, offlineProv bytes.Buffer
 			if tc.provenance {
-				run.Telemetry.Provenance = obs.NewProvenance(&offlineProv)
+				rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&offlineProv), Label: "alpha"})
+				run.Telemetry.Recorder = rec
+				run.Telemetry.Alerts = obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet, Recorder: rec})
 			}
 			if tc.tracer {
 				run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{Sink: &obs.CollectSpanSink{}})
@@ -177,8 +181,11 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			if err := res.Series.WriteCSV(&offlineCSV); err != nil {
 				t.Fatal(err)
 			}
-			if err := run.Telemetry.Provenance.Close(); err != nil {
+			if err := run.Telemetry.Recorder.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if tc.provenance && offlineProv.Len() == 0 {
+				t.Fatal("the offline replay logged nothing; the case is not exercising the log")
 			}
 
 			// Live side: two identically configured arrays behind the
@@ -229,9 +236,10 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				}
 				if tc.provenance {
 					liveProv := get(t, srv.URL+"/arrays/"+name+"/provenance")
-					if !bytes.Equal(liveProv, offlineProv.Bytes()) {
+					want := bytes.ReplaceAll(offlineProv.Bytes(), []byte(`"run":"alpha"`), []byte(`"run":"`+name+`"`))
+					if !bytes.Equal(liveProv, want) {
 						t.Errorf("%s: live provenance differs from offline replay (%d vs %d bytes)",
-							name, len(liveProv), offlineProv.Len())
+							name, len(liveProv), len(want))
 					}
 				}
 				if got := f.Array(name).Alerts(); !reflect.DeepEqual(got, res.AlertStates) {

@@ -90,7 +90,7 @@ func (f *Fleet) serveArray(w http.ResponseWriter, r *http.Request) {
 	case "series":
 		obs.ServeSeries(w, r, a.Series())
 	case "provenance":
-		obs.ServeProvenance(w, r, a.Provenance())
+		obs.ServeProvenance(w, r, a.tail)
 	case "ingest":
 		f.serveIngest(w, r, a)
 	case "config":

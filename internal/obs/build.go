@@ -29,11 +29,8 @@ func VersionString(tool string) string {
 }
 
 // RegisterBuildInfo adds the esm_build_info{version,go} gauge (constant
-// 1) to reg. Nil-safe on a nil registry.
+// 1) to reg.
 func RegisterBuildInfo(reg *Registry) {
-	if reg == nil {
-		return
-	}
 	v, gv := BuildVersion()
 	reg.Gauge("esm_build_info", "Build identity of the serving binary; constant 1.", "version", v, "go", gv).Set(1)
 }

@@ -1,16 +1,18 @@
 // The decision log's record: one typed envelope per decision or
-// consequential transition. Decision sites hand it to Telemetry.Log,
-// which fans it out to the sinks; the Recorder serialises its kinds as
-// one JSON object per line (JSONL) so a saved log can be replayed,
-// diffed, or fed to external tooling.
+// consequential transition. Decision sites hand it to Recorder.Log,
+// which writes every kind as one JSON object per line (JSONL), so a
+// saved log can be rendered, explained, diffed or fed to external
+// tooling.
 
 package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -35,9 +37,10 @@ const (
 	EvMigrationFail      EventType = "migration_fail"
 	EvAlert              EventType = "alert"
 	// EvDecision is a determination-time decision (Decision payload).
-	// Only the provenance ledger encodes it; the JSONL stream never
-	// carries one.
 	EvDecision EventType = "decision"
+	// EvAttribution is one enclosure's end-of-run energy attribution
+	// (Attribution payload).
+	EvAttribution EventType = "attribution"
 )
 
 // Event is the record every decision and transition is reported in.
@@ -62,37 +65,70 @@ type Event struct {
 	Fault         *FaultEvent         `json:"fault,omitempty"`
 	Degrade       *DegradeEvent       `json:"degrade,omitempty"`
 	Alert         *AlertEvent         `json:"alert,omitempty"`
-	Decision      *Decision           `json:"-"`
+	Decision      *Decision           `json:"decision,omitempty"`
+	Attribution   *AttributionEvent   `json:"attribution,omitempty"`
 }
 
+// DecisionKind names what a Decision decided.
+type DecisionKind string
+
+// The decision vocabulary.
+const (
+	// DecisionMove is a migration planned by data placement.
+	DecisionMove DecisionKind = "move"
+	// DecisionReclass is an item whose I/O-pattern class changed between
+	// consecutive determinations (PrevClass -> Class).
+	DecisionReclass DecisionKind = "reclass"
+	// DecisionPreload and DecisionWriteDelay are the items the cache
+	// function picked for preload and for write delay.
+	DecisionPreload    DecisionKind = "preload"
+	DecisionWriteDelay DecisionKind = "write-delay"
+)
+
 // Decision is one determination-time decision of the management
-// function, with the per-item features that led to it: the
-// determination's summary row, a planned move, a reclassification, or
-// a preload/write-delay pick. It is the provenance ledger's payload and
-// has no JSON encoding.
+// function, with the per-item features that led to it: the features it
+// computes and then discards, the chosen action and, for a move, its
+// predicted joule and latency deltas.
 type Decision struct {
-	// Kind is ProvDetermination, ProvMove, ProvReclass, ProvPreload or
-	// ProvDestage.
-	Kind  int
-	Det   int64
-	Cause Cause
-	// Item is -1 on the summary row.
-	Item      int64
-	Class     int // P0-P3 after this determination; -1 on the summary row
-	PrevClass int // class before; -1 when unchanged/unknown
+	Kind DecisionKind `json:"kind"`
+	// Det is the number of the determination that decided, Cause what
+	// provoked it.
+	Det   int64 `json:"det"`
+	Cause Cause `json:"cause"`
+	Item  int64 `json:"item"`
+	// Class is the item's P0-P3 class after this determination and
+	// PrevClass the one before (-1 when unknown).
+	Class     int `json:"class"`
+	PrevClass int `json:"prev_class"`
 	// Src is the item's current enclosure (-1 unknown) and Dst a move's
-	// destination (-1 otherwise); the summary row carries the hot
-	// enclosure count and the planned move count in them.
-	Src       int
-	Dst       int
-	IntervalS float64
-	ReadRatio float64
-	CostSrc   float64 // planned IOPS load on Src after placement
-	CostDst   float64 // planned IOPS load on Dst after placement
+	// destination (-1 otherwise).
+	Src int `json:"src"`
+	Dst int `json:"dst"`
+	// IntervalS is the mean Long Interval over the closed period in
+	// seconds, ReadRatio its reads per access.
+	IntervalS float64 `json:"interval_s"`
+	ReadRatio float64 `json:"read_ratio"`
+	// CostSrc and CostDst are the planned IOPS loads on Src and Dst
+	// after placement.
+	CostSrc float64 `json:"cost_src"`
+	CostDst float64 `json:"cost_dst"`
 	// ToCold marks a move that packs the item onto a power-managed
 	// cold enclosure (predicted to save idle joules at the price of
 	// spin-up exposure); false predicts the inverse trade.
-	ToCold bool
+	ToCold bool `json:"to_cold"`
+	// PredDJ (joules, + costs energy) and PredDUS (response time,
+	// microseconds) are a move's predicted deltas. The Recorder fills
+	// them in from its electrical constants (see ConfigurePower).
+	PredDJ  float64 `json:"pred_dj"`
+	PredDUS float64 `json:"pred_dus"`
+}
+
+// AttributionEvent is one enclosure's end-of-run energy attribution:
+// its top items by joules, joined from the tracer's energy ledger so a
+// log ranks root causes by joules (see Recorder.RecordAttribution).
+type AttributionEvent struct {
+	Enclosure int          `json:"enclosure"`
+	Items     []ItemEnergy `json:"items"`
 }
 
 // DeterminationEvent describes one run of the power management
@@ -136,7 +172,7 @@ type CacheEvent struct {
 
 // PowerEvent describes one enclosure power transition. State is
 // "spinup" (power-on begins, type power_on), "on" (service begins
-// SpinUpTime later, also power_on; only the ledger keeps it) or "off"
+// SpinUpTime later, also power_on, logged with the spin-up) or "off"
 // (type power_off).
 type PowerEvent struct {
 	Enclosure int    `json:"enclosure"`
@@ -206,18 +242,22 @@ type AlertEvent struct {
 }
 
 // Sink consumes events. Implementations must be safe for concurrent
-// Emit calls.
+// Emit calls. A decision's payload is only valid during Emit: decision
+// sites reuse it for their next decision.
 type Sink interface {
 	Emit(Event)
 	Close() error
 }
 
 // JSONLSink writes one JSON object per line. Emissions are buffered;
-// Close flushes. Safe for concurrent use and for sharing between
-// recorders (esmbench funnels every policy's recorder into one file).
+// Close flushes. Safe for concurrent use.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
+	enc *json.Encoder
+	// ev is the event being encoded: the sink owns it, so encoding
+	// allocates nothing.
+	ev  Event
 	c   io.Closer
 	err error
 }
@@ -226,6 +266,7 @@ type JSONLSink struct {
 // io.Closer, Close closes it after flushing.
 func NewJSONLSink(w io.Writer) *JSONLSink {
 	s := &JSONLSink{w: bufio.NewWriter(w)}
+	s.enc = json.NewEncoder(s.w)
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
@@ -240,14 +281,8 @@ func (s *JSONLSink) Emit(ev Event) {
 	if s.err != nil {
 		return
 	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		s.err = err
-		return
-	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
-		s.err = err
-	}
+	s.ev = ev
+	s.err = s.enc.Encode(&s.ev)
 }
 
 // Close implements Sink.
@@ -271,8 +306,12 @@ type CollectSink struct {
 	events []Event
 }
 
-// Emit implements Sink.
+// Emit implements Sink, copying a decision's payload.
 func (s *CollectSink) Emit(ev Event) {
+	if ev.Decision != nil {
+		d := *ev.Decision
+		ev.Decision = &d
+	}
 	s.mu.Lock()
 	s.events = append(s.events, ev)
 	s.mu.Unlock()
@@ -288,10 +327,69 @@ func (s *CollectSink) Events() []Event {
 	return append([]Event(nil), s.events...)
 }
 
+// tailEvents bounds a Tail: the most recent records a scrape of
+// /arrays/<name>/provenance sees.
+const tailEvents = 8192
+
+// Tail is a Sink that keeps the latest tailEvents records in memory
+// for a live scrape (ServeProvenance) and hands every record on to the
+// sink it wraps, if any. Safe for concurrent use.
+type Tail struct {
+	mu   sync.Mutex
+	next Sink
+	// events is a ring: once full, at is the slot of the oldest record,
+	// which the next one overwrites.
+	events []Event
+	at     int
+	seen   int64
+}
+
+// NewTail returns a tail in front of next, which may be nil.
+func NewTail(next Sink) *Tail { return &Tail{next: next} }
+
+// Emit implements Sink. It copies a decision's payload, which decision
+// sites reuse.
+func (t *Tail) Emit(ev Event) {
+	if t.next != nil {
+		t.next.Emit(ev)
+	}
+	if ev.Decision != nil {
+		d := *ev.Decision
+		ev.Decision = &d
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seen++
+	if len(t.events) < tailEvents {
+		t.events = append(t.events, ev)
+	} else {
+		t.events[t.at] = ev
+		t.at = (t.at + 1) % tailEvents
+	}
+}
+
+// Close implements Sink: it closes the wrapped sink.
+func (t *Tail) Close() error {
+	if t.next == nil {
+		return nil
+	}
+	return t.next.Close()
+}
+
+// Events returns the records the tail holds, oldest first, and how many
+// it has let go.
+func (t *Tail) Events() (events []Event, dropped int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	events = make([]Event, 0, len(t.events))
+	events = append(events, t.events[t.at:]...)
+	events = append(events, t.events[:t.at]...)
+	return events, t.seen - int64(len(t.events))
+}
+
 // AllEventTypes returns every event kind a Recorder can emit, in
-// declaration order (EvDecision, which it never emits, is not one).
-// Renderer tests iterate it so a newly added kind cannot silently fall
-// through to raw-JSON output.
+// declaration order. Renderer tests iterate it so a newly added kind
+// cannot silently fall through to raw-JSON output.
 func AllEventTypes() []EventType {
 	return []EventType{
 		EvDeterminationStart, EvDetermination,
@@ -300,40 +398,78 @@ func AllEventTypes() []EventType {
 		EvPowerOn, EvPowerOff,
 		EvReplanTrigger, EvPeriodAdapt,
 		EvFault, EvDegrade, EvMigrationFail,
-		EvAlert,
+		EvAlert, EvDecision, EvAttribution,
 	}
 }
 
-// ReadEvents decodes a JSONL event log. Blank lines are skipped; a
-// malformed line fails with its line number. Lines can be arbitrarily
-// long (a cache-select event listing many thousand items easily
-// exceeds bufio.Scanner's default limit, which this reader does not
-// share).
+// payloads reports how many payloads ev carries and whether the one
+// its Type selects is among them.
+func (ev *Event) payloads() (n int, typed bool) {
+	for _, p := range [...]struct {
+		set   bool
+		types []EventType
+	}{
+		{ev.Determination != nil, []EventType{EvDeterminationStart, EvDetermination}},
+		{ev.Migration != nil, []EventType{EvMigrationStart, EvMigrationDone, EvMigrationSkip, EvMigrationFail}},
+		{ev.Cache != nil, []EventType{EvCacheSelect, EvCacheEvict}},
+		{ev.Power != nil, []EventType{EvPowerOn, EvPowerOff}},
+		{ev.Replan != nil, []EventType{EvReplanTrigger}},
+		{ev.Period != nil, []EventType{EvPeriodAdapt}},
+		{ev.Fault != nil, []EventType{EvFault}},
+		{ev.Degrade != nil, []EventType{EvDegrade}},
+		{ev.Alert != nil, []EventType{EvAlert}},
+		{ev.Decision != nil, []EventType{EvDecision}},
+		{ev.Attribution != nil, []EventType{EvAttribution}},
+	} {
+		if p.set {
+			n++
+			typed = typed || slices.Contains(p.types, ev.Type)
+		}
+	}
+	return n, typed
+}
+
+// ReadEvents decodes a JSONL event log. It accepts only what a Recorder
+// writes: lines that each carry the one payload their type selects and
+// are spelled exactly as the encoder spells them, each ending in a
+// newline. So whatever it reads re-encodes to the same bytes. Any other
+// input is an error that names the line. Lines can be arbitrarily long
+// (a cache-select event listing many thousand items easily exceeds
+// bufio.Scanner's default limit, which this reader does not share).
 func ReadEvents(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
 	var out []Event
-	line := 0
-	for {
+	var re bytes.Buffer
+	enc := json.NewEncoder(&re)
+	for line := 1; ; line++ {
 		b, err := br.ReadBytes('\n')
-		line++
-		if len(b) > 0 && b[len(b)-1] == '\n' {
-			b = b[:len(b)-1]
-		}
-		if len(b) > 0 && b[len(b)-1] == '\r' {
-			b = b[:len(b)-1]
-		}
-		if len(b) > 0 {
-			var ev Event
-			if uerr := json.Unmarshal(b, &ev); uerr != nil {
-				return nil, fmt.Errorf("obs: event log line %d: %w", line, uerr)
-			}
-			out = append(out, ev)
-		}
-		if err == io.EOF {
+		switch {
+		case err == io.EOF && len(b) == 0:
 			return out, nil
+		case err == io.EOF:
+			return nil, fmt.Errorf("obs: event log line %d: missing newline", line)
+		case err != nil:
+			return nil, fmt.Errorf("obs: event log line %d: %w", line, err)
 		}
-		if err != nil {
-			return nil, err
+		var ev Event
+		if err := json.Unmarshal(b, &ev); err != nil {
+			return nil, fmt.Errorf("obs: event log line %d: %w", line, err)
 		}
+		switch n, typed := ev.payloads(); {
+		case n > 1:
+			return nil, fmt.Errorf("obs: event log line %d: %d payloads, want one", line, n)
+		case !typed:
+			return nil, fmt.Errorf("obs: event log line %d: no payload for type %q", line, ev.Type)
+		}
+		// An unknown key, a number spelled otherwise than the encoder
+		// spells it or reordered keys re-encode differently.
+		re.Reset()
+		if err := enc.Encode(&ev); err != nil {
+			return nil, fmt.Errorf("obs: event log line %d: %w", line, err)
+		}
+		if !bytes.Equal(re.Bytes(), b) {
+			return nil, fmt.Errorf("obs: event log line %d: not a line of the log (it reads as %q)", line, bytes.TrimSuffix(re.Bytes(), []byte("\n")))
+		}
+		out = append(out, ev)
 	}
 }

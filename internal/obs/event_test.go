@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// powerLine is one line of the log as the Recorder writes it.
+const powerLine = `{"seq":1,"t_ns":1,"type":"power_off","power":{"enclosure":0,"state":"off","cause":"idle-timeout"}}` + "\n"
+
 // TestReadEventsLongLines: a cache-select event naming tens of
 // thousands of items produces a JSONL line far beyond bufio.Scanner's
 // 64 KiB default; the reader must round-trip it intact.
@@ -41,24 +44,62 @@ func TestReadEventsLongLines(t *testing.T) {
 	}
 }
 
-// TestReadEventsLineNumbers: errors keep pointing at the right file
-// line, counting blank lines and a trailing unterminated line.
+// TestReadEventsLineNumbers: errors point at the right file line,
+// counting the lines before it, and a log whose last line lacks its
+// newline fails on that line.
 func TestReadEventsLineNumbers(t *testing.T) {
-	in := `{"seq":1,"t_ns":1,"type":"power_off","power":{"enclosure":0,"state":"off"}}
-
-not json`
-	_, err := ReadEvents(strings.NewReader(in))
+	second := strings.Replace(powerLine, `"seq":1`, `"seq":2`, 1)
+	_, err := ReadEvents(strings.NewReader(powerLine + second + "not json"))
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("error %v, want line 3", err)
 	}
 
-	// A valid log with a trailing newline-free line still parses fully.
-	ok := strings.TrimSuffix(in, "not json") + `{"seq":2,"t_ns":2,"type":"power_on","power":{"enclosure":1,"state":"spinup"}}`
-	events, err := ReadEvents(strings.NewReader(ok))
+	events, err := ReadEvents(strings.NewReader(powerLine + second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[1].Power.Enclosure != 1 {
+	if len(events) != 2 || events[1].Seq != 2 {
 		t.Fatalf("events %+v", events)
+	}
+	_, err = ReadEvents(strings.NewReader(powerLine + strings.TrimSuffix(second, "\n")))
+	if err == nil || !strings.Contains(err.Error(), "line 2: missing newline") {
+		t.Fatalf("error %v, want line 2: missing newline", err)
+	}
+}
+
+// TestReadEventsRejects feeds the reader malformed logs: each must fail
+// with an error naming the line, never panic and never yield events.
+func TestReadEventsRejects(t *testing.T) {
+	bad := func(old, new string) string { return powerLine + strings.Replace(powerLine, old, new, 1) }
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"blank line", powerLine + "\n", "line 2: "},
+		{"crlf line", strings.Replace(powerLine, "\n", "\r\n", 1), "line 1: not a line of the log"},
+		{"missing final newline", strings.TrimSuffix(powerLine, "\n"), "line 1: missing newline"},
+		{"no payload", `{"seq":1,"t_ns":5,"type":"power_on","run":"x"}` + "\n", `line 1: no payload for type "power_on"`},
+		{"no alert payload", `{"seq":1,"t_ns":5,"type":"alert","run":"x"}` + "\n", `line 1: no payload for type "alert"`},
+		{"payload of another type", bad(`"type":"power_off"`, `"type":"fault"`), `line 2: no payload for type "fault"`},
+		{"unknown type", bad(`"type":"power_off"`, `"type":"bogus"`), `line 2: no payload for type "bogus"`},
+		{"two payloads", bad(`}}`, `},"period":{"old_ns":1,"new_ns":2}}`), "line 2: 2 payloads, want one"},
+		{"unknown key", bad(`"seq":1`, `"seq":1,"x":1`), "line 2: not a line of the log"},
+		{"missing key", bad(`,"cause":"idle-timeout"`, ``), "line 2: not a line of the log"},
+		{"reordered keys", bad(`"seq":1,"t_ns":1`, `"t_ns":1,"seq":1`), "line 2: not a line of the log"},
+		{"non-canonical number", bad(`"t_ns":1`, `"t_ns":1e0`), "line 2: "},
+		{"non-canonical time", bad(`"t_ns":1`, `"t_ns":1.0`), "line 2: "},
+		{"non-numeric field", bad(`"enclosure":0`, `"enclosure":two`), "line 2: "},
+		{"fractional id", bad(`"enclosure":0`, `"enclosure":0.5`), "line 2: "},
+		{"quoted field", bad(`"seq":1`, `"seq":"1"`), "line 2: "},
+		{"non-numeric time", bad(`"t_ns":1`, `"t_ns":soon`), "line 2: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, err := ReadEvents(strings.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+			if events != nil {
+				t.Fatalf("a failed read returned %d events", len(events))
+			}
+		})
 	}
 }

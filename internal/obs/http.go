@@ -1,11 +1,13 @@
 // HTTP helpers shared by esmd and the fleet control plane: a
-// flight-recorder series and the provenance ledger's live tail as
+// flight-recorder series and the decision log's live tail as
 // responses, and the standard net/http/pprof endpoints under
 // /debug/pprof/.
 
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -38,14 +40,14 @@ func ServeSeries(w http.ResponseWriter, r *http.Request, s *Series) {
 	_ = s.WriteJSON(w)
 }
 
-// ServeProvenance writes the ledger's live tail as an HTTP response in
-// the ledger CSV format, so a saved payload feeds esmstat explain.
-// ?since= and ?until= window it on simulated time as for ServeSeries,
-// and the X-Provenance-Dropped header counts the rows the tail has let
-// go. A nil ledger answers 404.
-func ServeProvenance(w http.ResponseWriter, r *http.Request, p *Provenance) {
-	if p == nil {
-		http.Error(w, "no provenance ledger attached (run with -provenance)", http.StatusNotFound)
+// ServeProvenance writes the decision log's live tail as an HTTP
+// response, in the JSONL format of the log file, so a saved payload
+// feeds esmstat. ?since= and ?until= window it on simulated time as for
+// ServeSeries, and the X-Provenance-Dropped header counts the records
+// the tail has let go. A nil tail answers 404.
+func ServeProvenance(w http.ResponseWriter, r *http.Request, tail *Tail) {
+	if tail == nil {
+		http.Error(w, `no live decision log attached (run esmd with -events, or set "provenance" on the array in the fleet file)`, http.StatusNotFound)
 		return
 	}
 	since, until, err := parseWindow(r)
@@ -53,15 +55,17 @@ func ServeProvenance(w http.ResponseWriter, r *http.Request, p *Provenance) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	b := []byte(provHeader)
-	for _, rec := range p.Tail() {
-		if rec.T >= since && (until <= 0 || rec.T <= until) {
-			b = appendProvRow(b, &rec)
+	events, dropped := tail.Events()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	for i := range events {
+		if t := time.Duration(events[i].T); t >= since && (until <= 0 || t <= until) {
+			_ = enc.Encode(&events[i])
 		}
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Provenance-Dropped", strconv.FormatInt(p.Summary().Dropped, 10))
-	_, _ = w.Write(b)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Provenance-Dropped", strconv.FormatInt(dropped, 10))
+	_, _ = w.Write(b.Bytes())
 }
 
 // parseWindow reads the ?since= and ?until= simulated-time bounds of a

@@ -99,20 +99,20 @@ func TestHandlerNilStatusAndRegistry(t *testing.T) {
 	}
 }
 
-// TestServeProvenanceTail serves a ledger that overflowed its tail:
-// the payload is the windowed tail in the ledger CSV format, the
-// dropped rows are counted in a header, a bad window is a 400 and a
-// missing ledger a 404.
+// TestServeProvenanceTail serves a log that overflowed its tail: the
+// payload is the windowed tail in the log's JSONL format, the dropped
+// records are counted in a header, a bad window is a 400 and a missing
+// tail a 404.
 func TestServeProvenanceTail(t *testing.T) {
-	p := NewProvenance(nil)
-	const rows = provTailRows + 100
+	tail := NewTail(nil)
+	rec := New(Options{Sink: tail})
+	const rows = tailEvents + 100
 	for i := 0; i < rows; i++ {
-		p.Log(time.Duration(i)*time.Second, powerRec(0, "spinup", CauseDemand))
+		rec.Log(time.Duration(i)*time.Second, powerRec(0, "spinup", CauseDemand))
 	}
-	var none *Provenance
 	mux := http.NewServeMux()
-	mux.HandleFunc("/provenance", func(w http.ResponseWriter, r *http.Request) { ServeProvenance(w, r, p) })
-	mux.HandleFunc("/none", func(w http.ResponseWriter, r *http.Request) { ServeProvenance(w, r, none) })
+	mux.HandleFunc("/provenance", func(w http.ResponseWriter, r *http.Request) { ServeProvenance(w, r, tail) })
+	mux.HandleFunc("/none", func(w http.ResponseWriter, r *http.Request) { ServeProvenance(w, r, nil) })
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
@@ -124,18 +124,18 @@ func TestServeProvenanceTail(t *testing.T) {
 	if got := resp.Header.Get("X-Provenance-Dropped"); got != "100" {
 		t.Fatalf("X-Provenance-Dropped = %q, want 100", got)
 	}
-	recs, err := ReadProvenanceCSV(resp.Body)
+	events, err := ReadEvents(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 10 || recs[0].T != 8200*time.Second || recs[9].T != 8209*time.Second {
-		t.Fatalf("windowed tail holds %d rows", len(recs))
+	if len(events) != 10 || events[0].T != int64(8200*time.Second) || events[9].T != int64(8209*time.Second) {
+		t.Fatalf("windowed tail holds %d records", len(events))
 	}
 
 	if code, body, _ := get(t, srv, "/provenance?until=soon"); code != 400 {
 		t.Fatalf("bad window accepted: code %d body %q", code, body)
 	}
 	if code, _, _ := get(t, srv, "/none"); code != 404 {
-		t.Fatalf("/provenance without a ledger: code %d, want 404", code)
+		t.Fatalf("/provenance without a tail: code %d, want 404", code)
 	}
 }

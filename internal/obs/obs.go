@@ -1,10 +1,9 @@
 // Package obs is the telemetry layer. Its spine is one decision log:
-// every decision site builds one typed Event and hands it to
-// Telemetry.Log, which fans it out to the sinks — the Recorder (the
-// JSONL event stream and the esm_* counters of a dependency-free
-// registry rendered in Prometheus text exposition format) and the
-// Provenance ledger. Spans, flight samples and alerts are the other
-// surfaces.
+// every decision site builds one typed Event and hands it to the
+// Recorder, which writes it as one JSONL line, keeps the log's live
+// tail and roll-up, and advances the esm_* counters of a
+// dependency-free registry rendered in Prometheus text exposition
+// format. Spans, flight samples and alerts are the other surfaces.
 //
 // A nil *Recorder is a valid, fully disabled recorder: every method
 // nil-checks its receiver and returns immediately, so instrumented hot
@@ -47,16 +46,24 @@ const (
 	CauseTriggerSpinUps Cause = "trigger-spinups"
 )
 
-// Recorder is the decision log's event-stream sink: it encodes records
-// for an event sink and keeps the esm_* metrics of a registry. All
-// methods are safe on a nil receiver (no-ops) and safe for concurrent
-// use.
+// Recorder is the decision log: it writes every record to an event
+// sink, keeps the roll-up counters of what it wrote, and keeps the
+// esm_* metrics of a registry. All methods are safe on a nil receiver
+// (no-ops) and safe for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
 	sink  Sink
 	reg   *Registry
 	label string
 	seq   int64
+
+	// sum is the roll-up of every record written.
+	sum ProvenanceSummary
+	// idleW and spinUpS are the electrical constants of the predicted
+	// deltas: the power-model defaults until ConfigurePower installs
+	// the run's own.
+	idleW   float64
+	spinUpS float64
 
 	// Registry instruments, pre-resolved so the hot path does not pay
 	// a map lookup. All nil when no registry is attached.
@@ -77,22 +84,38 @@ type Recorder struct {
 	gDegraded       *Gauge
 }
 
+// attribTopPerEnc is how many items per enclosure, by attributed
+// joules, RecordAttribution writes.
+const attribTopPerEnc = 16
+
+// ProvenanceSummary is the manifest/status roll-up of one decision log.
+type ProvenanceSummary struct {
+	// Rows counts every record written.
+	Rows           int64 `json:"rows"`
+	Determinations int64 `json:"determinations"`
+	Decisions      int64 `json:"decisions"`
+	Transitions    int64 `json:"transitions"`
+	Migrations     int64 `json:"migrations"`
+	Faults         int64 `json:"faults"`
+}
+
 // Options configures a Recorder. All fields are optional; a zero
 // Options yields a recorder that keeps nothing.
 type Options struct {
-	// Sink receives every event. Nil discards events.
+	// Sink receives every record (a Tail keeps the latest for a live
+	// scrape). Nil discards records.
 	Sink Sink
 	// Registry, when non-nil, is populated with the esm_* counters and
 	// gauges the recorder maintains.
 	Registry *Registry
-	// Label is stamped into every event's "run" field; esmbench uses it
-	// to tell the interleaved per-policy streams of one file apart.
+	// Label is stamped into every event's "run" field, so streams of
+	// several runs stay apart (esmbench labels them workload/policy).
 	Label string
 }
 
 // New returns a live recorder.
 func New(opts Options) *Recorder {
-	r := &Recorder{sink: opts.Sink, reg: opts.Registry, label: opts.Label}
+	r := &Recorder{sink: opts.Sink, reg: opts.Registry, label: opts.Label, idleW: 220, spinUpS: 15}
 	if reg := opts.Registry; reg != nil {
 		r.cPhysReads = reg.Counter("esm_physical_reads_total", "Physical read I/Os issued to enclosures.")
 		r.cPhysWrites = reg.Counter("esm_physical_writes_total", "Physical write I/Os issued to enclosures.")
@@ -113,19 +136,21 @@ func New(opts Options) *Recorder {
 	return r
 }
 
-// emit stamps sequence, label and time onto ev and hands it to the
-// sink. Callers hold no lock.
-func (r *Recorder) emit(t time.Duration, ev Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sink == nil {
+// ConfigurePower overwrites the electrical constants the predicted
+// deltas of moves are computed with; replay calls it with the run's
+// actual storage config before the clock starts.
+func (r *Recorder) ConfigurePower(idleW float64, spinUp time.Duration) {
+	if r == nil {
 		return
 	}
-	r.seq++
-	ev.Seq = r.seq
-	ev.T = int64(t)
-	ev.Run = r.label
-	r.sink.Emit(ev)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if idleW > 0 {
+		r.idleW = idleW
+	}
+	if spinUp > 0 {
+		r.spinUpS = spinUp.Seconds()
+	}
 }
 
 // Close flushes and closes the sink, if any.
@@ -172,11 +197,12 @@ func (r *Recorder) DelayedWrite() {
 }
 
 // Log is the recorder's one entry point for decision-log records: it
-// advances the esm_* registry instruments the record's kind drives and
-// hands the record to the sink. The recorder drops, by rule, what the
-// event stream does not carry: per-item decisions (EvDecision, the
-// ledger's), the "on" segment that ends a spin-up (the spin-up event
-// already reported the transition) and cache records listing no items.
+// advances the esm_* registry instruments the record's kind drives,
+// stamps sequence, label and time onto it and writes it to the sink.
+// Cache records listing no items change nothing and are dropped. A move decision gets its predicted deltas: packing an item's
+// long-idle seconds onto a cold enclosure is predicted to save idleW x
+// interval joules while exposing its reads to one spin-up stall;
+// promoting it to a hot enclosure predicts the inverse trade.
 func (r *Recorder) Log(t time.Duration, ev Event) {
 	if r == nil {
 		return
@@ -184,13 +210,72 @@ func (r *Recorder) Log(t time.Duration, ev Event) {
 	if r.reg != nil {
 		r.count(ev)
 	}
-	switch {
-	case ev.Type == EvDecision,
-		ev.Power != nil && ev.Power.State == "on",
-		ev.Cache != nil && len(ev.Cache.Items) == 0:
+	if ev.Cache != nil && len(ev.Cache.Items) == 0 {
 		return
 	}
-	r.emit(t, ev)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sink == nil {
+		return
+	}
+	if d := ev.Decision; d != nil && d.Kind == DecisionMove {
+		dj := r.idleW * d.IntervalS
+		dus := r.spinUpS * 1e6 * d.ReadRatio
+		if d.ToCold {
+			d.PredDJ, d.PredDUS = -dj, dus
+		} else {
+			d.PredDJ, d.PredDUS = dj, -dus
+		}
+	}
+	r.seq++
+	ev.Seq = r.seq
+	ev.T = int64(t)
+	ev.Run = r.label
+	r.tally(ev.Type)
+	r.sink.Emit(ev)
+}
+
+// tally advances the roll-up counters. Caller holds r.mu.
+func (r *Recorder) tally(typ EventType) {
+	r.sum.Rows++
+	switch typ {
+	case EvDetermination:
+		r.sum.Determinations++
+	case EvDecision:
+		r.sum.Decisions++
+	case EvPowerOn, EvPowerOff:
+		r.sum.Transitions++
+	case EvMigrationDone:
+		r.sum.Migrations++
+	case EvFault:
+		r.sum.Faults++
+	}
+}
+
+// RecordAttribution joins the energy ledger into the log at end of
+// run: for each enclosure, an attribution record naming up to
+// attribTopPerEnc items by attributed joules.
+func (r *Recorder) RecordAttribution(t time.Duration, a *Attribution) {
+	if r == nil || a == nil {
+		return
+	}
+	for _, enc := range a.Enclosures {
+		if n := min(len(enc.ByItem), attribTopPerEnc); n > 0 {
+			r.Log(t, Event{Type: EvAttribution, Attribution: &AttributionEvent{Enclosure: enc.Enclosure, Items: enc.ByItem[:n]}})
+		}
+	}
+}
+
+// Summary returns the roll-up counters; nil when the recorder writes
+// no log (no sink).
+func (r *Recorder) Summary() *ProvenanceSummary {
+	if r == nil || r.sink == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sum := r.sum
+	return &sum
 }
 
 // count advances the registry instruments one record drives.

@@ -37,15 +37,15 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Log(0, migrationRec(EvMigrationDone, 1, 0, 1, 100))
 	r.Log(0, cacheRec(EvCacheSelect, "preload", 1))
 	r.Log(0, Event{Type: EvDetermination, Determination: &DeterminationEvent{N: 1}})
-	r.Log(0, decisionRec(Decision{Kind: ProvMove}))
+	r.Log(0, decisionRec(Decision{Kind: DecisionMove}))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var tel Telemetry
 	if tel.Logging() {
-		t.Fatal("zero telemetry reports a decision-log sink")
+		t.Fatal("zero telemetry reports a decision log")
 	}
-	tel.Log(0, powerRec(0, "spinup", CauseDemand))
+	tel.Recorder.Log(0, powerRec(0, "spinup", CauseDemand))
 }
 
 func TestEventStreamJSONLRoundTrip(t *testing.T) {
@@ -59,7 +59,7 @@ func TestEventStreamJSONLRoundTrip(t *testing.T) {
 		NHot:          2, Moves: 5, WriteDelay: 2, Preload: 1,
 		NextPeriodNS: int64(624 * time.Second),
 	}})
-	rec.Log(520*time.Second, decisionRec(Decision{Kind: ProvMove, Item: 7}))
+	rec.Log(520*time.Second, decisionRec(Decision{Kind: DecisionMove, Item: 7}))
 	rec.Log(600*time.Second, powerRec(1, "off", CauseIdleTimeout))
 	rec.Log(700*time.Second, powerRec(1, "spinup", CauseDemand))
 	rec.Log(715*time.Second, powerRec(1, "on", CauseDemand))
@@ -77,10 +77,9 @@ func TestEventStreamJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The stream drops the per-item decision, the "on" segment that
-	// ends a spin-up, and the empty cache eviction.
+	// The stream keeps every record but the empty cache eviction.
 	want := []EventType{
-		EvDeterminationStart, EvDetermination, EvPowerOff, EvPowerOn,
+		EvDeterminationStart, EvDetermination, EvDecision, EvPowerOff, EvPowerOn, EvPowerOn,
 		EvMigrationStart, EvMigrationDone, EvCacheSelect,
 		EvReplanTrigger, EvPeriodAdapt,
 	}
@@ -102,8 +101,11 @@ func TestEventStreamJSONLRoundTrip(t *testing.T) {
 	if det == nil || det.PatternCounts != [4]int{3, 2, 1, 4} || det.NHot != 2 {
 		t.Fatalf("determination payload corrupted: %+v", det)
 	}
-	if p := events[3].Power; p == nil || p.State != "spinup" || p.Cause != CauseDemand {
-		t.Fatalf("power payload corrupted: %+v", events[3].Power)
+	if d := events[2].Decision; d == nil || d.Kind != DecisionMove || d.Item != 7 {
+		t.Fatalf("decision payload corrupted: %+v", d)
+	}
+	if p := events[4].Power; p == nil || p.State != "spinup" || p.Cause != CauseDemand {
+		t.Fatalf("power payload corrupted: %+v", events[4].Power)
 	}
 }
 
@@ -170,7 +172,7 @@ func TestCollectSink(t *testing.T) {
 }
 
 func TestReadEventsRejectsGarbage(t *testing.T) {
-	_, err := ReadEvents(strings.NewReader("{\"seq\":1}\nnot json\n"))
+	_, err := ReadEvents(strings.NewReader(powerLine + "not json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-2 error, got %v", err)
 	}

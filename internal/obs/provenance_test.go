@@ -4,86 +4,93 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestNilProvenanceSafe pins the nil-receiver contract: a nil
-// *Provenance accepts every call, returns empty views, and allocates
-// nothing on the record path.
+// TestNilProvenanceSafe pins the nil-receiver contract of the decision
+// log's provenance half: a nil *Recorder accepts every call, returns
+// empty views, and allocates nothing on the record path.
 func TestNilProvenanceSafe(t *testing.T) {
-	var p *Provenance
-	p.ConfigurePower(300, 10*time.Second)
-	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Item: 7}))
-	p.Log(time.Second, powerRec(0, "spinup", CauseDemand))
-	p.Log(time.Second, cacheRec(EvCacheSelect, "preload", 1, 2))
-	p.RecordAttribution(time.Second, &Attribution{})
-	if tail := p.Tail(); tail != nil {
-		t.Fatalf("nil recorder Tail = %v", tail)
-	}
-	if err := p.Close(); err != nil {
+	var r *Recorder
+	r.ConfigurePower(300, 10*time.Second)
+	r.Log(time.Second, decisionRec(Decision{Kind: DecisionMove, Item: 7}))
+	r.Log(time.Second, powerRec(0, "spinup", CauseDemand))
+	r.Log(time.Second, cacheRec(EvCacheSelect, "preload", 1, 2))
+	r.RecordAttribution(time.Second, &Attribution{})
+	if err := r.Close(); err != nil {
 		t.Fatalf("nil recorder Close = %v", err)
 	}
-	if sum := p.Summary(); sum != nil {
+	if sum := r.Summary(); sum != nil {
 		t.Fatalf("nil recorder Summary = %v", sum)
 	}
 
+	// The records are built once: a Log argument escapes, so building
+	// one costs its payload whatever the receiver (decision sites skip
+	// that while Telemetry.Logging is false).
+	records := []Event{
+		{Type: EvDecision, Decision: &Decision{Kind: DecisionMove, Item: 7, IntervalS: 60}},
+		{Type: EvPowerOn, Power: &PowerEvent{Enclosure: 0, State: "spinup", Cause: CauseDemand}},
+		{Type: EvMigrationDone, Migration: &MigrationEvent{Item: 7, Src: 0, Dst: 1}},
+		{Type: EvFault, Fault: &FaultEvent{Kind: "spinup-fail"}},
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		p.Log(time.Second, Event{Type: EvDecision, Decision: &Decision{Kind: ProvMove, Item: 7, IntervalS: 60}})
-		p.Log(time.Second, Event{Type: EvPowerOn, Power: &PowerEvent{Enclosure: 0, State: "spinup", Cause: CauseDemand}})
-		p.Log(time.Second, Event{Type: EvMigrationDone, Migration: &MigrationEvent{Item: 7, Src: 0, Dst: 1}})
-		p.Log(time.Second, Event{Type: EvFault, Fault: &FaultEvent{Kind: "spinup-fail"}})
+		for _, ev := range records {
+			r.Log(time.Second, ev)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("nil record path allocates: %v allocs/run", allocs)
 	}
 }
 
-// TestProvenanceTail drives the ledger past its live tail and checks
-// that the tail keeps the last provTailRows rows in order and counts
-// the rest as dropped, while the counters and the stream keep every
-// row.
+// TestProvenanceTail drives the log past its live tail and checks that
+// the tail keeps the last tailEvents records in order, decisions
+// copied, and counts the rest as dropped, while the counters and the
+// sink behind the tail keep every record.
 func TestProvenanceTail(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProvenance(&buf)
-	const rows = 3 * provTailRows
+	tl := NewTail(NewJSONLSink(&buf))
+	r := New(Options{Sink: tl})
+	const rows = 3 * tailEvents
+	var dec Decision // one payload for every decision, as at a decision site
 	for i := 0; i < rows; i++ {
-		p.Log(time.Duration(i)*time.Second, decisionRec(Decision{Kind: ProvDetermination, Det: int64(i + 1), Cause: CausePeriodEnd, Item: -1, Class: -1, PrevClass: -1, Src: 1}))
+		dec = Decision{Kind: DecisionReclass, Det: int64(i + 1), Cause: CausePeriodEnd, Item: 1, Class: 1, PrevClass: 3, Src: 1, Dst: -1}
+		r.Log(time.Duration(i)*time.Second, Event{Type: EvDecision, Decision: &dec})
 	}
-	if err := p.Close(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sum := p.Summary()
-	if sum.Rows != rows || sum.Determinations != rows {
-		t.Fatalf("rows %d, determinations %d; want %d each", sum.Rows, sum.Determinations, rows)
+	sum := r.Summary()
+	if sum.Rows != rows || sum.Decisions != rows {
+		t.Fatalf("rows %d, decisions %d; want %d each", sum.Rows, sum.Decisions, rows)
 	}
-	if sum.Dropped != rows-provTailRows {
-		t.Fatalf("dropped %d, want %d", sum.Dropped, rows-provTailRows)
+	tail, dropped := tl.Events()
+	if dropped != rows-tailEvents {
+		t.Fatalf("dropped %d, want %d", dropped, rows-tailEvents)
 	}
-	tail := p.Tail()
-	if len(tail) != provTailRows {
-		t.Fatalf("tail holds %d rows, want %d", len(tail), provTailRows)
+	if len(tail) != tailEvents {
+		t.Fatalf("tail holds %d records, want %d", len(tail), tailEvents)
 	}
-	for i, r := range tail {
-		if want := int64(rows - provTailRows + i + 1); r.Det != want {
-			t.Fatalf("tail[%d] is determination %d, want %d", i, r.Det, want)
+	for i, ev := range tail {
+		if want := int64(rows - tailEvents + i + 1); ev.Decision.Det != want {
+			t.Fatalf("tail[%d] is determination %d, want %d", i, ev.Decision.Det, want)
 		}
 	}
-	recs, err := ReadProvenanceCSV(&buf)
+	events, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != rows {
-		t.Fatalf("stream holds %d rows, want %d", len(recs), rows)
+	if len(events) != rows {
+		t.Fatalf("stream holds %d records, want %d", len(events), rows)
 	}
-	for i, r := range recs {
-		if r.Det != int64(i+1) {
-			t.Fatalf("stream row %d is determination %d", i, r.Det)
+	for i, ev := range events {
+		if ev.Seq != int64(i+1) || ev.Decision.Det != int64(i+1) {
+			t.Fatalf("stream record %d is seq %d, determination %d", i, ev.Seq, ev.Decision.Det)
 		}
 	}
-	if !reflect.DeepEqual(recs[rows-provTailRows:], tail) {
-		t.Fatal("tail differs from the stream's last rows")
+	if !reflect.DeepEqual(events[rows-tailEvents:], tail) {
+		t.Fatal("tail differs from the stream's last records")
 	}
 }
 
@@ -110,97 +117,95 @@ func (w *failingWriter) Close() error {
 
 // TestProvenanceWriteErrorSurfaces checks that a failing writer's
 // first error comes back from Close, which still closes the writer,
-// and that rows after the failure still reach the tail and counters.
+// and that records after the failure still reach the tail and
+// counters.
 func TestProvenanceWriteErrorSurfaces(t *testing.T) {
 	w := &failingWriter{failAt: 3}
-	p := NewProvenance(w)
+	tl := NewTail(NewJSONLSink(w))
+	r := New(Options{Sink: tl})
 	const rows = 1000 // far more than the buffer holds
 	for i := 0; i < rows; i++ {
-		p.Log(time.Duration(i)*time.Second, powerRec(i%4, "spinup", CauseDemand))
+		r.Log(time.Duration(i)*time.Second, powerRec(i%4, "spinup", CauseDemand))
 	}
 	if w.writes < w.failAt {
 		t.Fatalf("the writer saw %d writes; the case never fails", w.writes)
 	}
-	if err := p.Close(); !errors.Is(err, errDiskFull) {
+	if err := r.Close(); !errors.Is(err, errDiskFull) {
 		t.Fatalf("Close = %v, want %v", err, errDiskFull)
 	}
 	if !w.closed {
 		t.Fatal("Close did not close the writer")
 	}
-	if sum := p.Summary(); sum.Rows != rows || sum.Transitions != rows {
+	if sum := r.Summary(); sum.Rows != rows || sum.Transitions != rows {
 		t.Fatalf("counters stopped at the failure: %+v", sum)
 	}
-	if tail := p.Tail(); len(tail) != rows || tail[rows-1].T != (rows-1)*time.Second {
-		t.Fatalf("tail holds %d rows, want %d ending at the last", len(tail), rows)
+	if tail, _ := tl.Events(); len(tail) != rows || tail[rows-1].T != int64((rows-1)*time.Second) {
+		t.Fatalf("tail holds %d records, want %d ending at the last", len(tail), rows)
 	}
 }
 
-// TestProvenanceRoundTrip records one row of every kind and checks the
-// streamed CSV reads back as exactly the rows of the live tail. Records
-// the ledger does not keep are offered too, and must leave no row.
+// TestProvenanceRoundTrip logs one record of every kind the provenance
+// report reads and checks the streamed log reads back as exactly the
+// records of the live tail, with the roll-up counting each kind.
 func TestProvenanceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	p := NewProvenance(&buf)
-	p.Log(10*time.Second, decisionRec(Decision{Kind: ProvDetermination, Det: 1, Cause: CausePeriodEnd, Item: -1, Class: -1, PrevClass: -1, Src: 2, Dst: 1}))
-	p.Log(10*time.Second, decisionRec(Decision{
-		Kind: ProvMove, Det: 1, Cause: CausePeriodEnd, Item: 7, Class: 3,
+	tl := NewTail(NewJSONLSink(&buf))
+	r := New(Options{Sink: tl})
+	r.Log(10*time.Second, decisionRec(Decision{
+		Kind: DecisionMove, Det: 1, Cause: CausePeriodEnd, Item: 7, Class: 3,
 		PrevClass: -1, Src: 0, Dst: 2, IntervalS: 120, ReadRatio: 0.75,
 		CostSrc: 5.5, CostDst: 0.25, ToCold: true,
 	}))
-	p.Log(10*time.Second, decisionRec(Decision{
-		Kind: ProvReclass, Det: 1, Cause: CausePeriodEnd, Item: 8, Class: 1, PrevClass: 3, Src: 1,
+	r.Log(10*time.Second, decisionRec(Decision{
+		Kind: DecisionReclass, Det: 1, Cause: CausePeriodEnd, Item: 8, Class: 1, PrevClass: 3, Src: 1,
 		Dst: -1,
 	}))
-	p.Log(10*time.Second, Event{Type: EvDetermination, Determination: &DeterminationEvent{N: 1}})
-	p.Log(11*time.Second, powerRec(2, "spinup", CauseMigration))
-	p.Log(26*time.Second, powerRec(2, "on", CauseMigration))
-	p.Log(27*time.Second, migrationRec(EvMigrationStart, 7, 0, 2, 1<<20))
-	p.Log(30*time.Second, migrationRec(EvMigrationDone, 7, 0, 2, 1<<20))
-	p.Log(31*time.Second, cacheRec(EvCacheSelect, "preload", 8))
-	p.Log(31*time.Second, cacheRec(EvCacheEvict, "preload", 5))
-	p.Log(32*time.Second, cacheRec(EvCacheSelect, "write-delay", 11))
-	p.Log(32*time.Second, cacheRec(EvCacheEvict, "write-delay", 9, 10))
-	p.Log(40*time.Second, Event{Type: EvFault, Fault: &FaultEvent{Kind: "spinup-fail", Enclosure: 3}})
-	p.RecordAttribution(60*time.Second, &Attribution{
-		Enclosures: []EnclosureAttribution{{
-			Enclosure: 2,
-			ByItem:    []ItemEnergy{{Item: 7, Class: 3, Joules: 123.5}},
-		}},
+	r.Log(10*time.Second, Event{Type: EvDetermination, Determination: &DeterminationEvent{N: 1}})
+	r.Log(11*time.Second, powerRec(2, "spinup", CauseMigration))
+	r.Log(26*time.Second, powerRec(2, "on", CauseMigration))
+	r.Log(27*time.Second, migrationRec(EvMigrationStart, 7, 0, 2, 1<<20))
+	r.Log(30*time.Second, migrationRec(EvMigrationDone, 7, 0, 2, 1<<20))
+	r.Log(31*time.Second, cacheRec(EvCacheSelect, "preload", 8))
+	r.Log(32*time.Second, cacheRec(EvCacheEvict, "write-delay", 9, 10))
+	r.Log(32*time.Second, cacheRec(EvCacheEvict, "write-delay"))
+	r.Log(40*time.Second, Event{Type: EvFault, Fault: &FaultEvent{Kind: "spinup-fail", Enclosure: 3}})
+	r.RecordAttribution(60*time.Second, &Attribution{
+		Enclosures: []EnclosureAttribution{
+			{Enclosure: 1},
+			{Enclosure: 2, ByItem: []ItemEnergy{{Item: 7, Class: 3, Joules: 123.5}}},
+		},
 	})
 
-	if err := p.Close(); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ReadProvenanceCSV(&buf)
+	decoded, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct := p.Tail(); !reflect.DeepEqual(direct, decoded) {
+	if direct, _ := tl.Events(); !reflect.DeepEqual(direct, decoded) {
 		t.Fatalf("round trip diverged:\ndirect  %+v\ndecoded %+v", direct, decoded)
 	}
+	// The empty eviction and the enclosure with no attributed items
+	// leave no record.
+	if len(decoded) != 11 {
+		t.Fatalf("log kept %d records, want 11: %+v", len(decoded), decoded)
+	}
 
-	// Spot-check the semantics survived: the move row carries its
+	// Spot-check the semantics survived: the move carries its
 	// predicted deltas with to-cold signs (saves joules, costs latency).
-	var move *ProvRecord
-	for i := range decoded {
-		if decoded[i].Kind == ProvMove {
-			move = &decoded[i]
-		}
-	}
-	if move == nil {
-		t.Fatal("no move row decoded")
-	}
+	move := decoded[0].Decision
 	if move.PredDJ >= 0 || move.PredDUS <= 0 {
 		t.Fatalf("to-cold move predicts dj=%g dus=%g; want dj<0, dus>0", move.PredDJ, move.PredDUS)
 	}
-	if move.Cause != string(CausePeriodEnd) || move.Item != 7 || move.Src != 0 || move.Dst != 2 {
-		t.Fatalf("move row corrupted: %+v", move)
+	if move.Cause != CausePeriodEnd || move.Item != 7 || move.Src != 0 || move.Dst != 2 || move.CostSrc != 5.5 {
+		t.Fatalf("move corrupted: %+v", move)
 	}
-	if len(decoded) != 11 {
-		t.Fatalf("ledger kept %d rows, want 11: %+v", len(decoded), decoded)
+	if a := decoded[10].Attribution; a == nil || a.Enclosure != 2 || len(a.Items) != 1 || a.Items[0].Joules != 123.5 {
+		t.Fatalf("attribution corrupted: %+v", decoded[10])
 	}
-	sum := p.Summary()
-	if sum.Determinations != 1 || sum.Decisions != 2 || sum.Transitions != 2 || sum.Migrations != 1 || sum.Faults != 1 {
+	sum := r.Summary()
+	if sum.Rows != 11 || sum.Determinations != 1 || sum.Decisions != 2 || sum.Transitions != 2 || sum.Migrations != 1 || sum.Faults != 1 {
 		t.Fatalf("summary counters wrong: %+v", sum)
 	}
 }
@@ -208,133 +213,37 @@ func TestProvenanceRoundTrip(t *testing.T) {
 // TestProvenancePredictedDeltas pins the first-order move economics
 // and that ConfigurePower overrides the electrical constants.
 func TestProvenancePredictedDeltas(t *testing.T) {
-	p := NewProvenance(nil)
-	p.ConfigurePower(100, 10*time.Second)
-	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Det: 1, Item: 1, IntervalS: 60, ReadRatio: 0.5, ToCold: true}))
-	p.Log(time.Second, decisionRec(Decision{Kind: ProvMove, Det: 1, Item: 2, IntervalS: 60, ReadRatio: 0.5, ToCold: false}))
-	recs := p.Tail()
-	if len(recs) != 2 {
-		t.Fatalf("tail holds %d rows, want 2", len(recs))
+	tl := NewTail(nil)
+	r := New(Options{Sink: tl})
+	r.ConfigurePower(100, 10*time.Second)
+	r.Log(time.Second, decisionRec(Decision{Kind: DecisionMove, Det: 1, Item: 1, IntervalS: 60, ReadRatio: 0.5, ToCold: true}))
+	r.Log(time.Second, decisionRec(Decision{Kind: DecisionMove, Det: 1, Item: 2, IntervalS: 60, ReadRatio: 0.5, ToCold: false}))
+	tail, _ := tl.Events()
+	if len(tail) != 2 {
+		t.Fatalf("tail holds %d records, want 2", len(tail))
 	}
 	// To cold: saves idleW x interval = 100 x 60 J, costs spin-up
 	// exposure = 10s x 0.5 read ratio = 5e6 us.
-	if recs[0].PredDJ != -6000 || recs[0].PredDUS != 5e6 {
-		t.Fatalf("to-cold deltas: dj=%g dus=%g, want -6000, 5e6", recs[0].PredDJ, recs[0].PredDUS)
+	if d := tail[0].Decision; d.PredDJ != -6000 || d.PredDUS != 5e6 {
+		t.Fatalf("to-cold deltas: dj=%g dus=%g, want -6000, 5e6", d.PredDJ, d.PredDUS)
 	}
-	if recs[1].PredDJ != 6000 || recs[1].PredDUS != -5e6 {
-		t.Fatalf("to-hot deltas: dj=%g dus=%g, want 6000, -5e6", recs[1].PredDJ, recs[1].PredDUS)
-	}
-}
-
-// TestCauseCodes pins the stable cause table (every name round-trips,
-// empty maps to 0 and unknown strings to -1) and the power-state codes.
-func TestCauseCodes(t *testing.T) {
-	if CauseCode("") != 0 || CauseName(0) != "" {
-		t.Fatal("empty cause must map to code 0")
-	}
-	if CauseCode("no-such-cause") != -1 {
-		t.Fatal("unknown cause must map to -1")
-	}
-	for code := 1; code <= len(provCauses); code++ {
-		name := CauseName(code)
-		if name == "" || name == "?" {
-			t.Fatalf("code %d has no name", code)
-		}
-		if CauseCode(name) != code {
-			t.Fatalf("cause %q: code %d round-trips to %d", name, code, CauseCode(name))
-		}
-	}
-	for code, state := range []string{"off", "on", "spinup"} {
-		if PowerStateCode(state) != code {
-			t.Fatalf("power state %q has code %d, want %d", state, PowerStateCode(state), code)
-		}
-	}
-	if PowerStateCode("bogus") != -1 {
-		t.Fatal("unknown power state must map to -1")
+	if d := tail[1].Decision; d.PredDJ != 6000 || d.PredDUS != -5e6 {
+		t.Fatalf("to-hot deltas: dj=%g dus=%g, want 6000, -5e6", d.PredDJ, d.PredDUS)
 	}
 }
 
-// TestEmptyProvenanceIsValidFile checks that a ledger that recorded
-// nothing is still a file the reader accepts: the header alone.
+// TestEmptyProvenanceIsValidFile checks that a log that recorded
+// nothing is still a file the reader accepts: an empty one.
 func TestEmptyProvenanceIsValidFile(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewProvenance(&buf).Close(); err != nil {
+	if err := New(Options{Sink: NewJSONLSink(&buf)}).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != provHeader {
-		t.Fatalf("empty ledger is %q, want the header %q", buf.String(), provHeader)
+	if buf.Len() != 0 {
+		t.Fatalf("empty log is %q, want no bytes", buf.String())
 	}
-	recs, err := ReadProvenanceCSV(&buf)
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("empty ledger reads as %d rows, %v", len(recs), err)
+	events, err := ReadEvents(&buf)
+	if err != nil || len(events) != 0 {
+		t.Fatalf("empty log reads as %d events, %v", len(events), err)
 	}
-}
-
-// goldenProvRows are ledger rows of several kinds as the replay's
-// golden files hold them.
-const goldenProvRows = `240000000000,1,1,6,-1,-1,-1,1,1,0,0,0,0,0,0,0
-240000000000,2,1,6,2,3,-1,1,0,0,0.6909090909090909,0.041666666666666664,0.6541666666666667,0,-1.0363636363636363e+07,0
-240000000000,5,1,6,3,1,-1,1,-1,82.201,0.8,0,0,0,0,0
-240000000000,4,-1,5,3,-1,-1,-1,-1,0,0,0,0,0,0,0
-240000000000,6,-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0
-240960000000,7,-1,0,2,-1,-1,1,0,0,0,0,0,0,0,0
-436921000000,8,-1,11,-1,-1,-1,0,-1,0,0,0,0,0,0,0
-1500000000000,9,-1,0,0,3,-1,0,-1,0,0,0,0,0,0,116255.66646327352
-`
-
-// TestReadProvenanceCSVRejects feeds the reader malformed ledgers: each
-// must fail with an error naming the line (and the column, where one
-// is at fault), never panic and never yield rows.
-func TestReadProvenanceCSVRejects(t *testing.T) {
-	good := "240000000000,6,-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0\n"
-	for _, tc := range []struct {
-		name, in, want string
-	}{
-		{"empty", "", "line 1: missing newline"},
-		{"wrong header", "t_ns,value\n" + good, "line 1: header"},
-		{"reordered header", strings.Replace(provHeader, "kind,det", "det,kind", 1) + good, "line 1: header"},
-		{"crlf header", strings.Replace(provHeader, "\n", "\r\n", 1) + good, "line 1: header"},
-		{"short row", provHeader + good + "240000000000,6,-1\n", "line 3: 3 fields, want 16"},
-		{"long row", provHeader + "240000000000,6,-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0,7\n", "line 2: 17 fields, want 16"},
-		{"blank row", provHeader + "\n", "line 2: 1 fields, want 16"},
-		{"non-numeric time", provHeader + "soon,6,-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0\n", "line 2 column t_ns"},
-		{"non-numeric field", provHeader + good + "240000000000,6,-1,1,-1,-1,-1,two,0,0,0,0,0,0,0,0\n", "line 3 column src"},
-		{"fractional id", provHeader + "240000000000,6,-1,1,1.5,-1,-1,2,0,0,0,0,0,0,0,0\n", "line 2: "},
-		{"non-canonical number", provHeader + "240000000000,6,-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0.50\n", "line 2: "},
-		{"non-canonical time", provHeader + "0240000000000,6,-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0\n", "line 2: "},
-		{"unknown cause", provHeader + "240000000000,6,-1,99,-1,-1,-1,2,0,0,0,0,0,0,0,0\n", "line 2: "},
-		{"quoted field", provHeader + "240000000000,\"6\",-1,1,-1,-1,-1,2,0,0,0,0,0,0,0,0\n", "line 2 column kind"},
-		{"missing final newline", provHeader + strings.TrimSuffix(good, "\n"), "line 2: missing newline"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			recs, err := ReadProvenanceCSV(strings.NewReader(tc.in))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want one containing %q", err, tc.want)
-			}
-			if recs != nil {
-				t.Fatalf("a failed read returned %d rows", len(recs))
-			}
-		})
-	}
-}
-
-// FuzzReadProvenanceCSV: the reader never panics, and whatever it
-// accepts re-encodes to the same bytes.
-func FuzzReadProvenanceCSV(f *testing.F) {
-	f.Add([]byte(provHeader + goldenProvRows))
-	f.Add([]byte(provHeader))
-	f.Add([]byte(provHeader + "240000000000,6,-1,-1,-1,-1,-1,2,0,NaN,+Inf,-0,1e-07,0,0,0\n"))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		recs, err := ReadProvenanceCSV(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		out := []byte(provHeader)
-		for i := range recs {
-			out = appendProvRow(out, &recs[i])
-		}
-		if !bytes.Equal(out, in) {
-			t.Fatalf("accepted input re-encodes differently:\nin  %q\nout %q", in, out)
-		}
-	})
 }

@@ -1,15 +1,13 @@
 package obs
 
-import "time"
-
 // Telemetry is the one handle a run's telemetry surfaces travel in:
 // replay.Run, storage.Array and policy.Context each take it whole.
 // Every field is a nil-able pointer whose nil value is the disabled
 // surface, so the zero Telemetry turns everything off and each call
 // site pays one pointer check.
 type Telemetry struct {
-	// Recorder is the decision log's event-stream sink: the typed JSONL
-	// stream and the esm_* metrics.
+	// Recorder is the decision log: the typed records its sink writes
+	// (a JSONL file, a live Tail), their roll-up and the esm_* metrics.
 	Recorder *Recorder
 	// Tracer receives per-I/O and management-function spans and keeps
 	// the energy-attribution ledger.
@@ -18,22 +16,12 @@ type Telemetry struct {
 	Flight *FlightRecorder
 	// Alerts evaluates watchdog rules on the same grid.
 	Alerts *Watchdog
-	// Provenance is the decision log's ledger sink.
-	Provenance *Provenance
 }
 
 // Sampling reports whether any surface consumes flight samples, so a
 // driver can skip assembling them.
 func (t Telemetry) Sampling() bool { return t.Flight != nil || t.Alerts != nil }
 
-// Logging reports whether any sink of the decision log is attached, so
-// a decision site can skip assembling its record.
-func (t Telemetry) Logging() bool { return t.Recorder != nil || t.Provenance != nil }
-
-// Log fans one decision-log record out to its sinks, the Recorder and
-// the Provenance ledger. Each sink encodes the kinds it keeps and drops
-// the rest, so a decision site makes this one call whatever is on.
-func (t Telemetry) Log(at time.Duration, ev Event) {
-	t.Recorder.Log(at, ev)
-	t.Provenance.Log(at, ev)
-}
+// Logging reports whether the decision log is attached, so a decision
+// site can skip assembling its record.
+func (t Telemetry) Logging() bool { return t.Recorder != nil }

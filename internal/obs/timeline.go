@@ -8,8 +8,8 @@ package obs
 import "time"
 
 // Segment is one power-state change: the enclosure entered State at
-// time T because of Cause. States are "on", "off" and "spinup"; a
-// spin-up segment is followed by an "on" segment when service begins.
+// time T because of Cause. States are "off" and "spinup"; service
+// begins the spin-up time after a spin-up.
 type Segment struct {
 	T     time.Duration `json:"t_ns"`
 	State string        `json:"state"`
@@ -17,12 +17,12 @@ type Segment struct {
 }
 
 // PowerSegments rebuilds each enclosure's power segments from the
-// power events of one run, in stream order. The event stream carries
-// spin-up and off transitions; an enclosure starts on.
+// spin-up and off transitions of one run, in stream order; the "on"
+// record that ends a spin-up adds no segment. An enclosure starts on.
 func PowerSegments(events []Event) map[int][]Segment {
 	segs := map[int][]Segment{}
 	for _, ev := range events {
-		if ev.Type != EvPowerOn && ev.Type != EvPowerOff {
+		if ev.Type != EvPowerOn && ev.Type != EvPowerOff || ev.Power.State == "on" {
 			continue
 		}
 		p := ev.Power
@@ -46,7 +46,7 @@ func OffTime(segs []Segment, end time.Duration) time.Duration {
 				off = true
 				offAt = s.T
 			}
-		case "spinup", "on":
+		case "spinup":
 			if off {
 				total += s.T - offAt
 				off = false

@@ -17,9 +17,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden decision streams under testdata/golden")
 
-// goldenVariant is one faulted replay of the skewed fixture whose three
-// decision streams (the event JSONL, the provenance ledger CSV and the
-// registry's /metrics text) are pinned byte for byte.
+// goldenVariant is one faulted replay of the skewed fixture whose two
+// decision streams (the decision log's JSONL and the registry's
+// /metrics text) are pinned byte for byte.
 type goldenVariant struct {
 	name   string
 	seed   int64
@@ -32,7 +32,7 @@ type goldenVariant struct {
 	tune func(*storage.Config, *core.Params)
 }
 
-// goldenVariants together exercise every event kind and every ledger
+// goldenVariants together exercise every event kind and every decision
 // kind: the first is the plain faulted run (spin-up, I/O and a
 // battery-loss window under one alert rule); the second shrinks the
 // enclosures and slows migrations so a queued one finds its
@@ -90,8 +90,8 @@ var goldenVariants = []goldenVariant{
 }
 
 // goldenRun replays one variant with every decision surface on and
-// returns its three streams.
-func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
+// returns its two streams.
+func goldenRun(t *testing.T, v goldenVariant) (events, metrics []byte) {
 	t.Helper()
 	cat, recs, placement := skewedTrace(v.dur, v.seed)
 	cfg := storage.DefaultConfig(4)
@@ -105,14 +105,13 @@ func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evBuf, provBuf, metBuf bytes.Buffer
+	var evBuf, metBuf bytes.Buffer
 	reg := obs.NewRegistry()
 	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&evBuf), Registry: reg, Label: v.name})
 	tel := obs.Telemetry{
-		Recorder:   rec,
-		Tracer:     obs.NewTracer(obs.TracerOptions{}),
-		Alerts:     obs.NewWatchdog(obs.WatchdogOptions{Rules: rules, Registry: reg, Recorder: rec}),
-		Provenance: obs.NewProvenance(&provBuf),
+		Recorder: rec,
+		Tracer:   obs.NewTracer(obs.TracerOptions{}),
+		Alerts:   obs.NewWatchdog(obs.WatchdogOptions{Rules: rules, Registry: reg, Recorder: rec}),
 	}
 	fc := v.faults
 	if _, err := Execute(Run{
@@ -131,27 +130,24 @@ func goldenRun(t *testing.T, v goldenVariant) (events, ledger, metrics []byte) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tel.Provenance.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := reg.WritePrometheus(&metBuf); err != nil {
 		t.Fatal(err)
 	}
-	return evBuf.Bytes(), provBuf.Bytes(), metBuf.Bytes()
+	return evBuf.Bytes(), metBuf.Bytes()
 }
 
 // TestGoldenDecisionStreams pins the decision streams of the golden
 // variants byte for byte, and checks that together they exercise every
-// event kind and every provenance kind, so a refactor of the decision
+// event kind and every decision kind, so a refactor of the decision
 // sites cannot reorder, drop or re-encode a record unnoticed. Run with
 // -update to rewrite the files after an intended change.
 func TestGoldenDecisionStreams(t *testing.T) {
 	seenEv := map[obs.EventType]bool{}
-	seenProv := map[int]bool{}
+	seenDec := map[obs.DecisionKind]bool{}
 	for _, v := range goldenVariants {
-		events, ledger, metrics := goldenRun(t, v)
+		events, metrics := goldenRun(t, v)
 		for ext, got := range map[string][]byte{
-			".events.jsonl": events, ".prov.csv": ledger, ".metrics.txt": metrics,
+			".events.jsonl": events, ".metrics.txt": metrics,
 		} {
 			path := filepath.Join("testdata", "golden", v.name+ext)
 			if *update {
@@ -177,13 +173,9 @@ func TestGoldenDecisionStreams(t *testing.T) {
 		}
 		for _, ev := range evs {
 			seenEv[ev.Type] = true
-		}
-		rows, err := obs.ReadProvenanceCSV(bytes.NewReader(ledger))
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		for _, r := range rows {
-			seenProv[r.Kind] = true
+			if ev.Decision != nil {
+				seenDec[ev.Decision.Kind] = true
+			}
 		}
 	}
 	for _, typ := range obs.AllEventTypes() {
@@ -191,9 +183,9 @@ func TestGoldenDecisionStreams(t *testing.T) {
 			t.Errorf("no golden variant emits a %q event", typ)
 		}
 	}
-	for kind := obs.ProvDetermination; kind <= obs.ProvAttrib; kind++ {
-		if !seenProv[kind] {
-			t.Errorf("no golden variant records a ledger row of kind %d", kind)
+	for _, kind := range []obs.DecisionKind{obs.DecisionMove, obs.DecisionReclass, obs.DecisionPreload, obs.DecisionWriteDelay} {
+		if !seenDec[kind] {
+			t.Errorf("no golden variant logs a %q decision", kind)
 		}
 	}
 }

@@ -75,19 +75,17 @@ func itemFeedPolicy(t *testing.T, name string) policy.Policy {
 	return nil
 }
 
-// feedReplay replays w under the named policy from src with the event
-// recorder and the provenance ledger on, and returns the result and
-// the two streams.
-func feedReplay(t *testing.T, w *workload.Workload, pol string, fc *faults.Config, src trace.Source) (*Result, []byte, []byte) {
+// feedReplay replays w under the named policy from src with the
+// decision log on, and returns the result and the log.
+func feedReplay(t *testing.T, w *workload.Workload, pol string, fc *faults.Config, src trace.Source) (*Result, []byte) {
 	t.Helper()
-	var events, ledger bytes.Buffer
+	var events bytes.Buffer
 	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Label: w.Name + "/" + pol})
-	prov := obs.NewProvenance(&ledger)
 	run := Run{
 		Catalog: w.Catalog, Source: src, Placement: w.Placement,
 		Storage: storage.DefaultConfig(w.Enclosures), Policy: itemFeedPolicy(t, pol),
 		Duration: w.Duration, ClosedLoop: true, Faults: fc,
-		Telemetry: obs.Telemetry{Recorder: rec, Provenance: prov},
+		Telemetry: obs.Telemetry{Recorder: rec},
 	}
 	for _, win := range w.Windows {
 		run.Windows = append(run.Windows, Window{Name: win.Name, Start: win.Start, End: win.End})
@@ -99,10 +97,7 @@ func feedReplay(t *testing.T, w *workload.Workload, pol string, fc *faults.Confi
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := prov.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return res, events.Bytes(), ledger.Bytes()
+	return res, events.Bytes()
 }
 
 // TestItemFeedMatchesDemux replays every closed-loop generator under
@@ -110,8 +105,7 @@ func feedReplay(t *testing.T, w *workload.Workload, pol string, fc *faults.Confi
 // own source (the item feed) and from its collected trace (the demux),
 // at GOMAXPROCS 1 (the feed generates inline) and 2 (on its producer).
 // Both engines issue the global minimum (eff, item) each step, so the
-// Results must be deeply equal and the event and provenance streams
-// byte-identical.
+// Results must be deeply equal and the decision logs byte-identical.
 func TestItemFeedMatchesDemux(t *testing.T) {
 	type feedCase struct {
 		w   *workload.Workload
@@ -136,11 +130,11 @@ func TestItemFeedMatchesDemux(t *testing.T) {
 			name := fmt.Sprintf("%s/%s/faults=%v/procs=%d", c.w.Name, c.pol, c.fc != nil, procs)
 			t.Run(name, func(t *testing.T) {
 				readAheadProcs(t, procs)
-				demux, demuxEv, demuxLedger := feedReplay(t, c.w, c.pol, c.fc, trace.NewSliceSource(recs))
-				feed, feedEv, feedLedger := feedReplay(t, c.w, c.pol, c.fc, c.w.Source())
+				demux, demuxEv := feedReplay(t, c.w, c.pol, c.fc, trace.NewSliceSource(recs))
+				feed, feedEv := feedReplay(t, c.w, c.pol, c.fc, c.w.Source())
 				// Without power saving nothing is decided or logged; the
 				// Results still compare every record's response.
-				if demux.Resp.Count() == 0 || c.pol != "none" && (len(demuxEv) == 0 || len(demuxLedger) == 0 || demux.Determinations == 0) {
+				if demux.Resp.Count() == 0 || c.pol != "none" && (len(demuxEv) == 0 || demux.Determinations == 0) {
 					t.Fatal("the replay exercised nothing worth comparing")
 				}
 				if c.fc != nil && demux.Faults.Total() == 0 {
@@ -151,10 +145,7 @@ func TestItemFeedMatchesDemux(t *testing.T) {
 						feed.Resp.Count(), demux.Resp.Count(), feed.EnergyJ, demux.EnergyJ)
 				}
 				if !bytes.Equal(feedEv, demuxEv) {
-					t.Errorf("event streams differ at byte %d", firstDiff(feedEv, demuxEv))
-				}
-				if !bytes.Equal(feedLedger, demuxLedger) {
-					t.Errorf("provenance ledgers differ at byte %d", firstDiff(feedLedger, demuxLedger))
+					t.Errorf("decision logs differ at byte %d", firstDiff(feedEv, demuxEv))
 				}
 			})
 		}

@@ -24,14 +24,14 @@ func provenanceESM(t *testing.T) *core.ESM {
 	return esm
 }
 
-// provenanceRun replays the skewed fixture with a provenance recorder
-// attached and returns the ledger CSV plus the run result.
+// provenanceRun replays the skewed fixture with the decision log
+// attached and returns the log plus the run result.
 func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *Result) {
 	t.Helper()
 	dur := 25 * time.Minute
 	cat, recs, placement := skewedTrace(dur, 99)
 	var buf bytes.Buffer
-	prov := obs.NewProvenance(&buf)
+	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf)})
 	run := Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -39,7 +39,7 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 		Storage:   storage.DefaultConfig(4),
 		Policy:    provenanceESM(t),
 		Duration:  dur,
-		Telemetry: obs.Telemetry{Provenance: prov},
+		Telemetry: obs.Telemetry{Recorder: rec},
 	}
 	if traced {
 		run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{})
@@ -48,15 +48,14 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prov.Close(); err != nil {
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), res.Provenance, res
 }
 
-// TestProvenanceStreamMatchesSerial is the ledger's determinism gate:
-// the provenance CSV and its summary must be byte-identical across
-// reruns.
+// TestProvenanceStreamMatchesSerial is the log's determinism gate: the
+// decision log and its summary must be byte-identical across reruns.
 func TestProvenanceStreamMatchesSerial(t *testing.T) {
 	serial, serialSum, _ := provenanceRun(t, false)
 	if serialSum.Determinations == 0 || serialSum.Decisions == 0 || serialSum.Transitions == 0 {
@@ -68,92 +67,100 @@ func TestProvenanceStreamMatchesSerial(t *testing.T) {
 		for i < len(serial) && i < len(rerun) && serial[i] == rerun[i] {
 			i++
 		}
-		t.Errorf("ledger diverged at byte %d of %d/%d", i, len(serial), len(rerun))
+		t.Errorf("log diverged at byte %d of %d/%d", i, len(serial), len(rerun))
 	}
 	if *rerunSum != *serialSum {
 		t.Errorf("summary diverged: serial %+v, rerun %+v", serialSum, rerunSum)
 	}
 }
 
-// TestProvenanceCapturesDecisions decodes a live run's ledger and
-// checks the rows carry what explain needs: determination rows with
-// monotone numbering and causes, decision rows with features and
-// classes, and runtime power rows with valid states.
+// TestProvenanceCapturesDecisions decodes a live run's log and checks
+// the records carry what explain needs: determinations with monotone
+// numbering and causes, decisions with features and classes that name
+// the determination they belong to, and power records with valid
+// states.
 func TestProvenanceCapturesDecisions(t *testing.T) {
-	csv, sum, res := provenanceRun(t, false)
-	recs, err := obs.ReadProvenanceCSV(bytes.NewReader(csv))
+	log, sum, res := provenanceRun(t, false)
+	events, err := obs.ReadEvents(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Determinations != res.Determinations {
-		t.Fatalf("ledger saw %d determinations, result says %d", sum.Determinations, res.Determinations)
+	if sum.Determinations != res.Determinations || sum.Rows != int64(len(events)) {
+		t.Fatalf("summary %+v; the result says %d determinations, the log holds %d records", sum, res.Determinations, len(events))
 	}
 	var lastDet int64
 	var moves, powers int
-	for _, r := range recs {
-		switch r.Kind {
-		case obs.ProvDetermination:
-			if r.Det <= lastDet {
-				t.Fatalf("determination numbering not monotone: %d after %d", r.Det, lastDet)
+	for _, ev := range events {
+		switch ev.Type {
+		case obs.EvDetermination:
+			d := ev.Determination
+			if d.N <= lastDet {
+				t.Fatalf("determination numbering not monotone: %d after %d", d.N, lastDet)
 			}
-			lastDet = r.Det
-			if r.Cause == "" || r.Cause == "?" {
-				t.Fatalf("determination %d has no cause", r.Det)
+			lastDet = d.N
+			if d.Cause == "" {
+				t.Fatalf("determination %d has no cause", d.N)
 			}
-		case obs.ProvMove:
+		case obs.EvDecision:
+			d := ev.Decision
+			if d.Det != lastDet+1 || d.Cause == "" {
+				t.Fatalf("decision of determination %d (%q) logged after determination %d", d.Det, d.Cause, lastDet)
+			}
+			if d.Kind != obs.DecisionMove {
+				continue
+			}
 			moves++
-			if r.Det <= 0 || r.Item < 0 || r.Class < 0 || r.Class > 3 || r.Dst < 0 {
-				t.Fatalf("malformed move row: %+v", r)
+			if d.Item < 0 || d.Class < 0 || d.Class > 3 || d.Dst < 0 {
+				t.Fatalf("malformed move: %+v", d)
 			}
-			if r.IntervalS < 0 || r.ReadRatio < 0 || r.ReadRatio > 1 {
-				t.Fatalf("move features out of range: %+v", r)
+			if d.IntervalS < 0 || d.ReadRatio < 0 || d.ReadRatio > 1 {
+				t.Fatalf("move features out of range: %+v", d)
 			}
 			// An item with no long idle intervals legitimately predicts
 			// a 0 J delta; when both deltas are set they trade off.
-			if r.PredDJ*r.PredDUS > 0 {
-				t.Fatalf("predicted deltas do not trade off: %+v", r)
+			if d.PredDJ*d.PredDUS > 0 {
+				t.Fatalf("predicted deltas do not trade off: %+v", d)
 			}
-		case obs.ProvPower:
+		case obs.EvPowerOn, obs.EvPowerOff:
 			powers++
-			if r.Det != -1 {
-				t.Fatalf("runtime power row carries det %d: %+v", r.Det, r)
-			}
-			if r.Dst != 0 && r.Dst != 1 && r.Dst != 2 {
-				t.Fatalf("power row with bad state code: %+v", r)
+			if s := ev.Power.State; s != "off" && s != "on" && s != "spinup" {
+				t.Fatalf("power record with bad state: %+v", ev.Power)
 			}
 		}
 	}
 	if moves == 0 || powers == 0 {
-		t.Fatalf("fixture recorded %d moves, %d power rows; want both > 0", moves, powers)
+		t.Fatalf("fixture logged %d moves, %d power records; want both > 0", moves, powers)
 	}
 }
 
 // TestProvenanceAttributionJoin checks that a traced run appends the
-// end-of-run energy-attribution rows and that their joules stay within
-// the ledger total.
+// end-of-run energy-attribution records and that their joules stay
+// within the ledger total.
 func TestProvenanceAttributionJoin(t *testing.T) {
-	csv, _, res := provenanceRun(t, true)
+	log, _, res := provenanceRun(t, true)
 	if res.Attribution == nil {
 		t.Fatal("traced run produced no attribution")
 	}
-	recs, err := obs.ReadProvenanceCSV(bytes.NewReader(csv))
+	events, err := obs.ReadEvents(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var joined float64
 	var n int
-	for _, r := range recs {
-		if r.Kind != obs.ProvAttrib {
+	for _, ev := range events {
+		if ev.Type != obs.EvAttribution {
 			continue
 		}
-		n++
-		if r.Joules <= 0 {
-			t.Fatalf("attrib row without joules: %+v", r)
+		for _, it := range ev.Attribution.Items {
+			n++
+			if it.Joules <= 0 {
+				t.Fatalf("attributed item without joules: %+v", it)
+			}
+			joined += it.Joules
 		}
-		joined += r.Joules
 	}
 	if n == 0 {
-		t.Fatal("no attribution rows joined into the ledger")
+		t.Fatal("no attribution joined into the log")
 	}
 	if joined > res.Attribution.TotalJ {
 		t.Fatalf("joined joules %g exceed attribution total %g", joined, res.Attribution.TotalJ)

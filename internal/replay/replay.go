@@ -71,18 +71,16 @@ type Run struct {
 	// Telemetry is the run's telemetry surfaces (zero = all off),
 	// handed once to the array and, through policy.Context, to the
 	// policy:
-	//   - Recorder and Tracer receive events and spans. Finish settles
-	//     the latency summary and energy attribution into the Result
-	//     but does not close the tracer: its sink belongs to the caller.
+	//   - Recorder and Tracer receive the decision log and spans.
+	//     Finish settles the latency summary and energy attribution
+	//     into the Result and, with a tracer, joins the energy ledger's
+	//     top attributed items into the log, but closes neither: their
+	//     sinks belong to the caller.
 	//   - Flight is fed whole-system samples on the power-sampling grid
 	//     (its Interval, or span/120 when zero); Result.Series carries
 	//     them, and the final sample always matches the Result totals.
 	//   - Alerts is evaluated on the same grid (plus the policy's
 	//     instantaneous degrade bridge).
-	//   - Provenance records the decision-provenance ledger; with a
-	//     tracer, the energy ledger's top attributed items are joined
-	//     into it at end of run. Finish does not close it: its writer
-	//     belongs to the caller.
 	// Every surface is fed from deterministic simulated-clock call
 	// sites, so its output is byte-identical across reruns.
 	Telemetry obs.Telemetry
@@ -156,8 +154,9 @@ type Result struct {
 	// final per-rule states (zero/nil without Run.Telemetry.Alerts).
 	Alerts      obs.AlertSummary
 	AlertStates []obs.AlertStatus
-	// Provenance is the decision-provenance roll-up (nil without
-	// Run.Telemetry.Provenance); the rows went to the ledger's writer.
+	// Provenance is the decision log's roll-up (nil unless
+	// Run.Telemetry.Recorder writes a log); the records went to its
+	// sink.
 	Provenance *obs.ProvenanceSummary
 }
 

@@ -86,7 +86,7 @@ func NewSession(r Run) (*Session, error) {
 	tel := r.Telemetry
 	arr.SetTelemetry(tel)
 	// Predicted deltas use the run's actual electrical constants.
-	tel.Provenance.ConfigurePower(r.Storage.Power.IdleW, r.Storage.Power.SpinUpTime)
+	tel.Recorder.ConfigurePower(r.Storage.Power.IdleW, r.Storage.Power.SpinUpTime)
 	for item, enc := range r.Placement {
 		if err := arr.Place(trace.ItemID(item), enc); err != nil {
 			return nil, err
@@ -345,14 +345,10 @@ func (s *Session) Finish() (*Result, error) {
 		res.Latency = tel.Tracer.LatencySummary()
 		res.Attribution = tel.Tracer.Attribute(end, arr.EnclosureEnergies())
 	}
-	if tel.Provenance != nil {
-		// Join the energy ledger's top attributed items into the ledger
-		// stream so `esmstat explain` can rank root causes by joules.
-		if res.Attribution != nil {
-			tel.Provenance.RecordAttribution(end, res.Attribution)
-		}
-		res.Provenance = tel.Provenance.Summary()
-	}
+	// Join the energy ledger's top attributed items into the decision
+	// log so `esmstat explain` can rank root causes by joules.
+	tel.Recorder.RecordAttribution(end, res.Attribution)
+	res.Provenance = tel.Recorder.Summary()
 	for e := 0; e < r.Storage.Enclosures; e++ {
 		acc := m.Enclosure(e)
 		total := acc.Duration().Seconds()

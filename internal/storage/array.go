@@ -185,10 +185,10 @@ func (a *Array) onPowerEvent(enc int, at time.Duration, on bool, cause obs.Cause
 	if on {
 		// A power-on is a spin-up transition followed by service
 		// readiness SpinUpTime later.
-		a.tel.Log(at, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: enc, State: "spinup", Cause: cause}})
-		a.tel.Log(at+a.cfg.Power.SpinUpTime, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: enc, State: "on", Cause: cause}})
+		a.tel.Recorder.Log(at, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: enc, State: "spinup", Cause: cause}})
+		a.tel.Recorder.Log(at+a.cfg.Power.SpinUpTime, obs.Event{Type: obs.EvPowerOn, Power: &obs.PowerEvent{Enclosure: enc, State: "on", Cause: cause}})
 	} else {
-		a.tel.Log(at, obs.Event{Type: obs.EvPowerOff, Power: &obs.PowerEvent{Enclosure: enc, State: "off", Cause: cause}})
+		a.tel.Recorder.Log(at, obs.Event{Type: obs.EvPowerOff, Power: &obs.PowerEvent{Enclosure: enc, State: "off", Cause: cause}})
 	}
 }
 
@@ -241,7 +241,7 @@ func (a *Array) SetFaultInjector(inj *faults.Injector) {
 	}
 	inj.SetObserver(func(ev faults.Event) {
 		if a.tel.Logging() {
-			a.tel.Log(ev.T, obs.Event{Type: obs.EvFault, Fault: &obs.FaultEvent{
+			a.tel.Recorder.Log(ev.T, obs.Event{Type: obs.EvFault, Fault: &obs.FaultEvent{
 				Kind:      string(ev.Kind),
 				Enclosure: ev.Enclosure,
 				Attempt:   ev.Attempt,
@@ -635,7 +635,7 @@ func (a *Array) evictPreload(now time.Duration, item trace.ItemID) {
 // must build items first guard on a.tel.Logging().
 func (a *Array) logCache(now time.Duration, typ obs.EventType, function string, items []int64) {
 	if a.tel.Logging() {
-		a.tel.Log(now, obs.Event{Type: typ, Cache: &obs.CacheEvent{Function: function, Items: items}})
+		a.tel.Recorder.Log(now, obs.Event{Type: typ, Cache: &obs.CacheEvent{Function: function, Items: items}})
 	}
 }
 
@@ -997,7 +997,7 @@ func (a *Array) finishMigration(m *migration) {
 // never started.
 func (a *Array) logMigration(now time.Duration, typ obs.EventType, item trace.ItemID, src, dst int, bytes int64) {
 	if a.tel.Logging() {
-		a.tel.Log(now, obs.Event{Type: typ, Migration: &obs.MigrationEvent{Item: int64(item), Src: src, Dst: dst, Bytes: bytes}})
+		a.tel.Recorder.Log(now, obs.Event{Type: typ, Migration: &obs.MigrationEvent{Item: int64(item), Src: src, Dst: dst, Bytes: bytes}})
 	}
 }
 
