@@ -22,10 +22,10 @@ check: build vet race alloc-check perf-check
 
 # alloc-check runs the steady-state allocation gates on the build that
 # ships, without the race instrumentation `race` runs them under: the
-# cache's submit path, the closed-loop engine, the k-way merge, the
-# generator reader (trace.ItemReader, read by Next and by Fill) and
-# FileSource's decode of each trace format must not allocate per
-# record.
+# cache's submit path, the closed-loop engine, the read-ahead hand-off,
+# the k-way merge, the generator reader (trace.ItemReader, read by Next
+# and by Fill), FileSource's decode of each trace format and the stream
+# and CSV writers' Append must not allocate per record.
 alloc-check:
 	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace
 

@@ -92,7 +92,9 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 	default:
 		return fmt.Errorf("unknown format %q (want stream, csv or ndjson)", format)
 	}
-	sum, err := writeIncremental(tw, w.Source())
+	src := w.Source()
+	sum, err := writeIncremental(tw, src)
+	src.Close()
 	if err != nil {
 		return err
 	}

@@ -181,14 +181,23 @@ type Observers struct {
 func EvaluateOpts(w *workload.Workload, factories []PolicyFactory, o Observers) (*Eval, error) {
 	ev := &Eval{Workload: w, Policies: factories}
 	jobs := make([]runJob, 0, len(factories))
+	// A replay that fails may leave its source part-read, with the
+	// source's producers blocked, so every source is closed.
+	srcs := make([]*workload.Source, 0, len(factories))
+	defer func() {
+		for _, src := range srcs {
+			src.Close()
+		}
+	}()
 	for _, f := range factories {
 		pol, err := f.New()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", w.Name+"/"+f.Name, err)
 		}
+		srcs = append(srcs, w.Source())
 		run := replay.Run{
 			Catalog:    w.Catalog,
-			Source:     w.Source(),
+			Source:     srcs[len(srcs)-1],
 			Placement:  w.Placement,
 			Storage:    StorageFor(w),
 			Policy:     pol,
@@ -263,6 +272,7 @@ func (t *Table) Fprint(out io.Writer) {
 func PatternMix(w *workload.Workload, breakEven time.Duration) core.PatternMix {
 	mon := monitor.NewAppMonitor(w.Catalog.Len(), breakEven)
 	src := w.Source()
+	defer src.Close()
 	for {
 		rec, ok := src.Next()
 		if !ok {

@@ -174,7 +174,9 @@ func sweepAlpha(w *workload.Workload, recs []trace.LogicalRecord, alphas []float
 // DefaultSweeps runs every sweep and the media comparison on w with
 // canonical value grids, collecting w's trace once for all of them.
 func DefaultSweeps(w *workload.Workload) ([]*Table, error) {
-	recs, err := trace.CollectSource(w.Source())
+	src := w.Source()
+	recs, err := trace.CollectSource(src)
+	src.Close()
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ type itemBatch struct {
 	item  trace.ItemID
 	last  bool
 	err   error
-	pval  *sourcePanic // a stream's panic, caught by the producer
+	pval  *trace.SourcePanic // a stream's panic, caught by the producer
 	chain *itemBatch
 }
 

@@ -20,7 +20,7 @@
 // it can take longer than the replay takes to reach the batch; so when
 // the replay needs a batch the producer has not claimed yet, it claims
 // and fills the batch itself rather than wait. A generator that panics
-// on the producer reaches the replay as a *sourcePanic with the
+// on the producer reaches the replay as a *trace.SourcePanic with the
 // producer's stack; on the replay's own fill it panics there directly.
 // At GOMAXPROCS 1 a cursor fills its batch in place when the batch runs
 // dry.
@@ -232,7 +232,7 @@ func (il *itemLoop) receive() error {
 	if b.pval != nil {
 		panic(b.pval)
 	}
-	if b.err == errSourceExited {
+	if b.err == trace.ErrSourceExited {
 		return fmt.Errorf("replay: item %d: %w", b.item, b.err)
 	}
 	// Read one record per cache line now, with independent loads, so
@@ -309,9 +309,9 @@ func (p *itemProducer) produce() {
 		if b != nil {
 			b.last = true
 			if v := recover(); v != nil {
-				b.pval = &sourcePanic{value: v, stack: debug.Stack()}
+				b.pval = &trace.SourcePanic{Value: v, Stack: debug.Stack()}
 			} else {
-				b.err = errSourceExited
+				b.err = trace.ErrSourceExited
 			}
 			p.done <- b
 		}

@@ -309,7 +309,7 @@ func TestItemProducerStopsMidRun(t *testing.T) {
 // filled the batch, and leaves no goroutine behind. On the producer,
 // driven directly below, a panic comes back as an error that wraps the
 // value and carries the producer's stack, and a generator that ends
-// its goroutine comes back as errSourceExited.
+// its goroutine comes back as trace.ErrSourceExited.
 func TestItemProducerSourcePanic(t *testing.T) {
 	readAheadProcs(t, 2)
 	before := runtime.NumGoroutine()
@@ -341,7 +341,7 @@ func TestItemProducerSourcePanic(t *testing.T) {
 		{"panic", func() { panic(errGenPanic) }, func(b *itemBatch) bool {
 			return b.pval != nil && errors.Is(b.pval, errGenPanic) && strings.Contains(b.pval.Error(), "(*itemProducer).produce")
 		}},
-		{"goexit", runtime.Goexit, func(b *itemBatch) bool { return b.err == errSourceExited }},
+		{"goexit", runtime.Goexit, func(b *itemBatch) bool { return b.err == trace.ErrSourceExited }},
 	} {
 		r := trace.ItemStream{Item: 0, Seq: seqOf(0, steadyTimes(0, 10), failAt(3, c.fail))}.Open(time.Hour)
 		p := newItemProducer([]itemFeed{{streams: []feedStream{{ItemReader: r}}}}, 1)

@@ -122,6 +122,10 @@ func genRun(src trace.Source, items int, closedLoop bool) Run {
 	}
 }
 
+// readAheadBatch and readAheadBatches mirror the sizes of trace's
+// read-ahead batches, which the fixtures below are sized to cycle.
+const readAheadBatch, readAheadBatches = 512, 4
+
 // readAheadProcs sets GOMAXPROCS for the rest of the test, so the
 // read-ahead tests run the producer even under go test -cpu 1.
 func readAheadProcs(t *testing.T, n int) {
@@ -142,7 +146,7 @@ func TestReadAheadOnlyWhereItCanOverlap(t *testing.T) {
 		}
 		gen := &genSource{total: 10, items: 1}
 		src, stop := readAheadOf(gen)
-		if _, ahead := src.(*readAhead); ahead != (procs > 1) {
+		if _, ahead := src.(*trace.ReadAhead); ahead != (procs > 1) {
 			t.Errorf("GOMAXPROCS %d: read ahead %v, want %v", procs, ahead, procs > 1)
 		}
 		stop()
@@ -163,7 +167,7 @@ func (p *producedAhead) Next() (trace.LogicalRecord, bool) {
 		frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 		for {
 			f, more := frames.Next()
-			p.ahead = p.ahead || strings.HasSuffix(f.Function, ".(*readAhead).produce")
+			p.ahead = p.ahead || strings.HasSuffix(f.Function, ".(*ReadAhead).produce")
 			if !more {
 				break
 			}
@@ -393,8 +397,8 @@ func TestReadAheadSourcePanic(t *testing.T) {
 		settleGoroutines(t, before)
 
 		r = genRun(&genSource{total: 100_000, items: items, exitAt: panicAt}, items, closedLoop)
-		if _, err := Execute(r); !errors.Is(err, errSourceExited) {
-			t.Fatalf("closed=%v: a source that ended its goroutine gave %v, want %v", closedLoop, err, errSourceExited)
+		if _, err := Execute(r); !errors.Is(err, trace.ErrSourceExited) {
+			t.Fatalf("closed=%v: a source that ended its goroutine gave %v, want %v", closedLoop, err, trace.ErrSourceExited)
 		}
 		settleGoroutines(t, before)
 	}

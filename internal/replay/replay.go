@@ -8,6 +8,7 @@ package replay
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"esm/internal/faults"
@@ -188,6 +189,26 @@ func Execute(r Run) (*Result, error) {
 		return nil, err
 	}
 	return s.Finish()
+}
+
+// readAheadOf returns src read ahead on a new producer goroutine
+// (trace.ReadAhead), and the function that stops that goroutine and
+// waits for it to exit. A SliceSource, what esmbench's sweeps replay,
+// is returned as it is (with a no-op stop): indexing a slice leaves
+// nothing to overlap, and reading it ahead made `esmbench -sweep`
+// slower on both workloads measured (EXPERIMENTS.md, "reading the
+// trace ahead"). So is any source when GOMAXPROCS is 1: with no second
+// processor to produce on, the hand-off never won a majority of
+// sixteen benchmark pairs.
+// Concurrent Executes each read ahead even when their producers
+// outnumber the processors: esmbench's cloud-block evaluation, two
+// workers on two processors, replayed faster so (EXPERIMENTS.md).
+func readAheadOf(src trace.Source) (trace.Source, func()) {
+	if _, ok := src.(*trace.SliceSource); ok || runtime.GOMAXPROCS(0) < 2 {
+		return src, func() {}
+	}
+	ra := trace.NewReadAhead(src)
+	return ra, ra.Stop
 }
 
 // execute replays src to its end, read ahead unless the closed loop

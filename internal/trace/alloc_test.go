@@ -228,3 +228,53 @@ func TestFileSourceSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// writerRecords returns allocRecords(n) with the extremes of every field
+// mixed in: ten-byte varints and the longest CSV numbers, so the
+// writers' room checks are crossed at every buffer boundary.
+func writerRecords(n int) []LogicalRecord {
+	recs := allocRecords(n)
+	for i := range recs {
+		if i%5 == 0 {
+			recs[i].Item = -1 - ItemID(i)
+			recs[i].Offset = -1 << 62
+			recs[i].Size = -1 << 31
+		}
+	}
+	return recs
+}
+
+// gateWriterAllocs requires zero allocations per Append once the writer
+// has written its first record.
+func gateWriterAllocs(t *testing.T, w recordWriter) {
+	t.Helper()
+	recs := writerRecords(4096)
+	base := recs[len(recs)-1].Time
+	if err := w.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(recs)-1, func() {
+		i++
+		r := recs[i%len(recs)]
+		r.Time += base * time.Duration(i/len(recs))
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append allocates %.4f/record, want 0", allocs)
+	}
+}
+
+// TestStreamWriterSteadyStateAllocs gates the stream encoder at zero
+// allocations per record: each record is encoded in place in the
+// buffer's free space.
+func TestStreamWriterSteadyStateAllocs(t *testing.T) {
+	gateWriterAllocs(t, NewStreamWriter(io.Discard))
+}
+
+// TestCSVWriterSteadyStateAllocs gates the CSV encoder the same way.
+func TestCSVWriterSteadyStateAllocs(t *testing.T) {
+	gateWriterAllocs(t, NewCSVWriter(io.Discard))
+}

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBinaryRejectsGarbage checks that input which is not a stream
@@ -173,4 +175,40 @@ func TestPlacementRejectsMalformed(t *testing.T) {
 			t.Fatalf("expected error for %q", in)
 		}
 	}
+}
+
+// TestWritersPinnedAtExtremes pins both writers' bytes on records with
+// the widest fields (ten-byte varints, the longest CSV numbers) across
+// many buffer boundaries, against the layouts TestBinaryRoundTrip and
+// TestCSVRoundTrip pin.
+func TestWritersPinnedAtExtremes(t *testing.T) {
+	recs := writerRecords(3000)
+	wantStream := []byte(streamMagic)
+	wantCSV := []byte("time_ns,item,offset,size,op\n")
+	var prev time.Duration
+	for _, r := range recs {
+		wantStream = appendVarintRecord(wantStream, uint64(r.Time-prev), uint64(r.Item), uint64(r.Offset), uint64(r.Size), byte(r.Op))
+		prev = r.Time
+		wantCSV = fmt.Appendf(wantCSV, "%d,%d,%d,%d,%s\n", int64(r.Time), r.Item, r.Offset, r.Size, r.Op)
+	}
+	var stream, csv bytes.Buffer
+	encodeAll(t, NewStreamWriter(&stream), recs)
+	encodeAll(t, NewCSVWriter(&csv), recs)
+	if !bytes.Equal(stream.Bytes(), wantStream) {
+		t.Errorf("stream encoding differs from the pinned layout at byte %d", mismatchAt(stream.Bytes(), wantStream))
+	}
+	if !bytes.Equal(csv.Bytes(), wantCSV) {
+		t.Errorf("CSV encoding differs from the pinned layout at byte %d", mismatchAt(csv.Bytes(), wantCSV))
+	}
+}
+
+// mismatchAt returns the first index at which a and b differ.
+func mismatchAt(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := range n {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }

@@ -14,11 +14,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 )
 
 // csvHeader is the header prefix tolerated (and skipped) on any line.
 var csvHeader = []byte("time_ns")
+
+// maxCSVLine bounds one encoded CSV line: four integers of at most 20
+// characters, an op name (at most "Op(255)"), four commas and the
+// newline.
+const maxCSVLine = 4*20 + 7 + 5
 
 // CSVWriter encodes logical records as "time_ns,item,offset,size,op"
 // lines under a header row. Records must be appended in time order.
@@ -43,8 +49,25 @@ func (w *CSVWriter) Append(r LogicalRecord) error {
 	if r.Time < w.prev {
 		return fmt.Errorf("trace: csv record %d out of order (%v after %v)", w.count, r.Time, w.prev)
 	}
-	if _, err := fmt.Fprintf(w.bw, "%d,%d,%d,%d,%s\n",
-		int64(r.Time), r.Item, r.Offset, r.Size, r.Op); err != nil {
+	// Build the line in place in the buffer's free space, made room for
+	// first so the appends never outgrow it: one Write, no allocation.
+	if w.bw.Available() < maxCSVLine {
+		if err := w.bw.Flush(); err != nil {
+			return err
+		}
+	}
+	buf := w.bw.AvailableBuffer()
+	buf = strconv.AppendInt(buf, int64(r.Time), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Item), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, r.Offset, 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(r.Size), 10)
+	buf = append(buf, ',')
+	buf = append(buf, r.Op.String()...)
+	buf = append(buf, '\n')
+	if _, err := w.bw.Write(buf); err != nil {
 		return err
 	}
 	w.prev = r.Time

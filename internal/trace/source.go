@@ -12,6 +12,7 @@ import (
 	"io"
 	"iter"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
 	"time"
@@ -24,10 +25,14 @@ import (
 // a decoding or ordering failure. A generator's ItemStream becomes a
 // Source through its ItemReader (ItemStream.Open). Sources are
 // single-use and not safe for concurrent use: every replay needs its
-// own. replay.Execute may
-// read any source but a SliceSource (which only esmbench's sweeps
-// replay) from a goroutine of its own, so the caller must not touch
-// the source until Execute returns.
+// own. A source may still be read from another goroutine than its
+// consumer's, one goroutine at a time: a ReadAhead reads its source on
+// a producer goroutine, so the caller must not touch that source until
+// the producer has stopped. replay.Execute reads any source but a
+// SliceSource (which only esmbench's sweeps replay) that way when
+// GOMAXPROCS allows, and stops the producer before it returns, so the
+// caller must not touch the source until Execute returns; MergeRanges
+// reads its sources on producers of its own until its Close.
 type Source interface {
 	Next() (rec LogicalRecord, ok bool)
 	Err() error
@@ -224,20 +229,49 @@ func (r *ItemReader) Close() error {
 // is non-decreasing and fails (Err) when an input turns out unsorted.
 type Merged struct {
 	srcs []Source
-	// heads[i] is source i's next record. An exhausted source's head
-	// time is maxTime and its done flag is set, so it loses every match.
+	// heads[i] is source i's next record, while it has one.
 	heads []LogicalRecord
-	done  []bool
-	// tree[1:k] holds the loser of each internal match; tree[0] holds
-	// the overall winner. Source i is leaf k+i, so node n's children
-	// are 2n and 2n+1 for any k.
-	tree []int32
-	prev time.Duration
-	err  error
-	init bool
+	// tree[1:k] holds the key of each internal match's loser; tree[0]
+	// holds the overall winner's. Source i is leaf k+i, so node n's
+	// children are 2n and 2n+1 for any k.
+	tree []mergeKey
+	// base is the index of srcs[0] among the sources a failure names:
+	// nonzero for one range of a MergeRanges merge.
+	base int
+	// nested marks a merge of MergeRanges' ranges, whose failures
+	// already name the failing source; it passes them on as they are.
+	nested bool
+	prev   time.Duration
+	err    error
+	init   bool
 }
 
-const maxTime = time.Duration(math.MaxInt64)
+// mergeKey is a source's place in the merge order, (head time,
+// exhausted, index), stored in the tree itself so that a replay
+// compares the keys it walks instead of fetching each source's head.
+type mergeKey struct {
+	// t is the head's time with the sign bit flipped, so unsigned order
+	// is time order. An exhausted source's head time is maxTime, so it
+	// loses every match.
+	t uint64
+	// ix is the source index, with keyDone set once it is exhausted.
+	ix uint64
+}
+
+const (
+	maxTime = time.Duration(math.MaxInt64)
+	keyDone = 1 << 32
+)
+
+// lessBit is 1 when a orders before b, else 0. It takes no branch: the
+// 128-bit subtraction (a.t, a.ix) - (b.t, b.ix) borrows exactly when a
+// orders first. Which of two heads wins a match is a coin toss to a
+// branch predictor.
+func lessBit(a, b mergeKey) int {
+	_, borrow := bits.Sub64(a.ix, b.ix, 0)
+	_, borrow = bits.Sub64(a.t, b.t, borrow)
+	return int(borrow)
+}
 
 // MergeSources merges sorted sources into one time-ordered stream.
 // Simultaneous records are ordered by source index.
@@ -245,32 +279,61 @@ func MergeSources(srcs ...Source) *Merged {
 	return &Merged{srcs: srcs}
 }
 
-// less orders sources by (head time, exhausted, index): a total order,
-// so the tree's winner is the same head a heap would surface.
-func (m *Merged) less(a, b int32) bool {
-	ta, tb := m.heads[a].Time, m.heads[b].Time
-	if ta != tb {
-		return ta < tb
+// MergeRanges merges sorted sources into the stream MergeSources
+// yields, on parts goroutines: srcs is cut into parts ranges of
+// contiguous indices, each range is merged on a read-ahead producer of
+// its own (ReadAhead), and the returned merge merges the ranges in
+// range order on the caller's goroutine. With parts below 2, or fewer
+// than two sources, it is MergeSources(srcs...).
+//
+// The order is the flat merge's. The flat merge yields the least head
+// by (time, exhausted, index); each range yields the least of its own
+// heads by the same key; and the merge of the ranges breaks ties by
+// range index. Because the ranges are contiguous, of two simultaneous
+// heads in different ranges the one in the lower range has the lower
+// source index, so the range holding the flat merge's winner wins, and
+// its head is that record. A failure in a range's source therefore
+// ends the stream after the same records as in the flat merge, and its
+// error names the source's index in srcs, as the flat merge's does. A
+// panic there is raised on the caller's goroutine as a *SourcePanic
+// with the range producer's stack, after a prefix of the records the
+// flat merge yields before it: each merge level drops the record it
+// holds when the pull behind it panics.
+//
+// The producers start at once. Close stops each range's producer
+// before it closes that range's sources; a caller that leaves the
+// merge before its end must Close it, or the producers stay blocked.
+func MergeRanges(parts int, srcs ...Source) *Merged {
+	parts = min(parts, len(srcs))
+	if parts < 2 {
+		return MergeSources(srcs...)
 	}
-	if ta == maxTime && m.done[a] != m.done[b] {
-		return m.done[b]
+	ranges := make([]Source, parts)
+	for r := range parts {
+		lo, hi := r*len(srcs)/parts, (r+1)*len(srcs)/parts
+		ranges[r] = NewReadAhead(&Merged{srcs: srcs[lo:hi], base: lo})
 	}
-	return a < b
+	return &Merged{srcs: ranges, nested: true}
 }
 
-// pull buffers the next head of source k, marking it exhausted (and
-// closing it) when it ends. A source failure is recorded in m.err.
-func (m *Merged) pull(k int32) {
+// pull buffers the next head of source k and returns its key, marking
+// it exhausted (and closing it) when it ends. A source failure is
+// recorded in m.err.
+func (m *Merged) pull(k int32) mergeKey {
 	rec, ok := m.srcs[k].Next()
 	if ok {
 		m.heads[k] = rec
-		return
+		return mergeKey{uint64(rec.Time) ^ 1<<63, uint64(k)}
 	}
 	if err := m.srcs[k].Err(); err != nil {
-		m.err = fmt.Errorf("trace: merge source %d: %w", k, err)
+		if m.nested {
+			m.err = err
+		} else {
+			m.err = fmt.Errorf("trace: merge source %d: %w", m.base+int(k), err)
+		}
 	}
-	m.heads[k].Time, m.done[k] = maxTime, true
 	closeSource(m.srcs[k])
+	return mergeKey{uint64(maxTime) ^ 1<<63, keyDone | uint64(k)}
 }
 
 // start buffers every source's head and plays the initial tournament.
@@ -282,22 +345,18 @@ func (m *Merged) start() bool {
 		return false
 	}
 	m.heads = make([]LogicalRecord, k)
-	m.done = make([]bool, k)
-	m.tree = make([]int32, k)
-	for i := range m.srcs {
-		m.pull(int32(i))
+	m.tree = make([]mergeKey, k)
+	// win[n] is the winner of the subtree at node n; leaves are k..2k-1.
+	win := make([]mergeKey, 2*k)
+	for i := range k {
+		win[k+i] = m.pull(int32(i))
 		if m.err != nil {
 			return false
 		}
 	}
-	// win[n] is the winner of the subtree at node n; leaves are k..2k-1.
-	win := make([]int32, 2*k)
-	for i := range k {
-		win[k+i] = int32(i)
-	}
 	for n := k - 1; n >= 1; n-- {
 		a, b := win[2*n], win[2*n+1]
-		if m.less(b, a) {
+		if lessBit(b, a) == 1 {
 			a, b = b, a
 		}
 		win[n], m.tree[n] = a, b
@@ -314,28 +373,29 @@ func (m *Merged) Next() (LogicalRecord, bool) {
 	if !m.init && !m.start() || len(m.tree) == 0 {
 		return LogicalRecord{}, false
 	}
-	w := m.tree[0]
-	if m.done[w] {
+	top := m.tree[0]
+	if top.ix&keyDone != 0 {
 		return LogicalRecord{}, false
 	}
+	w := int32(top.ix)
 	rec := m.heads[w]
 	if rec.Time < m.prev {
-		m.err = fmt.Errorf("trace: merge source %d out of order (%v after %v)", w, rec.Time, m.prev)
+		m.err = fmt.Errorf("trace: merge source %d out of order (%v after %v)", m.base+int(w), rec.Time, m.prev)
 		return LogicalRecord{}, false
 	}
 	m.prev = rec.Time
 	// A failing source surfaces its error on the next call; rec is
 	// still valid.
-	m.pull(w)
+	c := m.pull(w)
 	// Replay the new head from its leaf to the root: at each node the
 	// stored loser and the climbing candidate meet, and the winner
 	// climbs on.
 	for n := (int(w) + len(m.tree)) >> 1; n > 0; n >>= 1 {
-		if l := m.tree[n]; m.less(l, w) {
-			m.tree[n], w = w, l
+		if l := m.tree[n]; lessBit(l, c) == 1 {
+			m.tree[n], c = c, l
 		}
 	}
-	m.tree[0] = w
+	m.tree[0] = c
 	return rec, true
 }
 

@@ -42,14 +42,20 @@ func (w *StreamWriter) Append(r LogicalRecord) error {
 	if r.Time < w.prev {
 		return fmt.Errorf("trace: record %d out of order (%v after %v)", w.count, r.Time, w.prev)
 	}
-	var buf [binary.MaxVarintLen64]byte
-	for _, v := range [4]uint64{uint64(r.Time - w.prev), uint64(r.Item), uint64(r.Offset), uint64(r.Size)} {
-		n := binary.PutUvarint(buf[:], v)
-		if _, err := w.bw.Write(buf[:n]); err != nil {
+	// Encode in place into the buffer's free space, made room for first
+	// so the appends never outgrow it: one Write, no allocation.
+	if w.bw.Available() < maxVarintRecord {
+		if err := w.bw.Flush(); err != nil {
 			return err
 		}
 	}
-	if err := w.bw.WriteByte(byte(r.Op)); err != nil {
+	buf := w.bw.AvailableBuffer()
+	buf = binary.AppendUvarint(buf, uint64(r.Time-w.prev))
+	buf = binary.AppendUvarint(buf, uint64(r.Item))
+	buf = binary.AppendUvarint(buf, uint64(r.Offset))
+	buf = binary.AppendUvarint(buf, uint64(r.Size))
+	buf = append(buf, byte(r.Op))
+	if _, err := w.bw.Write(buf); err != nil {
 		return err
 	}
 	w.prev = r.Time

@@ -120,10 +120,12 @@ func TestStreamsStartAtOrAfterFrom(t *testing.T) {
 }
 
 // TestSourceRejectsBadStream reads, through the merge, a workload whose
-// stream 1 breaks the generator contract: its first record precedes its
-// declared From, or it emits another item's record. The merge must
-// fail with an error that names the stream, wrapping a
-// *trace.OrderError in the From case, rather than yield the record.
+// stream 6 of 8 breaks the generator contract: its first record
+// precedes its declared From, or it emits another item's record. The
+// merge must fail with an error that names the stream, wrapping a
+// *trace.OrderError in the From case, rather than yield the record:
+// merged flat at GOMAXPROCS 1, and at GOMAXPROCS 2 in two ranges with
+// the bad stream in the second.
 func TestSourceRejectsBadStream(t *testing.T) {
 	steady := func(item trace.ItemID, start time.Duration, edit func(i int, r *trace.LogicalRecord)) func(func(trace.LogicalRecord) bool) {
 		return func(yield func(trace.LogicalRecord) bool) {
@@ -138,29 +140,39 @@ func TestSourceRejectsBadStream(t *testing.T) {
 			}
 		}
 	}
-	good := trace.ItemStream{Item: 0, Seq: steady(0, 0, nil)}
+	const bad = 6
+	streams := make([]trace.ItemStream, 8)
+	for i := range streams {
+		streams[i] = trace.ItemStream{Item: trace.ItemID(i), Seq: steady(trace.ItemID(i), 0, nil)}
+	}
 	for _, c := range []struct {
 		name  string
 		bad   trace.ItemStream
 		order bool
 	}{
-		{"before-from", trace.ItemStream{Item: 1, From: time.Minute, Seq: steady(1, 30*time.Second, nil)}, true},
-		{"wrong-item", trace.ItemStream{Item: 1, Seq: steady(1, 0, func(i int, r *trace.LogicalRecord) {
+		{"before-from", trace.ItemStream{Item: bad, From: time.Minute, Seq: steady(bad, 30*time.Second, nil)}, true},
+		{"wrong-item", trace.ItemStream{Item: bad, Seq: steady(bad, 0, func(i int, r *trace.LogicalRecord) {
 			if i == 20 {
 				r.Item = 0
 			}
 		})}, false},
 	} {
-		w := &Workload{Streams: []trace.ItemStream{good, c.bad}, Duration: time.Hour}
-		recs, err := trace.CollectSource(w.Source())
-		if err == nil {
-			t.Fatalf("%s: the merge yielded %d records and no error", c.name, len(recs))
-		}
-		if !strings.Contains(err.Error(), "merge source 1") {
-			t.Errorf("%s: error %q does not name stream 1", c.name, err)
-		}
-		if oe := (*trace.OrderError)(nil); errors.As(err, &oe) != c.order {
-			t.Errorf("%s: error %v wraps a *trace.OrderError: %v, want %v", c.name, err, !c.order, c.order)
+		streams[bad] = c.bad
+		w := &Workload{Streams: streams, Duration: time.Hour}
+		for _, procs := range []int{1, 2} {
+			withProcs(t, procs)
+			src := w.Source()
+			recs, err := trace.CollectSource(src)
+			src.Close()
+			if err == nil {
+				t.Fatalf("%s GOMAXPROCS %d: the merge yielded %d records and no error", c.name, procs, len(recs))
+			}
+			if !strings.Contains(err.Error(), "merge source 6:") {
+				t.Errorf("%s GOMAXPROCS %d: error %q does not name stream 6", c.name, procs, err)
+			}
+			if oe := (*trace.OrderError)(nil); errors.As(err, &oe) != c.order {
+				t.Errorf("%s GOMAXPROCS %d: error %v wraps a *trace.OrderError: %v, want %v", c.name, procs, err, !c.order, c.order)
+			}
 		}
 	}
 }

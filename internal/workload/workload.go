@@ -14,6 +14,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"esm/internal/trace"
@@ -65,9 +66,18 @@ func (w *Workload) Source() *Source {
 // Source is a generated workload's trace. Read with Next, it is a k-way
 // merge of readers over the per-item lazy streams (ItemStream.Open),
 // each ending at the workload's Duration, so the merge holds one cursor
-// per stream; it starts on the first Next. A consumer that would split
-// the merge by item again reads ItemStreams instead and leaves the
-// merge unstarted.
+// per stream; it starts on the first Next. With GOMAXPROCS at 2 or
+// more, the streams are merged in GOMAXPROCS ranges of contiguous
+// indices, each generated and merged on a producer goroutine of its
+// own, and the ranges merged on the caller's (trace.MergeRanges): the
+// same records in the same order, with generation and most of the
+// merge off the caller's goroutine. At GOMAXPROCS 1 the caller merges
+// every stream itself.
+//
+// A consumer that stops reading before the end must Close the source,
+// which stops the producers before it stops the generators. A
+// consumer that would split the merge by item again reads ItemStreams
+// instead and leaves the merge unstarted.
 type Source struct {
 	streams []trace.ItemStream
 	limit   time.Duration
@@ -81,7 +91,7 @@ func (s *Source) Next() (trace.LogicalRecord, bool) {
 		for i, st := range s.streams {
 			srcs[i] = st.Open(s.limit)
 		}
-		s.merged = trace.MergeSources(srcs...)
+		s.merged = trace.MergeRanges(runtime.GOMAXPROCS(0), srcs...)
 	}
 	return s.merged.Next()
 }
@@ -94,7 +104,8 @@ func (s *Source) Err() error {
 	return s.merged.Err()
 }
 
-// Close releases the merge's generators, if the merge started.
+// Close stops the merge's producers and then its generators, if the
+// merge started. It is safe to call more than once and after the end.
 func (s *Source) Close() error {
 	if s.merged != nil {
 		s.merged.Close()
