@@ -122,10 +122,6 @@ func genRun(src trace.Source, items int, closedLoop bool) Run {
 	}
 }
 
-// readAheadBatch and readAheadBatches mirror the sizes of trace's
-// read-ahead batches, which the fixtures below are sized to cycle.
-const readAheadBatch, readAheadBatches = 512, 4
-
 // readAheadProcs sets GOMAXPROCS for the rest of the test, so the
 // read-ahead tests run the producer even under go test -cpu 1.
 func readAheadProcs(t *testing.T, n int) {
@@ -198,7 +194,7 @@ func TestReadAheadMatchesDirect(t *testing.T) {
 	readAheadProcs(t, 2)
 	const dur = 2 * time.Hour
 	cat, recs, placement := skewedTrace(dur, 99)
-	if len(recs) < 4*readAheadBatches*readAheadBatch/2 {
+	if len(recs) < 4*trace.ReadAheadBatches*trace.ReadAheadBatch/2 {
 		t.Fatalf("%d records do not cycle the read-ahead batches", len(recs))
 	}
 	path := writeStreamFile(t, recs)
@@ -252,7 +248,7 @@ func TestReadAheadMatchesDirect(t *testing.T) {
 func TestReadAheadSourceErrorMatchesDirect(t *testing.T) {
 	readAheadProcs(t, 2)
 	const items = 6
-	failAt := 3*readAheadBatch + 37
+	failAt := 3*trace.ReadAheadBatch + 37
 	for _, closedLoop := range []bool{false, true} {
 		r := genRun(&genSource{total: 100_000, items: items, failAt: failAt}, items, closedLoop)
 		s, err := NewSession(r)
@@ -336,7 +332,7 @@ func TestReadAheadEarlyExitStopsProducer(t *testing.T) {
 func TestReadAheadCloseAfterExecute(t *testing.T) {
 	readAheadProcs(t, 2)
 	const items = 6
-	recs, err := trace.CollectSource(&genSource{total: 10 * readAheadBatch, items: items})
+	recs, err := trace.CollectSource(&genSource{total: 10 * trace.ReadAheadBatch, items: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +371,7 @@ func TestReadAheadCloseAfterExecute(t *testing.T) {
 func TestReadAheadSourcePanic(t *testing.T) {
 	readAheadProcs(t, 2)
 	const items = 6
-	panicAt := 2*readAheadBatch + 5
+	panicAt := 2*trace.ReadAheadBatch + 5
 	for _, closedLoop := range []bool{false, true} {
 		before := runtime.NumGoroutine()
 		r := genRun(&genSource{total: 100_000, items: items, panicAt: panicAt}, items, closedLoop)
@@ -414,7 +410,7 @@ func TestReadAheadSourcePanic(t *testing.T) {
 // checks that every measured run's records came from the producer.
 func TestReadAheadSteadyStateAllocs(t *testing.T) {
 	readAheadProcs(t, 2)
-	const items, n, runs = 4, 20 * readAheadBatch, 5
+	const items, n, runs = 4, 20 * trace.ReadAheadBatch, 5
 	for _, closedLoop := range []bool{false, true} {
 		execute := func(total int) {
 			src := &producedAhead{Source: &genSource{total: total, items: items}}
@@ -436,11 +432,11 @@ func TestReadAheadSteadyStateAllocs(t *testing.T) {
 			return float64(after.Mallocs-before.Mallocs) / runs
 		}
 		half, full := allocs(n), allocs(2*n)
-		// One allocation per hand-off would read 1/readAheadBatch per
+		// One allocation per hand-off would read 1/ReadAheadBatch per
 		// record, under the 0.01 the engine's other gates allow, so this
 		// gate allows a quarter of that: five stray allocations over the
 		// n extra records.
-		if marginal := (full - half) / n; marginal > 1.0/(4*readAheadBatch) {
+		if marginal := (full - half) / n; marginal > 1.0/(4*trace.ReadAheadBatch) {
 			t.Errorf("closed=%v: read-ahead marginal allocations %.4f/record (half=%.1f full=%.1f), want ~0",
 				closedLoop, marginal, half, full)
 		}

@@ -203,6 +203,8 @@ func Execute(r Run) (*Result, error) {
 // Concurrent Executes each read ahead even when their producers
 // outnumber the processors: esmbench's cloud-block evaluation, two
 // workers on two processors, replayed faster so (EXPERIMENTS.md).
+// The producer counts in trace.ReadAheads, so a generated workload's
+// source read on it leaves that processor out of its own split.
 func readAheadOf(src trace.Source) (trace.Source, func()) {
 	if _, ok := src.(*trace.SliceSource); ok || runtime.GOMAXPROCS(0) < 2 {
 		return src, func() {}

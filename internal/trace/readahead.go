@@ -14,18 +14,30 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 const (
-	// readAheadBatch is how many records one hand-off carries: enough
+	// ReadAheadBatch is how many records one hand-off carries: enough
 	// that the two channel operations per batch cost a few ns per
 	// record, few enough that the batches stay in cache.
-	readAheadBatch = 512
-	// readAheadBatches is how many batches exist, and so how far the
+	ReadAheadBatch = 512
+	// ReadAheadBatches is how many batches exist, and so how far the
 	// producer may run ahead of the consumer: it fills the batches the
 	// consumer is not reading and then waits for one to come back.
-	readAheadBatches = 4
+	ReadAheadBatches = 4
 )
+
+// producers counts the read-ahead producer goroutines running in the
+// process.
+var producers atomic.Int32
+
+// ReadAheads returns how many read-ahead producers are running in the
+// process, from NewReadAhead until the producer exits (before Stop
+// returns). A consumer that keeps its producer fed keeps a processor
+// busy, so a source about to start producers of its own can leave
+// those processors out (workload.Source does).
+func ReadAheads() int { return int(producers.Load()) }
 
 // ErrSourceExited reports a source that ended the goroutine producing
 // its records with runtime.Goexit instead of returning from Next.
@@ -34,7 +46,7 @@ var ErrSourceExited = errors.New("trace source exited its goroutine")
 // raBatch is one hand-off: recs[:n], then, in the last batch, how the
 // source ended.
 type raBatch struct {
-	recs [readAheadBatch]LogicalRecord
+	recs [ReadAheadBatch]LogicalRecord
 	n    int
 	last bool
 	err  error        // the source's Err, or ErrSourceExited
@@ -60,7 +72,7 @@ func (p *SourcePanic) Unwrap() error {
 }
 
 // ReadAhead is the consumer's side of a read-ahead: a Source over the
-// batches the producer fills. The readAheadBatches batches circulate
+// batches the producer fills. The ReadAheadBatches batches circulate
 // between full (producer to consumer) and free (consumer to producer);
 // each channel can hold all of them, so no send blocks, and steady
 // state allocates nothing.
@@ -79,15 +91,16 @@ type ReadAhead struct {
 func NewReadAhead(src Source) *ReadAhead {
 	ra := &ReadAhead{
 		src:  src,
-		full: make(chan *raBatch, readAheadBatches),
-		free: make(chan *raBatch, readAheadBatches),
+		full: make(chan *raBatch, ReadAheadBatches),
+		free: make(chan *raBatch, ReadAheadBatches),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 		b:    new(raBatch), // empty; the first Next hands it over
 	}
-	for range readAheadBatches - 1 {
+	for range ReadAheadBatches - 1 {
 		ra.free <- new(raBatch)
 	}
+	producers.Add(1)
 	go ra.produce()
 	return ra
 }
@@ -109,6 +122,7 @@ func (ra *ReadAhead) produce() {
 			}
 			ra.full <- b
 		}
+		producers.Add(-1)
 		close(ra.done)
 	}()
 	for {
@@ -119,7 +133,7 @@ func (ra *ReadAhead) produce() {
 		case b = <-ra.free:
 		}
 		b.n = 0
-		for b.n < readAheadBatch {
+		for b.n < ReadAheadBatch {
 			rec, ok := ra.src.Next()
 			if !ok {
 				b.last, b.err = true, ra.src.Err()

@@ -75,7 +75,7 @@ func settleGoroutines(t *testing.T, want int) {
 // *SourcePanic carrying the producer's stack, or ErrSourceExited for a
 // source that ended the producer's goroutine.
 func TestReadAheadDeliversSource(t *testing.T) {
-	recs := sortedRecs(rand.New(rand.NewSource(5)), 3*readAheadBatch+17, 1)
+	recs := sortedRecs(rand.New(rand.NewSource(5)), 3*ReadAheadBatch+17, 1)
 	errBoom := errors.New("boom")
 	for _, c := range []struct {
 		name string
@@ -110,19 +110,25 @@ func TestReadAheadDeliversSource(t *testing.T) {
 }
 
 // TestReadAheadStopMidStream leaves a long source part-way: Stop
-// returns once the producer has exited, may be repeated, and Close then
-// closes the source.
+// returns once the producer has exited, and no longer counted in
+// ReadAheads, may be repeated, and Close then closes the source.
 func TestReadAheadStopMidStream(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before, producing := runtime.NumGoroutine(), ReadAheads()
 	closed := false
-	recs := sortedRecs(rand.New(rand.NewSource(6)), 20*readAheadBatch, 0)
+	recs := sortedRecs(rand.New(rand.NewSource(6)), 20*ReadAheadBatch, 0)
 	ra := NewReadAhead(trackedSource{NewSliceSource(recs), &closed})
-	for range readAheadBatch + 3 {
+	if got := ReadAheads(); got != producing+1 {
+		t.Errorf("ReadAheads %d with the producer running, want %d", got, producing+1)
+	}
+	for range ReadAheadBatch + 3 {
 		if _, ok := ra.Next(); !ok {
 			t.Fatal("the read-ahead ended early")
 		}
 	}
 	ra.Stop()
+	if got := ReadAheads(); got != producing {
+		t.Errorf("ReadAheads %d after Stop, want %d", got, producing)
+	}
 	settleGoroutines(t, before)
 	if closed {
 		t.Fatal("Stop closed the source")

@@ -129,6 +129,30 @@ func TestSplitSourceCloseStopsProducers(t *testing.T) {
 	src.Close()
 }
 
+// TestSplitSourceCountsFreeProcessors pins how many ranges a source merges
+// in: one per processor that no read-ahead producer holds, so a source
+// read on a read-ahead producer, as replay.Execute reads it, merges
+// flat at GOMAXPROCS 2 and in two ranges at GOMAXPROCS 3.
+func TestSplitSourceCountsFreeProcessors(t *testing.T) {
+	w, err := GenerateFileServer(DefaultFileServerConfig().Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ procs, ranges int }{{2, 0}, {3, 2}} {
+		withProcs(t, c.procs)
+		before, producing := runtime.NumGoroutine(), trace.ReadAheads()
+		ra := trace.NewReadAhead(w.Source())
+		if _, ok := ra.Next(); !ok {
+			t.Fatalf("GOMAXPROCS %d: the source ended early: %v", c.procs, ra.Err())
+		}
+		if got := trace.ReadAheads() - producing - 1; got != c.ranges {
+			t.Errorf("GOMAXPROCS %d under a read-ahead: %d range producers, want %d", c.procs, got, c.ranges)
+		}
+		ra.Close()
+		settleGoroutines(t, before)
+	}
+}
+
 // TestSplitSourceGeneratorPanic panics a generator in the second range
 // of a split source: the panic reaches the reader as a
 // *trace.SourcePanic carrying the range producer's stack, and Close then

@@ -66,13 +66,18 @@ func (w *Workload) Source() *Source {
 // Source is a generated workload's trace. Read with Next, it is a k-way
 // merge of readers over the per-item lazy streams (ItemStream.Open),
 // each ending at the workload's Duration, so the merge holds one cursor
-// per stream; it starts on the first Next. With GOMAXPROCS at 2 or
-// more, the streams are merged in GOMAXPROCS ranges of contiguous
-// indices, each generated and merged on a producer goroutine of its
-// own, and the ranges merged on the caller's (trace.MergeRanges): the
-// same records in the same order, with generation and most of the
-// merge off the caller's goroutine. At GOMAXPROCS 1 the caller merges
-// every stream itself.
+// per stream; it starts on the first Next. The first Next splits the
+// merge over the processors that no running read-ahead producer
+// (trace.ReadAheads) holds: with two or more of them free, the
+// streams are merged in that many ranges of contiguous indices, each
+// generated and merged on a producer goroutine of its own, and the
+// ranges merged on the caller's (trace.MergeRanges): the same records
+// in the same order, with generation and most of the merge off the
+// caller's goroutine. With one free, the caller merges every stream
+// itself: at GOMAXPROCS 1, and at GOMAXPROCS 2 when the source is read
+// on replay.Execute's read-ahead producer or beside a concurrent
+// replay's, where the split's extra goroutines slowed esmbench's
+// cloud-block replays (EXPERIMENTS.md).
 //
 // A consumer that stops reading before the end must Close the source,
 // which stops the producers before it stops the generators. A
@@ -91,7 +96,7 @@ func (s *Source) Next() (trace.LogicalRecord, bool) {
 		for i, st := range s.streams {
 			srcs[i] = st.Open(s.limit)
 		}
-		s.merged = trace.MergeRanges(runtime.GOMAXPROCS(0), srcs...)
+		s.merged = trace.MergeRanges(runtime.GOMAXPROCS(0)-trace.ReadAheads(), srcs...)
 	}
 	return s.merged.Next()
 }
