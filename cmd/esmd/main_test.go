@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -372,5 +374,68 @@ func TestRunStreamsProvenance(t *testing.T) {
 	err = run(opts, strings.NewReader(sb.String()), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "/dev/full") {
 		t.Fatalf("a failing log file gave %v, want an error naming it", err)
+	}
+}
+
+// TestProvenanceScrapePinned pins the bytes of a decision log that
+// overflows the live tail: the /arrays/<name>/provenance body,
+// unwindowed and windowed, its X-Provenance-Dropped header, and the
+// -events file written beside it. The faulted run spins enclosures up
+// and down around nearly every record, so the log runs past the
+// tail's 8,192 records. Any change to how records reach the file or
+// the tail that moves a byte fails here.
+func TestProvenanceScrapePinned(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	d := testDaemon(t, daemonOpts{quiet: true, eventsPath: filepath.Join(dir, "events.jsonl"), faults: "seed=11,io=0.3,spinup=0.2"}, &out)
+	var sb strings.Builder
+	for i := 0; i < 4000; i++ {
+		op := "R"
+		if i%5 == 0 {
+			op = "W"
+		}
+		fmt.Fprintf(&sb, "%d,%d,%d,4096,%s\n", int64(i)*int64(70*time.Second), (i*i)%8, (i%64)*4096, op)
+	}
+	if err := d.processStream(strings.NewReader(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	scrape := func(query string) (dropped string, body []byte) {
+		rr := httptest.NewRecorder()
+		d.handler().ServeHTTP(rr, httptest.NewRequest("GET", "/arrays/esm/provenance"+query, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("provenance%s: code %d: %s", query, rr.Code, rr.Body)
+		}
+		return rr.Header().Get("X-Provenance-Dropped"), rr.Body.Bytes()
+	}
+	dropped, all := scrape("")
+	windowDropped, window := scrape("?since=70h&until=70h30m")
+	if err := d.fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tail is the file's last tailEvents lines, and the window
+	// a run of them.
+	if !bytes.HasSuffix(file, all) || !bytes.Contains(all, window) || len(window) == 0 {
+		t.Fatal("the scrapes are not the file's latest lines")
+	}
+	digest := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+	for _, c := range []struct {
+		what, got, want string
+	}{
+		{"X-Provenance-Dropped", dropped, "286"},
+		{"windowed X-Provenance-Dropped", windowDropped, "286"},
+		{"file lines", fmt.Sprint(bytes.Count(file, []byte("\n"))), "8478"},
+		{"scrape lines", fmt.Sprint(bytes.Count(all, []byte("\n"))), "8192"},
+		{"windowed scrape lines", fmt.Sprint(bytes.Count(window, []byte("\n"))), "60"},
+		{"file digest", digest(file), "88b0bdc414c6d7d3a168b9e3d268ad1794062f7a6ed3b6e69d36a076057be48a"},
+		{"scrape digest", digest(all), "38b014c4ec5a9d9c1ab07c876940a0ea53d5a83f103b223eb2889bcfe15a69f4"},
+		{"windowed scrape digest", digest(window), "bf3af8ef0bf86a756e96d0aba11c6f8d97e0bd9be9dc52af1dbf3b554a32cfe1"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.what, c.got, c.want)
+		}
 	}
 }
