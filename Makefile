@@ -25,9 +25,10 @@ check: build vet race alloc-check perf-check
 # cache's submit path, the closed-loop engine, the read-ahead hand-off,
 # the k-way merge, the generator reader (trace.ItemReader, read by Next
 # and by Fill), FileSource's decode of each trace format and the stream
-# and CSV writers' Append must not allocate per record.
+# and CSV writers' Append must not allocate per record, and neither
+# must the decision log's Recorder.Log into a file and a live tail.
 alloc-check:
-	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace
+	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace ./internal/obs
 
 # perf-check vets and tests the benchmark module (perf/, its own Go
 # module), which nothing else compiles: a change to the replay or fleet

@@ -293,7 +293,8 @@ func BenchmarkTableIIParameters(b *testing.B) {
 // recorder and watchdog — every instrumented call site must reduce to
 // one nil check — while "log" adds the decision log (every event and
 // decision encoded as JSONL into a discarding writer, plus the
-// registry), "trace" a live per-I/O span tracer (histograms and energy
+// registry), "tail" the same log with a live tail keeping its latest
+// lines (the fleet's composition), "trace" a live per-I/O span tracer (histograms and energy
 // ledger, no span sink), "series" a flight recorder sampling the whole
 // system on the power grid, and "alerts" a watchdog evaluating three
 // rules on that grid.
@@ -338,7 +339,20 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	b.Run("log", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rec := obs.New(obs.Options{
-				Sink:     obs.NewJSONLSink(io.Discard),
+				Log:      io.Discard,
+				Registry: obs.NewRegistry(),
+			})
+			replayOnce(b, obs.Telemetry{Recorder: rec})
+			if err := rec.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tail", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rec := obs.New(obs.Options{
+				Log:      io.Discard,
+				Tail:     new(obs.Tail),
 				Registry: obs.NewRegistry(),
 			})
 			replayOnce(b, obs.Telemetry{Recorder: rec})

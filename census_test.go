@@ -22,9 +22,9 @@ var censusAllowed = map[string]string{
 	"Unwrap":        "errors.Is and errors.As call it on replay's re-raised source panic",
 
 	// Accessors and fixtures that tests in other packages share. The
-	// fixture types CollectSink and CollectSpanSink need no entry: the
-	// census covers functions and methods, and the sinks' other methods
-	// share names with live ones.
+	// fixture type CollectSpanSink needs no entry: the census covers
+	// functions and methods, and the sink's other methods share names
+	// with live ones.
 	"SpinDownEnabled":  "storage state read by replay and fault tests",
 	"BatteryOK":        "battery state read by fault tests across packages",
 	"FaultInjector":    "lets replay and fleet tests inspect the injected faults",

@@ -265,7 +265,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				if f, err := os.Create(runFileFor(eventsPath, name, policy)); err != nil {
 					eventsErr = cmp.Or(eventsErr, err)
 				} else {
-					tel.Recorder = obs.New(obs.Options{Sink: obs.NewJSONLSink(f), Label: name + "/" + policy})
+					tel.Recorder = obs.New(obs.Options{Log: f, Label: name + "/" + policy})
 					recorders = append(recorders, tel.Recorder)
 				}
 			}

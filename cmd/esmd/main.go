@@ -166,7 +166,7 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.EventSink = obs.NewJSONLSink(f)
+		spec.EventSink = f
 	}
 	if opts.tracePath != "" {
 		f, err := os.Create(opts.tracePath)

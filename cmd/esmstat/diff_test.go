@@ -126,7 +126,7 @@ func TestRenderDiffTinyDelta(t *testing.T) {
 func TestRenderSeriesSummary(t *testing.T) {
 	fr := obs.NewFlightRecorder(time.Second)
 	for i := 0; i <= 5; i++ {
-		fr.Record(obs.FlightSample{T: time.Duration(i) * time.Second, EnclosureEnergyJ: float64(i) * 10})
+		obs.Telemetry{Flight: fr}.Sample(obs.FlightSample{T: time.Duration(i) * time.Second, EnclosureEnergyJ: float64(i) * 10}, false)
 	}
 	var sb strings.Builder
 	renderSeries(&sb, fr.Series())
@@ -144,7 +144,7 @@ func TestRenderSeriesSummary(t *testing.T) {
 func TestRunSeriesWindowCSV(t *testing.T) {
 	fr := obs.NewFlightRecorder(time.Second)
 	for i := 0; i <= 10; i++ {
-		fr.Record(obs.FlightSample{T: time.Duration(i) * time.Second, SpinUps: i})
+		obs.Telemetry{Flight: fr}.Sample(obs.FlightSample{T: time.Duration(i) * time.Second, SpinUps: i}, false)
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.series.csv")

@@ -50,7 +50,7 @@ func explainFixture(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(f), Label: "x"})
+	rec := obs.New(obs.Options{Log: f, Label: "x"})
 	at := func(m int) time.Duration { return time.Duration(m) * time.Minute }
 	for _, d := range []obs.Decision{
 		{Kind: obs.DecisionMove, Item: 7, Class: 0, PrevClass: -1, Src: 0, Dst: 2, IntervalS: 300, ReadRatio: 0.9, ToCold: true},
@@ -138,7 +138,7 @@ func TestExplainCountsMatchEventStream(t *testing.T) {
 		}
 	}
 	var events bytes.Buffer
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events)})
+	rec := obs.New(obs.Options{Log: &events})
 	tel := func(string) obs.Telemetry { return obs.Telemetry{Recorder: rec} }
 	if _, err := experiments.EvaluateOpts(w, esm, experiments.Observers{Telemetry: tel}); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestSeriesDiffLocatesDivergence(t *testing.T) {
 			if perturb && i >= 6 {
 				e *= 1.25
 			}
-			f.Record(obs.FlightSample{T: time.Duration(i) * time.Minute, TotalEnergyJ: e, SpinUps: i})
+			obs.Telemetry{Flight: f}.Sample(obs.FlightSample{T: time.Duration(i) * time.Minute, TotalEnergyJ: e, SpinUps: i}, false)
 		}
 		path := filepath.Join(t.TempDir(), "s.csv")
 		fh, err := os.Create(path)

@@ -407,8 +407,8 @@ func countHot(hot []bool) int {
 func (d *ESM) logDecisions(now time.Duration, cause obs.Cause, stats []monitor.ItemPeriodStats, plan *Plan, wd, pre []trace.ItemID) {
 	arr := d.ctx.Array
 	det := d.determinations + 1
-	// One payload serves every decision: the log's sinks encode it at
-	// once or copy it (obs.Sink).
+	// One payload serves every decision: Log encodes it before it
+	// returns.
 	var dec obs.Decision
 	decide := func(x obs.Decision) {
 		dec = x

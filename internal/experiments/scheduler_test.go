@@ -70,7 +70,7 @@ func TestParallelEvaluateDeterministic(t *testing.T) {
 }
 
 // TestSchedulerSharedSink drives concurrent replays that all publish
-// telemetry into one shared sink and registry. Run under -race (the CI
+// telemetry into one shared log writer and registry. Run under -race (the CI
 // race step does) this verifies the scheduler's isolation contract:
 // cross-run sharing is confined to mutex-protected observers.
 func TestSchedulerSharedSink(t *testing.T) {
@@ -78,13 +78,12 @@ func TestSchedulerSharedSink(t *testing.T) {
 		t.Skip("replay smoke test")
 	}
 	w := schedulerWorkload(t)
-	sink := obs.NewJSONLSink(io.Discard)
 	reg := obs.NewRegistry()
 
 	SetParallelism(4)
 	defer SetParallelism(0)
 	ev, err := EvaluateOpts(w, PoliciesFor(0.1), Observers{Telemetry: func(string) obs.Telemetry {
-		return obs.Telemetry{Recorder: obs.New(obs.Options{Sink: sink, Registry: reg})}
+		return obs.Telemetry{Recorder: obs.New(obs.Options{Log: io.Discard, Registry: reg})}
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"esm/internal/obs"
+	"esm/internal/trace"
 )
 
 // mustRules parses a rule list or fails the test.
@@ -168,5 +170,51 @@ func TestConcurrentAlertScrapes(t *testing.T) {
 	rep := f.Alerts()
 	if rep.Summary.Rules != 2 || rep.Summary.Firing != 2 {
 		t.Fatalf("post-race alert state: %+v", rep.Summary)
+	}
+}
+
+// TestEveryFleetSignalEvaluates: for every fleet_* signal ParseRule
+// accepts, a >= rule with a threshold below the roll-up's value leaves
+// inactive after one Rollup, so no accepted fleet rule is silently
+// never evaluated.
+func TestEveryFleetSignalEvaluates(t *testing.T) {
+	cat, placement, recs := fixture(t, 3*time.Hour)
+	// Sparse reads of the burst item spin its cold enclosure up.
+	for tm := time.Hour; tm < 3*time.Hour; tm += 17 * time.Minute {
+		recs = append(recs, trace.LogicalRecord{Time: tm + time.Millisecond, Item: 1, Offset: 1 << 20, Size: 8 << 10, Op: trace.OpRead})
+	}
+	trace.SortLogical(recs)
+	spec := ArraySpec{Name: "a", Catalog: cat, Placement: placement, SeriesInterval: time.Minute}
+	probe, err := New(Options{Specs: []ArraySpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { probe.Close() })
+	feedAll(t, probe.Array("a"), recs)
+	totals := probe.Rollup().Fleet
+
+	var rules []string
+	for _, name := range obs.FleetSignals {
+		v := totals.signal(name)
+		if v <= 0 {
+			t.Fatalf("%s reads %v; the fixture must drive every total above zero", name, v)
+		}
+		rules = append(rules, fmt.Sprintf("%s:%s>=%g", name, name, v/2))
+	}
+	f, err := New(Options{Specs: []ArraySpec{spec}, Alerts: mustRules(t, rules...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	feedAll(t, f.Array("a"), recs)
+	f.Rollup()
+	states := f.wd.States()
+	if len(states) != len(obs.FleetSignals) {
+		t.Fatalf("%d rule states, want %d", len(states), len(obs.FleetSignals))
+	}
+	for _, st := range states {
+		if st.State == obs.AlertInactive {
+			t.Errorf("rule %s stayed inactive after a roll-up", st.Spec)
+		}
 	}
 }

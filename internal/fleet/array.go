@@ -46,9 +46,10 @@ type ArraySpec struct {
 	// SeriesInterval is the flight-recorder sampling interval on the
 	// simulated clock (0 = 30s, like esmd -series-interval).
 	SeriesInterval time.Duration
-	// EventSink, when non-nil, receives the array's decision log
-	// (closed by Array.Close).
-	EventSink obs.Sink
+	// EventSink, when non-nil, receives the array's decision log as
+	// JSONL lines, buffered; Array.Close flushes it, and closes it when
+	// it is an io.Closer.
+	EventSink io.Writer
 	// SpanSink, when non-nil, attaches a per-I/O span tracer feeding it
 	// (closed by Array.Close).
 	SpanSink obs.SpanSink
@@ -60,8 +61,8 @@ type ArraySpec struct {
 	// array's samples. Fleet-wide fleet_* rules belong in
 	// Options.Alerts, not here.
 	Alerts []obs.Rule
-	// Provenance keeps the live tail of the decision log, served at
-	// /arrays/<name>/provenance.
+	// Provenance keeps the live tail of the decision log, the latest
+	// lines of the same encoding, served at /arrays/<name>/provenance.
 	Provenance bool
 }
 
@@ -159,15 +160,14 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	sink := spec.EventSink
 	var tail *obs.Tail
 	if spec.Provenance {
-		tail = obs.NewTail(sink)
-		sink = tail
+		tail = new(obs.Tail)
 	}
 	rec := obs.New(obs.Options{
 		Registry: reg,
-		Sink:     sink,
+		Log:      spec.EventSink,
+		Tail:     tail,
 		Label:    spec.Name,
 	})
 	tel := obs.Telemetry{
@@ -502,7 +502,7 @@ func (a *Array) Report(w io.Writer) {
 }
 
 // Close ends the session (if the stream was never finalized) and
-// flushes and closes the array's event and span sinks.
+// flushes and closes the array's decision log and span sink.
 func (a *Array) Close() error {
 	a.mu.Lock()
 	a.sess.Close()

@@ -158,7 +158,7 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 			// log their alert transitions; the offline log is alpha's.
 			var offlineCSV, offlineProv bytes.Buffer
 			if tc.provenance {
-				rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&offlineProv), Label: "alpha"})
+				rec := obs.New(obs.Options{Log: &offlineProv, Label: "alpha"})
 				run.Telemetry.Recorder = rec
 				run.Telemetry.Alerts = obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet, Recorder: rec})
 			}

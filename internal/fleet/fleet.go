@@ -223,18 +223,11 @@ func (f *Fleet) observeRollup(t Totals) {
 		return
 	}
 	f.wdLast = at
-	f.wd.ObserveValues(at, map[string]float64{
-		"fleet_metered_j":         t.MeteredJ,
-		"fleet_facility_j":        t.FacilityJ,
-		"fleet_facility_kwh":      t.FacilityKWh,
-		"fleet_cost_usd":          t.CostUSD,
-		"fleet_operational_kgco2": t.OperationalKgCO2,
-		"fleet_embodied_kgco2":    t.EmbodiedKgCO2,
-		"fleet_total_kgco2":       t.TotalKgCO2,
-		"fleet_stored_tb":         t.StoredTB,
-		"fleet_records":           float64(t.Records),
-		"fleet_spin_ups":          float64(t.SpinUps),
-	})
+	vals := make(map[string]float64, len(obs.FleetSignals))
+	for _, name := range obs.FleetSignals {
+		vals[name] = t.signal(name)
+	}
+	f.wd.ObserveValues(at, vals)
 }
 
 // AlertsReport is the /alerts payload: fleet-wide budget rules, every
@@ -284,7 +277,7 @@ func (f *Fleet) FinishAll() error {
 	return first
 }
 
-// Close closes every array's sinks.
+// Close closes every array's decision log and span sink.
 func (f *Fleet) Close() error {
 	var first error
 	for _, name := range f.names {

@@ -170,6 +170,35 @@ type Totals struct {
 	SpinUps          int     `json:"spin_ups"`
 }
 
+// signal returns the total the fleet_* watchdog signal name reads.
+// The fleet observes every name in obs.FleetSignals through here, so a
+// name without a case is a programming error, and panics.
+func (t Totals) signal(name string) float64 {
+	switch name {
+	case "fleet_metered_j":
+		return t.MeteredJ
+	case "fleet_facility_j":
+		return t.FacilityJ
+	case "fleet_facility_kwh":
+		return t.FacilityKWh
+	case "fleet_cost_usd":
+		return t.CostUSD
+	case "fleet_operational_kgco2":
+		return t.OperationalKgCO2
+	case "fleet_embodied_kgco2":
+		return t.EmbodiedKgCO2
+	case "fleet_total_kgco2":
+		return t.TotalKgCO2
+	case "fleet_stored_tb":
+		return t.StoredTB
+	case "fleet_records":
+		return float64(t.Records)
+	case "fleet_spin_ups":
+		return float64(t.SpinUps)
+	}
+	panic("fleet: no roll-up total for signal " + name)
+}
+
 func (t *Totals) add(r ArrayRollup) {
 	t.Arrays++
 	if r.SpanNS > t.SpanNS {

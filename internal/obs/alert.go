@@ -15,6 +15,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,9 +96,11 @@ func (r Rule) holds(v float64) bool {
 	return false
 }
 
-// fleetSignals is the fleet-wide budget vocabulary: the /fleet roll-up
-// totals, observed by the fleet's own watchdog via ObserveValues.
-var fleetSignals = []string{
+// FleetSignals is the fleet-wide budget vocabulary: the /fleet roll-up
+// totals, observed by the fleet's own watchdog via ObserveValues. The
+// fleet reads a total for every name listed here, so a rule ParseRule
+// accepts is a rule the fleet evaluates.
+var FleetSignals = []string{
 	"fleet_metered_j", "fleet_facility_j", "fleet_facility_kwh",
 	"fleet_cost_usd", "fleet_operational_kgco2", "fleet_embodied_kgco2",
 	"fleet_total_kgco2", "fleet_stored_tb", "fleet_records", "fleet_spin_ups",
@@ -107,15 +110,7 @@ var fleetSignals = []string{
 // recorder scalar column, a per-enclosure enc<i>_{state,used_b,idle_s}
 // column, or a fleet_* roll-up total.
 func KnownSignal(name string) bool {
-	if flightCol(name) >= 0 {
-		return true
-	}
-	for _, c := range fleetSignals {
-		if name == c {
-			return true
-		}
-	}
-	return false
+	return flightCol(name) >= 0 || slices.Contains(FleetSignals, name)
 }
 
 // FleetSignal reports whether the rule reads a fleet_* roll-up total
@@ -268,7 +263,6 @@ type Watchdog struct {
 	mu    sync.Mutex
 	rules []*ruleState
 	rec   *Recorder
-	row   []float64 // scratch flight row, reused across samples
 
 	transitions int64
 	fired       int64
@@ -300,19 +294,18 @@ func NewWatchdog(opts WatchdogOptions) *Watchdog {
 	return w
 }
 
-// Observe evaluates every rule against one flight sample at its
-// simulated time. Rules whose signal the sample cannot provide (fleet
+// observe evaluates every rule against one flattened flight sample at
+// simulated time t. Rules whose signal the row cannot provide (fleet
 // signals, out-of-range enclosures) are skipped.
-func (w *Watchdog) Observe(s FlightSample) {
+func (w *Watchdog) observe(t time.Duration, row []float64) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.row = appendFlightRow(w.row[:0], s, len(s.Enclosures))
 	for _, rs := range w.rules {
-		if rs.col >= 0 && rs.col < len(w.row) {
-			w.evalLocked(rs, s.T, w.row[rs.col])
+		if rs.col >= 0 && rs.col < len(row) {
+			w.evalLocked(rs, t, row[rs.col])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -74,8 +75,8 @@ func TestParseRule(t *testing.T) {
 }
 
 func TestWatchdogLifecycle(t *testing.T) {
-	sink := &CollectSink{}
-	rec := New(Options{Sink: sink})
+	var log bytes.Buffer
+	rec := New(Options{Log: &log})
 	reg := NewRegistry()
 	w := NewWatchdog(WatchdogOptions{
 		Rules: []Rule{
@@ -87,7 +88,7 @@ func TestWatchdogLifecycle(t *testing.T) {
 	})
 
 	at := func(sec int, energy float64, spins int) {
-		w.Observe(FlightSample{T: time.Duration(sec) * time.Second, TotalEnergyJ: energy, SpinUps: spins})
+		Telemetry{Alerts: w}.Sample(FlightSample{T: time.Duration(sec) * time.Second, TotalEnergyJ: energy, SpinUps: spins}, false)
 	}
 	at(0, 0, 0)    // both inactive; rate has no derivative yet
 	at(10, 50, 1)  // energy below; rate 0.1/s
@@ -115,7 +116,7 @@ func TestWatchdogLifecycle(t *testing.T) {
 	// The transition sequence must be the full lifecycle, in order,
 	// for each rule.
 	var got []string
-	for _, ev := range sink.Events() {
+	for _, ev := range logged(t, rec, &log) {
 		if ev.Type != EvAlert {
 			t.Fatalf("unexpected event type %s", ev.Type)
 		}
@@ -152,10 +153,10 @@ func TestWatchdogForWindowNeverHeld(t *testing.T) {
 	w := NewWatchdog(WatchdogOptions{Rules: []Rule{
 		{Name: "flap", Signal: "faults", Op: ">", Threshold: 0, For: time.Minute},
 	}})
-	w.Observe(FlightSample{T: 0, Faults: 1})
-	w.Observe(FlightSample{T: 30 * time.Second, Faults: 0})
-	w.Observe(FlightSample{T: 60 * time.Second, Faults: 1})
-	w.Observe(FlightSample{T: 90 * time.Second, Faults: 0})
+	Telemetry{Alerts: w}.Sample(FlightSample{T: 0, Faults: 1}, false)
+	Telemetry{Alerts: w}.Sample(FlightSample{T: 30 * time.Second, Faults: 0}, false)
+	Telemetry{Alerts: w}.Sample(FlightSample{T: 60 * time.Second, Faults: 1}, false)
+	Telemetry{Alerts: w}.Sample(FlightSample{T: 90 * time.Second, Faults: 0}, false)
 	st := w.States()[0]
 	if st.State != AlertInactive || st.Fired != 0 {
 		t.Fatalf("flapping rule ended %s with %d fires; want inactive, 0", st.State, st.Fired)
@@ -198,9 +199,6 @@ func TestWatchdogObserveValues(t *testing.T) {
 	}
 }
 
-// TestNilWatchdogAllocationFree pins the off path: a nil watchdog's
-// Observe must not allocate (the acceptance-criteria twin of the
-// BenchmarkTelemetryOverhead watchdog-off variant).
 // TestWatchdogReadsFlightColumns pins the shared column mapping: a
 // rule on any flight column evaluates exactly the value the flight
 // recorder stores for that column, and a rule on an enclosure beyond
@@ -209,7 +207,7 @@ func TestWatchdogReadsFlightColumns(t *testing.T) {
 	s := sampleAt(37, 2)
 	s.ClassCounts = [4]int{4, 3, 2, 1}
 	f := NewFlightRecorder(0)
-	f.Record(s)
+	Telemetry{Flight: f}.Sample(s, false)
 	series := f.Series()
 	var rules []Rule
 	for c, col := range series.Cols {
@@ -217,7 +215,7 @@ func TestWatchdogReadsFlightColumns(t *testing.T) {
 	}
 	rules = append(rules, Rule{Name: "beyond", Signal: "enc2_state", Op: ">=", Threshold: -1})
 	wd := NewWatchdog(WatchdogOptions{Rules: rules})
-	wd.Observe(s)
+	Telemetry{Alerts: wd}.Sample(s, false)
 	states := wd.States()
 	for c, col := range series.Cols {
 		if got, want := states[c].Value, series.Values[c][0]; got != want || states[c].State != AlertFiring {
@@ -229,11 +227,14 @@ func TestWatchdogReadsFlightColumns(t *testing.T) {
 	}
 }
 
+// TestNilWatchdogAllocationFree pins the off path: sampling into a nil
+// watchdog must not allocate (the acceptance-criteria twin of the
+// BenchmarkTelemetryOverhead watchdog-off variant).
 func TestNilWatchdogAllocationFree(t *testing.T) {
 	var w *Watchdog
 	s := FlightSample{T: time.Second, TotalEnergyJ: 42}
 	if n := testing.AllocsPerRun(100, func() {
-		w.Observe(s)
+		Telemetry{Alerts: w}.Sample(s, false)
 		w.ObserveSignal(s.T, "degraded", 1)
 	}); n != 0 {
 		t.Fatalf("nil watchdog allocated %.1f/op", n)

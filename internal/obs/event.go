@@ -1,8 +1,8 @@
 // The decision log's record: one typed envelope per decision or
 // consequential transition. Decision sites hand it to Recorder.Log,
-// which writes every kind as one JSON object per line (JSONL), so a
-// saved log can be rendered, explained, diffed or fed to external
-// tooling.
+// which encodes every kind as one JSON object per line (JSONL), so a
+// saved log or a scrape of its live tail can be rendered, explained,
+// diffed or fed to external tooling.
 
 package obs
 
@@ -14,6 +14,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"time"
 )
 
 // EventType names the kind of transition an Event describes.
@@ -241,150 +242,67 @@ type AlertEvent struct {
 	SinceNS int64 `json:"since_ns,omitempty"`
 }
 
-// Sink consumes events. Implementations must be safe for concurrent
-// Emit calls. A decision's payload is only valid during Emit: decision
-// sites reuse it for their next decision.
-type Sink interface {
-	Emit(Event)
-	Close() error
-}
-
-// JSONLSink writes one JSON object per line. Emissions are buffered;
-// Close flushes. Safe for concurrent use.
-type JSONLSink struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	enc *json.Encoder
-	// ev is the event being encoded: the sink owns it, so encoding
-	// allocates nothing.
-	ev  Event
-	c   io.Closer
-	err error
-}
-
-// NewJSONLSink returns a sink writing to w. When w is also an
-// io.Closer, Close closes it after flushing.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{w: bufio.NewWriter(w)}
-	s.enc = json.NewEncoder(s.w)
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Emit implements Sink. The first encoding or write error is kept and
-// returned by Close; later events are dropped.
-func (s *JSONLSink) Emit(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.ev = ev
-	s.err = s.enc.Encode(&s.ev)
-}
-
-// Close implements Sink.
-func (s *JSONLSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.w.Flush(); s.err == nil {
-		s.err = err
-	}
-	if s.c != nil {
-		if err := s.c.Close(); s.err == nil {
-			s.err = err
-		}
-	}
-	return s.err
-}
-
-// CollectSink buffers events in memory, for tests and esmstat.
-type CollectSink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit implements Sink, copying a decision's payload.
-func (s *CollectSink) Emit(ev Event) {
-	if ev.Decision != nil {
-		d := *ev.Decision
-		ev.Decision = &d
-	}
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-}
-
-// Close implements Sink.
-func (s *CollectSink) Close() error { return nil }
-
-// Events returns a copy of the collected events.
-func (s *CollectSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
-}
-
 // tailEvents bounds a Tail: the most recent records a scrape of
 // /arrays/<name>/provenance sees.
 const tailEvents = 8192
 
-// Tail is a Sink that keeps the latest tailEvents records in memory
-// for a live scrape (ServeProvenance) and hands every record on to the
-// sink it wraps, if any. Safe for concurrent use.
+// Tail keeps the latest tailEvents lines of a decision log, as the
+// Recorder encoded them, for a live scrape (ServeProvenance). The zero
+// Tail is empty and ready. Safe for concurrent use.
 type Tail struct {
-	mu   sync.Mutex
-	next Sink
-	// events is a ring: once full, at is the slot of the oldest record,
-	// which the next one overwrites.
-	events []Event
-	at     int
-	seen   int64
+	mu sync.Mutex
+	// lines is a ring: once full, at is the slot of the oldest line,
+	// which the next one overwrites in the slot's own buffer.
+	lines []tailLine
+	at    int
+	seen  int64
 }
 
-// NewTail returns a tail in front of next, which may be nil.
-func NewTail(next Sink) *Tail { return &Tail{next: next} }
+// tailLine is one retained line and its record's t_ns.
+type tailLine struct {
+	t    int64
+	line []byte
+}
 
-// Emit implements Sink. It copies a decision's payload, which decision
-// sites reuse.
-func (t *Tail) Emit(ev Event) {
-	if t.next != nil {
-		t.next.Emit(ev)
-	}
-	if ev.Decision != nil {
-		d := *ev.Decision
-		ev.Decision = &d
+// add retains one encoded line of a record at tns, letting the oldest
+// go once the tail holds tailEvents. Once the ring is full, a line
+// that fits the buffer of the slot it overwrites is copied there, so
+// retaining it allocates nothing.
+func (t *Tail) add(tns int64, line []byte) {
+	if t == nil {
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seen++
-	if len(t.events) < tailEvents {
-		t.events = append(t.events, ev)
-	} else {
-		t.events[t.at] = ev
-		t.at = (t.at + 1) % tailEvents
+	if len(t.lines) < tailEvents {
+		t.lines = append(t.lines, tailLine{tns, append([]byte(nil), line...)})
+		return
 	}
+	s := &t.lines[t.at]
+	t.at = (t.at + 1) % tailEvents
+	// A buffer far larger than the line is let go, so a long cache
+	// listing does not stay pinned after it leaves the tail.
+	buf := s.line[:0]
+	if cap(buf) > 4*len(line)+1024 {
+		buf = nil
+	}
+	*s = tailLine{tns, append(buf, line...)}
 }
 
-// Close implements Sink: it closes the wrapped sink.
-func (t *Tail) Close() error {
-	if t.next == nil {
-		return nil
-	}
-	return t.next.Close()
-}
-
-// Events returns the records the tail holds, oldest first, and how many
-// it has let go.
-func (t *Tail) Events() (events []Event, dropped int64) {
+// window returns a copy of the retained lines whose records fall in
+// [since, until] (until <= 0: no upper bound), oldest first, and how
+// many lines the tail has let go.
+func (t *Tail) window(since, until time.Duration) (lines []byte, dropped int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	events = make([]Event, 0, len(t.events))
-	events = append(events, t.events[t.at:]...)
-	events = append(events, t.events[:t.at]...)
-	return events, t.seen - int64(len(t.events))
+	for i := range t.lines {
+		l := &t.lines[(t.at+i)%len(t.lines)]
+		if tt := time.Duration(l.t); tt >= since && (until <= 0 || tt <= until) {
+			lines = append(lines, l.line...)
+		}
+	}
+	return lines, t.seen - int64(len(t.lines))
 }
 
 // AllEventTypes returns every event kind a Recorder can emit, in

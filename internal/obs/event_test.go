@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // powerLine is one line of the log as the Recorder writes it.
@@ -18,10 +19,10 @@ func TestReadEventsLongLines(t *testing.T) {
 		items[i] = int64(i)
 	}
 	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	sink.Emit(Event{Seq: 1, T: 1e9, Type: EvCacheSelect, Cache: &CacheEvent{Function: "preload", Items: items}})
-	sink.Emit(Event{Seq: 2, T: 2e9, Type: EvPowerOff, Power: &PowerEvent{Enclosure: 3, State: "off", Cause: "policy"}})
-	if err := sink.Close(); err != nil {
+	rec := New(Options{Log: &buf})
+	rec.Log(time.Second, Event{Type: EvCacheSelect, Cache: &CacheEvent{Function: "preload", Items: items}})
+	rec.Log(2*time.Second, Event{Type: EvPowerOff, Power: &PowerEvent{Enclosure: 3, State: "off", Cause: "policy"}})
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if lineLen := bytes.IndexByte(buf.Bytes(), '\n'); lineLen < 128*1024 {

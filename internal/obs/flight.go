@@ -95,7 +95,6 @@ type FlightRecorder struct {
 	interval time.Duration
 	encs     int // enclosure count, fixed at the first sample
 	cols     []string
-	row      []float64 // scratch row, reused across samples
 	store    colStore
 }
 
@@ -192,8 +191,9 @@ func flightCol(name string) int {
 
 // appendFlightRow appends s flattened in the layout of encs enclosures
 // (missing enclosures read zero, extra ones are dropped). It is the one
-// FlightSample -> column mapping: the recorder stores these rows and
-// the watchdog evaluates rules against them.
+// FlightSample -> column mapping: Telemetry.Sample flattens each sample
+// once, and the recorder stores the row the watchdog evaluates rules
+// against.
 func appendFlightRow(dst []float64, s FlightSample, encs int) []float64 {
 	deg := 0.0
 	if s.Degraded {
@@ -220,41 +220,41 @@ func appendFlightRow(dst []float64, s FlightSample, encs int) []float64 {
 	return dst
 }
 
-// rowLocked flattens s, fixing the layout at the first sample. Caller
-// holds f.mu.
-func (f *FlightRecorder) rowLocked(s FlightSample) []float64 {
+// layout fixes the column layout at the first sample's enclosure
+// count encs and returns the count every row is flattened in: the
+// first sample's, or encs itself for a nil recorder.
+func (f *FlightRecorder) layout(encs int) int {
+	if f == nil {
+		return encs
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.encs < 0 {
-		f.encs = len(s.Enclosures)
-		f.cols = flightCols(f.encs)
+		f.encs = encs
+		f.cols = flightCols(encs)
 	}
-	f.row = appendFlightRow(f.row[:0], s, f.encs)
-	return f.row
+	return f.encs
 }
 
-// Record offers one sample. The recorder accepts every stride-th offer
-// (stride starts at 1 and doubles on each compaction), so after any
-// number of offers memory holds at most flightMaxSamples rows: the first
-// sample is always retained, and cumulative columns stay monotone
-// because compaction only drops rows, never merges them.
-func (f *FlightRecorder) Record(s FlightSample) {
+// add stores one flattened sample at t. The recorder accepts every
+// stride-th offer (stride starts at 1 and doubles on each compaction),
+// so after any number of offers memory holds at most flightMaxSamples
+// rows: the first sample is always retained, and cumulative columns
+// stay monotone because compaction only drops rows, never merges them.
+// A final sample, the run's closing one, bypasses the stride so the
+// last row always reflects the end-of-run totals; it replaces a row at
+// the same instant.
+func (f *FlightRecorder) add(t time.Duration, row []float64, final bool) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.store.offer(s.T, f.rowLocked(s))
-}
-
-// Final force-appends the run's closing sample, bypassing the
-// acceptance stride so the last row always reflects the end-of-run
-// totals. A sample at the same instant as the latest row replaces it.
-func (f *FlightRecorder) Final(s FlightSample) {
-	if f == nil {
-		return
+	if final {
+		f.store.final(t, row)
+	} else {
+		f.store.offer(t, row)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.store.final(s.T, f.rowLocked(s))
 }
 
 // Series returns a snapshot of the recorded time series (nil for a nil

@@ -43,8 +43,8 @@ func TestFlightNilSafe(t *testing.T) {
 	if f.Interval() != 0 {
 		t.Fatal("nil recorder has an interval")
 	}
-	f.Record(sampleAt(1, 2))
-	f.Final(sampleAt(2, 2))
+	Telemetry{Flight: f}.Sample(sampleAt(1, 2), false)
+	Telemetry{Flight: f}.Sample(sampleAt(2, 2), true)
 	if s := f.Series(); s != nil {
 		t.Fatalf("nil recorder produced a series: %v", s)
 	}
@@ -58,9 +58,9 @@ func TestFlightDownsamplingPreservesEnds(t *testing.T) {
 	f := NewFlightRecorder(time.Second)
 	const offers = 12 * max
 	for i := 0; i < offers; i++ {
-		f.Record(sampleAt(i, 1))
+		Telemetry{Flight: f}.Sample(sampleAt(i, 1), false)
 	}
-	f.Final(sampleAt(offers, 1))
+	Telemetry{Flight: f}.Sample(sampleAt(offers, 1), true)
 	s := f.Series()
 	if s.Len() < 2 || s.Len() > max+1 {
 		t.Fatalf("series has %d samples, want 2..%d", s.Len(), max+1)
@@ -101,11 +101,11 @@ func TestFlightDownsamplingPreservesEnds(t *testing.T) {
 
 func TestFlightFinalReplacesSameInstant(t *testing.T) {
 	f := NewFlightRecorder(time.Second)
-	f.Record(sampleAt(0, 1))
-	f.Record(sampleAt(1, 1))
+	Telemetry{Flight: f}.Sample(sampleAt(0, 1), false)
+	Telemetry{Flight: f}.Sample(sampleAt(1, 1), false)
 	fin := sampleAt(1, 1)
 	fin.EnclosureEnergyJ = 999
-	f.Final(fin)
+	Telemetry{Flight: f}.Sample(fin, true)
 	s := f.Series()
 	if s.Len() != 2 {
 		t.Fatalf("series has %d samples, want 2 (same-instant Final replaces)", s.Len())
@@ -117,10 +117,10 @@ func TestFlightFinalReplacesSameInstant(t *testing.T) {
 
 func TestFlightClassCountsStamped(t *testing.T) {
 	f := NewFlightRecorder(0)
-	f.Record(sampleAt(0, 1))
+	Telemetry{Flight: f}.Sample(sampleAt(0, 1), false)
 	s1 := sampleAt(1, 1)
 	s1.ClassCounts = [4]int{7, 5, 3, 1}
-	f.Record(s1)
+	Telemetry{Flight: f}.Sample(s1, false)
 	s := f.Series()
 	for i, want := range []float64{7, 5, 3, 1} {
 		col := s.Column("class_p" + string(rune('0'+i)))
@@ -133,7 +133,7 @@ func TestFlightClassCountsStamped(t *testing.T) {
 func TestSeriesCSVRoundTrip(t *testing.T) {
 	f := NewFlightRecorder(2 * time.Second)
 	for i := 0; i < 5; i++ {
-		f.Record(sampleAt(2*i, 3))
+		Telemetry{Flight: f}.Sample(sampleAt(2*i, 3), false)
 	}
 	s := f.Series()
 	var buf bytes.Buffer
@@ -165,8 +165,8 @@ func TestSeriesCSVRoundTrip(t *testing.T) {
 
 func TestSeriesJSONHasColumns(t *testing.T) {
 	f := NewFlightRecorder(time.Second)
-	f.Record(sampleAt(0, 1))
-	f.Record(sampleAt(1, 1))
+	Telemetry{Flight: f}.Sample(sampleAt(0, 1), false)
+	Telemetry{Flight: f}.Sample(sampleAt(1, 1), false)
 	var buf bytes.Buffer
 	if err := f.Series().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSeriesJSONHasColumns(t *testing.T) {
 func TestSeriesWindow(t *testing.T) {
 	f := NewFlightRecorder(time.Second)
 	for i := 0; i <= 10; i++ {
-		f.Record(sampleAt(i, 1))
+		Telemetry{Flight: f}.Sample(sampleAt(i, 1), false)
 	}
 	s := f.Series()
 	w := s.Window(3*time.Second, 7*time.Second)

@@ -6,8 +6,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -41,10 +39,11 @@ func ServeSeries(w http.ResponseWriter, r *http.Request, s *Series) {
 }
 
 // ServeProvenance writes the decision log's live tail as an HTTP
-// response, in the JSONL format of the log file, so a saved payload
-// feeds esmstat. ?since= and ?until= window it on simulated time as for
-// ServeSeries, and the X-Provenance-Dropped header counts the records
-// the tail has let go. A nil tail answers 404.
+// response: the lines the recorder encoded, byte for byte those of the
+// log file, so a saved payload feeds esmstat. ?since= and ?until=
+// window it on simulated time as for ServeSeries, and the
+// X-Provenance-Dropped header counts the records the tail has let go.
+// A nil tail answers 404.
 func ServeProvenance(w http.ResponseWriter, r *http.Request, tail *Tail) {
 	if tail == nil {
 		http.Error(w, `no live decision log attached (run esmd with -events, or set "provenance" on the array in the fleet file)`, http.StatusNotFound)
@@ -55,17 +54,10 @@ func ServeProvenance(w http.ResponseWriter, r *http.Request, tail *Tail) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	events, dropped := tail.Events()
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	for i := range events {
-		if t := time.Duration(events[i].T); t >= since && (until <= 0 || t <= until) {
-			_ = enc.Encode(&events[i])
-		}
-	}
+	lines, dropped := tail.window(since, until)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Provenance-Dropped", strconv.FormatInt(dropped, 10))
-	_, _ = w.Write(b.Bytes())
+	_, _ = w.Write(lines)
 }
 
 // parseWindow reads the ?since= and ?until= simulated-time bounds of a

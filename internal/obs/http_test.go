@@ -45,7 +45,7 @@ func TestHandlerMetricsStatusPprof(t *testing.T) {
 	reg.Counter("esm_spin_ups_total", "spin-ups").Add(7)
 	fr := NewFlightRecorder(time.Second)
 	for i := 0; i <= 10; i++ {
-		fr.Record(FlightSample{T: time.Duration(i) * time.Second, EnclosureEnergyJ: float64(i) * 10})
+		Telemetry{Flight: fr}.Sample(FlightSample{T: time.Duration(i) * time.Second, EnclosureEnergyJ: float64(i) * 10}, false)
 	}
 	srv := helperServer(t, reg, fr.Series())
 
@@ -104,8 +104,8 @@ func TestHandlerNilStatusAndRegistry(t *testing.T) {
 // records are counted in a header, a bad window is a 400 and a missing
 // tail a 404.
 func TestServeProvenanceTail(t *testing.T) {
-	tail := NewTail(nil)
-	rec := New(Options{Sink: tail})
+	tail := new(Tail)
+	rec := New(Options{Tail: tail})
 	const rows = tailEvents + 100
 	for i := 0; i < rows; i++ {
 		rec.Log(time.Duration(i)*time.Second, powerRec(0, "spinup", CauseDemand))

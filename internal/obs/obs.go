@@ -1,18 +1,23 @@
 // Package obs is the telemetry layer. Its spine is one decision log:
 // every decision site builds one typed Event and hands it to the
-// Recorder, which writes it as one JSONL line, keeps the log's live
-// tail and roll-up, and advances the esm_* counters of a
-// dependency-free registry rendered in Prometheus text exposition
-// format. Spans, flight samples and alerts are the other surfaces.
+// Recorder, which encodes it once as a JSONL line, writes that line to
+// the log file and keeps it in the live Tail, keeps the log's roll-up,
+// and advances the esm_* counters of a dependency-free registry
+// rendered in Prometheus text exposition format. Spans, flight samples
+// and alerts are the other surfaces.
 //
 // A nil *Recorder is a valid, fully disabled recorder: every method
 // nil-checks its receiver and returns immediately, so instrumented hot
 // paths (storage.Array.Submit, the physical I/O path) pay exactly one
 // pointer comparison when telemetry is off. Construct one with New
-// only when an event sink or a registry is actually wanted.
+// only when a log, a tail or a registry is actually wanted.
 package obs
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
 	"sync"
 	"time"
 )
@@ -46,16 +51,30 @@ const (
 	CauseTriggerSpinUps Cause = "trigger-spinups"
 )
 
-// Recorder is the decision log: it writes every record to an event
-// sink, keeps the roll-up counters of what it wrote, and keeps the
-// esm_* metrics of a registry. All methods are safe on a nil receiver
-// (no-ops) and safe for concurrent use.
+// Recorder is the decision log: it encodes every record once, writes
+// the line to the log file and hands it to the live tail, keeps the
+// roll-up counters of what it logged, and keeps the esm_* metrics of a
+// registry. All methods are safe on a nil receiver (no-ops) and safe
+// for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
-	sink  Sink
 	reg   *Registry
 	label string
 	seq   int64
+
+	// log buffers the JSONL file and logC closes it (nil when the file
+	// is no io.Closer). err is the first encoding or write error; the
+	// file takes no record after it.
+	log  *bufio.Writer
+	logC io.Closer
+	err  error
+	tail *Tail
+	// enc encodes ev, the recorder's copy of the record being logged,
+	// into line: the recorder owns all three, so encoding allocates
+	// nothing.
+	enc  *json.Encoder
+	ev   Event
+	line bytes.Buffer
 
 	// sum is the roll-up of every record written.
 	sum ProvenanceSummary
@@ -102,9 +121,13 @@ type ProvenanceSummary struct {
 // Options configures a Recorder. All fields are optional; a zero
 // Options yields a recorder that keeps nothing.
 type Options struct {
-	// Sink receives every record (a Tail keeps the latest for a live
-	// scrape). Nil discards records.
-	Sink Sink
+	// Log receives every record as one JSONL line, buffered. Close
+	// flushes it, and closes it when it is an io.Closer. Nil writes no
+	// file.
+	Log io.Writer
+	// Tail, when non-nil, keeps the latest lines for a live scrape
+	// (ServeProvenance).
+	Tail *Tail
 	// Registry, when non-nil, is populated with the esm_* counters and
 	// gauges the recorder maintains.
 	Registry *Registry
@@ -115,7 +138,12 @@ type Options struct {
 
 // New returns a live recorder.
 func New(opts Options) *Recorder {
-	r := &Recorder{sink: opts.Sink, reg: opts.Registry, label: opts.Label, idleW: 220, spinUpS: 15}
+	r := &Recorder{tail: opts.Tail, reg: opts.Registry, label: opts.Label, idleW: 220, spinUpS: 15}
+	if w := opts.Log; w != nil {
+		r.log = bufio.NewWriter(w)
+		r.logC, _ = w.(io.Closer)
+	}
+	r.enc = json.NewEncoder(&r.line)
 	if reg := opts.Registry; reg != nil {
 		r.cPhysReads = reg.Counter("esm_physical_reads_total", "Physical read I/Os issued to enclosures.")
 		r.cPhysWrites = reg.Counter("esm_physical_writes_total", "Physical write I/Os issued to enclosures.")
@@ -153,18 +181,30 @@ func (r *Recorder) ConfigurePower(idleW float64, spinUp time.Duration) {
 	}
 }
 
-// Close flushes and closes the sink, if any.
+// Close flushes the log file and closes it when it is an io.Closer. It
+// returns the first encoding, write or close error.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sink == nil {
+	if r.log == nil {
 		return nil
 	}
-	return r.sink.Close()
+	if err := r.log.Flush(); r.err == nil {
+		r.err = err
+	}
+	if r.logC != nil {
+		if err := r.logC.Close(); r.err == nil {
+			r.err = err
+		}
+	}
+	return r.err
 }
+
+// keeps reports whether the recorder logs to a file or a tail.
+func (r *Recorder) keeps() bool { return r.log != nil || r.tail != nil }
 
 // PhysicalIO counts one physical I/O on the registry. It sits on the
 // simulator's hottest path; keep it to the nil check and two atomic
@@ -198,11 +238,14 @@ func (r *Recorder) DelayedWrite() {
 
 // Log is the recorder's one entry point for decision-log records: it
 // advances the esm_* registry instruments the record's kind drives,
-// stamps sequence, label and time onto it and writes it to the sink.
-// Cache records listing no items change nothing and are dropped. A move decision gets its predicted deltas: packing an item's
-// long-idle seconds onto a cold enclosure is predicted to save idleW x
-// interval joules while exposing its reads to one spin-up stall;
-// promoting it to a hot enclosure predicts the inverse trade.
+// stamps sequence, label and time onto it, encodes it once and writes
+// the line to the log file and the tail. The record is encoded before
+// Log returns, so a caller may reuse its payload at once. Cache records
+// listing no items change nothing and are dropped. A move decision gets
+// its predicted deltas: packing an item's long-idle seconds onto a cold
+// enclosure is predicted to save idleW x interval joules while exposing
+// its reads to one spin-up stall; promoting it to a hot enclosure
+// predicts the inverse trade.
 func (r *Recorder) Log(t time.Duration, ev Event) {
 	if r == nil {
 		return
@@ -215,7 +258,7 @@ func (r *Recorder) Log(t time.Duration, ev Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sink == nil {
+	if !r.keeps() {
 		return
 	}
 	if d := ev.Decision; d != nil && d.Kind == DecisionMove {
@@ -232,7 +275,17 @@ func (r *Recorder) Log(t time.Duration, ev Event) {
 	ev.T = int64(t)
 	ev.Run = r.label
 	r.tally(ev.Type)
-	r.sink.Emit(ev)
+	r.ev = ev
+	r.line.Reset()
+	// A record that fails to encode leaves an empty line: the file
+	// stops at the error, and the tail keeps the record's slot.
+	if err := r.enc.Encode(&r.ev); err != nil && r.err == nil {
+		r.err = err
+	}
+	if r.log != nil && r.err == nil {
+		_, r.err = r.log.Write(r.line.Bytes())
+	}
+	r.tail.add(ev.T, r.line.Bytes())
 }
 
 // tally advances the roll-up counters. Caller holds r.mu.
@@ -266,10 +319,10 @@ func (r *Recorder) RecordAttribution(t time.Duration, a *Attribution) {
 	}
 }
 
-// Summary returns the roll-up counters; nil when the recorder writes
-// no log (no sink).
+// Summary returns the roll-up counters; nil when the recorder keeps no
+// log (neither a file nor a tail).
 func (r *Recorder) Summary() *ProvenanceSummary {
-	if r == nil || r.sink == nil {
+	if r == nil || !r.keeps() {
 		return nil
 	}
 	r.mu.Lock()

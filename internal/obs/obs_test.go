@@ -50,7 +50,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 
 func TestEventStreamJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	rec := New(Options{Sink: NewJSONLSink(&buf), Label: "esm"})
+	rec := New(Options{Log: &buf, Label: "esm"})
 	rec.Log(520*time.Second, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: 1, Cause: CausePeriodEnd}})
 	rec.Log(520*time.Second, Event{Type: EvDetermination, Determination: &DeterminationEvent{
 		N: 1, Cause: CausePeriodEnd,
@@ -111,7 +111,7 @@ func TestEventStreamJSONLRoundTrip(t *testing.T) {
 
 // TestRecorderCounters: the esm_* instruments are the recorder's rule
 // over the same records the stream carries, and count even without a
-// sink; the "on" segment counts nothing.
+// log; the "on" segment counts nothing.
 func TestRecorderCounters(t *testing.T) {
 	reg := NewRegistry()
 	rec := New(Options{Registry: reg})
@@ -138,15 +138,15 @@ func TestRecorderCounters(t *testing.T) {
 // TestTimelineAndOffTime rebuilds a power timeline from the event
 // stream and sums its off time.
 func TestTimelineAndOffTime(t *testing.T) {
-	var sink CollectSink
-	rec := New(Options{Sink: &sink})
+	var buf bytes.Buffer
+	rec := New(Options{Log: &buf})
 	rec.Log(10*time.Second, powerRec(0, "off", CauseIdleTimeout))
 	rec.Log(30*time.Second, powerRec(0, "spinup", CauseDemand))
 	rec.Log(45*time.Second, powerRec(0, "on", CauseDemand))
 	rec.Log(100*time.Second, powerRec(0, "off", CauseIdleTimeout))
 	rec.Log(100*time.Second, cacheRec(EvCacheSelect, "preload", 1))
 
-	all := PowerSegments(sink.Events())
+	all := PowerSegments(logged(t, rec, &buf))
 	segs := all[0]
 	if len(all) != 1 || len(segs) != 3 {
 		t.Fatalf("got %v, want one enclosure with 3 segments", all)
@@ -160,15 +160,18 @@ func TestTimelineAndOffTime(t *testing.T) {
 	}
 }
 
-func TestCollectSink(t *testing.T) {
-	var sink CollectSink
-	rec := New(Options{Sink: &sink})
-	rec.Log(time.Second, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: 1, Cause: CausePeriodEnd}})
-	rec.Log(2*time.Second, Event{Type: EvDeterminationStart, Determination: &DeterminationEvent{N: 2, Cause: CauseTriggerInterval}})
-	got := sink.Events()
-	if len(got) != 2 || got[0].Determination.Cause != CausePeriodEnd || got[1].Determination.Cause != CauseTriggerInterval {
-		t.Fatalf("collect sink contents wrong: %+v", got)
+// logged closes rec, which logs to buf, and reads back every record
+// it wrote.
+func logged(t *testing.T, rec *Recorder, buf *bytes.Buffer) []Event {
+	t.Helper()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
+	events, err := ReadEvents(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 func TestReadEventsRejectsGarbage(t *testing.T) {

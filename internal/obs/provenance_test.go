@@ -3,7 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"reflect"
+	"io"
 	"testing"
 	"time"
 )
@@ -44,28 +44,51 @@ func TestNilProvenanceSafe(t *testing.T) {
 	}
 }
 
+// retained reads back the records tl holds, oldest first, and how many
+// it has let go.
+func retained(t *testing.T, tl *Tail) ([]Event, int64) {
+	t.Helper()
+	lines, dropped := tl.window(0, 0)
+	events, err := ReadEvents(bytes.NewReader(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, dropped
+}
+
 // TestProvenanceTail drives the log past its live tail and checks that
-// the tail keeps the last tailEvents records in order, decisions
-// copied, and counts the rest as dropped, while the counters and the
-// sink behind the tail keep every record.
+// the tail keeps the last tailEvents lines of the file in order,
+// decisions intact although their payload is reused, and counts the
+// rest as dropped, while the counters and the file keep every record.
+// Every 1000th record is a long cache listing, so the retained lines
+// vary in length as the tail lets the oldest go.
 func TestProvenanceTail(t *testing.T) {
 	var buf bytes.Buffer
-	tl := NewTail(NewJSONLSink(&buf))
-	r := New(Options{Sink: tl})
+	tl := new(Tail)
+	r := New(Options{Log: &buf, Tail: tl})
 	const rows = 3 * tailEvents
+	items := make([]int64, 500)
 	var dec Decision // one payload for every decision, as at a decision site
+	decisions := 0
 	for i := 0; i < rows; i++ {
-		dec = Decision{Kind: DecisionReclass, Det: int64(i + 1), Cause: CausePeriodEnd, Item: 1, Class: 1, PrevClass: 3, Src: 1, Dst: -1}
-		r.Log(time.Duration(i)*time.Second, Event{Type: EvDecision, Decision: &dec})
+		at := time.Duration(i) * time.Second
+		if i%1000 == 999 {
+			r.Log(at, Event{Type: EvCacheSelect, Cache: &CacheEvent{Function: "preload", Items: items}})
+			continue
+		}
+		decisions++
+		dec = Decision{Kind: DecisionReclass, Det: int64(i + 1), Cause: CausePeriodEnd, Item: int64(i), Class: 1, PrevClass: 3, Src: 1, Dst: -1}
+		r.Log(at, Event{Type: EvDecision, Decision: &dec})
 	}
+	tail, dropped := retained(t, tl)
+	lines, _ := tl.window(0, 0)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 	sum := r.Summary()
-	if sum.Rows != rows || sum.Decisions != rows {
-		t.Fatalf("rows %d, decisions %d; want %d each", sum.Rows, sum.Decisions, rows)
+	if sum.Rows != rows || sum.Decisions != int64(decisions) {
+		t.Fatalf("rows %d, decisions %d; want %d, %d", sum.Rows, sum.Decisions, rows, decisions)
 	}
-	tail, dropped := tl.Events()
 	if dropped != rows-tailEvents {
 		t.Fatalf("dropped %d, want %d", dropped, rows-tailEvents)
 	}
@@ -73,9 +96,12 @@ func TestProvenanceTail(t *testing.T) {
 		t.Fatalf("tail holds %d records, want %d", len(tail), tailEvents)
 	}
 	for i, ev := range tail {
-		if want := int64(rows - tailEvents + i + 1); ev.Decision.Det != want {
-			t.Fatalf("tail[%d] is determination %d, want %d", i, ev.Decision.Det, want)
+		if want := int64(rows - tailEvents + i + 1); ev.Seq != want || (ev.Decision != nil && ev.Decision.Det != want) {
+			t.Fatalf("tail[%d] is record %d, want %d", i, ev.Seq, want)
 		}
+	}
+	if !bytes.HasSuffix(buf.Bytes(), lines) {
+		t.Fatal("the tail is not the file's last lines")
 	}
 	events, err := ReadEvents(&buf)
 	if err != nil {
@@ -85,12 +111,41 @@ func TestProvenanceTail(t *testing.T) {
 		t.Fatalf("stream holds %d records, want %d", len(events), rows)
 	}
 	for i, ev := range events {
-		if ev.Seq != int64(i+1) || ev.Decision.Det != int64(i+1) {
-			t.Fatalf("stream record %d is seq %d, determination %d", i, ev.Seq, ev.Decision.Det)
+		if ev.Seq != int64(i+1) || (ev.Decision != nil && ev.Decision.Det != int64(i+1)) {
+			t.Fatalf("stream record %d is seq %d", i, ev.Seq)
 		}
 	}
-	if !reflect.DeepEqual(events[rows-tailEvents:], tail) {
-		t.Fatal("tail differs from the stream's last records")
+}
+
+// TestRecorderLogSteadyStateAllocs pins the decision log's record path
+// once warm: logging a decision to a file and a full tail encodes it
+// once and allocates nothing, and so does each set-up alone.
+func TestRecorderLogSteadyStateAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops the encoder's state at random")
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"file", Options{Log: io.Discard}},
+		{"tail", Options{Tail: new(Tail)}},
+		{"file+tail", Options{Log: io.Discard, Tail: new(Tail)}},
+	} {
+		r := New(c.opts)
+		var dec Decision
+		n := 0
+		logOne := func() {
+			n++
+			dec = Decision{Kind: DecisionMove, Det: int64(n), Cause: CausePeriodEnd, Item: int64(n % 1000), Class: 1, PrevClass: 3, Src: 1, Dst: 2, IntervalS: 120.5, ReadRatio: 0.25, ToCold: true}
+			r.Log(time.Duration(n)*time.Second, Event{Type: EvDecision, Decision: &dec})
+		}
+		for range 3 * tailEvents {
+			logOne()
+		}
+		if allocs := testing.AllocsPerRun(1000, logOne); allocs != 0 {
+			t.Errorf("%s: %v allocs per logged decision, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -121,8 +176,8 @@ func (w *failingWriter) Close() error {
 // counters.
 func TestProvenanceWriteErrorSurfaces(t *testing.T) {
 	w := &failingWriter{failAt: 3}
-	tl := NewTail(NewJSONLSink(w))
-	r := New(Options{Sink: tl})
+	tl := new(Tail)
+	r := New(Options{Log: w, Tail: tl})
 	const rows = 1000 // far more than the buffer holds
 	for i := 0; i < rows; i++ {
 		r.Log(time.Duration(i)*time.Second, powerRec(i%4, "spinup", CauseDemand))
@@ -139,18 +194,18 @@ func TestProvenanceWriteErrorSurfaces(t *testing.T) {
 	if sum := r.Summary(); sum.Rows != rows || sum.Transitions != rows {
 		t.Fatalf("counters stopped at the failure: %+v", sum)
 	}
-	if tail, _ := tl.Events(); len(tail) != rows || tail[rows-1].T != int64((rows-1)*time.Second) {
+	if tail, _ := retained(t, tl); len(tail) != rows || tail[rows-1].T != int64((rows-1)*time.Second) {
 		t.Fatalf("tail holds %d records, want %d ending at the last", len(tail), rows)
 	}
 }
 
 // TestProvenanceRoundTrip logs one record of every kind the provenance
-// report reads and checks the streamed log reads back as exactly the
-// records of the live tail, with the roll-up counting each kind.
+// report reads and checks the file holds the very bytes of the live
+// tail and reads back intact, with the roll-up counting each kind.
 func TestProvenanceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tl := NewTail(NewJSONLSink(&buf))
-	r := New(Options{Sink: tl})
+	tl := new(Tail)
+	r := New(Options{Log: &buf, Tail: tl})
 	r.Log(10*time.Second, decisionRec(Decision{
 		Kind: DecisionMove, Det: 1, Cause: CausePeriodEnd, Item: 7, Class: 3,
 		PrevClass: -1, Src: 0, Dst: 2, IntervalS: 120, ReadRatio: 0.75,
@@ -179,12 +234,12 @@ func TestProvenanceRoundTrip(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if lines, _ := tl.window(0, 0); !bytes.Equal(lines, buf.Bytes()) {
+		t.Fatalf("the tail and the file diverged:\ntail %s\nfile %s", lines, buf.Bytes())
+	}
 	decoded, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if direct, _ := tl.Events(); !reflect.DeepEqual(direct, decoded) {
-		t.Fatalf("round trip diverged:\ndirect  %+v\ndecoded %+v", direct, decoded)
 	}
 	// The empty eviction and the enclosure with no attributed items
 	// leave no record.
@@ -213,12 +268,12 @@ func TestProvenanceRoundTrip(t *testing.T) {
 // TestProvenancePredictedDeltas pins the first-order move economics
 // and that ConfigurePower overrides the electrical constants.
 func TestProvenancePredictedDeltas(t *testing.T) {
-	tl := NewTail(nil)
-	r := New(Options{Sink: tl})
+	tl := new(Tail)
+	r := New(Options{Tail: tl})
 	r.ConfigurePower(100, 10*time.Second)
 	r.Log(time.Second, decisionRec(Decision{Kind: DecisionMove, Det: 1, Item: 1, IntervalS: 60, ReadRatio: 0.5, ToCold: true}))
 	r.Log(time.Second, decisionRec(Decision{Kind: DecisionMove, Det: 1, Item: 2, IntervalS: 60, ReadRatio: 0.5, ToCold: false}))
-	tail, _ := tl.Events()
+	tail, _ := retained(t, tl)
 	if len(tail) != 2 {
 		t.Fatalf("tail holds %d records, want 2", len(tail))
 	}
@@ -236,7 +291,7 @@ func TestProvenancePredictedDeltas(t *testing.T) {
 // nothing is still a file the reader accepts: an empty one.
 func TestEmptyProvenanceIsValidFile(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New(Options{Sink: NewJSONLSink(&buf)}).Close(); err != nil {
+	if err := New(Options{Log: &buf}).Close(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {

@@ -21,7 +21,7 @@ func TestRateRuleAcrossCompaction(t *testing.T) {
 	f := NewFlightRecorder(interval)
 	for i := 0; i < offers; i++ {
 		at := time.Duration(i) * interval
-		f.Record(FlightSample{T: at, TotalEnergyJ: joulesPerSec * at.Seconds()})
+		Telemetry{Flight: f}.Sample(FlightSample{T: at, TotalEnergyJ: joulesPerSec * at.Seconds()}, false)
 	}
 	s := f.Series()
 	if s.Len() > flightMaxSamples {

@@ -54,7 +54,7 @@ func TestAlertStreamMatchesSerial(t *testing.T) {
 	run := func(mk func() policy.Policy) ([]byte, obs.AlertSummary, []obs.AlertStatus) {
 		cat, recs, placement := skewedTrace(dur, 99)
 		var events bytes.Buffer
-		rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Registry: obs.NewRegistry(), Label: "alert-eq"})
+		rec := obs.New(obs.Options{Log: &events, Registry: obs.NewRegistry(), Label: "alert-eq"})
 		wd := obs.NewWatchdog(obs.WatchdogOptions{Rules: alertRules(t), Recorder: rec})
 		res, err := Execute(Run{
 			Catalog:   cat,

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -93,8 +94,8 @@ func TestDegradedModeFollowsFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink obs.CollectSink
-	rec := obs.New(obs.Options{Sink: &sink})
+	var log bytes.Buffer
+	rec := obs.New(obs.Options{Log: &log})
 	failAt, recoverAt := 5*time.Minute, 6*time.Minute
 	res, err := Execute(Run{
 		Catalog:   cat,
@@ -116,9 +117,16 @@ func TestDegradedModeFollowsFaultSchedule(t *testing.T) {
 		t.Fatalf("battery counters %+v", res.Faults)
 	}
 
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var faultsSeen []obs.Event
 	var degrades []obs.Event
-	for _, ev := range sink.Events() {
+	for _, ev := range events {
 		switch ev.Type {
 		case obs.EvFault:
 			faultsSeen = append(faultsSeen, ev)

@@ -107,7 +107,7 @@ func goldenRun(t *testing.T, v goldenVariant) (events, metrics []byte) {
 	}
 	var evBuf, metBuf bytes.Buffer
 	reg := obs.NewRegistry()
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&evBuf), Registry: reg, Label: v.name})
+	rec := obs.New(obs.Options{Log: &evBuf, Registry: reg, Label: v.name})
 	tel := obs.Telemetry{
 		Recorder: rec,
 		Tracer:   obs.NewTracer(obs.TracerOptions{}),

@@ -80,7 +80,7 @@ func itemFeedPolicy(t *testing.T, name string) policy.Policy {
 func feedReplay(t *testing.T, w *workload.Workload, pol string, fc *faults.Config, src trace.Source) (*Result, []byte) {
 	t.Helper()
 	var events bytes.Buffer
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&events), Label: w.Name + "/" + pol})
+	rec := obs.New(obs.Options{Log: &events, Label: w.Name + "/" + pol})
 	run := Run{
 		Catalog: w.Catalog, Source: src, Placement: w.Placement,
 		Storage: storage.DefaultConfig(w.Enclosures), Policy: itemFeedPolicy(t, pol),

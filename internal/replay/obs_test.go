@@ -45,7 +45,7 @@ func TestEventStreamMatchesDeterminations(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Registry: reg, Label: "e2e"})
+	rec := obs.New(obs.Options{Log: &buf, Registry: reg, Label: "e2e"})
 	res, err := Execute(Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -127,7 +127,8 @@ func TestRecorderTimelineMatchesMeter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink obs.CollectSink
+	var log bytes.Buffer
+	rec := obs.New(obs.Options{Log: &log})
 	res, err := Execute(Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -135,13 +136,20 @@ func TestRecorderTimelineMatchesMeter(t *testing.T) {
 		Storage:   storage.DefaultConfig(2),
 		Policy:    esm,
 		Duration:  dur,
-		Telemetry: obs.Telemetry{Recorder: obs.New(obs.Options{Sink: &sink})},
+		Telemetry: obs.Telemetry{Recorder: rec},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spinups := 0
-	for _, segs := range obs.PowerSegments(sink.Events()) {
+	for _, segs := range obs.PowerSegments(events) {
 		for _, s := range segs {
 			if s.State == "spinup" {
 				spinups++

@@ -31,7 +31,7 @@ func provenanceRun(t *testing.T, traced bool) ([]byte, *obs.ProvenanceSummary, *
 	dur := 25 * time.Minute
 	cat, recs, placement := skewedTrace(dur, 99)
 	var buf bytes.Buffer
-	rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf)})
+	rec := obs.New(obs.Options{Log: &buf})
 	run := Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),

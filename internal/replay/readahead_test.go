@@ -206,7 +206,7 @@ func TestReadAheadMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		rec := obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Label: "ra"})
+		rec := obs.New(obs.Options{Log: &buf, Label: "ra"})
 		res, err := Execute(Run{
 			Catalog: cat, Source: src, Placement: placement,
 			Storage: storage.DefaultConfig(4), Policy: esm, Duration: dur,

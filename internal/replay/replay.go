@@ -75,8 +75,8 @@ type Run struct {
 	//   - Recorder and Tracer receive the decision log and spans.
 	//     Finish settles the latency summary and energy attribution
 	//     into the Result and, with a tracer, joins the energy ledger's
-	//     top attributed items into the log, but closes neither: their
-	//     sinks belong to the caller.
+	//     top attributed items into the log, but closes neither: the
+	//     log's file and the span sink belong to the caller.
 	//   - Flight is fed whole-system samples on the power-sampling grid
 	//     (its Interval, or span/120 when zero); Result.Series carries
 	//     them, and the final sample always matches the Result totals.
@@ -156,8 +156,8 @@ type Result struct {
 	Alerts      obs.AlertSummary
 	AlertStates []obs.AlertStatus
 	// Provenance is the decision log's roll-up (nil unless
-	// Run.Telemetry.Recorder writes a log); the records went to its
-	// sink.
+	// Run.Telemetry.Recorder keeps a file or a tail); the records went
+	// to those.
 	Provenance *obs.ProvenanceSummary
 }
 

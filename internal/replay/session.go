@@ -150,9 +150,7 @@ func (s *Session) startGrid() {
 	}
 	observe := func(now time.Duration) {
 		if tel.Sampling() {
-			fs := s.sample(now)
-			tel.Flight.Record(fs)
-			tel.Alerts.Observe(fs)
+			tel.Sample(s.sample(now), false)
 		}
 	}
 	var lastJ float64
@@ -334,9 +332,7 @@ func (s *Session) Finish() (*Result, error) {
 	if tel.Sampling() {
 		// The forced closing sample: its totals equal the Result fields
 		// computed just above, from the same settled meter and counters.
-		fs := s.sample(end)
-		tel.Flight.Final(fs)
-		tel.Alerts.Observe(fs)
+		tel.Sample(s.sample(end), true)
 		res.Series = tel.Flight.Series()
 	}
 	res.Alerts = tel.Alerts.Summary()

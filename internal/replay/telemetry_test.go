@@ -60,7 +60,7 @@ func TestTelemetryReachesWrappedPolicy(t *testing.T) {
 	replayed := func(wrap bool) []byte {
 		run := esmRun(t)
 		var buf bytes.Buffer
-		run.Telemetry.Recorder = obs.New(obs.Options{Sink: obs.NewJSONLSink(&buf), Label: "wrap"})
+		run.Telemetry.Recorder = obs.New(obs.Options{Log: &buf, Label: "wrap"})
 		if wrap {
 			run.Policy = &wrappedPolicy{Policy: run.Policy}
 		}

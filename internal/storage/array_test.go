@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -268,8 +269,9 @@ func TestCacheEventItemsInItemOrder(t *testing.T) {
 		sizes[i] = 1 << 20
 	}
 	arr, _, _, ids := testArray(t, 1, sizes...)
-	var sink obs.CollectSink
-	arr.SetTelemetry(obs.Telemetry{Recorder: obs.New(obs.Options{Sink: &sink})})
+	var log bytes.Buffer
+	rec := obs.New(obs.Options{Log: &log})
+	arr.SetTelemetry(obs.Telemetry{Recorder: rec})
 	scrambled := func(keep func(i int) bool) []trace.ItemID {
 		var out []trace.ItemID
 		for i := range ids {
@@ -290,8 +292,15 @@ func TestCacheEventItemsInItemOrder(t *testing.T) {
 	arr.SetPreload(scrambled(all))
 	arr.batteryFail(arr.clk.Now())
 
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lists []string
-	for _, ev := range sink.Events() {
+	for _, ev := range events {
 		if ev.Cache == nil {
 			continue
 		}
