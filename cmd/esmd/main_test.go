@@ -439,3 +439,42 @@ func TestProvenanceScrapePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceFilePinned pins the bytes of the Perfetto file esmd -trace
+// writes for a faulted run: its length and SHA-256. The file holds
+// cache hits, disk-on and spin-up-blocked I/Os, preloads, destages and
+// determinations, with the latency summary and energy attribution in
+// otherData. Any change to how spans are buffered, sorted or encoded
+// that moves a byte fails here.
+func TestTraceFilePinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var out bytes.Buffer
+	d := testDaemon(t, daemonOpts{quiet: true, tracePath: path, faults: "seed=11,io=0.3,spinup=0.2"}, &out)
+	var sb strings.Builder
+	for i := 0; i < 4000; i++ {
+		op := "R"
+		if i%5 == 0 {
+			op = "W"
+		}
+		fmt.Fprintf(&sb, "%d,%d,%d,4096,%s\n", int64(i)*int64(70*time.Second), (i*i)%8, (i%64)*4096, op)
+	}
+	if err := d.processStream(strings.NewReader(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidatePerfetto(bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(file), 738443; got != want {
+		t.Errorf("trace file is %d bytes, want %d", got, want)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(file)), "5bb29b1329a8f41d5422bd201b4bb571ce153bb62c9d3f36b17d13f4c66ae302"; got != want {
+		t.Errorf("trace file digest %s, want %s", got, want)
+	}
+}
