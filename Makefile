@@ -75,17 +75,27 @@ fault-smoke:
 # Perfetto files through the in-repo validator (the CI contract:
 # parses, holds spans, monotonic timestamps). It replays the same run
 # a second time and requires every file to be byte-identical: the
-# energy ledger's walk order, not a sort, fixes its float sums.
+# energy ledger's walk order, not a sort, fixes its float sums. It
+# also renders `esmstat latency` and `esmstat attrib` of every file of
+# both runs and requires the renders of the rerun to match, so the
+# summary embedded in otherData is gated as esmstat reads it.
 trace-smoke:
 	rm -rf /tmp/esm-trace-smoke && mkdir -p /tmp/esm-trace-smoke/again
+	$(GO) build -o /tmp/esm-trace-smoke/esmstat ./cmd/esmstat
 	$(GO) run ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 \
 		-trace /tmp/esm-trace-smoke/run.json
 	$(GO) run ./cmd/esmbench -workload fileserver -scale 0.1 -fig 8 \
 		-trace /tmp/esm-trace-smoke/again/run.json
 	for f in /tmp/esm-trace-smoke/run-*.json; do \
+		g=/tmp/esm-trace-smoke/again/$$(basename $$f); \
 		echo "validating $$f"; \
 		ESM_TRACE_FILE=$$f $(GO) test -run TestTraceSmoke -count=1 ./internal/obs/ || exit 1; \
-		cmp $$f /tmp/esm-trace-smoke/again/$$(basename $$f) || exit 1; \
+		cmp $$f $$g || exit 1; \
+		for cmd in latency attrib; do \
+			/tmp/esm-trace-smoke/esmstat $$cmd $$f > $$f.$$cmd || exit 1; \
+			/tmp/esm-trace-smoke/esmstat $$cmd $$g > $$g.$$cmd || exit 1; \
+			cmp $$f.$$cmd $$g.$$cmd || exit 1; \
+		done; \
 	done
 
 # bench-smoke is the CI regression gate: a short flight-recorded run of

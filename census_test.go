@@ -21,10 +21,7 @@ var censusAllowed = map[string]string{
 	"Swap":          "sort and container/heap call it through sort.Interface",
 	"Unwrap":        "errors.Is and errors.As call it on replay's re-raised source panic",
 
-	// Accessors and fixtures that tests in other packages share. The
-	// fixture type CollectSpanSink needs no entry: the census covers
-	// functions and methods, and the sink's other methods share names
-	// with live ones.
+	// Accessors and fixtures that tests in other packages share.
 	"SpinDownEnabled":  "storage state read by replay and fault tests",
 	"BatteryOK":        "battery state read by fault tests across packages",
 	"FaultInjector":    "lets replay and fleet tests inspect the injected faults",

@@ -48,7 +48,7 @@ func main() {
 	list := flag.Bool("list", false, "print Table I / Table II parameters and exit")
 	sweep := flag.Bool("sweep", false, "run the sensitivity sweeps instead of the figures")
 	extended := flag.Bool("extended", false, "also evaluate the extended baselines (timeout, MAID, write off-loading)")
-	events := flag.String("events", "", "write each replay's decision log to a JSONL file here as the replay runs (policy and workload are inserted into the name; attaches a sink-less tracer so the energy ledger's top items are joined in)")
+	events := flag.String("events", "", "write each replay's decision log to a JSONL file here as the replay runs (policy and workload are inserted into the name; attaches a tracer without a trace file so the energy ledger's top items are joined in)")
 	tracePath := flag.String("trace", "", "write a Perfetto trace-event file per replay (policy and workload are inserted into the name)")
 	seriesDir := flag.String("series", "", "write a flight-recorder series CSV and a BENCH_<workload>-<policy>.json run manifest per replay into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent replays (0 = GOMAXPROCS)")
@@ -247,8 +247,8 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		// Each replay gets its own surfaces. With -events it writes its
 		// own decision log, so concurrent replays never interleave
 		// lines. The log's energy-attribution join needs a tracer;
-		// without -trace a sink-less one keeps the energy ledger
-		// without writing Perfetto files. With -trace each replay
+		// without -trace one with no trace file keeps the energy
+		// ledger. With -trace each replay
 		// writes its own Perfetto file: spans of concurrent runs cannot
 		// share one trace without colliding tracks. With -series, the
 		// series CSV and run manifest are written from the results
@@ -274,9 +274,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 				if f, err := os.Create(file); err != nil {
 					traceErr = cmp.Or(traceErr, err)
 				} else {
-					tel.Tracer = obs.NewTracer(obs.TracerOptions{
-						Sink: obs.NewPerfettoSink(f, name+"/"+policy),
-					})
+					tel.Tracer = obs.NewTracer(obs.TracerOptions{Trace: f, Label: name + "/" + policy})
 					tracers = append(tracers, tel.Tracer)
 					traceFiles = append(traceFiles, file)
 				}

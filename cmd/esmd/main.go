@@ -173,7 +173,7 @@ func newDaemon(opts daemonOpts, out io.Writer) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.SpanSink = obs.NewPerfettoSink(f, "esmd")
+		spec.TraceSink = f
 	}
 	fl, err := fleet.New(fleet.Options{Specs: []fleet.ArraySpec{spec}})
 	if err != nil {

@@ -162,7 +162,8 @@ type Observers struct {
 	// Telemetry, when non-nil, supplies each policy's run its telemetry
 	// surfaces. Every run needs its own surfaces (each describes exactly
 	// one replay); esmbench hands out one Perfetto file per policy.
-	// Tracers are not closed here — the caller owns the sinks.
+	// Recorders and tracers are not closed here: the caller owns their
+	// files.
 	Telemetry func(policy string) obs.Telemetry
 	// Faults is the fault scenario injected into every run. Every
 	// replay builds its own injector from it, so each policy sees the

@@ -50,9 +50,11 @@ type ArraySpec struct {
 	// JSONL lines, buffered; Array.Close flushes it, and closes it when
 	// it is an io.Closer.
 	EventSink io.Writer
-	// SpanSink, when non-nil, attaches a per-I/O span tracer feeding it
-	// (closed by Array.Close).
-	SpanSink obs.SpanSink
+	// TraceSink, when non-nil, attaches a per-I/O span tracer that
+	// writes the array's Perfetto file into it, labelled "esmd";
+	// Array.Close writes the file, and closes it when it is an
+	// io.Closer.
+	TraceSink io.Writer
 	// StatusOut, when non-nil, gets a human-readable line per placement
 	// determination (single-array esmd's non-quiet mode).
 	StatusOut io.Writer
@@ -181,9 +183,10 @@ func newArray(spec ArraySpec, reg *obs.Registry) (*Array, error) {
 			Registry: reg,
 		}),
 	}
-	if spec.SpanSink != nil {
+	if spec.TraceSink != nil {
 		tel.Tracer = obs.NewTracer(obs.TracerOptions{
-			Sink:     spec.SpanSink,
+			Trace:    spec.TraceSink,
+			Label:    "esmd",
 			Registry: reg,
 		})
 	}
@@ -501,8 +504,9 @@ func (a *Array) Report(w io.Writer) {
 	}
 }
 
-// Close ends the session (if the stream was never finalized) and
-// flushes and closes the array's decision log and span sink.
+// Close ends the session (if the stream was never finalized), flushes
+// and closes the array's decision log, and writes and closes its trace
+// file.
 func (a *Array) Close() error {
 	a.mu.Lock()
 	a.sess.Close()

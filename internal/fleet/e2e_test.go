@@ -163,7 +163,7 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 				run.Telemetry.Alerts = obs.NewWatchdog(obs.WatchdogOptions{Rules: ruleSet, Recorder: rec})
 			}
 			if tc.tracer {
-				run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{Sink: &obs.CollectSpanSink{}})
+				run.Telemetry.Tracer = obs.NewTracer(obs.TracerOptions{Trace: io.Discard})
 			}
 			res, err := replay.Execute(run)
 			if err != nil {
@@ -199,7 +199,7 @@ func TestLiveIngestMatchesOfflineReplay(t *testing.T) {
 					Faults: fc, Alerts: ruleSet, Provenance: tc.provenance,
 				}
 				if tc.tracer {
-					spec.SpanSink = &obs.CollectSpanSink{}
+					spec.TraceSink = io.Discard
 				}
 				specs = append(specs, spec)
 			}

@@ -277,7 +277,7 @@ func (f *Fleet) FinishAll() error {
 	return first
 }
 
-// Close closes every array's decision log and span sink.
+// Close closes every array's decision log and trace file.
 func (f *Fleet) Close() error {
 	var first error
 	for _, name := range f.names {

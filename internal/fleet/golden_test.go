@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"flag"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ func TestGoldenFleetExposition(t *testing.T) {
 			{
 				Name: "tokyo", Catalog: cat, Placement: placement,
 				SeriesInterval: time.Minute,
-				SpanSink:       &obs.CollectSpanSink{},
+				TraceSink:      io.Discard,
 				Faults:         fc,
 				Alerts:         mustRules(t, "energy:total_energy_j>1:for=2m", "spins:rate(spin_ups)>0.001"),
 			},

@@ -1,7 +1,8 @@
-// Chrome trace-event (Perfetto) export: a SpanSink that renders a
-// run's spans into the JSON object format understood by
-// ui.perfetto.dev and chrome://tracing, plus the reader and validator
-// used by esmstat and the CI trace smoke test.
+// Chrome trace-event (Perfetto) export: the Tracer's file writer, which
+// renders a run's spans into the JSON object format understood by
+// ui.perfetto.dev and chrome://tracing, plus the reader and the
+// validator behind the CI trace smoke test. esmstat decodes only the
+// file's otherData.
 //
 // Layout: process 1 is storage I/O (one thread per enclosure, plus a
 // cache thread), process 2 is storage management (one thread per
@@ -85,36 +86,19 @@ func managementTidName(tid int) string {
 	}
 }
 
-// PerfettoSink buffers spans and writes the trace file on Close. Spans
-// arrive in completion order but start earlier (an I/O's span begins at
-// its arrival), so the sink sorts by start timestamp before writing to
-// keep the emitted stream monotonic.
-type PerfettoSink struct {
+// perfettoWriter is the Tracer's trace file: it buffers spans as trace
+// events and writes the file on close. Spans arrive in completion order
+// but start earlier (an I/O's span begins at its arrival), so close
+// sorts them by start timestamp to keep the emitted stream monotonic.
+type perfettoWriter struct {
 	w      io.Writer
 	label  string
 	events []TraceEvent
 	// seen tracks (pid, tid) pairs needing thread metadata.
 	seen map[[2]int]bool
-	// summary is installed by the owning Tracer at Close time.
-	latency *LatencySummary
-	attrib  *Attribution
 }
 
-// NewPerfettoSink returns a sink writing the trace to w when closed.
-// label names the run (e.g. "workload/policy") in otherData.
-func NewPerfettoSink(w io.Writer, label string) *PerfettoSink {
-	return &PerfettoSink{w: w, label: label, seen: map[[2]int]bool{}}
-}
-
-// SetSummary attaches the end-of-run latency and attribution summary;
-// the owning Tracer calls it right before Close.
-func (s *PerfettoSink) SetSummary(lat *LatencySummary, attrib *Attribution) {
-	s.latency = lat
-	s.attrib = attrib
-}
-
-// IOSpan implements SpanSink.
-func (s *PerfettoSink) IOSpan(sp IOSpan) {
+func (p *perfettoWriter) ioSpan(sp *IOSpan) {
 	name := "read"
 	if !sp.Read {
 		name = "write"
@@ -137,7 +121,7 @@ func (s *PerfettoSink) IOSpan(sp IOSpan) {
 			args["spinup_wait_ns"] = int64(sp.SpinUpWait)
 		}
 	}
-	s.add(TraceEvent{
+	p.add(TraceEvent{
 		Name: name, Ph: "X",
 		Ts:  float64(sp.Start) / 1e3,
 		Dur: float64(sp.Response) / 1e3,
@@ -146,8 +130,7 @@ func (s *PerfettoSink) IOSpan(sp IOSpan) {
 	})
 }
 
-// ManagementSpan implements SpanSink.
-func (s *PerfettoSink) ManagementSpan(sp ManagementSpan) {
+func (p *perfettoWriter) managementSpan(sp *ManagementSpan) {
 	args := map[string]any{"enclosure": sp.Enclosure}
 	if sp.Item >= 0 {
 		args["item"] = sp.Item
@@ -164,7 +147,7 @@ func (s *PerfettoSink) ManagementSpan(sp ManagementSpan) {
 	if sp.N > 0 {
 		args["n"] = sp.N
 	}
-	s.add(TraceEvent{
+	p.add(TraceEvent{
 		Name: sp.Kind, Ph: "X",
 		Ts:  float64(sp.Start) / 1e3,
 		Dur: float64(sp.End-sp.Start) / 1e3,
@@ -173,21 +156,23 @@ func (s *PerfettoSink) ManagementSpan(sp ManagementSpan) {
 	})
 }
 
-func (s *PerfettoSink) add(ev TraceEvent) {
-	s.seen[[2]int{ev.Pid, ev.Tid}] = true
-	s.events = append(s.events, ev)
+func (p *perfettoWriter) add(ev TraceEvent) {
+	p.seen[[2]int{ev.Pid, ev.Tid}] = true
+	p.events = append(p.events, ev)
 }
 
-// Close sorts the buffered events by timestamp, prepends the process
-// and thread metadata, and writes the trace file.
-func (s *PerfettoSink) Close() error {
-	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].Ts < s.events[j].Ts })
+// close sorts the buffered events by timestamp, prepends the process
+// and thread metadata, and writes the file with the end-of-run summary
+// in otherData. It closes the writer when it is an io.Closer, on every
+// path, and returns the first encoding or close error.
+func (p *perfettoWriter) close(lat *LatencySummary, attrib *Attribution) error {
+	sort.SliceStable(p.events, func(i, j int) bool { return p.events[i].Ts < p.events[j].Ts })
 	meta := []TraceEvent{
 		metaEvent("process_name", perfettoPidStorage, 0, "storage i/o"),
 		metaEvent("process_name", perfettoPidManagement, 0, "storage management"),
 	}
-	tids := make([][2]int, 0, len(s.seen))
-	for k := range s.seen {
+	tids := make([][2]int, 0, len(p.seen))
+	for k := range p.seen {
 		tids = append(tids, k)
 	}
 	sort.Slice(tids, func(i, j int) bool {
@@ -210,28 +195,23 @@ func (s *PerfettoSink) Close() error {
 		meta = append(meta, metaEvent("thread_name", k[0], k[1], name))
 	}
 	file := PerfettoFile{
-		TraceEvents: append(meta, s.events...),
-		OtherData: &PerfettoOtherData{
-			Label:       s.label,
-			Latency:     s.latency,
-			Attribution: s.attrib,
-		},
+		TraceEvents: append(meta, p.events...),
+		OtherData:   &PerfettoOtherData{Label: p.label, Latency: lat, Attribution: attrib},
 	}
-	enc := json.NewEncoder(s.w)
-	if err := enc.Encode(&file); err != nil {
-		return err
+	err := json.NewEncoder(p.w).Encode(&file)
+	if c, ok := p.w.(io.Closer); ok {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if c, ok := s.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
+	return err
 }
 
 func metaEvent(name string, pid, tid int, value string) TraceEvent {
 	return TraceEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": value}}
 }
 
-// ReadPerfetto parses a trace-event file written by PerfettoSink.
+// ReadPerfetto parses a trace-event file written by a Tracer.
 func ReadPerfetto(r io.Reader) (*PerfettoFile, error) {
 	var f PerfettoFile
 	dec := json.NewDecoder(r)

@@ -9,29 +9,28 @@ import (
 	"time"
 )
 
-// TestPerfettoRoundTrip: spans written through the sink come back out
+// TestPerfettoRoundTrip: spans written through the tracer come back out
 // of the reader with layout, metadata and args intact.
 func TestPerfettoRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewPerfettoSink(&buf, "rt")
-	// Delivered out of start order: the sink must sort on Close.
-	s.IOSpan(IOSpan{
+	trc := NewTracer(TracerOptions{Trace: &buf, Label: "rt"})
+	// Recorded out of start order: the file must be sorted on Close.
+	trc.IO(IOSpan{
 		Item: 3, Enclosure: 1, Read: true, Start: 2 * time.Second,
 		Response: 20 * time.Millisecond, Cause: IOSpinUpBlocked, PowerState: "off",
 		SpinUpWait: 15 * time.Second, QueueWait: time.Millisecond, Service: 4 * time.Millisecond,
-	})
-	s.IOSpan(IOSpan{Item: 5, Enclosure: -1, Read: false, Start: time.Second,
-		Response: 300 * time.Microsecond, Cause: IOCacheHit})
-	s.ManagementSpan(ManagementSpan{
+	}, 1)
+	trc.IO(IOSpan{Item: 5, Enclosure: -1, Read: false, Start: time.Second,
+		Response: 300 * time.Microsecond, Cause: IOCacheHit}, 0)
+	trc.Management(ManagementSpan{
 		Kind: "migration", Start: 3 * time.Second, End: 4 * time.Second,
 		Item: 3, Enclosure: 1, Dst: 0, Bytes: 1 << 20,
 	})
-	s.ManagementSpan(ManagementSpan{
+	trc.Management(ManagementSpan{
 		Kind: "determination", Start: 5 * time.Second, End: 5 * time.Second,
 		Item: -1, Enclosure: -1, Dst: -1, Cause: "period-end", N: 2,
 	})
-	s.SetSummary(&LatencySummary{Total: LatencyRow{Name: "total", Count: 2}}, nil)
-	if err := s.Close(); err != nil {
+	if err := trc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +151,7 @@ func TestTraceSmoke(t *testing.T) {
 		return
 	}
 	var buf bytes.Buffer
-	trc := NewTracer(TracerOptions{Sink: NewPerfettoSink(&buf, "smoke")})
+	trc := NewTracer(TracerOptions{Trace: &buf, Label: "smoke"})
 	for i := 0; i < 100; i++ {
 		trc.IO(IOSpan{
 			Item: int64(i % 4), Enclosure: 0, Read: i%3 != 0,

@@ -10,6 +10,7 @@
 package obs
 
 import (
+	"io"
 	"sync"
 	"time"
 )
@@ -68,36 +69,17 @@ type ManagementSpan struct {
 	N int64 `json:"n,omitempty"`
 }
 
-// SpanSink consumes completed spans. Implementations need not be
-// concurrency-safe; the tracer serialises calls under its lock.
-type SpanSink interface {
-	IOSpan(sp IOSpan)
-	ManagementSpan(sp ManagementSpan)
-	Close() error
-}
-
-// CollectSpanSink buffers spans in memory, for tests.
-type CollectSpanSink struct {
-	IOs        []IOSpan
-	Management []ManagementSpan
-}
-
-// IOSpan implements SpanSink.
-func (s *CollectSpanSink) IOSpan(sp IOSpan) { s.IOs = append(s.IOs, sp) }
-
-// ManagementSpan implements SpanSink.
-func (s *CollectSpanSink) ManagementSpan(sp ManagementSpan) { s.Management = append(s.Management, sp) }
-
-// Close implements SpanSink.
-func (s *CollectSpanSink) Close() error { return nil }
-
 // TracerOptions configures a Tracer. All fields are optional; a zero
 // Options yields a tracer that only keeps the streaming breakdown and
 // ledger.
 type TracerOptions struct {
-	// Sink receives every completed span. Nil discards spans (the
-	// histograms and ledger still accumulate).
-	Sink SpanSink
+	// Trace receives the run's Perfetto file on Close, which closes it
+	// when it is an io.Closer. Nil writes no file (the histograms and
+	// ledger still accumulate).
+	Trace io.Writer
+	// Label names the run (esmbench writes workload/policy) in the
+	// file's otherData.
+	Label string
 	// Registry, when non-nil, is populated with render-time latency
 	// percentile and energy-attribution gauges.
 	Registry *Registry
@@ -108,8 +90,9 @@ type TracerOptions struct {
 // energy-attribution ledger on top of them. All methods are safe on a
 // nil receiver (no-ops) and safe for concurrent use.
 type Tracer struct {
-	mu      sync.Mutex
-	sink    SpanSink
+	mu sync.Mutex
+	// file buffers the spans of the Perfetto file (nil without one).
+	file    *perfettoWriter
 	classes []uint8
 	lat     LatencyStats
 	ledger  energyLedger
@@ -120,7 +103,10 @@ type Tracer struct {
 
 // NewTracer returns a live tracer.
 func NewTracer(opts TracerOptions) *Tracer {
-	t := &Tracer{sink: opts.Sink}
+	t := &Tracer{}
+	if opts.Trace != nil {
+		t.file = &perfettoWriter{w: opts.Trace, label: opts.Label, seen: map[[2]int]bool{}}
+	}
 	if reg := opts.Registry; reg != nil {
 		t.register(reg)
 	}
@@ -146,8 +132,8 @@ func (t *Tracer) classOfLocked(item int64) uint8 {
 }
 
 // IO records one completed application I/O span: the pattern class is
-// stamped, the latency breakdown updated, and the span handed to the
-// sink. A physically served I/O (Enclosure >= 0) also feeds its
+// stamped, the latency breakdown updated, and the span added to the
+// file. A physically served I/O (Enclosure >= 0) also feeds its
 // service time and the spin-up attempts it provoked into the energy
 // ledger under FnServing.
 func (t *Tracer) IO(sp IOSpan, spinUps int) {
@@ -160,8 +146,8 @@ func (t *Tracer) IO(sp IOSpan, spinUps int) {
 	if sp.Enclosure >= 0 {
 		t.ledger.service(sp.Enclosure, sp.Item, FnServing, sp.Service, spinUps)
 	}
-	if t.sink != nil {
-		t.sink.IOSpan(sp)
+	if t.file != nil {
+		t.file.ioSpan(&sp)
 	}
 	t.mu.Unlock()
 }
@@ -172,8 +158,8 @@ func (t *Tracer) Management(sp ManagementSpan) {
 		return
 	}
 	t.mu.Lock()
-	if t.sink != nil {
-		t.sink.ManagementSpan(sp)
+	if t.file != nil {
+		t.file.managementSpan(&sp)
 	}
 	t.mu.Unlock()
 }
@@ -225,28 +211,20 @@ func (t *Tracer) Attribute(end time.Duration, energies []EnclosureEnergy) *Attri
 	return t.attrib
 }
 
-// summarySink is implemented by sinks (PerfettoSink) that embed the
-// end-of-run summary in their output.
-type summarySink interface {
-	SetSummary(lat *LatencySummary, attrib *Attribution)
-}
-
-// Close pushes the final latency summary and attribution into the
-// sink, if it accepts one, and closes it.
+// Close writes the Perfetto file, with the latency summary and the
+// last attribution embedded, and closes its writer. It returns the
+// first encoding or close error; closing again does nothing.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sink == nil {
+	if t.file == nil {
 		return nil
 	}
-	if ss, ok := t.sink.(summarySink); ok {
-		ss.SetSummary(t.lat.summary(), t.attrib)
-	}
-	err := t.sink.Close()
-	t.sink = nil
+	err := t.file.close(t.lat.summary(), t.attrib)
+	t.file = nil
 	return err
 }
 

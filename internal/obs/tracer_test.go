@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -30,29 +31,56 @@ func TestNilTracerIsNoOp(t *testing.T) {
 // TestTracerStampsClasses: I/O spans carry the class table installed by
 // the last determination, and unknown items stay unknown.
 func TestTracerStampsClasses(t *testing.T) {
-	sink := &CollectSpanSink{}
-	trc := NewTracer(TracerOptions{Sink: sink})
+	var buf bytes.Buffer
+	trc := NewTracer(TracerOptions{Trace: &buf})
 	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn}, 0)
 	trc.SetClasses([]uint8{2, 1})
 	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn}, 0)
 	trc.IO(IOSpan{Item: 1, Response: time.Millisecond, Cause: IODiskOn}, 0)
 	trc.IO(IOSpan{Item: 9, Response: time.Millisecond, Cause: IODiskOn}, 0)
-	want := []uint8{ClassUnknown, 2, 1, ClassUnknown}
-	if len(sink.IOs) != len(want) {
-		t.Fatalf("%d spans, want %d", len(sink.IOs), len(want))
+	if err := trc.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for i, sp := range sink.IOs {
-		if sp.Class != want[i] {
-			t.Errorf("span %d class %d, want %d", i, sp.Class, want[i])
+	pf, err := ReadPerfetto(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []any
+	for _, ev := range pf.TraceEvents {
+		if ev.Ph != "M" {
+			got = append(got, ev.Args["class"])
+		}
+	}
+	want := []any{"unknown", "P2", "P1", "unknown"}
+	if len(got) != len(want) {
+		t.Fatalf("%d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d class %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
+// TestTracerCloseClosesOnWriteError: a file whose encoding fails is
+// still closed, and Close reports the write error.
+func TestTracerCloseClosesOnWriteError(t *testing.T) {
+	w := &failingWriter{failAt: 1}
+	trc := NewTracer(TracerOptions{Trace: w})
+	trc.IO(IOSpan{Item: 0, Response: time.Millisecond, Cause: IODiskOn}, 0)
+	if err := trc.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close returned %v, want the write error", err)
+	}
+	if !w.closed {
+		t.Fatal("the trace file was left open after a failed write")
+	}
+}
+
 // TestTracerSummaryAndSpans: the streaming breakdown matches the spans
-// delivered to the sink, and Close embeds the summary in a summarySink.
+// recorded, and Close embeds the summary in the file.
 func TestTracerSummaryAndSpans(t *testing.T) {
 	var buf bytes.Buffer
-	trc := NewTracer(TracerOptions{Sink: NewPerfettoSink(&buf, "unit")})
+	trc := NewTracer(TracerOptions{Trace: &buf, Label: "unit"})
 	trc.Residency(0, 0, 4, 1<<20)
 	trc.IO(IOSpan{Item: 4, Enclosure: -1, Read: true, Response: 300 * time.Microsecond, Cause: IOCacheHit}, 0)
 	trc.IO(IOSpan{

@@ -76,7 +76,7 @@ type Run struct {
 	//     Finish settles the latency summary and energy attribution
 	//     into the Result and, with a tracer, joins the energy ledger's
 	//     top attributed items into the log, but closes neither: the
-	//     log's file and the span sink belong to the caller.
+	//     log's file and the trace file belong to the caller.
 	//   - Flight is fed whole-system samples on the power-sampling grid
 	//     (its Interval, or span/120 when zero); Result.Series carries
 	//     them, and the final sample always matches the Result totals.

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -22,8 +23,8 @@ func TestTracerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &obs.CollectSpanSink{}
-	trc := obs.NewTracer(obs.TracerOptions{Sink: sink})
+	var file bytes.Buffer
+	trc := obs.NewTracer(obs.TracerOptions{Trace: &file})
 	res, err := Execute(Run{
 		Catalog:   cat,
 		Source:    trace.NewSliceSource(recs),
@@ -36,14 +37,31 @@ func TestTracerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := trc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := obs.ReadPerfetto(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ios, management []obs.TraceEvent
+	for _, ev := range pf.TraceEvents {
+		switch {
+		case ev.Ph == "M":
+		case ev.Name == "read" || ev.Name == "write":
+			ios = append(ios, ev)
+		default:
+			management = append(management, ev)
+		}
+	}
 
 	// One span per submitted record (the workload injects no faults, so
 	// none are dropped), agreeing with the replay's own aggregate.
-	if int64(len(sink.IOs)) != res.Resp.Count() {
-		t.Fatalf("%d I/O spans, replay counted %d I/Os", len(sink.IOs), res.Resp.Count())
+	if int64(len(ios)) != res.Resp.Count() {
+		t.Fatalf("%d I/O spans, replay counted %d I/Os", len(ios), res.Resp.Count())
 	}
-	if res.Latency == nil || res.Latency.Total.Count != int64(len(sink.IOs)) {
-		t.Fatalf("latency summary %+v over %d spans", res.Latency, len(sink.IOs))
+	if res.Latency == nil || res.Latency.Total.Count != int64(len(ios)) {
+		t.Fatalf("latency summary %+v over %d spans", res.Latency, len(ios))
 	}
 	// The tracer's percentiles agree with the replay's ResponseStats on
 	// the same I/Os (identical bucket schemes).
@@ -56,26 +74,48 @@ func TestTracerEndToEnd(t *testing.T) {
 		t.Errorf("max: tracer %v, replay %v", res.Latency.Total.Max, res.Resp.Max())
 	}
 
-	// Causes tile the span set; phase decomposition adds up per span.
-	var cacheHits int64
-	for _, sp := range sink.IOs {
-		switch sp.Cause {
-		case obs.IOCacheHit:
+	// Causes tile the span set; phase decomposition adds up per span;
+	// a span is unclassified until the first determination and carries
+	// a P class after it.
+	firstDet := math.Inf(1)
+	for _, sp := range management {
+		if sp.Name == "determination" {
+			firstDet = math.Min(firstDet, sp.Ts)
+		}
+	}
+	var cacheHits, classified int64
+	for _, sp := range ios {
+		ns := func(key string) float64 { v, _ := sp.Args[key].(float64); return v }
+		switch class := sp.Args["class"]; {
+		case sp.Ts < firstDet && class != "unknown":
+			t.Fatalf("span classified before the first determination: %+v", sp)
+		case sp.Ts > firstDet && class == "unknown":
+			t.Fatalf("span unclassified after the first determination: %+v", sp)
+		case sp.Ts > firstDet:
+			classified++
+		}
+		switch sp.Args["cause"] {
+		case obs.IOCacheHit.String():
 			cacheHits++
-			if sp.SpinUpWait != 0 || sp.QueueWait != 0 || sp.Service != 0 {
-				t.Fatalf("cache hit with physical phases: %+v", sp)
+			for _, phase := range []string{"spinup_wait_ns", "queue_wait_ns", "service_ns", "power_state"} {
+				if _, ok := sp.Args[phase]; ok {
+					t.Fatalf("cache hit with physical phases: %+v", sp)
+				}
 			}
 		default:
-			if got := sp.SpinUpWait + sp.QueueWait + sp.Service; got != sp.Response {
-				t.Fatalf("phases %v don't sum to response %v: %+v", got, sp.Response, sp)
+			if got := ns("spinup_wait_ns") + ns("queue_wait_ns") + ns("service_ns"); got != ns("response_ns") {
+				t.Fatalf("phases %v don't sum to response %v: %+v", got, ns("response_ns"), sp)
 			}
-			if (sp.Cause == obs.IOSpinUpBlocked) != (sp.SpinUpWait > 0) {
+			if (sp.Args["cause"] == obs.IOSpinUpBlocked.String()) != (ns("spinup_wait_ns") > 0) {
 				t.Fatalf("cause/spin-up wait mismatch: %+v", sp)
 			}
-			if sp.PowerState == "" {
+			if sp.Args["power_state"] == "" {
 				t.Fatalf("physical span without power state: %+v", sp)
 			}
 		}
+	}
+	if classified == 0 {
+		t.Error("no span follows the first determination; the class check is vacuous")
 	}
 	if cacheHits != res.Storage.CacheHits {
 		t.Errorf("%d cache-hit spans, array counted %d", cacheHits, res.Storage.CacheHits)
@@ -83,8 +123,8 @@ func TestTracerEndToEnd(t *testing.T) {
 
 	// Management spans: one determination span per policy determination.
 	dets := 0
-	for _, sp := range sink.Management {
-		if sp.Kind == "determination" {
+	for _, sp := range management {
+		if sp.Name == "determination" {
 			dets++
 		}
 	}

@@ -436,19 +436,15 @@ func (a *Array) ResolveExtent(e int, block int64) (ExtentRef, bool) {
 
 // physical issues one physical I/O and returns its completion time.
 // kind attributes any spin-up the I/O provokes; item is the data item
-// the transfer belongs to (for energy attribution). info, when
-// non-nil, receives the arrival's phase breakdown; when nil with a
-// live tracer, a local one feeds the ledger. A traced application I/O
-// feeds the ledger through its span (tracePhysical); management I/O
-// feeds it here. On a *FaultError the I/O never ran: nothing is
-// counted or observed.
-func (a *Array) physical(now time.Duration, e int, block int64, size int32, op trace.Op, forceSeq bool, kind ioKind, item trace.ItemID, info *arrivalInfo) (time.Duration, error) {
+// the transfer belongs to (for energy attribution). With a live
+// tracer, management I/O feeds the ledger here, and an application I/O
+// records its span last, which feeds the ledger too. On a *FaultError
+// the I/O never ran: nothing is counted or observed.
+func (a *Array) physical(now time.Duration, e int, block int64, size int32, op trace.Op, forceSeq bool, kind ioKind, item trace.ItemID) (time.Duration, error) {
 	encl := a.enc[e]
 	seq := encl.isSequential(block, size) || forceSeq
-	if info == nil && a.tel.Tracer != nil {
-		info = &arrivalInfo{}
-	}
-	end, err := encl.arrival(now, block, size, seq, kind, info)
+	var info arrivalInfo
+	end, err := encl.arrival(now, block, size, seq, kind, &info)
 	if err != nil {
 		return 0, err
 	}
@@ -470,6 +466,9 @@ func (a *Array) physical(now time.Duration, e int, block int64, size int32, op t
 			Op:        op,
 		})
 	}
+	if a.tel.Tracer != nil && kind == kindApp {
+		a.tracePhysical(now, end, item, e, op == trace.OpRead, &info)
+	}
 	return end, nil
 }
 
@@ -489,8 +488,12 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 	}
 	st := &a.items[item]
 
-	if rec.Op == trace.OpRead {
-		if st.pinned && now >= st.loadedAt {
+	read := rec.Op == trace.OpRead
+	op := trace.OpRead
+	if read {
+		// A read of a pinned preload copy, or of pages all in the
+		// general LRU, is a cache hit.
+		if st.pinned && now >= st.loadedAt || a.readCached(item, firstPage, lastPage) {
 			a.stats.CacheHits++
 			a.tel.Recorder.CacheHit()
 			if a.tel.Tracer != nil {
@@ -498,60 +501,31 @@ func (a *Array) Submit(rec trace.LogicalRecord) (Result, error) {
 			}
 			return Result{Response: a.cfg.CacheHitTime, CacheHit: true, Enclosure: -1}, nil
 		}
-		if a.readCached(item, firstPage, lastPage) {
-			a.stats.CacheHits++
-			a.tel.Recorder.CacheHit()
+	} else {
+		// A write invalidates any pinned preload copy first: the fresh
+		// data lands on disk or in the write-delay partition, and the
+		// stale pinned copy must not serve later reads.
+		op = trace.OpWrite
+		a.evictPreload(now, item)
+		if a.batteryOK && st.delayed {
+			a.stats.DelayedWrites++
+			a.tel.Recorder.DelayedWrite()
 			if a.tel.Tracer != nil {
-				a.traceCacheHit(now, item, true, a.cfg.CacheHitTime)
+				a.traceCacheHit(now, item, false, a.cfg.CacheAckTime)
 			}
-			return Result{Response: a.cfg.CacheHitTime, CacheHit: true, Enclosure: -1}, nil
+			if a.wdelay.absorb(st, firstPage, lastPage, rec.Size) {
+				a.flushWriteDelay(now)
+			}
+			return Result{Response: a.cfg.CacheAckTime, CacheHit: true, Enclosure: -1}, nil
 		}
-		e, block := a.locate(item, rec.Offset)
-		var info *arrivalInfo
-		if a.tel.Tracer != nil {
-			info = &arrivalInfo{}
-		}
-		end, err := a.physical(now, e, block, rec.Size, trace.OpRead, false, kindApp, item, info)
-		if err != nil {
-			a.inj.CountFailedAppIO()
-			return Result{Enclosure: e}, err
-		}
-		if a.tel.Tracer != nil {
-			a.tracePhysical(now, end, item, e, true, info)
-		}
-		a.admit(item, firstPage, lastPage, true)
-		return Result{Response: end - now, Enclosure: e}, nil
-	}
-
-	// Write path. A write invalidates any pinned preload copy first: the
-	// fresh data lands on disk or in the write-delay partition, and the
-	// stale pinned copy must not serve later reads.
-	a.evictPreload(now, item)
-	if a.batteryOK && st.delayed {
-		a.stats.DelayedWrites++
-		a.tel.Recorder.DelayedWrite()
-		if a.tel.Tracer != nil {
-			a.traceCacheHit(now, item, false, a.cfg.CacheAckTime)
-		}
-		if a.wdelay.absorb(st, firstPage, lastPage, rec.Size) {
-			a.flushWriteDelay(now)
-		}
-		return Result{Response: a.cfg.CacheAckTime, CacheHit: true, Enclosure: -1}, nil
 	}
 	e, block := a.locate(item, rec.Offset)
-	var info *arrivalInfo
-	if a.tel.Tracer != nil {
-		info = &arrivalInfo{}
-	}
-	end, err := a.physical(now, e, block, rec.Size, trace.OpWrite, false, kindApp, item, info)
+	end, err := a.physical(now, e, block, rec.Size, op, false, kindApp, item)
 	if err != nil {
 		a.inj.CountFailedAppIO()
 		return Result{Enclosure: e}, err
 	}
-	if a.tel.Tracer != nil {
-		a.tracePhysical(now, end, item, e, false, info)
-	}
-	a.admit(item, firstPage, lastPage, false)
+	a.admit(item, firstPage, lastPage, read)
 	return Result{Response: end - now, Enclosure: e}, nil
 }
 
@@ -669,7 +643,7 @@ func (a *Array) chunked(now time.Duration, e int, base, size int64, chunk int64,
 			n = size - off
 		}
 		var err error
-		end, err = a.physical(now, e, base+off, int32(n), op, true, kind, item, nil)
+		end, err = a.physical(now, e, base+off, int32(n), op, true, kind, item)
 		if err != nil {
 			return 0, err
 		}
@@ -885,7 +859,7 @@ func (a *Array) migrateChunk(now time.Duration, m *migration) {
 			a.failMigration(now, m)
 			return
 		}
-		if _, err := a.physical(now, m.dst, m.base+m.offset, int32(n), trace.OpWrite, true, kindMigration, m.item, nil); err != nil {
+		if _, err := a.physical(now, m.dst, m.base+m.offset, int32(n), trace.OpWrite, true, kindMigration, m.item); err != nil {
 			a.failMigration(now, m)
 			return
 		}
@@ -907,7 +881,7 @@ func (a *Array) migrateChunk(now time.Duration, m *migration) {
 func (a *Array) readMigrationSpan(now time.Duration, item trace.ItemID, off, n int64) error {
 	if len(a.extents) == 0 {
 		st := &a.items[item]
-		_, err := a.physical(now, st.enc, st.base+off, int32(n), trace.OpRead, true, kindMigration, item, nil)
+		_, err := a.physical(now, st.enc, st.base+off, int32(n), trace.OpRead, true, kindMigration, item)
 		return err
 	}
 	for n > 0 {
@@ -916,7 +890,7 @@ func (a *Array) readMigrationSpan(now time.Duration, item trace.ItemID, off, n i
 			span = n
 		}
 		e, block := a.locate(item, off)
-		if _, err := a.physical(now, e, block, int32(span), trace.OpRead, true, kindMigration, item, nil); err != nil {
+		if _, err := a.physical(now, e, block, int32(span), trace.OpRead, true, kindMigration, item); err != nil {
 			return err
 		}
 		off += span
@@ -1043,13 +1017,13 @@ func (a *Array) MigrateExtent(ref ExtentRef, dst int) error {
 	if a.enc[dst].used+n > a.cfg.EnclosureCapacity {
 		return fmt.Errorf("storage: enclosure %d lacks space for extent %v", dst, ref)
 	}
-	if _, err := a.physical(now, srcEnc, srcBlock, int32(n), trace.OpRead, true, kindMigration, ref.Item, nil); err != nil {
+	if _, err := a.physical(now, srcEnc, srcBlock, int32(n), trace.OpRead, true, kindMigration, ref.Item); err != nil {
 		a.stats.MigrationsFailed++
 		a.inj.CountFailedMigration()
 		return err
 	}
 	base := a.enc[dst].alloc(n)
-	if _, err := a.physical(now, dst, base, int32(n), trace.OpWrite, true, kindMigration, ref.Item, nil); err != nil {
+	if _, err := a.physical(now, dst, base, int32(n), trace.OpWrite, true, kindMigration, ref.Item); err != nil {
 		// Release the reservation; the cursor hole is harmless.
 		a.enc[dst].used -= n
 		a.stats.MigrationsFailed++

@@ -55,8 +55,8 @@ func (k ioKind) fn() obs.EnergyFunc {
 }
 
 // arrivalInfo captures the phase breakdown of one arrival for the span
-// tracer. The pointer is nil when tracing is off, so the hot path pays
-// nothing beyond the nil checks.
+// tracer. Array.physical keeps it on its stack and the arrival always
+// fills it, so the hot path allocates nothing, traced or not.
 type arrivalInfo struct {
 	// powerState is the enclosure state at arrival: "off", "idle" or
 	// "active".
@@ -218,19 +218,17 @@ func (e *enclosure) serviceTime(size int32, sequential bool) time.Duration {
 // time. The completion includes any spin-up wait, retry backoff and
 // queueing delay. kind attributes any spin-up the arrival provokes. A
 // *FaultError is returned when an injected fault exhausts the spin-up
-// retries; the enclosure then stays off and the I/O never runs. info,
-// when non-nil, receives the arrival's phase breakdown.
+// retries; the enclosure then stays off and the I/O never runs. info
+// receives the arrival's phase breakdown.
 func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequential bool, kind ioKind, info *arrivalInfo) (time.Duration, error) {
 	e.sync(now)
-	if info != nil {
-		switch {
-		case !e.on:
-			info.powerState = "off"
-		case now < e.busyUntil:
-			info.powerState = "active"
-		default:
-			info.powerState = "idle"
-		}
+	switch {
+	case !e.on:
+		info.powerState = "off"
+	case now < e.busyUntil:
+		info.powerState = "active"
+	default:
+		info.powerState = "idle"
 	}
 	start := now
 	if !e.on {
@@ -241,9 +239,7 @@ func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequenti
 		for e.inj.SpinUpAttemptFails(start, e.id, attempt) {
 			e.acc.Add(powermodel.SpinUp, e.cfg.Power.SpinUpTime)
 			start += e.cfg.Power.SpinUpTime
-			if info != nil {
-				info.spinUpAttempts++
-			}
+			info.spinUpAttempts++
 			if attempt >= e.inj.MaxSpinUpAttempts() {
 				e.lastSync = start
 				e.inj.SpinUpExhausted(start, e.id)
@@ -275,10 +271,8 @@ func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequenti
 		}
 		e.lastSync = spinEnd
 		start = spinEnd
-		if info != nil {
-			info.spinUpAttempts++
-			info.spinUpWait = start - now
-		}
+		info.spinUpAttempts++
+		info.spinUpWait = start - now
 	}
 	svc := e.serviceTime(size, sequential)
 	if e.inj.TransientIO(start, e.id) {
@@ -297,10 +291,8 @@ func (e *enclosure) arrival(now time.Duration, block int64, size int32, sequenti
 	if end > e.busyUntil {
 		e.busyUntil = end
 	}
-	if info != nil {
-		info.queueWait = begin - start
-		info.service = svc
-	}
+	info.queueWait = begin - start
+	info.service = svc
 	return end, nil
 }
 

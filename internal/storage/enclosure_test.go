@@ -49,7 +49,7 @@ func TestEnclosureSpinDownTimerResetsOnIO(t *testing.T) {
 	e, cfg := testEnclosure(t)
 	e.setSpinDown(0, true)
 	// I/O at 40s: the timer restarts from the completion.
-	e.arrival(40*time.Second, 0, 8<<10, false, kindApp, nil)
+	e.arrival(40*time.Second, 0, 8<<10, false, kindApp, new(arrivalInfo))
 	e.sync(60 * time.Second)
 	if !e.on {
 		t.Fatal("enclosure powered off before timeout elapsed after I/O")
@@ -68,7 +68,7 @@ func TestEnclosureSpinUpDelaysService(t *testing.T) {
 		_ = e
 	}
 	start := 10 * time.Minute
-	end, _ := e.arrival(start, 0, 8<<10, false, kindApp, nil)
+	end, _ := e.arrival(start, 0, 8<<10, false, kindApp, new(arrivalInfo))
 	wait := end - start
 	if wait < cfg.Power.SpinUpTime {
 		t.Fatalf("response %v shorter than spin-up %v", wait, cfg.Power.SpinUpTime)
@@ -94,7 +94,7 @@ func TestEnclosurePowerEventCallback(t *testing.T) {
 	}
 	e.setSpinDown(0, true)
 	e.sync(5 * time.Minute)
-	e.arrival(5*time.Minute, 0, 8<<10, false, kindApp, nil)
+	e.arrival(5*time.Minute, 0, 8<<10, false, kindApp, new(arrivalInfo))
 	if len(events) != 2 || events[0] != false || events[1] != true {
 		t.Fatalf("power events %v", events)
 	}
@@ -109,7 +109,7 @@ func TestEnclosureRandomServiceRateMatchesIOPSCeiling(t *testing.T) {
 	// completion throughput approaches RandomIOPS.
 	n := 0
 	for end := time.Duration(0); end < time.Minute; n++ {
-		end, _ = e.arrival(0, int64(n)*1<<30, 8<<10, false, kindApp, nil)
+		end, _ = e.arrival(0, int64(n)*1<<30, 8<<10, false, kindApp, new(arrivalInfo))
 	}
 	got := float64(n) / 60
 	if got < cfg.RandomIOPS*0.85 || got > cfg.RandomIOPS*1.15 {
@@ -149,9 +149,9 @@ func TestEnclosureQueueing(t *testing.T) {
 	// Fill all servers at t=0, then one more I/O must wait.
 	var firstEnd time.Duration
 	for i := 0; i < cfg.ServersPerEnclosure; i++ {
-		firstEnd, _ = e.arrival(0, int64(i)<<30, 8<<10, false, kindApp, nil)
+		firstEnd, _ = e.arrival(0, int64(i)<<30, 8<<10, false, kindApp, new(arrivalInfo))
 	}
-	end, _ := e.arrival(0, 1<<40, 8<<10, false, kindApp, nil)
+	end, _ := e.arrival(0, 1<<40, 8<<10, false, kindApp, new(arrivalInfo))
 	if end <= firstEnd {
 		t.Fatalf("queued I/O finished at %v, not after %v", end, firstEnd)
 	}
@@ -159,7 +159,7 @@ func TestEnclosureQueueing(t *testing.T) {
 
 func TestEnclosureActiveResidencyTracksBusyTime(t *testing.T) {
 	e, _ := testEnclosure(t)
-	end, _ := e.arrival(0, 0, 8<<10, false, kindApp, nil)
+	end, _ := e.arrival(0, 0, 8<<10, false, kindApp, new(arrivalInfo))
 	e.sync(time.Minute)
 	if got := e.acc.InState(powermodel.Active); got != end {
 		t.Fatalf("active residency %v, want %v", got, end)
@@ -168,7 +168,7 @@ func TestEnclosureActiveResidencyTracksBusyTime(t *testing.T) {
 
 func TestIdleSince(t *testing.T) {
 	e, _ := testEnclosure(t)
-	end, _ := e.arrival(0, 0, 8<<10, false, kindApp, nil)
+	end, _ := e.arrival(0, 0, 8<<10, false, kindApp, new(arrivalInfo))
 	if _, ok := e.idleSince(end / 2); ok {
 		t.Fatal("busy enclosure reported idle")
 	}

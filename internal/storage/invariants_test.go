@@ -146,7 +146,7 @@ func TestEnclosureEnergyConservation(t *testing.T) {
 			case 0:
 				e.setSpinDown(now, rng.Intn(2) == 0)
 			case 1:
-				e.arrival(now, rng.Int63n(1<<35), int32(rng.Intn(1<<17)+512), rng.Intn(2) == 0, kindApp, nil)
+				e.arrival(now, rng.Int63n(1<<35), int32(rng.Intn(1<<17)+512), rng.Intn(2) == 0, kindApp, new(arrivalInfo))
 			default:
 				e.sync(now)
 			}
