@@ -24,9 +24,10 @@ check: build vet race alloc-check perf-check
 # ships, without the race instrumentation `race` runs them under: the
 # cache's submit path, the closed-loop engine, the read-ahead hand-off,
 # the k-way merge, the generator reader (trace.ItemReader, read by Next
-# and by Fill), FileSource's decode of each trace format and the stream
-# and CSV writers' Append must not allocate per record, and neither
-# must the decision log's Recorder.Log into a file and a live tail.
+# and by Fill), FileSource's decode of each trace format and the one
+# trace.Writer's Append in each format (stream, CSV and NDJSON) must
+# not allocate per record, and neither must the decision log's
+# Recorder.Log into a file and a live tail.
 alloc-check:
 	$(GO) test -count=1 -run 'SteadyStateAllocs' ./internal/storage ./internal/replay ./internal/trace ./internal/obs
 

@@ -68,7 +68,7 @@ func evaluate(b *testing.B, kind experiments.Kind) *experiments.Eval {
 func runEval(b *testing.B, kind experiments.Kind) *experiments.Eval {
 	b.Helper()
 	scale := benchScale[kind]
-	w, err := experiments.Build(kind, scale)
+	w, err := experiments.Build(kind, scale, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func reportPower(b *testing.B, ev *experiments.Eval) {
 func BenchmarkFig06PatternMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range experiments.Kinds() {
-			w, err := experiments.Build(k, benchScale[k])
+			w, err := experiments.Build(k, benchScale[k], 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func BenchmarkTableIIParameters(b *testing.B) {
 // Compare the ns/op figures: the off case must not regress against a
 // pre-telemetry baseline.
 func BenchmarkTelemetryOverhead(b *testing.B) {
-	w, err := experiments.Build(experiments.FileServer, 0.1)
+	w, err := experiments.Build(experiments.FileServer, 0.1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 func BenchmarkAblationFileServer(b *testing.B) {
 	var ev *experiments.Eval
 	for i := 0; i < b.N; i++ {
-		w, err := experiments.Build(experiments.FileServer, benchScale[experiments.FileServer])
+		w, err := experiments.Build(experiments.FileServer, benchScale[experiments.FileServer], 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -158,7 +158,7 @@ func runSweeps(scale float64, kindFlag string) error {
 		if ks == 0 {
 			ks = experiments.DefaultScale(k)
 		}
-		w, err := experiments.Build(k, ks)
+		w, err := experiments.Build(k, ks, 0)
 		if err != nil {
 			return err
 		}
@@ -207,7 +207,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 					ks = experiments.DefaultScale(k)
 				}
 			}
-			w, err := experiments.Build(k, ks)
+			w, err := experiments.Build(k, ks, 0)
 			if err != nil {
 				return err
 			}
@@ -233,7 +233,7 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 		if ks == 0 {
 			ks = experiments.DefaultScale(k)
 		}
-		w, err := experiments.Build(k, ks)
+		w, err := experiments.Build(k, ks, 0)
 		if err != nil {
 			return err
 		}

@@ -22,11 +22,18 @@ import (
 )
 
 // parseRecord decodes one "time_ns,item,offset,size,op" line through
-// trace.CSVReader, the decoder behind the daemon's stdin ingestion
+// trace.NewCSVReader, the decoder behind the daemon's stdin ingestion
 // (fleet.Array.IngestCSV). A line that holds no record, such as an
 // empty one, yields io.EOF.
 func parseRecord(text string) (trace.LogicalRecord, error) {
-	return trace.NewCSVReader(strings.NewReader(text)).Next()
+	r := trace.NewCSVReader(strings.NewReader(text))
+	if rec, ok := r.Next(); ok {
+		return rec, nil
+	}
+	if err := r.Err(); err != nil {
+		return trace.LogicalRecord{}, err
+	}
+	return trace.LogicalRecord{}, io.EOF
 }
 
 func TestParseRecordValid(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -79,31 +78,14 @@ func printStatuses(out io.Writer, sts []obs.AlertStatus) {
 // renderAlertsLog replays the alert transition events of a saved
 // telemetry log: the chronicle per run, then each rule's final state.
 func renderAlertsLog(out io.Writer, path, runLabel string) (firing bool, err error) {
-	f, err := os.Open(path)
+	alerts, err := loadLog(path, runLabel, func(ev obs.Event) bool { return ev.Type == obs.EvAlert })
 	if err != nil {
 		return false, err
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		return false, err
-	}
-	var alerts []obs.Event
-	for _, ev := range events {
-		if ev.Type == obs.EvAlert {
-			alerts = append(alerts, ev)
-		}
 	}
 	if len(alerts) == 0 {
 		return false, fmt.Errorf("%s: no alert events (was the run started with -alerts?)", path)
 	}
 	byRun, runs := splitRuns(alerts)
-	if runLabel != "" {
-		if _, ok := byRun[runLabel]; !ok {
-			return false, fmt.Errorf("run %q has no alert events (have: %s)", runLabel, strings.Join(runs, ", "))
-		}
-		runs = []string{runLabel}
-	}
 	for i, r := range runs {
 		if i > 0 {
 			fmt.Fprintln(out)

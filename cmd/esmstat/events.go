@@ -43,20 +43,9 @@ var coveredEventKinds = map[obs.EventType]bool{
 }
 
 func runEvents(out io.Writer, path, runLabel string, since, until time.Duration) error {
-	f, err := os.Open(path)
+	events, err := loadLog(path, runLabel, func(ev obs.Event) bool { return !explainOnly(ev) })
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	all, err := obs.ReadEvents(f)
-	if err != nil {
-		return err
-	}
-	var events []obs.Event
-	for _, ev := range all {
-		if !explainOnly(ev) {
-			events = append(events, ev)
-		}
 	}
 	if len(events) == 0 {
 		return fmt.Errorf("%s: no events", path)
@@ -66,12 +55,6 @@ func runEvents(out io.Writer, path, runLabel string, since, until time.Duration)
 	}
 
 	byRun, runs := splitRuns(events)
-	if runLabel != "" {
-		if _, ok := byRun[runLabel]; !ok {
-			return fmt.Errorf("run %q not in log (have: %s)", runLabel, strings.Join(runs, ", "))
-		}
-		runs = []string{runLabel}
-	}
 	for i, r := range runs {
 		if i > 0 {
 			fmt.Fprintln(out)
@@ -87,6 +70,37 @@ func runEvents(out io.Writer, path, runLabel string, since, until time.Duration)
 // events view leaves them out, its event counts included.
 func explainOnly(ev obs.Event) bool {
 	return ev.Type == obs.EvDecision || ev.Type == obs.EvAttribution || ev.Power != nil && ev.Power.State == "on"
+}
+
+// loadLog reads the decision log at path and returns, in stream order,
+// the events keep accepts (every event with a nil keep), restricted to
+// the run labelled runLabel when that is set. A label the log does not
+// carry is an error listing the labels it does; a run in the log whose
+// events keep refuses all yields none, which the caller reports.
+func loadLog(path, runLabel string, keep func(obs.Event) bool) ([]obs.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	all, err := obs.ReadEvents(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if runLabel != "" {
+		byRun, runs := splitRuns(all)
+		if _, ok := byRun[runLabel]; !ok {
+			return nil, fmt.Errorf("%s: run %q not in log (have: %s)", path, runLabel, strings.Join(runs, ", "))
+		}
+		all = byRun[runLabel]
+	}
+	var events []obs.Event
+	for _, ev := range all {
+		if keep == nil || keep(ev) {
+			events = append(events, ev)
+		}
+	}
+	return events, nil
 }
 
 // splitRuns groups events by their run label, keeping stream order

@@ -142,6 +142,60 @@ func TestRenderRunWindowed(t *testing.T) {
 	}
 }
 
+// TestRunSelectionErrors: -run on events and alerts tells a label the
+// log does not carry ("not in log", listing the runs it does) from a
+// run in the log that has nothing to render, and a log without alert
+// events keeps its -alerts hint under -run.
+func TestRunSelectionErrors(t *testing.T) {
+	var log bytes.Buffer
+	for _, run := range []string{"x", "y"} {
+		rec := obs.New(obs.Options{Log: &log, Label: run})
+		rec.Log(time.Minute, obs.Event{Type: obs.EvDetermination, Determination: &obs.DeterminationEvent{N: 1, Cause: obs.CausePeriodEnd}})
+		if run == "x" {
+			rec.Log(2*time.Minute, obs.Event{Type: obs.EvAlert, Alert: &obs.AlertEvent{
+				Rule: "budget", State: string(obs.AlertFiring), Prev: "pending",
+				Signal: "total_energy_j", Value: 2000, Threshold: 1500,
+			}})
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	both := filepath.Join(dir, "both.jsonl")
+	noAlerts := filepath.Join(dir, "noalerts.jsonl")
+	lines := strings.SplitAfter(log.String(), "\n")
+	if err := os.WriteFile(both, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(noAlerts, []byte(lines[0]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := renderAlertsLog(io.Discard, both, "x"); err != nil {
+		t.Errorf("alerts -run x: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"alerts -run of a run without alerts", second(renderAlertsLog(io.Discard, both, "y")), "no alert events (was the run started with -alerts?)"},
+		{"alerts -run on a log without alerts", second(renderAlertsLog(io.Discard, noAlerts, "x")), "no alert events (was the run started with -alerts?)"},
+		{"alerts -run of an unknown run", second(renderAlertsLog(io.Discard, both, "z")), `run "z" not in log (have: x, y)`},
+		{"events -run of an unknown run", runEvents(io.Discard, both, "z", 0, 0), `run "z" not in log (have: x, y)`},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", c.name, c.err, c.want)
+		}
+	}
+	if err := runEvents(io.Discard, both, "y", 0, 0); err != nil {
+		t.Errorf("events -run y: %v", err)
+	}
+}
+
+func second(_ bool, err error) error { return err }
+
 // payloadless are log lines whose type selects a payload they do not
 // carry.
 var payloadless = []string{

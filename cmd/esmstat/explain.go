@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -40,7 +39,7 @@ func runExplain(out io.Writer, args []string) error {
 		return fmt.Errorf("usage: esmstat explain [-since D] [-until D | -alert RULE [-window D]] [-run LABEL] [-top N] <events.jsonl> [run.series.csv]")
 	}
 	path := fs.Arg(0)
-	events, err := loadRun(path, *runLabel)
+	events, err := loadLog(path, *runLabel, nil)
 	if err != nil {
 		return err
 	}
@@ -101,28 +100,6 @@ func runExplain(out io.Writer, args []string) error {
 		}
 	}
 	return nil
-}
-
-// loadRun reads a decision log, restricted to one run's stream when
-// runLabel is set.
-func loadRun(path, runLabel string) ([]obs.Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if runLabel == "" {
-		return events, nil
-	}
-	byRun, runs := splitRuns(events)
-	if _, ok := byRun[runLabel]; !ok {
-		return nil, fmt.Errorf("%s: run %q not in log (have: %s)", path, runLabel, strings.Join(runs, ", "))
-	}
-	return byRun[runLabel], nil
 }
 
 // findAlertFiring returns the time of the first pending/ok -> firing

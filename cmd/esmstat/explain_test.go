@@ -127,7 +127,7 @@ func TestExplainReportNamesInjectedCause(t *testing.T) {
 // log's determination, spin-up, power-off and migration records, and
 // that the log holds every record its roll-up counts.
 func TestExplainCountsMatchEventStream(t *testing.T) {
-	w, err := experiments.Build(experiments.FileServer, 0.2)
+	w, err := experiments.Build(experiments.FileServer, 0.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

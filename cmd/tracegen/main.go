@@ -70,7 +70,7 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 		}
 		w, err = workload.GenerateSensorArchive(cfg)
 	default:
-		w, err = buildWithSeed(experiments.Kind(kind), scale, seed)
+		w, err = experiments.Build(experiments.Kind(kind), scale, seed)
 	}
 	if err != nil {
 		return err
@@ -81,7 +81,7 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 		return err
 	}
 	defer tf.Close()
-	var tw incrementalWriter
+	var tw *trace.Writer
 	switch format {
 	case "stream":
 		tw = trace.NewStreamWriter(tf)
@@ -131,50 +131,13 @@ func run(kind string, scale float64, seed int64, format, out, catalogPath, place
 	return nil
 }
 
-// incrementalWriter is the shared shape of the record-by-record codecs.
-type incrementalWriter interface {
-	Append(trace.LogicalRecord) error
-	Close() error
-}
-
-// writeIncremental drains src through an appending codec in O(items)
+// writeIncremental drains src through a trace writer in O(items)
 // memory and returns the summary of what it wrote: the one pass over
 // the workload's generators.
-func writeIncremental(tw incrementalWriter, src trace.Source) (trace.Summary, error) {
+func writeIncremental(tw *trace.Writer, src trace.Source) (trace.Summary, error) {
 	sum, err := trace.SummarizeSource(trace.TapSource(src, tw.Append))
 	if err != nil {
 		return trace.Summary{}, err
 	}
 	return sum, tw.Close()
-}
-
-func buildWithSeed(kind experiments.Kind, scale float64, seed int64) (*workload.Workload, error) {
-	switch kind {
-	case experiments.FileServer:
-		cfg := workload.DefaultFileServerConfig().Scaled(scale)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return workload.GenerateFileServer(cfg)
-	case experiments.OLTP:
-		cfg := workload.DefaultOLTPConfig().Scaled(scale)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return workload.GenerateOLTP(cfg)
-	case experiments.DSS:
-		cfg := workload.DefaultDSSConfig().Scaled(scale)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return workload.GenerateDSS(cfg)
-	case experiments.CloudBlock:
-		cfg := workload.DefaultCloudBlockConfig().Scaled(scale)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return workload.GenerateCloudBlock(cfg)
-	default:
-		return nil, fmt.Errorf("unknown workload %q", kind)
-	}
 }

@@ -19,7 +19,7 @@ const testScale = 0.03
 // checks the trace decodes to exactly the workload's records and that
 // the catalog and placement files round-trip.
 func TestRunWritesEveryFormat(t *testing.T) {
-	w, err := buildWithSeed(experiments.FileServer, testScale, 0)
+	w, err := experiments.Build(experiments.FileServer, testScale, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,19 +123,35 @@ const (
 func Kinds() []Kind { return []Kind{FileServer, OLTP, DSS} }
 
 // Build generates the workload for kind at the given time-scale factor
-// (1.0 = the paper's full duration).
-func Build(kind Kind, scale float64) (*workload.Workload, error) {
+// (1.0 = the paper's full duration). A nonzero seed replaces the
+// workload's default seed.
+func Build(kind Kind, scale float64, seed int64) (*workload.Workload, error) {
 	switch kind {
 	case FileServer:
-		return workload.GenerateFileServer(workload.DefaultFileServerConfig().Scaled(scale))
+		cfg := workload.DefaultFileServerConfig().Scaled(scale)
+		reseed(&cfg.Seed, seed)
+		return workload.GenerateFileServer(cfg)
 	case OLTP:
-		return workload.GenerateOLTP(workload.DefaultOLTPConfig().Scaled(scale))
+		cfg := workload.DefaultOLTPConfig().Scaled(scale)
+		reseed(&cfg.Seed, seed)
+		return workload.GenerateOLTP(cfg)
 	case DSS:
-		return workload.GenerateDSS(workload.DefaultDSSConfig().Scaled(scale))
+		cfg := workload.DefaultDSSConfig().Scaled(scale)
+		reseed(&cfg.Seed, seed)
+		return workload.GenerateDSS(cfg)
 	case CloudBlock:
-		return workload.GenerateCloudBlock(workload.DefaultCloudBlockConfig().Scaled(scale))
+		cfg := workload.DefaultCloudBlockConfig().Scaled(scale)
+		reseed(&cfg.Seed, seed)
+		return workload.GenerateCloudBlock(cfg)
 	default:
 		return nil, fmt.Errorf("experiments: unknown workload kind %q", kind)
+	}
+}
+
+// reseed sets *dst to seed unless seed is zero.
+func reseed(dst *int64, seed int64) {
+	if seed != 0 {
+		*dst = seed
 	}
 }
 

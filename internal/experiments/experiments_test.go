@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 
 func TestBuildAllKinds(t *testing.T) {
 	for _, k := range Kinds() {
-		w, err := Build(k, 0.1)
+		w, err := Build(k, 0.1, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -28,8 +29,50 @@ func TestBuildAllKinds(t *testing.T) {
 			t.Fatalf("%s: storage sized for %d enclosures, workload wants %d", k, cfg.Enclosures, w.Enclosures)
 		}
 	}
-	if _, err := Build(Kind("bogus"), 1); err == nil {
+	if _, err := Build(Kind("bogus"), 1, 0); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestBuildSeed: seed 0 keeps each kind's default seed, so passing
+// that seed explicitly builds the same trace, and any other seed builds
+// a different one. The traces are compared on the first records of
+// every item stream.
+func TestBuildSeed(t *testing.T) {
+	for _, c := range []struct {
+		kind  Kind
+		scale float64
+		seed  int64
+	}{
+		{FileServer, 0.1, workload.DefaultFileServerConfig().Seed},
+		{OLTP, 0.1, workload.DefaultOLTPConfig().Seed},
+		{DSS, 0.1, workload.DefaultDSSConfig().Seed},
+		{CloudBlock, 0.1, workload.DefaultCloudBlockConfig().Seed},
+	} {
+		heads := func(seed int64) []trace.LogicalRecord {
+			w, err := Build(c.kind, c.scale, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.kind, seed, err)
+			}
+			var recs []trace.LogicalRecord
+			for _, st := range w.Streams {
+				r := st.Open(w.Duration)
+				for i := 0; i < 4; i++ {
+					if rec, ok := r.Next(); ok {
+						recs = append(recs, rec)
+					}
+				}
+				r.Close()
+			}
+			return recs
+		}
+		base := heads(0)
+		if !slices.Equal(heads(c.seed), base) {
+			t.Errorf("%s: the default seed %d builds another trace than seed 0", c.kind, c.seed)
+		}
+		if slices.Equal(heads(c.seed+1), base) {
+			t.Errorf("%s: seed %d builds the default trace", c.kind, c.seed+1)
+		}
 	}
 }
 
@@ -74,7 +117,7 @@ func TestEvaluateFileServerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay smoke test")
 	}
-	w, err := Build(FileServer, 0.1)
+	w, err := Build(FileServer, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +152,7 @@ func TestEvaluateFileServerSmoke(t *testing.T) {
 }
 
 func TestPatternMixAndFig6Table(t *testing.T) {
-	w, err := Build(OLTP, 0.1)
+	w, err := Build(OLTP, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 package fleet
 
 import (
-	"errors"
+	"bufio"
 	"fmt"
 	"io"
 	"sync"
@@ -341,50 +341,49 @@ func (a *Array) SwapPolicy(cfg *config.File) error {
 // stream never blocks scrapes.
 func (a *Array) IngestNDJSON(r io.Reader) (int64, error) {
 	dec := trace.NewNDJSONReader(r)
-	return a.ingest(dec.Next, nil)
+	return a.ingest(dec, dec.Line)
 }
 
 // IngestStream feeds the binary stream-codec framing (tracegen
-// -format stream).
+// -format stream). An empty body is zero records, as it is in the text
+// formats, so a bodiless ?final=1 POST finalizes under any of them.
 func (a *Array) IngestStream(r io.Reader) (int64, error) {
-	dec := trace.NewStreamReader(r)
-	return a.ingest(dec.Next, nil)
+	br := bufio.NewReader(r)
+	if _, err := br.Peek(1); err == io.EOF {
+		return a.ingest(trace.NewSliceSource(nil), nil)
+	}
+	return a.ingest(trace.NewStreamReader(br), nil)
 }
 
 // IngestCSV feeds "time_ns,item,offset,size,op" lines (tracegen
 // -format csv). Blank lines and header lines are skipped wherever they
-// appear, so concatenated CSV streams work; every error — parse or
-// feed — carries the line number.
+// appear, so concatenated CSV streams work.
 func (a *Array) IngestCSV(r io.Reader) (int64, error) {
 	dec := trace.NewCSVReader(r)
-	return a.ingest(dec.Next, dec.Line)
+	return a.ingest(dec, dec.Line)
 }
 
-// ingest drains next into Feed, counting the request and its records.
+// ingest drains src into Feed, counting the request and its records.
 // Partially applied streams stay applied: records before the first
-// error have already driven the simulation. line, when non-nil, names
-// the input line of a record the feed rejects.
-func (a *Array) ingest(next func() (trace.LogicalRecord, error), line func() int64) (int64, error) {
+// error have already driven the simulation. Every error names its
+// record: a decode error does itself, and a record the feed rejects is
+// named by its input line when line is non-nil (the text formats), by
+// its index in the stream otherwise.
+func (a *Array) ingest(src trace.Source, line func() int64) (int64, error) {
 	a.ingestRequests.Add(1)
 	defer a.RefreshStatus()
 	var n int64
-	for {
-		rec, err := next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
+	for rec, ok := src.Next(); ok; rec, ok = src.Next() {
 		if err := a.Feed(rec); err != nil {
 			if line != nil {
-				err = fmt.Errorf("line %d: %w", line(), err)
+				return n, fmt.Errorf("line %d: %w", line(), err)
 			}
-			return n, err
+			return n, fmt.Errorf("record %d: %w", n, err)
 		}
 		n++
 		a.ingestRecords.Add(1)
 	}
+	return n, src.Err()
 }
 
 // Records returns how many records have been fed.

@@ -482,3 +482,94 @@ func TestIngestRejectsOffsetOutsidePageRange(t *testing.T) {
 		t.Fatalf("valid records after the rejected one: %d %s", code, body)
 	}
 }
+
+// TestIngestErrorsNameTheirRecord: a record the feed rejects — here one
+// of an item outside the catalog — fails the request with a clean 400
+// that names its input line in both text formats (the CSV header is
+// line 1) and its index in a stream body, and the array keeps taking
+// valid records afterwards. A stream body cut inside a record fails
+// too, instead of ending as if it were complete.
+func TestIngestErrorsNameTheirRecord(t *testing.T) {
+	f, recs := newTestFleet(t, "a")
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	post := func(ctype string, body []byte) (int, string) {
+		resp, err := http.Post(srv.URL+"/arrays/a/ingest", ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	encode := func(open func(io.Writer) *trace.Writer, recs ...trace.LogicalRecord) []byte {
+		var buf bytes.Buffer
+		w := open(&buf)
+		for _, rec := range recs {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		return buf.Bytes()
+	}
+	next := 0
+	for _, c := range []struct {
+		ctype string
+		open  func(io.Writer) *trace.Writer
+		where string
+	}{
+		{"application/x-ndjson", trace.NewNDJSONWriter, "line 3"},
+		{"text/csv", trace.NewCSVWriter, "line 4"},
+		{"application/x-esm-stream", trace.NewStreamWriter, "record 2"},
+	} {
+		good := recs[next : next+2]
+		bad := recs[next+2]
+		bad.Item = 99
+		next += 3
+		code, body := post(c.ctype, encode(c.open, good[0], good[1], bad))
+		if code != http.StatusBadRequest || !strings.Contains(body, c.where+": ") || !strings.Contains(body, "item 99 is outside the catalog") {
+			t.Fatalf("%s: got %d: %s, want 400 naming %s and item 99", c.ctype, code, body, c.where)
+		}
+		if code, body := post(c.ctype, encode(c.open, recs[next])); code != http.StatusOK {
+			t.Fatalf("%s: valid record after the rejected one: %d %s", c.ctype, code, body)
+		}
+		next++
+	}
+
+	whole := encode(trace.NewStreamWriter, recs[next], recs[next+1])
+	if code, body := post("application/x-esm-stream", whole[:len(whole)-1]); code != http.StatusBadRequest || !strings.Contains(body, "record 1 op") {
+		t.Fatalf("stream cut before its last op byte: got %d: %s, want 400 naming record 1's op", code, body)
+	}
+}
+
+// TestEmptyIngestBodyIsZeroRecords: an empty body is zero records under
+// every content type, so a bodiless ?final=1 POST finalizes whichever
+// format the client streams in.
+func TestEmptyIngestBodyIsZeroRecords(t *testing.T) {
+	f, _ := newTestFleet(t, "a")
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	for _, c := range []struct{ ctype, query string }{
+		{"application/x-ndjson", ""},
+		{"text/csv", ""},
+		{"application/x-esm-stream", ""},
+		{"application/x-esm-stream", "?final=1"},
+	} {
+		url := srv.URL + "/arrays/a/ingest" + c.query
+		resp, err := http.Post(url, c.ctype, strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("empty %s POST to %s: %d %s", c.ctype, url, resp.StatusCode, msg)
+		}
+	}
+	if st := f.Array("a").Status(); !st.Finished || st.Records != 0 || st.IngestRequests != 4 {
+		t.Fatalf("status after four empty POSTs, the last final: %+v", st)
+	}
+}

@@ -226,8 +226,9 @@ func (s *Session) sample(now time.Duration) obs.FlightSample {
 // Feed replays one record: fire every event due by its time, show it
 // to the policy, submit it to the array, and account its response.
 // Records must arrive in time order; an earlier record is rejected
-// with a *trace.OrderError. An I/O killed by an injected fault is not
-// an error.
+// with a *trace.OrderError. A record of an item outside the catalog
+// gets the closed loop's "outside the catalog" error. An I/O killed by
+// an injected fault is not an error.
 func (s *Session) Feed(rec trace.LogicalRecord) error {
 	if s.done {
 		return errFinished
@@ -237,6 +238,9 @@ func (s *Session) Feed(rec trace.LogicalRecord) error {
 	}
 	if rec.Time < s.last {
 		return &trace.OrderError{Format: "replay", Record: s.n, Offset: -1, Prev: s.last, Got: rec.Time}
+	}
+	if uint32(rec.Item) >= uint32(s.r.Catalog.Len()) {
+		return fmt.Errorf("replay: record %d: item %d is outside the catalog (%d items)", s.n, rec.Item, s.r.Catalog.Len())
 	}
 	s.last = rec.Time
 	s.n++

@@ -63,18 +63,16 @@ func gateMarginalAllocs(t *testing.T, encode func([]LogicalRecord) []byte, decod
 	}
 }
 
-// drain counts the records an incremental reader yields.
-func drain(t *testing.T, r incrementalReader) int {
+// drain counts the records a source yields, failing on a decode error.
+func drain(t *testing.T, src Source) int {
 	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			if err != io.EOF {
-				t.Fatalf("decode failed after %d records: %v", n, err)
-			}
-			return n
-		}
+	for _, ok := src.Next(); ok; _, ok = src.Next() {
 		n++
 	}
+	if err := src.Err(); err != nil {
+		t.Fatalf("decode failed after %d records: %v", n, err)
+	}
+	return n
 }
 
 // TestStreamDecodeAllocs gates the incremental binary decoder at zero
@@ -83,15 +81,7 @@ func TestStreamDecodeAllocs(t *testing.T) {
 	gateMarginalAllocs(t,
 		func(recs []LogicalRecord) []byte {
 			var buf bytes.Buffer
-			w := NewStreamWriter(&buf)
-			for _, r := range recs {
-				if err := w.Append(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+			encodeAll(t, NewStreamWriter(&buf), recs)
 			return buf.Bytes()
 		},
 		func(data []byte) int { return drain(t, NewStreamReader(bytes.NewReader(data))) },
@@ -119,15 +109,7 @@ func TestNDJSONDecodeAllocs(t *testing.T) {
 	gateMarginalAllocs(t,
 		func(recs []LogicalRecord) []byte {
 			var buf bytes.Buffer
-			w := NewNDJSONWriter(&buf)
-			for _, r := range recs {
-				if err := w.Append(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+			encodeAll(t, NewNDJSONWriter(&buf), recs)
 			return buf.Bytes()
 		},
 		func(data []byte) int { return drain(t, NewNDJSONReader(bytes.NewReader(data))) },
@@ -192,16 +174,16 @@ func TestItemReaderSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFileSourceSteadyStateAllocs gates FileSource at zero allocations
-// per record on each format it sniffs: the stream's batched window
-// refill and the text formats' per-record fill through the same window.
+// per record on each format it sniffs: the stream's windowed decode and
+// the text formats' line-by-line decode, each behind the sniffing.
 func TestFileSourceSteadyStateAllocs(t *testing.T) {
 	for _, format := range []struct {
 		name string
-		open func(io.Writer) recordWriter
+		open func(io.Writer) *Writer
 	}{
-		{"stream", func(w io.Writer) recordWriter { return NewStreamWriter(w) }},
-		{"csv", func(w io.Writer) recordWriter { return NewCSVWriter(w) }},
-		{"ndjson", func(w io.Writer) recordWriter { return NewNDJSONWriter(w) }},
+		{"stream", NewStreamWriter},
+		{"csv", NewCSVWriter},
+		{"ndjson", NewNDJSONWriter},
 	} {
 		t.Run(format.name, func(t *testing.T) {
 			gateMarginalAllocs(t,
@@ -210,20 +192,7 @@ func TestFileSourceSteadyStateAllocs(t *testing.T) {
 					encodeAll(t, format.open(&buf), recs)
 					return buf.Bytes()
 				},
-				func(data []byte) int {
-					src, err := NewFileSource(bytes.NewReader(data))
-					if err != nil {
-						t.Fatal(err)
-					}
-					n := 0
-					for _, ok := src.Next(); ok; _, ok = src.Next() {
-						n++
-					}
-					if err := src.Err(); err != nil {
-						t.Fatalf("decode failed after %d records: %v", n, err)
-					}
-					return n
-				},
+				func(data []byte) int { return drain(t, mustFileSource(t, data)) },
 				0)
 		})
 	}
@@ -246,7 +215,7 @@ func writerRecords(n int) []LogicalRecord {
 
 // gateWriterAllocs requires zero allocations per Append once the writer
 // has written its first record.
-func gateWriterAllocs(t *testing.T, w recordWriter) {
+func gateWriterAllocs(t *testing.T, w *Writer) {
 	t.Helper()
 	recs := writerRecords(4096)
 	base := recs[len(recs)-1].Time
@@ -277,4 +246,10 @@ func TestStreamWriterSteadyStateAllocs(t *testing.T) {
 // TestCSVWriterSteadyStateAllocs gates the CSV encoder the same way.
 func TestCSVWriterSteadyStateAllocs(t *testing.T) {
 	gateWriterAllocs(t, NewCSVWriter(io.Discard))
+}
+
+// TestNDJSONWriterSteadyStateAllocs gates the NDJSON encoder the same
+// way: the object is appended in place, not marshalled.
+func TestNDJSONWriterSteadyStateAllocs(t *testing.T) {
+	gateWriterAllocs(t, NewNDJSONWriter(io.Discard))
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,35 +14,20 @@ import (
 // its edges are where a stream record straddles two buffer fills.
 const fileBufSize = 64 << 10
 
-// checkBatchMatchesNext drains data through a FileSource (the batched
-// window refill) and through a bare StreamReader.Next loop, and fails
-// unless both yield the same records, the same count and the same
-// final error. data must open with the stream magic.
+// checkBatchMatchesNext drains data through a FileSource (the stream's
+// windowed decode) and through a bare decodeOne loop, and fails unless
+// both yield the same records and the same final error. data must open
+// with the stream magic.
 func checkBatchMatchesNext(t testing.TB, data []byte) {
 	t.Helper()
 	r := NewStreamReader(bytes.NewReader(data))
 	var want []LogicalRecord
-	var wantErr error
-	for {
-		rec, err := r.Next()
-		if err != nil {
-			if err != io.EOF {
-				wantErr = err
-			}
-			break
-		}
+	for rec, ok := r.decodeOne(); ok; rec, ok = r.decodeOne() {
 		want = append(want, rec)
 	}
-	fs, err := NewFileSource(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewFileSource: %v", err)
-	}
+	fs := mustFileSource(t, data)
 	var got []LogicalRecord
-	for {
-		rec, ok := fs.Next()
-		if !ok {
-			break
-		}
+	for rec, ok := fs.Next(); ok; rec, ok = fs.Next() {
 		got = append(got, rec)
 	}
 	if !slices.Equal(got, want) {
@@ -51,17 +35,14 @@ func checkBatchMatchesNext(t testing.TB, data []byte) {
 		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
-		t.Fatalf("FileSource decoded %d records, Next %d; first difference at record %d", len(got), len(want), i)
+		t.Fatalf("FileSource decoded %d records, decodeOne %d; first difference at record %d", len(got), len(want), i)
 	}
-	if fs.Count() != r.Count() {
-		t.Fatalf("FileSource.Count %d, StreamReader.Count %d", fs.Count(), r.Count())
-	}
-	if g, w := fmt.Sprint(fs.Err()), fmt.Sprint(wantErr); g != w {
-		t.Fatalf("FileSource error %q, Next error %q", g, w)
+	if g, w := fmt.Sprint(fs.Err()), fmt.Sprint(r.Err()); g != w {
+		t.Fatalf("FileSource error %q, decodeOne error %q", g, w)
 	}
 	// Errors and the end of the stream are sticky.
-	if _, ok := fs.Next(); ok || fmt.Sprint(fs.Err()) != fmt.Sprint(wantErr) || fs.Count() != r.Count() {
-		t.Fatalf("FileSource not sticky after its end: err %v, count %d", fs.Err(), fs.Count())
+	if _, ok := fs.Next(); ok || fmt.Sprint(fs.Err()) != fmt.Sprint(r.Err()) {
+		t.Fatalf("FileSource not sticky after its end: err %v", fs.Err())
 	}
 }
 
@@ -119,9 +100,9 @@ func streamWithBadRecord(rng *rand.Rand, bad []byte, at int) []byte {
 }
 
 // TestFileSourceBatchMatchesNext is the differential test of the
-// batched stream decode: on valid, truncated and corrupt streams, a
-// FileSource must yield exactly the records, count and error of the
-// per-record StreamReader.Next loop.
+// windowed stream decode: on valid, truncated and corrupt streams, a
+// FileSource must yield exactly the records and error of the
+// one-record decodeOne loop.
 func TestFileSourceBatchMatchesNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	one := LogicalRecord{Item: 1, Offset: 1, Size: 1}

@@ -1,83 +1,134 @@
-// Text codecs: the allocation-free CSV field parser behind CSVReader,
-// and the catalog and placement files that accompany every trace.
+// The codec layer: one Writer for the three trace formats, one
+// line-scanning TextReader for the two text formats, and the catalog
+// and placement files that accompany every trace. The per-format code
+// (stream.go, csv.go, ndjson.go) is only how one record is encoded or
+// parsed.
 
 package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// parseCSVFields decodes one non-empty data line from its raw bytes
-// without allocating: fields are split in place and the integers parsed
-// with parseIntBytes. Error paths fall back to allocating formatting.
-func parseCSVFields(b []byte, line int) (LogicalRecord, error) {
-	var fields [5][]byte
-	n := 0
-	start := 0
-	for i := 0; i <= len(b); i++ {
-		if i == len(b) || b[i] == ',' {
-			if n == 5 {
-				return LogicalRecord{}, fmt.Errorf("trace: line %d: want 5 fields, got %d", line, countFields(b))
-			}
-			fields[n] = b[start:i]
-			n++
-			start = i + 1
-		}
-	}
-	if n != 5 {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d: want 5 fields, got %d", line, n)
-	}
-	t, err := parseIntBytes(fields[0], math.MaxInt64)
-	if err != nil {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d time: %w", line, err)
-	}
-	item, err := parseIntBytes(fields[1], math.MaxInt32)
-	if err != nil {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d item: %w", line, err)
-	}
-	off, err := parseIntBytes(fields[2], math.MaxInt64)
-	if err != nil {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d offset: %w", line, err)
-	}
-	size, err := parseIntBytes(fields[3], math.MaxInt32)
-	if err != nil {
-		return LogicalRecord{}, fmt.Errorf("trace: line %d size: %w", line, err)
-	}
-	var op Op
-	switch {
-	case len(fields[4]) == 1 && fields[4][0] == 'R':
-		op = OpRead
-	case len(fields[4]) == 1 && fields[4][0] == 'W':
-		op = OpWrite
-	default:
-		return LogicalRecord{}, fmt.Errorf("trace: line %d: invalid op %q", line, string(fields[4]))
-	}
-	return LogicalRecord{
-		Time:   time.Duration(t),
-		Item:   ItemID(item),
-		Offset: off,
-		Size:   int32(size),
-		Op:     op,
-	}, nil
+// Writer encodes logical records in one of the trace formats:
+// NewStreamWriter, NewCSVWriter and NewNDJSONWriter pick the format.
+// Records must be appended in time order. Each record is encoded in
+// place in the buffer's free space, so Append does not allocate. Close
+// flushes the buffer; it does not close the underlying writer.
+type Writer struct {
+	bw     *bufio.Writer
+	format string
+	// encode appends r's encoding to dst, given the time of the record
+	// before it; an encoding is at most max bytes.
+	encode func(dst []byte, r LogicalRecord, prev time.Duration) []byte
+	max    int
+	prev   time.Duration
+	n      int64
 }
 
-// countFields counts comma-separated fields for the too-many-fields
-// error message (matching what strings.Split would have reported).
-func countFields(b []byte) int {
-	n := 1
-	for _, c := range b {
-		if c == ',' {
-			n++
+// newWriter returns a Writer targeting w with head (the stream's magic
+// or the CSV header) buffered at once. A failure to write it surfaces
+// from Append or Close, since a bufio.Writer's errors are sticky.
+func newWriter(w io.Writer, format, head string, max int, encode func([]byte, LogicalRecord, time.Duration) []byte) *Writer {
+	bw := bufio.NewWriter(w)
+	_, _ = bw.WriteString(head)
+	return &Writer{bw: bw, format: format, encode: encode, max: max}
+}
+
+// Append encodes one record. A record earlier than the one before it
+// is refused with a *OrderError.
+func (w *Writer) Append(r LogicalRecord) error {
+	if r.Time < w.prev {
+		return &OrderError{Format: w.format, Record: w.n, Offset: -1, Prev: w.prev, Got: r.Time}
+	}
+	// Make room for the worst case first, so the encoding never
+	// outgrows the buffer: one Write, no allocation.
+	if w.bw.Available() < w.max {
+		if err := w.bw.Flush(); err != nil {
+			return err
 		}
 	}
-	return n
+	if _, err := w.bw.Write(w.encode(w.bw.AvailableBuffer(), r, w.prev)); err != nil {
+		return err
+	}
+	w.prev = r.Time
+	w.n++
+	return nil
 }
+
+// Close flushes buffered output.
+func (w *Writer) Close() error { return w.bw.Flush() }
+
+// TextReader decodes one of the line formats, CSV or NDJSON, as a
+// Source: NewCSVReader and NewNDJSONReader pick the format. Blank lines
+// (and CSV header lines) are skipped wherever they appear, so
+// concatenated inputs work, and lines up to 1 MiB are accepted. Every
+// error names its line, and a record earlier than the one before it
+// ends the stream with a *OrderError. Once the stream has ended, clean
+// or not, Next yields nothing more and Err stays put.
+type TextReader struct {
+	sc     *bufio.Scanner
+	format string
+	header []byte
+	// trim strips the space around a line before the blank and header
+	// checks; parse decodes one non-blank trimmed line, and line is its
+	// number, for the error.
+	trim  func([]byte) []byte
+	parse func(b []byte, line int64) (LogicalRecord, error)
+	prev  time.Duration
+	line  int64
+	n     int64
+	err   error
+	done  bool
+}
+
+func newTextReader(r io.Reader, format string, header []byte, trim func([]byte) []byte, parse func([]byte, int64) (LogicalRecord, error)) *TextReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	return &TextReader{sc: sc, format: format, header: header, trim: trim, parse: parse}
+}
+
+// Next returns the next record.
+func (r *TextReader) Next() (LogicalRecord, bool) {
+	for !r.done && r.sc.Scan() {
+		r.line++
+		b := r.trim(r.sc.Bytes())
+		if len(b) == 0 || r.header != nil && bytes.HasPrefix(b, r.header) {
+			continue
+		}
+		rec, err := r.parse(b, r.line)
+		if err == nil && rec.Time < r.prev {
+			err = &OrderError{Format: r.format, Record: r.n, Line: r.line, Offset: -1, Prev: r.prev, Got: rec.Time}
+		}
+		if err != nil {
+			r.err, r.done = err, true
+			return LogicalRecord{}, false
+		}
+		r.prev = rec.Time
+		r.n++
+		return rec, true
+	}
+	if !r.done {
+		r.done = true
+		if err := r.sc.Err(); err != nil {
+			r.err = fmt.Errorf("trace: %s line %d: %w", r.format, r.line+1, err)
+		}
+	}
+	return LogicalRecord{}, false
+}
+
+// Err returns the failure that ended the stream, or nil.
+func (r *TextReader) Err() error { return r.err }
+
+// Line returns the 1-based number of the last line consumed: the line
+// of the record Next last returned.
+func (r *TextReader) Line() int64 { return r.line }
 
 // parseIntBytes parses a signed decimal integer bounded by max without
 // allocating on the success path. It accepts what

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -19,8 +20,9 @@ import (
 // regenerate it, not with a CSV parse error.
 func TestBinaryRejectsGarbage(t *testing.T) {
 	for _, in := range []string{"not a trace at all", ""} {
-		if _, err := NewStreamReader(strings.NewReader(in)).Next(); err == nil || err == io.EOF {
-			t.Fatalf("%q: want a decode error, got %v", in, err)
+		r := NewStreamReader(strings.NewReader(in))
+		if _, ok := r.Next(); ok || r.Err() == nil {
+			t.Fatalf("%q: want a decode error, got %v", in, r.Err())
 		}
 	}
 	legacy := "ESMTRC1\n\x01\x00\x00\x00\x00\x00\x00\x00\x05\x01\x00\x04\x00"
@@ -56,12 +58,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	recs := randomRecords(rng, 200)
 	SortLogical(recs)
 	buf.Reset()
-	w := NewCSVWriter(&buf)
-	encodeAll(t, w, recs)
-	if w.Count() != int64(len(recs)) {
-		t.Fatalf("writer count %d, want %d", w.Count(), len(recs))
-	}
-	got, err := readAll(NewCSVReader(&buf))
+	encodeAll(t, NewCSVWriter(&buf), recs)
+	got, err := CollectSource(NewCSVReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +69,20 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVWriterRejectsOutOfOrder(t *testing.T) {
-	w := NewCSVWriter(io.Discard)
+	var buf bytes.Buffer
+	w := NewCSVWriter(&buf)
 	if err := w.Append(LogicalRecord{Time: 10, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append(LogicalRecord{Time: 5, Size: 1}); err == nil {
 		t.Fatal("out-of-order append accepted")
 	}
-	if w.Count() != 1 {
-		t.Fatalf("Count = %d after a rejected append, want 1", w.Count())
+	if err := w.Append(LogicalRecord{Time: 10, Item: 1, Size: 1}); err != nil {
+		t.Fatalf("in-order append after a rejected one: %v", err)
+	}
+	w.Close()
+	if want := "time_ns,item,offset,size,op\n10,0,0,1,R\n10,1,0,1,R\n"; buf.String() != want {
+		t.Fatalf("encoding %q, want %q", buf.String(), want)
 	}
 }
 
@@ -93,7 +96,7 @@ func TestCSVRejectsMalformed(t *testing.T) {
 		"0,0,0,0,Q\n",
 	}
 	for _, c := range cases {
-		if _, err := readAll(NewCSVReader(strings.NewReader(c))); err == nil {
+		if _, err := CollectSource(NewCSVReader(strings.NewReader(c))); err == nil {
 			t.Fatalf("expected error for %q", c)
 		}
 	}
@@ -101,7 +104,7 @@ func TestCSVRejectsMalformed(t *testing.T) {
 
 func TestCSVSkipsHeaderAndBlanks(t *testing.T) {
 	in := "time_ns,item,offset,size,op\n\n5,1,2,3,W\n"
-	got, err := readAll(NewCSVReader(strings.NewReader(in)))
+	got, err := CollectSource(NewCSVReader(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,28 +180,45 @@ func TestPlacementRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestWritersPinnedAtExtremes pins both writers' bytes on records with
-// the widest fields (ten-byte varints, the longest CSV numbers) across
-// many buffer boundaries, against the layouts TestBinaryRoundTrip and
-// TestCSVRoundTrip pin.
+// TestWritersPinnedAtExtremes pins the three writers' bytes on records
+// with the widest fields (ten-byte varints, the longest numbers, an
+// invalid op) across many buffer boundaries, against the layouts
+// TestBinaryRoundTrip and TestCSVRoundTrip pin and, for NDJSON, the
+// bytes json.Marshal gives each record's wire form.
 func TestWritersPinnedAtExtremes(t *testing.T) {
 	recs := writerRecords(3000)
+	recs[7].Op = 255
 	wantStream := []byte(streamMagic)
 	wantCSV := []byte("time_ns,item,offset,size,op\n")
+	var wantNDJSON []byte
 	var prev time.Duration
 	for _, r := range recs {
 		wantStream = appendVarintRecord(wantStream, uint64(r.Time-prev), uint64(r.Item), uint64(r.Offset), uint64(r.Size), byte(r.Op))
 		prev = r.Time
 		wantCSV = fmt.Appendf(wantCSV, "%d,%d,%d,%d,%s\n", int64(r.Time), r.Item, r.Offset, r.Size, r.Op)
+		line, err := json.Marshal(ndjsonRecord{
+			TimeNS: int64(r.Time), Item: int64(r.Item),
+			Offset: r.Offset, Size: r.Size, Op: r.Op.String(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNDJSON = append(append(wantNDJSON, line...), '\n')
 	}
-	var stream, csv bytes.Buffer
-	encodeAll(t, NewStreamWriter(&stream), recs)
-	encodeAll(t, NewCSVWriter(&csv), recs)
-	if !bytes.Equal(stream.Bytes(), wantStream) {
-		t.Errorf("stream encoding differs from the pinned layout at byte %d", mismatchAt(stream.Bytes(), wantStream))
-	}
-	if !bytes.Equal(csv.Bytes(), wantCSV) {
-		t.Errorf("CSV encoding differs from the pinned layout at byte %d", mismatchAt(csv.Bytes(), wantCSV))
+	for _, c := range []struct {
+		name string
+		open func(io.Writer) *Writer
+		want []byte
+	}{
+		{"stream", NewStreamWriter, wantStream},
+		{"csv", NewCSVWriter, wantCSV},
+		{"ndjson", NewNDJSONWriter, wantNDJSON},
+	} {
+		var buf bytes.Buffer
+		encodeAll(t, c.open(&buf), recs)
+		if !bytes.Equal(buf.Bytes(), c.want) {
+			t.Errorf("%s encoding differs from the pinned layout at byte %d", c.name, mismatchAt(buf.Bytes(), c.want))
+		}
 	}
 }
 

@@ -10,21 +10,8 @@ import (
 	"time"
 )
 
-// incrementalReader is the contract shared by the streaming decoders,
-// pinned here so all three are tested against the same semantics.
-type incrementalReader interface {
-	Next() (LogicalRecord, error)
-	Count() int64
-}
-
-// recordWriter is the contract shared by the appending encoders.
-type recordWriter interface {
-	Append(LogicalRecord) error
-	Close() error
-}
-
 // encodeAll appends recs through w and closes it.
-func encodeAll(t testing.TB, w recordWriter, recs []LogicalRecord) {
+func encodeAll(t testing.TB, w *Writer, recs []LogicalRecord) {
 	t.Helper()
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
@@ -33,22 +20,6 @@ func encodeAll(t testing.TB, w recordWriter, recs []LogicalRecord) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// readAll drains r, returning its records and the first error other
-// than the clean io.EOF.
-func readAll(r incrementalReader) ([]LogicalRecord, error) {
-	var recs []LogicalRecord
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
 	}
 }
 
@@ -67,7 +38,7 @@ func readerConformanceCases(t *testing.T) []struct {
 	name    string
 	clean   []byte
 	corrupt []byte
-	open    func(io.Reader) incrementalReader
+	open    func(io.Reader) Source
 } {
 	t.Helper()
 
@@ -80,7 +51,7 @@ func readerConformanceCases(t *testing.T) []struct {
 		name    string
 		clean   []byte
 		corrupt []byte
-		open    func(io.Reader) incrementalReader
+		open    func(io.Reader) Source
 	}{
 		{
 			name:  "stream",
@@ -88,82 +59,78 @@ func readerConformanceCases(t *testing.T) []struct {
 			// A lone continuation byte: an unterminated varint, so the
 			// decoder sees truncation inside a record, not a clean end.
 			corrupt: append(append([]byte{}, streamBuf.Bytes()...), 0x80),
-			open:    func(r io.Reader) incrementalReader { return NewStreamReader(r) },
+			open:    func(r io.Reader) Source { return NewStreamReader(r) },
 		},
 		{
 			name:    "ndjson",
 			clean:   ndjsonBuf.Bytes(),
 			corrupt: append(append([]byte{}, ndjsonBuf.Bytes()...), []byte("{\"t_ns\":oops}\n")...),
-			open:    func(r io.Reader) incrementalReader { return NewNDJSONReader(r) },
+			open:    func(r io.Reader) Source { return NewNDJSONReader(r) },
 		},
 		{
 			name:    "csv",
 			clean:   csvBuf.Bytes(),
 			corrupt: append(append([]byte{}, csvBuf.Bytes()...), []byte("not,a,record\n")...),
-			open:    func(r io.Reader) incrementalReader { return NewCSVReader(r) },
+			open:    func(r io.Reader) Source { return NewCSVReader(r) },
 		},
 	}
 }
 
-// TestReaderConformanceSticky drives every incremental reader through
-// the same script: decode a valid prefix, hit a mid-stream corruption,
-// and verify the reader goes sticky — the same error from every
-// subsequent Next, Count frozen at the number of good records, no
-// partial record leaked.
+// TestReaderConformanceSticky drives every decoder through the same
+// script: decode a valid prefix, hit a mid-stream corruption, and
+// verify the end is sticky — no record from every subsequent Next, the
+// same error from Err, no partial record leaked.
 func TestReaderConformanceSticky(t *testing.T) {
 	for _, tc := range readerConformanceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.open(bytes.NewReader(tc.corrupt))
 			for i, want := range confRecords {
-				got, err := r.Next()
-				if err != nil {
-					t.Fatalf("record %d: %v", i, err)
+				got, ok := r.Next()
+				if !ok {
+					t.Fatalf("record %d: stream ended: %v", i, r.Err())
 				}
 				if got != want {
 					t.Fatalf("record %d: got %+v, want %+v", i, got, want)
 				}
 			}
-			if n := r.Count(); n != int64(len(confRecords)) {
-				t.Fatalf("Count() = %d before error, want %d", n, len(confRecords))
+			if _, ok := r.Next(); ok {
+				t.Fatal("corrupt tail decoded as a record")
 			}
-			_, first := r.Next()
-			if first == nil || first == io.EOF {
-				t.Fatalf("corrupt tail decoded without error (err=%v)", first)
+			first := r.Err()
+			if first == nil {
+				t.Fatal("corrupt tail ended the stream without an error")
 			}
 			for i := 0; i < 3; i++ {
-				rec, again := r.Next()
-				if again != first {
-					t.Fatalf("retry %d: error changed from %v to %v", i, first, again)
-				}
-				if rec != (LogicalRecord{}) {
+				rec, ok := r.Next()
+				if ok || rec != (LogicalRecord{}) {
 					t.Fatalf("retry %d: sticky reader leaked record %+v", i, rec)
 				}
-				if n := r.Count(); n != int64(len(confRecords)) {
-					t.Fatalf("retry %d: Count() moved to %d after error", i, n)
+				if again := r.Err(); again != first {
+					t.Fatalf("retry %d: error changed from %v to %v", i, first, again)
 				}
 			}
 		})
 	}
 }
 
-// TestReaderConformanceEOF verifies the clean-end behavior is just as
-// sticky: io.EOF exactly at the end, io.EOF again on retry, Count
-// stable.
+// TestReaderConformanceEOF verifies the clean end is just as sticky:
+// the stream ends exactly after the last record with a nil Err, and
+// stays ended.
 func TestReaderConformanceEOF(t *testing.T) {
 	for _, tc := range readerConformanceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.open(bytes.NewReader(tc.clean))
 			for i := range confRecords {
-				if _, err := r.Next(); err != nil {
-					t.Fatalf("record %d: %v", i, err)
+				if _, ok := r.Next(); !ok {
+					t.Fatalf("record %d: stream ended: %v", i, r.Err())
 				}
 			}
 			for i := 0; i < 3; i++ {
-				if _, err := r.Next(); err != io.EOF {
-					t.Fatalf("retry %d: got %v, want io.EOF", i, err)
+				if rec, ok := r.Next(); ok {
+					t.Fatalf("retry %d: record %+v after the end", i, rec)
 				}
-				if n := r.Count(); n != int64(len(confRecords)) {
-					t.Fatalf("retry %d: Count() = %d after EOF, want %d", i, n, len(confRecords))
+				if err := r.Err(); err != nil {
+					t.Fatalf("retry %d: clean end reports %v", i, err)
 				}
 			}
 		})
@@ -191,10 +158,13 @@ func TestOrderErrorStream(t *testing.T) {
 	buf = appendVarintRecord(buf, ^uint64(0), 1, 0, 4096, byte(OpRead))
 
 	r := NewStreamReader(bytes.NewReader(buf))
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
+	if _, ok := r.Next(); !ok {
+		t.Fatal(r.Err())
 	}
-	_, err := r.Next()
+	if _, ok := r.Next(); ok {
+		t.Fatal("backwards record decoded")
+	}
+	err := r.Err()
 	var oe *OrderError
 	if !errors.As(err, &oe) {
 		t.Fatalf("got %v (%T), want *OrderError", err, err)
@@ -207,15 +177,15 @@ func TestOrderErrorStream(t *testing.T) {
 		t.Fatalf("Offset = %d, want %d", oe.Offset, wantOff)
 	}
 	// Sticky like any other decode error.
-	if _, again := r.Next(); again != err {
-		t.Fatalf("order error not sticky: %v then %v", err, again)
+	if _, ok := r.Next(); ok || r.Err() != err {
+		t.Fatalf("order error not sticky: %v then %v", err, r.Err())
 	}
 }
 
-// TestOrderErrorCSV checks the text readers report the violating line.
+// TestOrderErrorCSV checks the text decoders report the violating line.
 func TestOrderErrorCSV(t *testing.T) {
 	in := "time_ns,item,offset,size,op\n100,1,0,4,R\n50,1,0,4,R\n"
-	_, err := readAll(NewCSVReader(strings.NewReader(in)))
+	_, err := CollectSource(NewCSVReader(strings.NewReader(in)))
 	var oe *OrderError
 	if !errors.As(err, &oe) {
 		t.Fatalf("got %v (%T), want *OrderError", err, err)
@@ -235,11 +205,7 @@ func TestOrderErrorCSV(t *testing.T) {
 func TestOrderErrorNDJSON(t *testing.T) {
 	in := `{"t_ns":100,"item":1,"off":0,"size":4,"op":"R"}` + "\n" +
 		`{"t_ns":50,"item":1,"off":0,"size":4,"op":"R"}` + "\n"
-	r := NewNDJSONReader(strings.NewReader(in))
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := r.Next()
+	_, err := CollectSource(NewNDJSONReader(strings.NewReader(in)))
 	var oe *OrderError
 	if !errors.As(err, &oe) {
 		t.Fatalf("got %v (%T), want *OrderError", err, err)
@@ -250,4 +216,49 @@ func TestOrderErrorNDJSON(t *testing.T) {
 	if oe.Prev != 100 || oe.Got != 50 {
 		t.Fatalf("Prev/Got = %v/%v, want 100ns/50ns", oe.Prev, oe.Got)
 	}
+}
+
+// TestOrderErrorWriters checks every writer refuses an out-of-order
+// Append with the typed error, naming the record and both times, and
+// encodes nothing for it.
+func TestOrderErrorWriters(t *testing.T) {
+	for format, open := range map[string]func(io.Writer) *Writer{
+		"stream": NewStreamWriter,
+		"csv":    NewCSVWriter,
+		"ndjson": NewNDJSONWriter,
+	} {
+		var buf bytes.Buffer
+		w := open(&buf)
+		if err := w.Append(LogicalRecord{Time: 100, Size: 4}); err != nil {
+			t.Fatal(err)
+		}
+		err := w.Append(LogicalRecord{Time: 50, Size: 4})
+		var oe *OrderError
+		if !errors.As(err, &oe) {
+			t.Fatalf("%s: got %v (%T), want *OrderError", format, err, err)
+		}
+		if oe.Format != format || oe.Record != 1 || oe.Prev != 100 || oe.Got != 50 {
+			t.Fatalf("%s: OrderError = %+v, want Format %s, Record 1, 100ns then 50ns", format, oe, format)
+		}
+		if !strings.Contains(err.Error(), "out of order") {
+			t.Fatalf("%s: message %q lost its vocabulary", format, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := CollectSource(mustFileSource(t, buf.Bytes()))
+		if err != nil || len(got) != 1 {
+			t.Fatalf("%s: refused record was encoded: %d records, %v", format, len(got), err)
+		}
+	}
+}
+
+// mustFileSource returns a FileSource decoding data.
+func mustFileSource(t testing.TB, data []byte) *FileSource {
+	t.Helper()
+	fs, err := NewFileSource(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }

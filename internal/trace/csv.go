@@ -1,19 +1,14 @@
-// Streaming CSV access to logical traces: the appending, sticky-error
-// sibling of the stream and NDJSON codecs. Every CSV consumer (the
-// FileSource text path, esmd's stdin, live ingest) reads through
-// CSVReader, so all get the same semantics: header and blank lines
-// skipped wherever they appear (concatenated streams work),
-// allocation-free decode of data lines, monotonic timestamps enforced
-// at decode time with a typed *OrderError, and a sticky error after
-// which Next makes no progress and Count stays put.
+// The CSV trace format: a "time_ns,item,offset,size,op" header, then
+// one line per record. Esmd's stdin, the fleet's CSV ingest and
+// FileSource all decode it through NewCSVReader.
 
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -26,37 +21,13 @@ var csvHeader = []byte("time_ns")
 // newline.
 const maxCSVLine = 4*20 + 7 + 5
 
-// CSVWriter encodes logical records as "time_ns,item,offset,size,op"
-// lines under a header row. Records must be appended in time order.
-// Close flushes the underlying buffer; it does not close the writer.
-type CSVWriter struct {
-	bw    *bufio.Writer
-	prev  time.Duration
-	count int64
+// NewCSVWriter returns a Writer of "time_ns,item,offset,size,op" lines
+// under a header row.
+func NewCSVWriter(w io.Writer) *Writer {
+	return newWriter(w, "csv", "time_ns,item,offset,size,op\n", maxCSVLine, appendCSV)
 }
 
-// NewCSVWriter returns a writer targeting w. The header row is
-// buffered at once; a failure to write it surfaces from Append or
-// Close, since a bufio.Writer's errors are sticky.
-func NewCSVWriter(w io.Writer) *CSVWriter {
-	bw := bufio.NewWriter(w)
-	_, _ = bw.WriteString("time_ns,item,offset,size,op\n")
-	return &CSVWriter{bw: bw}
-}
-
-// Append encodes one record.
-func (w *CSVWriter) Append(r LogicalRecord) error {
-	if r.Time < w.prev {
-		return fmt.Errorf("trace: csv record %d out of order (%v after %v)", w.count, r.Time, w.prev)
-	}
-	// Build the line in place in the buffer's free space, made room for
-	// first so the appends never outgrow it: one Write, no allocation.
-	if w.bw.Available() < maxCSVLine {
-		if err := w.bw.Flush(); err != nil {
-			return err
-		}
-	}
-	buf := w.bw.AvailableBuffer()
+func appendCSV(buf []byte, r LogicalRecord, _ time.Duration) []byte {
 	buf = strconv.AppendInt(buf, int64(r.Time), 10)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(r.Item), 10)
@@ -66,86 +37,71 @@ func (w *CSVWriter) Append(r LogicalRecord) error {
 	buf = strconv.AppendInt(buf, int64(r.Size), 10)
 	buf = append(buf, ',')
 	buf = append(buf, r.Op.String()...)
-	buf = append(buf, '\n')
-	if _, err := w.bw.Write(buf); err != nil {
-		return err
-	}
-	w.prev = r.Time
-	w.count++
-	return nil
+	return append(buf, '\n')
 }
 
-// Count returns how many records have been appended.
-func (w *CSVWriter) Count() int64 { return w.count }
-
-// Close flushes buffered output.
-func (w *CSVWriter) Close() error { return w.bw.Flush() }
-
-// CSVReader decodes logical records from "time_ns,item,offset,size,op"
-// lines. Records must be in time order.
-type CSVReader struct {
-	sc    *bufio.Scanner
-	prev  int64 // previous record's time in ns; -1 before the first
-	line  int64
-	count int64
-	err   error
+// NewCSVReader returns a TextReader of "time_ns,item,offset,size,op"
+// lines.
+func NewCSVReader(r io.Reader) *TextReader {
+	return newTextReader(r, "csv", csvHeader, bytes.TrimSpace, parseCSVFields)
 }
 
-// NewCSVReader returns a reader over r. Lines up to 1 MiB are accepted.
-func NewCSVReader(r io.Reader) *CSVReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &CSVReader{sc: sc, prev: -1}
-}
-
-// Next returns the next record. It returns io.EOF at the clean end of
-// the input and a line-numbered error on corruption; after any error
-// (including EOF) further calls return the same error and Count stops
-// advancing.
-func (r *CSVReader) Next() (LogicalRecord, error) {
-	if r.err != nil {
-		return LogicalRecord{}, r.err
-	}
-	for r.sc.Scan() {
-		r.line++
-		b := bytes.TrimSpace(r.sc.Bytes())
-		if len(b) == 0 || bytes.HasPrefix(b, csvHeader) {
-			continue
-		}
-		rec, err := parseCSVFields(b, int(r.line))
-		if err != nil {
-			r.err = err
-			return LogicalRecord{}, r.err
-		}
-		if rec.Time < 0 {
-			r.err = fmt.Errorf("trace: line %d: negative time %d", r.line, int64(rec.Time))
-			return LogicalRecord{}, r.err
-		}
-		if rec.Size <= 0 {
-			r.err = fmt.Errorf("trace: line %d: non-positive size %d", r.line, rec.Size)
-			return LogicalRecord{}, r.err
-		}
-		if int64(rec.Time) < r.prev {
-			r.err = &OrderError{
-				Format: "csv", Record: r.count, Line: r.line, Offset: -1,
-				Prev: time.Duration(r.prev), Got: rec.Time,
+// parseCSVFields decodes one non-empty data line from its raw bytes
+// without allocating: fields are split in place and the integers parsed
+// with parseIntBytes. Error paths fall back to allocating formatting.
+func parseCSVFields(b []byte, line int64) (LogicalRecord, error) {
+	var fields [5][]byte
+	n := 0
+	start := 0
+	for i := 0; i <= len(b); i++ {
+		if i == len(b) || b[i] == ',' {
+			if n == 5 {
+				return LogicalRecord{}, fmt.Errorf("trace: line %d: want 5 fields, got %d", line, bytes.Count(b, []byte{','})+1)
 			}
-			return LogicalRecord{}, r.err
+			fields[n] = b[start:i]
+			n++
+			start = i + 1
 		}
-		r.prev = int64(rec.Time)
-		r.count++
-		return rec, nil
 	}
-	if err := r.sc.Err(); err != nil {
-		r.err = fmt.Errorf("trace: csv line %d: %w", r.line+1, err)
-		return LogicalRecord{}, r.err
+	if n != 5 {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d: want 5 fields, got %d", line, n)
 	}
-	r.err = io.EOF
-	return LogicalRecord{}, io.EOF
+	t, err := parseIntBytes(fields[0], math.MaxInt64)
+	if err != nil {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d time: %w", line, err)
+	}
+	item, err := parseIntBytes(fields[1], math.MaxInt32)
+	if err != nil {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d item: %w", line, err)
+	}
+	off, err := parseIntBytes(fields[2], math.MaxInt64)
+	if err != nil {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d offset: %w", line, err)
+	}
+	size, err := parseIntBytes(fields[3], math.MaxInt32)
+	if err != nil {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d size: %w", line, err)
+	}
+	var op Op
+	switch {
+	case len(fields[4]) == 1 && fields[4][0] == 'R':
+		op = OpRead
+	case len(fields[4]) == 1 && fields[4][0] == 'W':
+		op = OpWrite
+	default:
+		return LogicalRecord{}, fmt.Errorf("trace: line %d: invalid op %q", line, string(fields[4]))
+	}
+	if t < 0 {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d: negative time %d", line, t)
+	}
+	if size <= 0 {
+		return LogicalRecord{}, fmt.Errorf("trace: line %d: non-positive size %d", line, size)
+	}
+	return LogicalRecord{
+		Time:   time.Duration(t),
+		Item:   ItemID(item),
+		Offset: off,
+		Size:   int32(size),
+		Op:     op,
+	}, nil
 }
-
-// Count returns how many records have been decoded so far.
-func (r *CSVReader) Count() int64 { return r.count }
-
-// Line returns the 1-based number of the last line consumed.
-func (r *CSVReader) Line() int64 { return r.line }

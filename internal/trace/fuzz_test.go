@@ -34,13 +34,13 @@ func FuzzReadBinary(f *testing.F) {
 	})
 	f.Add(burstBuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := readAll(NewStreamReader(bytes.NewReader(data)))
+		recs, err := CollectSource(NewStreamReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
 		encodeAll(t, NewStreamWriter(&out), recs)
-		again, err := readAll(NewStreamReader(&out))
+		again, err := CollectSource(NewStreamReader(&out))
 		if err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)
 		}
@@ -60,13 +60,13 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("5,1,0,0,R\n")                       // zero-length extent: rejected
 	f.Add("9,1,0,4,R\n9,2,0,4,W\n9,3,0,8,R\n") // burst: equal timestamps
 	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := readAll(NewCSVReader(strings.NewReader(data)))
+		recs, err := CollectSource(NewCSVReader(strings.NewReader(data)))
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
 		encodeAll(t, NewCSVWriter(&out), recs)
-		again, err := readAll(NewCSVReader(&out))
+		again, err := CollectSource(NewCSVReader(&out))
 		if err != nil || !slices.Equal(again, recs) {
 			t.Fatalf("round trip failed: %v", err)
 		}
@@ -74,10 +74,10 @@ func FuzzReadCSV(f *testing.F) {
 }
 
 // FuzzStreamReader checks the streaming decoder never panics on
-// arbitrary input, and that FileSource's batched decode agrees with the
-// per-record Next loop record for record and error for error (input
-// without the stream magic gets it prepended, so FileSource takes the
-// stream path).
+// arbitrary input, and that FileSource's windowed decode agrees with
+// the one-record decodeOne loop record for record and error for error
+// (input without the stream magic gets it prepended, so FileSource
+// takes the stream path).
 func FuzzStreamReader(f *testing.F) {
 	var seedBuf bytes.Buffer
 	w := NewStreamWriter(&seedBuf)
@@ -97,7 +97,7 @@ func FuzzStreamReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewStreamReader(bytes.NewReader(data))
 		for i := 0; i < 10000; i++ {
-			if _, err := r.Next(); err != nil {
+			if _, ok := r.Next(); !ok {
 				break
 			}
 		}
@@ -123,8 +123,10 @@ func FuzzNDJSONReader(f *testing.F) {
 	f.Add([]byte(`{ "op":"W" , "size":8 , "t_ns":9 }`))            // reordered keys, padding
 	f.Add([]byte(`{"t_ns":1e3,"item":1,"off":0,"size":4,"op":"R"}`))
 	f.Add([]byte(`{"t_ns":-9223372036854775808,"item":0,"off":0,"size":1,"op":"W"}`))
+	f.Add([]byte("\f{\"t_ns\":1,\"item\":0,\"off\":0,\"size\":1,\"op\":\"R\"}\r\n\u00a0\n")) // not JSON space: rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, line := range bytes.Split(data, []byte("\n")) {
+		lines := bytes.Split(data, []byte("\n"))
+		for _, line := range lines {
 			if fast, ok := parseNDJSONLine(line); ok {
 				var slow ndjsonRecord
 				if err := json.Unmarshal(line, &slow); err != nil {
@@ -137,8 +139,12 @@ func FuzzNDJSONReader(f *testing.F) {
 		}
 		r := NewNDJSONReader(bytes.NewReader(data))
 		for i := 0; i < 10000; i++ {
-			if _, err := r.Next(); err != nil {
+			if _, ok := r.Next(); !ok {
 				return
+			}
+			var slow ndjsonRecord
+			if line := lines[r.Line()-1]; json.Unmarshal(line, &slow) != nil {
+				t.Fatalf("reader accepted line %d %q, encoding/json rejects it", r.Line(), line)
 			}
 		}
 	})

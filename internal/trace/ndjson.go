@@ -7,11 +7,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -24,121 +24,57 @@ type ndjsonRecord struct {
 	Op     string `json:"op"`
 }
 
-// NDJSONWriter encodes logical records as newline-delimited JSON.
-// Records must be appended in time order. Close flushes the underlying
-// buffer; it does not close the writer.
-type NDJSONWriter struct {
-	bw    *bufio.Writer
-	prev  time.Duration
-	count int64
+// maxNDJSONLine bounds one encoded NDJSON line: the keys and
+// punctuation, two integers of at most 20 characters and two of at
+// most 11, and an op name (at most "Op(255)").
+const maxNDJSONLine = len(`{"t_ns":,"item":,"off":,"size":,"op":""}`+"\n") + 2*20 + 2*11 + 7
+
+// NewNDJSONWriter returns a Writer of newline-delimited JSON objects,
+// each the bytes json.Marshal gives an ndjsonRecord.
+func NewNDJSONWriter(w io.Writer) *Writer {
+	return newWriter(w, "ndjson", "", maxNDJSONLine, appendNDJSON)
 }
 
-// NewNDJSONWriter returns a writer targeting w.
-func NewNDJSONWriter(w io.Writer) *NDJSONWriter {
-	return &NDJSONWriter{bw: bufio.NewWriter(w)}
+func appendNDJSON(buf []byte, r LogicalRecord, _ time.Duration) []byte {
+	buf = append(buf, `{"t_ns":`...)
+	buf = strconv.AppendInt(buf, int64(r.Time), 10)
+	buf = append(buf, `,"item":`...)
+	buf = strconv.AppendInt(buf, int64(r.Item), 10)
+	buf = append(buf, `,"off":`...)
+	buf = strconv.AppendInt(buf, r.Offset, 10)
+	buf = append(buf, `,"size":`...)
+	buf = strconv.AppendInt(buf, int64(r.Size), 10)
+	buf = append(buf, `,"op":"`...)
+	buf = append(buf, r.Op.String()...)
+	return append(buf, "\"}\n"...)
 }
 
-// Append encodes one record.
-func (w *NDJSONWriter) Append(r LogicalRecord) error {
-	if r.Time < w.prev {
-		return fmt.Errorf("trace: ndjson record %d out of order (%v after %v)", w.count, r.Time, w.prev)
+// NewNDJSONReader returns a TextReader of newline-delimited JSON
+// records.
+func NewNDJSONReader(r io.Reader) *TextReader {
+	return newTextReader(r, "ndjson", nil, trimJSONSpace, parseNDJSON)
+}
+
+// parseNDJSON decodes one line. Anything the allocation-free fast path
+// does not recognize (escapes, floats, unknown keys, reordered
+// whitespace) goes through the full JSON decoder, so the accepted
+// language is encoding/json's. The decoder works on its own variable so
+// rec's address is never taken and the fast path stays allocation-free.
+func parseNDJSON(b []byte, line int64) (LogicalRecord, error) {
+	rec, ok := parseNDJSONLine(b)
+	if !ok {
+		var slow ndjsonRecord
+		if err := json.Unmarshal(b, &slow); err != nil {
+			return LogicalRecord{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
+		}
+		rec = slow
 	}
-	line, err := json.Marshal(ndjsonRecord{
-		TimeNS: int64(r.Time), Item: int64(r.Item),
-		Offset: r.Offset, Size: r.Size, Op: r.Op.String(),
-	})
+	out, err := rec.toLogical()
 	if err != nil {
-		return err
+		return LogicalRecord{}, fmt.Errorf("trace: ndjson line %d: %w", line, err)
 	}
-	if _, err := w.bw.Write(line); err != nil {
-		return err
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	w.prev = r.Time
-	w.count++
-	return nil
+	return out, nil
 }
-
-// Count returns how many records have been appended.
-func (w *NDJSONWriter) Count() int64 { return w.count }
-
-// Close flushes buffered output.
-func (w *NDJSONWriter) Close() error { return w.bw.Flush() }
-
-// NDJSONReader decodes logical records from newline-delimited JSON.
-// Blank lines are skipped. Records must be in time order. After any
-// error (including io.EOF) the reader is sticky: further Next calls
-// return the same error and Count stops advancing.
-type NDJSONReader struct {
-	sc    *bufio.Scanner
-	prev  time.Duration
-	line  int64
-	count int64
-	err   error
-}
-
-// NewNDJSONReader returns a reader over r. Lines up to 1 MiB are
-// accepted.
-func NewNDJSONReader(r io.Reader) *NDJSONReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &NDJSONReader{sc: sc}
-}
-
-// Next returns the next record. It returns io.EOF at the clean end of
-// the input and a line-numbered error on corruption.
-func (r *NDJSONReader) Next() (LogicalRecord, error) {
-	if r.err != nil {
-		return LogicalRecord{}, r.err
-	}
-	for r.sc.Scan() {
-		r.line++
-		line := r.sc.Bytes()
-		if len(trimSpace(line)) == 0 {
-			continue
-		}
-		rec, ok := parseNDJSONLine(line)
-		if !ok {
-			// Anything the fast path does not recognize (escapes, floats,
-			// unknown keys, reordered whitespace) goes through the full
-			// JSON decoder, so the accepted language is unchanged. The
-			// decoder works on its own variable so rec's address is never
-			// taken and the fast path stays allocation-free.
-			var slow ndjsonRecord
-			if err := json.Unmarshal(line, &slow); err != nil {
-				r.err = fmt.Errorf("trace: ndjson line %d: %w", r.line, err)
-				return LogicalRecord{}, r.err
-			}
-			rec = slow
-		}
-		out, err := rec.toLogical()
-		if err != nil {
-			r.err = fmt.Errorf("trace: ndjson line %d: %w", r.line, err)
-			return LogicalRecord{}, r.err
-		}
-		if out.Time < r.prev {
-			r.err = &OrderError{
-				Format: "ndjson", Record: r.count, Line: r.line, Offset: -1,
-				Prev: r.prev, Got: out.Time,
-			}
-			return LogicalRecord{}, r.err
-		}
-		r.prev = out.Time
-		r.count++
-		return out, nil
-	}
-	if err := r.sc.Err(); err != nil {
-		r.err = fmt.Errorf("trace: ndjson line %d: %w", r.line+1, err)
-		return LogicalRecord{}, r.err
-	}
-	r.err = io.EOF
-	return LogicalRecord{}, io.EOF
-}
-
-// Count returns how many records have been decoded so far.
-func (r *NDJSONReader) Count() int64 { return r.count }
 
 func (rec ndjsonRecord) toLogical() (LogicalRecord, error) {
 	if rec.TimeNS < 0 {
@@ -172,7 +108,7 @@ func (rec ndjsonRecord) toLogical() (LogicalRecord, error) {
 const maxItemID = int32(1<<31 - 1)
 
 // parseNDJSONLine decodes the flat integer-and-"R"/"W" object language
-// that NDJSONWriter emits, without allocating. It tolerates any key
+// that NewNDJSONWriter emits, without allocating. It tolerates any key
 // order and ASCII space/tab padding but nothing fancier — escapes,
 // floats, exponents, nested values, or unknown keys return ok=false and
 // the caller falls back to encoding/json. A malformed line also returns
@@ -311,9 +247,10 @@ func parseNDJSONLine(b []byte) (rec ndjsonRecord, ok bool) {
 	return rec, seen[0] && seen[3] && seen[4]
 }
 
-// trimSpace is a tiny allocation-free space trim for line emptiness
-// checks.
-func trimSpace(b []byte) []byte {
+// trimJSONSpace strips the space JSON allows around a value on one
+// line (space, tab, CR), so a line is blank, and decodes, exactly when
+// encoding/json would say so.
+func trimJSONSpace(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
 		b = b[1:]
 	}

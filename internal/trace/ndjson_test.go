@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -17,30 +16,10 @@ func TestNDJSONRoundTrip(t *testing.T) {
 		{Time: time.Hour, Item: 1<<31 - 1, Offset: 1 << 40, Size: 1<<31 - 1, Op: OpWrite},
 	}
 	var buf bytes.Buffer
-	w := NewNDJSONWriter(&buf)
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	encodeAll(t, NewNDJSONWriter(&buf), recs)
+	got, err := CollectSource(NewNDJSONReader(&buf))
+	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Count() != int64(len(recs)) {
-		t.Fatalf("writer count %d, want %d", w.Count(), len(recs))
-	}
-
-	r := NewNDJSONReader(&buf)
-	var got []LogicalRecord
-	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, rec)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("read %d records, want %d", len(got), len(recs))
@@ -75,12 +54,8 @@ func TestNDJSONReaderErrors(t *testing.T) {
 			`{"t_ns":1,"item":0,"off":0,"size":1,"op":"R"}` + "\n", "out of order"},
 	}
 	for _, c := range cases {
-		r := NewNDJSONReader(strings.NewReader(c.in))
-		var err error
-		for err == nil {
-			_, err = r.Next()
-		}
-		if errors.Is(err, io.EOF) || !strings.Contains(err.Error(), c.frag) {
+		_, err := CollectSource(NewNDJSONReader(strings.NewReader(c.in)))
+		if err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: error %v, want fragment %q", c.name, err, c.frag)
 		}
 	}
@@ -91,18 +66,34 @@ func TestNDJSONReaderSkipsBlankLinesAndIsSticky(t *testing.T) {
 		`{"t_ns":1,"item":1,"off":0,"size":1,"op":"W"}` + "\n"
 	r := NewNDJSONReader(strings.NewReader(in))
 	for i := 0; i < 2; i++ {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
+		if _, ok := r.Next(); !ok {
+			t.Fatalf("record %d: stream ended: %v", i, r.Err())
 		}
 	}
-	if r.Count() != 2 {
-		t.Fatalf("count %d, want 2", r.Count())
+	if r.Line() != 4 {
+		t.Fatalf("second record read from line %d, want 4", r.Line())
 	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF, got %v", err)
+	// The clean end is sticky.
+	for i := 0; i < 2; i++ {
+		if _, ok := r.Next(); ok || r.Err() != nil {
+			t.Fatalf("Next %d after the end: ok %v, err %v", i, ok, r.Err())
+		}
 	}
-	// EOF is sticky.
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("second Next after EOF: %v", err)
+}
+
+// TestNDJSONReaderTrimsOnlyJSONSpace: a line is trimmed of the space
+// JSON allows (space, tab, CR) and nothing more, so a form feed, a
+// vertical tab or a no-break space is an error on its line, as
+// encoding/json says, not padding or a blank line.
+func TestNDJSONReaderTrimsOnlyJSONSpace(t *testing.T) {
+	const rec = `{"t_ns":0,"item":0,"off":0,"size":1,"op":"R"}`
+	if got, err := CollectSource(NewNDJSONReader(strings.NewReader(" \t" + rec + "\r\n\t\r\n"))); err != nil || len(got) != 1 {
+		t.Fatalf("JSON-space padding: %d records, %v", len(got), err)
+	}
+	for _, in := range []string{"\f" + rec, rec + "\v", "\u00a0\n" + rec, "\u0085"} {
+		got, err := CollectSource(NewNDJSONReader(strings.NewReader(in)))
+		if err == nil || !strings.Contains(err.Error(), "line 1") || len(got) != 0 {
+			t.Errorf("%q: %d records, %v, want a line-1 error", in, len(got), err)
+		}
 	}
 }

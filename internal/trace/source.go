@@ -504,32 +504,14 @@ func SummarizeSource(src Source) (Summary, error) {
 	return s, nil
 }
 
-// fileWindow is how many decoded records a FileSource holds: one
-// refill decodes a window's worth, so the per-record cost of Next is an
-// index into it. It is odd so that timing every 64th Next, as the
-// benchmark's trace.next_ns does, meets refills at their true rate of
-// one call in fileWindow; a multiple of 64 would put a refill into
-// every fourth timed call.
-const fileWindow = 255
-
-// FileSource incrementally decodes a trace file in any of the three
-// on-disk formats — the binary stream (ESMSTR1), NDJSON or CSV —
-// detected from the leading bytes. Decoding is incremental: a
-// multi-gigabyte trace replays in O(items) memory, never holding more
-// than one window of fileWindow decoded records and the decoder's fixed
-// buffers.
+// FileSource decodes a trace file in any of the three on-disk formats
+// — the binary stream (ESMSTR1), NDJSON or CSV — sniffed from the
+// leading bytes: its Source is the format's decoder, a StreamReader or
+// a TextReader, so a multi-gigabyte trace replays in O(items) memory.
+// OpenFile's FileSource owns the file and closes it.
 type FileSource struct {
+	Source
 	f *os.File
-	// fill decodes into dst until it is full or decoding stops, and
-	// returns the error that stopped it (io.EOF at the clean end).
-	fill   func(dst []LogicalRecord) (int, error)
-	window [fileWindow]LogicalRecord
-	pos, n int
-	// end is what stopped decoding after window[:n]; it surfaces once
-	// the window has drained.
-	end   error
-	err   error
-	count int64
 }
 
 // OpenFile opens path as a FileSource. The caller must Close it.
@@ -553,72 +535,19 @@ func OpenFile(path string) (*FileSource, error) {
 // magic, instead of reaching the CSV parser as garbage.
 func NewFileSource(r io.Reader) (*FileSource, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
-	fs := &FileSource{}
 	head, _ := br.Peek(len(streamMagic))
 	switch {
 	case string(head) == streamMagic:
-		fs.fill = NewStreamReader(br).fill
+		return &FileSource{Source: NewStreamReader(br)}, nil
 	case len(head) > 0 && head[0] == '{':
 		// Self-describing NDJSON: the only text format whose lines start
 		// with an object brace.
-		fs.fill = fillFrom(NewNDJSONReader(br).Next)
-	default:
-		if strings.HasPrefix(string(head), streamMagic[:3]) {
-			return nil, fmt.Errorf("trace: unsupported binary trace format %q; regenerate the trace with tracegen -format stream", head)
-		}
-		fs.fill = fillFrom(NewCSVReader(br).Next)
+		return &FileSource{Source: NewNDJSONReader(br)}, nil
+	case strings.HasPrefix(string(head), streamMagic[:3]):
+		return nil, fmt.Errorf("trace: unsupported binary trace format %q; regenerate the trace with tracegen -format stream", head)
 	}
-	return fs, nil
+	return &FileSource{Source: NewCSVReader(br)}, nil
 }
-
-// fillFrom adapts a per-record decoder to FileSource's window fill.
-func fillFrom(next func() (LogicalRecord, error)) func([]LogicalRecord) (int, error) {
-	return func(dst []LogicalRecord) (int, error) {
-		for i := range dst {
-			rec, err := next()
-			if err != nil {
-				return i, err
-			}
-			dst[i] = rec
-		}
-		return len(dst), nil
-	}
-}
-
-// Next returns the next decoded record.
-func (s *FileSource) Next() (LogicalRecord, bool) {
-	if s.pos == s.n && !s.refill() {
-		return LogicalRecord{}, false
-	}
-	rec := s.window[s.pos]
-	s.pos++
-	s.count++
-	return rec, true
-}
-
-// refill decodes the next window, reporting false once decoding has
-// ended and every record before the end has been delivered.
-func (s *FileSource) refill() bool {
-	if s.end == nil {
-		s.n, s.end = s.fill(s.window[:])
-		s.pos = 0
-		if s.n > 0 {
-			return true
-		}
-	}
-	// A bare io.EOF is the clean end of the data; wrapped EOFs from a
-	// truncated record are real corruption.
-	if s.end != io.EOF {
-		s.err = s.end
-	}
-	return false
-}
-
-// Err returns the decoding failure that ended the stream, or nil.
-func (s *FileSource) Err() error { return s.err }
-
-// Count returns how many records have been decoded so far.
-func (s *FileSource) Count() int64 { return s.count }
 
 // Close closes the underlying file, if any.
 func (s *FileSource) Close() error {

@@ -506,7 +506,7 @@ func TestFileSourceAllFormats(t *testing.T) {
 	recs := sortedRecs(rand.New(rand.NewSource(5)), 1000, 2)
 	dir := t.TempDir()
 
-	write := func(name string, newWriter func(io.Writer) recordWriter) string {
+	write := func(name string, newWriter func(io.Writer) *Writer) string {
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
 		if err != nil {
@@ -520,9 +520,9 @@ func TestFileSourceAllFormats(t *testing.T) {
 	}
 
 	paths := map[string]string{
-		"stream": write("t.str", func(w io.Writer) recordWriter { return NewStreamWriter(w) }),
-		"csv":    write("t.csv", func(w io.Writer) recordWriter { return NewCSVWriter(w) }),
-		"ndjson": write("t.ndjson", func(w io.Writer) recordWriter { return NewNDJSONWriter(w) }),
+		"stream": write("t.str", NewStreamWriter),
+		"csv":    write("t.csv", NewCSVWriter),
+		"ndjson": write("t.ndjson", NewNDJSONWriter),
 	}
 
 	for format, path := range paths {
@@ -533,9 +533,6 @@ func TestFileSourceAllFormats(t *testing.T) {
 		got, err := CollectSource(src)
 		if err != nil {
 			t.Fatalf("%s: %v", format, err)
-		}
-		if src.Count() != int64(len(recs)) {
-			t.Errorf("%s: Count = %d, want %d", format, src.Count(), len(recs))
 		}
 		if err := src.Close(); err != nil {
 			t.Fatalf("%s: close: %v", format, err)

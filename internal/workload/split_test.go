@@ -71,10 +71,12 @@ func encodeSource(t *testing.T, src *Source) ([]byte, int64) {
 	defer src.Close()
 	var buf bytes.Buffer
 	sw := trace.NewStreamWriter(&buf)
+	var n int64
 	for rec, ok := src.Next(); ok; rec, ok = src.Next() {
 		if err := sw.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+		n++
 	}
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
@@ -82,7 +84,7 @@ func encodeSource(t *testing.T, src *Source) ([]byte, int64) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), sw.Count()
+	return buf.Bytes(), n
 }
 
 // TestSourceSplitMatchesFlat is the split merge's differential test on
