@@ -108,7 +108,10 @@ func BenchmarkFig06PatternMix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m := experiments.PatternMix(w, core.DefaultParams().BreakEven)
+			m, err := experiments.PatternMix(w, core.DefaultParams().BreakEven)
+			if err != nil {
+				b.Fatal(err)
+			}
 			switch k {
 			case experiments.FileServer:
 				b.ReportMetric(m.Frac(core.P1)*100, "fs_P1_%")

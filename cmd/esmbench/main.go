@@ -211,7 +211,9 @@ func run(scale float64, kindFlag string, fig int, extended bool, eventsPath, tra
 			if err != nil {
 				return err
 			}
-			mixes[k] = experiments.PatternMix(w, core.DefaultParams().BreakEven)
+			if mixes[k], err = experiments.PatternMix(w, core.DefaultParams().BreakEven); err != nil {
+				return err
+			}
 		}
 		experiments.Fig6Table(mixes).Fprint(os.Stdout)
 		if fig == 6 {

@@ -146,11 +146,19 @@ func (f *FleetFile) Validate() error {
 	return nil
 }
 
+// FleetArrayLabel is the array label of the fleet-wide watchdog's
+// metrics, so no array may take it as its name.
+const FleetArrayLabel = "fleet"
+
 // ValidateArrayName checks that name is usable as a URL path segment
-// and a metric label value: non-empty, letters, digits, '-', '_', '.'.
+// and a metric label value: non-empty, letters, digits, '-', '_', '.',
+// and not FleetArrayLabel.
 func ValidateArrayName(name string) error {
 	if name == "" {
 		return fmt.Errorf("array name is empty")
+	}
+	if name == FleetArrayLabel {
+		return fmt.Errorf("array name %q is reserved for the fleet-wide alert metrics", name)
 	}
 	for _, r := range name {
 		switch {

@@ -62,7 +62,7 @@ func TestValidateArrayName(t *testing.T) {
 			t.Errorf("%q rejected: %v", ok, err)
 		}
 	}
-	for _, bad := range []string{"", "a b", "a/b", "a{b", `a"b`} {
+	for _, bad := range []string{"", "a b", "a/b", "a{b", `a"b`, "fleet"} {
 		if err := ValidateArrayName(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}

@@ -285,8 +285,9 @@ func (t *Table) Fprint(out io.Writer) {
 // PatternMix classifies every data item of w over the whole trace with
 // the paper's break-even time and returns the Fig. 6 distribution. The
 // trace is consumed as a stream, so paper-scale workloads classify
-// without ever being materialized.
-func PatternMix(w *workload.Workload, breakEven time.Duration) core.PatternMix {
+// without ever being materialized. A trace that fails part-way is an
+// error, not a partial mix.
+func PatternMix(w *workload.Workload, breakEven time.Duration) (core.PatternMix, error) {
 	mon := monitor.NewAppMonitor(w.Catalog.Len(), breakEven)
 	src := w.Source()
 	defer src.Close()
@@ -297,8 +298,10 @@ func PatternMix(w *workload.Workload, breakEven time.Duration) core.PatternMix {
 		}
 		mon.Record(rec)
 	}
-	stats := mon.EndPeriod(w.Duration)
-	return core.MixOf(stats)
+	if err := src.Err(); err != nil {
+		return core.PatternMix{}, fmt.Errorf("%s: pattern mix: %w", w.Name, err)
+	}
+	return core.MixOf(mon.EndPeriod(w.Duration)), nil
 }
 
 // Fig6Table renders the logical I/O pattern mix of every application.

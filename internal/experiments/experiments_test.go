@@ -156,7 +156,10 @@ func TestPatternMixAndFig6Table(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := PatternMix(w, 52*time.Second)
+	m, err := PatternMix(w, 52*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Total != w.Catalog.Len() {
 		t.Fatalf("classified %d of %d items", m.Total, w.Catalog.Len())
 	}

@@ -95,10 +95,12 @@ func TestSchedulerSharedSink(t *testing.T) {
 
 // TestSchedulerErrorLabel checks that a replay failing inside the worker
 // pool reports which (workload, policy) run raised it.
-func TestSchedulerErrorLabel(t *testing.T) {
+// unsortedWorkload is schedulerWorkload corrupted with one hand-built
+// item stream that runs backwards in time, so the merge's order check
+// trips part-way through the trace.
+func unsortedWorkload(t *testing.T) *workload.Workload {
+	t.Helper()
 	w := schedulerWorkload(t)
-	// Corrupt the trace with one hand-built item stream that runs
-	// backwards in time, so the merge's order check trips mid-replay.
 	w.Streams = append(w.Streams, trace.ItemStream{
 		Item: 0,
 		Seq: func(yield func(trace.LogicalRecord) bool) {
@@ -109,7 +111,11 @@ func TestSchedulerErrorLabel(t *testing.T) {
 			}
 		},
 	})
+	return w
+}
 
+func TestSchedulerErrorLabel(t *testing.T) {
+	w := unsortedWorkload(t)
 	SetParallelism(4)
 	defer SetParallelism(0)
 	_, err := Evaluate(w, []PolicyFactory{
@@ -124,6 +130,19 @@ func TestSchedulerErrorLabel(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("error %q lost the cause", err)
+	}
+}
+
+// TestPatternMixSourceError: a trace that fails part-way gives an
+// error naming the workload and the cause, not a partial Fig. 6 mix.
+func TestPatternMixSourceError(t *testing.T) {
+	w := unsortedWorkload(t)
+	_, err := PatternMix(w, 52*time.Second)
+	if err == nil {
+		t.Fatal("unsorted trace classified")
+	}
+	if !strings.Contains(err.Error(), w.Name) || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("error %q lacks the workload name or the cause", err)
 	}
 }
 

@@ -71,7 +71,7 @@ func New(opts Options) (*Fleet, error) {
 		}
 	}
 	f := &Fleet{reg: reg, cost: cost, arrays: make(map[string]*Array, len(opts.Specs))}
-	f.wd = obs.NewWatchdog(obs.WatchdogOptions{Rules: opts.Alerts, Registry: reg.With("array", "fleet")})
+	f.wd = obs.NewWatchdog(obs.WatchdogOptions{Rules: opts.Alerts, Registry: reg.With("array", config.FleetArrayLabel)})
 	for _, spec := range opts.Specs {
 		if _, dup := f.arrays[spec.Name]; dup {
 			f.Close()

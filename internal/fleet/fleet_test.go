@@ -76,6 +76,7 @@ func TestFleetRejectsBadSpecs(t *testing.T) {
 		{"no arrays", Options{}, "no arrays"},
 		{"dup name", Options{Specs: []ArraySpec{good, good}}, "declared twice"},
 		{"bad name", Options{Specs: []ArraySpec{{Name: "a/b", Catalog: cat, Placement: placement}}}, "invalid character"},
+		{"reserved name", Options{Specs: []ArraySpec{{Name: "fleet", Catalog: cat, Placement: placement}}}, `"fleet" is reserved`},
 		{"no catalog", Options{Specs: []ArraySpec{{Name: "a"}}}, "catalog is required"},
 		{"short placement", Options{Specs: []ArraySpec{{Name: "a", Catalog: cat, Placement: []int{0}}}}, "placement covers"},
 		{"wrong policy", Options{Specs: []ArraySpec{{Name: "a", Catalog: cat, Placement: placement,

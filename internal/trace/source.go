@@ -539,7 +539,7 @@ func NewFileSource(r io.Reader) (*FileSource, error) {
 	switch {
 	case string(head) == streamMagic:
 		return &FileSource{Source: NewStreamReader(br)}, nil
-	case len(head) > 0 && head[0] == '{':
+	case firstText(br) == '{':
 		// Self-describing NDJSON: the only text format whose lines start
 		// with an object brace.
 		return &FileSource{Source: NewNDJSONReader(br)}, nil
@@ -547,6 +547,21 @@ func NewFileSource(r io.Reader) (*FileSource, error) {
 		return nil, fmt.Errorf("trace: unsupported binary trace format %q; regenerate the trace with tracegen -format stream", head)
 	}
 	return &FileSource{Source: NewCSVReader(br)}, nil
+}
+
+// firstText peeks at br's first byte that is not a space, tab, CR or
+// LF, the blank bytes both text readers skip; 0 when the input, or the
+// read buffer, holds no other.
+func firstText(br *bufio.Reader) byte {
+	for n := 1; ; n++ {
+		b, err := br.Peek(n)
+		if err != nil {
+			return 0
+		}
+		if c := b[n-1]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return c
+		}
+	}
 }
 
 // Close closes the underlying file, if any.

@@ -524,6 +524,16 @@ func TestFileSourceAllFormats(t *testing.T) {
 		"csv":    write("t.csv", NewCSVWriter),
 		"ndjson": write("t.ndjson", NewNDJSONWriter),
 	}
+	// The text readers skip blank lines, so the sniff looks past them:
+	// NDJSON that opens with blank bytes is still NDJSON.
+	ndjson, err := os.ReadFile(paths["ndjson"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths["ndjson after blanks"] = filepath.Join(dir, "blank.ndjson")
+	if err := os.WriteFile(paths["ndjson after blanks"], append([]byte("\n \t\r\n\n"), ndjson...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for format, path := range paths {
 		src, err := OpenFile(path)
